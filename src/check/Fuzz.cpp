@@ -11,6 +11,7 @@
 #include "engine/Engines.h"
 #include "libtm/LibTm.h"
 #include "stm/TVar.h"
+#include "support/Barrier.h"
 #include "support/SplitMix64.h"
 
 #include <algorithm>
@@ -25,8 +26,6 @@ const char *gstm::fuzzBackendName(FuzzBackend B) {
   switch (B) {
   case FuzzBackend::Tl2Lazy:
     return "tl2-lazy";
-  case FuzzBackend::Tl2Eager:
-    return "tl2-eager";
   case FuzzBackend::LibTm:
     return "libtm";
   case FuzzBackend::OrecEager:
@@ -132,15 +131,13 @@ void judge(FuzzRunResult &R, const History &H, const FuzzConfig &Cfg,
 }
 
 FuzzRunResult runTl2(const FuzzPlan &Plan, uint64_t Seed,
-                     ConflictDetection Detection, const FuzzConfig &Cfg) {
+                     const FuzzConfig &Cfg) {
   FuzzRunResult R;
   R.Expected = Plan.expectedFinal();
 
   Tl2Config C;
   C.LockTableBits = 10; // small table: deliberate stripe aliasing pressure
-  C.Detection = Detection;
   C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
   C.Fault = Cfg.Fault;
   Tl2Stm Stm(C);
 
@@ -155,10 +152,16 @@ FuzzRunResult runTl2(const FuzzPlan &Plan, uint64_t Seed,
   Stm.setAccessObserver(&Perturb);
   Stm.setObserver(&Rec);
 
+  // Workers start together. Thread creation is slow next to a plan's
+  // few transactions (much slower under TSan), so without the barrier the
+  // first worker can finish before the last one exists and the seed only
+  // ever explores the serial schedule. Every runner below does the same.
+  Barrier Start(Cfg.Threads);
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Cfg.Threads; ++T)
     Workers.emplace_back([&, T] {
       Tl2Txn Txn(Stm, T);
+      Start.arriveAndWait();
       const std::vector<FuzzTxn> &Txns = Plan.PerThread[T];
       for (size_t K = 0; K < Txns.size(); ++K)
         Txn.run(static_cast<TxId>(K), [&](Tl2Txn &Tx) {
@@ -199,7 +202,6 @@ FuzzRunResult runEngine(const FuzzPlan &Plan, uint64_t Seed,
   EngineConfig C;
   C.TableBits = 10; // small table: deliberate entry aliasing pressure
   C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
   C.Fault = Cfg.EngineFault;
   EngineStm<Policy> Stm(C);
 
@@ -214,10 +216,12 @@ FuzzRunResult runEngine(const FuzzPlan &Plan, uint64_t Seed,
   Stm.setAccessObserver(&Perturb);
   Stm.setObserver(&Rec);
 
+  Barrier Start(Cfg.Threads);
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Cfg.Threads; ++T)
     Workers.emplace_back([&, T] {
       EngineTxn<Policy> Txn(Stm, T);
+      Start.arriveAndWait();
       const std::vector<FuzzTxn> &Txns = Plan.PerThread[T];
       for (size_t K = 0; K < Txns.size(); ++K)
         Txn.run(static_cast<TxId>(K), [&](EngineTxn<Policy> &Tx) {
@@ -256,7 +260,6 @@ FuzzRunResult runLibTm(const FuzzPlan &Plan, uint64_t Seed,
 
   LibTmConfig C;
   C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
   LibTm Tm(C);
 
   std::deque<TObj<uint64_t>> Objs;
@@ -270,10 +273,12 @@ FuzzRunResult runLibTm(const FuzzPlan &Plan, uint64_t Seed,
   Tm.setAccessObserver(&Perturb);
   Tm.setObserver(&Rec);
 
+  Barrier Start(Cfg.Threads);
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Cfg.Threads; ++T)
     Workers.emplace_back([&, T] {
       LibTxn Txn(Tm, T);
+      Start.arriveAndWait();
       const std::vector<FuzzTxn> &Txns = Plan.PerThread[T];
       for (size_t K = 0; K < Txns.size(); ++K)
         Txn.run(static_cast<TxId>(K), [&](LibTxn &Tx) {
@@ -366,9 +371,7 @@ FuzzRunResult gstm::runFuzzIteration(uint64_t Seed, FuzzBackend Backend,
   FuzzPlan Plan = makeFuzzPlan(Seed, Cfg);
   switch (Backend) {
   case FuzzBackend::Tl2Lazy:
-    return runTl2(Plan, Seed, ConflictDetection::Lazy, Cfg);
-  case FuzzBackend::Tl2Eager:
-    return runTl2(Plan, Seed, ConflictDetection::Eager, Cfg);
+    return runTl2(Plan, Seed, Cfg);
   case FuzzBackend::LibTm:
     return runLibTm(Plan, Seed, Cfg);
   case FuzzBackend::OrecEager:

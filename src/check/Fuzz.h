@@ -8,9 +8,9 @@
 /// \file
 /// Seeded, reproducible STM fuzzing: a seed expands into a FuzzPlan — a
 /// fixed population of read-modify-write transactions over a small TVar
-/// array — which runs under any backend configuration (TL2 lazy, TL2
-/// eager, LibTm, the three policy-templated engines from src/engine, and
-/// a single-threaded reference interpreter) with schedule perturbation
+/// array — which runs under any backend configuration (TL2, LibTm, the
+/// three policy-templated engines from src/engine, and a single-threaded
+/// reference interpreter) with schedule perturbation
 /// and full history recording. Each run is judged three ways:
 ///
 ///  * the recorded history must pass the checkers (check/Checker.h),
@@ -44,8 +44,6 @@ namespace gstm {
 enum class FuzzBackend : uint8_t {
   /// TL2, commit-time (lazy) conflict detection — the paper's default.
   Tl2Lazy,
-  /// TL2, encounter-time (eager) locking with undo log.
-  Tl2Eager,
   /// Object-based LibTm, one TObj<uint64_t> per variable.
   LibTm,
   /// Policy-templated engines (src/engine): orec-based encounter-time
@@ -67,12 +65,11 @@ const char *fuzzBackendName(FuzzBackend B);
 bool fuzzBackendFromName(const std::string &Name, FuzzBackend &Out);
 
 /// Every backend, in fuzzBackendName order: the two hand-written
-/// runtimes in their modes, the three policy-templated engines, and the
-/// serial reference.
+/// runtimes, the three policy-templated engines, and the serial
+/// reference.
 inline constexpr FuzzBackend AllFuzzBackends[] = {
-    FuzzBackend::Tl2Lazy,   FuzzBackend::Tl2Eager, FuzzBackend::LibTm,
-    FuzzBackend::OrecEager, FuzzBackend::Tlrw,     FuzzBackend::TwoPlUndo,
-    FuzzBackend::Reference};
+    FuzzBackend::Tl2Lazy, FuzzBackend::LibTm,     FuzzBackend::OrecEager,
+    FuzzBackend::Tlrw,    FuzzBackend::TwoPlUndo, FuzzBackend::Reference};
 
 /// Shape of the generated workloads. The defaults are sized for a
 /// single-core CI host: small enough that a thousand iterations run in
@@ -89,12 +86,7 @@ struct FuzzConfig {
   unsigned PreemptShift = 2;
   /// Observer-level perturbation (SchedulePerturber yield shift).
   unsigned PerturbShift = 2;
-  /// Commit ordering for the TL2/LibTm backends: true exercises the
-  /// single-fence writeback path (the runtime default), false the
-  /// standard advance-then-validate-then-publish ordering. CI smoke runs
-  /// sweep both (tools/check_fuzz.cpp).
-  bool SingleFenceCommit = true;
-  /// Fault injection for the TL2 backends (mutation self-test only).
+  /// Fault injection for the TL2 backend (mutation self-test only).
   Tl2FaultInjection Fault;
   /// Fault injection for the policy-templated engine backends (mutation
   /// self-test only; see EngineFaultInjection for the per-engine knobs).

@@ -62,7 +62,6 @@ ShardFuzzResult gstm::runShardFuzzIteration(uint64_t Seed,
   SC.ShardCount = Cfg.ShardCount;
   SC.LockTableBits = 10; // small tables: deliberate stripe aliasing
   SC.PreemptShift = Cfg.PreemptShift;
-  SC.SingleFenceCommit = Cfg.SingleFenceCommit;
   SC.Fault = Cfg.Fault;
   ShardedStm Stm(SC);
 

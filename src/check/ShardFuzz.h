@@ -58,8 +58,6 @@ struct ShardFuzzConfig {
   unsigned ShardCount = 4;
   unsigned PreemptShift = 2;
   unsigned PerturbShift = 2;
-  /// Commit ordering, as FuzzConfig::SingleFenceCommit; CI sweeps both.
-  bool SingleFenceCommit = true;
   /// Fault injection (checker self-test only).
   ShardFaultInjection Fault;
   CheckerConfig Checker;

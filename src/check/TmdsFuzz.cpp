@@ -276,13 +276,10 @@ TmdsRunResult runOn(typename B::Stm &Stm, const TmdsPlan &Plan,
 
 template <template <typename> class DSTmpl>
 TmdsRunResult runTl2Ds(const TmdsPlan &Plan, uint64_t Seed,
-                       ConflictDetection Detection,
                        const TmdsFuzzConfig &Cfg, bool Serial) {
   Tl2Config C;
   C.LockTableBits = 10; // small table: deliberate stripe aliasing pressure
-  C.Detection = Detection;
   C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
   Tl2Stm Stm(C);
   return runOn<Tl2Backend, DSTmpl>(
       Stm, Plan, Seed, Cfg, Serial, [](Tl2Stm &S, auto &) {
@@ -297,7 +294,6 @@ TmdsRunResult runLibTmDs(const TmdsPlan &Plan, uint64_t Seed,
                          const TmdsFuzzConfig &Cfg) {
   LibTmConfig C;
   C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
   LibTm Tm(C);
   return runOn<LibTmBackend, DSTmpl>(
       Tm, Plan, Seed, Cfg, /*Serial=*/false,
@@ -317,7 +313,6 @@ TmdsRunResult runEngineDs(const TmdsPlan &Plan, uint64_t Seed,
   EngineConfig C;
   C.TableBits = 10; // small table: deliberate entry aliasing pressure
   C.PreemptShift = Cfg.PreemptShift;
-  C.SingleFenceCommit = Cfg.SingleFenceCommit;
   EngineStm<Policy> Stm(C);
   return runOn<EngineBackend<Policy>, DSTmpl>(
       Stm, Plan, Seed, Cfg, /*Serial=*/false,
@@ -338,11 +333,7 @@ TmdsRunResult runForStructure(const TmdsPlan &Plan, uint64_t Seed,
                               const TmdsFuzzConfig &Cfg) {
   switch (Backend) {
   case FuzzBackend::Tl2Lazy:
-    return runTl2Ds<DSTmpl>(Plan, Seed, ConflictDetection::Lazy, Cfg,
-                            /*Serial=*/false);
-  case FuzzBackend::Tl2Eager:
-    return runTl2Ds<DSTmpl>(Plan, Seed, ConflictDetection::Eager, Cfg,
-                            /*Serial=*/false);
+    return runTl2Ds<DSTmpl>(Plan, Seed, Cfg, /*Serial=*/false);
   case FuzzBackend::LibTm:
     return runLibTmDs<DSTmpl>(Plan, Seed, Cfg);
   case FuzzBackend::OrecEager:
@@ -355,8 +346,7 @@ TmdsRunResult runForStructure(const TmdsPlan &Plan, uint64_t Seed,
     // Ground truth: the same plan on the TL2-backed structure, executed
     // by one worker thread-major — a genuinely serial interleaving whose
     // history the checkers must accept.
-    return runTl2Ds<DSTmpl>(Plan, Seed, ConflictDetection::Lazy, Cfg,
-                            /*Serial=*/true);
+    return runTl2Ds<DSTmpl>(Plan, Seed, Cfg, /*Serial=*/true);
   }
   return TmdsRunResult{};
 }

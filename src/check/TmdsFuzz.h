@@ -10,8 +10,8 @@
 /// instead of read-modify-write transactions over a flat array, each seed
 /// expands into a randomized map workload (insert/update/remove/find/
 /// scan/size) over a transactional skiplist or B-tree (src/tmds), run
-/// under the same backend matrix — TL2 lazy, TL2 eager, LibTm, the
-/// policy-templated engines (orec-eager, tlrw, 2pl-undo), and a
+/// under the same backend matrix — TL2, LibTm, the policy-templated
+/// engines (orec-eager, tlrw, 2pl-undo), and a
 /// serial reference execution — with seeded schedule perturbation and
 /// full history checking.
 ///
@@ -88,7 +88,6 @@ struct TmdsFuzzConfig {
   unsigned Keys = 32;
   unsigned PreemptShift = 2;
   unsigned PerturbShift = 2;
-  bool SingleFenceCommit = true;
   CheckerConfig Checker;
 };
 

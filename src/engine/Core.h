@@ -93,10 +93,6 @@ struct EngineConfig {
   unsigned CommitRingBits = 13;
   /// Address-to-entry hash, as Tl2Config::StripeHash.
   StripeHashKind StripeHash = StripeHashKind::Mix;
-  /// Single-fence commit publication where the policy has a validation
-  /// step to order (orec-eager; see OrecEagerPolicy::commit). Policies
-  /// without commit validation publish identically either way.
-  bool SingleFenceCommit = true;
   BackoffKind Backoff = BackoffKind::Yield;
   /// Scheduler perturbation, as Tl2Config::PreemptShift. 0 = off.
   unsigned PreemptShift = 0;

@@ -151,42 +151,27 @@ struct OrecEagerPolicy {
                 return A.StripeIndex < B.StripeIndex;
               });
 
-    const EngineConfig &Cfg = S.config();
-    uint64_t Wv;
-    if (Cfg.SingleFenceCommit) {
-      // Single-fence ordering (the TL2 lineage's SINGLEFENCEOPT): the
-      // seq_cst fence globally orders our encounter-time orec CASes
-      // before the validation loads — without it, store-buffering lets
-      // two cyclically conflicting writers each miss the other's lock
-      // and both commit (see the matching fence in Tl2Txn). Validation
-      // is unconditional here: the wv==rv+1 elision reasons about the
-      // clock advance sitting between acquisition and validation, and
-      // this ordering moves the advance after it.
-      // stm-order: fence(seq_cst) before(validate) label(OrecEagerPolicy::commit single-fence commit)
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (!Cfg.Fault.SkipReadValidation)
-        validate(Tx);
-      std::atomic_thread_fence(std::memory_order_release);
-      Wv = S.clock().advance();
-      // Publish attribution before the new version becomes visible so a
-      // victim observing Wv can already resolve the committer.
-      S.commitRing().record(Wv, Tx.self());
-      for (const Held &L : St.Acquired)
-        S.table().stripeAt(L.StripeIndex).store(
-            LockTable::encodeVersion(Wv), std::memory_order_relaxed);
-    } else {
-      Wv = S.clock().advance();
-      // TL2 elision, sound in eager mode too: wv == rv+1 means no other
-      // transaction committed between our rv sample and our advance,
-      // and only commits can change an orec version out from under a
-      // validated read (aborting writers restore the pre-lock word).
-      if (Wv != Tx.rv() + 1 && !Cfg.Fault.SkipReadValidation)
-        validate(Tx);
-      S.commitRing().record(Wv, Tx.self());
-      for (const Held &L : St.Acquired)
-        S.table().stripeAt(L.StripeIndex).store(
-            LockTable::encodeVersion(Wv), std::memory_order_release);
-    }
+    // Single-fence ordering (the TL2 lineage's SINGLEFENCEOPT): the
+    // seq_cst fence globally orders our encounter-time orec CASes before
+    // the validation loads — without it, store-buffering lets two
+    // cyclically conflicting writers each miss the other's lock and both
+    // commit (see the matching fence in Tl2Txn). It is also the release
+    // fence for the in-place writes, which all precede it, so the relaxed
+    // version publishes below need no second fence. Validation is
+    // unconditional: the wv==rv+1 elision reasons about the clock advance
+    // sitting between acquisition and validation, and this ordering
+    // moves the advance after it.
+    // stm-order: fence(seq_cst) before(validate) label(OrecEagerPolicy::commit single-fence commit)
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!S.config().Fault.SkipReadValidation)
+      validate(Tx);
+    uint64_t Wv = S.clock().advance();
+    // Publish attribution before the new version becomes visible so a
+    // victim observing Wv can already resolve the committer.
+    S.commitRing().record(Wv, Tx.self());
+    for (const Held &L : St.Acquired)
+      S.table().stripeAt(L.StripeIndex).store(
+          LockTable::encodeVersion(Wv), std::memory_order_relaxed);
     St.Acquired.clear();
     Tx.undoLog().clear();
     return Wv;

@@ -87,11 +87,14 @@ public:
       D.begin(Tx);
       try {
         Body(D);
+        // Sampled before commit, which may release the logs that count
+        // the opens (the engine-family policies clear theirs).
+        const uint64_t Opens = Cm ? D.opensCount() : 0;
         D.commitOrThrow(Attempts);
         if (TrackLatency)
           recordAttemptLatency(AttemptStart);
         if (Cm)
-          Cm->onCommit(D.threadId(), D.opensCount());
+          Cm->onCommit(D.threadId(), Opens);
         return;
       } catch (const TxAbortException &) {
         // Cause already reported; locks already released.

@@ -111,63 +111,39 @@ void LibTxn::commitOrThrow(uint32_t PriorAborts) {
           Thread, static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Obj)));
   }
 
-  const bool SingleFence = S.config().SingleFenceCommit;
+  // Single-fence commit, as in Tl2Txn::commitOrThrow: validate, write
+  // back, then advance the clock and publish all metadata with relaxed
+  // stores behind one release fence.
+  //
+  // The seq_cst fence stands in for stock TL2's clock fetch_add between
+  // lock acquisition and validation: it globally orders our meta-word
+  // lock CAS before any other committer's validation loads. Without it,
+  // store-buffering lets two cyclically conflicting writers each miss the
+  // other's lock and both commit (see the matching fence in
+  // Tl2Txn::commitOrThrow).
+  // stm-order: fence(seq_cst) before(validateReadSet) label(LibTxn::commitOrThrow single-fence commit)
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // Unconditional: the `wv == rv+1` elision is unsound once the clock
+  // advances after writeback (see Tl2Txn::commitOrThrow).
+  validateReadSet(Self);
 
-  uint64_t Wv;
-  if (SingleFence) {
-    // Single-fence commit (see LibTmConfig::SingleFenceCommit): validate
-    // unconditionally, write back, then advance the clock and publish
-    // all metadata with relaxed stores behind one release fence.
-    //
-    // The seq_cst fence stands in for the standard path's clock
-    // fetch_add between lock acquisition and validation: it globally
-    // orders our meta-word lock CAS before any other committer's
-    // validation loads. Without it, store-buffering lets two cyclically
-    // conflicting writers each miss the other's lock and both commit
-    // (see the matching fence in Tl2Txn::commitOrThrow).
-    // stm-order: fence(seq_cst) before(validateReadSet) label(LibTxn::commitOrThrow single-fence commit)
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    validateReadSet(Self);
-
-    for (size_t W = 0, E = WriteObjs.size(); W != E; ++W) {
-      TObjBase *Obj = WriteObjs[W];
-      const uint64_t *In = &WriteData[*WriteIndex.find(Obj)];
-      std::atomic<uint64_t> *Words = Obj->words();
-      for (size_t I = 0, N = Obj->numWords(); I != N; ++I)
-        Words[I].store(In[I], std::memory_order_release);
-    }
-    std::atomic_thread_fence(std::memory_order_release);
-
-    Wv = S.clock().advance();
-    S.commitRing().record(Wv, Self);
-    for (auto &[Obj, Old] : Acquired) {
-      (void)Old;
-      Obj->meta().store(LockTable::encodeVersion(Wv),
-                        std::memory_order_relaxed);
-    }
-    Acquired.clear();
-  } else {
-    Wv = S.clock().advance();
-    // TL2 clock elision: nothing committed since rv, reads still valid.
-    if (Wv != Rv + 1)
-      validateReadSet(Self);
-
-    S.commitRing().record(Wv, Self);
-
-    for (size_t W = 0, E = WriteObjs.size(); W != E; ++W) {
-      TObjBase *Obj = WriteObjs[W];
-      const uint64_t *In = &WriteData[*WriteIndex.find(Obj)];
-      std::atomic<uint64_t> *Words = Obj->words();
-      for (size_t I = 0, N = Obj->numWords(); I != N; ++I)
-        Words[I].store(In[I], std::memory_order_release);
-    }
-    for (auto &[Obj, Old] : Acquired) {
-      (void)Old;
-      Obj->meta().store(LockTable::encodeVersion(Wv),
-                        std::memory_order_release);
-    }
-    Acquired.clear();
+  for (size_t W = 0, E = WriteObjs.size(); W != E; ++W) {
+    TObjBase *Obj = WriteObjs[W];
+    const uint64_t *In = &WriteData[*WriteIndex.find(Obj)];
+    std::atomic<uint64_t> *Words = Obj->words();
+    for (size_t I = 0, N = Obj->numWords(); I != N; ++I)
+      Words[I].store(In[I], std::memory_order_release);
   }
+  std::atomic_thread_fence(std::memory_order_release);
+
+  uint64_t Wv = S.clock().advance();
+  S.commitRing().record(Wv, Self);
+  for (auto &[Obj, Old] : Acquired) {
+    (void)Old;
+    Obj->meta().store(LockTable::encodeVersion(Wv),
+                      std::memory_order_relaxed);
+  }
+  Acquired.clear();
 
   Shard->recordCommit(PriorAborts, /*ReadOnly=*/false);
   if (TxEventObserver *Obs = S.observer())

@@ -65,8 +65,8 @@ public:
   TObjBase &operator=(const TObjBase &) = delete;
   virtual ~TObjBase() = default;
 
-  // The single-fence commit path publishes the meta word with a relaxed
-  // store behind one release fence; see LibTxn::commitOrThrow.
+  // Commit publishes the meta word with a relaxed store behind one
+  // release fence; see LibTxn::commitOrThrow.
   // stm-order: publish(meta) requires release-fence-before
   std::atomic<uint64_t> &meta() { return Meta; }
   size_t numWords() const { return NumWords; }
@@ -118,12 +118,6 @@ private:
 /// Construction-time configuration of a LibTm runtime.
 struct LibTmConfig {
   unsigned CommitRingBits = 13;
-  /// Single-fence commit, as in Tl2Config::SingleFenceCommit: validate,
-  /// write back, then advance the clock and publish every object's
-  /// metadata with relaxed stores behind one release fence. Read-set
-  /// validation runs unconditionally in this mode (the `wv == rv+1`
-  /// elision is unsound once the clock advances after writeback).
-  bool SingleFenceCommit = true;
   BackoffKind Backoff = BackoffKind::Yield;
   /// Scheduler perturbation, as in Tl2Config::PreemptShift: yield with
   /// probability 2^-PreemptShift per object access to restore

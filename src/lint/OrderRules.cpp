@@ -244,26 +244,32 @@ private:
     const FenceState &D = Dom.back();
 
     if (IsStore) {
-      bool Relaxed = O == MemOrder::Relaxed;
-      if (Relaxed && !D.Release) {
-        if (const std::string *Name =
-                firstContractName(Chain, Contracts.Publish))
+      const std::string *Publish = firstContractName(Chain, Contracts.Publish);
+      const std::string *Pair = firstContractName(Chain, Contracts.Pair);
+      if (O == MemOrder::Relaxed && !D.Release) {
+        if (Publish)
           Out.push_back(
               {Rule::TornPublish, T[I].Line,
-               "relaxed store publishes '" + *Name +
+               "relaxed store publishes '" + *Publish +
                    "' with no dominating release fence on this path "
-                   "(contract: publish(" + *Name +
+                   "(contract: publish(" + *Publish +
                    ") requires release-fence-before) — readers can "
                    "observe the new version before the data it guards"});
-        if (const std::string *Name =
-                firstContractName(Chain, Contracts.Pair))
+        if (Pair)
           Out.push_back(
               {Rule::AcquireRelease, T[I].Line,
-               "store to '" + *Name +
+               "store to '" + *Pair +
                    "' is neither release nor behind a release fence "
-                   "(contract: pair(" + *Name +
+                   "(contract: pair(" + *Pair +
                    ") acquire-load release-store)"});
       }
+      // A data store is not ordered by a fence that precedes it, so no
+      // earlier fence dominates a publish that follows it. Cleared at
+      // every open depth: a store inside a nested block still sits
+      // between the fence and any publish after the block closes.
+      if (!Publish && !Pair)
+        for (FenceState &S : Dom)
+          S.Release = false;
       return;
     }
     // Loads: only the pair() contract constrains them.

@@ -15,7 +15,10 @@
 ///       O1: a relaxed store whose receiver chain names NAME must be
 ///       dominated by a release (or stronger) fence on its path — the
 ///       single-fence commit publication idiom. Release/seq_cst stores
-///       satisfy the contract on their own.
+///       satisfy the contract on their own. A store to an uncontracted
+///       location (the data the publish guards) ends the domination of
+///       every fence before it: the fence must sit between the data
+///       writes and the publish.
 ///
 ///   // stm-order: pair(NAME) acquire-load release-store
 ///       O2: loads of NAME must be acquire or stronger; stores must be

@@ -57,10 +57,10 @@ bool shardHashFromName(const std::string &Name, ShardHashKind &Out);
 /// coordinated cross-shard publish so the opacity checker can prove it
 /// flags the resulting executions. Never enable outside the self-test.
 struct ShardFaultInjection {
-  /// Publish the first participating shard's stripe versions at wv
-  /// *before* the coordinated write-back, with a yield in between:
-  /// readers on that shard can validate new-version stripes while still
-  /// observing pre-commit data on every shard.
+  /// Publish a cross-shard commit's stripe versions at wv *before* the
+  /// coordinated write-back, with a yield in between: readers can
+  /// validate new-version stripes while still observing pre-commit data
+  /// on every shard.
   bool TornCoordinatedPublish = false;
 };
 
@@ -84,12 +84,6 @@ struct ShardConfig {
   unsigned CommitRingBits = 13;
   /// Per-shard stripe hash (LockTable's address-to-stripe mapping).
   StripeHashKind StripeHash = StripeHashKind::Mix;
-  /// Single-fence commit ordering, exactly as Tl2Config::SingleFenceCommit:
-  /// validate, write back, then advance and publish every participating
-  /// shard's stripe versions with relaxed stores behind one release
-  /// fence. Ignored (standard ordering) when Fault.TornCoordinatedPublish
-  /// needs the legacy publish path.
-  bool SingleFenceCommit = true;
   /// Bounded spin on a locked stripe during cross-shard prepare before
   /// the attempt gives up and aborts. Ordered (shard, stripe) acquisition
   /// makes the waiting deadlock-free; the bound keeps a descheduled lock

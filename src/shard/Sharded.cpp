@@ -293,110 +293,62 @@ void ShardedTxn::commitOrThrow(uint32_t PriorAborts) {
       A->onLockAcquire(Thread, Key);
   }
 
-  const ShardConfig &Cfg = S.config();
-  // The torn-coordinated-publish mutant exercises the legacy publish
-  // ordering, so it pins the standard path.
-  const bool SingleFence =
-      Cfg.SingleFenceCommit && !Cfg.Fault.TornCoordinatedPublish;
+  // Single-fence commit, exactly as Tl2Txn::commitOrThrow: validate,
+  // write the data back, then advance the clock and publish every
+  // participating shard's stripe versions with relaxed stores behind one
+  // release fence. Validation is UNCONDITIONAL (the `wv == rv+1` elision
+  // is unsound with the advance after writeback, and doubly so here
+  // where rv may be a lagging applied-clock sample). The seq_cst fence
+  // below is what globally orders each committer's prepare CASes before
+  // the other's validation loads; without it two cyclically conflicting
+  // committers — on the same shard or across shards — can each miss the
+  // other's freshly taken locks and both commit a lost update.
+  // stm-order: fence(seq_cst) before(validateReadSet) label(ShardedTxn::commitOrThrow cross-shard 2PC)
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  validateReadSet(Self);
 
-  uint64_t Wv;
-  if (SingleFence) {
-    // Single-fence commit, exactly as the Tl2 path hardened in PR 9:
-    // validate, write the data back, then advance the clock and publish
-    // every participating shard's stripe versions with relaxed stores
-    // behind one release fence. Validation is UNCONDITIONAL (the
-    // `wv == rv+1` elision is unsound with the advance after writeback,
-    // and doubly so here where rv may be a lagging applied-clock
-    // sample). The seq_cst fence below is what globally orders each
-    // committer's prepare CASes before the other's validation loads;
-    // without it two cyclically conflicting committers — on the same
-    // shard or across shards — can each miss the other's freshly taken
-    // locks and both commit a lost update.
-    // stm-order: fence(seq_cst) before(validateReadSet) label(ShardedTxn::commitOrThrow cross-shard 2PC)
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    validateReadSet(Self);
-
+  // The torn-coordinated-publish self-test mutant defers a cross-shard
+  // write-back until after the version publish below.
+  const bool Torn = S.config().Fault.TornCoordinatedPublish && CrossShard;
+  if (!Torn)
     for (const WriteEntry &E : WriteLog)
       E.Addr->store(E.Value, std::memory_order_release);
 
-    // One fence orders the coordinated write-back before every shard's
-    // version publish: a reader whose acquire load of any participating
-    // stripe observes one of the relaxed stores below synchronizes with
-    // this fence ([atomics.fences]) and therefore sees the new data on
-    // every shard the commit touched — the coordinated publish is
-    // atomic to readers because all stripes stay locked until their own
-    // publish store.
-    std::atomic_thread_fence(std::memory_order_release);
+  // One fence orders the coordinated write-back before every shard's
+  // version publish: a reader whose acquire load of any participating
+  // stripe observes one of the relaxed stores below synchronizes with
+  // this fence ([atomics.fences]) and therefore sees the new data on
+  // every shard the commit touched — the coordinated publish is atomic
+  // to readers because all stripes stay locked until their own publish
+  // store.
+  std::atomic_thread_fence(std::memory_order_release);
 
-    Wv = S.clock().advance();
-    // Publish, shard groups ascending: attribution first (the shard's
-    // commit queue), then its stripes at wv, then its applied clock —
-    // which must only move after the publishes (Sharded.h file comment).
-    for (size_t I = 0; I < Acquired.size();) {
-      size_t Shard = Acquired[I].Key >> ShardedStm::ShardKeyShift;
-      S.commitRingOf(Shard).record(Wv, Self);
-      size_t J = I;
-      for (; J < Acquired.size() &&
-             (Acquired[J].Key >> ShardedStm::ShardKeyShift) == Shard;
-           ++J)
-        Acquired[J].Stripe->store(LockTable::encodeVersion(Wv),
-                                  std::memory_order_relaxed);
-      S.appliedClockOf(Shard).raiseTo(Wv);
-      I = J;
-    }
-    Acquired.clear();
-  } else {
-    Wv = S.clock().advance();
-    validateReadSet(Self);
+  uint64_t Wv = S.clock().advance();
+  // Publish, shard groups ascending: attribution first (the shard's
+  // commit queue), then its stripes at wv, then its applied clock —
+  // which must only move after the publishes (Sharded.h file comment).
+  for (size_t I = 0; I < Acquired.size();) {
+    size_t Shard = Acquired[I].Key >> ShardedStm::ShardKeyShift;
+    S.commitRingOf(Shard).record(Wv, Self);
+    size_t J = I;
+    for (; J < Acquired.size() &&
+           (Acquired[J].Key >> ShardedStm::ShardKeyShift) == Shard;
+         ++J)
+      Acquired[J].Stripe->store(LockTable::encodeVersion(Wv),
+                                std::memory_order_relaxed);
+    S.appliedClockOf(Shard).raiseTo(Wv);
+    I = J;
+  }
+  Acquired.clear();
 
-    if (Cfg.Fault.TornCoordinatedPublish && CrossShard) {
-      // Self-test mutant: tear the coordinated publish — release the
-      // first participating shard's stripes at wv before any data moves,
-      // with a yield to widen the window in which that shard's readers
-      // validate new-version stripes while still observing pre-commit
-      // data on every shard.
-      size_t First = Acquired[0].Key >> ShardedStm::ShardKeyShift;
-      S.commitRingOf(First).record(Wv, Self);
-      size_t Torn = 0;
-      for (; Torn < Acquired.size() &&
-             (Acquired[Torn].Key >> ShardedStm::ShardKeyShift) == First;
-           ++Torn)
-        Acquired[Torn].Stripe->store(LockTable::encodeVersion(Wv),
-                                     std::memory_order_release);
-      std::this_thread::yield();
-      for (const WriteEntry &E : WriteLog)
-        E.Addr->store(E.Value, std::memory_order_release);
-      for (size_t I = Torn; I < Acquired.size();) {
-        size_t Shard = Acquired[I].Key >> ShardedStm::ShardKeyShift;
-        S.commitRingOf(Shard).record(Wv, Self);
-        size_t J = I;
-        for (; J < Acquired.size() &&
-               (Acquired[J].Key >> ShardedStm::ShardKeyShift) == Shard;
-             ++J)
-          Acquired[J].Stripe->store(LockTable::encodeVersion(Wv),
-                                    std::memory_order_release);
-        S.appliedClockOf(Shard).raiseTo(Wv);
-        I = J;
-      }
-      S.appliedClockOf(First).raiseTo(Wv);
-      Acquired.clear();
-    } else {
-      for (const WriteEntry &E : WriteLog)
-        E.Addr->store(E.Value, std::memory_order_release);
-      for (size_t I = 0; I < Acquired.size();) {
-        size_t Shard = Acquired[I].Key >> ShardedStm::ShardKeyShift;
-        S.commitRingOf(Shard).record(Wv, Self);
-        size_t J = I;
-        for (; J < Acquired.size() &&
-               (Acquired[J].Key >> ShardedStm::ShardKeyShift) == Shard;
-             ++J)
-          Acquired[J].Stripe->store(LockTable::encodeVersion(Wv),
-                                    std::memory_order_release);
-        S.appliedClockOf(Shard).raiseTo(Wv);
-        I = J;
-      }
-      Acquired.clear();
-    }
+  if (Torn) {
+    // Self-test mutant: every participating shard already shows wv;
+    // yield to widen the window in which readers validate new-version
+    // stripes while still observing pre-commit data on every shard, then
+    // write the data back.
+    std::this_thread::yield();
+    for (const WriteEntry &E : WriteLog)
+      E.Addr->store(E.Value, std::memory_order_release);
   }
 
   Outcome.recordCommit(PriorAborts, /*ReadOnly=*/false);

@@ -47,8 +47,8 @@ enum class AbortSite : uint8_t {
   /// During a transactional load (stale version or locked stripe seen at
   /// read time).
   Read,
-  /// While acquiring a stripe/object lock — encounter-time in eager mode,
-  /// commit-time in lazy mode.
+  /// While acquiring a stripe/object lock — encounter-time in the eager
+  /// engines, commit-time in the lazy ones.
   LockAcquire,
   /// During commit-time read-set validation.
   CommitValidate,
@@ -128,20 +128,20 @@ public:
 
   /// A transactional read of \p Addr returned \p Value. \p Version is the
   /// stripe/object version the read validated against; \p Buffered marks
-  /// reads served from the attempt's own write set (or, in eager mode,
-  /// from a stripe the attempt already owns), which saw no global state
-  /// and carry Version = 0.
+  /// reads served from the attempt's own write set (or, in the eager
+  /// engines, from a stripe the attempt already owns), which saw no
+  /// global state and carry Version = 0.
   virtual void onTxLoad(ThreadId Thread, const void *Addr, uint64_t Value,
                         uint64_t Version, bool Buffered) = 0;
 
-  /// A transactional write of \p Value to \p Addr (buffered in lazy mode,
-  /// in-place under the stripe lock in eager mode).
+  /// A transactional write of \p Value to \p Addr (buffered in the lazy
+  /// engines, in-place under the stripe lock in the eager ones).
   virtual void onTxStore(ThreadId Thread, const void *Addr,
                          uint64_t Value) = 0;
 
   /// The attempt acquired the versioned lock identified by \p LockId
   /// (stripe index for TL2, object address for LibTm) — encounter-time in
-  /// eager mode, commit-time otherwise.
+  /// the eager engines, commit-time otherwise.
   virtual void onLockAcquire(ThreadId Thread, uint64_t LockId) = 0;
 };
 

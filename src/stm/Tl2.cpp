@@ -21,7 +21,6 @@ void Tl2Txn::begin(TxId Tx) {
   WriteIndex.clear();
   WriteFilter = 0;
   Acquired.clear();
-  UndoLog.clear();
   if (TxAccessObserver *A = S.accessObserver())
     A->onTxBegin(Thread, Tx, Rv);
 }
@@ -51,18 +50,11 @@ uint64_t Tl2Txn::loadWord(const std::atomic<uint64_t> &Word) {
   std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Word);
   uint64_t Pre = Stripe.load(std::memory_order_acquire);
   StripeState PreState = LockTable::decode(Pre);
-  if (PreState.Locked) {
-    // Eager mode writes in place under encounter-time locks, so a stripe
-    // we already own is safe to read directly: its version was validated
-    // against rv at acquisition and nobody else can touch it.
-    if (PreState.Owner == packPair(CurrentTx, Thread)) {
-      uint64_t Own = Word.load(std::memory_order_relaxed);
-      if (TxAccessObserver *A = S.accessObserver())
-        A->onTxLoad(Thread, &Word, Own, /*Version=*/0, /*Buffered=*/true);
-      return Own;
-    }
+  // A locked stripe is always someone else's in-flight commit: this
+  // descriptor only holds stripes inside commitOrThrow, after its body
+  // finished loading.
+  if (PreState.Locked)
     abortOnOwner(PreState.Owner, AbortSite::Read);
-  }
 
   uint64_t Value = Word.load(std::memory_order_acquire);
 
@@ -85,10 +77,6 @@ uint64_t Tl2Txn::loadWord(const std::atomic<uint64_t> &Word) {
 
 void Tl2Txn::storeWord(std::atomic<uint64_t> &Word, uint64_t Value) {
   maybePreempt();
-  if (S.config().Detection == ConflictDetection::Eager) {
-    storeWordEager(Word, Value);
-    return;
-  }
   if (TxAccessObserver *A = S.accessObserver())
     A->onTxStore(Thread, &Word, Value);
   uint64_t Sig = filterSignature(&Word);
@@ -103,51 +91,12 @@ void Tl2Txn::storeWord(std::atomic<uint64_t> &Word, uint64_t Value) {
   WriteLog.push_back(WriteEntry{&Word, Value});
 }
 
-void Tl2Txn::storeWordEager(std::atomic<uint64_t> &Word, uint64_t Value) {
-  TxThreadPair Self = packPair(CurrentTx, Thread);
-  std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Word);
-  uint64_t Old = Stripe.load(std::memory_order_relaxed);
-  for (;;) {
-    StripeState OldState = LockTable::decode(Old);
-    if (OldState.Locked) {
-      if (OldState.Owner == Self)
-        break; // stripe already ours from an earlier write
-      abortOnOwner(OldState.Owner, AbortSite::LockAcquire);
-    }
-    // Acquiring a stripe newer than our snapshot would let the attempt
-    // mix pre- and post-conflict state; abort instead, as TL2's eager
-    // variant does.
-    if (OldState.Version > Rv)
-      abortOnVersion(OldState.Version, AbortSite::LockAcquire);
-    if (Stripe.compare_exchange_weak(Old, LockTable::encodeLocked(Self),
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_relaxed)) {
-      size_t Index = S.lockTable().indexFor(&Word);
-      Acquired.push_back(AcquiredLock{Index, Old});
-      if (TxAccessObserver *A = S.accessObserver())
-        A->onLockAcquire(Thread, Index);
-      break;
-    }
-  }
-  if (TxAccessObserver *A = S.accessObserver())
-    A->onTxStore(Thread, &Word, Value);
-  UndoLog.emplace_back(&Word, Word.load(std::memory_order_relaxed));
-  Word.store(Value, std::memory_order_release);
-}
-
-void Tl2Txn::undoEagerWrites() {
-  for (auto It = UndoLog.rbegin(); It != UndoLog.rend(); ++It)
-    It->first->store(It->second, std::memory_order_release);
-  UndoLog.clear();
-}
-
 void Tl2Txn::commitOrThrow(uint32_t PriorAborts) {
   TxThreadPair Self = packPair(CurrentTx, Thread);
 
   // Read-only transactions: every read was validated against rv when it
   // happened, so the snapshot is consistent and no locks are needed.
-  // (Eager attempts that wrote hold stripes in Acquired instead.)
-  if (WriteLog.empty() && Acquired.empty()) {
+  if (WriteLog.empty()) {
     Shard->recordCommit(PriorAborts, /*ReadOnly=*/true);
     if (TxEventObserver *Obs = S.observer())
       Obs->onCommit(CommitEvent{Thread, CurrentTx, /*Version=*/0,
@@ -155,11 +104,10 @@ void Tl2Txn::commitOrThrow(uint32_t PriorAborts) {
     return;
   }
 
-  // Lazy mode: acquire the write-set stripe locks in index order.
-  // Ordered acquisition makes lock-acquisition deadlock impossible, so a
+  // Acquire the write-set stripe locks in index order. Ordered
+  // acquisition makes lock-acquisition deadlock impossible, so a
   // bounded-spin bailout is unnecessary; contention surfaces as
-  // read-time / validation aborts. Eager mode already holds its stripes
-  // (acquired at encounter time, in Acquired).
+  // read-time / validation aborts.
   StripeScratch.clear();
   for (const WriteEntry &E : WriteLog)
     StripeScratch.push_back(S.lockTable().indexFor(E.Addr));
@@ -186,97 +134,64 @@ void Tl2Txn::commitOrThrow(uint32_t PriorAborts) {
       A->onLockAcquire(Thread, Index);
   }
 
-  // preLockWordFor binary-searches Acquired by stripe address; eager
-  // acquisition happens in encounter order, so normalize first.
-  if (S.config().Detection == ConflictDetection::Eager)
-    std::sort(Acquired.begin(), Acquired.end(),
-              [](const AcquiredLock &A, const AcquiredLock &B) {
-                return A.StripeIndex < B.StripeIndex;
-              });
+  // Single-fence commit (2PLSF/zardoshti "SINGLEFENCEOPT" lineage):
+  // validate, write the data back, and only then advance the clock and
+  // publish the versions — stock TL2's N release-store publish loop
+  // becomes relaxed stores behind one release fence.
+  //
+  // The seq_cst fence is the one ordering this shape cannot drop. Stock
+  // TL2 advances the clock (a seq_cst fetch_add) between lock acquisition
+  // and validation, so each committer's lock CAS is globally ordered
+  // before the other's validation loads. With the clock advance moved
+  // after writeback, acq_rel CAS + acquire loads alone permit
+  // store-buffering — two cyclically conflicting committers each miss the
+  // other's freshly taken lock, both validate clean, and both commit a
+  // lost update (real on POWER; invisible on x86/ARMv8, so check_fuzz
+  // cannot catch it).
+  // stm-order: fence(seq_cst) before(validateReadSet) label(Tl2Txn::commitOrThrow single-fence commit)
+  std::atomic_thread_fence(std::memory_order_seq_cst);
 
+  // Validation is UNCONDITIONAL. Stock TL2's `wv == rv+1` elision
+  // reasons "no commit interleaved between my rv sample and my clock
+  // advance"; with the advance after writeback, two cyclically
+  // conflicting writers could both observe a quiescent clock, both skip
+  // validation, and both commit a lost update. The branch-free fast pass
+  // keeps the check cheap. (Fault.SkipReadValidation is the self-test
+  // mutant that omits revalidation entirely; see Tl2FaultInjection.)
   const Tl2Config &Cfg = S.config();
-  // The torn-publish mutant exercises the legacy publish ordering, so it
-  // pins the standard path.
-  const bool SingleFence =
-      Cfg.SingleFenceCommit && !Cfg.Fault.TornVersionPublish;
+  if (!Cfg.Fault.SkipReadValidation)
+    validateReadSet(Self);
 
-  uint64_t Wv;
-  if (SingleFence) {
-    // Single-fence commit: validate, write the data back, and only then
-    // advance the clock and publish the versions — the N release-store
-    // publish loop becomes relaxed stores behind one release fence.
-    //
-    // Validation must be UNCONDITIONAL here. The standard path's
-    // `wv == rv+1` elision reasons "no commit interleaved between my rv
-    // sample and my clock advance"; with the advance moved after
-    // writeback, two cyclically-conflicting writers could both observe a
-    // quiescent clock, both skip validation, and both commit a lost
-    // update. The branch-free fast pass keeps the unconditional check
-    // cheap. (Fault.SkipReadValidation is the self-test mutant that
-    // omits revalidation entirely; see Tl2FaultInjection.)
-    //
-    // The fence below is the one ordering the single-fence path cannot
-    // drop: the standard path's seq_cst clock fetch_add sits between
-    // lock acquisition and validation, so each committer's lock CAS is
-    // globally ordered before the other's validation loads. With the
-    // clock advance moved after writeback, acq_rel CAS + acquire loads
-    // alone permit store-buffering — two cyclically conflicting
-    // committers each miss the other's freshly taken lock, both
-    // validate clean, and both commit a lost update (real on POWER;
-    // invisible on x86/ARMv8, so check_fuzz cannot catch it).
-    // stm-order: fence(seq_cst) before(validateReadSet) label(Tl2Txn::commitOrThrow single-fence commit)
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (!Cfg.Fault.SkipReadValidation)
-      validateReadSet(Self);
-
+  // The torn-publish self-test mutant defers the writeback until after
+  // the version publish below.
+  const bool Torn = Cfg.Fault.TornVersionPublish;
+  if (!Torn)
     for (const WriteEntry &E : WriteLog)
       E.Addr->store(E.Value, std::memory_order_release);
 
-    // One fence orders the writeback (and, in eager mode, the in-place
-    // stores) before every version publish: a reader whose acquire load
-    // of a stripe observes one of the relaxed stores below synchronizes
-    // with this fence ([atomics.fences]) and therefore sees the new
-    // data, exactly as it would have with per-stripe release stores.
-    std::atomic_thread_fence(std::memory_order_release);
+  // One fence orders the writeback before every version publish: a
+  // reader whose acquire load of a stripe observes one of the relaxed
+  // stores below synchronizes with this fence ([atomics.fences]) and
+  // therefore sees the new data, exactly as it would have with
+  // per-stripe release stores.
+  std::atomic_thread_fence(std::memory_order_release);
 
-    Wv = S.clock().advance();
-    // Publish attribution before the new version becomes visible so a
-    // victim observing Wv can already resolve the committer.
-    S.commitRing().record(Wv, Self);
-    for (const AcquiredLock &L : Acquired)
-      S.lockTable().stripeAt(L.StripeIndex)
-          .store(LockTable::encodeVersion(Wv), std::memory_order_relaxed);
-    Acquired.clear();
-  } else {
-    Wv = S.clock().advance();
+  uint64_t Wv = S.clock().advance();
+  // Publish attribution before the new version becomes visible so a
+  // victim observing Wv can already resolve the committer.
+  S.commitRing().record(Wv, Self);
+  for (const AcquiredLock &L : Acquired)
+    S.lockTable().stripeAt(L.StripeIndex)
+        .store(LockTable::encodeVersion(Wv), std::memory_order_relaxed);
+  Acquired.clear();
 
-    // TL2 optimization: if no commit interleaved between our rv sample
-    // and our clock advance, the read set cannot have changed.
-    if (Wv != Rv + 1 && !Cfg.Fault.SkipReadValidation)
-      validateReadSet(Self);
-
-    S.commitRing().record(Wv, Self);
-
-    if (Cfg.Fault.TornVersionPublish) {
-      // Self-test mutant: release the locks at the new version *before*
-      // writing the data back, with a yield in between to widen the
-      // window in which readers validate new-version stripes over old
-      // data.
-      for (const AcquiredLock &L : Acquired)
-        S.lockTable().stripeAt(L.StripeIndex)
-            .store(LockTable::encodeVersion(Wv), std::memory_order_release);
-      std::this_thread::yield();
-      for (const WriteEntry &E : WriteLog)
-        E.Addr->store(E.Value, std::memory_order_release);
-      Acquired.clear();
-    } else {
-      for (const WriteEntry &E : WriteLog)
-        E.Addr->store(E.Value, std::memory_order_release);
-      for (const AcquiredLock &L : Acquired)
-        S.lockTable().stripeAt(L.StripeIndex)
-            .store(LockTable::encodeVersion(Wv), std::memory_order_release);
-      Acquired.clear();
-    }
+  if (Torn) {
+    // Self-test mutant: the locks are already released at wv; yield to
+    // widen the window in which readers validate new-version stripes
+    // over old data, then write the data back.
+    std::this_thread::yield();
+    for (const WriteEntry &E : WriteLog)
+      E.Addr->store(E.Value, std::memory_order_release);
   }
 
   Shard->recordCommit(PriorAborts, /*ReadOnly=*/false);
@@ -381,13 +296,9 @@ void Tl2Txn::retryAbort() {
 }
 
 void Tl2Txn::reportAbortAndThrow(const AbortEvent &E) {
-  // Opens must be counted before the eager rollback below clears UndoLog:
-  // eager writes live there, not in WriteLog.
   LastOpens = opensCount();
-  // Eager attempts may abort while holding stripes mid-run: revert their
-  // in-place writes, then free the stripes. (Lazy commit aborts released
-  // their locks already; both calls are no-ops then.)
-  undoEagerWrites();
+  // Commit-time aborts may hold stripes: restore their pre-lock words.
+  // (Body-time aborts hold none; the call is a no-op then.)
   releaseAcquiredLocks();
   LastEnemyKnown = E.Kind == AbortCauseKind::KnownCommitter;
   LastEnemy = LastEnemyKnown ? E.Cause : 0;

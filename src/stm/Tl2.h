@@ -11,8 +11,9 @@
 /// start (rv), log transactional reads, buffer transactional writes, and at
 /// commit acquire per-stripe versioned locks, advance the clock (wv),
 /// validate that no read stripe is newer than rv, write back, and release
-/// the locks at version wv. Lazy (commit-time) conflict detection matches
-/// the configuration the paper evaluates.
+/// the locks at version wv. Lazy (commit-time) conflict detection is the
+/// configuration the paper evaluates; encounter-time locking with in-place
+/// writes is the separate orec-eager engine (engine/OrecEager.h).
 ///
 /// Two paper-specific extensions over stock TL2:
 ///  * every commit registers (wv -> committer) in a CommitRing so aborting
@@ -58,17 +59,6 @@ namespace gstm {
 
 template <typename T> class TVar;
 
-/// When conflicts are detected (paper Sec. II: "STMs provide options of
-/// eager and lazy conflict detection").
-enum class ConflictDetection : uint8_t {
-  /// Commit-time locking with buffered (write-back) updates — the TL2
-  /// default the paper evaluates.
-  Lazy,
-  /// Encounter-time locking with in-place (write-through) updates and an
-  /// undo log; conflicting writers abort at first touch.
-  Eager,
-};
-
 /// Deliberately broken STM behavior for the correctness harness's
 /// mutation self-test (src/check/, tests/check_test.cpp): each knob
 /// disables one safety mechanism so the history checkers can prove they
@@ -89,22 +79,11 @@ struct Tl2FaultInjection {
 struct Tl2Config {
   unsigned LockTableBits = 20;
   unsigned CommitRingBits = 13;
-  ConflictDetection Detection = ConflictDetection::Lazy;
   /// Address-to-stripe hash (see StripeHashKind). Mix by default: its
   /// full-avalanche indexing measurably cuts false stripe conflicts on
   /// pointer-heavy working sets; Fibonacci remains available for A/B
   /// comparisons against stock TL2.
   StripeHashKind StripeHash = StripeHashKind::Mix;
-  /// Single-fence commit (2PLSF/zardoshti "SINGLEFENCEOPT" lineage):
-  /// writers validate, write the data back, then advance the clock and
-  /// publish the stripe versions with relaxed stores behind one release
-  /// fence — N release stores on the publish path collapse into one
-  /// fence. Costs the `wv == rv+1` validation-elision (which is unsound
-  /// once the clock advances after writeback; see Tl2.cpp), so
-  /// single-threaded writers revalidate their read sets — the branch-free
-  /// validation loop keeps that cheap. Ignored (standard ordering) when
-  /// Fault.TornVersionPublish needs the legacy publish path.
-  bool SingleFenceCommit = true;
   BackoffKind Backoff = BackoffKind::Yield;
   /// Scheduler perturbation: when non-zero, each transactional access
   /// yields the CPU with probability 2^-PreemptShift. On a machine with
@@ -246,12 +225,6 @@ private:
   /// a suspicious read set pays the per-stripe attribution walk.
   void validateReadSet(TxThreadPair Self);
 
-  /// Eager-mode store: lock the stripe at first touch, log the old value
-  /// and write in place.
-  void storeWordEager(std::atomic<uint64_t> &Word, uint64_t Value);
-  /// Reverts in-place writes of an aborting eager attempt.
-  void undoEagerWrites();
-
   /// Reports an abort caused by a known conflicting committer and throws;
   /// \p Site tags where in the attempt the conflict surfaced.
   [[noreturn]] void abortOnOwner(TxThreadPair Owner, AbortSite Site);
@@ -261,14 +234,9 @@ private:
   [[noreturn]] void abortUnknown(AbortSite Site);
   [[noreturn]] void reportAbortAndThrow(const AbortEvent &E);
 
-  /// Locations this attempt opened: logged reads plus lazy buffered
-  /// writes plus eager in-place writes. Eager writes live in UndoLog (and
-  /// their stripes in Acquired), not WriteLog — counting only WriteLog
-  /// made contention managers see eager writers as having invested no
-  /// write work.
-  uint64_t opensCount() const {
-    return ReadSet.size() + WriteLog.size() + UndoLog.size();
-  }
+  /// Locations this attempt opened (contention-manager currency): logged
+  /// reads plus buffered writes.
+  uint64_t opensCount() const { return ReadSet.size() + WriteLog.size(); }
 
   void releaseAcquiredLocks();
   /// Pre-lock word of a stripe this commit already locked (stripe must be
@@ -302,10 +270,6 @@ private:
   uint64_t WriteFilter = 0;
   MiniVector<size_t, 32> StripeScratch;
   MiniVector<AcquiredLock, 32> Acquired;
-  /// Eager mode: (address, previous value) pairs, restored in reverse on
-  /// abort. Duplicate addresses are fine — reverse restore ends at the
-  /// oldest value.
-  MiniVector<std::pair<std::atomic<uint64_t> *, uint64_t>, 32> UndoLog;
 };
 
 } // namespace gstm

@@ -5,8 +5,8 @@
 #   cmake -DSOURCE_DIR=<repo> -DBUILD_DIR=<build>/asan-smoke -P AsanSmoke.cmake
 #
 # The smoke focuses on the allocation-heavy paths: the TL2 read/write
-# sets and lock table, and the check-subsystem fuzzer, which drives all
-# four STM backends through randomized transaction mixes (so use-after-
+# sets and lock table, and the check-subsystem fuzzer, which drives every
+# STM backend through randomized transaction mixes (so use-after-
 # free or UB in any engine's hot path trips the sanitizer). Any report
 # makes the instrumented binary exit non-zero and fails the test.
 
@@ -44,12 +44,10 @@ if(NOT Tl2Rc EQUAL 0)
   message(FATAL_ERROR "tl2_test failed under asan (${Tl2Rc})")
 endif()
 
-# --commit-order=both sweeps the single-fence and standard commit
-# publication orders, so the fence-path writeback is ASan-covered too.
 # The backend matrix includes the policy-templated engines, whose
 # in-place undo writes are a prime use-after-rollback candidate.
 execute_process(
-  COMMAND ${BUILD_DIR}/tools/check_fuzz --iters=64 --commit-order=both
+  COMMAND ${BUILD_DIR}/tools/check_fuzz --iters=64
   RESULT_VARIABLE FuzzRc)
 if(NOT FuzzRc EQUAL 0)
   message(FATAL_ERROR "check_fuzz failed under asan (${FuzzRc})")
@@ -106,10 +104,9 @@ endif()
 # Sharded tier: the 2PC prepare/publish walk iterates per-shard lock
 # tables and MiniVector-backed acquisition logs — exactly where an
 # off-by-one over the combined (shard, stripe) keys would read out of
-# bounds. Both commit orders sweep the grouped publish paths.
+# bounds.
 execute_process(
   COMMAND ${BUILD_DIR}/tools/check_fuzz --workload=sharded --iters=32
-          --commit-order=both
   RESULT_VARIABLE ShardFuzzRc)
 if(NOT ShardFuzzRc EQUAL 0)
   message(FATAL_ERROR "sharded fuzz failed under asan (${ShardFuzzRc})")

@@ -1,8 +1,9 @@
 # Mutation self-test for the stm_lint memory-ordering pass (ctest
 # lint_mutation). Copies the engine sources into a scratch tree, applies
 # one ordering mutant at a time — deleting the seq_cst fence from each
-# single-fence commit path, downgrading a version-publish release store
-# to relaxed — and asserts stm_lint fails each mutant with the right
+# single-fence commit path, deleting the writeback->publish release
+# fence, downgrading orec-eager's abort-path orec restore to relaxed —
+# and asserts stm_lint fails each mutant with the right
 # O-rule and path label, while the pristine copy stays clean. This is
 # the executable proof that re-removing the 5343567 store-buffering
 # fence cannot land silently.
@@ -96,31 +97,31 @@ mutate(src/shard/Sharded.cpp "${SEQ_FENCE}"
 run_lint(shard-fence-weakened 1 "[O3]"
          "ShardedTxn::commitOrThrow cross-shard 2PC")
 
-# Downgrading the coordinated publish's grouped release stripe stores to
-# relaxed (the torn-fault and standard walks share the spelling) leaves
-# no dominating release fence on the standard path -> O1 via the
-# publish(Stripe) contract on the cached stripe pointers.
-reset_tree()
-mutate(src/shard/Sharded.cpp
-       "Acquired[J].Stripe->store(LockTable::encodeVersion(Wv),
-                                    std::memory_order_release);"
-       "Acquired[J].Stripe->store(LockTable::encodeVersion(Wv),
-                                    std::memory_order_relaxed);")
-run_lint(shard-torn-publish 1 "[O1]" "Stripe")
+# Deleting the writeback->publish release fence leaves the relaxed
+# version publishes behind the data writeback with only the earlier
+# seq_cst fence before both -> O1 via each path's publish() contract.
+set(RELEASE_FENCE "std::atomic_thread_fence(std::memory_order_release);")
 
-# Torn publish: downgrading a standard-path version publish to relaxed
-# leaves no dominating release fence -> O1.
 reset_tree()
-mutate(src/stm/Tl2.cpp
-       ".store(LockTable::encodeVersion(Wv), std::memory_order_release)"
-       ".store(LockTable::encodeVersion(Wv), std::memory_order_relaxed)")
-run_lint(tl2-torn-publish 1 "[O1]" "stripeAt")
+mutate(src/stm/Tl2.cpp "${RELEASE_FENCE}" "")
+run_lint(tl2-release-fence-removed 1 "[O1]" "stripeAt")
 
+reset_tree()
+mutate(src/libtm/LibTm.cpp "${RELEASE_FENCE}" "")
+run_lint(libtm-release-fence-removed 1 "[O1]" "meta")
+
+reset_tree()
+mutate(src/shard/Sharded.cpp "${RELEASE_FENCE}" "")
+run_lint(shard-release-fence-removed 1 "[O1]" "Stripe")
+
+# Torn rollback: orec-eager's abort path restores the pre-lock orec word
+# after replaying the undo log; a relaxed restore lets a reader see the
+# old version before the old data -> O1.
 reset_tree()
 mutate(src/engine/OrecEager.h
-       "LockTable::encodeVersion(Wv), std::memory_order_release)"
-       "LockTable::encodeVersion(Wv), std::memory_order_relaxed)")
-run_lint(orec-torn-publish 1 "[O1]" "stripeAt")
+       ".store(It->PreviousWord, std::memory_order_release)"
+       ".store(It->PreviousWord, std::memory_order_relaxed)")
+run_lint(orec-torn-rollback 1 "[O1]" "stripeAt")
 
 reset_tree()
 message(STATUS "lint_mutation: all mutants flagged, pristine clean")

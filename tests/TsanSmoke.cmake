@@ -43,10 +43,9 @@ if(NOT StatsRc EQUAL 0)
   message(FATAL_ERROR "stats_test failed under tsan (${StatsRc})")
 endif()
 
-# The concurrent TL2 tests run with Tl2Config::SingleFenceCommit at its
-# default (on), so TSan checks the fence-based commit publication — the
-# relaxed stripe-version stores behind one release fence — against real
-# racing readers.
+# The concurrent TL2 tests drive the single-fence commit publication —
+# the relaxed stripe-version stores behind one release fence — so TSan
+# checks it against real racing readers.
 execute_process(
   COMMAND ${BUILD_DIR}/tests/tl2_test
           --gtest_filter=Tl2Test.Concurrent*:Tl2Test.BankTransfer*:Tl2Test.Snapshot*:Tl2Test.AbortEvents*

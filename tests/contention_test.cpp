@@ -7,6 +7,7 @@
 
 #include "stm/Contention.h"
 
+#include "engine/OrecEager.h"
 #include "stm/TVar.h"
 #include "stm/Tl2.h"
 
@@ -122,18 +123,17 @@ TEST(ContentionIntegrationTest, AllManagersPreserveCorrectness) {
 TEST(ContentionIntegrationTest, ManagersWorkUnderEagerDetection) {
   for (const char *Name : {"polite", "karma", "greedy"}) {
     auto Cm = createContentionManager(Name);
-    Tl2Config Cfg;
-    Cfg.Detection = ConflictDetection::Eager;
+    EngineConfig Cfg;
     Cfg.PreemptShift = 5;
-    Tl2Stm Stm(Cfg);
+    OrecEagerStm Stm(Cfg);
     Stm.setContentionManager(Cm.get());
     TVar<uint64_t> X{0};
     std::vector<std::thread> Workers;
     for (unsigned T = 0; T < 4; ++T)
       Workers.emplace_back([&, T] {
-        Tl2Txn Txn(Stm, static_cast<ThreadId>(T));
+        OrecEagerTxn Txn(Stm, static_cast<ThreadId>(T));
         for (unsigned I = 0; I < 150; ++I)
-          Txn.run(0, [&](Tl2Txn &Tx) { Tx.store(X, Tx.load(X) + 1); });
+          Txn.run(0, [&](OrecEagerTxn &Tx) { Tx.store(X, Tx.load(X) + 1); });
       });
     for (auto &W : Workers)
       W.join();

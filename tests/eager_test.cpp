@@ -6,39 +6,42 @@
 //===----------------------------------------------------------------------===//
 //
 // The paper argues (Sec. II) that demonstrating guided execution on lazy
-// detection implies the eager case; this suite validates our actual eager
-// implementation (encounter-time locking, write-through with undo) so the
-// ablation bench compares two correct STMs.
+// detection implies the eager case. Eager detection — encounter-time
+// locking, write-through with undo — lives in the orec-eager engine; this
+// suite pins its semantics directly, next to the typed EngineFamilyTest
+// cases and the differential fuzz matrix.
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Runner.h"
-#include "stamp/Registry.h"
+#include "engine/OrecEager.h"
+
+#include "check/Fuzz.h"
+#include "check/TmdsFuzz.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 #include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <thread>
+#include <vector>
 
 using namespace gstm;
 
 namespace {
-Tl2Config eagerConfig(unsigned PreemptShift = 0) {
-  Tl2Config Cfg;
-  Cfg.Detection = ConflictDetection::Eager;
+EngineConfig eagerConfig(unsigned PreemptShift = 0) {
+  EngineConfig Cfg;
   Cfg.PreemptShift = PreemptShift;
   return Cfg;
 }
 } // namespace
 
 TEST(EagerTest, SingleThreadReadWrite) {
-  Tl2Stm Stm(eagerConfig());
+  OrecEagerStm Stm(eagerConfig());
   TVar<uint64_t> X{5};
-  Tl2Txn Txn(Stm, 0);
-  Txn.run(0, [&](Tl2Txn &Tx) {
+  OrecEagerTxn Txn(Stm, 0);
+  Txn.run(0, [&](OrecEagerTxn &Tx) {
     EXPECT_EQ(Tx.load(X), 5u);
     Tx.store(X, 9);
     EXPECT_EQ(Tx.load(X), 9u) << "write-through must be readable in-txn";
@@ -47,11 +50,11 @@ TEST(EagerTest, SingleThreadReadWrite) {
 }
 
 TEST(EagerTest, AbortUndoesInPlaceWrites) {
-  Tl2Stm Stm(eagerConfig());
+  OrecEagerStm Stm(eagerConfig());
   TVar<uint64_t> X{1}, Y{2};
-  Tl2Txn Txn(Stm, 0);
+  OrecEagerTxn Txn(Stm, 0);
   int Attempts = 0;
-  Txn.run(0, [&](Tl2Txn &Tx) {
+  Txn.run(0, [&](OrecEagerTxn &Tx) {
     Tx.store(X, 100);
     Tx.store(Y, 200);
     Tx.store(X, 101); // second write to X: undo must restore the oldest
@@ -67,15 +70,14 @@ TEST(EagerTest, AbortUndoesInPlaceWrites) {
 }
 
 TEST(EagerTest, UndoRestoresOriginalOnPermanentFields) {
-  // Observe the rollback through a second STM handle after forcing
-  // exactly one abort: between the abort and the retry's commit, the
-  // stale value must have been restored (checked indirectly: the final
-  // committed state reflects exactly one increment).
-  Tl2Stm Stm(eagerConfig());
+  // Force exactly one abort: the rollback must restore the stale value
+  // before the retry reads it, so the final committed state reflects
+  // exactly one increment.
+  OrecEagerStm Stm(eagerConfig());
   TVar<uint64_t> X{7};
-  Tl2Txn Txn(Stm, 0);
+  OrecEagerTxn Txn(Stm, 0);
   int Attempts = 0;
-  Txn.run(0, [&](Tl2Txn &Tx) {
+  Txn.run(0, [&](OrecEagerTxn &Tx) {
     Tx.store(X, Tx.load(X) + 1);
     if (++Attempts == 1)
       Tx.retryAbort();
@@ -84,9 +86,9 @@ TEST(EagerTest, UndoRestoresOriginalOnPermanentFields) {
 }
 
 TEST(EagerTest, WriterBlocksConflictingWriterImmediately) {
-  // Two eager writers to the same location: the second must abort at
-  // encounter time (detected via the abort cause naming the first).
-  Tl2Stm Stm(eagerConfig());
+  // Eager writers to the same location: a loser aborts at encounter time
+  // with a cause naming the owner; no increment may be lost.
+  OrecEagerStm Stm(eagerConfig());
   TVar<uint64_t> X{0};
 
   struct Probe : TxEventObserver {
@@ -103,12 +105,9 @@ TEST(EagerTest, WriterBlocksConflictingWriterImmediately) {
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      Tl2Config Unused;
-      Tl2Txn Txn(Stm, static_cast<ThreadId>(T));
+      OrecEagerTxn Txn(Stm, static_cast<ThreadId>(T));
       for (unsigned I = 0; I < 200; ++I)
-        Txn.run(0, [&](Tl2Txn &Tx) {
-          Tx.store(X, Tx.load(X) + 1);
-        });
+        Txn.run(0, [&](OrecEagerTxn &Tx) { Tx.store(X, Tx.load(X) + 1); });
     });
   for (auto &W : Workers)
     W.join();
@@ -116,15 +115,15 @@ TEST(EagerTest, WriterBlocksConflictingWriterImmediately) {
 }
 
 TEST(EagerTest, CounterUnderPreemptionLosesNothing) {
-  Tl2Stm Stm(eagerConfig(/*PreemptShift=*/5));
+  OrecEagerStm Stm(eagerConfig(/*PreemptShift=*/5));
   TVar<uint64_t> X{0};
   constexpr unsigned Threads = 8, PerThread = 300;
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      Tl2Txn Txn(Stm, static_cast<ThreadId>(T));
+      OrecEagerTxn Txn(Stm, static_cast<ThreadId>(T));
       for (unsigned I = 0; I < PerThread; ++I)
-        Txn.run(0, [&](Tl2Txn &Tx) { Tx.store(X, Tx.load(X) + 1); });
+        Txn.run(0, [&](OrecEagerTxn &Tx) { Tx.store(X, Tx.load(X) + 1); });
     });
   for (auto &W : Workers)
     W.join();
@@ -134,7 +133,7 @@ TEST(EagerTest, CounterUnderPreemptionLosesNothing) {
 }
 
 TEST(EagerTest, BankConservationUnderContention) {
-  Tl2Stm Stm(eagerConfig(/*PreemptShift=*/5));
+  OrecEagerStm Stm(eagerConfig(/*PreemptShift=*/5));
   constexpr unsigned N = 16;
   std::vector<std::unique_ptr<TVar<int64_t>>> Accounts;
   for (unsigned I = 0; I < N; ++I)
@@ -144,12 +143,12 @@ TEST(EagerTest, BankConservationUnderContention) {
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      Tl2Txn Txn(Stm, static_cast<ThreadId>(T));
+      OrecEagerTxn Txn(Stm, static_cast<ThreadId>(T));
       SplitMix64 Rng(T + 11);
       for (int I = 0; I < 250; ++I) {
         unsigned From = Rng.nextBounded(N), To = Rng.nextBounded(N);
         int64_t Amt = static_cast<int64_t>(Rng.nextBounded(30));
-        Txn.run(0, [&](Tl2Txn &Tx) {
+        Txn.run(0, [&](OrecEagerTxn &Tx) {
           Tx.store(*Accounts[From], Tx.load(*Accounts[From]) - Amt);
           Tx.store(*Accounts[To], Tx.load(*Accounts[To]) + Amt);
         });
@@ -165,25 +164,25 @@ TEST(EagerTest, BankConservationUnderContention) {
 }
 
 TEST(EagerTest, SnapshotIsolationHolds) {
-  Tl2Stm Stm(eagerConfig());
+  OrecEagerStm Stm(eagerConfig());
   TVar<uint64_t> X{0}, Y{0};
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Violations{0};
 
   std::thread Writer([&] {
-    Tl2Txn Txn(Stm, 0);
+    OrecEagerTxn Txn(Stm, 0);
     for (unsigned I = 1; I <= 400; ++I)
-      Txn.run(0, [&](Tl2Txn &Tx) {
+      Txn.run(0, [&](OrecEagerTxn &Tx) {
         Tx.store(X, I);
         Tx.store(Y, I);
       });
     Stop.store(true);
   });
   std::thread Reader([&] {
-    Tl2Txn Txn(Stm, 1);
+    OrecEagerTxn Txn(Stm, 1);
     while (!Stop.load()) {
       uint64_t A = 0, B = 0;
-      Txn.run(1, [&](Tl2Txn &Tx) {
+      Txn.run(1, [&](OrecEagerTxn &Tx) {
         A = Tx.load(X);
         B = Tx.load(Y);
       });
@@ -198,15 +197,22 @@ TEST(EagerTest, SnapshotIsolationHolds) {
 }
 
 TEST(EagerTest, AllWorkloadsVerifyUnderEagerDetection) {
-  // The STAMP ports are detection-agnostic; every invariant must hold
-  // under eager locking too.
-  for (const std::string &Name : stampWorkloadNames()) {
-    auto W = createStampWorkload(Name, SizeClass::Small);
-    RunnerConfig Cfg;
-    Cfg.Threads = 4;
-    Cfg.Stm.Detection = ConflictDetection::Eager;
-    RunResult R = runWorkloadOnce(*W, Cfg, 17, nullptr);
-    EXPECT_TRUE(R.Verified) << Name << " under eager detection";
-    EXPECT_GT(R.Commits, 0u);
+  // Every check-harness workload that runs on the engine family — the
+  // word-level read-modify-write plans and both tmds map structures —
+  // must verify under eager locking (history checkers, lock residue,
+  // oracle final state). The STAMP ports are TL2-typed and run lazy only.
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    FuzzRunResult R = runFuzzIteration(Seed, FuzzBackend::OrecEager);
+    EXPECT_TRUE(R.passed()) << "word seed " << Seed << ": " << R.Error;
+    EXPECT_GT(R.Committed, 0u);
   }
+  for (TmdsStructure S : {TmdsStructure::SkipList, TmdsStructure::BTree})
+    for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+      TmdsFuzzConfig Cfg;
+      Cfg.Structure = S;
+      TmdsRunResult R = runTmdsFuzzIteration(Seed, FuzzBackend::OrecEager, Cfg);
+      EXPECT_TRUE(R.passed())
+          << tmdsStructureName(S) << " seed " << Seed << ": " << R.Error;
+      EXPECT_GT(R.Committed, 0u);
+    }
 }

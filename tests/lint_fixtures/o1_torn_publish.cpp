@@ -37,3 +37,29 @@ void branchFence(uint64_t V, bool Fast) {
   }
   E.Meta.store(V, std::memory_order_relaxed); // expect-diag(O1)
 }
+
+// A fence orders only the writes before it: data written after the
+// fence can still be invisible when the publish is seen.
+void fenceBeforeData(uint64_t V) {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  E.Data.store(V, std::memory_order_release);
+  E.Meta.store(V, std::memory_order_relaxed); // expect-diag(O1)
+}
+
+void fenceBeforeNestedData(Entry *Es, int N, uint64_t V) {
+  std::atomic_thread_fence(std::memory_order_release);
+  for (int I = 0; I < N; ++I) {
+    if (V != 0) {
+      Es[I].Data.store(V, std::memory_order_release);
+    }
+  }
+  E.Meta.store(V, std::memory_order_relaxed); // expect-diag(O1)
+}
+
+void nestedDataBeforeFence(Entry *Es, int N, uint64_t V) {
+  for (int I = 0; I < N; ++I) {
+    Es[I].Data.store(V, std::memory_order_release);
+  }
+  std::atomic_thread_fence(std::memory_order_release);
+  E.Meta.store(V, std::memory_order_relaxed); // fine: fence after data
+}

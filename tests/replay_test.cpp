@@ -10,6 +10,7 @@
 #include "core/Trace.h"
 #include "stm/TVar.h"
 #include "stm/Tl2.h"
+#include "support/Barrier.h"
 
 #include <gtest/gtest.h>
 
@@ -94,10 +95,14 @@ TEST(ReplayTest, ReplayReproducesCommitOrderExactly) {
 
   Stm.setGate(&Gate);
   Stm.setObserver(&Observer);
+  // Replayed workers start together: a thread still being created when
+  // its first turn comes up would force its peers to diverge.
+  Barrier Start(4);
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < 4; ++T)
     Workers.emplace_back([&, T] {
       Tl2Txn Txn(Stm, static_cast<ThreadId>(T));
+      Start.arriveAndWait();
       for (unsigned I = 0; I < 40; ++I)
         Txn.run(static_cast<TxId>(T),
                 [&](Tl2Txn &Tx) { Tx.store(Counter, Tx.load(Counter) + 1); });
@@ -143,10 +148,12 @@ TEST(ReplayTest, ReplayedRunIsFullyDeterministicTwice) {
     Observer.B = &Check;
     Stm.setGate(&Gate);
     Stm.setObserver(&Observer);
+    Barrier Start(3);
     std::vector<std::thread> Workers;
     for (unsigned T = 0; T < 3; ++T)
       Workers.emplace_back([&, T] {
         Tl2Txn Txn(Stm, static_cast<ThreadId>(T));
+        Start.arriveAndWait();
         for (unsigned I = 0; I < 30; ++I)
           Txn.run(static_cast<TxId>(T), [&](Tl2Txn &Tx) {
             Tx.store(Counter, Tx.load(Counter) + 1);
@@ -238,10 +245,12 @@ TEST(ReplayTest, ReplayProducesExactlyOneTtsSequence) {
     Observer.B = &Collector;
     Stm.setGate(&Gate);
     Stm.setObserver(&Observer);
+    Barrier Start(3);
     std::vector<std::thread> Workers;
     for (unsigned T = 0; T < 3; ++T)
       Workers.emplace_back([&, T] {
         Tl2Txn Txn(Stm, static_cast<ThreadId>(T));
+        Start.arriveAndWait();
         for (unsigned I = 0; I < 25; ++I)
           Txn.run(static_cast<TxId>(T), [&](Tl2Txn &Tx) {
             Tx.store(Counter, Tx.load(Counter) + 1);

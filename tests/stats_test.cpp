@@ -8,7 +8,7 @@
 // Covers the sharded stats subsystem (stm/StatsShard.h): exact aggregation
 // across concurrent threads, the abort breakdown by cause and site, the
 // retries-before-commit histogram, attempt-latency gating, and the JSON
-// telemetry export/parse path — plus regression tests for the eager-mode
+// telemetry export/parse path — plus regression tests for the orec-eager
 // opens undercount and the read-only CommitEvent flag.
 //
 //===----------------------------------------------------------------------===//
@@ -16,6 +16,7 @@
 #include "stm/StatsShard.h"
 
 #include "core/JsonExport.h"
+#include "engine/OrecEager.h"
 #include "stm/Contention.h"
 #include "stm/TVar.h"
 #include "stm/Tl2.h"
@@ -383,7 +384,7 @@ TEST(StatsShardTest, ReadOnlyCommitsCountedSeparately) {
 }
 
 //===----------------------------------------------------------------------===//
-// Regression: eager-mode opens undercount (contention-manager input)
+// Regression: eager-engine opens undercount (contention-manager input)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -407,9 +408,7 @@ struct RecordingCm : ContentionManager {
 } // namespace
 
 TEST(EagerOpensRegressionTest, AbortAndCommitCountEagerWrites) {
-  Tl2Config Cfg;
-  Cfg.Detection = ConflictDetection::Eager;
-  Tl2Stm Stm(Cfg);
+  OrecEagerStm Stm;
   RecordingCm Cm;
   Stm.setContentionManager(&Cm);
 
@@ -417,19 +416,19 @@ TEST(EagerOpensRegressionTest, AbortAndCommitCountEagerWrites) {
   TVar<uint64_t> W1{0};
   TVar<uint64_t> W2{0};
 
-  Tl2Txn Txn(Stm, 0);
+  OrecEagerTxn Txn(Stm, 0);
   int Attempt = 0;
-  Txn.run(0, [&](Tl2Txn &Tx) {
+  Txn.run(0, [&](OrecEagerTxn &Tx) {
     (void)Tx.load(R);   // 1 logged read
     Tx.store(W1, 10);   // eager writes land in the undo log,
-    Tx.store(W2, 20);   // not the (lazy) write log
+    Tx.store(W2, 20);   // not the policy's read set
     if (Attempt++ == 0)
       Tx.retryAbort();
   });
 
-  // 1 read + 2 eager writes. The seed counted ReadSet + WriteLog only,
-  // reporting 1 and making Karma-style managers see eager writers as
-  // having invested no write work.
+  // 1 read + 2 eager writes. Counting the read set alone would report 1
+  // and make Karma-style managers see eager writers as having invested
+  // no write work.
   ASSERT_EQ(Cm.AbortOpens.size(), 1u);
   EXPECT_EQ(Cm.AbortOpens[0], 3u);
   ASSERT_EQ(Cm.CommitOpens.size(), 1u);
@@ -439,18 +438,16 @@ TEST(EagerOpensRegressionTest, AbortAndCommitCountEagerWrites) {
 }
 
 TEST(EagerOpensRegressionTest, KarmaAccruesEagerWriteWork) {
-  Tl2Config Cfg;
-  Cfg.Detection = ConflictDetection::Eager;
-  Tl2Stm Stm(Cfg);
+  OrecEagerStm Stm;
   KarmaManager Karma;
   Stm.setContentionManager(&Karma);
 
   TVar<uint64_t> W1{0};
   TVar<uint64_t> W2{0};
-  Tl2Txn Txn(Stm, 0);
+  OrecEagerTxn Txn(Stm, 0);
   int Attempt = 0;
   uint64_t KarmaAfterAbort = 0;
-  Txn.run(0, [&](Tl2Txn &Tx) {
+  Txn.run(0, [&](OrecEagerTxn &Tx) {
     if (Attempt > 0)
       // Karma resets on commit, so sample it on the retry, while the
       // aborted attempt's investment is still banked.

@@ -8,7 +8,8 @@
 // Schedule-perturbation fuzzer over the STM backends (src/check/):
 //
 //   check_fuzz [--iters=N] [--seed-base=S] [--backend=all|tl2-lazy|
-//              tl2-eager|libtm|ref] [--threads=T] [--txns=K] [--vars=V]
+//              libtm|orec-eager|tlrw|2pl-undo|ref] [--threads=T]
+//              [--txns=K] [--vars=V]
 //   check_fuzz --seed=S [--backend=B]       # reproduce one seed
 //   check_fuzz --smoke                      # CI preset: 1024 iterations
 //
@@ -42,8 +43,8 @@ int main(int Argc, char **Argv) {
           {"seed-base", "S", "first seed of the range (default 1)"},
           {"seed", "S", "reproduce exactly one seed"},
           {"backend", "B",
-           "all, tl2-lazy, tl2-eager, libtm, orec-eager, tlrw, 2pl-undo "
-           "or ref (default all)"},
+           "all, tl2-lazy, libtm, orec-eager, tlrw, 2pl-undo or ref "
+           "(default all)"},
           {"workload", "W",
            "rmw (flat read-modify-write vars), skiplist or btree "
            "(transactional map over src/tmds), or sharded (key-partitioned "
@@ -56,11 +57,7 @@ int main(int Argc, char **Argv) {
           {"ops", "N", "max operations per transaction"},
           {"preempt-shift", "N", "preemption-point density (power of two)"},
           {"perturb-shift", "N", "schedule-perturbation density"},
-          {"smoke", "", "CI preset: 1024 seeds per backend, both commit "
-                        "orderings"},
-          {"commit-order", "O",
-           "single-fence, standard or both (default single-fence; both "
-           "with --smoke)"},
+          {"smoke", "", "CI preset: 1024 seeds per backend"},
           {"verbose", "", "print every iteration, not just failures"},
           {"inject-skip-validation", "",
            "fault injection: skip read validation, TL2 + orec-eager "
@@ -114,7 +111,7 @@ int main(int Argc, char **Argv) {
   if (!All && !fuzzBackendFromName(BackendName, Only)) {
     std::fprintf(stderr,
                  "check_fuzz: unknown --backend=%s (want all, tl2-lazy, "
-                 "tl2-eager, libtm, orec-eager, tlrw, 2pl-undo or ref)\n",
+                 "libtm, orec-eager, tlrw, 2pl-undo or ref)\n",
                  BackendName.c_str());
     return 2;
   }
@@ -181,26 +178,6 @@ int main(int Argc, char **Argv) {
   TCfg.PerturbShift =
       static_cast<unsigned>(Opts.getInt("perturb-shift", TCfg.PerturbShift));
 
-  // Which commit orderings to sweep. The single-fence writeback path is
-  // the runtime default; --smoke covers the standard ordering too so the
-  // legacy path keeps its correctness coverage.
-  const std::string OrderName =
-      Opts.getString("commit-order", Smoke ? "both" : "single-fence");
-  std::vector<bool> Orders;
-  if (OrderName == "single-fence")
-    Orders = {true};
-  else if (OrderName == "standard")
-    Orders = {false};
-  else if (OrderName == "both")
-    Orders = {true, false};
-  else {
-    std::fprintf(stderr,
-                 "check_fuzz: unknown --commit-order=%s (want "
-                 "single-fence, standard or both)\n",
-                 OrderName.c_str());
-    return 2;
-  }
-
   uint64_t First = SeedBase, Count = Iters;
   if (Opts.has("seed")) {
     First = static_cast<uint64_t>(Opts.getInt("seed", 1));
@@ -209,12 +186,9 @@ int main(int Argc, char **Argv) {
 
   uint64_t Failures = 0, Attempts = 0, Commits = 0, Yields = 0;
   uint64_t CrossCommits = 0;
-  for (bool SingleFence : Orders) {
-  Cfg.SingleFenceCommit = SingleFence;
   for (uint64_t I = 0; I < Count; ++I) {
     const uint64_t Seed = First + I;
     if (ShardWorkload) {
-      SCfg.SingleFenceCommit = SingleFence;
       ShardDifferentialResult D = runShardDifferential(Seed, SCfg);
       for (const auto &[Variant, R] : D.PerVariant) {
         Attempts += R.Attempts;
@@ -233,15 +207,13 @@ int main(int Argc, char **Argv) {
         std::printf(
             "FAIL seed %llu: %s\n"
             "  repro: check_fuzz --workload=sharded --shards=%u "
-            "--seed=%llu --commit-order=%s\n",
+            "--seed=%llu\n",
             static_cast<unsigned long long>(Seed), D.Error.c_str(),
-            SCfg.ShardCount, static_cast<unsigned long long>(Seed),
-            SingleFence ? "single-fence" : "standard");
+            SCfg.ShardCount, static_cast<unsigned long long>(Seed));
       }
       continue;
     }
     if (TmdsWorkload) {
-      TCfg.SingleFenceCommit = SingleFence;
       if (All) {
         TmdsDifferentialResult D = runTmdsDifferential(Seed, TCfg);
         for (const auto &[B, R] : D.PerBackend) {
@@ -259,11 +231,9 @@ int main(int Argc, char **Argv) {
           ++Failures;
           std::printf(
               "FAIL seed %llu: %s\n"
-              "  repro: check_fuzz --workload=%s --seed=%llu "
-              "--commit-order=%s\n",
+              "  repro: check_fuzz --workload=%s --seed=%llu\n",
               static_cast<unsigned long long>(Seed), D.Error.c_str(),
-              WorkloadName.c_str(), static_cast<unsigned long long>(Seed),
-              SingleFence ? "single-fence" : "standard");
+              WorkloadName.c_str(), static_cast<unsigned long long>(Seed));
         }
       } else {
         TmdsRunResult R = runTmdsFuzzIteration(Seed, Only, TCfg);
@@ -275,12 +245,11 @@ int main(int Argc, char **Argv) {
           std::printf(
               "FAIL seed %llu (%s): %s\n"
               "  repro: check_fuzz --workload=%s --seed=%llu "
-              "--backend=%s --commit-order=%s\n",
+              "--backend=%s\n",
               static_cast<unsigned long long>(Seed),
               fuzzBackendName(Only), R.Error.c_str(),
               WorkloadName.c_str(), static_cast<unsigned long long>(Seed),
-              fuzzBackendName(Only),
-              SingleFence ? "single-fence" : "standard");
+              fuzzBackendName(Only));
         } else if (Verbose) {
           std::printf("seed %llu %s ok (%zu attempts, %zu commits)\n",
                       static_cast<unsigned long long>(Seed),
@@ -305,10 +274,9 @@ int main(int Argc, char **Argv) {
       if (!D.passed()) {
         ++Failures;
         std::printf("FAIL seed %llu: %s\n"
-                    "  repro: check_fuzz --seed=%llu --commit-order=%s\n",
+                    "  repro: check_fuzz --seed=%llu\n",
                     static_cast<unsigned long long>(Seed), D.Error.c_str(),
-                    static_cast<unsigned long long>(Seed),
-                    SingleFence ? "single-fence" : "standard");
+                    static_cast<unsigned long long>(Seed));
       }
     } else {
       FuzzRunResult R = runFuzzIteration(Seed, Only, Cfg);
@@ -319,12 +287,10 @@ int main(int Argc, char **Argv) {
         ++Failures;
         std::printf(
             "FAIL seed %llu (%s): %s\n"
-            "  repro: check_fuzz --seed=%llu --backend=%s "
-            "--commit-order=%s\n",
+            "  repro: check_fuzz --seed=%llu --backend=%s\n",
             static_cast<unsigned long long>(Seed), fuzzBackendName(Only),
             R.Error.c_str(), static_cast<unsigned long long>(Seed),
-            fuzzBackendName(Only),
-            SingleFence ? "single-fence" : "standard");
+            fuzzBackendName(Only));
       } else if (Verbose) {
         std::printf("seed %llu %s ok (%zu attempts, %zu commits)\n",
                     static_cast<unsigned long long>(Seed),
@@ -332,15 +298,14 @@ int main(int Argc, char **Argv) {
       }
     }
   }
-  }
 
   if (ShardWorkload)
     std::printf("check_fuzz: %llu cross-shard commit(s) across the sweep\n",
                 static_cast<unsigned long long>(CrossCommits));
-  std::printf("check_fuzz: %llu seed(s) x %zu ordering(s), workload %s, "
+  std::printf("check_fuzz: %llu seed(s), workload %s, "
               "backend %s: %llu failure(s); "
               "%llu attempts / %llu commits, %llu injected yields\n",
-              static_cast<unsigned long long>(Count), Orders.size(),
+              static_cast<unsigned long long>(Count),
               WorkloadName.c_str(), BackendName.c_str(),
               static_cast<unsigned long long>(Failures),
               static_cast<unsigned long long>(Attempts),
