@@ -7,7 +7,6 @@
 
 #include "bench/OltpBench.h"
 
-#include "shard/ShardBackend.h"
 #include "support/SplitMix64.h"
 #include "tmds/TmBTree.h"
 #include "tmds/TmSkipList.h"

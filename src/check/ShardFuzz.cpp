@@ -10,6 +10,7 @@
 #include "check/Perturb.h"
 #include "shard/Sharded.h"
 #include "stm/TVar.h"
+#include "support/Barrier.h"
 
 #include <sstream>
 #include <thread>
@@ -104,10 +105,13 @@ ShardFuzzResult gstm::runShardFuzzIteration(uint64_t Seed,
       for (size_t K = 0; K < Plan.PerThread[T].size(); ++K)
         Txn.run(static_cast<TxId>(K), Body(Plan.PerThread[T][K]));
   } else {
+    // Workers start together, as in the word runners (check/Fuzz.cpp).
+    Barrier Start(Cfg.Threads);
     std::vector<std::thread> Workers;
     for (unsigned T = 0; T < Cfg.Threads; ++T)
       Workers.emplace_back([&, T] {
         ShardedTxn Txn(Stm, T);
+        Start.arriveAndWait();
         const std::vector<FuzzTxn> &Txns = Plan.PerThread[T];
         for (size_t K = 0; K < Txns.size(); ++K)
           Txn.run(static_cast<TxId>(K), Body(Txns[K]));
@@ -124,15 +128,7 @@ ShardFuzzResult gstm::runShardFuzzIteration(uint64_t Seed,
     R.Final.push_back(Cells[V].loadDirect());
 
   std::string ResidueMsg;
-  for (unsigned S = 0; S < Cfg.ShardCount && ResidueMsg.empty(); ++S) {
-    std::string Why;
-    lockTableQuiescent(Stm.lockTableOf(S), &Why);
-    if (!Why.empty()) {
-      std::ostringstream Os;
-      Os << "shard " << S << ": " << Why;
-      ResidueMsg = Os.str();
-    }
-  }
+  lockTableQuiescent(Stm.lockTable(), &ResidueMsg);
 
   StatsSnapshot Agg = Stm.stats().aggregate();
   R.CrossShardCommits = Agg.CrossShardCommits;

@@ -20,15 +20,16 @@
 ///
 /// Each seed is judged like the rmw fuzzer (opacity/serializability
 /// checkers over the recorded history, final state vs the analytic
-/// expectation, per-shard lock-table quiescence, commit accounting) and
+/// expectation, lock-table quiescence, commit accounting) and
 /// differentially: the concurrent sharded run, a shards=1 degenerate run
 /// and a serial reference execution of the same plan must all pass and
 /// agree on the final state.
 ///
-/// Fault injection: ShardFaultInjection::TornCoordinatedPublish breaks
-/// the coordinated publish on purpose; the self-test requires the
-/// checkers (or the final-state comparison) to flag such runs, proving
-/// the harness would catch a real 2PC ordering bug.
+/// Fault injection: the TL2 faults (Tl2FaultInjection) break the shared
+/// commit on purpose — TornVersionPublish tears the coordinated publish
+/// across every participating shard, SkipReadValidation drops the 2PC's
+/// validation; the self-tests require the checkers to flag such runs,
+/// proving the harness would catch a real 2PC ordering bug.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +60,7 @@ struct ShardFuzzConfig {
   unsigned PreemptShift = 2;
   unsigned PerturbShift = 2;
   /// Fault injection (checker self-test only).
-  ShardFaultInjection Fault;
+  Tl2FaultInjection Fault;
   CheckerConfig Checker;
 };
 

@@ -8,6 +8,7 @@
 #include "check/TmdsFuzz.h"
 
 #include "check/Perturb.h"
+#include "support/Barrier.h"
 #include "support/SplitMix64.h"
 #include "tmds/TmBTree.h"
 #include "tmds/TmSkipList.h"
@@ -222,10 +223,13 @@ TmdsRunResult runOn(typename B::Stm &Stm, const TmdsPlan &Plan,
             applyOp(Ds, Tx, Op);
         });
   } else {
+    // Workers start together, as in the word runners (check/Fuzz.cpp).
+    Barrier Start(Cfg.Threads);
     std::vector<std::thread> Workers;
     for (unsigned T = 0; T < Cfg.Threads; ++T)
       Workers.emplace_back([&, T] {
         typename B::Txn Txn(Stm, T);
+        Start.arriveAndWait();
         const std::vector<TmdsTxn> &Txns = Plan.PerThread[T];
         for (size_t K = 0; K < Txns.size(); ++K)
           Txn.run(static_cast<TxId>(K), [&](typename B::Txn &Tx) {

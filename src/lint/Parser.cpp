@@ -21,10 +21,12 @@ bool gstm::lint::isTxnHandleType(std::string_view TypeName) {
   // The policy-engine family (src/engine) contributes the per-policy
   // aliases plus the generic chassis name: `EngineTxn<P> &` lexes as
   // `EngineTxn` once the template group is stripped.
-  return TypeName == "Tl2Txn" || TypeName == "LibTxn" ||
-         TypeName == "LibTmTxn" || TypeName == "Txn" ||
-         TypeName == "OrecEagerTxn" || TypeName == "TlrwTxn" ||
-         TypeName == "TwoPlTxn" || TypeName == "EngineTxn";
+  // ShardedTxn is the TL2 descriptor over the sharded tier's orecs.
+  return TypeName == "Tl2Txn" || TypeName == "ShardedTxn" ||
+         TypeName == "LibTxn" || TypeName == "LibTmTxn" ||
+         TypeName == "Txn" || TypeName == "OrecEagerTxn" ||
+         TypeName == "TlrwTxn" || TypeName == "TwoPlTxn" ||
+         TypeName == "EngineTxn";
 }
 
 namespace {
@@ -106,7 +108,9 @@ ParamScan scanParams(const std::vector<Token> &T, size_t LParen,
     for (size_t J = ParamBegin; J < I; ++J) {
       if (T[J].is(Token::Kind::Identifier)) {
         LastIdent = T[J].Text;
-        if (IsHandleType(T[J].Text)) {
+        // A qualifier (`ShardedTxn::CommitListener *`) names a nested
+        // type, not the handle.
+        if (IsHandleType(T[J].Text) && !tok(T, J + 1).isPunct("::")) {
           IsTxnType = true;
           TypeName = T[J].Text;
         }

@@ -111,7 +111,8 @@ gstm::lint::profileForHandleType(std::string_view HandleType) {
   static const RuleProfile EngineInternal{"engine-internal", false, false,
                                           false, false};
 
-  if (HandleType == "Tl2Txn")
+  // ShardedTxn is the same TL2 descriptor over the partitioned orecs.
+  if (HandleType == "Tl2Txn" || HandleType == "ShardedTxn")
     return Tl2;
   if (HandleType == "LibTxn" || HandleType == "LibTmTxn")
     return LibTm;

@@ -22,8 +22,7 @@
 #ifndef GSTM_SHARD_SHARDCONFIG_H
 #define GSTM_SHARD_SHARDCONFIG_H
 
-#include "engine/TxnExecutor.h"
-#include "stm/LockTable.h"
+#include "stm/Tl2.h"
 
 #include <cassert>
 #include <cstdint>
@@ -35,8 +34,8 @@ namespace gstm {
 /// 64-bit word, mirroring the StatsShardCount sizing.
 inline constexpr unsigned MaxShardCount = 64;
 
-/// How a word address maps to its home shard (the shard whose LockTable,
-/// CommitRing and applied clock govern it).
+/// How a word address maps to its home shard (the shard whose lock-table
+/// slice, CommitRing and applied clock govern it).
 enum class ShardHashKind : uint8_t {
   /// Murmur3-style avalanche finalizer, shard index from the top bits —
   /// statistically independent of the per-shard stripe hash, which takes
@@ -52,18 +51,6 @@ const char *shardHashName(ShardHashKind Kind);
 /// Inverse of shardHashName; returns false for unknown names.
 bool shardHashFromName(const std::string &Name, ShardHashKind &Out);
 
-/// Deliberately broken sharded-commit behavior for the correctness
-/// harness's mutation self-test (check/ShardFuzz.h): tears the
-/// coordinated cross-shard publish so the opacity checker can prove it
-/// flags the resulting executions. Never enable outside the self-test.
-struct ShardFaultInjection {
-  /// Publish a cross-shard commit's stripe versions at wv *before* the
-  /// coordinated write-back, with a yield in between: readers can
-  /// validate new-version stripes while still observing pre-commit data
-  /// on every shard.
-  bool TornCoordinatedPublish = false;
-};
-
 /// Construction-time configuration of a ShardedStm runtime.
 struct ShardConfig {
   /// Shard contexts partitioning the orec/version space. Power of two in
@@ -76,13 +63,14 @@ struct ShardConfig {
   /// flag is part of the canonical config string: steered and unsteered
   /// models of the same workload are distinct keys.
   bool Steering = false;
-  /// Per-shard lock-table stripes (2^Bits each). Two bits below the Tl2
-  /// default: the table is per shard, so total stripe count scales with
-  /// ShardCount.
+  /// Stripes per shard slice of the lock table (2^Bits each). Two bits
+  /// below the Tl2 default: every shard gets a slice, so the total stripe
+  /// count scales with ShardCount.
   unsigned LockTableBits = 18;
   /// Per-shard commit-ring slots (2^Bits each).
   unsigned CommitRingBits = 13;
-  /// Per-shard stripe hash (LockTable's address-to-stripe mapping).
+  /// Stripe hash within a shard's slice (LockTable's address-to-stripe
+  /// mapping).
   StripeHashKind StripeHash = StripeHashKind::Mix;
   /// Bounded spin on a locked stripe during cross-shard prepare before
   /// the attempt gives up and aborts. Ordered (shard, stripe) acquisition
@@ -95,8 +83,9 @@ struct ShardConfig {
   unsigned PreemptShift = 0;
   /// Per-attempt wall-clock latency accumulation, as Tl2Config.
   bool TrackAttemptLatency = false;
-  /// Fault injection for the checker self-test; all off by default.
-  ShardFaultInjection Fault;
+  /// Fault injection for the checker self-test, shared with Tl2Config;
+  /// all off by default.
+  Tl2FaultInjection Fault;
 };
 
 /// Canonical `key=value;` rendering of the knobs that select distinct

@@ -6,21 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sharded STM tier (ROADMAP item 4): the shared-memory analogue of
-/// ClusterSTM's address-distributed orec space. The transactional
-/// metadata of a ShardedStm is partitioned into N shard contexts, each
-/// with its own LockTable (orec partition), CommitRing (per-shard commit
-/// queue for abort attribution), applied version clock, and StatsShard
-/// group. Data words hash to a home shard (or are placed explicitly by
-/// the steering pass, shard/Steering.h); a transaction whose write set
-/// stays within one shard commits through the unchanged TL2 single-fence
-/// path against that shard's structures, while a cross-shard writer runs
-/// a two-phase protocol: per-shard prepare (stripe acquisition +
-/// validation) in globally ordered (shard id, stripe index) order — which
-/// precludes deadlock even though cross-shard prepare *waits* briefly on
-/// locked stripes instead of aborting — then one coordinated publish that
-/// stamps every participating shard at the same write version behind a
-/// single release fence (DESIGN.md §4j).
+/// The sharded STM tier: the shared-memory analogue of ClusterSTM's
+/// address-distributed orec space. It is TL2 (stm/Tl2.h) over a
+/// partitioned orec table: ShardedTxn is the one Tl2Descriptor
+/// instantiated on ShardedStm, whose layout hooks split one LockTable
+/// into N contiguous per-shard slices and give each shard context its
+/// own CommitRing (per-shard commit queue for abort attribution) and
+/// applied version clock. Data words hash to a home shard (or are placed
+/// explicitly by the steering pass, shard/Steering.h) and to a stripe in
+/// that shard's slice. Stripe indexes therefore sort shard-major, so the
+/// descriptor's sorted prepare acquires shards ascending, stripes
+/// ascending within each — a global order that precludes deadlock even
+/// though a cross-shard prepare *waits* briefly on locked stripes
+/// instead of aborting. The shared single-fence commit then stamps every
+/// participating shard at the same write version behind one release
+/// fence, one publish group per shard (DESIGN.md §4j). A write set
+/// within one shard is exactly TL2 on that shard's metadata.
 ///
 /// Versioning: one global VersionClock issues every write version, so
 /// commit versions stay globally unique and per-thread monotonic (the
@@ -31,37 +32,25 @@
 /// global-clock RMW chains every earlier committer's lock acquisition
 /// happens-before the sample, so the lagging rv is safe (reads of
 /// fresher shards abort on version and the descriptor escalates to the
-/// global clock — see UseGlobalRv). Shard-partitioned workloads thus
-/// avoid sampling the globally contended clock line on their fast path.
+/// global clock — see TxnState::UseGlobalRv). Shard-partitioned workloads
+/// thus avoid sampling the globally contended clock line on their fast
+/// path.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GSTM_SHARD_SHARDED_H
 #define GSTM_SHARD_SHARDED_H
 
-#include "engine/TxnExecutor.h"
 #include "shard/ShardConfig.h"
-#include "stm/CommitRing.h"
-#include "stm/Contention.h"
-#include "stm/LockTable.h"
-#include "stm/Observer.h"
-#include "stm/StatsShard.h"
-#include "stm/VersionClock.h"
-#include "support/Ids.h"
-#include "support/MiniVector.h"
-#include "support/PtrIndexMap.h"
+#include "stm/Tl2.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace gstm {
-
-template <typename T> class TVar;
-class ShardedStm;
 
 /// Explicit address-range -> home-shard map, the output of the steering
 /// pass (shard/Steering.h). Ranges are half-open [Begin, End) over raw
@@ -93,36 +82,12 @@ private:
   bool Finalized = false;
 };
 
-/// Read-side facade over the per-shard StatsShard groups, shaped like
-/// the Tl2Stats surface harness code expects (`Stm.stats().aggregate()`).
-class ShardedStatsView {
-public:
-  explicit ShardedStatsView(ShardedStm &Stm) : S(&Stm) {}
-
-  /// Sum over every shard context's stats group.
-  StatsSnapshot aggregate() const;
-  uint64_t commits() const;
-  uint64_t aborts() const;
-
-  /// Zeroes every group. Only call while no transactions are running.
-  void reset();
-
-private:
-  ShardedStm *S;
-};
-
 /// One sharded STM runtime instance: N shard contexts plus the global
 /// commit sequencer and the instrumentation hooks (the same observer /
 /// gate / contention-manager surface as Tl2Stm). Workloads create one per
 /// run.
 class ShardedStm {
 public:
-  /// Shard index width inside combined (shard, stripe) lock keys; the
-  /// stripe index occupies the low bits. Combined keys sort by shard
-  /// first, which is what gives prepare its deadlock-free total order,
-  /// and are what onLockAcquire reports (globally unique across shards).
-  static constexpr unsigned ShardKeyShift = 32;
-
   explicit ShardedStm(const ShardConfig &Config = ShardConfig());
 
   ShardedStm(const ShardedStm &) = delete;
@@ -164,204 +129,156 @@ public:
 
   /// Home shard of \p Addr under the active placement + hash.
   size_t shardFor(const void *Addr) const;
+  /// Stripe guarding \p Addr in its home shard (post-run residue probes).
+  std::atomic<uint64_t> &stripeFor(const void *Addr) {
+    return Locks.stripeAt(keyFor(shardFor(Addr), Addr));
+  }
 
-  LockTable &lockTableOf(size_t Shard) { return Shards[Shard]->Locks; }
+  /// The partitioned orec table: shard s owns the contiguous slice of
+  /// 2^LockTableBits stripes starting at index s << LockTableBits, so a
+  /// stripe index is a lock key that sorts shard-major.
+  LockTable &lockTable() { return Locks; }
   CommitRing &commitRingOf(size_t Shard) { return Shards[Shard]->Ring; }
   /// Shard-local applied clock: raised to wv strictly after the shard's
   /// stripe publishes, so a sample v proves every commit with wv <= v
   /// has its locks visible (see file comment).
   VersionClock &appliedClockOf(size_t Shard) { return Shards[Shard]->Applied; }
-  /// Per-shard-context telemetry group: commits/aborts homed at \p Shard.
-  Tl2Stats &shardStats(size_t Shard) { return Shards[Shard]->Stats; }
 
   TxEventObserver *observer() const { return Observer; }
   StartGate *gate() const { return Gate; }
   ContentionManager *contentionManager() const { return Cm; }
   TxAccessObserver *accessObserver() const { return AccessObs; }
 
-  /// Aggregated telemetry over all shard contexts, Tl2Stats-shaped.
-  ShardedStatsView stats() { return ShardedStatsView(*this); }
+  /// Per-thread telemetry over all shard contexts (stm/StatsShard.h).
+  Tl2Stats &stats() { return Counters; }
+  const Tl2Stats &stats() const { return Counters; }
+
+  /// Per-descriptor layout state, a base of ShardedTxn: the steering
+  /// surface plus the rv source and touched-shard masks the hooks keep.
+  class TxnState {
+  public:
+    /// Steering affinity hint: the workload-level group (e.g. key
+    /// partition) the *next* transactions operate on; recorded with each
+    /// commit so the steering learner can attribute cross-shard traffic
+    /// to a placeable unit. Sticky until changed; NoAffinity disables.
+    static constexpr uint32_t NoAffinity = ~uint32_t{0};
+    void setAffinityGroup(uint32_t Group) { AffinityGroup = Group; }
+    uint32_t affinityGroup() const { return AffinityGroup; }
+
+    /// Commit notification hook for the steering learner
+    /// (shard/Steering.h): receives (affinity group, touched-shard mask,
+    /// cross-shard?) after every writer commit. Per-descriptor, so only
+    /// the steered workloads pay the branch.
+    class CommitListener {
+    public:
+      virtual ~CommitListener() = default;
+      virtual void onShardCommit(ThreadId Thread, uint32_t Group,
+                                 uint64_t ShardMask, bool CrossShard) = 0;
+    };
+    void setCommitListener(CommitListener *L) { Listener = L; }
+
+  protected:
+    TxnState(ShardedStm &Stm, ThreadId Thread)
+        : ResidentShard(static_cast<size_t>(Thread) % Stm.shardCount()) {}
+
+  private:
+    friend class ShardedStm;
+    /// Thread's resident shard (Thread mod ShardCount): the rv source.
+    size_t ResidentShard;
+    /// Sticky escalation: sample rv from the global clock instead of the
+    /// resident shard's applied clock. Set when a version abort shows
+    /// the applied-clock snapshot lagging the data the workload actually
+    /// touches (otherwise a reader of a busier foreign shard would abort
+    /// on version forever); cleared when a commit's touched-shard mask
+    /// was resident-only, i.e. the lag cannot recur.
+    bool UseGlobalRv = false;
+    uint32_t AffinityGroup = NoAffinity;
+    CommitListener *Listener = nullptr;
+    /// Shards the attempt has read from / written (the write mask is
+    /// complete once commit computed the lock keys).
+    uint64_t ReadShardMask = 0;
+    uint64_t WriteShardMask = 0;
+  };
+
+  /// Layout hooks of Tl2Descriptor (stm/Tl2.h lists the contract).
+  uint64_t beginRv(TxnState &L) {
+    L.ReadShardMask = L.WriteShardMask = 0;
+    return L.UseGlobalRv ? Clock.sample()
+                         : Shards[L.ResidentShard]->Applied.sample();
+  }
+  std::atomic<uint64_t> &readStripe(TxnState &L, const void *Addr) {
+    size_t Shard = shardFor(Addr);
+    L.ReadShardMask |= uint64_t{1} << Shard;
+    return Locks.stripeAt(keyFor(Shard, Addr));
+  }
+  uint64_t writeKey(TxnState &L, const void *Addr) {
+    size_t Shard = shardFor(Addr);
+    L.WriteShardMask |= uint64_t{1} << Shard;
+    return keyFor(Shard, Addr);
+  }
+  /// Single-shard commits abort on a held stripe; cross-shard prepare
+  /// waits up to the configured bound.
+  unsigned prepareSpinLimit(const TxnState &L) const {
+    return std::popcount(L.WriteShardMask) > 1 ? Cfg.PrepareSpinLimit : 0;
+  }
+  size_t groupOf(uint64_t Key) const {
+    return static_cast<size_t>(Key >> Cfg.LockTableBits);
+  }
+  void groupPublished(size_t Shard, uint64_t Wv) {
+    Shards[Shard]->Applied.raiseTo(Wv);
+  }
+  /// A version abort means rv trails this stripe's shard. When rv came
+  /// from the resident applied clock that lag can be permanent (a busier
+  /// foreign shard outruns the home clock forever), so the descriptor
+  /// escalates to global-clock sampling; a resident-only commit
+  /// de-escalates.
+  CommitRing &versionAbortRing(TxnState &L,
+                               const std::atomic<uint64_t> *Stripe) {
+    L.UseGlobalRv = true;
+    return commitRingOf(groupOf(Locks.indexOf(Stripe)));
+  }
+  void committed(TxnState &L, ThreadId Thread, StatsShard &St);
+  /// Cross-shard abort accounting keys on the shards the attempt had
+  /// touched when it died (the write mask is only complete for
+  /// commit-time aborts).
+  void aborted(TxnState &L, StatsShard &St) {
+    if (std::popcount(L.ReadShardMask | L.WriteShardMask) > 1)
+      St.recordCrossShardAbort();
+  }
 
 private:
-  /// One shard context: an orec partition with its own commit queue,
-  /// applied clock, and stats group.
+  /// Lock key of \p Addr homed on \p Shard: the address's stripe hash
+  /// within the shard's slice of the table.
+  uint64_t keyFor(size_t Shard, const void *Addr) const {
+    return (static_cast<uint64_t>(Shard) << Cfg.LockTableBits) |
+           (Locks.indexFor(Addr) & ((size_t{1} << Cfg.LockTableBits) - 1));
+  }
+
+  /// One shard context: the shard's commit queue and applied clock.
   struct ShardContext {
-    ShardContext(const ShardConfig &Cfg)
-        : Locks(Cfg.LockTableBits, Cfg.StripeHash), Ring(Cfg.CommitRingBits) {
-    }
-    LockTable Locks;
+    explicit ShardContext(const ShardConfig &Cfg) : Ring(Cfg.CommitRingBits) {}
     CommitRing Ring;
     VersionClock Applied;
-    Tl2Stats Stats;
   };
 
   ShardConfig Cfg;
   VersionClock Clock;
+  LockTable Locks;
   std::vector<std::unique_ptr<ShardContext>> Shards;
   std::atomic<const ShardPlacement *> Placement{nullptr};
   TxEventObserver *Observer = nullptr;
   StartGate *Gate = nullptr;
   ContentionManager *Cm = nullptr;
   TxAccessObserver *AccessObs = nullptr;
+  Tl2Stats Counters;
 };
 
-/// Per-thread sharded transaction descriptor: TL2 lazy (commit-time)
-/// conflict detection over the partitioned orec space. Reused across
-/// transactions; not thread-safe — one descriptor per worker thread. The
-/// retry loop (`run`) comes from the shared engine-family executor.
-///
-/// Only lazy detection is offered: encounter-time acquisition would take
-/// stripes in access order, which is incompatible with the ordered
-/// (shard, stripe) prepare that makes cross-shard waiting deadlock-free.
-class ShardedTxn : public TxnExecutor<ShardedTxn> {
-public:
-  ShardedTxn(ShardedStm &Stm, ThreadId Thread);
-
-  ShardedTxn(const ShardedTxn &) = delete;
-  ShardedTxn &operator=(const ShardedTxn &) = delete;
-
-  /// Transactional read of a raw 64-bit word.
-  uint64_t loadWord(const std::atomic<uint64_t> &Word);
-
-  /// Transactional (buffered) write of a raw 64-bit word.
-  void storeWord(std::atomic<uint64_t> &Word, uint64_t Value);
-
-  /// Typed transactional read of a TVar.
-  template <typename T> T load(const TVar<T> &Var) {
-    return TVar<T>::decode(loadWord(Var.word()));
-  }
-
-  /// Typed transactional write of a TVar. The value type is non-deduced
-  /// so integer literals convert to the variable's type.
-  template <typename T>
-  void store(TVar<T> &Var, std::type_identity_t<T> Value) {
-    storeWord(Var.word(), TVar<T>::encode(Value));
-  }
-
-  /// Explicitly aborts and retries the current transaction attempt.
-  [[noreturn]] void retryAbort();
-
-  ThreadId threadId() const { return Thread; }
-  TxId txId() const { return CurrentTx; }
-
-  /// Read version of the attempt in flight (exposed for tests).
-  uint64_t readVersion() const { return Rv; }
-  size_t readSetSize() const { return ReadSet.size(); }
-  size_t writeSetSize() const { return WriteLog.size(); }
-  /// Shards the attempt has read from / buffered writes to so far
-  /// (bitmasks; the write mask is only complete once commit classified
-  /// the write set). Exposed for tests and the steering hook.
-  uint64_t readShardMask() const { return ReadShardMask; }
-  uint64_t writeShardMask() const { return WriteShardMask; }
-  /// True while the descriptor samples rv from the global clock instead
-  /// of its home shard's applied clock (exposed for tests).
-  bool usesGlobalRv() const { return UseGlobalRv; }
-
-  /// Steering affinity hint: the workload-level group (e.g. key
-  /// partition) the *next* transactions operate on; recorded with each
-  /// commit so the steering learner can attribute cross-shard traffic to
-  /// a placeable unit. Sticky until changed; NoAffinity disables.
-  static constexpr uint32_t NoAffinity = ~uint32_t{0};
-  void setAffinityGroup(uint32_t Group) { AffinityGroup = Group; }
-  uint32_t affinityGroup() const { return AffinityGroup; }
-
-  /// Commit notification hook for the steering learner (shard/Steering.h):
-  /// receives (affinity group, touched-shard mask, cross-shard?) after
-  /// every writer commit. Per-descriptor, so only the steered workloads
-  /// pay the branch.
-  class CommitListener {
-  public:
-    virtual ~CommitListener() = default;
-    virtual void onShardCommit(ThreadId Thread, uint32_t Group,
-                               uint64_t ShardMask, bool CrossShard) = 0;
-  };
-  void setCommitListener(CommitListener *L) { Listener = L; }
-
-private:
-  friend class TxnExecutor<ShardedTxn>;
-
-  struct ReadEntry {
-    const std::atomic<uint64_t> *Stripe;
-    uint32_t Shard;
-  };
-  struct WriteEntry {
-    std::atomic<uint64_t> *Addr;
-    uint64_t Value;
-  };
-  struct AcquiredLock {
-    // stm-order: publish(Stripe) requires release-fence-before
-    std::atomic<uint64_t> *Stripe;
-    uint64_t Key; ///< (shard << ShardKeyShift) | stripe index
-    uint64_t PreviousWord;
-  };
-
-  /// Executor contract (engine/TxnExecutor.h).
-  ShardedStm &stm() { return S; }
-  StatsShard *shard() { return ThreadShard; }
-
-  void begin(TxId Tx);
-  /// Commits the attempt or reports the abort cause and throws. One code
-  /// path serves both classes: a single-shard write set degenerates to
-  /// the home shard's unchanged TL2 commit (one prepare group, no
-  /// waiting), a cross-shard one runs the ordered-prepare /
-  /// coordinated-publish 2PC.
-  void commitOrThrow(uint32_t PriorAborts);
-  void validateReadSet(TxThreadPair Self);
-
-  [[noreturn]] void abortOnOwner(TxThreadPair Owner, AbortSite Site);
-  [[noreturn]] void abortOnVersion(uint64_t Version, size_t Shard,
-                                   AbortSite Site);
-  [[noreturn]] void reportAbortAndThrow(const AbortEvent &E);
-
-  uint64_t opensCount() const { return ReadSet.size() + WriteLog.size(); }
-
-  void releaseAcquiredLocks();
-  /// Pre-lock word of a stripe this commit locked itself (must be in
-  /// Acquired; linear scan — only the suspicious slow pass pays it).
-  uint64_t preLockWordFor(const std::atomic<uint64_t> *Stripe) const;
-
-  bool lookupWriteSet(const std::atomic<uint64_t> *Addr, uint64_t &Value);
-
-  /// Stats group the attempt's outcome is recorded into: the lowest
-  /// touched shard (writes beat reads), or the thread's resident shard
-  /// when nothing was touched — so per-shard-context stats are keyed by
-  /// the data the transaction committed against.
-  StatsShard &outcomeStats() const;
-
-  static uint64_t filterSignature(const void *Addr) {
-    auto Key = reinterpret_cast<uintptr_t>(Addr) >> 3;
-    return uint64_t{1} << ((Key * 0x9e3779b97f4a7c15ULL) >> 58);
-  }
-
-  ShardedStm &S;
-  ThreadId Thread;
-  /// Thread's resident shard (Thread mod ShardCount): rv sampling source
-  /// and the fallback stats home.
-  size_t ResidentShard;
-  /// This thread's stats shard in the resident context, for the
-  /// executor's attempt-latency recording.
-  StatsShard *ThreadShard;
-  CommitListener *Listener = nullptr;
-  TxId CurrentTx = 0;
-  uint64_t Rv = 0;
-  /// Sticky escalation: sample rv from the global clock instead of the
-  /// resident shard's applied clock. Set when a version abort shows the
-  /// applied-clock snapshot lagging the data the workload actually
-  /// touches (otherwise a reader of a busier foreign shard would abort
-  /// on version forever); cleared when a commit's touched-shard mask was
-  /// resident-only, i.e. the lag cannot recur.
-  bool UseGlobalRv = false;
-  uint32_t AffinityGroup = NoAffinity;
-  uint64_t ReadShardMask = 0;
-  uint64_t WriteShardMask = 0;
-
-  MiniVector<ReadEntry, 64> ReadSet;
-  MiniVector<WriteEntry, 32> WriteLog;
-  PtrIndexMap<uint32_t, 5> WriteIndex;
-  uint64_t WriteFilter = 0;
-  MiniVector<uint64_t, 32> StripeScratch;
-  MiniVector<AcquiredLock, 32> Acquired;
-};
+/// TL2 over the partitioned orec space. Only lazy detection is offered:
+/// encounter-time acquisition would take stripes in access order, which
+/// is incompatible with the ordered (shard, stripe) prepare that makes
+/// cross-shard waiting deadlock-free. Instantiated once, in Sharded.cpp.
+using ShardedTxn = Tl2Descriptor<ShardedStm>;
+extern template class Tl2Descriptor<ShardedStm>;
 
 } // namespace gstm
 

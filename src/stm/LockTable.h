@@ -93,6 +93,14 @@ public:
     return (Key * 0x9e3779b97f4a7c15ULL >> (64 - BitCount)) & Mask;
   }
 
+  /// Index of \p Stripe, one of this table's stripes (inverse of
+  /// stripeAt).
+  size_t indexOf(const std::atomic<uint64_t> *Stripe) const {
+    assert(Stripe >= Stripes.get() && Stripe <= &Stripes[Mask] &&
+           "stripe of another table");
+    return static_cast<size_t>(Stripe - Stripes.get());
+  }
+
   StripeHashKind hashKind() const { return Kind; }
 
   // Stripe version publishes on the single-fence commit paths are

@@ -36,6 +36,7 @@
 
 #include "engine/Engines.h"
 #include "libtm/LibTm.h"
+#include "shard/Sharded.h"
 #include "stm/LockTable.h"
 #include "stm/TVar.h"
 #include "stm/Tl2.h"
@@ -46,14 +47,15 @@
 
 namespace gstm {
 
-/// Word-based TL2 backend: cells are TVar<T>, metadata lives in the
-/// runtime's shared stripe table.
-struct Tl2Backend {
-  using Stm = Tl2Stm;
-  using Txn = Tl2Txn;
+/// Word-based backends: cells are TVar<T> and the runtime's access
+/// observer reports &TVar::word() and the encoded word, whatever the
+/// engine. The residue probe decodes the stripe the runtime's stripeFor
+/// resolves, which both TL2 orec layouts provide; EngineBackend replaces
+/// it where a policy's table is not stripe words.
+template <typename StmT, typename TxnT> struct WordBackend {
+  using Stm = StmT;
+  using Txn = TxnT;
   template <typename T> using Cell = TVar<T>;
-
-  static constexpr const char *Name = "tl2";
 
   template <typename T> static T load(Txn &Tx, const Cell<T> &C) {
     return Tx.load(C);
@@ -81,11 +83,19 @@ struct Tl2Backend {
   /// True when the stripe guarding \p C is still locked (post-run
   /// residue probe; quiescent use only).
   template <typename T> static bool cellLocked(Stm &S, const Cell<T> &C) {
-    auto &Word = const_cast<Cell<T> &>(C).word();
-    return LockTable::decode(
-               S.lockTable().stripeFor(&Word).load(std::memory_order_relaxed))
+    return LockTable::decode(S.stripeFor(&C.word()).load(
+                                 std::memory_order_relaxed))
         .Locked;
   }
+};
+
+/// TL2 on the flat stripe table and on the sharded tier's partitioned
+/// one (stm/Tl2.h): one descriptor, so one backend shape.
+struct Tl2Backend : WordBackend<Tl2Stm, Tl2Txn> {
+  static constexpr const char *Name = "tl2";
+};
+struct ShardBackend : WordBackend<ShardedStm, ShardedTxn> {
+  static constexpr const char *Name = "sharded";
 };
 
 /// Object-based LibTm backend: cells are single-payload-word TObj<T> with
@@ -130,43 +140,18 @@ struct LibTmBackend {
 };
 
 /// Word-based backend over the policy-templated engine family
-/// (src/engine): cells are TVar<T> exactly as on TL2, so cellAddr and
-/// cellRaw report the same encoding; only the per-cell residue probe
-/// depends on the policy's table type (stripe word vs ByteLock entry).
-template <typename Policy> struct EngineBackend {
-  using Stm = EngineStm<Policy>;
-  using Txn = EngineTxn<Policy>;
-  template <typename T> using Cell = TVar<T>;
-
+/// (src/engine): only the residue probe depends on the policy's table
+/// type (stripe word vs ByteLock entry).
+template <typename Policy>
+struct EngineBackend : WordBackend<EngineStm<Policy>, EngineTxn<Policy>> {
   static constexpr const char *Name = Policy::Name;
-
-  template <typename T> static T load(Txn &Tx, const Cell<T> &C) {
-    return Tx.load(C);
-  }
-  template <typename T>
-  static void store(Txn &Tx, Cell<T> &C, std::type_identity_t<T> Value) {
-    Tx.store(C, Value);
-  }
-  template <typename T> static T loadDirect(const Cell<T> &C) {
-    return C.loadDirect();
-  }
-  template <typename T>
-  static void storeDirect(Cell<T> &C, std::type_identity_t<T> Value) {
-    C.storeDirect(Value);
-  }
-
-  template <typename T> static const void *cellAddr(const Cell<T> &C) {
-    return &C.word();
-  }
-  template <typename T> static uint64_t cellRaw(const Cell<T> &C) {
-    return C.word().load(std::memory_order_relaxed);
-  }
 
   /// Post-run residue probe (quiescent use only). A ByteLock entry is
   /// residue-held when its Owner word or any reader byte survives; a
   /// stripe word when its lock bit does.
-  template <typename T> static bool cellLocked(Stm &S, const Cell<T> &C) {
-    auto &Word = const_cast<Cell<T> &>(C).word();
+  template <typename T>
+  static bool cellLocked(EngineStm<Policy> &S, const TVar<T> &C) {
+    auto &Word = const_cast<TVar<T> &>(C).word();
     if constexpr (std::is_same_v<typename Policy::Table, ByteLockTable>)
       return S.table().lockFor(&Word).heldByAnyone();
     else

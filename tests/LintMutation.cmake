@@ -64,10 +64,12 @@ reset_tree()
 run_lint(pristine 0)
 
 # Fence deletion from each single-fence commit path -> O3 names the path.
+# The TL2 path (stm/Tl2.h) is the one commit of both the flat and the
+# sharded tier.
 reset_tree()
-mutate(src/stm/Tl2.cpp "${SEQ_FENCE}" "")
+mutate(src/stm/Tl2.h "${SEQ_FENCE}" "")
 run_lint(tl2-fence-removed 1 "[O3]"
-         "Tl2Txn::commitOrThrow single-fence commit")
+         "Tl2Descriptor::commitOrThrow single-fence commit")
 
 reset_tree()
 mutate(src/libtm/LibTm.cpp "${SEQ_FENCE}" "")
@@ -79,23 +81,12 @@ mutate(src/engine/OrecEager.h "${SEQ_FENCE}" "")
 run_lint(orec-fence-removed 1 "[O3]"
          "OrecEagerPolicy::commit single-fence commit")
 
-reset_tree()
-mutate(src/shard/Sharded.cpp "${SEQ_FENCE}" "")
-run_lint(shard-fence-removed 1 "[O3]"
-         "ShardedTxn::commitOrThrow cross-shard 2PC")
-
 # Weakening the fence is as fatal as deleting it.
 reset_tree()
-mutate(src/stm/Tl2.cpp "${SEQ_FENCE}"
+mutate(src/stm/Tl2.h "${SEQ_FENCE}"
        "std::atomic_thread_fence(std::memory_order_acquire);")
 run_lint(tl2-fence-weakened 1 "[O3]"
-         "Tl2Txn::commitOrThrow single-fence commit")
-
-reset_tree()
-mutate(src/shard/Sharded.cpp "${SEQ_FENCE}"
-       "std::atomic_thread_fence(std::memory_order_acquire);")
-run_lint(shard-fence-weakened 1 "[O3]"
-         "ShardedTxn::commitOrThrow cross-shard 2PC")
+         "Tl2Descriptor::commitOrThrow single-fence commit")
 
 # Deleting the writeback->publish release fence leaves the relaxed
 # version publishes behind the data writeback with only the earlier
@@ -103,16 +94,12 @@ run_lint(shard-fence-weakened 1 "[O3]"
 set(RELEASE_FENCE "std::atomic_thread_fence(std::memory_order_release);")
 
 reset_tree()
-mutate(src/stm/Tl2.cpp "${RELEASE_FENCE}" "")
+mutate(src/stm/Tl2.h "${RELEASE_FENCE}" "")
 run_lint(tl2-release-fence-removed 1 "[O1]" "stripeAt")
 
 reset_tree()
 mutate(src/libtm/LibTm.cpp "${RELEASE_FENCE}" "")
 run_lint(libtm-release-fence-removed 1 "[O1]" "meta")
-
-reset_tree()
-mutate(src/shard/Sharded.cpp "${RELEASE_FENCE}" "")
-run_lint(shard-release-fence-removed 1 "[O1]" "Stripe")
 
 # Torn rollback: orec-eager's abort path restores the pre-lock orec word
 # after replaying the undo log; a relaxed restore lets a reader see the

@@ -43,6 +43,16 @@ std::vector<TxThreadPair> runCounter(Tl2Stm &Stm, unsigned Threads,
   return Recorder ? Recorder->takeSchedule() : std::vector<TxThreadPair>{};
 }
 
+/// Gate budget for the tests that demand an exact replay. The default
+/// 4096 yields pass within one scheduler quantum on a loaded 2-core
+/// host, so a preempted turn holder got its waiters force-released and
+/// the run diverged; a budget of 2^20 yields outlasts a preemption.
+ReplayConfig exactReplay() {
+  ReplayConfig Cfg;
+  Cfg.MaxGateRetries = 1u << 20;
+  return Cfg;
+}
+
 } // namespace
 
 TEST(ReplayTest, RecorderCapturesEveryCommitInOrder) {
@@ -76,7 +86,7 @@ TEST(ReplayTest, ReplayReproducesCommitOrderExactly) {
 
   Tl2Stm Stm(Cfg);
   TVar<uint64_t> Counter{0};
-  ReplayGate Gate(Schedule);
+  ReplayGate Gate(Schedule, exactReplay());
   CommitRecorder Check;
 
   struct Tee : TxEventObserver {
@@ -131,7 +141,7 @@ TEST(ReplayTest, ReplayedRunIsFullyDeterministicTwice) {
   auto ReplayOnce = [&] {
     Tl2Stm Stm(Cfg);
     TVar<uint64_t> Counter{0};
-    ReplayGate Gate(Schedule);
+    ReplayGate Gate(Schedule, exactReplay());
     CommitRecorder Check;
     struct Tee : TxEventObserver {
       TxEventObserver *A, *B;
@@ -228,7 +238,7 @@ TEST(ReplayTest, ReplayProducesExactlyOneTtsSequence) {
   auto ReplayTts = [&] {
     Tl2Stm Stm(Cfg);
     TVar<uint64_t> Counter{0};
-    ReplayGate Gate(Schedule);
+    ReplayGate Gate(Schedule, exactReplay());
     TraceCollector Collector(3);
     struct Tee : TxEventObserver {
       TxEventObserver *A, *B;

@@ -9,8 +9,8 @@
 // plumbing, the ShardedTxn commit protocol against a live runtime
 // (single- and cross-shard, applied-clock publication, exact telemetry),
 // the steering learner's ingest/drain/build loop, and the mutation
-// self-test — the torn-coordinated-publish fault must be flagged by the
-// opacity checker, not merely by final-state sums.
+// self-tests — the torn-coordinated-publish and skipped-validation faults
+// must be flagged by the history checkers, not merely by final-state sums.
 //
 //===----------------------------------------------------------------------===//
 
@@ -141,8 +141,7 @@ TEST_F(TwoShardFixture, CrossShardCommitRaisesEveryParticipantClock) {
   EXPECT_EQ(Stm.appliedClockOf(2).sample(), 0u);
   EXPECT_EQ(Stm.appliedClockOf(3).sample(), 0u);
 
-  for (unsigned S = 0; S < 4; ++S)
-    EXPECT_TRUE(lockTableQuiescent(Stm.lockTableOf(S))) << "shard " << S;
+  EXPECT_TRUE(lockTableQuiescent(Stm.lockTable()));
 }
 
 TEST_F(TwoShardFixture, ReadOnlyCrossShardCommitAdvancesNothing) {
@@ -194,8 +193,7 @@ TEST_F(TwoShardFixture, ConcurrentCrossShardIncrementsAreExact) {
   EXPECT_EQ(Agg.Commits, Total);
   EXPECT_EQ(Agg.CrossShardCommits, Total);
   EXPECT_TRUE(Agg.consistent());
-  for (unsigned S = 0; S < 4; ++S)
-    EXPECT_TRUE(lockTableQuiescent(Stm.lockTableOf(S))) << "shard " << S;
+  EXPECT_TRUE(lockTableQuiescent(Stm.lockTable()));
 
   // The steering listener saw every commit as cross-shard traffic.
   EXPECT_EQ(Steering.drain(), Total);
@@ -281,28 +279,37 @@ TEST(ShardFuzzTest, PlanPredictsCrossShardTraffic) {
   EXPECT_GT(Cross, 0u);
 }
 
+/// Checker violations among the first 60 seeds under \p Fault, stopping
+/// at 3 — the clean smoke above proves the same seeds pass without it.
+unsigned violationsUnder(const Tl2FaultInjection &Fault) {
+  ShardFuzzConfig Cfg;
+  Cfg.Fault = Fault;
+  unsigned Violations = 0;
+  for (uint64_t Seed = 1; Seed <= 60 && Violations < 3; ++Seed)
+    if (runShardFuzzIteration(Seed, Cfg).Check.violation())
+      ++Violations;
+  return Violations;
+}
+
 // The fault tears the coordinated publish: every participating shard's
 // stripe versions go live at wv before any shard's data is written
-// back. The opacity checker must flag the resulting executions
-// (stale value under a fresh version / inconsistent snapshot) within a
-// bounded seed window — the clean smoke above proves the same seeds pass
-// without the fault.
+// back. The opacity checker must flag the resulting executions (stale
+// value under a fresh version / inconsistent snapshot).
 TEST(ShardMutationSelfTest, TornCoordinatedPublishIsCaught) {
-  ShardFuzzConfig Cfg;
-  Cfg.Fault.TornCoordinatedPublish = true;
-  unsigned Violations = 0;
-  uint64_t FirstCaught = 0;
-  for (uint64_t Seed = 1; Seed <= 60 && Violations < 3; ++Seed) {
-    ShardFuzzResult R = runShardFuzzIteration(Seed, Cfg);
-    if (R.Check.violation()) {
-      if (!FirstCaught)
-        FirstCaught = Seed;
-      ++Violations;
-    }
-  }
-  EXPECT_GE(Violations, 3u)
+  Tl2FaultInjection Fault;
+  Fault.TornVersionPublish = true;
+  EXPECT_GE(violationsUnder(Fault), 3u)
       << "opacity checker failed to flag the torn coordinated publish";
-  EXPECT_NE(FirstCaught, 0u);
+}
+
+// The fault drops commit-time validation from the 2PC: a commit that
+// interleaved after an attempt's reads goes undetected, so lost updates
+// and stale reads enter committed state and the checkers must object.
+TEST(ShardMutationSelfTest, SkippedReadValidationIsCaught) {
+  Tl2FaultInjection Fault;
+  Fault.SkipReadValidation = true;
+  EXPECT_GE(violationsUnder(Fault), 3u)
+      << "checkers failed to flag the skipped 2PC read validation";
 }
 
 } // namespace

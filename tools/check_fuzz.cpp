@@ -60,19 +60,17 @@ int main(int Argc, char **Argv) {
           {"smoke", "", "CI preset: 1024 seeds per backend"},
           {"verbose", "", "print every iteration, not just failures"},
           {"inject-skip-validation", "",
-           "fault injection: skip read validation, TL2 + orec-eager "
-           "(checkers must object)"},
+           "fault injection: skip read validation, TL2 (flat or sharded) + "
+           "orec-eager (checkers must object)"},
           {"inject-torn-publish", "",
-           "fault injection: publish torn versions (checkers must object)"},
+           "fault injection: publish torn versions, TL2 (flat or sharded) "
+           "(checkers must object)"},
           {"inject-skip-undo", "",
            "fault injection: skip undo replay on abort, orec-eager + "
            "2pl-undo (checkers must object)"},
           {"inject-skip-drain", "",
            "fault injection: skip the tlrw writer's reader-byte drain "
            "(checkers must object)"},
-          {"inject-torn-coordinated", "",
-           "fault injection: tear the coordinated cross-shard publish "
-           "(sharded workload; checkers must object)"},
       });
   Options Opts = Cli.parseOrExit(Argc, Argv);
 
@@ -131,23 +129,22 @@ int main(int Argc, char **Argv) {
                  WorkloadName.c_str());
     return 2;
   }
-  if (WorkloadName != "rmw" &&
-      (Cfg.Fault.SkipReadValidation || Cfg.Fault.TornVersionPublish ||
-       Cfg.EngineFault.SkipUndoReplay || Cfg.EngineFault.SkipReaderDrain)) {
+  // The sharded tier runs the TL2 commit, so the TL2 faults apply to it;
+  // the engine-only faults need --workload=rmw.
+  const bool Tl2Fault =
+      Cfg.Fault.SkipReadValidation || Cfg.Fault.TornVersionPublish;
+  const bool EngineOnlyFault =
+      Cfg.EngineFault.SkipUndoReplay || Cfg.EngineFault.SkipReaderDrain;
+  if ((TmdsWorkload && Tl2Fault) ||
+      (WorkloadName != "rmw" && EngineOnlyFault)) {
     std::fprintf(stderr,
-                 "check_fuzz: this fault injection only applies to "
-                 "--workload=rmw\n");
+                 "check_fuzz: this fault injection does not apply to "
+                 "--workload=%s\n",
+                 WorkloadName.c_str());
     return 2;
   }
   ShardFuzzConfig SCfg;
-  SCfg.Fault.TornCoordinatedPublish =
-      Opts.getBool("inject-torn-coordinated", false);
-  if (SCfg.Fault.TornCoordinatedPublish && !ShardWorkload) {
-    std::fprintf(stderr,
-                 "check_fuzz: --inject-torn-coordinated only applies to "
-                 "--workload=sharded\n");
-    return 2;
-  }
+  SCfg.Fault = Cfg.Fault;
   if (ShardWorkload && !All) {
     std::fprintf(stderr,
                  "check_fuzz: --workload=sharded runs its own variant set "
