@@ -276,8 +276,8 @@ OltpResult gstm::runOltp(const OltpConfig &Cfg) {
     ShardConfig C;
     if (Cfg.Shards)
       C.ShardCount = Cfg.Shards;
-    if (C.ShardCount == 0 || C.ShardCount > MaxShardCount) {
-      R.Error = "shard count must be in [1, " +
+    if (!isValidShardCount(C.ShardCount)) {
+      R.Error = "shard count must be a power of two in [1, " +
                 std::to_string(MaxShardCount) + "]";
       return R;
     }

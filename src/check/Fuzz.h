@@ -6,23 +6,33 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Seeded, reproducible STM fuzzing: a seed expands into a FuzzPlan — a
-/// fixed population of read-modify-write transactions over a small TVar
-/// array — which runs under any backend configuration (TL2, LibTm, the
-/// three policy-templated engines from src/engine, and a single-threaded
-/// reference interpreter) with schedule perturbation
-/// and full history recording. Each run is judged three ways:
+/// Seeded, reproducible STM fuzzing over one matrix: every workload runs
+/// under every backend through one run skeleton. A seed expands into a
+/// plan, which runs under any backend (TL2, LibTm, the three
+/// policy-templated engines from src/engine, TL2 on the sharded tier's
+/// partitioned orecs, and a serial reference) with schedule perturbation
+/// and full history recording. Two workloads exist:
 ///
-///  * the recorded history must pass the checkers (check/Checker.h),
-///  * the final memory state must equal the plan's analytic expectation
-///    (every write adds a unique delta to the value it read, so any
-///    serializable execution ends at initial + sum of deltas), and
-///  * the runtime's locks must be quiescent after the workers join.
+///  * rmw (FuzzConfig, makeFuzzPlan): read-modify-write transactions over
+///    a small array, every write adding a unique delta to the value it
+///    read, so any serializable execution ends at initial + sum of
+///    deltas; and
+///  * skiplist / btree (TmdsFuzzConfig, check/TmdsFuzz.h): key-partitioned
+///    map transactions over a src/tmds container, judged against a
+///    std::map oracle.
+///
+/// Each run is judged, first failure wins: the recorded history must pass
+/// the checkers (check/Checker.h), the runtime's locks must be quiescent
+/// after the workers join, the structure's own invariants must hold, the
+/// final contents must equal the plan's schedule-independent expectation,
+/// the commit accounting must match the plan, and on the sharded backend
+/// an rmw plan's exact cross-shard commit count must match the runtime's
+/// counter.
 ///
 /// Because the expected final state is schedule-independent, the same
 /// plan's outcome is directly comparable across backends: that is the
 /// differential test (runDifferential). A failing seed reproduces with
-/// `check_fuzz --seed <S> --backend <B>`.
+/// `check_fuzz --workload=W --seed=S --backend=B`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +45,9 @@
 #include "stm/Tl2.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gstm {
@@ -44,7 +56,7 @@ namespace gstm {
 enum class FuzzBackend : uint8_t {
   /// TL2, commit-time (lazy) conflict detection — the paper's default.
   Tl2Lazy,
-  /// Object-based LibTm, one TObj<uint64_t> per variable.
+  /// Object-based LibTm, one TObj per cell.
   LibTm,
   /// Policy-templated engines (src/engine): orec-based encounter-time
   /// locking with undo log and commit-time read validation,
@@ -53,9 +65,13 @@ enum class FuzzBackend : uint8_t {
   Tlrw,
   /// and no-wait strict two-phase locking over the stripe table.
   TwoPlUndo,
-  /// Single-threaded reference interpreter: executes the plan serially
-  /// and synthesizes the history by hand. Known-good ground truth for
-  /// both the differential comparison and the checkers themselves.
+  /// TL2 on the sharded tier (shard/Sharded.h): FuzzRunConfig::ShardCount
+  /// orec partitions with cross-shard 2PC.
+  Sharded,
+  /// Serial ground truth: the rmw plan interpreted thread-by-thread with
+  /// a hand-synthesized history, or a map plan run by one worker on TL2.
+  /// Known-good for both the differential comparison and the checkers
+  /// themselves.
   Reference,
 };
 
@@ -65,33 +81,44 @@ const char *fuzzBackendName(FuzzBackend B);
 bool fuzzBackendFromName(const std::string &Name, FuzzBackend &Out);
 
 /// Every backend, in fuzzBackendName order: the two hand-written
-/// runtimes, the three policy-templated engines, and the serial
-/// reference.
+/// runtimes, the three policy-templated engines, the sharded tier, and
+/// the serial reference.
 inline constexpr FuzzBackend AllFuzzBackends[] = {
-    FuzzBackend::Tl2Lazy, FuzzBackend::LibTm,     FuzzBackend::OrecEager,
-    FuzzBackend::Tlrw,    FuzzBackend::TwoPlUndo, FuzzBackend::Reference};
+    FuzzBackend::Tl2Lazy,   FuzzBackend::LibTm,   FuzzBackend::OrecEager,
+    FuzzBackend::Tlrw,      FuzzBackend::TwoPlUndo, FuzzBackend::Sharded,
+    FuzzBackend::Reference};
 
-/// Shape of the generated workloads. The defaults are sized for a
-/// single-core CI host: small enough that a thousand iterations run in
-/// seconds, contended enough (few variables, several threads) that
-/// conflicts and aborts actually happen.
-struct FuzzConfig {
+/// Knobs of a run that do not shape the plan: runtime construction,
+/// perturbation, fault injection and the checkers. Both workload configs
+/// derive from it.
+struct FuzzRunConfig {
+  /// STM-internal random preemption (Tl2Config/LibTmConfig PreemptShift).
+  unsigned PreemptShift = 2;
+  /// Observer-level perturbation (SchedulePerturber yield shift).
+  unsigned PerturbShift = 2;
+  /// Shard contexts of the Sharded backend (see isValidShardCount); 1
+  /// degenerates to unsharded TL2 semantics over the sharded chassis.
+  unsigned ShardCount = 4;
+  /// Fault injection for the TL2 backends, flat and sharded (mutation
+  /// self-test only).
+  Tl2FaultInjection Fault;
+  /// Fault injection for the policy-templated engine backends (mutation
+  /// self-test only; see EngineFaultInjection for the per-engine knobs).
+  EngineFaultInjection EngineFault;
+  CheckerConfig Checker;
+};
+
+/// Shape of the rmw workload. The defaults are sized for a single-core
+/// CI host: small enough that a thousand iterations run in seconds,
+/// contended enough (few variables, several threads) that conflicts and
+/// aborts actually happen.
+struct FuzzConfig : FuzzRunConfig {
   unsigned Threads = 3;
   unsigned TxnsPerThread = 8;
   unsigned Vars = 6;
   /// Operations per transaction are drawn from [1, MaxOpsPerTxn], each on
   /// a distinct variable; roughly half become read-modify-writes.
   unsigned MaxOpsPerTxn = 4;
-  /// STM-internal random preemption (Tl2Config/LibTmConfig PreemptShift).
-  unsigned PreemptShift = 2;
-  /// Observer-level perturbation (SchedulePerturber yield shift).
-  unsigned PerturbShift = 2;
-  /// Fault injection for the TL2 backend (mutation self-test only).
-  Tl2FaultInjection Fault;
-  /// Fault injection for the policy-templated engine backends (mutation
-  /// self-test only; see EngineFaultInjection for the per-engine knobs).
-  EngineFaultInjection EngineFault;
-  CheckerConfig Checker;
 };
 
 /// One generated operation: read variable Var; when IsWrite, write back
@@ -124,29 +151,41 @@ struct FuzzPlan {
 /// attribution rests on.
 FuzzPlan makeFuzzPlan(uint64_t Seed, const FuzzConfig &Cfg);
 
-/// Outcome of one (seed, backend) execution.
+/// Outcome of one (seed, backend) execution, whatever the workload.
 struct FuzzRunResult {
   /// Empty when the run passed; otherwise the first failure, prefixed
-  /// with its class (checker / final-state / lock-residue / accounting).
+  /// with its class (checker / lock-residue / structure / final-state /
+  /// accounting / coverage).
   std::string Error;
   /// Checker verdict over the recorded history.
   CheckResult Check;
-  std::vector<uint64_t> Final;
-  std::vector<uint64_t> Expected;
+  /// Final contents as ascending (key, value) pairs — (variable, value)
+  /// for rmw, the map's entries for skiplist/btree — and the plan's
+  /// expectation of them.
+  std::vector<std::pair<uint64_t, uint64_t>> Final;
+  std::vector<std::pair<uint64_t, uint64_t>> Expected;
   /// Attempts recorded (committed + aborted) and committed transactions.
   size_t Attempts = 0;
   size_t Committed = 0;
   /// Yields injected by the perturber (schedule-pressure telemetry).
   uint64_t PerturbYields = 0;
+  /// Cross-shard writer commits the runtime counted, and (Sharded backend
+  /// on rmw, where a round-robin placement makes it exact) the count the
+  /// plan requires.
+  uint64_t CrossShardCommits = 0;
+  uint64_t ExpectedCrossShardCommits = 0;
 
   bool passed() const { return Error.empty(); }
 };
 
 /// Runs the plan expanded from \p Seed under \p Backend and judges it.
+/// \p Cfg is a FuzzConfig (rmw) or a TmdsFuzzConfig (skiplist/btree,
+/// check/TmdsFuzz.h); Fuzz.cpp instantiates both.
+template <typename WorkloadConfig = FuzzConfig>
 FuzzRunResult runFuzzIteration(uint64_t Seed, FuzzBackend Backend,
-                               const FuzzConfig &Cfg = FuzzConfig());
+                               const WorkloadConfig &Cfg = WorkloadConfig());
 
-/// Outcome of one seed across all backends.
+/// Outcome of one seed across several backends.
 struct DifferentialResult {
   std::vector<std::pair<FuzzBackend, FuzzRunResult>> PerBackend;
   /// Empty when every backend passed and all final states agree.
@@ -155,9 +194,12 @@ struct DifferentialResult {
   bool passed() const { return Error.empty(); }
 };
 
-/// Runs \p Seed under every backend and cross-compares the final states.
-DifferentialResult runDifferential(uint64_t Seed,
-                                   const FuzzConfig &Cfg = FuzzConfig());
+/// Runs \p Seed under each of \p Backends and cross-compares the final
+/// states. Instantiated for the same two configs as runFuzzIteration.
+template <typename WorkloadConfig = FuzzConfig>
+DifferentialResult
+runDifferential(uint64_t Seed, const WorkloadConfig &Cfg = WorkloadConfig(),
+                std::span<const FuzzBackend> Backends = AllFuzzBackends);
 
 } // namespace gstm
 

@@ -111,9 +111,9 @@ struct EngineConfig {
 template <typename Policy> class EngineTxn;
 
 /// One engine-family runtime instance: shared state plus instrumentation
-/// hooks, mirroring Tl2Stm's surface so GuideController, StatsShard
-/// export, and the check harness plug in unchanged.
-template <typename Policy> class EngineStm {
+/// hooks (TxHooks), mirroring Tl2Stm's surface so GuideController,
+/// StatsShard export, and the check harness plug in unchanged.
+template <typename Policy> class EngineStm : public TxHooks {
 public:
   using Table = typename Policy::Table;
   using Txn = EngineTxn<Policy>;
@@ -130,23 +130,11 @@ public:
 
   static constexpr const char *name() { return Policy::Name; }
 
-  /// Installs \p Obs as the event observer (nullptr to disable). Must not
-  /// be called while transactions are running; same rule for the other
-  /// hook setters below.
-  void setObserver(TxEventObserver *Obs) { Observer = Obs; }
-  void setGate(StartGate *G) { Gate = G; }
-  void setContentionManager(ContentionManager *M) { Cm = M; }
-  void setAccessObserver(TxAccessObserver *Obs) { AccessObs = Obs; }
-
   const EngineConfig &config() const { return Cfg; }
   Table &table() { return Locks; }
   VersionClock &clock() { return Clock; }
   CommitRing &commitRing() { return Ring; }
   EpochManager &epochs() { return Epochs; }
-  TxEventObserver *observer() const { return Observer; }
-  StartGate *gate() const { return Gate; }
-  ContentionManager *contentionManager() const { return Cm; }
-  TxAccessObserver *accessObserver() const { return AccessObs; }
   /// Sharded per-thread telemetry (see stm/StatsShard.h).
   Tl2Stats &stats() { return Counters; }
   const Tl2Stats &stats() const { return Counters; }
@@ -162,10 +150,6 @@ private:
   Table Locks;
   CommitRing Ring;
   EpochManager Epochs;
-  TxEventObserver *Observer = nullptr;
-  StartGate *Gate = nullptr;
-  ContentionManager *Cm = nullptr;
-  TxAccessObserver *AccessObs = nullptr;
   Tl2Stats Counters;
 };
 

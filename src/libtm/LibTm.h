@@ -128,8 +128,10 @@ struct LibTmConfig {
   bool TrackAttemptLatency = false;
 };
 
-/// One object-based STM runtime instance.
-class LibTm {
+/// One object-based STM runtime instance. Its hooks (TxHooks) are
+/// Tl2Stm's; the access observer sees accesses object-granular: Addr =
+/// the TObjBase, Value = payload word 0.
+class LibTm : public TxHooks {
 public:
   explicit LibTm(const LibTmConfig &Config = LibTmConfig())
       : Cfg(Config), Ring(Config.CommitRingBits) {}
@@ -137,26 +139,9 @@ public:
   LibTm(const LibTm &) = delete;
   LibTm &operator=(const LibTm &) = delete;
 
-  void setObserver(TxEventObserver *Obs) { Observer = Obs; }
-  void setGate(StartGate *G) { Gate = G; }
-  /// Installs a contention manager that overrides the config's backoff
-  /// policy (nullptr to restore it). Must not be called while
-  /// transactions are running. Historically a TL2-only capability; the
-  /// shared executor (engine/TxnExecutor.h) made it a family-wide trait.
-  void setContentionManager(ContentionManager *M) { Cm = M; }
-  /// Installs \p Obs as the per-access observer (nullptr to disable, the
-  /// default); same contract as Tl2Stm::setAccessObserver. Accesses are
-  /// reported object-granular: Addr = the TObjBase, Value = payload word
-  /// 0.
-  void setAccessObserver(TxAccessObserver *Obs) { AccessObs = Obs; }
-
   const LibTmConfig &config() const { return Cfg; }
   VersionClock &clock() { return Clock; }
   CommitRing &commitRing() { return Ring; }
-  TxEventObserver *observer() const { return Observer; }
-  StartGate *gate() const { return Gate; }
-  ContentionManager *contentionManager() const { return Cm; }
-  TxAccessObserver *accessObserver() const { return AccessObs; }
   /// Sharded per-thread telemetry (see stm/StatsShard.h).
   Tl2Stats &stats() { return Counters; }
   const Tl2Stats &stats() const { return Counters; }
@@ -165,10 +150,6 @@ private:
   LibTmConfig Cfg;
   VersionClock Clock;
   CommitRing Ring;
-  TxEventObserver *Observer = nullptr;
-  StartGate *Gate = nullptr;
-  ContentionManager *Cm = nullptr;
-  TxAccessObserver *AccessObs = nullptr;
   Tl2Stats Counters;
 };
 

@@ -34,6 +34,13 @@ namespace gstm {
 /// 64-bit word, mirroring the StatsShardCount sizing.
 inline constexpr unsigned MaxShardCount = 64;
 
+/// True when \p Count is a usable ShardConfig::ShardCount: a power of two
+/// in [1, MaxShardCount]. Anything else indexes past the lock table, so
+/// command-line front ends must reject it before building a ShardedStm.
+constexpr bool isValidShardCount(unsigned Count) {
+  return Count >= 1 && Count <= MaxShardCount && (Count & (Count - 1)) == 0;
+}
+
 /// How a word address maps to its home shard (the shard whose lock-table
 /// slice, CommitRing and applied clock govern it).
 enum class ShardHashKind : uint8_t {

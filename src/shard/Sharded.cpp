@@ -72,8 +72,7 @@ ShardedStm::ShardedStm(const ShardConfig &Config)
     : Cfg(Config),
       Locks(Config.LockTableBits + std::countr_zero(Config.ShardCount),
             Config.StripeHash) {
-  assert(Cfg.ShardCount >= 1 && Cfg.ShardCount <= MaxShardCount &&
-         (Cfg.ShardCount & (Cfg.ShardCount - 1)) == 0 &&
+  assert(isValidShardCount(Cfg.ShardCount) &&
          "shard count must be a power of two in [1, 64]");
   Shards.reserve(Cfg.ShardCount);
   for (unsigned I = 0; I < Cfg.ShardCount; ++I)

@@ -83,32 +83,14 @@ private:
 };
 
 /// One sharded STM runtime instance: N shard contexts plus the global
-/// commit sequencer and the instrumentation hooks (the same observer /
-/// gate / contention-manager surface as Tl2Stm). Workloads create one per
-/// run.
-class ShardedStm {
+/// commit sequencer and the instrumentation hooks (TxHooks, as on
+/// Tl2Stm). Workloads create one per run.
+class ShardedStm : public TxHooks {
 public:
   explicit ShardedStm(const ShardConfig &Config = ShardConfig());
 
   ShardedStm(const ShardedStm &) = delete;
   ShardedStm &operator=(const ShardedStm &) = delete;
-
-  /// Installs \p Obs as the event observer (nullptr to disable). Must not
-  /// be called while transactions are running.
-  void setObserver(TxEventObserver *Obs) { Observer = Obs; }
-
-  /// Installs \p G as the start gate (nullptr to disable). Must not be
-  /// called while transactions are running.
-  void setGate(StartGate *G) { Gate = G; }
-
-  /// Installs a contention manager overriding the config's backoff
-  /// policy (nullptr to restore it). Must not be called while
-  /// transactions are running.
-  void setContentionManager(ContentionManager *M) { Cm = M; }
-
-  /// Installs \p Obs as the per-access observer (nullptr to disable, the
-  /// default). Must not be called while transactions are running.
-  void setAccessObserver(TxAccessObserver *Obs) { AccessObs = Obs; }
 
   /// Installs an explicit placement map (nullptr to restore pure
   /// hashing). Must only be called at a quiescent point — no running
@@ -143,11 +125,6 @@ public:
   /// stripe publishes, so a sample v proves every commit with wv <= v
   /// has its locks visible (see file comment).
   VersionClock &appliedClockOf(size_t Shard) { return Shards[Shard]->Applied; }
-
-  TxEventObserver *observer() const { return Observer; }
-  StartGate *gate() const { return Gate; }
-  ContentionManager *contentionManager() const { return Cm; }
-  TxAccessObserver *accessObserver() const { return AccessObs; }
 
   /// Per-thread telemetry over all shard contexts (stm/StatsShard.h).
   Tl2Stats &stats() { return Counters; }
@@ -266,10 +243,6 @@ private:
   LockTable Locks;
   std::vector<std::unique_ptr<ShardContext>> Shards;
   std::atomic<const ShardPlacement *> Placement{nullptr};
-  TxEventObserver *Observer = nullptr;
-  StartGate *Gate = nullptr;
-  ContentionManager *Cm = nullptr;
-  TxAccessObserver *AccessObs = nullptr;
   Tl2Stats Counters;
 };
 

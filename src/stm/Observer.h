@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The two hook interfaces through which the model layer plugs into an STM
-/// runtime without the STM depending on the model:
+/// The hook interfaces through which the model layer plugs into an STM
+/// runtime without the STM depending on the model, and TxHooks, the one
+/// place every runtime stores them:
 ///
 ///  * TxEventObserver — receives every commit and abort, with causal
 ///    attribution where available. The paper instruments TX_start,
@@ -143,6 +144,35 @@ public:
   /// (stripe index for TL2, object address for LibTm) — encounter-time in
   /// the eager engines, commit-time otherwise.
   virtual void onLockAcquire(ThreadId Thread, uint64_t LockId) = 0;
+};
+
+class ContentionManager;
+
+/// The hook surface shared by every runtime (Tl2Stm, ShardedStm,
+/// EngineStm, LibTm): the event observer, the start gate, a contention
+/// manager that overrides the configured backoff, and the per-access
+/// observer. Every hook is off (nullptr) by default; a setter takes
+/// nullptr to turn its hook off again. None of the setters may be called
+/// while transactions are running.
+class TxHooks {
+public:
+  void setObserver(TxEventObserver *Obs) { Observer = Obs; }
+  void setGate(StartGate *G) { Gate = G; }
+  void setContentionManager(ContentionManager *M) { Cm = M; }
+  /// With no access observer the hot path pays one null test per access;
+  /// see TxAccessObserver.
+  void setAccessObserver(TxAccessObserver *Obs) { AccessObs = Obs; }
+
+  TxEventObserver *observer() const { return Observer; }
+  StartGate *gate() const { return Gate; }
+  ContentionManager *contentionManager() const { return Cm; }
+  TxAccessObserver *accessObserver() const { return AccessObs; }
+
+private:
+  TxEventObserver *Observer = nullptr;
+  StartGate *Gate = nullptr;
+  ContentionManager *Cm = nullptr;
+  TxAccessObserver *AccessObs = nullptr;
 };
 
 } // namespace gstm

@@ -113,8 +113,9 @@ struct Tl2Config {
 };
 
 /// One STM runtime instance: the shared state (clock, lock table, ring)
-/// plus the instrumentation hooks. Workloads create one per run.
-class Tl2Stm {
+/// plus the instrumentation hooks (TxHooks). Workloads create one per
+/// run.
+class Tl2Stm : public TxHooks {
 public:
   explicit Tl2Stm(const Tl2Config &Config = Tl2Config())
       : Cfg(Config), Locks(Config.LockTableBits, Config.StripeHash),
@@ -123,25 +124,6 @@ public:
   Tl2Stm(const Tl2Stm &) = delete;
   Tl2Stm &operator=(const Tl2Stm &) = delete;
 
-  /// Installs \p Obs as the event observer (nullptr to disable). Must not
-  /// be called while transactions are running.
-  void setObserver(TxEventObserver *Obs) { Observer = Obs; }
-
-  /// Installs \p G as the start gate (nullptr to disable). Must not be
-  /// called while transactions are running.
-  void setGate(StartGate *G) { Gate = G; }
-
-  /// Installs a contention manager that overrides the config's backoff
-  /// policy (nullptr to restore it). Must not be called while
-  /// transactions are running.
-  void setContentionManager(ContentionManager *M) { Cm = M; }
-
-  /// Installs \p Obs as the per-access observer (nullptr to disable,
-  /// the default). Must not be called while transactions are running.
-  /// With no observer the hot path pays one null test per access; see
-  /// TxAccessObserver.
-  void setAccessObserver(TxAccessObserver *Obs) { AccessObs = Obs; }
-
   const Tl2Config &config() const { return Cfg; }
   LockTable &lockTable() { return Locks; }
   VersionClock &clock() { return Clock; }
@@ -149,10 +131,6 @@ public:
   std::atomic<uint64_t> &stripeFor(const void *Addr) {
     return Locks.stripeFor(Addr);
   }
-  TxEventObserver *observer() const { return Observer; }
-  StartGate *gate() const { return Gate; }
-  ContentionManager *contentionManager() const { return Cm; }
-  TxAccessObserver *accessObserver() const { return AccessObs; }
   /// Sharded per-thread telemetry (see stm/StatsShard.h). Workers touch
   /// only their own shard; aggregate() after the run for exact totals.
   Tl2Stats &stats() { return Counters; }
@@ -187,10 +165,6 @@ private:
   VersionClock Clock;
   LockTable Locks;
   CommitRing Ring;
-  TxEventObserver *Observer = nullptr;
-  StartGate *Gate = nullptr;
-  ContentionManager *Cm = nullptr;
-  TxAccessObserver *AccessObs = nullptr;
   Tl2Stats Counters;
 };
 

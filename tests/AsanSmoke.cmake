@@ -102,11 +102,12 @@ if(NOT BtreeFuzzRc EQUAL 0)
 endif()
 
 # Sharded tier: the 2PC prepare/publish walk iterates per-shard lock
-# tables and MiniVector-backed acquisition logs — exactly where an
+# table slices and MiniVector-backed acquisition logs — exactly where an
 # off-by-one over the combined (shard, stripe) keys would read out of
-# bounds.
+# bounds. The runs above cover 4 shards; this one the widest key space.
 execute_process(
-  COMMAND ${BUILD_DIR}/tools/check_fuzz --workload=sharded --iters=32
+  COMMAND ${BUILD_DIR}/tools/check_fuzz --backend=sharded --shards=64
+          --iters=32
   RESULT_VARIABLE ShardFuzzRc)
 if(NOT ShardFuzzRc EQUAL 0)
   message(FATAL_ERROR "sharded fuzz failed under asan (${ShardFuzzRc})")

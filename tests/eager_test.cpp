@@ -210,7 +210,7 @@ TEST(EagerTest, AllWorkloadsVerifyUnderEagerDetection) {
     for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
       TmdsFuzzConfig Cfg;
       Cfg.Structure = S;
-      TmdsRunResult R = runTmdsFuzzIteration(Seed, FuzzBackend::OrecEager, Cfg);
+      FuzzRunResult R = runFuzzIteration(Seed, FuzzBackend::OrecEager, Cfg);
       EXPECT_TRUE(R.passed())
           << tmdsStructureName(S) << " seed " << Seed << ": " << R.Error;
       EXPECT_GT(R.Committed, 0u);

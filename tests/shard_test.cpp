@@ -14,8 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "check/Checker.h"
-#include "check/ShardFuzz.h"
+#include "check/Fuzz.h"
 #include "shard/ShardConfig.h"
 #include "shard/Sharded.h"
 #include "shard/Steering.h"
@@ -260,10 +259,16 @@ TEST(SteeringTest, FullLaneDropsAndCounts) {
 //===----------------------------------------------------------------------===//
 
 TEST(ShardFuzzTest, DifferentialSmokePasses) {
-  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
-    ShardDifferentialResult D = runShardDifferential(Seed, ShardFuzzConfig());
-    EXPECT_TRUE(D.passed()) << "seed " << Seed << ": " << D.Error;
-  }
+  // The whole matrix, sharded included, at the default shard count and at
+  // the shards=1 degenerate, which must behave exactly like flat TL2.
+  for (unsigned Shards : {4u, 1u})
+    for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+      FuzzConfig Cfg;
+      Cfg.ShardCount = Shards;
+      DifferentialResult D = runDifferential(Seed, Cfg);
+      EXPECT_TRUE(D.passed())
+          << Shards << " shards, seed " << Seed << ": " << D.Error;
+    }
 }
 
 TEST(ShardFuzzTest, PlanPredictsCrossShardTraffic) {
@@ -271,7 +276,7 @@ TEST(ShardFuzzTest, PlanPredictsCrossShardTraffic) {
   // the smoke above proves nothing about cross-shard commits.
   uint64_t Cross = 0;
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
-    ShardFuzzResult R = runShardFuzzIteration(Seed, ShardFuzzConfig());
+    FuzzRunResult R = runFuzzIteration(Seed, FuzzBackend::Sharded);
     EXPECT_TRUE(R.passed()) << "seed " << Seed << ": " << R.Error;
     EXPECT_EQ(R.CrossShardCommits, R.ExpectedCrossShardCommits);
     Cross += R.CrossShardCommits;
@@ -282,11 +287,11 @@ TEST(ShardFuzzTest, PlanPredictsCrossShardTraffic) {
 /// Checker violations among the first 60 seeds under \p Fault, stopping
 /// at 3 — the clean smoke above proves the same seeds pass without it.
 unsigned violationsUnder(const Tl2FaultInjection &Fault) {
-  ShardFuzzConfig Cfg;
+  FuzzConfig Cfg;
   Cfg.Fault = Fault;
   unsigned Violations = 0;
   for (uint64_t Seed = 1; Seed <= 60 && Violations < 3; ++Seed)
-    if (runShardFuzzIteration(Seed, Cfg).Check.violation())
+    if (runFuzzIteration(Seed, FuzzBackend::Sharded, Cfg).Check.violation())
       ++Violations;
   return Violations;
 }
