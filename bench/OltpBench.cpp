@@ -271,6 +271,10 @@ OltpResult gstm::runOltp(const OltpConfig &Cfg) {
     R.Error = "threads and records must be positive";
     return R;
   }
+  if (Cfg.Threads > StatsShardCount) {
+    R.Error = "at most " + std::to_string(StatsShardCount) + " threads";
+    return R;
+  }
 
   if (Sharded) {
     ShardConfig C;
@@ -286,16 +290,13 @@ OltpResult gstm::runOltp(const OltpConfig &Cfg) {
     ShardedStm Stm(C);
     return runOnBackend<ShardBackend>(Cfg, Stm);
   }
+  EngineConfig C;
+  if (Cfg.RingBits)
+    C.CommitRingBits = Cfg.RingBits;
   if (Cfg.Backend == "tl2") {
-    Tl2Config C;
-    if (Cfg.RingBits)
-      C.CommitRingBits = Cfg.RingBits;
     Tl2Stm Stm(C);
     return runOnBackend<Tl2Backend>(Cfg, Stm);
   }
-  LibTmConfig C;
-  if (Cfg.RingBits)
-    C.CommitRingBits = Cfg.RingBits;
   LibTm Tm(C);
   return runOnBackend<LibTmBackend>(Cfg, Tm);
 }

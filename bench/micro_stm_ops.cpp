@@ -18,7 +18,6 @@
 #include "libtm/LibTm.h"
 #include "model/OnlineLearner.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 
 #include <benchmark/benchmark.h>
 

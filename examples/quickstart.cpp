@@ -17,8 +17,8 @@
 #include "core/GuideController.h"
 #include "core/GuidedPolicy.h"
 #include "core/Trace.h"
+#include "engine/Tl2.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 #include "support/Options.h"
 #include "support/SplitMix64.h"
 

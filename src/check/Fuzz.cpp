@@ -275,30 +275,21 @@ template <typename Plan> size_t plannedCommits(const Plan &P) {
 
 /// Runtime configuration of backend \p B from the run knobs. Tables are
 /// small (2^10 stripes or entries, per shard on the sharded tier): the
-/// aliasing pressure is deliberate.
+/// aliasing pressure is deliberate. LibTm has neither a table nor a
+/// fault knob, so it gets neither.
 template <typename B> auto runtimeConfig(const FuzzRunConfig &Cfg) {
-  if constexpr (std::is_same_v<B, LibTmBackend>) {
-    LibTmConfig C;
-    C.PreemptShift = Cfg.PreemptShift;
-    return C;
-  } else if constexpr (std::is_same_v<B, Tl2Backend>) {
-    Tl2Config C;
-    C.LockTableBits = 10;
-    C.PreemptShift = Cfg.PreemptShift;
-    C.Fault = Cfg.Fault;
-    return C;
-  } else if constexpr (std::is_same_v<B, ShardBackend>) {
-    ShardConfig C;
-    C.ShardCount = Cfg.ShardCount;
-    C.LockTableBits = 10;
-    C.PreemptShift = Cfg.PreemptShift;
-    C.Fault = Cfg.Fault;
-    return C;
-  } else {
-    EngineConfig C;
+  EngineConfig C;
+  C.PreemptShift = Cfg.PreemptShift;
+  if constexpr (!std::is_same_v<B, LibTmBackend>) {
     C.TableBits = 10;
-    C.PreemptShift = Cfg.PreemptShift;
-    C.Fault = Cfg.EngineFault;
+    C.Fault = Cfg.Fault;
+  }
+  if constexpr (std::is_same_v<B, ShardBackend>) {
+    ShardConfig SC;
+    static_cast<EngineConfig &>(SC) = C;
+    SC.ShardCount = Cfg.ShardCount;
+    return SC;
+  } else {
     return C;
   }
 }
@@ -314,17 +305,14 @@ std::string tableResidue(ByteLockTable &Locks) {
   return Why;
 }
 
-/// Lock residue after the workers joined, probed over the whole table:
-/// the stripe table of flat and sharded TL2, the table type of the
-/// engine's policy, and — LibTm keeps its locks inside the objects —
-/// every object the workload owns.
+/// Lock residue after the workers joined, probed over the whole table
+/// the runtime keeps (stripe words or byte locks) or — LibTm keeps its
+/// locks inside the objects — every object the workload owns.
 template <typename B, typename W>
 std::string residueOf(typename B::Stm &Stm, const W &Work) {
   if constexpr (std::is_same_v<B, LibTmBackend>)
     return Work.anyCellLocked(Stm) ? "an object is still locked at quiescence"
                                    : "";
-  else if constexpr (requires { Stm.table(); })
-    return tableResidue(Stm.table());
   else
     return tableResidue(Stm.lockTable());
 }

@@ -41,8 +41,7 @@
 
 #include "check/Checker.h"
 #include "check/History.h"
-#include "engine/Core.h"
-#include "stm/Tl2.h"
+#include "engine/TxnExecutor.h"
 
 #include <cstdint>
 #include <span>
@@ -80,9 +79,9 @@ const char *fuzzBackendName(FuzzBackend B);
 /// Inverse of fuzzBackendName; returns false when \p Name is unknown.
 bool fuzzBackendFromName(const std::string &Name, FuzzBackend &Out);
 
-/// Every backend, in fuzzBackendName order: the two hand-written
-/// runtimes, the three policy-templated engines, the sharded tier, and
-/// the serial reference.
+/// Every backend, in fuzzBackendName order: flat TL2, LibTm, the three
+/// in-place chassis policies, TL2 on the sharded tier, and the serial
+/// reference.
 inline constexpr FuzzBackend AllFuzzBackends[] = {
     FuzzBackend::Tl2Lazy,   FuzzBackend::LibTm,   FuzzBackend::OrecEager,
     FuzzBackend::Tlrw,      FuzzBackend::TwoPlUndo, FuzzBackend::Sharded,
@@ -92,19 +91,16 @@ inline constexpr FuzzBackend AllFuzzBackends[] = {
 /// perturbation, fault injection and the checkers. Both workload configs
 /// derive from it.
 struct FuzzRunConfig {
-  /// STM-internal random preemption (Tl2Config/LibTmConfig PreemptShift).
+  /// STM-internal random preemption (EngineConfig::PreemptShift).
   unsigned PreemptShift = 2;
   /// Observer-level perturbation (SchedulePerturber yield shift).
   unsigned PerturbShift = 2;
   /// Shard contexts of the Sharded backend (see isValidShardCount); 1
   /// degenerates to unsharded TL2 semantics over the sharded chassis.
   unsigned ShardCount = 4;
-  /// Fault injection for the TL2 backends, flat and sharded (mutation
-  /// self-test only).
-  Tl2FaultInjection Fault;
-  /// Fault injection for the policy-templated engine backends (mutation
-  /// self-test only; see EngineFaultInjection for the per-engine knobs).
-  EngineFaultInjection EngineFault;
+  /// Fault injection for every backend that has the mutant (mutation
+  /// self-tests only; EngineFault lists which engine each knob breaks).
+  EngineFault Fault;
   CheckerConfig Checker;
 };
 

@@ -27,7 +27,7 @@
 namespace gstm {
 
 /// STM configuration used by experiment runs: scheduler perturbation on
-/// (see Tl2Config::PreemptShift) so transactions overlap even when the
+/// (see EngineConfig::PreemptShift) so transactions overlap even when the
 /// host has fewer cores than workers.
 inline Tl2Config experimentStmConfig() {
   Tl2Config Cfg;

@@ -17,7 +17,7 @@
 #ifndef GSTM_CORE_WORKLOAD_H
 #define GSTM_CORE_WORKLOAD_H
 
-#include "stm/Tl2.h"
+#include "engine/Tl2.h"
 #include "support/Ids.h"
 
 #include <cstdint>

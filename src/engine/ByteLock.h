@@ -50,8 +50,8 @@ namespace gstm {
 /// One reader-writer byte-lock entry. See the file comment for the
 /// protocol; the entry itself is a passive bag of atomics.
 struct alignas(128) ByteLock {
-  /// Worker-thread slots. Matches StatsShard::MaxThreads with room to
-  /// spare; the two-cache-line layout leaves 112 bytes after Owner and
+  /// Worker-thread slots. Covers the StatsShardCount thread cap with room
+  /// to spare; the two-cache-line layout leaves 112 bytes after Owner and
   /// Version.
   static constexpr size_t MaxReaderSlots = 112;
 
@@ -76,13 +76,12 @@ struct alignas(128) ByteLock {
 static_assert(sizeof(ByteLock) == 128, "ByteLock must fill two lines");
 
 /// Fixed-size table of ByteLocks indexed by address hash — the
-/// visible-reader analogue of LockTable, sharing its StripeHashKind
-/// address mapping so engine families hash identically.
+/// visible-reader analogue of LockTable, sharing its address mapping
+/// (mixAddress) so engine families hash identically.
 class ByteLockTable {
 public:
-  explicit ByteLockTable(unsigned Bits = 16,
-                         StripeHashKind Hash = StripeHashKind::Mix)
-      : BitCount(Bits), Mask((size_t{1} << Bits) - 1), Kind(Hash),
+  explicit ByteLockTable(unsigned Bits = 16)
+      : Mask((size_t{1} << Bits) - 1),
         Entries(new ByteLock[size_t{1} << Bits]) {
     assert(Bits >= 4 && Bits <= 24 && "unreasonable byte-lock table size");
   }
@@ -96,27 +95,13 @@ public:
     return Entries[Index];
   }
 
-  /// Same address-to-index mapping as LockTable::indexFor so the two
-  /// table families shard identically under either hash kind.
+  /// Same address-to-index mapping as LockTable::indexFor.
   size_t indexFor(const void *Addr) const {
-    uint64_t Key = reinterpret_cast<uintptr_t>(Addr) >> 3;
-    if (Kind == StripeHashKind::Mix) {
-      Key ^= Key >> 33;
-      Key *= 0xff51afd7ed558ccdULL;
-      Key ^= Key >> 29;
-      Key *= 0xc4ceb9fe1a85ec53ULL;
-      Key ^= Key >> 32;
-      return static_cast<size_t>(Key) & Mask;
-    }
-    return (Key * 0x9e3779b97f4a7c15ULL >> (64 - BitCount)) & Mask;
+    return static_cast<size_t>(mixAddress(Addr)) & Mask;
   }
 
-  StripeHashKind hashKind() const { return Kind; }
-
 private:
-  unsigned BitCount;
   size_t Mask;
-  StripeHashKind Kind;
   std::unique_ptr<ByteLock[]> Entries;
 };
 

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Umbrella header for the engine family: include this to get every
-/// policy plus the name registry the tools use to spell engines on the
-/// command line. The hand-written TL2 (src/stm) and LibTm (src/libtm)
-/// runtimes are the other members of the family — they share the
-/// executor, clock, ring, stats, and observer surfaces but keep their
-/// own descriptors; see DESIGN.md §4i for the full matrix.
+/// Umbrella header for the word-STM engine family: include this to get
+/// every policy on the chassis — TL2, orec-eager, tlrw and 2pl-undo. The
+/// sharded tier (src/shard) runs the TL2 policy on its own runtime, and
+/// LibTm (src/libtm) shares the executor, clock, ring, stats and observer
+/// surfaces but keeps its object-based descriptor; see DESIGN.md §4i for
+/// the full matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,31 +19,8 @@
 #define GSTM_ENGINE_ENGINES_H
 
 #include "engine/OrecEager.h"
+#include "engine/Tl2.h"
 #include "engine/Tlrw.h"
 #include "engine/TwoPl.h"
-
-#include <type_traits>
-
-namespace gstm {
-
-/// Command-line names of the policy-templated engines, in the order the
-/// tools enumerate them.
-inline constexpr const char *EngineFamilyNames[] = {
-    OrecEagerPolicy::Name, // "orec-eager"
-    TlrwPolicy::Name,      // "tlrw"
-    TwoPlPolicy::Name,     // "2pl-undo"
-};
-
-/// Applies \p Fn to each policy type (as a std::type_identity tag), for
-/// code that iterates the family generically:
-/// `forEachEnginePolicy([&](auto Tag) {
-///    using Policy = typename decltype(Tag)::type; ... });`
-template <typename FnT> void forEachEnginePolicy(FnT &&Fn) {
-  Fn(std::type_identity<OrecEagerPolicy>{});
-  Fn(std::type_identity<TlrwPolicy>{});
-  Fn(std::type_identity<TwoPlPolicy>{});
-}
-
-} // namespace gstm
 
 #endif // GSTM_ENGINE_ENGINES_H

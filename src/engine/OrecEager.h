@@ -64,12 +64,10 @@ struct OrecEagerPolicy {
     size_t opens() const { return ReadSet.size(); }
   };
 
-  template <typename TxnT> static void onBegin(TxnT &) {}
-
   template <typename TxnT>
   static uint64_t load(TxnT &Tx, const std::atomic<uint64_t> &Word) {
     auto &S = Tx.rt();
-    std::atomic<uint64_t> &Stripe = S.table().stripeFor(&Word);
+    std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Word);
     uint64_t Pre = Stripe.load(std::memory_order_acquire);
     StripeState PreState = LockTable::decode(Pre);
     if (PreState.Locked) {
@@ -92,10 +90,10 @@ struct OrecEagerPolicy {
       StripeState PostState = LockTable::decode(Post);
       if (PostState.Locked)
         Tx.abortOnOwner(PostState.Owner, AbortSite::Read);
-      Tx.abortOnVersion(PostState.Version, AbortSite::Read);
+      Tx.abortOnVersion(PostState.Version, &Stripe, AbortSite::Read);
     }
     if (PreState.Version > Tx.rv())
-      Tx.abortOnVersion(PreState.Version, AbortSite::Read);
+      Tx.abortOnVersion(PreState.Version, &Stripe, AbortSite::Read);
 
     Tx.state().ReadSet.push_back(&Stripe);
     Tx.noteLoad(&Word, Value, PreState.Version, /*Buffered=*/false);
@@ -107,7 +105,7 @@ struct OrecEagerPolicy {
                     uint64_t Value) {
     auto &S = Tx.rt();
     TxThreadPair Self = Tx.self();
-    std::atomic<uint64_t> &Stripe = S.table().stripeFor(&Word);
+    std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Word);
     uint64_t Old = Stripe.load(std::memory_order_relaxed);
     for (;;) {
       StripeState OldState = LockTable::decode(Old);
@@ -119,11 +117,12 @@ struct OrecEagerPolicy {
       // Acquiring an orec newer than our snapshot would let the attempt
       // mix pre- and post-conflict state; abort instead.
       if (OldState.Version > Tx.rv())
-        Tx.abortOnVersion(OldState.Version, AbortSite::LockAcquire);
+        Tx.abortOnVersion(OldState.Version, &Stripe,
+                          AbortSite::LockAcquire);
       if (Stripe.compare_exchange_weak(Old, LockTable::encodeLocked(Self),
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
-        size_t Index = S.table().indexFor(&Word);
+        size_t Index = S.lockTable().indexFor(&Word);
         Tx.state().Acquired.push_back(Held{Index, Old});
         Tx.noteLockAcquire(Index);
         break;
@@ -155,7 +154,7 @@ struct OrecEagerPolicy {
     // seq_cst fence globally orders our encounter-time orec CASes before
     // the validation loads — without it, store-buffering lets two
     // cyclically conflicting writers each miss the other's lock and both
-    // commit (see the matching fence in Tl2Txn). It is also the release
+    // commit (see the matching fence in Tl2Policy). It is also the release
     // fence for the in-place writes, which all precede it, so the relaxed
     // version publishes below need no second fence. Validation is
     // unconditional: the wv==rv+1 elision reasons about the clock advance
@@ -170,7 +169,7 @@ struct OrecEagerPolicy {
     // victim observing Wv can already resolve the committer.
     S.commitRing().record(Wv, Tx.self());
     for (const Held &L : St.Acquired)
-      S.table().stripeAt(L.StripeIndex).store(
+      S.lockTable().stripeAt(L.StripeIndex).store(
           LockTable::encodeVersion(Wv), std::memory_order_relaxed);
     St.Acquired.clear();
     Tx.undoLog().clear();
@@ -185,14 +184,14 @@ struct OrecEagerPolicy {
     auto &S = Tx.rt();
     TxnState &St = Tx.state();
     for (auto It = St.Acquired.rbegin(); It != St.Acquired.rend(); ++It)
-      S.table().stripeAt(It->StripeIndex)
+      S.lockTable().stripeAt(It->StripeIndex)
           .store(It->PreviousWord, std::memory_order_release);
     St.Acquired.clear();
   }
 
 private:
   /// Commit-time read-set revalidation, structured exactly like
-  /// Tl2Txn::validateReadSet: a branch-free OR-reduction fast pass, and
+  /// Tl2Policy::validateReadSet: a branch-free OR-reduction fast pass, and
   /// an attribution slow pass only when something is locked or too new.
   /// Self-held orecs validate against their pre-lock word.
   template <typename TxnT> static void validate(TxnT &Tx) {
@@ -220,18 +219,20 @@ private:
         auto It = std::lower_bound(
             St.Acquired.begin(), St.Acquired.end(), Stripe,
             [&S](const Held &L, const std::atomic<uint64_t> *Ptr) {
-              return &S.table().stripeAt(L.StripeIndex) < Ptr;
+              return &S.lockTable().stripeAt(L.StripeIndex) < Ptr;
             });
         assert(It != St.Acquired.end() &&
-               &S.table().stripeAt(It->StripeIndex) == Stripe &&
+               &S.lockTable().stripeAt(It->StripeIndex) == Stripe &&
                "self-locked orec missing from the acquired list");
         StripeState PreLock = LockTable::decode(It->PreviousWord);
         if (PreLock.Version > Tx.rv())
-          Tx.abortOnVersion(PreLock.Version, AbortSite::CommitValidate);
+          Tx.abortOnVersion(PreLock.Version, Stripe,
+                            AbortSite::CommitValidate);
         continue;
       }
       if (State.Version > Tx.rv())
-        Tx.abortOnVersion(State.Version, AbortSite::CommitValidate);
+        Tx.abortOnVersion(State.Version, Stripe,
+                          AbortSite::CommitValidate);
     }
   }
 };

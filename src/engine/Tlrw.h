@@ -51,6 +51,11 @@ struct TlrwPolicy {
   /// ByteLock entries are 16x a stripe word, so default 16 bits
   /// (8 MiB table) where the orec engines default to 20.
   static constexpr unsigned DefaultTableBits = 16;
+  /// Spin iterations a writer waits for one reader byte to drain before
+  /// giving up and aborting itself; bounds the blocking a visible-reader
+  /// engine can do while holding a write lock, so cross-held
+  /// reader/writer cycles resolve by abort, not deadlock.
+  static constexpr unsigned DrainSpinBound = 128;
 
   struct TxnState {
     /// Entries where this attempt's reader byte is set.
@@ -65,12 +70,10 @@ struct TlrwPolicy {
     size_t opens() const { return ReadHeld.size(); }
   };
 
-  template <typename TxnT> static void onBegin(TxnT &) {}
-
   template <typename TxnT>
   static uint64_t load(TxnT &Tx, const std::atomic<uint64_t> &Word) {
     auto &S = Tx.rt();
-    ByteLock &L = S.table().lockFor(&Word);
+    ByteLock &L = S.lockTable().lockFor(&Word);
     const TxThreadPair SelfPacked = Tx.self();
     const uint64_t SelfOwner = LockTable::encodeLocked(SelfPacked);
     const ThreadId T = Tx.threadId();
@@ -97,7 +100,7 @@ struct TlrwPolicy {
       uint64_t V = L.Version.load(std::memory_order_acquire);
       if (V > Tx.rv()) {
         L.Readers[T].store(0, std::memory_order_release);
-        Tx.abortOnVersion(V, AbortSite::Read);
+        Tx.abortOnVersion(V, &L.Version, AbortSite::Read);
       }
       Tx.state().ReadHeld.push_back(&L);
       uint64_t Value = Word.load(std::memory_order_acquire);
@@ -122,7 +125,7 @@ struct TlrwPolicy {
   static void store(TxnT &Tx, std::atomic<uint64_t> &Word,
                     uint64_t Value) {
     auto &S = Tx.rt();
-    ByteLock &L = S.table().lockFor(&Word);
+    ByteLock &L = S.lockTable().lockFor(&Word);
     const uint64_t SelfOwner = LockTable::encodeLocked(Tx.self());
     const ThreadId T = Tx.threadId();
 
@@ -133,7 +136,7 @@ struct TlrwPolicy {
                         AbortSite::LockAcquire);
       uint64_t V = L.Version.load(std::memory_order_acquire);
       if (V > Tx.rv())
-        Tx.abortOnVersion(V, AbortSite::LockAcquire);
+        Tx.abortOnVersion(V, &L.Version, AbortSite::LockAcquire);
       uint64_t Expected = 0;
       if (!L.Owner.compare_exchange_strong(Expected, SelfOwner,
                                            std::memory_order_seq_cst,
@@ -145,7 +148,7 @@ struct TlrwPolicy {
       V = L.Version.load(std::memory_order_acquire);
       if (V > Tx.rv()) {
         L.Owner.store(0, std::memory_order_release);
-        Tx.abortOnVersion(V, AbortSite::LockAcquire);
+        Tx.abortOnVersion(V, &L.Version, AbortSite::LockAcquire);
       }
       // Drain every *other* reader byte before touching data: visible
       // readers are the engine's whole safety story. Bounded spin —
@@ -154,13 +157,12 @@ struct TlrwPolicy {
       // bytes carry no identity, hence abortUnknown). The
       // SkipReaderDrain mutant omits exactly this loop.
       if (!S.config().Fault.SkipReaderDrain) {
-        const unsigned Bound = S.config().LockSpinBound;
         for (size_t Slot = 0; Slot < ByteLock::MaxReaderSlots; ++Slot) {
           if (Slot == T)
             continue;
           unsigned Spins = 0;
           while (L.Readers[Slot].load(std::memory_order_seq_cst) != 0) {
-            if (++Spins > Bound) {
+            if (++Spins > DrainSpinBound) {
               L.Owner.store(0, std::memory_order_release);
               Tx.abortUnknown(AbortSite::LockAcquire);
             }
@@ -170,7 +172,7 @@ struct TlrwPolicy {
         }
       }
       Tx.state().WriteHeld.push_back(&L);
-      Tx.noteLockAcquire(S.table().indexFor(&Word));
+      Tx.noteLockAcquire(S.lockTable().indexFor(&Word));
     }
 
     Tx.noteStore(&Word, Value);

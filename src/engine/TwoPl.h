@@ -72,8 +72,6 @@ struct TwoPlPolicy {
     size_t opens() const { return HeldLocks.size(); }
   };
 
-  template <typename TxnT> static void onBegin(TxnT &) {}
-
   template <typename TxnT>
   static uint64_t load(TxnT &Tx, const std::atomic<uint64_t> &Word) {
     TxnState &St = Tx.state();
@@ -117,7 +115,7 @@ struct TwoPlPolicy {
     if (Tx.undoLog().empty()) {
       for (auto It = St.HeldLocks.rbegin(); It != St.HeldLocks.rend();
            ++It)
-        S.table().stripeAt(It->StripeIndex)
+        S.lockTable().stripeAt(It->StripeIndex)
             .store(It->PreviousWord, std::memory_order_release);
       St.HeldLocks.clear();
       St.HeldIndex.clear();
@@ -129,7 +127,7 @@ struct TwoPlPolicy {
     for (const Held &H : St.HeldLocks)
       // A reader acquiring the released stripe synchronizes with this
       // release store and therefore sees our in-place data.
-      S.table().stripeAt(H.StripeIndex)
+      S.lockTable().stripeAt(H.StripeIndex)
           .store(H.Dirty ? LockTable::encodeVersion(Wv) : H.PreviousWord,
                  std::memory_order_release);
     St.HeldLocks.clear();
@@ -145,7 +143,7 @@ struct TwoPlPolicy {
     auto &S = Tx.rt();
     TxnState &St = Tx.state();
     for (auto It = St.HeldLocks.rbegin(); It != St.HeldLocks.rend(); ++It)
-      S.table().stripeAt(It->StripeIndex)
+      S.lockTable().stripeAt(It->StripeIndex)
           .store(It->PreviousWord, std::memory_order_release);
     St.HeldLocks.clear();
     St.HeldIndex.clear();
@@ -164,7 +162,7 @@ private:
     auto &S = Tx.rt();
     TxnState &St = Tx.state();
     std::atomic<uint64_t> &Stripe =
-        S.table().stripeFor(Addr);
+        S.lockTable().stripeFor(Addr);
     if (const uint32_t *Pos = St.HeldIndex.find(&Stripe))
       return St.HeldLocks[*Pos];
 
@@ -176,24 +174,20 @@ private:
       if (OldState.Locked)
         Tx.abortOnOwner(OldState.Owner, AbortSite::LockAcquire);
       if (OldState.Version > Tx.rv())
-        Tx.abortOnVersion(OldState.Version, AbortSite::LockAcquire);
+        Tx.abortOnVersion(OldState.Version, &Stripe,
+                          AbortSite::LockAcquire);
       if (Stripe.compare_exchange_weak(Old,
                                        LockTable::encodeLocked(Tx.self()),
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed))
         break;
     }
-    size_t Index = S.table().indexFor(Addr);
+    size_t Index = S.lockTable().indexFor(Addr);
     St.HeldIndex.insert(&Stripe,
                         static_cast<uint32_t>(St.HeldLocks.size()));
     St.HeldLocks.push_back(Held{Index, Old, /*Dirty=*/false});
     Tx.noteLockAcquire(Index);
     return St.HeldLocks.back();
-  }
-
-  static uint64_t filterSignature(const void *Addr) {
-    auto Key = reinterpret_cast<uintptr_t>(Addr) >> 3;
-    return uint64_t{1} << ((Key * 0x9e3779b97f4a7c15ULL) >> 58);
   }
 };
 

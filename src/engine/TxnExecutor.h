@@ -6,22 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The retry loop every engine in the family shares. Before this header
-/// existed, `Tl2Txn::run` and `LibTxn::run` each hand-rolled the same
-/// machinery — start gate, contention-manager hooks, attempt-latency
-/// tracking, abort catch, backoff, scheduler perturbation — and the two
-/// copies had already drifted (LibTm lacked contention-manager support
-/// entirely). TxnExecutor is the single CRTP implementation; a descriptor
-/// derives from `TxnExecutor<Self>` and provides:
+/// The retry loop every engine shares — start gate, contention-manager
+/// hooks, attempt-latency tracking, abort catch, backoff, scheduler
+/// perturbation — and the one runtime configuration they all take.
+/// TxnExecutor is a CRTP base; a descriptor (the engine chassis's
+/// EngineTxn, LibTm's LibTxn) derives from `TxnExecutor<Self>` and
+/// provides:
 ///
 ///   stm()                 - the runtime, exposing gate(),
-///                           contentionManager(), and config() with
-///                           Backoff / PreemptShift / TrackAttemptLatency
+///                           contentionManager(), and config() (an
+///                           EngineConfig)
 ///   shard()               - this thread's StatsShard*
 ///   threadId()            - the worker's ThreadId
 ///   begin(TxId)           - reset per-attempt state, sample rv
-///   commitOrThrow(uint32_t) - commit or throw TxAbortException
+///   commitOrThrow()       - commit and return wv (0 = read-only), or
+///                           throw TxAbortException
+///   reportCommit(Wv, PriorAborts) - stats and observer for a commit
 ///   opensCount()          - locations the attempt opened (CM currency)
+///   reportAbort(Event)    - roll the attempt back and report the abort
 ///
 /// The loop's contract with commitOrThrow/abort paths: on abort the
 /// descriptor must have already rolled back (undo, lock release) and
@@ -29,6 +31,15 @@
 /// off, and retries. The protected LastEnemy/LastEnemyKnown/LastOpens
 /// fields are what the descriptor's abort path records for the contention
 /// manager.
+///
+/// Any other exception leaving the body or commitOrThrow aborts the
+/// attempt and propagates: the executor has the descriptor roll back and
+/// report it as an explicit abort, then rethrows it to the caller of
+/// run(), and the transaction is not retried. In-place engines rely on
+/// this to undo their writes and release their locks before the exception
+/// leaves. Once commitOrThrow returns the attempt is published, so an
+/// exception a commit hook throws (observer, commit listener, contention
+/// manager) propagates with the commit already counted and no abort.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +51,6 @@
 #include "stm/StatsShard.h"
 #include "support/Ids.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -52,16 +62,58 @@ namespace gstm {
 /// not catch it.
 struct TxAbortException {};
 
-/// Retry back-off policy applied after an abort (when no contention
-/// manager is installed; an installed manager overrides it).
-enum class BackoffKind : uint8_t {
-  /// Retry immediately.
-  None,
-  /// Yield the CPU once; avoids burning a scheduling quantum re-aborting
-  /// against a descheduled lock holder (we run more threads than cores).
-  Yield,
-  /// Exponentially growing sleep, capped.
-  Exponential,
+/// Deliberately broken engine behavior for the correctness harness's
+/// mutation self-tests (tests/check_test.cpp, tests/engine_test.cpp,
+/// tests/shard_test.cpp): each knob disables one safety mechanism so the
+/// history checkers can prove they flag the resulting executions. Never
+/// enable outside the self-tests.
+struct EngineFault {
+  /// TL2 (flat and sharded) and orec-eager: commit skips read-set
+  /// validation — a commit that interleaved after this attempt's reads
+  /// goes undetected (lost updates, stale reads entering committed
+  /// state). The pessimistic engines (tlrw, 2pl-undo) have no validation
+  /// step to skip: their reads are protected by held locks.
+  bool SkipReadValidation = false;
+  /// TL2: publish the new stripe versions (releasing the commit locks)
+  /// before writing the write set back, so readers can validate a stripe
+  /// at the new version while still observing the old data. On the
+  /// sharded tier this tears every participating shard of a 2PC commit.
+  bool TornVersionPublish = false;
+  /// Undo-log engines (orec-eager, 2pl-undo): an aborting attempt leaves
+  /// its in-place writes behind — uncommitted state becomes visible to
+  /// everyone (dirty reads, phantom final state).
+  bool SkipUndoReplay = false;
+  /// TLRW: a writer stops draining reader bytes before writing in place —
+  /// live readers observe torn snapshots under an unchanged version.
+  bool SkipReaderDrain = false;
+};
+
+/// Construction-time configuration of every runtime: the engine family
+/// (TL2 included), LibTm, and — through ShardConfig — the sharded tier.
+/// LibTm keeps its locks in its objects, so it has no table to size and
+/// no fault to inject.
+struct EngineConfig {
+  /// log2 of the lock-table size; 0 = the runtime's default (2^20 TL2 and
+  /// orec stripes, 2^16 TLRW byte locks, which are 16x a stripe word, and
+  /// 2^18 stripes per shard on the sharded tier).
+  unsigned TableBits = 0;
+  /// log2 of the commit-ring slots (one ring per shard when sharded).
+  unsigned CommitRingBits = 13;
+  /// Scheduler perturbation: when non-zero, each transactional access
+  /// yields the CPU with probability 2^-PreemptShift. On a machine with
+  /// fewer cores than worker threads, transactions otherwise execute
+  /// back-to-back within a scheduling quantum and almost never overlap,
+  /// which would suppress the conflicts/aborts whose non-determinism the
+  /// paper studies; random yield points restore multicore-like
+  /// interleaving density (see DESIGN.md, substitutions). 0 = off.
+  unsigned PreemptShift = 0;
+  /// When true, every attempt's wall-clock latency is accumulated into
+  /// the per-thread stats shard (two steady_clock reads per attempt).
+  /// Off by default so microbenchmarks measure bare STM cost; the
+  /// experiment harness turns it on (see core/Runner.h).
+  bool TrackAttemptLatency = false;
+  /// Fault injection for the checker self-tests; all off by default.
+  EngineFault Fault;
 };
 
 /// CRTP base implementing the engine-family retry loop. See the file
@@ -85,21 +137,37 @@ public:
       if (TrackLatency)
         AttemptStart = std::chrono::steady_clock::now();
       D.begin(Tx);
+      bool Committed = false;
+      uint64_t Opens = 0, Wv = 0;
       try {
         Body(D);
         // Sampled before commit, which may release the logs that count
         // the opens (the engine-family policies clear theirs).
-        const uint64_t Opens = Cm ? D.opensCount() : 0;
-        D.commitOrThrow(Attempts);
+        Opens = Cm ? D.opensCount() : 0;
+        Wv = D.commitOrThrow();
+        Committed = true;
+      } catch (const TxAbortException &) {
+        // Cause already reported; locks already released.
+        if (TrackLatency)
+          recordAttemptLatency(AttemptStart);
+      } catch (...) {
+        // Abort and propagate (file comment): the same rollback and
+        // report as retryAbort(), then the exception leaves run().
+        D.reportAbort(AbortEvent{D.threadId(), Tx, AbortCauseKind::Explicit,
+                                 /*Cause=*/0, /*CauseVersion=*/0,
+                                 AbortSite::Explicit});
+        if (TrackLatency)
+          recordAttemptLatency(AttemptStart);
+        throw;
+      }
+      if (Committed) {
+        // Outside the try: the attempt is published (file comment).
+        D.reportCommit(Wv, Attempts);
         if (TrackLatency)
           recordAttemptLatency(AttemptStart);
         if (Cm)
           Cm->onCommit(D.threadId(), Opens);
         return;
-      } catch (const TxAbortException &) {
-        // Cause already reported; locks already released.
-        if (TrackLatency)
-          recordAttemptLatency(AttemptStart);
       }
       ++Attempts;
       if (Cm) {
@@ -108,7 +176,10 @@ public:
         if (Ns > 0)
           std::this_thread::sleep_for(std::chrono::nanoseconds(Ns));
       } else {
-        backoff(Attempts);
+        // Yield once: avoids burning a scheduling quantum re-aborting
+        // against a descheduled lock holder (we run more threads than
+        // cores).
+        std::this_thread::yield();
       }
     }
   }
@@ -118,13 +189,9 @@ protected:
       : PreemptLcg(0x2545f4914f6cdd1dULL ^
                    (uint64_t{Thread} * 0x9e3779b97f4a7c15ULL)) {}
 
-  /// Scheduler perturbation: when the config's PreemptShift is non-zero,
-  /// yields the CPU with probability 2^-PreemptShift per call. On a
-  /// machine with fewer cores than worker threads, transactions otherwise
-  /// execute back-to-back within a scheduling quantum and almost never
-  /// overlap, which would suppress the conflicts/aborts whose
-  /// non-determinism the paper studies; random yield points restore
-  /// multicore-like interleaving density (see DESIGN.md, substitutions).
+  /// Scheduler perturbation: yields the CPU with probability
+  /// 2^-PreemptShift per call when the config's PreemptShift is non-zero
+  /// (see EngineConfig::PreemptShift).
   void maybePreempt() {
     unsigned Shift = derived().stm().config().PreemptShift;
     if (Shift == 0)
@@ -133,21 +200,6 @@ protected:
                  1442695040888963407ULL;
     if (((PreemptLcg >> 33) & ((uint64_t{1} << Shift) - 1)) == 0)
       std::this_thread::yield();
-  }
-
-  void backoff(uint32_t Attempts) {
-    switch (derived().stm().config().Backoff) {
-    case BackoffKind::None:
-      return;
-    case BackoffKind::Yield:
-      std::this_thread::yield();
-      return;
-    case BackoffKind::Exponential: {
-      unsigned Shift = std::min(Attempts, 10u);
-      std::this_thread::sleep_for(std::chrono::nanoseconds(50ull << Shift));
-      return;
-    }
-    }
   }
 
   void recordAttemptLatency(std::chrono::steady_clock::time_point Start) {
@@ -166,9 +218,6 @@ protected:
 
 private:
   Derived &derived() { return static_cast<Derived &>(*this); }
-  const Derived &derived() const {
-    return static_cast<const Derived &>(*this);
-  }
 
   uint64_t PreemptLcg;
 };

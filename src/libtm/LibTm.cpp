@@ -77,16 +77,11 @@ void LibTxn::writeWords(TObjBase &Obj, const uint64_t *In) {
     WriteData.push_back(In[I]);
 }
 
-void LibTxn::commitOrThrow(uint32_t PriorAborts) {
+uint64_t LibTxn::commitOrThrow() {
   TxThreadPair Self = packPair(CurrentTx, Thread);
 
-  if (WriteObjs.empty()) {
-    Shard->recordCommit(PriorAborts, /*ReadOnly=*/true);
-    if (TxEventObserver *Obs = S.observer())
-      Obs->onCommit(CommitEvent{Thread, CurrentTx, 0, PriorAborts,
-                                /*ReadOnly=*/true});
-    return;
-  }
+  if (WriteObjs.empty())
+    return 0;
 
   // Lock the written objects in address order (deadlock-free); readers
   // are never blocked — they abort if they validate against us, which is
@@ -96,10 +91,8 @@ void LibTxn::commitOrThrow(uint32_t PriorAborts) {
     uint64_t Old = Obj->meta().load(std::memory_order_relaxed);
     for (;;) {
       StripeState OldState = LockTable::decode(Old);
-      if (OldState.Locked) {
-        releaseAcquiredLocks();
+      if (OldState.Locked)
         abortOnOwner(OldState.Owner, AbortSite::LockAcquire);
-      }
       if (Obj->meta().compare_exchange_weak(
               Old, LockTable::encodeLocked(Self),
               std::memory_order_acq_rel, std::memory_order_relaxed))
@@ -111,7 +104,7 @@ void LibTxn::commitOrThrow(uint32_t PriorAborts) {
           Thread, static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Obj)));
   }
 
-  // Single-fence commit, as in Tl2Txn::commitOrThrow: validate, write
+  // Single-fence commit, as in Tl2Policy::commit: validate, write
   // back, then advance the clock and publish all metadata with relaxed
   // stores behind one release fence.
   //
@@ -120,11 +113,11 @@ void LibTxn::commitOrThrow(uint32_t PriorAborts) {
   // lock CAS before any other committer's validation loads. Without it,
   // store-buffering lets two cyclically conflicting writers each miss the
   // other's lock and both commit (see the matching fence in
-  // Tl2Txn::commitOrThrow).
+  // Tl2Policy::commit).
   // stm-order: fence(seq_cst) before(validateReadSet) label(LibTxn::commitOrThrow single-fence commit)
   std::atomic_thread_fence(std::memory_order_seq_cst);
   // Unconditional: the `wv == rv+1` elision is unsound once the clock
-  // advances after writeback (see Tl2Txn::commitOrThrow).
+  // advances after writeback (see Tl2Policy::commit).
   validateReadSet(Self);
 
   for (size_t W = 0, E = WriteObjs.size(); W != E; ++W) {
@@ -144,15 +137,18 @@ void LibTxn::commitOrThrow(uint32_t PriorAborts) {
                       std::memory_order_relaxed);
   }
   Acquired.clear();
+  return Wv;
+}
 
-  Shard->recordCommit(PriorAborts, /*ReadOnly=*/false);
+void LibTxn::reportCommit(uint64_t Wv, uint32_t PriorAborts) {
+  const bool ReadOnly = Wv == 0;
+  Shard->recordCommit(PriorAborts, ReadOnly);
   if (TxEventObserver *Obs = S.observer())
-    Obs->onCommit(CommitEvent{Thread, CurrentTx, Wv, PriorAborts,
-                              /*ReadOnly=*/false});
+    Obs->onCommit(CommitEvent{Thread, CurrentTx, Wv, PriorAborts, ReadOnly});
 }
 
 void LibTxn::validateReadSet(TxThreadPair Self) {
-  // Fast pass: branch-free OR-reduction, as in Tl2Txn::validateReadSet.
+  // Fast pass: branch-free OR-reduction, as in Tl2Policy::validateReadSet.
   // A metadata word is suspicious iff locked (bit 0) or newer than rv.
   TObjBase *const *Objs = ReadSet.data();
   const size_t N = ReadSet.size();
@@ -173,10 +169,8 @@ void LibTxn::validateReadSet(TxThreadPair Self) {
     uint64_t Word = Obj->meta().load(std::memory_order_acquire);
     StripeState State = LockTable::decode(Word);
     if (State.Locked) {
-      if (State.Owner != Self) {
-        releaseAcquiredLocks();
+      if (State.Owner != Self)
         abortOnOwner(State.Owner, AbortSite::CommitValidate);
-      }
       auto It = std::lower_bound(
           Acquired.begin(), Acquired.end(), Obj,
           [](const std::pair<TObjBase *, uint64_t> &L, TObjBase *Ptr) {
@@ -185,23 +179,13 @@ void LibTxn::validateReadSet(TxThreadPair Self) {
       assert(It != Acquired.end() && It->first == Obj &&
              "self-locked object missing from the acquired list");
       StripeState PreLock = LockTable::decode(It->second);
-      if (PreLock.Version > Rv) {
-        releaseAcquiredLocks();
+      if (PreLock.Version > Rv)
         abortOnVersion(PreLock.Version, AbortSite::CommitValidate);
-      }
       continue;
     }
-    if (State.Version > Rv) {
-      releaseAcquiredLocks();
+    if (State.Version > Rv)
       abortOnVersion(State.Version, AbortSite::CommitValidate);
-    }
   }
-}
-
-void LibTxn::releaseAcquiredLocks() {
-  for (auto It = Acquired.rbegin(); It != Acquired.rend(); ++It)
-    It->first->meta().store(It->second, std::memory_order_release);
-  Acquired.clear();
 }
 
 void LibTxn::abortOnOwner(TxThreadPair Owner, AbortSite Site) {
@@ -228,13 +212,21 @@ void LibTxn::retryAbort() {
                                  0, 0, AbortSite::Explicit});
 }
 
-void LibTxn::reportAbortAndThrow(const AbortEvent &E) {
-  assert(Acquired.empty() && "locks must be released before reporting");
+void LibTxn::reportAbort(const AbortEvent &E) {
+  // Commit-time aborts hold object locks: restore their pre-lock
+  // metadata; nothing was written back yet.
+  for (auto It = Acquired.rbegin(); It != Acquired.rend(); ++It)
+    It->first->meta().store(It->second, std::memory_order_release);
+  Acquired.clear();
   LastOpens = opensCount();
   LastEnemyKnown = E.Kind == AbortCauseKind::KnownCommitter;
   LastEnemy = LastEnemyKnown ? E.Cause : 0;
   Shard->recordAbort(E.Kind, E.Site);
   if (TxEventObserver *Obs = S.observer())
     Obs->onAbort(E);
+}
+
+void LibTxn::reportAbortAndThrow(const AbortEvent &E) {
+  reportAbort(E);
   throw TxAbortException{};
 }

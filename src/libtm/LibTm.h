@@ -37,16 +37,17 @@
 #ifndef GSTM_LIBTM_LIBTM_H
 #define GSTM_LIBTM_LIBTM_H
 
+#include "engine/TxnExecutor.h"
 #include "stm/CommitRing.h"
 #include "stm/LockTable.h"
 #include "stm/Observer.h"
-#include "stm/Tl2.h"
 #include "stm/VersionClock.h"
 #include "support/Ids.h"
 #include "support/MiniVector.h"
 #include "support/PtrIndexMap.h"
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -115,31 +116,26 @@ private:
   std::atomic<uint64_t> Payload[WordCount];
 };
 
-/// Construction-time configuration of a LibTm runtime.
-struct LibTmConfig {
-  unsigned CommitRingBits = 13;
-  BackoffKind Backoff = BackoffKind::Yield;
-  /// Scheduler perturbation, as in Tl2Config::PreemptShift: yield with
-  /// probability 2^-PreemptShift per object access to restore
-  /// multicore-like transaction overlap on undersized hosts. 0 = off.
-  unsigned PreemptShift = 0;
-  /// Accumulate per-attempt wall-clock latency into the stats shards
-  /// (see Tl2Config::TrackAttemptLatency).
-  bool TrackAttemptLatency = false;
-};
-
-/// One object-based STM runtime instance. Its hooks (TxHooks) are
-/// Tl2Stm's; the access observer sees accesses object-granular: Addr =
-/// the TObjBase, Value = payload word 0.
+/// One object-based STM runtime instance. Its hooks (TxHooks) are the
+/// engine family's; the access observer sees accesses object-granular:
+/// Addr = the TObjBase, Value = payload word 0. Of the EngineConfig it
+/// reads CommitRingBits, PreemptShift and TrackAttemptLatency; it has no
+/// table to size and no mutant, so TableBits and Fault must stay unset.
 class LibTm : public TxHooks {
 public:
-  explicit LibTm(const LibTmConfig &Config = LibTmConfig())
-      : Cfg(Config), Ring(Config.CommitRingBits) {}
+  explicit LibTm(const EngineConfig &Config = EngineConfig())
+      : Cfg(Config), Ring(Config.CommitRingBits) {
+    assert(Config.TableBits == 0 && "LibTm has no lock table");
+    assert(!Config.Fault.SkipReadValidation &&
+           !Config.Fault.TornVersionPublish &&
+           !Config.Fault.SkipUndoReplay && !Config.Fault.SkipReaderDrain &&
+           "LibTm has no fault-injection mutant");
+  }
 
   LibTm(const LibTm &) = delete;
   LibTm &operator=(const LibTm &) = delete;
 
-  const LibTmConfig &config() const { return Cfg; }
+  const EngineConfig &config() const { return Cfg; }
   VersionClock &clock() { return Clock; }
   CommitRing &commitRing() { return Ring; }
   /// Sharded per-thread telemetry (see stm/StatsShard.h).
@@ -147,7 +143,7 @@ public:
   const Tl2Stats &stats() const { return Counters; }
 
 private:
-  LibTmConfig Cfg;
+  EngineConfig Cfg;
   VersionClock Clock;
   CommitRing Ring;
   Tl2Stats Counters;
@@ -186,9 +182,6 @@ public:
   [[noreturn]] void retryAbort();
 
   ThreadId threadId() const { return Thread; }
-  uint64_t readVersion() const { return Rv; }
-  size_t readSetSize() const { return ReadSet.size(); }
-  size_t writeSetSize() const { return WriteObjs.size(); }
 
 private:
   friend class TxnExecutor<LibTxn>;
@@ -205,16 +198,19 @@ private:
   /// write if present).
   void readWords(TObjBase &Obj, uint64_t *Out);
   void writeWords(TObjBase &Obj, const uint64_t *In);
-  void commitOrThrow(uint32_t PriorAborts);
+  /// Commits (returns wv, 0 if read-only) or reports the abort and throws.
+  uint64_t commitOrThrow();
+  void reportCommit(uint64_t Wv, uint32_t PriorAborts);
   /// Commit-time read-set revalidation (branch-free fast pass over the
-  /// metadata words, attribution walk only when something is suspicious);
-  /// releases the acquired locks and throws on conflict.
+  /// metadata words, attribution walk only when something is
+  /// suspicious); throws on conflict.
   void validateReadSet(TxThreadPair Self);
 
   [[noreturn]] void abortOnOwner(TxThreadPair Owner, AbortSite Site);
   [[noreturn]] void abortOnVersion(uint64_t Version, AbortSite Site);
+  /// Releases any commit locks and reports \p E (executor contract).
+  void reportAbort(const AbortEvent &E);
   [[noreturn]] void reportAbortAndThrow(const AbortEvent &E);
-  void releaseAcquiredLocks();
 
   LibTm &S;
   ThreadId Thread;
@@ -224,7 +220,7 @@ private:
   uint64_t Rv = 0;
 
   /// Per-attempt logs; inline-capacity containers for the same reasons
-  /// as Tl2Txn's (no heap traffic for common transaction sizes, O(1)
+  /// as Tl2Policy's (no heap traffic for common transaction sizes, O(1)
   /// clear in begin(), grown capacity retained across the retry loop).
   MiniVector<TObjBase *, 64> ReadSet;
   /// Write set: object -> offset into WriteData (object's buffered

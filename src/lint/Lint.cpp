@@ -376,7 +376,7 @@ private:
 
   /// Memory-ordering discipline (lint/OrderRules.h): contracts are
   /// global across the file set (a publish() declared at the LockTable
-  /// covers the commit paths in Tl2.cpp and OrecEager.h); fence
+  /// covers the commit paths in Tl2.h and OrecEager.h); fence
   /// contracts bind inside their own function body. Every function body
   /// is walked — commit paths are plain methods, not transaction
   /// regions — plus lambdas outside any function.

@@ -41,7 +41,7 @@
 /// expression left of `.load(...)` / `.store(...)` (`S.lockTable()
 /// .stripeAt(I).store(..)` has chain {stripeAt, lockTable, S}) — and are
 /// global across the scanned file set, so a contract declared at
-/// `LockTable::stripeAt` covers publishes in Tl2.cpp and OrecEager.h.
+/// `LockTable::stripeAt` covers publishes in Tl2.h and OrecEager.h.
 ///
 /// Domination is lexical: a stack of per-brace-depth fence states, so a
 /// fence inside an `if` branch does not dominate code after the branch,

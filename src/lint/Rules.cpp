@@ -90,26 +90,23 @@ bool gstm::lint::ruleFromId(std::string_view Id, Rule &Out) {
 
 const RuleProfile &
 gstm::lint::profileForHandleType(std::string_view HandleType) {
-  // Lazy TL2-lineage engines: writes buffer until commit, so a user
-  // exception unwinds with no shared state touched, and reads take no
-  // visible locks.
-  static const RuleProfile Generic{"generic", true, true, false, false};
-  static const RuleProfile Tl2{"tl2", true, true, false, false};
-  static const RuleProfile LibTm{"libtm", true, true, false, false};
-  // In-place engines (src/engine): encounter-time writes + undo log. The
-  // executor catches only TxAbortException, so R2 additionally forbids
-  // user throws (the undo log would never replay).
-  static const RuleProfile OrecEager{"orec-eager", true, true, false, true};
-  static const RuleProfile TwoPl{"2pl-undo", true, true, false, true};
+  // A user exception leaving a body aborts the attempt on every engine
+  // (the executor rolls back, then rethrows), so no profile treats
+  // `throw` as irrevocable.
+  static const RuleProfile Generic{"generic", true, true, false};
+  static const RuleProfile Tl2{"tl2", true, true, false};
+  static const RuleProfile LibTm{"libtm", true, true, false};
+  static const RuleProfile OrecEager{"orec-eager", true, true, false};
+  static const RuleProfile TwoPl{"2pl-undo", true, true, false};
   // TLRW's visible reader bytes make read→write upgrades an abort-storm
   // hazard (two readers of the same entry can never both upgrade): R6.
-  static const RuleProfile Tlrw{"tlrw", true, true, true, true};
+  static const RuleProfile Tlrw{"tlrw", true, true, true};
   // Policy statics taking a template-parameter handle (`TxnT &Tx`): the
   // body *is* the engine. Raw atomics and runtime-machinery calls are
   // the point (the ordering pass owns their discipline), but R2/R3/R4
   // still apply — engines must not allocate, block, or stash handles.
   static const RuleProfile EngineInternal{"engine-internal", false, false,
-                                          false, false};
+                                          false};
 
   // ShardedTxn is the same TL2 descriptor over the partitioned orecs.
   if (HandleType == "Tl2Txn" || HandleType == "ShardedTxn")
@@ -324,22 +321,6 @@ private:
       report(Rule::Irrevocable, Tk.Line,
              "heap deallocation ('delete') inside transaction body; a "
              "concurrent speculative reader may still dereference it");
-      return;
-    }
-    // Strict R2 for in-place undo-log engines: the retry loop catches
-    // only TxAbortException, so a user exception unwinds past the undo
-    // replay with encounter-time writes still applied (and locks held).
-    // The bare rethrow form `throw;` only appears inside catch blocks
-    // re-raising what was already in flight; only `throw <expr>` is the
-    // hazard introduced by the body.
-    if (N == "throw" && Profile.InPlaceUndo && !Next.isPunct(";") &&
-        !Prev.isIdent("operator")) {
-      report(Rule::Irrevocable, Tk.Line,
-             std::string("'throw' inside an in-place-update transaction "
-                         "('") +
-                 Profile.Name +
-                 "'): the retry loop catches only TxAbortException, so "
-                 "unwinding leaves undo-logged writes applied");
       return;
     }
     // R2: stream objects (operator<< chains start at the stream name).

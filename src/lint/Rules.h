@@ -93,16 +93,12 @@ struct RuleProfile {
   /// the ordering pass owns their discipline instead.
   bool CheckNakedAccess = true;
   /// R5 applies. Off for engine-internal bodies, whose calls into the
-  /// runtime machinery (clock advance, commit-ring record, epoch slots)
+  /// runtime machinery (clock advance, commit-ring record, stripe words)
   /// legitimately touch raw atomics.
   bool CheckCallees = true;
   /// R6 applies: the engine takes visible shared read locks that a
   /// subsequent write to the same location must upgrade (TLRW).
   bool UpgradeHazard = false;
-  /// Stricter R2: the engine writes in place with an undo log, and the
-  /// retry loop catches only TxAbortException — a user `throw` unwinds
-  /// past the undo replay and leaves partial writes applied.
-  bool InPlaceUndo = false;
 };
 
 /// Profile for a handle of type \p HandleType (empty/unknown → generic).

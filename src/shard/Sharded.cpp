@@ -13,27 +13,9 @@
 
 using namespace gstm;
 
-const char *gstm::shardHashName(ShardHashKind Kind) {
-  return Kind == ShardHashKind::Mix ? "mix" : "fib";
-}
-
-bool gstm::shardHashFromName(const std::string &Name, ShardHashKind &Out) {
-  if (Name == "mix") {
-    Out = ShardHashKind::Mix;
-    return true;
-  }
-  if (Name == "fib") {
-    Out = ShardHashKind::Fibonacci;
-    return true;
-  }
-  return false;
-}
-
 std::string gstm::shardConfigCanonical(const ShardConfig &Cfg) {
   std::string S = "shards=" + std::to_string(Cfg.ShardCount) + ";";
-  S += "shard-hash=";
-  S += shardHashName(Cfg.ShardHash);
-  S += ";steer=";
+  S += "shard-hash=mix;steer=";
   S += Cfg.Steering ? '1' : '0';
   S += ';';
   return S;
@@ -70,13 +52,13 @@ int ShardPlacement::lookup(const void *Addr) const {
 
 ShardedStm::ShardedStm(const ShardConfig &Config)
     : Cfg(Config),
-      Locks(Config.LockTableBits + std::countr_zero(Config.ShardCount),
-            Config.StripeHash) {
+      SliceBits(Config.TableBits ? Config.TableBits : DefaultSliceBits),
+      Locks(SliceBits + std::countr_zero(Config.ShardCount)) {
   assert(isValidShardCount(Cfg.ShardCount) &&
          "shard count must be a power of two in [1, 64]");
   Shards.reserve(Cfg.ShardCount);
   for (unsigned I = 0; I < Cfg.ShardCount; ++I)
-    Shards.push_back(std::make_unique<ShardContext>(Cfg));
+    Shards.push_back(std::make_unique<ShardContext>(Cfg.CommitRingBits));
 }
 
 size_t ShardedStm::shardFor(const void *Addr) const {
@@ -85,20 +67,9 @@ size_t ShardedStm::shardFor(const void *Addr) const {
     if (Explicit >= 0)
       return static_cast<size_t>(Explicit);
   }
-  uint64_t Key = reinterpret_cast<uintptr_t>(Addr) >> 3;
-  if (Cfg.ShardHash == ShardHashKind::Mix) {
-    // Same avalanche finalizer as LockTable's Mix hash, but the shard
-    // index comes from the top bits while stripe indexes take the low
-    // bits — the two mappings stay statistically independent.
-    Key ^= Key >> 33;
-    Key *= 0xff51afd7ed558ccdULL;
-    Key ^= Key >> 29;
-    Key *= 0xc4ceb9fe1a85ec53ULL;
-    Key ^= Key >> 32;
-    return static_cast<size_t>(Key >> 58) & (Cfg.ShardCount - 1);
-  }
-  return static_cast<size_t>(Key * 0x9e3779b97f4a7c15ULL >> 58) &
-         (Cfg.ShardCount - 1);
+  // The stripe hash's top bits: stripe indexes take its low bits, so the
+  // two mappings stay statistically independent.
+  return static_cast<size_t>(mixAddress(Addr) >> 58) & (Cfg.ShardCount - 1);
 }
 
 void ShardedStm::committed(TxnState &L, ThreadId Thread, StatsShard &St) {
@@ -118,6 +89,6 @@ void ShardedStm::committed(TxnState &L, ThreadId Thread, StatsShard &St) {
 
 namespace gstm {
 
-template class Tl2Descriptor<ShardedStm>;
+template class EngineTxn<Tl2Policy, ShardedStm>;
 
 } // namespace gstm

@@ -7,18 +7,18 @@
 ///
 /// \file
 /// The sharded STM tier: the shared-memory analogue of ClusterSTM's
-/// address-distributed orec space. It is TL2 (stm/Tl2.h) over a
-/// partitioned orec table: ShardedTxn is the one Tl2Descriptor
-/// instantiated on ShardedStm, whose layout hooks split one LockTable
-/// into N contiguous per-shard slices and give each shard context its
-/// own CommitRing (per-shard commit queue for abort attribution) and
-/// applied version clock. Data words hash to a home shard (or are placed
+/// address-distributed orec space. It is TL2 (engine/Tl2.h) over a
+/// partitioned orec table: ShardedTxn is the chassis running Tl2Policy
+/// on ShardedStm, whose layout hooks split one LockTable into N
+/// contiguous per-shard slices and give each shard context its own
+/// CommitRing (per-shard commit queue for abort attribution) and applied
+/// version clock. Data words hash to a home shard (or are placed
 /// explicitly by the steering pass, shard/Steering.h) and to a stripe in
 /// that shard's slice. Stripe indexes therefore sort shard-major, so the
-/// descriptor's sorted prepare acquires shards ascending, stripes
-/// ascending within each — a global order that precludes deadlock even
-/// though a cross-shard prepare *waits* briefly on locked stripes
-/// instead of aborting. The shared single-fence commit then stamps every
+/// policy's sorted prepare acquires shards ascending, stripes ascending
+/// within each — a global order that precludes deadlock even though a
+/// cross-shard prepare *waits* briefly on locked stripes instead of
+/// aborting. The shared single-fence commit then stamps every
 /// participating shard at the same write version behind one release
 /// fence, one publish group per shard (DESIGN.md §4j). A write set
 /// within one shard is exactly TL2 on that shard's metadata.
@@ -41,8 +41,8 @@
 #ifndef GSTM_SHARD_SHARDED_H
 #define GSTM_SHARD_SHARDED_H
 
+#include "engine/Tl2.h"
 #include "shard/ShardConfig.h"
-#include "stm/Tl2.h"
 
 #include <atomic>
 #include <bit>
@@ -55,7 +55,7 @@ namespace gstm {
 /// Explicit address-range -> home-shard map, the output of the steering
 /// pass (shard/Steering.h). Ranges are half-open [Begin, End) over raw
 /// word addresses; addresses outside every range fall back to the
-/// configured hash. Install via ShardedStm::setPlacement at a quiescent
+/// address hash. Install via ShardedStm::setPlacement at a quiescent
 /// point only: a word's stripe state lives in its home shard's lock
 /// table, so remapping an address mid-run would silently split one
 /// location's version history across two orec partitions.
@@ -84,7 +84,7 @@ private:
 
 /// One sharded STM runtime instance: N shard contexts plus the global
 /// commit sequencer and the instrumentation hooks (TxHooks, as on
-/// Tl2Stm). Workloads create one per run.
+/// EngineStm). Workloads create one per run.
 class ShardedStm : public TxHooks {
 public:
   explicit ShardedStm(const ShardConfig &Config = ShardConfig());
@@ -117,8 +117,8 @@ public:
   }
 
   /// The partitioned orec table: shard s owns the contiguous slice of
-  /// 2^LockTableBits stripes starting at index s << LockTableBits, so a
-  /// stripe index is a lock key that sorts shard-major.
+  /// 2^SliceBits stripes starting at index s << SliceBits, so a stripe
+  /// index is a lock key that sorts shard-major.
   LockTable &lockTable() { return Locks; }
   CommitRing &commitRingOf(size_t Shard) { return Shards[Shard]->Ring; }
   /// Shard-local applied clock: raised to wv strictly after the shard's
@@ -177,7 +177,7 @@ public:
     uint64_t WriteShardMask = 0;
   };
 
-  /// Layout hooks of Tl2Descriptor (stm/Tl2.h lists the contract).
+  /// Layout hooks (engine/Core.h and engine/Tl2.h list the contract).
   uint64_t beginRv(TxnState &L) {
     L.ReadShardMask = L.WriteShardMask = 0;
     return L.UseGlobalRv ? Clock.sample()
@@ -194,12 +194,12 @@ public:
     return keyFor(Shard, Addr);
   }
   /// Single-shard commits abort on a held stripe; cross-shard prepare
-  /// waits up to the configured bound.
+  /// waits up to PrepareSpinLimit.
   unsigned prepareSpinLimit(const TxnState &L) const {
-    return std::popcount(L.WriteShardMask) > 1 ? Cfg.PrepareSpinLimit : 0;
+    return std::popcount(L.WriteShardMask) > 1 ? PrepareSpinLimit : 0;
   }
   size_t groupOf(uint64_t Key) const {
-    return static_cast<size_t>(Key >> Cfg.LockTableBits);
+    return static_cast<size_t>(Key >> SliceBits);
   }
   void groupPublished(size_t Shard, uint64_t Wv) {
     Shards[Shard]->Applied.raiseTo(Wv);
@@ -224,21 +224,32 @@ public:
   }
 
 private:
+  /// Stripes per shard slice when ShardConfig::TableBits is 0.
+  static constexpr unsigned DefaultSliceBits = 18;
+  /// Bounded spin on a locked stripe during cross-shard prepare before
+  /// the attempt gives up and aborts. Ordered (shard, stripe) acquisition
+  /// makes the waiting deadlock-free; the bound keeps a descheduled lock
+  /// holder from stalling the prepare indefinitely. Each spin iteration
+  /// counts into StatsShard::PrepareRetries.
+  static constexpr unsigned PrepareSpinLimit = 64;
+
   /// Lock key of \p Addr homed on \p Shard: the address's stripe hash
   /// within the shard's slice of the table.
   uint64_t keyFor(size_t Shard, const void *Addr) const {
-    return (static_cast<uint64_t>(Shard) << Cfg.LockTableBits) |
-           (Locks.indexFor(Addr) & ((size_t{1} << Cfg.LockTableBits) - 1));
+    return (static_cast<uint64_t>(Shard) << SliceBits) |
+           (Locks.indexFor(Addr) & ((size_t{1} << SliceBits) - 1));
   }
 
   /// One shard context: the shard's commit queue and applied clock.
   struct ShardContext {
-    explicit ShardContext(const ShardConfig &Cfg) : Ring(Cfg.CommitRingBits) {}
+    explicit ShardContext(unsigned RingBits) : Ring(RingBits) {}
     CommitRing Ring;
     VersionClock Applied;
   };
 
   ShardConfig Cfg;
+  /// log2 of the stripes in one shard's slice.
+  unsigned SliceBits;
   VersionClock Clock;
   LockTable Locks;
   std::vector<std::unique_ptr<ShardContext>> Shards;
@@ -250,8 +261,8 @@ private:
 /// encounter-time acquisition would take stripes in access order, which
 /// is incompatible with the ordered (shard, stripe) prepare that makes
 /// cross-shard waiting deadlock-free. Instantiated once, in Sharded.cpp.
-using ShardedTxn = Tl2Descriptor<ShardedStm>;
-extern template class Tl2Descriptor<ShardedStm>;
+using ShardedTxn = EngineTxn<Tl2Policy, ShardedStm>;
+extern template class EngineTxn<Tl2Policy, ShardedStm>;
 
 } // namespace gstm
 

@@ -18,9 +18,9 @@
 #ifndef GSTM_STAMP_TMLIST_H
 #define GSTM_STAMP_TMLIST_H
 
+#include "engine/Tl2.h"
 #include "stamp/TmPool.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 
 #include <cstdint>
 #include <optional>

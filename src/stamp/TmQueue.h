@@ -17,8 +17,8 @@
 #ifndef GSTM_STAMP_TMQUEUE_H
 #define GSTM_STAMP_TMQUEUE_H
 
+#include "engine/Tl2.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 
 #include <cassert>
 #include <cstdint>

@@ -20,9 +20,9 @@
 #ifndef GSTM_STAMP_TMRBTREE_H
 #define GSTM_STAMP_TMRBTREE_H
 
+#include "engine/Tl2.h"
 #include "stamp/TmPool.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 
 #include <cstdint>
 #include <optional>

@@ -28,9 +28,9 @@ uint64_t PoliteManager::onAbort(ThreadId Thread, TxThreadPair Enemy,
 }
 
 KarmaManager::KarmaManager()
-    : KarmaStore(new std::atomic<uint64_t>[MaxThreads]),
+    : KarmaStore(new std::atomic<uint64_t>[StatsShardCount]),
       Karma(KarmaStore.get()) {
-  for (unsigned I = 0; I < MaxThreads; ++I)
+  for (unsigned I = 0; I < StatsShardCount; ++I)
     Karma[I].store(0, std::memory_order_relaxed);
 }
 
@@ -40,13 +40,14 @@ uint64_t KarmaManager::onAbort(ThreadId Thread, TxThreadPair Enemy,
   (void)Attempts;
   // Work invested persists across retries so a repeatedly aborted
   // transaction eventually outranks its enemies.
-  uint64_t Mine = Karma[Thread % MaxThreads].fetch_add(
+  uint64_t Mine = Karma[Thread % StatsShardCount].fetch_add(
                       Opens, std::memory_order_relaxed) +
                   Opens;
   if (!EnemyKnown)
     return 0;
   uint64_t Theirs =
-      Karma[pairThread(Enemy) % MaxThreads].load(std::memory_order_relaxed);
+      Karma[pairThread(Enemy) % StatsShardCount].load(
+          std::memory_order_relaxed);
   if (Mine >= Theirs)
     return 0;
   // Back off proportionally to the karma gap, capped at ~50 us.
@@ -55,20 +56,20 @@ uint64_t KarmaManager::onAbort(ThreadId Thread, TxThreadPair Enemy,
 
 void KarmaManager::onCommit(ThreadId Thread, uint64_t Opens) {
   (void)Opens;
-  Karma[Thread % MaxThreads].store(0, std::memory_order_relaxed);
+  Karma[Thread % StatsShardCount].store(0, std::memory_order_relaxed);
 }
 
 GreedyManager::GreedyManager()
-    : StartStore(new std::atomic<uint64_t>[MaxThreads]),
+    : StartStore(new std::atomic<uint64_t>[StatsShardCount]),
       Start(StartStore.get()) {
-  for (unsigned I = 0; I < MaxThreads; ++I)
+  for (unsigned I = 0; I < StatsShardCount; ++I)
     Start[I].store(~uint64_t{0}, std::memory_order_relaxed);
 }
 
 void GreedyManager::onTxBegin(ThreadId Thread) {
   // Timestamps survive retries (assigned per transaction, not per
   // attempt), which is what gives Greedy its starvation freedom.
-  Start[Thread % MaxThreads].store(
+  Start[Thread % StatsShardCount].store(
       Ticket.fetch_add(1, std::memory_order_relaxed),
       std::memory_order_relaxed);
 }
@@ -79,9 +80,11 @@ uint64_t GreedyManager::onAbort(ThreadId Thread, TxThreadPair Enemy,
   (void)Opens;
   if (!EnemyKnown)
     return 0;
-  uint64_t Mine = Start[Thread % MaxThreads].load(std::memory_order_relaxed);
+  uint64_t Mine =
+      Start[Thread % StatsShardCount].load(std::memory_order_relaxed);
   uint64_t Theirs =
-      Start[pairThread(Enemy) % MaxThreads].load(std::memory_order_relaxed);
+      Start[pairThread(Enemy) % StatsShardCount].load(
+          std::memory_order_relaxed);
   if (Mine <= Theirs)
     return 0; // I am older: press on
   // Younger transaction defers; scale with retries, capped at ~50 us.

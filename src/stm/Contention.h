@@ -26,6 +26,7 @@
 #ifndef GSTM_STM_CONTENTION_H
 #define GSTM_STM_CONTENTION_H
 
+#include "stm/StatsShard.h"
 #include "support/Ids.h"
 
 #include <atomic>
@@ -59,9 +60,6 @@ public:
     (void)Thread;
     (void)Opens;
   }
-
-protected:
-  static constexpr unsigned MaxThreads = 64;
 };
 
 /// Polite: randomized exponential backoff, independent of the enemy.
@@ -87,7 +85,8 @@ public:
   void onCommit(ThreadId Thread, uint64_t Opens) override;
 
   uint64_t karmaOf(ThreadId Thread) const {
-    return Karma[Thread % MaxThreads].load(std::memory_order_relaxed);
+    return Karma[Thread % StatsShardCount].load(
+        std::memory_order_relaxed);
   }
 
 private:

@@ -32,19 +32,21 @@
 
 namespace gstm {
 
-/// How a word address maps to its stripe index (Tl2Config::StripeHash).
-enum class StripeHashKind : uint8_t {
-  /// Single Fibonacci multiply, index from the top bits. One cycle-ish,
-  /// but consecutive words land on consecutive-ish stripes and the low
-  /// address bits barely diffuse, so allocation-correlated pointers can
-  /// clump into stripe runs.
-  Fibonacci,
-  /// Murmur3-style avalanche finalizer (xor-shift / multiply twice),
-  /// index from the low bits. Two multiplies instead of one, but every
-  /// address bit reaches every index bit — measurably fewer false
-  /// stripe conflicts on pointer-heavy working sets.
-  Mix,
-};
+/// Address hash behind every lock table and the sharded tier's home
+/// shards: a murmur3-style avalanche finalizer over the word index. Every
+/// address bit reaches every result bit, so allocation-correlated
+/// pointers do not clump into stripe runs; tables index with the low
+/// bits, the sharded tier picks the home shard from the top bits, and
+/// the two mappings stay statistically independent.
+inline uint64_t mixAddress(const void *Addr) {
+  uint64_t Key = reinterpret_cast<uintptr_t>(Addr) >> 3;
+  Key ^= Key >> 33;
+  Key *= 0xff51afd7ed558ccdULL;
+  Key ^= Key >> 29;
+  Key *= 0xc4ceb9fe1a85ec53ULL;
+  Key ^= Key >> 32;
+  return Key;
+}
 
 /// A stripe word snapshot, decoded.
 struct StripeState {
@@ -58,11 +60,9 @@ struct StripeState {
 /// Fixed-size table of versioned stripe locks, indexed by address hash.
 class LockTable {
 public:
-  /// Creates a table with 2^\p Bits stripes, all unlocked at version 0,
-  /// indexed via \p Hash.
-  explicit LockTable(unsigned Bits = 20,
-                     StripeHashKind Hash = StripeHashKind::Fibonacci)
-      : BitCount(Bits), Mask((size_t{1} << Bits) - 1), Kind(Hash),
+  /// Creates a table with 2^\p Bits stripes, all unlocked at version 0.
+  explicit LockTable(unsigned Bits = 20)
+      : Mask((size_t{1} << Bits) - 1),
         Stripes(new std::atomic<uint64_t>[size_t{1} << Bits]) {
     assert(Bits >= 4 && Bits <= 28 && "unreasonable lock table size");
     for (size_t I = 0; I <= Mask; ++I)
@@ -80,17 +80,7 @@ public:
   /// Returns the stripe index covering \p Addr (exposed for commit-time
   /// lock ordering and for tests).
   size_t indexFor(const void *Addr) const {
-    uint64_t Key = reinterpret_cast<uintptr_t>(Addr) >> 3;
-    if (Kind == StripeHashKind::Mix) {
-      Key ^= Key >> 33;
-      Key *= 0xff51afd7ed558ccdULL;
-      Key ^= Key >> 29;
-      Key *= 0xc4ceb9fe1a85ec53ULL;
-      Key ^= Key >> 32;
-      return static_cast<size_t>(Key) & Mask;
-    }
-    // Fibonacci hashing spreads consecutive words across stripes.
-    return (Key * 0x9e3779b97f4a7c15ULL >> (64 - BitCount)) & Mask;
+    return static_cast<size_t>(mixAddress(Addr)) & Mask;
   }
 
   /// Index of \p Stripe, one of this table's stripes (inverse of
@@ -100,8 +90,6 @@ public:
            "stripe of another table");
     return static_cast<size_t>(Stripe - Stripes.get());
   }
-
-  StripeHashKind hashKind() const { return Kind; }
 
   // Stripe version publishes on the single-fence commit paths are
   // relaxed stores; the one release fence after writeback is what makes
@@ -133,9 +121,7 @@ public:
   }
 
 private:
-  unsigned BitCount;
   size_t Mask;
-  StripeHashKind Kind;
   std::unique_ptr<std::atomic<uint64_t>[]> Stripes;
 };
 

@@ -22,7 +22,7 @@
 ///  * a retries-before-commit histogram (log-free fixed buckets; the last
 ///    bucket absorbs the tail), and
 ///  * wall-clock attempt latency totals (enabled per-runtime via
-///    Tl2Config/LibTmConfig::TrackAttemptLatency).
+///    EngineConfig::TrackAttemptLatency).
 ///
 /// Invariants, relied on by the JSON export and `model_inspect --stats`:
 ///   Aborts  == sum(AbortsByCause) == sum(AbortsBySite)
@@ -46,9 +46,12 @@
 
 namespace gstm {
 
-/// Number of shards per runtime. ThreadIds map onto shards modulo this
-/// (power of two); runs with more workers than shards alias threads onto
-/// shards, which keeps totals exact but blurs the per-thread split.
+/// Number of shards per runtime, and the one cap on worker threads:
+/// ThreadIds map onto shards modulo this (power of two), and an aliased
+/// shard would have two writers, whose single-writer increments lose
+/// counts. Front ends that take a thread count (check_fuzz, runOltp)
+/// refuse more than this; the contention managers size their per-thread
+/// state by it.
 inline constexpr size_t StatsShardCount = 64;
 
 /// Cardinality of AbortCauseKind (Observer.h).

@@ -30,7 +30,7 @@ struct OneRun {
 OneRun runGameOnce(const SynQuakeParams &Params, unsigned Threads,
                    uint64_t Seed, const GuidedPolicy *Policy,
                    const GuideConfig &GuideCfg) {
-  LibTmConfig TmCfg;
+  EngineConfig TmCfg;
   TmCfg.PreemptShift = 5; // scheduler perturbation, as in the TL2 runs
   LibTm Tm(TmCfg);
   TraceCollector Collector(Threads);

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Backend traits that let one transactional container source run on both
-/// STM runtimes in this repo. The seed containers in `src/stamp` are
+/// Backend traits that let one transactional container source run on
+/// every STM runtime in this repo. The seed containers in `src/stamp` are
 /// hard-wired to Tl2Txn/TVar; the tmds structures are instead templates
 /// over a backend policy providing:
 ///
-///  * `Stm` / `Txn` — the runtime and per-thread descriptor types (both
+///  * `Stm` / `Txn` — the runtime and per-thread descriptor types (all
 ///    runtimes share the `run(TxId, Body)` / `threadId()` shape),
 ///  * `Cell<T>` — the unit of transactionally shared state (TVar<T> on
 ///    TL2, TObj<T> on LibTm) with transactional load/store and quiescent
@@ -23,8 +23,8 @@
 ///    reports the TObjBase and payload word 0 — for word-sized payloads
 ///    the two encodings agree), and
 ///  * `cellLocked` — per-cell lock residue probe for post-run quiescence
-///    checks (TL2 decodes the shared stripe; LibTm decodes the object's
-///    embedded metadata word).
+///    checks (word backends decode the shared stripe or byte lock; LibTm
+///    decodes the object's embedded metadata word).
 ///
 /// The containers only ever use cells holding trivially copyable values
 /// of at most 8 bytes, so one TObj payload word mirrors one TVar word.
@@ -39,7 +39,6 @@
 #include "shard/Sharded.h"
 #include "stm/LockTable.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 
 #include <atomic>
 #include <cstdint>
@@ -47,14 +46,14 @@
 
 namespace gstm {
 
-/// Word-based backends: cells are TVar<T> and the runtime's access
-/// observer reports &TVar::word() and the encoded word, whatever the
-/// engine. The residue probe decodes the stripe the runtime's stripeFor
-/// resolves, which both TL2 orec layouts provide; EngineBackend replaces
-/// it where a policy's table is not stripe words.
-template <typename StmT, typename TxnT> struct WordBackend {
-  using Stm = StmT;
+/// Word-based backends over a chassis descriptor \p TxnT: cells are
+/// TVar<T> and the runtime's access observer reports &TVar::word() and
+/// the encoded word, whatever the policy or orec layout. Only the
+/// residue probe depends on the runtime's table type (stripe word vs
+/// ByteLock entry).
+template <typename TxnT> struct WordBackend {
   using Txn = TxnT;
+  using Stm = typename TxnT::Stm;
   template <typename T> using Cell = TVar<T>;
 
   template <typename T> static T load(Txn &Tx, const Cell<T> &C) {
@@ -80,21 +79,32 @@ template <typename StmT, typename TxnT> struct WordBackend {
     return C.word().load(std::memory_order_relaxed);
   }
 
-  /// True when the stripe guarding \p C is still locked (post-run
-  /// residue probe; quiescent use only).
+  /// True when the entry guarding \p C is still held (post-run residue
+  /// probe; quiescent use only). A ByteLock entry is residue-held when
+  /// its Owner word or any reader byte survives; a stripe word when its
+  /// lock bit does.
   template <typename T> static bool cellLocked(Stm &S, const Cell<T> &C) {
-    return LockTable::decode(S.stripeFor(&C.word()).load(
-                                 std::memory_order_relaxed))
-        .Locked;
+    const void *Word = &C.word();
+    if constexpr (requires { S.lockTable().lockFor(Word); })
+      return S.lockTable().lockFor(Word).heldByAnyone();
+    else
+      return LockTable::decode(
+                 S.stripeFor(Word).load(std::memory_order_relaxed))
+          .Locked;
   }
 };
 
-/// TL2 on the flat stripe table and on the sharded tier's partitioned
-/// one (stm/Tl2.h): one descriptor, so one backend shape.
-struct Tl2Backend : WordBackend<Tl2Stm, Tl2Txn> {
-  static constexpr const char *Name = "tl2";
+/// The chassis policies on their flat tables; TL2 also on the sharded
+/// tier's partitioned one (shard/Sharded.h).
+template <typename Policy>
+struct EngineBackend : WordBackend<EngineTxn<Policy>> {
+  static constexpr const char *Name = Policy::Name;
 };
-struct ShardBackend : WordBackend<ShardedStm, ShardedTxn> {
+using Tl2Backend = EngineBackend<Tl2Policy>;
+using OrecEagerBackend = EngineBackend<OrecEagerPolicy>;
+using TlrwBackend = EngineBackend<TlrwPolicy>;
+using TwoPlBackend = EngineBackend<TwoPlPolicy>;
+struct ShardBackend : WordBackend<ShardedTxn> {
   static constexpr const char *Name = "sharded";
 };
 
@@ -138,32 +148,6 @@ struct LibTmBackend {
         .Locked;
   }
 };
-
-/// Word-based backend over the policy-templated engine family
-/// (src/engine): only the residue probe depends on the policy's table
-/// type (stripe word vs ByteLock entry).
-template <typename Policy>
-struct EngineBackend : WordBackend<EngineStm<Policy>, EngineTxn<Policy>> {
-  static constexpr const char *Name = Policy::Name;
-
-  /// Post-run residue probe (quiescent use only). A ByteLock entry is
-  /// residue-held when its Owner word or any reader byte survives; a
-  /// stripe word when its lock bit does.
-  template <typename T>
-  static bool cellLocked(EngineStm<Policy> &S, const TVar<T> &C) {
-    auto &Word = const_cast<TVar<T> &>(C).word();
-    if constexpr (std::is_same_v<typename Policy::Table, ByteLockTable>)
-      return S.table().lockFor(&Word).heldByAnyone();
-    else
-      return LockTable::decode(S.table().stripeFor(&Word).load(
-                                   std::memory_order_relaxed))
-          .Locked;
-  }
-};
-
-using OrecEagerBackend = EngineBackend<OrecEagerPolicy>;
-using TlrwBackend = EngineBackend<TlrwPolicy>;
-using TwoPlBackend = EngineBackend<TwoPlPolicy>;
 
 } // namespace gstm
 

@@ -53,8 +53,9 @@ if(NOT FuzzRc EQUAL 0)
   message(FATAL_ERROR "check_fuzz failed under asan (${FuzzRc})")
 endif()
 
-# Engine family unit+concurrency suite: ByteLock reader-byte indexing,
-# epoch slots, and the per-policy undo/lock-release paths.
+# Engine family unit+concurrency suite over every chassis policy (TL2
+# flat and on 4 shards included): ByteLock reader-byte indexing, and the
+# per-policy undo/lock-release paths, on abort and on a foreign exception.
 execute_process(
   COMMAND ${BUILD_DIR}/tests/engine_test
   RESULT_VARIABLE EngineRc)

@@ -1,8 +1,9 @@
 # Runs each front end with a shard or thread count it cannot take and
 # requires exit status 2 (usage error with a message). Without the checks
 # these commands hang (a non-power-of-two shard count indexes past the
-# stripe table) or die with SIGFPE (zero shards or threads). Invoked by
-# the `cli_rejects_bad_counts` ctest:
+# stripe table), die with SIGFPE (zero shards or threads), or undercount
+# (more threads than StatsShardCount alias onto single-writer stats
+# shards). Invoked by the `cli_rejects_bad_counts` ctest:
 #
 #   cmake -DCHECK_FUZZ=<check_fuzz> -DOLTP_YCSB=<oltp_ycsb> -P CliRejects.cmake
 
@@ -21,7 +22,9 @@ function(expect_usage_error)
 endfunction()
 
 expect_usage_error(${OLTP_YCSB} --shards=3 --records=64 --ops=64)
+expect_usage_error(${OLTP_YCSB} --threads=65 --records=64 --ops=64)
 expect_usage_error(${CHECK_FUZZ} --backend=sharded --shards=3 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --backend=sharded --shards=0 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --workload=skiplist --threads=0 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --threads=0 --iters=1)
+expect_usage_error(${CHECK_FUZZ} --backend=orec-eager --threads=65 --iters=4)

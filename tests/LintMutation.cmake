@@ -64,12 +64,12 @@ reset_tree()
 run_lint(pristine 0)
 
 # Fence deletion from each single-fence commit path -> O3 names the path.
-# The TL2 path (stm/Tl2.h) is the one commit of both the flat and the
-# sharded tier.
+# The TL2 policy's commit (engine/Tl2.h) is the one commit of both the
+# flat and the sharded tier.
 reset_tree()
-mutate(src/stm/Tl2.h "${SEQ_FENCE}" "")
+mutate(src/engine/Tl2.h "${SEQ_FENCE}" "")
 run_lint(tl2-fence-removed 1 "[O3]"
-         "Tl2Descriptor::commitOrThrow single-fence commit")
+         "Tl2Policy::commit single-fence commit")
 
 reset_tree()
 mutate(src/libtm/LibTm.cpp "${SEQ_FENCE}" "")
@@ -83,10 +83,10 @@ run_lint(orec-fence-removed 1 "[O3]"
 
 # Weakening the fence is as fatal as deleting it.
 reset_tree()
-mutate(src/stm/Tl2.h "${SEQ_FENCE}"
+mutate(src/engine/Tl2.h "${SEQ_FENCE}"
        "std::atomic_thread_fence(std::memory_order_acquire);")
 run_lint(tl2-fence-weakened 1 "[O3]"
-         "Tl2Descriptor::commitOrThrow single-fence commit")
+         "Tl2Policy::commit single-fence commit")
 
 # Deleting the writeback->publish release fence leaves the relaxed
 # version publishes behind the data writeback with only the earlier
@@ -94,7 +94,7 @@ run_lint(tl2-fence-weakened 1 "[O3]"
 set(RELEASE_FENCE "std::atomic_thread_fence(std::memory_order_release);")
 
 reset_tree()
-mutate(src/stm/Tl2.h "${RELEASE_FENCE}" "")
+mutate(src/engine/Tl2.h "${RELEASE_FENCE}" "")
 run_lint(tl2-release-fence-removed 1 "[O1]" "stripeAt")
 
 reset_tree()

@@ -45,10 +45,11 @@ endif()
 
 # The concurrent TL2 tests drive the single-fence commit publication —
 # the relaxed stripe-version stores behind one release fence — so TSan
-# checks it against real racing readers.
+# checks it against real racing readers (engine_test below adds the
+# typed concurrent-increment cases on flat and sharded TL2).
 execute_process(
   COMMAND ${BUILD_DIR}/tests/tl2_test
-          --gtest_filter=Tl2Test.Concurrent*:Tl2Test.BankTransfer*:Tl2Test.Snapshot*:Tl2Test.AbortEvents*
+          --gtest_filter=Tl2Test.BankTransfer*:Tl2Test.Snapshot*:Tl2Test.AbortEvents*
   RESULT_VARIABLE Tl2Rc)
 if(NOT Tl2Rc EQUAL 0)
   message(FATAL_ERROR "tl2_test failed under tsan (${Tl2Rc})")
@@ -67,10 +68,11 @@ if(NOT TmdsRc EQUAL 0)
   message(FATAL_ERROR "tmds_test failed under tsan (${TmdsRc})")
 endif()
 
-# The engine family's racy-by-construction paths: TLRW's Dekker
-# reader/writer handshake and drain loop, orec CAS acquisition against
-# racing validators, 2PL's no-wait lock word traffic, and the epoch
-# manager's enter/exit vs quiesce protocol.
+# The engine family's racy-by-construction paths, through the typed
+# suite over every chassis policy (TL2 flat and on 4 shards, orec-eager,
+# tlrw, 2pl-undo): TLRW's Dekker reader/writer handshake and drain loop,
+# orec CAS acquisition against racing validators, 2PL's no-wait lock
+# word traffic, and the foreign-exception rollback.
 execute_process(
   COMMAND ${BUILD_DIR}/tests/engine_test
   RESULT_VARIABLE EngineRc)

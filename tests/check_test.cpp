@@ -9,7 +9,7 @@
 // the HistoryRecorder against a live TL2 runtime, the checkers against
 // hand-built histories with known verdicts, and the mutation self-test —
 // the fuzzer must flag the two deliberately broken TL2 variants
-// (Tl2FaultInjection) while passing all real backends.
+// (EngineFault) while passing all real backends.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,8 +17,8 @@
 #include "check/Fuzz.h"
 #include "check/History.h"
 #include "check/Perturb.h"
+#include "engine/Tl2.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 
 #include "gtest/gtest.h"
 

@@ -8,8 +8,8 @@
 #include "stm/Contention.h"
 
 #include "engine/OrecEager.h"
+#include "engine/Tl2.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 
 #include <gtest/gtest.h>
 
@@ -117,7 +117,7 @@ TEST(ContentionIntegrationTest, AllManagersPreserveCorrectness) {
     auto Cm = createContentionManager(Name);
     runCounterUnder(Cm.get());
   }
-  runCounterUnder(nullptr); // config backoff fallback
+  runCounterUnder(nullptr); // yield fallback
 }
 
 TEST(ContentionIntegrationTest, ManagersWorkUnderEagerDetection) {

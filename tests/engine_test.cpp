@@ -6,22 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit and concurrency tests for the policy-templated engine family
-/// (src/engine): the ByteLock table and epoch manager primitives, then a
-/// typed suite run identically over orec-eager, TLRW and 2PL-undo —
-/// read-own-write, undo-on-abort, read-only commit flagging, exactness
-/// under contention, and the gate/observer/contention-manager hook
-/// surface the family shares with TL2/LibTm. The differential fuzz
-/// matrix (tools/check_fuzz.cpp) is the deep conformance check; this
-/// file pins the per-engine semantics a fuzz failure would be hard to
-/// localize from.
+/// Unit and concurrency tests for the word-STM engine family
+/// (src/engine): the ByteLock table primitive, then a typed suite run
+/// identically over every policy on the chassis — TL2 on the flat table
+/// and on the sharded tier (4 shards), orec-eager, TLRW and 2PL-undo —
+/// read-own-write, rollback on abort and on a foreign exception,
+/// read-only commit flagging, exactness under contention, and the
+/// gate/observer/contention-manager hook surface the family shares with
+/// LibTm. The differential fuzz matrix (tools/check_fuzz.cpp) is the
+/// deep conformance check; this file pins the per-engine semantics a
+/// fuzz failure would be hard to localize from.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/Engines.h"
 
+#include "check/Checker.h"
 #include "check/Fuzz.h"
 #include "core/GuideController.h"
+#include "shard/Sharded.h"
 #include "stm/Contention.h"
 #include "stm/TVar.h"
 
@@ -29,8 +32,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace gstm {
@@ -60,66 +65,6 @@ TEST(ByteLockTest, TableMapsAddressesDeterministically) {
   ByteLock &B = Table.lockFor(&Word);
   EXPECT_EQ(&A, &B);
   EXPECT_EQ(&Table.lockAt(Table.indexFor(&Word)), &A);
-}
-
-TEST(ByteLockTest, HashKindsSpreadDifferently) {
-  ByteLockTable Mix(/*Bits=*/8, StripeHashKind::Mix);
-  ByteLockTable Fib(/*Bits=*/8, StripeHashKind::Fibonacci);
-  std::atomic<uint64_t> Words[64];
-  bool AnyDiffer = false;
-  for (auto &W : Words)
-    AnyDiffer |= Mix.indexFor(&W) != Fib.indexFor(&W);
-  EXPECT_TRUE(AnyDiffer);
-}
-
-// ---------------------------------------------------------------------
-// EpochManager
-// ---------------------------------------------------------------------
-
-TEST(EpochTest, QuiesceReturnsImmediatelyWhenIdle) {
-  EpochManager E;
-  EXPECT_FALSE(E.active(0));
-  E.quiesce(); // must not block
-}
-
-TEST(EpochTest, QuiesceWaitsForInFlightAttempt) {
-  EpochManager E;
-  std::atomic<bool> Entered{false};
-  std::atomic<bool> Release{false};
-  std::atomic<bool> Quiesced{false};
-
-  std::thread Worker([&] {
-    E.enter(1);
-    Entered.store(true, std::memory_order_release);
-    while (!Release.load(std::memory_order_acquire))
-      std::this_thread::yield();
-    E.exit(1);
-  });
-  while (!Entered.load(std::memory_order_acquire))
-    std::this_thread::yield();
-  EXPECT_TRUE(E.active(1));
-
-  std::thread Waiter([&] {
-    E.quiesce();
-    Quiesced.store(true, std::memory_order_release);
-  });
-  // The worker entered before the quiesce target was taken, so the
-  // waiter must not come back while it is still inside.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(Quiesced.load(std::memory_order_acquire));
-
-  Release.store(true, std::memory_order_release);
-  Worker.join();
-  Waiter.join();
-  EXPECT_TRUE(Quiesced.load(std::memory_order_acquire));
-  EXPECT_FALSE(E.active(1));
-}
-
-TEST(EpochTest, AttemptsFromLaterEpochsDoNotBlockQuiesce) {
-  EpochManager E;
-  uint64_t Before = E.currentEpoch();
-  E.quiesce();
-  EXPECT_GT(E.currentEpoch(), Before);
 }
 
 // ---------------------------------------------------------------------
@@ -166,29 +111,64 @@ struct CountingCm : ContentionManager {
   void onCommit(ThreadId, uint64_t) override { ++Commits; }
 };
 
-template <typename Policy> class EngineFamilyTest : public ::testing::Test {
+/// Parameterized by the descriptor type; the runtime is its Stm (a flat
+/// EngineStm, or ShardedStm at its default 4 shards).
+template <typename TxnT> class EngineFamilyTest : public ::testing::Test {
 public:
-  using Stm = EngineStm<Policy>;
-  using Txn = EngineTxn<Policy>;
+  using Stm = typename TxnT::Stm;
+  using Txn = TxnT;
+  using Config =
+      std::remove_cvref_t<decltype(std::declval<Stm &>().config())>;
 
-  static EngineConfig smallConfig() {
-    EngineConfig Cfg;
+  static Config smallConfig() {
+    Config Cfg;
     Cfg.TableBits = 8; // force aliasing so stripe sharing is exercised
     return Cfg;
   }
+
+  /// A descriptor thread for which \p Var is local. The sharded tier
+  /// samples rv from the thread's resident shard (Thread mod ShardCount),
+  /// so once \p Var has committed on another home shard the next read
+  /// costs one escalation abort; tests that count aborts exactly run
+  /// their descriptor on the variable's home shard. Flat runtimes take
+  /// any thread.
+  static ThreadId residentThread(Stm &S, const TVar<uint64_t> &Var) {
+    if constexpr (std::is_same_v<Stm, ShardedStm>)
+      return static_cast<ThreadId>(S.shardFor(&Var.word()));
+    else
+      return 0;
+  }
 };
 
-using EnginePolicies =
-    ::testing::Types<OrecEagerPolicy, TlrwPolicy, TwoPlPolicy>;
-TYPED_TEST_SUITE(EngineFamilyTest, EnginePolicies);
+std::string residue(LockTable &Locks) {
+  std::string Why;
+  lockTableQuiescent(Locks, &Why);
+  return Why;
+}
+std::string residue(ByteLockTable &Locks) {
+  std::string Why;
+  byteLockTableQuiescent(Locks, &Why);
+  return Why;
+}
 
-TYPED_TEST(EngineFamilyTest, NameAndTableDefaultsApply) {
+using EngineTxns = ::testing::Types<Tl2Txn, ShardedTxn, OrecEagerTxn,
+                                    TlrwTxn, TwoPlTxn>;
+TYPED_TEST_SUITE(EngineFamilyTest, EngineTxns);
+
+TYPED_TEST(EngineFamilyTest, TableDefaultsApply) {
   using Stm = typename TestFixture::Stm;
   Stm S;
-  EXPECT_STREQ(Stm::name(), TypeParam::Name);
-  EXPECT_EQ(S.table().size(), size_t{1} << TypeParam::DefaultTableBits);
   Stm Small(TestFixture::smallConfig());
-  EXPECT_EQ(Small.table().size(), size_t{1} << 8);
+  if constexpr (std::is_same_v<Stm, ShardedStm>) {
+    // 2^18 stripes per shard slice, 4 shards.
+    EXPECT_EQ(S.lockTable().size(), size_t{4} << 18);
+    EXPECT_EQ(Small.lockTable().size(), size_t{4} << 8);
+  } else {
+    // 2^20 stripes; 2^16 byte locks, each 16x a stripe word.
+    const unsigned Bits = std::is_same_v<Stm, TlrwStm> ? 16 : 20;
+    EXPECT_EQ(S.lockTable().size(), size_t{1} << Bits);
+    EXPECT_EQ(Small.lockTable().size(), size_t{1} << 8);
+  }
 }
 
 TYPED_TEST(EngineFamilyTest, SingleThreadIncrementsCommit) {
@@ -196,7 +176,7 @@ TYPED_TEST(EngineFamilyTest, SingleThreadIncrementsCommit) {
   using Txn = typename TestFixture::Txn;
   Stm S;
   TVar<uint64_t> Counter(0);
-  Txn T(S, /*Thread=*/0);
+  Txn T(S, TestFixture::residentThread(S, Counter));
   for (int I = 0; I < 64; ++I)
     T.run(/*Tx=*/1, [&](Txn &Tx) { Tx.store(Counter, Tx.load(Counter) + 1); });
   EXPECT_EQ(Counter.loadDirect(), 64u);
@@ -248,6 +228,31 @@ TYPED_TEST(EngineFamilyTest, AbortRollsBackInPlaceWrites) {
   EXPECT_EQ(S.stats().commits(), 1u);
 }
 
+TYPED_TEST(EngineFamilyTest, ForeignExceptionRollsBackAndPropagates) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  Stm S;
+  TVar<uint64_t> V(5);
+  Txn T(S, 0);
+  // The body stores (in place on the undo-log engines, under a held
+  // lock) and then throws something that is not the STM's own abort.
+  EXPECT_THROW(T.run(1,
+                     [&](Txn &Tx) {
+                       Tx.store(V, Tx.load(V) + 1);
+                       throw std::runtime_error("body failed");
+                     }),
+               std::runtime_error);
+  EXPECT_EQ(V.loadDirect(), 5u);
+  // A stranded lock would make the next descriptor retry forever.
+  ASSERT_EQ(residue(S.lockTable()), "");
+  // Nothing stranded: another descriptor commits on the same variable.
+  Txn W(S, 1);
+  W.run(2, [&](Txn &Tx) { Tx.store(V, Tx.load(V) + 2); });
+  EXPECT_EQ(V.loadDirect(), 7u);
+  EXPECT_EQ(S.stats().aborts(), 1u);
+  EXPECT_EQ(S.stats().commits(), 1u);
+}
+
 TYPED_TEST(EngineFamilyTest, ReadOnlyCommitInstallsNoVersion) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
@@ -295,7 +300,38 @@ TYPED_TEST(EngineFamilyTest, HookSurfaceReportsEveryEvent) {
   EXPECT_EQ(Hooks.Stores.load(), 2u);
   EXPECT_EQ(Hooks.Loads.load(), 4u);
   EXPECT_EQ(Hooks.BufferedLoads.load(), 2u);
-  EXPECT_GE(Hooks.LockAcquires.load(), 2u);
+  // TL2 locks only at commit: the committing attempt's lock. The in-place
+  // engines lock at encounter time, so the aborted attempt reports one too.
+  if constexpr (std::is_same_v<typename TestFixture::Txn::State,
+                               Tl2Policy::TxnState>)
+    EXPECT_EQ(Hooks.LockAcquires.load(), 1u);
+  else
+    EXPECT_GE(Hooks.LockAcquires.load(), 2u);
+}
+
+TYPED_TEST(EngineFamilyTest, ThrowingCommitHookKeepsTheCommit) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  Stm S;
+  struct ThrowOnCommit : CountingHooks {
+    void onCommit(const CommitEvent &E) override {
+      CountingHooks::onCommit(E);
+      throw std::runtime_error("observer failed");
+    }
+  } Hooks;
+  S.setObserver(&Hooks);
+  TVar<uint64_t> V(5);
+  Txn T(S, 0);
+  // The attempt is published before the observer runs: the exception
+  // propagates, but the commit stands and no abort is reported.
+  EXPECT_THROW(T.run(1, [&](Txn &Tx) { Tx.store(V, Tx.load(V) + 1); }),
+               std::runtime_error);
+  EXPECT_EQ(V.loadDirect(), 6u);
+  EXPECT_EQ(residue(S.lockTable()), "");
+  EXPECT_EQ(Hooks.Commits.load(), 1u);
+  EXPECT_EQ(Hooks.Aborts.load(), 0u);
+  EXPECT_EQ(S.stats().commits(), 1u);
+  EXPECT_EQ(S.stats().aborts(), 0u);
 }
 
 TYPED_TEST(EngineFamilyTest, ContentionManagerHooksFire) {
@@ -305,7 +341,7 @@ TYPED_TEST(EngineFamilyTest, ContentionManagerHooksFire) {
   CountingCm Cm;
   S.setContentionManager(&Cm);
   TVar<uint64_t> V(0);
-  Txn T(S, 0);
+  Txn T(S, TestFixture::residentThread(S, V));
   int Attempt = 0;
   for (int I = 0; I < 4; ++I)
     T.run(1, [&](Txn &Tx) {
@@ -322,7 +358,7 @@ TYPED_TEST(EngineFamilyTest, ContentionManagerHooksFire) {
 TYPED_TEST(EngineFamilyTest, ConcurrentIncrementsAreExact) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
-  EngineConfig Cfg = TestFixture::smallConfig();
+  auto Cfg = TestFixture::smallConfig();
   Cfg.PreemptShift = 2; // densify interleavings
   Stm S(Cfg);
   constexpr unsigned Threads = 4;
@@ -346,7 +382,6 @@ TYPED_TEST(EngineFamilyTest, ConcurrentIncrementsAreExact) {
     });
   for (auto &T : Workers)
     T.join();
-  S.quiesce();
 
   EXPECT_EQ(Shared.loadDirect(), uint64_t{Threads} * PerThread);
   for (unsigned W = 0; W < Threads; ++W)
@@ -357,7 +392,7 @@ TYPED_TEST(EngineFamilyTest, ConcurrentIncrementsAreExact) {
 TYPED_TEST(EngineFamilyTest, WriteWriteConflictsResolveByAbort) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
-  EngineConfig Cfg = TestFixture::smallConfig();
+  auto Cfg = TestFixture::smallConfig();
   Cfg.PreemptShift = 2;
   Stm S(Cfg);
   constexpr unsigned Threads = 3;
@@ -383,7 +418,6 @@ TYPED_TEST(EngineFamilyTest, WriteWriteConflictsResolveByAbort) {
     });
   for (auto &T : Workers)
     T.join();
-  S.quiesce();
   EXPECT_EQ(X.loadDirect(), uint64_t{Threads} * PerThread);
   EXPECT_EQ(Y.loadDirect(), uint64_t{Threads} * PerThread);
 }
@@ -467,35 +501,35 @@ TEST(EngineMutationSelfTest, CleanEnginesPassTheSameSeeds) {
 
 TEST(EngineMutationSelfTest, SkippedUndoReplayIsCaughtOnOrecEager) {
   FuzzConfig Cfg;
-  Cfg.EngineFault.SkipUndoReplay = true;
+  Cfg.Fault.SkipUndoReplay = true;
   EXPECT_GE(checkerViolations(FuzzBackend::OrecEager, Cfg, 60, 3), 3u)
       << "checker failed to flag the skipped-undo-replay mutant";
 }
 
 TEST(EngineMutationSelfTest, SkippedUndoReplayIsCaughtOnTwoPl) {
   FuzzConfig Cfg;
-  Cfg.EngineFault.SkipUndoReplay = true;
+  Cfg.Fault.SkipUndoReplay = true;
   EXPECT_GE(checkerViolations(FuzzBackend::TwoPlUndo, Cfg, 60, 3), 3u)
       << "checker failed to flag the skipped-undo-replay mutant";
 }
 
 TEST(EngineMutationSelfTest, SkippedReadValidationIsCaughtOnOrecEager) {
   FuzzConfig Cfg;
-  Cfg.EngineFault.SkipReadValidation = true;
+  Cfg.Fault.SkipReadValidation = true;
   EXPECT_GE(checkerViolations(FuzzBackend::OrecEager, Cfg, 120, 3), 3u)
       << "checker failed to flag the skipped-validation mutant";
 }
 
 TEST(EngineMutationSelfTest, SkippedReaderDrainIsCaughtOnTlrw) {
   FuzzConfig Cfg;
-  Cfg.EngineFault.SkipReaderDrain = true;
+  Cfg.Fault.SkipReaderDrain = true;
   EXPECT_GE(checkerViolations(FuzzBackend::Tlrw, Cfg, 120, 3), 3u)
       << "checker failed to flag the skipped-reader-drain mutant";
 }
 
-// The full differential harness across every backend — both hand-written
-// runtimes, all three engines, and the serial reference — must agree on
-// a handful of seeds (the 1024-seed sweep is check_fuzz --smoke).
+// The full differential harness across every backend — the four chassis
+// policies, the sharded tier, LibTm and the serial reference — must agree
+// on a handful of seeds (the 1024-seed sweep is check_fuzz --smoke).
 TEST(EngineMutationSelfTest, DifferentialMatrixAgreesOnSampleSeeds) {
   FuzzConfig Cfg;
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {

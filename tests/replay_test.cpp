@@ -8,8 +8,8 @@
 #include "core/Replay.h"
 
 #include "core/Trace.h"
+#include "engine/Tl2.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 #include "support/Barrier.h"
 
 #include <gtest/gtest.h>

@@ -32,17 +32,6 @@ namespace {
 // Configuration and placement plumbing
 //===----------------------------------------------------------------------===//
 
-TEST(ShardConfigTest, HashNamesRoundTrip) {
-  ShardHashKind Kind = ShardHashKind::Mix;
-  EXPECT_TRUE(shardHashFromName("fib", Kind));
-  EXPECT_EQ(Kind, ShardHashKind::Fibonacci);
-  EXPECT_STREQ(shardHashName(Kind), "fib");
-  EXPECT_TRUE(shardHashFromName("mix", Kind));
-  EXPECT_EQ(Kind, ShardHashKind::Mix);
-  EXPECT_STREQ(shardHashName(Kind), "mix");
-  EXPECT_FALSE(shardHashFromName("crc", Kind));
-}
-
 TEST(ShardPlacementTest, LookupResolvesRangesAndRejectsUnmapped) {
   uint64_t Arr[8] = {};
   ShardPlacement P;
@@ -59,7 +48,7 @@ TEST(ShardPlacementTest, LookupResolvesRangesAndRejectsUnmapped) {
 TEST(ShardedStmTest, PlacementOverridesAddressHash) {
   ShardConfig SC;
   SC.ShardCount = 4;
-  SC.LockTableBits = 8;
+  SC.TableBits = 8;
   ShardedStm Stm(SC);
 
   TVar<uint64_t> Cells[4];
@@ -93,7 +82,7 @@ struct TwoShardFixture : ::testing::Test {
   static ShardConfig config() {
     ShardConfig SC;
     SC.ShardCount = 4;
-    SC.LockTableBits = 8;
+    SC.TableBits = 8;
     return SC;
   }
   ShardedStm Stm;
@@ -286,7 +275,7 @@ TEST(ShardFuzzTest, PlanPredictsCrossShardTraffic) {
 
 /// Checker violations among the first 60 seeds under \p Fault, stopping
 /// at 3 — the clean smoke above proves the same seeds pass without it.
-unsigned violationsUnder(const Tl2FaultInjection &Fault) {
+unsigned violationsUnder(const EngineFault &Fault) {
   FuzzConfig Cfg;
   Cfg.Fault = Fault;
   unsigned Violations = 0;
@@ -301,7 +290,7 @@ unsigned violationsUnder(const Tl2FaultInjection &Fault) {
 // back. The opacity checker must flag the resulting executions (stale
 // value under a fresh version / inconsistent snapshot).
 TEST(ShardMutationSelfTest, TornCoordinatedPublishIsCaught) {
-  Tl2FaultInjection Fault;
+  EngineFault Fault;
   Fault.TornVersionPublish = true;
   EXPECT_GE(violationsUnder(Fault), 3u)
       << "opacity checker failed to flag the torn coordinated publish";
@@ -311,7 +300,7 @@ TEST(ShardMutationSelfTest, TornCoordinatedPublishIsCaught) {
 // interleaved after an attempt's reads goes undetected, so lost updates
 // and stale reads enter committed state and the checkers must object.
 TEST(ShardMutationSelfTest, SkippedReadValidationIsCaught) {
-  Tl2FaultInjection Fault;
+  EngineFault Fault;
   Fault.SkipReadValidation = true;
   EXPECT_GE(violationsUnder(Fault), 3u)
       << "checkers failed to flag the skipped 2PC read validation";

@@ -17,9 +17,9 @@
 
 #include "core/JsonExport.h"
 #include "engine/OrecEager.h"
+#include "engine/Tl2.h"
 #include "stm/Contention.h"
 #include "stm/TVar.h"
-#include "stm/Tl2.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>

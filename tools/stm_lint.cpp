@@ -45,8 +45,7 @@ static int printRules() {
       {Rule::NakedAccess,
        "naked shared access (atomic/TVar/TObj bypassing the txn handle)"},
       {Rule::Irrevocable,
-       "irrevocable operation (heap outside TmPool, I/O, sleep, mutex; "
-       "undo-log engine profiles also flag throw-with-operand)"},
+       "irrevocable operation (heap outside TmPool, I/O, sleep, mutex)"},
       {Rule::NonDeterminism,
        "non-determinism source (rand, random_device, clock reads)"},
       {Rule::HandleEscape,
