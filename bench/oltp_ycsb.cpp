@@ -21,11 +21,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/OltpBench.h"
+#include "stm/CommitRing.h"
 #include "support/Json.h"
 #include "support/Options.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 using namespace gstm;
 
@@ -52,8 +54,9 @@ int main(int Argc, char **Argv) {
           {"rate", "R", "open-loop arrival rate in ops/s across all "
                         "threads (default 0 = closed loop)"},
           {"ring-bits", "N",
-           "commit-ring size override (log2 slots; default: runtime "
-           "config)"},
+           "commit-ring size override (log2 slots in [1, " +
+               std::to_string(MaxCommitRingBits) +
+               "]; default: runtime config)"},
           {"seed", "S", "rng seed (default 1)"},
           {"json", "", "emit the result as JSON on stdout"},
       });
@@ -85,8 +88,15 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned>(Opts.getInt("scan-len", Cfg.ScanLength));
   Cfg.ArrivalRate =
       std::strtod(Opts.getString("rate", "0").c_str(), nullptr);
-  Cfg.RingBits =
-      static_cast<unsigned>(Opts.getInt("ring-bits", Cfg.RingBits));
+  if (Opts.has("ring-bits")) {
+    const int64_t RingBits = Opts.getInt("ring-bits", 0);
+    if (RingBits < 1 || RingBits > MaxCommitRingBits) {
+      std::fprintf(stderr, "oltp_ycsb: --ring-bits must be in [1, %u]\n",
+                   MaxCommitRingBits);
+      return 2;
+    }
+    Cfg.RingBits = static_cast<unsigned>(RingBits);
+  }
   Cfg.Shards = static_cast<unsigned>(Opts.getInt("shards", Cfg.Shards));
   if (Cfg.Shards && Cfg.Backend == "tl2")
     Cfg.Backend = "sharded";

@@ -275,15 +275,13 @@ template <typename Plan> size_t plannedCommits(const Plan &P) {
 
 /// Runtime configuration of backend \p B from the run knobs. Tables are
 /// small (2^10 stripes or entries, per shard on the sharded tier): the
-/// aliasing pressure is deliberate. LibTm has neither a table nor a
-/// fault knob, so it gets neither.
+/// aliasing pressure is deliberate. LibTm has no table to size.
 template <typename B> auto runtimeConfig(const FuzzRunConfig &Cfg) {
   EngineConfig C;
   C.PreemptShift = Cfg.PreemptShift;
-  if constexpr (!std::is_same_v<B, LibTmBackend>) {
+  C.Fault = Cfg.Fault;
+  if constexpr (!std::is_same_v<B, LibTmBackend>)
     C.TableBits = 10;
-    C.Fault = Cfg.Fault;
-  }
   if constexpr (std::is_same_v<B, ShardBackend>) {
     ShardConfig SC;
     static_cast<EngineConfig &>(SC) = C;
@@ -543,6 +541,14 @@ FuzzRunResult gstm::runFuzzIteration(uint64_t Seed, FuzzBackend Backend,
   else
     return runPlan<BTreeWorkload>(makeTmdsPlan(Seed, Cfg), Seed, Backend,
                                   Cfg);
+}
+
+unsigned gstm::checkerViolations(FuzzBackend Backend, const FuzzConfig &Cfg,
+                                uint64_t MaxSeed, unsigned Enough) {
+  unsigned Violations = 0;
+  for (uint64_t Seed = 1; Seed <= MaxSeed && Violations < Enough; ++Seed)
+    Violations += runFuzzIteration(Seed, Backend, Cfg).Check.violation();
+  return Violations;
 }
 
 template <typename WorkloadConfig>

@@ -181,6 +181,12 @@ template <typename WorkloadConfig = FuzzConfig>
 FuzzRunResult runFuzzIteration(uint64_t Seed, FuzzBackend Backend,
                                const WorkloadConfig &Cfg = WorkloadConfig());
 
+/// Checker violations among the rmw seeds 1..\p MaxSeed of \p Backend
+/// under \p Cfg, counting stops at \p Enough: the mutation self-tests'
+/// measure of whether the checkers catch a fault knob.
+unsigned checkerViolations(FuzzBackend Backend, const FuzzConfig &Cfg,
+                           uint64_t MaxSeed = 60, unsigned Enough = 3);
+
 /// Outcome of one seed across several backends.
 struct DifferentialResult {
   std::vector<std::pair<FuzzBackend, FuzzRunResult>> PerBackend;

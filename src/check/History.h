@@ -40,8 +40,9 @@ namespace gstm {
 struct AccessRecord {
   enum class Kind : uint8_t { Load, Store, LockAcquire };
   Kind K;
-  /// Memory location: TVar word address for TL2, TObjBase address for
-  /// LibTm. For LockAcquire this is null and LockId holds the identity.
+  /// Memory location: TVar word address for TL2, TObj address (its Meta
+  /// word) for LibTm. For LockAcquire this is null and LockId holds the
+  /// identity.
   const void *Addr = nullptr;
   uint64_t Value = 0;
   /// Loads only: the stripe/object version the read validated against

@@ -6,17 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared chassis of the word-STM engine family (SNIPPETS.md
-/// Snippet 2 / zardoshti lineage). `EngineTxn<Policy, Runtime>` is the
-/// per-thread descriptor gluing the shared retry loop
-/// (engine/TxnExecutor.h), the shared undo log, begin, typed access,
-/// abort attribution and outcome reporting to the policy's algorithm.
-/// `Runtime` owns the shared state and the orec layout; it defaults to
-/// `EngineStm<Policy>` — version clock, one lock table (the policy picks
-/// the type), commit ring, observer/gate/contention-manager hooks,
-/// sharded stats. The sharded tier's ShardedStm (shard/Sharded.h) is the
-/// other runtime, for TL2 only. A policy contributes exactly the
-/// algorithm:
+/// The shared chassis of the STM engine family (SNIPPETS.md Snippet 2 /
+/// zardoshti lineage). `EngineTxn<Policy, Runtime>` is the per-thread
+/// descriptor gluing the retry loop, the shared undo log, begin, typed
+/// access, abort attribution and outcome reporting to the policy's
+/// algorithm. `Runtime` owns the shared state and the orec layout; it
+/// defaults to `EngineStm<Policy>` — version clock, one lock table (the
+/// policy picks the type), commit ring, observer/gate/contention-manager
+/// hooks, sharded stats. TL2 has two more layouts: the sharded tier's
+/// ShardedStm (shard/Sharded.h) partitions the table, and LibTm
+/// (libtm/LibTm.h) is EngineStm over the orecs inside each object. A
+/// policy contributes exactly the algorithm:
 ///
 ///   using Table = LockTable | ByteLockTable;
 ///   static constexpr const char *Name;
@@ -70,7 +70,9 @@
 #include "support/PtrIndexMap.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -82,16 +84,20 @@ inline uint64_t filterSignature(const void *Addr) {
   return uint64_t{1} << ((Key * 0x9e3779b97f4a7c15ULL) >> 58);
 }
 
-template <typename Policy> class EngineStm;
+template <typename Policy, typename TableT = typename Policy::Table>
+class EngineStm;
 template <typename Policy, typename Runtime = EngineStm<Policy>>
 class EngineTxn;
+template <typename T> class TObj; // libtm/LibTm.h
 
 /// One engine-family runtime instance over a flat table: shared state
 /// plus the instrumentation hooks (TxHooks), so GuideController,
-/// StatsShard export, and the check harness plug in unchanged.
-template <typename Policy> class EngineStm : public TxHooks {
+/// StatsShard export, and the check harness plug in unchanged. The table
+/// is the policy's, or for LibTm the objects' own orecs.
+template <typename Policy, typename TableT>
+class EngineStm : public TxHooks {
 public:
-  using Table = typename Policy::Table;
+  using Table = TableT;
 
   explicit EngineStm(const EngineConfig &Config = EngineConfig())
       : Cfg(Config),
@@ -153,21 +159,90 @@ private:
 /// thread-safe: one descriptor per worker thread.
 ///
 /// The entry points are defined out of class below, so a runtime's .cpp
-/// can instantiate them explicitly (engine/Tl2.cpp, shard/Sharded.cpp)
-/// and call sites keep calling them out of line.
+/// can instantiate them explicitly (engine/Tl2.cpp, shard/Sharded.cpp,
+/// libtm/LibTm.cpp) and call sites keep calling them out of line.
 template <typename Policy, typename Runtime>
-class EngineTxn : public TxnExecutor<EngineTxn<Policy, Runtime>>,
-                  public Runtime::TxnState {
+class EngineTxn : public Runtime::TxnState {
 public:
   using Stm = Runtime;
   using State = typename Policy::TxnState;
 
   EngineTxn(Runtime &Stm_, ThreadId Thread)
-      : TxnExecutor<EngineTxn>(Thread), Runtime::TxnState(Stm_, Thread),
+      : Runtime::TxnState(Stm_, Thread),
+        PreemptLcg(0x2545f4914f6cdd1dULL ^
+                   (uint64_t{Thread} * 0x9e3779b97f4a7c15ULL)),
         S(Stm_), Thread(Thread), Shard(&Stm_.stats().shard(Thread)) {}
 
   EngineTxn(const EngineTxn &) = delete;
   EngineTxn &operator=(const EngineTxn &) = delete;
+
+  /// Executes \p Body transactionally at static site \p Tx, retrying on
+  /// conflict until the transaction commits. \p Body receives this
+  /// descriptor and must funnel every shared access through it. Any
+  /// other exception leaving the body or commitOrThrow aborts the
+  /// attempt (rolled back and reported as an explicit abort) and
+  /// propagates without a retry. Once commitOrThrow returns the attempt
+  /// is published, so an exception a commit hook throws propagates with
+  /// the commit counted and no abort.
+  template <typename BodyFn> void run(TxId Tx, BodyFn &&Body) {
+    ContentionManager *Cm = S.contentionManager();
+    if (Cm)
+      Cm->onTxBegin(Thread);
+    const bool TrackLatency = S.config().TrackAttemptLatency;
+    uint32_t Attempts = 0;
+    for (;;) {
+      if (StartGate *G = S.gate())
+        G->onTxStart(Thread, Tx);
+      std::chrono::steady_clock::time_point AttemptStart;
+      if (TrackLatency)
+        AttemptStart = std::chrono::steady_clock::now();
+      begin(Tx);
+      bool Committed = false;
+      uint64_t Opens = 0, Wv = 0;
+      try {
+        Body(*this);
+        // Sampled before commit, which may release the logs that count
+        // the opens (the policies clear theirs).
+        Opens = Cm ? opensCount() : 0;
+        Wv = commitOrThrow();
+        Committed = true;
+      } catch (const TxAbortException &) {
+        // Cause already reported; locks already released.
+        if (TrackLatency)
+          recordAttemptLatency(AttemptStart);
+      } catch (...) {
+        // Abort and propagate: the same rollback and report as
+        // retryAbort(), then the exception leaves run().
+        reportAbort(AbortEvent{Thread, Tx, AbortCauseKind::Explicit,
+                               /*Cause=*/0, /*CauseVersion=*/0,
+                               AbortSite::Explicit});
+        if (TrackLatency)
+          recordAttemptLatency(AttemptStart);
+        throw;
+      }
+      if (Committed) {
+        // Outside the try: the attempt is published.
+        reportCommit(Wv, Attempts);
+        if (TrackLatency)
+          recordAttemptLatency(AttemptStart);
+        if (Cm)
+          Cm->onCommit(Thread, Opens);
+        return;
+      }
+      ++Attempts;
+      if (Cm) {
+        uint64_t Ns = Cm->onAbort(Thread, LastEnemy, LastEnemyKnown,
+                                  Attempts, LastOpens);
+        if (Ns > 0)
+          std::this_thread::sleep_for(std::chrono::nanoseconds(Ns));
+      } else {
+        // Yield once: avoids burning a scheduling quantum re-aborting
+        // against a descheduled lock holder (we run more threads than
+        // cores).
+        std::this_thread::yield();
+      }
+    }
+  }
 
   /// Transactional read of a raw 64-bit word.
   uint64_t loadWord(const std::atomic<uint64_t> &Word);
@@ -187,6 +262,26 @@ public:
     storeWord(Var.word(), TVar<T>::encode(Value));
   }
 
+  /// Typed transactional snapshot of a TObj, all its words under the
+  /// object's one orec (TL2 only).
+  template <typename T> T read(const TObj<T> &Obj) {
+    uint64_t Raw[TObj<T>::WordCount];
+    maybePreempt();
+    Policy::template loadWords<TObj<T>::WordCount>(*this, Obj.meta(),
+                                                   Obj.words(), Raw);
+    return TObj<T>::decode(Raw);
+  }
+
+  /// Typed whole-object write of a TObj (TL2 only).
+  template <typename T>
+  void write(TObj<T> &Obj, const std::type_identity_t<T> &Value) {
+    uint64_t Raw[TObj<T>::WordCount];
+    TObj<T>::encode(Value, Raw);
+    maybePreempt();
+    Policy::template storeWords<TObj<T>::WordCount>(*this, Obj.meta(),
+                                                    Obj.words(), Raw);
+  }
+
   /// Explicitly aborts and retries the current transaction attempt.
   [[noreturn]] void retryAbort();
 
@@ -195,7 +290,7 @@ public:
 
   // -- Policy-facing surface ------------------------------------------
   // (Public so policy statics and tests can reach it; user code goes
-  // through load/store above.)
+  // through load/store and read/write above.)
 
   Runtime &rt() { return S; }
   State &state() { return PS; }
@@ -249,11 +344,7 @@ public:
   void notePrepareRetry() { Shard->recordPrepareRetry(); }
 
 private:
-  friend class TxnExecutor<EngineTxn>;
-
-  /// Executor contract (engine/TxnExecutor.h).
-  Runtime &stm() { return S; }
-  StatsShard *shard() { return Shard; }
+  /// Locations the attempt opened (contention-manager currency).
   uint64_t opensCount() const { return PS.opens() + Undo.size(); }
   void begin(TxId Tx);
   /// Commits the attempt (returns wv, 0 if read-only) or reports the
@@ -266,6 +357,34 @@ private:
   /// \p E to the contention manager's fields, the stats and the observer.
   void reportAbort(const AbortEvent &E);
   [[noreturn]] void reportAbortAndThrow(const AbortEvent &E);
+
+  /// Scheduler perturbation: yields the CPU with probability
+  /// 2^-PreemptShift per call when the config's PreemptShift is non-zero
+  /// (see EngineConfig::PreemptShift).
+  void maybePreempt() {
+    unsigned Shift = S.config().PreemptShift;
+    if (Shift == 0)
+      return;
+    PreemptLcg = PreemptLcg * 6364136223846793005ULL +
+                 1442695040888963407ULL;
+    if (((PreemptLcg >> 33) & ((uint64_t{1} << Shift) - 1)) == 0)
+      std::this_thread::yield();
+  }
+
+  void recordAttemptLatency(std::chrono::steady_clock::time_point Start) {
+    Shard->recordAttempt(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count()));
+  }
+
+  /// Conflicting transaction of the most recent abort and the aborted
+  /// attempt's read+write set size, recorded by the abort path for the
+  /// contention manager.
+  TxThreadPair LastEnemy = 0;
+  bool LastEnemyKnown = false;
+  uint64_t LastOpens = 0;
+  uint64_t PreemptLcg;
 
   Runtime &S;
   ThreadId Thread;
@@ -287,14 +406,14 @@ private:
 template <typename Policy, typename Runtime>
 uint64_t
 EngineTxn<Policy, Runtime>::loadWord(const std::atomic<uint64_t> &Word) {
-  this->maybePreempt();
+  maybePreempt();
   return Policy::load(*this, Word);
 }
 
 template <typename Policy, typename Runtime>
 void EngineTxn<Policy, Runtime>::storeWord(std::atomic<uint64_t> &Word,
                                            uint64_t Value) {
-  this->maybePreempt();
+  maybePreempt();
   Policy::store(*this, Word, Value);
 }
 
@@ -363,10 +482,10 @@ void EngineTxn<Policy, Runtime>::abortUnknown(AbortSite Site) {
 template <typename Policy, typename Runtime>
 void EngineTxn<Policy, Runtime>::reportAbort(const AbortEvent &E) {
   // Opens must be counted before the rollback clears the logs.
-  this->LastOpens = opensCount();
+  LastOpens = opensCount();
   Policy::onAbortCleanup(*this);
-  this->LastEnemyKnown = E.Kind == AbortCauseKind::KnownCommitter;
-  this->LastEnemy = this->LastEnemyKnown ? E.Cause : 0;
+  LastEnemyKnown = E.Kind == AbortCauseKind::KnownCommitter;
+  LastEnemy = LastEnemyKnown ? E.Cause : 0;
   Shard->recordAbort(E.Kind, E.Site);
   S.aborted(*this, *Shard);
   if (TxEventObserver *Obs = S.observer())

@@ -8,10 +8,9 @@
 /// \file
 /// Umbrella header for the word-STM engine family: include this to get
 /// every policy on the chassis — TL2, orec-eager, tlrw and 2pl-undo. The
-/// sharded tier (src/shard) runs the TL2 policy on its own runtime, and
-/// LibTm (src/libtm) shares the executor, clock, ring, stats and observer
-/// surfaces but keeps its object-based descriptor; see DESIGN.md §4i for
-/// the full matrix.
+/// sharded tier (src/shard) and LibTm (src/libtm) run the TL2 policy on
+/// their own runtimes, over partitioned stripes and per-object orecs; see
+/// DESIGN.md §4i for the full matrix.
 ///
 //===----------------------------------------------------------------------===//
 

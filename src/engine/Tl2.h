@@ -17,18 +17,22 @@
 ///
 /// The policy is written once over its runtime, which owns the orec
 /// layout (the 2PLSF TL2's ORECTABLE parameter): Tl2Txn runs it on
-/// EngineStm's flat stripe table, and ShardedTxn (shard/Sharded.h) on a
+/// EngineStm's flat stripe table, ShardedTxn (shard/Sharded.h) on a
 /// table partitioned into N shard slices with per-shard commit rings,
-/// applied clocks and cross-shard 2PC. Every runtime keeps its orecs in
-/// one LockTable (`lockTable()`), and a lock key is a stripe index in it.
-/// Besides the chassis hooks (engine/Core.h), the runtime answers:
+/// applied clocks and cross-shard 2PC, and LibTxn (libtm/LibTm.h) on the
+/// orec embedded in each object. Every runtime reaches its orecs through
+/// one table (`lockTable()`, whose stripeAt/indexOf map a lock key to an
+/// orec and back). An access names its guard: a word guards itself, and
+/// an object's words are guarded by its Meta word, so one orec covers a
+/// multi-word snapshot. Besides the chassis hooks (engine/Core.h), the
+/// runtime answers:
 ///
-///   readStripe(L, Addr)   stripe guarding a transactional read
-///   writeKey(L, Addr)     lock key of a written address; ascending keys
+///   readStripe(L, Guard)  orec guarding a transactional read
+///   writeKey(L, Guard)    lock key of a written guard; ascending keys
 ///                         are the global acquisition order
-///   prepareSpinLimit(L)   waits on a held stripe before aborting
+///   prepareSpinLimit(L)   waits on a held orec before aborting
 ///   groupOf(Key)          publish group: each group records in
-///                         commitRingOf(Group), publishes its stripes,
+///                         commitRingOf(Group), publishes its orecs,
 ///                         then calls groupPublished(Group, wv)
 ///
 /// On EngineStm every hook is a constant or a single table access, so
@@ -72,6 +76,9 @@ struct Tl2Policy {
   struct WriteEntry {
     std::atomic<uint64_t> *Addr;
     uint64_t Value;
+    /// The word whose orec covers Addr (Addr itself, or its object's
+    /// Meta).
+    const std::atomic<uint64_t> *Guard;
   };
   struct AcquiredLock {
     uint64_t Key;
@@ -105,15 +112,29 @@ struct Tl2Policy {
 
   template <typename TxnT>
   static uint64_t load(TxnT &Tx, const std::atomic<uint64_t> &Word) {
+    uint64_t Value;
+    loadWords<1>(Tx, Word, &Word, &Value);
+    return Value;
+  }
+
+  /// Snapshot of the \p N words at \p Words under the orec of \p Guard:
+  /// the orec is loaded before and after the copy, so a snapshot torn by
+  /// a concurrent commit shows up as a changed or locked orec word. The
+  /// observer sees the guard and word 0.
+  template <size_t N, typename TxnT>
+  static void loadWords(TxnT &Tx, const std::atomic<uint64_t> &Guard,
+                        const std::atomic<uint64_t> *Words, uint64_t *Out) {
     TxnState &St = Tx.state();
-    // Read-after-write: serve buffered values from the write set.
-    uint64_t Buffered;
-    if (lookupWriteSet(St, &Word, Buffered)) {
-      Tx.noteLoad(&Word, Buffered, /*Version=*/0, /*Buffered=*/true);
-      return Buffered;
+    // Read-after-write: serve buffered values from the write set. A
+    // buffered object's words are consecutive entries.
+    if (const uint32_t *Pos = lookupWriteSet(St, Words)) {
+      for (size_t I = 0; I < N; ++I)
+        Out[I] = St.WriteLog[*Pos + I].Value;
+      Tx.noteLoad(&Guard, Out[0], /*Version=*/0, /*Buffered=*/true);
+      return;
     }
 
-    std::atomic<uint64_t> &Stripe = Tx.rt().readStripe(Tx, &Word);
+    std::atomic<uint64_t> &Stripe = Tx.rt().readStripe(Tx, &Guard);
     uint64_t Pre = Stripe.load(std::memory_order_acquire);
     StripeState PreState = LockTable::decode(Pre);
     // A locked stripe is always someone else's in-flight commit: this
@@ -122,7 +143,8 @@ struct Tl2Policy {
     if (PreState.Locked)
       Tx.abortOnOwner(PreState.Owner, AbortSite::Read);
 
-    uint64_t Value = Word.load(std::memory_order_acquire);
+    for (size_t I = 0; I < N; ++I)
+      Out[I] = Words[I].load(std::memory_order_acquire);
 
     uint64_t Post = Stripe.load(std::memory_order_acquire);
     if (Post != Pre) {
@@ -135,26 +157,32 @@ struct Tl2Policy {
       Tx.abortOnVersion(PreState.Version, &Stripe, AbortSite::Read);
 
     St.ReadSet.push_back(&Stripe);
-    Tx.noteLoad(&Word, Value, PreState.Version, /*Buffered=*/false);
-    return Value;
+    Tx.noteLoad(&Guard, Out[0], PreState.Version, /*Buffered=*/false);
   }
 
   /// Buffered write: the value goes to the write log until commit.
   template <typename TxnT>
   static void store(TxnT &Tx, std::atomic<uint64_t> &Word,
                     uint64_t Value) {
+    storeWords<1>(Tx, Word, &Word, &Value);
+  }
+
+  /// Buffers all \p N words at \p Words, logged against \p Guard's orec.
+  /// An object's words are logged together and indexed by word 0.
+  template <size_t N, typename TxnT>
+  static void storeWords(TxnT &Tx, const std::atomic<uint64_t> &Guard,
+                         std::atomic<uint64_t> *Words, const uint64_t *In) {
     TxnState &St = Tx.state();
-    Tx.noteStore(&Word, Value);
-    uint64_t Sig = filterSignature(&Word);
-    if ((St.WriteFilter & Sig) != 0) {
-      if (const uint32_t *Pos = St.WriteIndex.find(&Word)) {
-        St.WriteLog[*Pos].Value = Value;
-        return;
-      }
+    Tx.noteStore(&Guard, In[0]);
+    if (const uint32_t *Pos = lookupWriteSet(St, Words)) {
+      for (size_t I = 0; I < N; ++I)
+        St.WriteLog[*Pos + I].Value = In[I];
+      return;
     }
-    St.WriteFilter |= Sig;
-    St.WriteIndex.insert(&Word, static_cast<uint32_t>(St.WriteLog.size()));
-    St.WriteLog.push_back(WriteEntry{&Word, Value});
+    St.WriteFilter |= filterSignature(Words);
+    St.WriteIndex.insert(Words, static_cast<uint32_t>(St.WriteLog.size()));
+    for (size_t I = 0; I < N; ++I)
+      St.WriteLog.push_back(WriteEntry{&Words[I], In[I], &Guard});
   }
 
   template <typename TxnT> static uint64_t commit(TxnT &Tx) {
@@ -172,14 +200,14 @@ struct Tl2Policy {
     // Every committer acquires along that one total order, so a wait-for
     // cycle would need some attempt to wait on a key below one it holds,
     // which never happens. Where the runtime allows no waiting (the flat
-    // table, single-shard commits) a held stripe aborts at once and
+    // table, LibTm, single-shard commits) a held stripe aborts at once and
     // contention surfaces as read-time / validation aborts; a cross-shard
     // prepare spins a bounded wait first, because aborting it forfeits
     // more invested work, and the bound keeps a descheduled holder from
     // stalling it. Each spin counts as a PrepareRetry.
     St.StripeScratch.clear();
     for (const WriteEntry &E : St.WriteLog)
-      St.StripeScratch.push_back(S.writeKey(Tx, E.Addr));
+      St.StripeScratch.push_back(S.writeKey(Tx, E.Guard));
     std::sort(St.StripeScratch.begin(), St.StripeScratch.end());
     St.StripeScratch.truncate(static_cast<size_t>(
         std::unique(St.StripeScratch.begin(), St.StripeScratch.end()) -
@@ -362,16 +390,12 @@ private:
     return It->PreviousWord;
   }
 
-  /// Returns true and fills \p Value when \p Addr is in the write set.
-  static bool lookupWriteSet(TxnState &St, const std::atomic<uint64_t> *Addr,
-                             uint64_t &Value) {
+  /// Write-log position of \p Addr, or null when it is not buffered.
+  static const uint32_t *lookupWriteSet(TxnState &St,
+                                        const std::atomic<uint64_t> *Addr) {
     if ((St.WriteFilter & filterSignature(Addr)) == 0)
-      return false;
-    const uint32_t *Pos = St.WriteIndex.find(Addr);
-    if (!Pos)
-      return false;
-    Value = St.WriteLog[*Pos].Value;
-    return true;
+      return nullptr;
+    return St.WriteIndex.find(Addr);
   }
 };
 

@@ -21,12 +21,12 @@ bool gstm::lint::isTxnHandleType(std::string_view TypeName) {
   // The policy-engine family (src/engine) contributes the per-policy
   // aliases plus the generic chassis name: `EngineTxn<P> &` lexes as
   // `EngineTxn` once the template group is stripped.
-  // ShardedTxn is the TL2 descriptor over the sharded tier's orecs.
+  // ShardedTxn and LibTxn are the TL2 descriptor over the sharded
+  // tier's and LibTm's orecs.
   return TypeName == "Tl2Txn" || TypeName == "ShardedTxn" ||
-         TypeName == "LibTxn" || TypeName == "LibTmTxn" ||
-         TypeName == "Txn" || TypeName == "OrecEagerTxn" ||
-         TypeName == "TlrwTxn" || TypeName == "TwoPlTxn" ||
-         TypeName == "EngineTxn";
+         TypeName == "LibTxn" || TypeName == "Txn" ||
+         TypeName == "OrecEagerTxn" || TypeName == "TlrwTxn" ||
+         TypeName == "TwoPlTxn" || TypeName == "EngineTxn";
 }
 
 namespace {

@@ -95,7 +95,6 @@ gstm::lint::profileForHandleType(std::string_view HandleType) {
   // `throw` as irrevocable.
   static const RuleProfile Generic{"generic", true, true, false};
   static const RuleProfile Tl2{"tl2", true, true, false};
-  static const RuleProfile LibTm{"libtm", true, true, false};
   static const RuleProfile OrecEager{"orec-eager", true, true, false};
   static const RuleProfile TwoPl{"2pl-undo", true, true, false};
   // TLRW's visible reader bytes make read→write upgrades an abort-storm
@@ -108,11 +107,11 @@ gstm::lint::profileForHandleType(std::string_view HandleType) {
   static const RuleProfile EngineInternal{"engine-internal", false, false,
                                           false};
 
-  // ShardedTxn is the same TL2 descriptor over the partitioned orecs.
-  if (HandleType == "Tl2Txn" || HandleType == "ShardedTxn")
+  // ShardedTxn and LibTxn are the same TL2 descriptor over partitioned
+  // and per-object orecs.
+  if (HandleType == "Tl2Txn" || HandleType == "ShardedTxn" ||
+      HandleType == "LibTxn")
     return Tl2;
-  if (HandleType == "LibTxn" || HandleType == "LibTmTxn")
-    return LibTm;
   if (HandleType == "OrecEagerTxn")
     return OrecEager;
   if (HandleType == "TlrwTxn")

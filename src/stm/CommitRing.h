@@ -22,16 +22,24 @@
 #include "support/Ids.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 
 namespace gstm {
 
+/// Largest ring a runtime may request: 2^24 slots of 16 bytes (256 MiB).
+inline constexpr unsigned MaxCommitRingBits = 24;
+
 /// Fixed-size version-indexed ring of recent committers.
 class CommitRing {
 public:
+  /// A ring of 2^\p Bits slots, \p Bits in [1, MaxCommitRingBits].
   explicit CommitRing(unsigned Bits = 13)
-      : Mask((size_t{1} << Bits) - 1), Slots(new Slot[size_t{1} << Bits]) {}
+      : Mask((size_t{1} << Bits) - 1), Slots(new Slot[size_t{1} << Bits]) {
+    assert(Bits >= 1 && Bits <= MaxCommitRingBits &&
+           "commit ring size out of range");
+  }
 
   /// Records that commit version \p Version was produced by \p Committer.
   void record(uint64_t Version, TxThreadPair Committer) {

@@ -117,8 +117,8 @@ public:
 /// Callbacks run on the worker thread performing the access and are
 /// ordered within that thread; implementations must be thread-safe across
 /// threads. LibTm reports its object-granular accesses with Addr = the
-/// TObjBase and Value = payload word 0, which is exact for the
-/// single-word objects the check harness drives.
+/// TObj (whose leading word is its Meta) and Value = payload word 0,
+/// which is exact for the single-word objects the check harness drives.
 class TxAccessObserver {
 public:
   virtual ~TxAccessObserver() = default;
@@ -148,12 +148,12 @@ public:
 
 class ContentionManager;
 
-/// The hook surface shared by every runtime (Tl2Stm, ShardedStm,
-/// EngineStm, LibTm): the event observer, the start gate, a contention
-/// manager that overrides the configured backoff, and the per-access
-/// observer. Every hook is off (nullptr) by default; a setter takes
-/// nullptr to turn its hook off again. None of the setters may be called
-/// while transactions are running.
+/// The hook surface shared by every runtime (EngineStm, ShardedStm,
+/// LibTm): the event observer, the start gate, a contention manager that
+/// overrides the configured backoff, and the per-access observer. Every
+/// hook is off (nullptr) by default; a setter takes nullptr to turn its
+/// hook off again. None of the setters may be called while transactions
+/// are running.
 class TxHooks {
 public:
   void setObserver(TxEventObserver *Obs) { Observer = Obs; }

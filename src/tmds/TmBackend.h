@@ -20,8 +20,8 @@
 ///    TxAccessObserver reports for that cell, so the check harness can
 ///    register initial values that match what onTxLoad/onTxStore will
 ///    carry (TL2 reports &TVar::word() and the encoded word; LibTm
-///    reports the TObjBase and payload word 0 — for word-sized payloads
-///    the two encodings agree), and
+///    reports the object, i.e. its leading Meta word, and payload word 0
+///    — for word-sized payloads the two encodings agree), and
 ///  * `cellLocked` — per-cell lock residue probe for post-run quiescence
 ///    checks (word backends decode the shared stripe or byte lock; LibTm
 ///    decodes the object's embedded metadata word).
@@ -133,18 +133,16 @@ struct LibTmBackend {
   }
 
   template <typename T> static const void *cellAddr(const Cell<T> &C) {
-    return static_cast<const TObjBase *>(&C);
+    return &C.meta();
   }
   template <typename T> static uint64_t cellRaw(const Cell<T> &C) {
     // Payload word 0 — what LibTm's access observer reports; identical
     // to the TVar encoding for word-sized trivially copyable T.
-    return const_cast<Cell<T> &>(C).words()[0].load(
-        std::memory_order_relaxed);
+    return C.words()[0].load(std::memory_order_relaxed);
   }
 
   template <typename T> static bool cellLocked(Stm &, const Cell<T> &C) {
-    return LockTable::decode(const_cast<Cell<T> &>(C).meta().load(
-                                 std::memory_order_relaxed))
+    return LockTable::decode(C.meta().load(std::memory_order_relaxed))
         .Locked;
   }
 };

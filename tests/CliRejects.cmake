@@ -1,9 +1,11 @@
-# Runs each front end with a shard or thread count it cannot take and
+# Runs each front end with a shard, thread or ring size it cannot take and
 # requires exit status 2 (usage error with a message). Without the checks
 # these commands hang (a non-power-of-two shard count indexes past the
-# stripe table), die with SIGFPE (zero shards or threads), or undercount
+# stripe table), die with SIGFPE (zero shards or threads), undercount
 # (more threads than StatsShardCount alias onto single-writer stats
-# shards). Invoked by the `cli_rejects_bad_counts` ctest:
+# shards), or size the commit ring out of range (2^44 slots throw
+# bad_alloc; a 64-bit shift is undefined and wrapped to one slot).
+# Invoked by the `cli_rejects_bad_counts` ctest:
 #
 #   cmake -DCHECK_FUZZ=<check_fuzz> -DOLTP_YCSB=<oltp_ycsb> -P CliRejects.cmake
 
@@ -23,6 +25,8 @@ endfunction()
 
 expect_usage_error(${OLTP_YCSB} --shards=3 --records=64 --ops=64)
 expect_usage_error(${OLTP_YCSB} --threads=65 --records=64 --ops=64)
+expect_usage_error(${OLTP_YCSB} --ring-bits=44 --records=64 --ops=64)
+expect_usage_error(${OLTP_YCSB} --ring-bits=64 --records=64 --ops=64)
 expect_usage_error(${CHECK_FUZZ} --backend=sharded --shards=3 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --backend=sharded --shards=0 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --workload=skiplist --threads=0 --iters=1)

@@ -20,8 +20,8 @@ endforeach()
 # Fresh copy of every directory the ordering contracts live in.
 function(reset_tree)
   file(REMOVE_RECURSE ${WORK_DIR}/src)
-  file(COPY ${SOURCE_DIR}/src/stm ${SOURCE_DIR}/src/libtm
-            ${SOURCE_DIR}/src/engine ${SOURCE_DIR}/src/shard
+  file(COPY ${SOURCE_DIR}/src/stm ${SOURCE_DIR}/src/engine
+            ${SOURCE_DIR}/src/shard
        DESTINATION ${WORK_DIR}/src)
 endfunction()
 
@@ -64,17 +64,12 @@ reset_tree()
 run_lint(pristine 0)
 
 # Fence deletion from each single-fence commit path -> O3 names the path.
-# The TL2 policy's commit (engine/Tl2.h) is the one commit of both the
-# flat and the sharded tier.
+# The TL2 policy's commit (engine/Tl2.h) is the one commit of the flat,
+# the sharded and the object (LibTm) runtimes.
 reset_tree()
 mutate(src/engine/Tl2.h "${SEQ_FENCE}" "")
 run_lint(tl2-fence-removed 1 "[O3]"
          "Tl2Policy::commit single-fence commit")
-
-reset_tree()
-mutate(src/libtm/LibTm.cpp "${SEQ_FENCE}" "")
-run_lint(libtm-fence-removed 1 "[O3]"
-         "LibTxn::commitOrThrow single-fence commit")
 
 reset_tree()
 mutate(src/engine/OrecEager.h "${SEQ_FENCE}" "")
@@ -96,10 +91,6 @@ set(RELEASE_FENCE "std::atomic_thread_fence(std::memory_order_release);")
 reset_tree()
 mutate(src/engine/Tl2.h "${RELEASE_FENCE}" "")
 run_lint(tl2-release-fence-removed 1 "[O1]" "stripeAt")
-
-reset_tree()
-mutate(src/libtm/LibTm.cpp "${RELEASE_FENCE}" "")
-run_lint(libtm-release-fence-removed 1 "[O1]" "meta")
 
 # Torn rollback: orec-eager's abort path restores the pre-lock orec word
 # after replaying the undo log; a relaxed restore lets a reader see the

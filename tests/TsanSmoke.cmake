@@ -25,7 +25,7 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BUILD_DIR}
           --target stats_test tl2_test minivector_test latency_histogram_test
-                   tmds_test engine_test shard_test
+                   tmds_test engine_test shard_test libtm_test
   RESULT_VARIABLE BuildRc)
 if(NOT BuildRc EQUAL 0)
   message(FATAL_ERROR "tsan sub-build compile failed (${BuildRc})")
@@ -53,6 +53,17 @@ execute_process(
   RESULT_VARIABLE Tl2Rc)
 if(NOT Tl2Rc EQUAL 0)
   message(FATAL_ERROR "tl2_test failed under tsan (${Tl2Rc})")
+endif()
+
+# LibTm's objects are TL2's multi-word snapshot: the payload words are
+# copied between two loads of the object's orec and published behind the
+# commit's release fence, so TSan sees torn-snapshot races directly.
+execute_process(
+  COMMAND ${BUILD_DIR}/tests/libtm_test
+          --gtest_filter=LibTmTest.SnapshotOfMultiWordObjectNeverTorn:LibTmTest.ConcurrentCountersLoseNoUpdates
+  RESULT_VARIABLE LibTmRc)
+if(NOT LibTmRc EQUAL 0)
+  message(FATAL_ERROR "libtm_test failed under tsan (${LibTmRc})")
 endif()
 
 # The transactional skiplist/B-tree publish pool-allocated nodes through

@@ -12,10 +12,11 @@
 /// and on the sharded tier (4 shards), orec-eager, TLRW and 2PL-undo —
 /// read-own-write, rollback on abort and on a foreign exception,
 /// read-only commit flagging, exactness under contention, and the
-/// gate/observer/contention-manager hook surface the family shares with
-/// LibTm. The differential fuzz matrix (tools/check_fuzz.cpp) is the
-/// deep conformance check; this file pins the per-engine semantics a
-/// fuzz failure would be hard to localize from.
+/// gate/observer/contention-manager hook surface the whole family,
+/// LibTm included, shares. The differential fuzz matrix
+/// (tools/check_fuzz.cpp) is the deep conformance check; this file pins
+/// the per-engine semantics a fuzz failure would be hard to localize
+/// from.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -477,17 +478,6 @@ TEST(EngineGuideTest, GuideControllerPlugsIntoEngineStm) {
 // the faults off, so detection is attributable to the injected bug.
 // ---------------------------------------------------------------------
 
-unsigned checkerViolations(FuzzBackend Backend, const FuzzConfig &Cfg,
-                           uint64_t MaxSeed, unsigned Enough) {
-  unsigned Violations = 0;
-  for (uint64_t Seed = 1; Seed <= MaxSeed && Violations < Enough; ++Seed) {
-    FuzzRunResult R = runFuzzIteration(Seed, Backend, Cfg);
-    if (R.Check.violation())
-      ++Violations;
-  }
-  return Violations;
-}
-
 TEST(EngineMutationSelfTest, CleanEnginesPassTheSameSeeds) {
   FuzzConfig Cfg;
   for (FuzzBackend B :
@@ -502,28 +492,28 @@ TEST(EngineMutationSelfTest, CleanEnginesPassTheSameSeeds) {
 TEST(EngineMutationSelfTest, SkippedUndoReplayIsCaughtOnOrecEager) {
   FuzzConfig Cfg;
   Cfg.Fault.SkipUndoReplay = true;
-  EXPECT_GE(checkerViolations(FuzzBackend::OrecEager, Cfg, 60, 3), 3u)
+  EXPECT_GE(checkerViolations(FuzzBackend::OrecEager, Cfg), 3u)
       << "checker failed to flag the skipped-undo-replay mutant";
 }
 
 TEST(EngineMutationSelfTest, SkippedUndoReplayIsCaughtOnTwoPl) {
   FuzzConfig Cfg;
   Cfg.Fault.SkipUndoReplay = true;
-  EXPECT_GE(checkerViolations(FuzzBackend::TwoPlUndo, Cfg, 60, 3), 3u)
+  EXPECT_GE(checkerViolations(FuzzBackend::TwoPlUndo, Cfg), 3u)
       << "checker failed to flag the skipped-undo-replay mutant";
 }
 
 TEST(EngineMutationSelfTest, SkippedReadValidationIsCaughtOnOrecEager) {
   FuzzConfig Cfg;
   Cfg.Fault.SkipReadValidation = true;
-  EXPECT_GE(checkerViolations(FuzzBackend::OrecEager, Cfg, 120, 3), 3u)
+  EXPECT_GE(checkerViolations(FuzzBackend::OrecEager, Cfg, 120), 3u)
       << "checker failed to flag the skipped-validation mutant";
 }
 
 TEST(EngineMutationSelfTest, SkippedReaderDrainIsCaughtOnTlrw) {
   FuzzConfig Cfg;
   Cfg.Fault.SkipReaderDrain = true;
-  EXPECT_GE(checkerViolations(FuzzBackend::Tlrw, Cfg, 120, 3), 3u)
+  EXPECT_GE(checkerViolations(FuzzBackend::Tlrw, Cfg, 120), 3u)
       << "checker failed to flag the skipped-reader-drain mutant";
 }
 

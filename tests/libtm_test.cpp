@@ -7,6 +7,7 @@
 
 #include "libtm/LibTm.h"
 
+#include "check/Fuzz.h"
 #include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
@@ -172,4 +173,21 @@ TEST(LibTmTest, ObserverSeesCommitsAndAborts) {
 
   EXPECT_EQ(Obs.Commits.load(), uint64_t{Threads} * 100);
   EXPECT_EQ(Obs.Aborts.load(), Tm.stats().aborts());
+}
+
+// LibTm runs the TL2 commit, so the TL2 mutants apply to it: the
+// checkers must flag each within 60 seeds (engine_fuzz_libtm proves the
+// same seeds pass without the fault).
+TEST(LibTmMutationSelfTest, SkippedReadValidationIsCaught) {
+  FuzzConfig Cfg;
+  Cfg.Fault.SkipReadValidation = true;
+  EXPECT_GE(checkerViolations(FuzzBackend::LibTm, Cfg), 3u)
+      << "checkers failed to flag the skipped object validation";
+}
+
+TEST(LibTmMutationSelfTest, TornVersionPublishIsCaught) {
+  FuzzConfig Cfg;
+  Cfg.Fault.TornVersionPublish = true;
+  EXPECT_GE(checkerViolations(FuzzBackend::LibTm, Cfg), 3u)
+      << "opacity checker failed to flag the torn object publish";
 }

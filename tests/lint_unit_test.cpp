@@ -184,7 +184,8 @@ TEST(LintPipeline, JsonReportShape) {
 
 TEST(LintProfiles, HandleTypeSelectsProfile) {
   EXPECT_STREQ(profileForHandleType("Tl2Txn").Name, "tl2");
-  EXPECT_STREQ(profileForHandleType("LibTxn").Name, "libtm");
+  EXPECT_STREQ(profileForHandleType("ShardedTxn").Name, "tl2");
+  EXPECT_STREQ(profileForHandleType("LibTxn").Name, "tl2");
   EXPECT_STREQ(profileForHandleType("OrecEagerTxn").Name, "orec-eager");
   EXPECT_STREQ(profileForHandleType("TlrwTxn").Name, "tlrw");
   EXPECT_STREQ(profileForHandleType("TwoPlTxn").Name, "2pl-undo");
@@ -435,9 +436,10 @@ TEST(LintSelfScan, EngineHeadersYieldRegions) {
 
 TEST(LintSelfScan, CommitPathContractsPresent) {
   // The store-buffering fence contracts (commit 5343567) must stay
-  // pinned to all three single-fence commit paths: three fence(seq_cst)
-  // contracts, the two publish() contracts and ByteLock's pair(), over
-  // the three seq_cst and two release fences of those commits.
+  // pinned to both single-fence commit paths, TL2's (flat, sharded and
+  // LibTm) and orec-eager's: two fence(seq_cst) contracts, the
+  // publish(stripeAt) contract and ByteLock's pair(), over the two
+  // seq_cst fences and TL2's writeback->publish release fence.
   std::vector<SourceFile> Files;
   std::string Error;
   ASSERT_TRUE(collectSources(GSTM_LINT_SOURCE_DIR,
@@ -446,8 +448,8 @@ TEST(LintSelfScan, CommitPathContractsPresent) {
       << Error;
   LintResult R = lintSources(Files);
   EXPECT_TRUE(R.clean()) << toText(R);
-  EXPECT_GE(R.Stats.OrderContracts, 6u);
-  EXPECT_GE(R.Stats.Fences, 5u);
+  EXPECT_EQ(R.Stats.OrderContracts, 4u);
+  EXPECT_EQ(R.Stats.Fences, 3u);
 }
 #endif // GSTM_LINT_SOURCE_DIR
 

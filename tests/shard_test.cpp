@@ -273,26 +273,15 @@ TEST(ShardFuzzTest, PlanPredictsCrossShardTraffic) {
   EXPECT_GT(Cross, 0u);
 }
 
-/// Checker violations among the first 60 seeds under \p Fault, stopping
-/// at 3 — the clean smoke above proves the same seeds pass without it.
-unsigned violationsUnder(const EngineFault &Fault) {
-  FuzzConfig Cfg;
-  Cfg.Fault = Fault;
-  unsigned Violations = 0;
-  for (uint64_t Seed = 1; Seed <= 60 && Violations < 3; ++Seed)
-    if (runFuzzIteration(Seed, FuzzBackend::Sharded, Cfg).Check.violation())
-      ++Violations;
-  return Violations;
-}
-
 // The fault tears the coordinated publish: every participating shard's
 // stripe versions go live at wv before any shard's data is written
 // back. The opacity checker must flag the resulting executions (stale
-// value under a fresh version / inconsistent snapshot).
+// value under a fresh version / inconsistent snapshot) within 60 seeds;
+// the clean smoke above proves the same seeds pass without the fault.
 TEST(ShardMutationSelfTest, TornCoordinatedPublishIsCaught) {
-  EngineFault Fault;
-  Fault.TornVersionPublish = true;
-  EXPECT_GE(violationsUnder(Fault), 3u)
+  FuzzConfig Cfg;
+  Cfg.Fault.TornVersionPublish = true;
+  EXPECT_GE(checkerViolations(FuzzBackend::Sharded, Cfg), 3u)
       << "opacity checker failed to flag the torn coordinated publish";
 }
 
@@ -300,9 +289,9 @@ TEST(ShardMutationSelfTest, TornCoordinatedPublishIsCaught) {
 // interleaved after an attempt's reads goes undetected, so lost updates
 // and stale reads enter committed state and the checkers must object.
 TEST(ShardMutationSelfTest, SkippedReadValidationIsCaught) {
-  EngineFault Fault;
-  Fault.SkipReadValidation = true;
-  EXPECT_GE(violationsUnder(Fault), 3u)
+  FuzzConfig Cfg;
+  Cfg.Fault.SkipReadValidation = true;
+  EXPECT_GE(checkerViolations(FuzzBackend::Sharded, Cfg), 3u)
       << "checkers failed to flag the skipped 2PC read validation";
 }
 

@@ -27,6 +27,7 @@
 #include "check/Fuzz.h"
 #include "check/TmdsFuzz.h"
 #include "shard/ShardConfig.h"
+#include "stm/StatsShard.h"
 #include "support/Options.h"
 
 #include <cstdio>
@@ -63,11 +64,11 @@ int main(int Argc, char **Argv) {
           {"smoke", "", "CI preset: 1024 seeds per backend"},
           {"verbose", "", "print every iteration, not just failures"},
           {"inject-skip-validation", "",
-           "fault injection: skip read validation, TL2 (flat or sharded) + "
-           "orec-eager (checkers must object)"},
+           "fault injection: skip read validation, TL2 (flat, sharded or "
+           "libtm) + orec-eager (checkers must object)"},
           {"inject-torn-publish", "",
-           "fault injection: publish torn versions, TL2 (flat or sharded) "
-           "(checkers must object)"},
+           "fault injection: publish torn versions, TL2 (flat, sharded or "
+           "libtm) (checkers must object)"},
           {"inject-skip-undo", "",
            "fault injection: skip undo replay on abort, orec-eager + "
            "2pl-undo (checkers must object)"},
