@@ -90,10 +90,10 @@ namespace {
 /// conflict: with disjoint data the only cross-thread writes the seed
 /// runtime performed were the two global commit/abort atomics, which is
 /// exactly the contention the sharded stats remove. Thread t maps to
-/// stats shard t.
-struct DisjointBenchState {
+/// stats shard t. The orec-eager rows below share it.
+template <typename StmT> struct DisjointBenchState {
   static constexpr size_t MaxThreads = 64;
-  Tl2Stm Stm;
+  StmT Stm;
   struct alignas(256) PaddedVar {
     TVar<uint64_t> Var;
   };
@@ -104,7 +104,7 @@ struct DisjointBenchState {
 } // namespace
 
 static void BM_Tl2DisjointWriteTxn(benchmark::State &State) {
-  static DisjointBenchState G; // magic static: thread-safe construction
+  static DisjointBenchState<Tl2Stm> G; // magic static: thread-safe init
   auto Thread = static_cast<ThreadId>(State.thread_index());
   Tl2Txn Txn(G.Stm, Thread);
   TVar<uint64_t> &Mine = G.Vars[State.thread_index()].Var;
@@ -119,7 +119,7 @@ BENCHMARK(BM_Tl2DisjointWriteTxn)
     ->UseRealTime();
 
 static void BM_Tl2DisjointReadOnlyTxn(benchmark::State &State) {
-  static DisjointBenchState G;
+  static DisjointBenchState<Tl2Stm> G;
   auto Thread = static_cast<ThreadId>(State.thread_index());
   Tl2Txn Txn(G.Stm, Thread);
   TVar<uint64_t> &Mine = G.Vars[State.thread_index()].Var;
@@ -199,107 +199,45 @@ static void BM_Tl2RwAccessObserverAttached(benchmark::State &State) {
 }
 BENCHMARK(BM_Tl2RwAccessObserverAttached);
 
-namespace {
-
-/// Templated bodies for the policy-engine family (src/engine): the same
-/// three shapes for every policy — read-only txn, single-location RMW,
-/// and disjoint contended RMW — so the snapshot records one median per
-/// engine per shape and the engines stay comparable against the TL2
-/// rows above. Per-engine wrapper functions (not BENCHMARK_TEMPLATE)
-/// keep the reported names free of template syntax, which is what the
-/// bench_runner ingestion flattens into snapshot keys.
-template <typename Policy>
-void engineReadOnlyTxn(benchmark::State &State) {
-  EngineStm<Policy> Stm;
+// orec-eager, the chassis's in-place policy, in the shapes of the TL2
+// rows above — read-only txn, single-location RMW and disjoint contended
+// RMW — so the snapshot keeps the lazy-vs-eager pair side by side.
+static void BM_OrecEagerReadOnlyTxn(benchmark::State &State) {
+  OrecEagerStm Stm;
   TVar<uint64_t> X{42};
-  EngineTxn<Policy> Txn(Stm, 0);
+  OrecEagerTxn Txn(Stm, 0);
   for (auto _ : State) {
     uint64_t V = 0;
-    Txn.run(1, [&](EngineTxn<Policy> &Tx) { V = Tx.load(X); });
+    Txn.run(1, [&](OrecEagerTxn &Tx) { V = Tx.load(X); });
     benchmark::DoNotOptimize(V);
   }
 }
+BENCHMARK(BM_OrecEagerReadOnlyTxn);
 
-template <typename Policy>
-void engineWriteTxn(benchmark::State &State) {
-  EngineStm<Policy> Stm;
+static void BM_OrecEagerWriteTxn(benchmark::State &State) {
+  OrecEagerStm Stm;
   TVar<uint64_t> X{0};
-  EngineTxn<Policy> Txn(Stm, 0);
+  OrecEagerTxn Txn(Stm, 0);
   for (auto _ : State)
-    Txn.run(1, [&](EngineTxn<Policy> &Tx) {
-      Tx.store(X, Tx.load(X) + 1);
-    });
+    Txn.run(1, [&](OrecEagerTxn &Tx) { Tx.store(X, Tx.load(X) + 1); });
 }
+BENCHMARK(BM_OrecEagerWriteTxn);
 
-/// Engine twin of DisjointBenchState: per-thread padded TVars on one
-/// shared engine instance, so the multi-threaded rows measure lock-table
-/// and clock traffic, not data conflicts.
-template <typename Policy> struct EngineDisjointState {
-  static constexpr size_t MaxThreads = 64;
-  EngineStm<Policy> Stm;
-  struct alignas(256) PaddedVar {
-    TVar<uint64_t> Var;
-  };
-  std::vector<PaddedVar> Vars;
-  EngineDisjointState() : Vars(MaxThreads) {}
-};
-
-template <typename Policy>
-void engineDisjointWriteTxn(benchmark::State &State) {
-  static EngineDisjointState<Policy> G; // magic static, see above
+static void BM_OrecEagerDisjointWriteTxn(benchmark::State &State) {
+  static DisjointBenchState<OrecEagerStm> G;
   auto Thread = static_cast<ThreadId>(State.thread_index());
-  EngineTxn<Policy> Txn(G.Stm, Thread);
+  OrecEagerTxn Txn(G.Stm, Thread);
   TVar<uint64_t> &Mine = G.Vars[State.thread_index()].Var;
   for (auto _ : State)
-    Txn.run(1, [&](EngineTxn<Policy> &Tx) {
+    Txn.run(1, [&](OrecEagerTxn &Tx) {
       Tx.store(Mine, Tx.load(Mine) + 1);
     });
   State.SetItemsProcessed(State.iterations());
-}
-
-} // namespace
-
-static void BM_OrecEagerReadOnlyTxn(benchmark::State &State) {
-  engineReadOnlyTxn<OrecEagerPolicy>(State);
-}
-BENCHMARK(BM_OrecEagerReadOnlyTxn);
-static void BM_OrecEagerWriteTxn(benchmark::State &State) {
-  engineWriteTxn<OrecEagerPolicy>(State);
-}
-BENCHMARK(BM_OrecEagerWriteTxn);
-static void BM_OrecEagerDisjointWriteTxn(benchmark::State &State) {
-  engineDisjointWriteTxn<OrecEagerPolicy>(State);
 }
 BENCHMARK(BM_OrecEagerDisjointWriteTxn)
     ->Threads(1)
     ->Threads(8)
     ->UseRealTime();
-
-static void BM_TlrwReadOnlyTxn(benchmark::State &State) {
-  engineReadOnlyTxn<TlrwPolicy>(State);
-}
-BENCHMARK(BM_TlrwReadOnlyTxn);
-static void BM_TlrwWriteTxn(benchmark::State &State) {
-  engineWriteTxn<TlrwPolicy>(State);
-}
-BENCHMARK(BM_TlrwWriteTxn);
-static void BM_TlrwDisjointWriteTxn(benchmark::State &State) {
-  engineDisjointWriteTxn<TlrwPolicy>(State);
-}
-BENCHMARK(BM_TlrwDisjointWriteTxn)->Threads(1)->Threads(8)->UseRealTime();
-
-static void BM_TwoPlReadOnlyTxn(benchmark::State &State) {
-  engineReadOnlyTxn<TwoPlPolicy>(State);
-}
-BENCHMARK(BM_TwoPlReadOnlyTxn);
-static void BM_TwoPlWriteTxn(benchmark::State &State) {
-  engineWriteTxn<TwoPlPolicy>(State);
-}
-BENCHMARK(BM_TwoPlWriteTxn);
-static void BM_TwoPlDisjointWriteTxn(benchmark::State &State) {
-  engineDisjointWriteTxn<TwoPlPolicy>(State);
-}
-BENCHMARK(BM_TwoPlDisjointWriteTxn)->Threads(1)->Threads(8)->UseRealTime();
 
 static void BM_GatePolicyLookup(benchmark::State &State) {
   // Cost of one gate check against a compiled policy (the hot-path add-on

@@ -507,25 +507,3 @@ bool gstm::lockTableQuiescent(LockTable &Locks, std::string *Why) {
   }
   return true;
 }
-
-bool gstm::byteLockTableQuiescent(ByteLockTable &Locks, std::string *Why) {
-  for (size_t I = 0, E = Locks.size(); I != E; ++I) {
-    ByteLock &L = Locks.lockAt(I);
-    uint64_t Owner = L.Owner.load(std::memory_order_acquire);
-    if (Owner != 0) {
-      if (Why)
-        *Why = "bytelock " + std::to_string(I) +
-               " still write-owned at quiescence (owner word " +
-               std::to_string(Owner) + ")";
-      return false;
-    }
-    for (size_t Slot = 0; Slot < ByteLock::MaxReaderSlots; ++Slot)
-      if (L.Readers[Slot].load(std::memory_order_acquire) != 0) {
-        if (Why)
-          *Why = "bytelock " + std::to_string(I) + " reader byte " +
-                 std::to_string(Slot) + " still set at quiescence";
-        return false;
-      }
-  }
-  return true;
-}

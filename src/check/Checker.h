@@ -39,7 +39,6 @@
 #define GSTM_CHECK_CHECKER_H
 
 #include "check/History.h"
-#include "engine/ByteLock.h"
 #include "stm/LockTable.h"
 
 #include <cstdint>
@@ -107,13 +106,6 @@ CheckResult checkAll(const History &H,
 /// all workers have joined. \p Why receives the offending stripe on
 /// failure when non-null.
 bool lockTableQuiescent(LockTable &Locks, std::string *Why = nullptr);
-
-/// ByteLock analogue for the TLRW engine family member: no entry may
-/// still carry an Owner word or a set reader byte once all workers have
-/// joined (a leaked reader byte is residue too — it would stall every
-/// later writer's drain).
-bool byteLockTableQuiescent(ByteLockTable &Locks,
-                            std::string *Why = nullptr);
 
 } // namespace gstm
 

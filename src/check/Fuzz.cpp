@@ -31,10 +31,6 @@ const char *gstm::fuzzBackendName(FuzzBackend B) {
     return "libtm";
   case FuzzBackend::OrecEager:
     return OrecEagerPolicy::Name;
-  case FuzzBackend::Tlrw:
-    return TlrwPolicy::Name;
-  case FuzzBackend::TwoPlUndo:
-    return TwoPlPolicy::Name;
   case FuzzBackend::Sharded:
     return ShardBackend::Name;
   case FuzzBackend::Reference:
@@ -274,8 +270,8 @@ template <typename Plan> size_t plannedCommits(const Plan &P) {
 }
 
 /// Runtime configuration of backend \p B from the run knobs. Tables are
-/// small (2^10 stripes or entries, per shard on the sharded tier): the
-/// aliasing pressure is deliberate. LibTm has no table to size.
+/// small (2^10 stripes, per shard on the sharded tier): the aliasing
+/// pressure is deliberate. LibTm has no table to size.
 template <typename B> auto runtimeConfig(const FuzzRunConfig &Cfg) {
   EngineConfig C;
   C.PreemptShift = Cfg.PreemptShift;
@@ -292,27 +288,19 @@ template <typename B> auto runtimeConfig(const FuzzRunConfig &Cfg) {
   }
 }
 
-std::string tableResidue(LockTable &Locks) {
-  std::string Why;
-  lockTableQuiescent(Locks, &Why);
-  return Why;
-}
-std::string tableResidue(ByteLockTable &Locks) {
-  std::string Why;
-  byteLockTableQuiescent(Locks, &Why);
-  return Why;
-}
-
-/// Lock residue after the workers joined, probed over the whole table
-/// the runtime keeps (stripe words or byte locks) or — LibTm keeps its
-/// locks inside the objects — every object the workload owns.
+/// Lock residue after the workers joined, probed over the whole stripe
+/// table the runtime keeps or — LibTm keeps its locks inside the
+/// objects — every object the workload owns.
 template <typename B, typename W>
 std::string residueOf(typename B::Stm &Stm, const W &Work) {
-  if constexpr (std::is_same_v<B, LibTmBackend>)
-    return Work.anyCellLocked(Stm) ? "an object is still locked at quiescence"
-                                   : "";
-  else
-    return tableResidue(Stm.lockTable());
+  std::string Why;
+  if constexpr (std::is_same_v<B, LibTmBackend>) {
+    if (Work.anyCellLocked(Stm))
+      Why = "an object is still locked at quiescence";
+  } else {
+    lockTableQuiescent(Stm.lockTable(), &Why);
+  }
+  return Why;
 }
 
 /// What a run leaves to judge besides its history and final contents.
@@ -510,10 +498,6 @@ FuzzRunResult runPlan(const Plan &P, uint64_t Seed, FuzzBackend Backend,
     return runOn<LibTmBackend, W>(P, Seed, Cfg);
   case FuzzBackend::OrecEager:
     return runOn<OrecEagerBackend, W>(P, Seed, Cfg);
-  case FuzzBackend::Tlrw:
-    return runOn<TlrwBackend, W>(P, Seed, Cfg);
-  case FuzzBackend::TwoPlUndo:
-    return runOn<TwoPlBackend, W>(P, Seed, Cfg);
   case FuzzBackend::Sharded:
     return runOn<ShardBackend, W>(P, Seed, Cfg);
   case FuzzBackend::Reference:

@@ -8,9 +8,9 @@
 /// \file
 /// Seeded, reproducible STM fuzzing over one matrix: every workload runs
 /// under every backend through one run skeleton. A seed expands into a
-/// plan, which runs under any backend (TL2, LibTm, the three
-/// policy-templated engines from src/engine, TL2 on the sharded tier's
-/// partitioned orecs, and a serial reference) with schedule perturbation
+/// plan, which runs under any backend (TL2 on its flat, object (LibTm)
+/// and sharded runtimes, orec-eager from src/engine, and a serial
+/// reference) with schedule perturbation
 /// and full history recording. Two workloads exist:
 ///
 ///  * rmw (FuzzConfig, makeFuzzPlan): read-modify-write transactions over
@@ -57,13 +57,9 @@ enum class FuzzBackend : uint8_t {
   Tl2Lazy,
   /// Object-based LibTm, one TObj per cell.
   LibTm,
-  /// Policy-templated engines (src/engine): orec-based encounter-time
-  /// locking with undo log and commit-time read validation,
+  /// orec-eager (src/engine): orec-based encounter-time locking with
+  /// undo log and commit-time read validation.
   OrecEager,
-  /// TLRW-style visible-reader bytelocks (no commit validation),
-  Tlrw,
-  /// and no-wait strict two-phase locking over the stripe table.
-  TwoPlUndo,
   /// TL2 on the sharded tier (shard/Sharded.h): FuzzRunConfig::ShardCount
   /// orec partitions with cross-shard 2PC.
   Sharded,
@@ -79,13 +75,11 @@ const char *fuzzBackendName(FuzzBackend B);
 /// Inverse of fuzzBackendName; returns false when \p Name is unknown.
 bool fuzzBackendFromName(const std::string &Name, FuzzBackend &Out);
 
-/// Every backend, in fuzzBackendName order: flat TL2, LibTm, the three
-/// in-place chassis policies, TL2 on the sharded tier, and the serial
-/// reference.
+/// Every backend, in fuzzBackendName order: flat TL2, LibTm, orec-eager,
+/// TL2 on the sharded tier, and the serial reference.
 inline constexpr FuzzBackend AllFuzzBackends[] = {
-    FuzzBackend::Tl2Lazy,   FuzzBackend::LibTm,   FuzzBackend::OrecEager,
-    FuzzBackend::Tlrw,      FuzzBackend::TwoPlUndo, FuzzBackend::Sharded,
-    FuzzBackend::Reference};
+    FuzzBackend::Tl2Lazy, FuzzBackend::LibTm, FuzzBackend::OrecEager,
+    FuzzBackend::Sharded, FuzzBackend::Reference};
 
 /// Knobs of a run that do not shape the plan: runtime construction,
 /// perturbation, fault injection and the checkers. Both workload configs

@@ -28,6 +28,7 @@
 #include "support/Ids.h"
 #include "support/SplitMix64.h"
 
+#include <cassert>
 #include <thread>
 #include <vector>
 
@@ -37,13 +38,15 @@ namespace gstm {
 /// downstream TxAccessObserver.
 class SchedulePerturber : public TxAccessObserver {
 public:
-  /// Each access yields with probability 2^-YieldShift; per-thread RNG
-  /// streams are derived from \p Seed so a seed fully determines where
-  /// the kicks land (modulo OS scheduling).
+  /// Each access yields with probability 2^-YieldShift, YieldShift in
+  /// [0, 63]; per-thread RNG streams are derived from \p Seed so a seed
+  /// fully determines where the kicks land (modulo OS scheduling).
   SchedulePerturber(unsigned NumThreads, uint64_t Seed,
                     TxAccessObserver *Next = nullptr,
                     unsigned YieldShift = 2)
-      : Next(Next), Mask((uint64_t{1} << YieldShift) - 1) {
+      : Next(Next) {
+    assert(YieldShift < 64 && "YieldShift must be in [0, 63]");
+    Mask = (uint64_t{1} << YieldShift) - 1;
     Streams.reserve(NumThreads);
     SplitMix64 Root(Seed ^ 0x5bf03635d1a2b1ffULL);
     for (unsigned I = 0; I < NumThreads; ++I)

@@ -11,24 +11,23 @@
 /// descriptor gluing the retry loop, the shared undo log, begin, typed
 /// access, abort attribution and outcome reporting to the policy's
 /// algorithm. `Runtime` owns the shared state and the orec layout; it
-/// defaults to `EngineStm<Policy>` — version clock, one lock table (the
-/// policy picks the type), commit ring, observer/gate/contention-manager
-/// hooks, sharded stats. TL2 has two more layouts: the sharded tier's
-/// ShardedStm (shard/Sharded.h) partitions the table, and LibTm
+/// defaults to `EngineStm<Policy>` — version clock, one LockTable of
+/// 2^DefaultStripeBits stripes, commit ring, observer/gate/contention-
+/// manager hooks, sharded stats. TL2 has two more layouts: the sharded
+/// tier's ShardedStm (shard/Sharded.h) partitions the table, and LibTm
 /// (libtm/LibTm.h) is EngineStm over the orecs inside each object. A
 /// policy contributes exactly the algorithm:
 ///
-///   using Table = LockTable | ByteLockTable;
 ///   static constexpr const char *Name;
-///   static constexpr unsigned DefaultTableBits;
 ///   struct TxnState { void clear(); size_t opens() const; ... };
 ///   static load(TxnT&, Word) -> u64;  // transactional read
 ///   static store(TxnT&, Word, u64);   // transactional write
 ///   static commit(TxnT&) -> u64;      // wv, or 0 for read-only
 ///   static onAbortCleanup(TxnT&);     // undo replay + lock release
 ///
-/// Four policies exist: TL2 (engine/Tl2.h, buffered writes), orec-eager,
-/// tlrw and 2pl-undo (in place, with the undo log). Policies never talk
+/// Two policies exist: TL2 (engine/Tl2.h, buffered writes) and
+/// orec-eager (engine/OrecEager.h, in place, with the undo log), the
+/// paper's lazy-vs-eager pair. Policies never talk
 /// to StatsShard, TxEventObserver or the contention manager directly —
 /// the chassis owns event reporting, so telemetry, GuideController
 /// gating, fault attribution through the CommitRing, and the
@@ -56,7 +55,6 @@
 #ifndef GSTM_ENGINE_CORE_H
 #define GSTM_ENGINE_CORE_H
 
-#include "engine/ByteLock.h"
 #include "engine/TxnExecutor.h"
 #include "stm/CommitRing.h"
 #include "stm/Contention.h"
@@ -70,6 +68,7 @@
 #include "support/PtrIndexMap.h"
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -84,8 +83,7 @@ inline uint64_t filterSignature(const void *Addr) {
   return uint64_t{1} << ((Key * 0x9e3779b97f4a7c15ULL) >> 58);
 }
 
-template <typename Policy, typename TableT = typename Policy::Table>
-class EngineStm;
+template <typename Policy, typename TableT = LockTable> class EngineStm;
 template <typename Policy, typename Runtime = EngineStm<Policy>>
 class EngineTxn;
 template <typename T> class TObj; // libtm/LibTm.h
@@ -93,16 +91,17 @@ template <typename T> class TObj; // libtm/LibTm.h
 /// One engine-family runtime instance over a flat table: shared state
 /// plus the instrumentation hooks (TxHooks), so GuideController,
 /// StatsShard export, and the check harness plug in unchanged. The table
-/// is the policy's, or for LibTm the objects' own orecs.
+/// is a LockTable, or for LibTm the objects' own orecs.
 template <typename Policy, typename TableT>
 class EngineStm : public TxHooks {
 public:
   using Table = TableT;
+  /// log2 of the stripe count when EngineConfig::TableBits is 0.
+  static constexpr unsigned DefaultStripeBits = 20;
 
   explicit EngineStm(const EngineConfig &Config = EngineConfig())
       : Cfg(Config),
-        Locks(Config.TableBits ? Config.TableBits
-                               : Policy::DefaultTableBits),
+        Locks(Config.TableBits ? Config.TableBits : DefaultStripeBits),
         Ring(Config.CommitRingBits) {}
 
   EngineStm(const EngineStm &) = delete;
@@ -322,9 +321,6 @@ public:
   [[noreturn]] void abortOnVersion(uint64_t Version,
                                    const std::atomic<uint64_t> *Stripe,
                                    AbortSite Site);
-  /// Abort with no attributable enemy (e.g. a TLRW writer timing out on
-  /// anonymous reader bytes).
-  [[noreturn]] void abortUnknown(AbortSite Site);
 
   /// Observer and stats shorthands for policies (single null test, as
   /// the TxAccessObserver contract requires).
@@ -365,6 +361,7 @@ private:
     unsigned Shift = S.config().PreemptShift;
     if (Shift == 0)
       return;
+    assert(Shift < 64 && "PreemptShift must be in [0, 63]");
     PreemptLcg = PreemptLcg * 6364136223846793005ULL +
                  1442695040888963407ULL;
     if (((PreemptLcg >> 33) & ((uint64_t{1} << Shift) - 1)) == 0)
@@ -470,13 +467,6 @@ void EngineTxn<Policy, Runtime>::abortOnVersion(
   reportAbortAndThrow(AbortEvent{Thread, CurrentTx,
                                  AbortCauseKind::UnknownCommitter,
                                  /*Cause=*/0, Version, Site});
-}
-
-template <typename Policy, typename Runtime>
-void EngineTxn<Policy, Runtime>::abortUnknown(AbortSite Site) {
-  reportAbortAndThrow(AbortEvent{Thread, CurrentTx,
-                                 AbortCauseKind::UnknownCommitter,
-                                 /*Cause=*/0, /*CauseVersion=*/0, Site});
 }
 
 template <typename Policy, typename Runtime>

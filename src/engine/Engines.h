@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Umbrella header for the word-STM engine family: include this to get
-/// every policy on the chassis — TL2, orec-eager, tlrw and 2pl-undo. The
-/// sharded tier (src/shard) and LibTm (src/libtm) run the TL2 policy on
-/// their own runtimes, over partitioned stripes and per-object orecs; see
+/// both policies on the chassis — TL2 (lazy, commit-time locking) and
+/// orec-eager (encounter-time locking, in place). The sharded tier
+/// (src/shard) and LibTm (src/libtm) run the TL2 policy on their own
+/// runtimes, over partitioned stripes and per-object orecs; see
 /// DESIGN.md §4i for the full matrix.
 ///
 //===----------------------------------------------------------------------===//
@@ -19,7 +20,5 @@
 
 #include "engine/OrecEager.h"
 #include "engine/Tl2.h"
-#include "engine/Tlrw.h"
-#include "engine/TwoPl.h"
 
 #endif // GSTM_ENGINE_ENGINES_H

@@ -39,9 +39,7 @@
 namespace gstm {
 
 struct OrecEagerPolicy {
-  using Table = LockTable;
   static constexpr const char *Name = "orec-eager";
-  static constexpr unsigned DefaultTableBits = 20;
 
   /// An orec this attempt locked at encounter time, with its pre-lock
   /// word for release-on-abort and self-read validation.

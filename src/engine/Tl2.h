@@ -69,9 +69,7 @@
 namespace gstm {
 
 struct Tl2Policy {
-  using Table = LockTable;
   static constexpr const char *Name = "tl2";
-  static constexpr unsigned DefaultTableBits = 20;
 
   struct WriteEntry {
     std::atomic<uint64_t> *Addr;

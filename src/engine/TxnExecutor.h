@@ -31,8 +31,7 @@ struct EngineFault {
   /// TL2 (flat, sharded and LibTm) and orec-eager: commit skips read-set
   /// validation — a commit that interleaved after this attempt's reads
   /// goes undetected (lost updates, stale reads entering committed
-  /// state). The pessimistic engines (tlrw, 2pl-undo) have no validation
-  /// step to skip: their reads are protected by held locks.
+  /// state).
   bool SkipReadValidation = false;
   /// TL2: publish the new stripe versions (releasing the commit locks)
   /// before writing the write set back, so readers can validate a stripe
@@ -40,22 +39,18 @@ struct EngineFault {
   /// sharded tier this tears every participating shard of a 2PC commit,
   /// on LibTm every written object.
   bool TornVersionPublish = false;
-  /// Undo-log engines (orec-eager, 2pl-undo): an aborting attempt leaves
-  /// its in-place writes behind — uncommitted state becomes visible to
+  /// orec-eager, the undo-log engine: an aborting attempt leaves its
+  /// in-place writes behind — uncommitted state becomes visible to
   /// everyone (dirty reads, phantom final state).
   bool SkipUndoReplay = false;
-  /// TLRW: a writer stops draining reader bytes before writing in place —
-  /// live readers observe torn snapshots under an unchanged version.
-  bool SkipReaderDrain = false;
 };
 
 /// Construction-time configuration of every runtime: the flat engine
 /// family (TL2 included), LibTm, and — through ShardConfig — the sharded
 /// tier. LibTm keeps its locks in its objects, so it has no table to size.
 struct EngineConfig {
-  /// log2 of the lock-table size; 0 = the runtime's default (2^20 TL2 and
-  /// orec stripes, 2^16 TLRW byte locks, which are 16x a stripe word, and
-  /// 2^18 stripes per shard on the sharded tier).
+  /// log2 of the lock-table size; 0 = the runtime's default (2^20
+  /// stripes on the flat table, 2^18 per shard on the sharded tier).
   unsigned TableBits = 0;
   /// log2 of the commit-ring slots (one ring per shard when sharded).
   unsigned CommitRingBits = 13;
@@ -65,7 +60,8 @@ struct EngineConfig {
   /// back-to-back within a scheduling quantum and almost never overlap,
   /// which would suppress the conflicts/aborts whose non-determinism the
   /// paper studies; random yield points restore multicore-like
-  /// interleaving density (see DESIGN.md, substitutions). 0 = off.
+  /// interleaving density (see DESIGN.md, substitutions). 0 = off;
+  /// at most 63.
   unsigned PreemptShift = 0;
   /// When true, every attempt's wall-clock latency is accumulated into
   /// the per-thread stats shard (two steady_clock reads per attempt).

@@ -53,7 +53,7 @@
 /// and publishes never straddle a lambda boundary.
 ///
 /// Violations feed the same suppression (`// stm-lint: allow(O1) why`),
-/// baseline, and SARIF machinery as R1–R6.
+/// baseline, and SARIF machinery as R1–R5.
 ///
 //===----------------------------------------------------------------------===//
 

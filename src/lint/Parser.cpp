@@ -25,8 +25,7 @@ bool gstm::lint::isTxnHandleType(std::string_view TypeName) {
   // tier's and LibTm's orecs.
   return TypeName == "Tl2Txn" || TypeName == "ShardedTxn" ||
          TypeName == "LibTxn" || TypeName == "Txn" ||
-         TypeName == "OrecEagerTxn" || TypeName == "TlrwTxn" ||
-         TypeName == "TwoPlTxn" || TypeName == "EngineTxn";
+         TypeName == "OrecEagerTxn" || TypeName == "EngineTxn";
 }
 
 namespace {

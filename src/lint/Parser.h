@@ -44,7 +44,7 @@ struct FunctionDef {
                             ///< out-of-class with a Class:: qualifier
   bool HasTxnParam = false; ///< takes a Tl2Txn&/LibTxn& style parameter
   std::string_view Handle;  ///< the handle parameter's name, if any
-  /// The handle parameter's type name ("Tl2Txn", "TlrwTxn", ...; a
+  /// The handle parameter's type name ("Tl2Txn", "OrecEagerTxn", ...; a
   /// template-parameter name like "TxnT" for the policy statics).
   /// Selects the engine rule profile (lint/Rules.h).
   std::string_view HandleType;

@@ -25,8 +25,6 @@ const char *gstm::lint::ruleId(Rule R) {
     return "R4";
   case Rule::UnsafeCallee:
     return "R5";
-  case Rule::UpgradeHazard:
-    return "R6";
   case Rule::BadSuppression:
     return "S1";
   case Rule::TornPublish:
@@ -55,10 +53,6 @@ const char *gstm::lint::ruleHint(Rule R) {
   case Rule::UnsafeCallee:
     return "make the callee transaction-safe, or pass the txn handle so "
            "it is checked as transactional context";
-  case Rule::UpgradeHazard:
-    return "write the location before reading it back, or run the body "
-           "on an engine whose reads already take exclusive locks "
-           "(2pl-undo)";
   case Rule::BadSuppression:
     return "write `// stm-lint: allow(<rule>) <why this is safe>`";
   case Rule::TornPublish:
@@ -77,9 +71,8 @@ const char *gstm::lint::ruleHint(Rule R) {
 bool gstm::lint::ruleFromId(std::string_view Id, Rule &Out) {
   for (Rule R :
        {Rule::NakedAccess, Rule::Irrevocable, Rule::NonDeterminism,
-        Rule::HandleEscape, Rule::UnsafeCallee, Rule::UpgradeHazard,
-        Rule::BadSuppression, Rule::TornPublish, Rule::AcquireRelease,
-        Rule::FenceContract}) {
+        Rule::HandleEscape, Rule::UnsafeCallee, Rule::BadSuppression,
+        Rule::TornPublish, Rule::AcquireRelease, Rule::FenceContract}) {
     if (Id == ruleId(R)) {
       Out = R;
       return true;
@@ -93,19 +86,14 @@ gstm::lint::profileForHandleType(std::string_view HandleType) {
   // A user exception leaving a body aborts the attempt on every engine
   // (the executor rolls back, then rethrows), so no profile treats
   // `throw` as irrevocable.
-  static const RuleProfile Generic{"generic", true, true, false};
-  static const RuleProfile Tl2{"tl2", true, true, false};
-  static const RuleProfile OrecEager{"orec-eager", true, true, false};
-  static const RuleProfile TwoPl{"2pl-undo", true, true, false};
-  // TLRW's visible reader bytes make read→write upgrades an abort-storm
-  // hazard (two readers of the same entry can never both upgrade): R6.
-  static const RuleProfile Tlrw{"tlrw", true, true, true};
+  static const RuleProfile Generic{"generic", true, true};
+  static const RuleProfile Tl2{"tl2", true, true};
+  static const RuleProfile OrecEager{"orec-eager", true, true};
   // Policy statics taking a template-parameter handle (`TxnT &Tx`): the
   // body *is* the engine. Raw atomics and runtime-machinery calls are
   // the point (the ordering pass owns their discipline), but R2/R3/R4
   // still apply — engines must not allocate, block, or stash handles.
-  static const RuleProfile EngineInternal{"engine-internal", false, false,
-                                          false};
+  static const RuleProfile EngineInternal{"engine-internal", false, false};
 
   // ShardedTxn and LibTxn are the same TL2 descriptor over partitioned
   // and per-object orecs.
@@ -114,10 +102,6 @@ gstm::lint::profileForHandleType(std::string_view HandleType) {
     return Tl2;
   if (HandleType == "OrecEagerTxn")
     return OrecEager;
-  if (HandleType == "TlrwTxn")
-    return Tlrw;
-  if (HandleType == "TwoPlTxn")
-    return TwoPl;
   if (HandleType == "Txn" || HandleType == "EngineTxn" ||
       HandleType.empty())
     return Generic;
@@ -142,15 +126,6 @@ bool isAtomicAccessMethod(std::string_view N) {
                    "test_and_set", "loadDirect", "storeDirect", "loadWord",
                    "storeWord", "read", "write"},
                   N);
-}
-
-/// R6: handle methods that read a location (and, on visible-reader
-/// engines, leave a shared lock behind) vs. methods that write one.
-bool isHandleReadMethod(std::string_view N) {
-  return contains({"load", "read", "loadWord"}, N);
-}
-bool isHandleWriteMethod(std::string_view N) {
-  return contains({"store", "write", "storeWord"}, N);
 }
 
 /// R2: allocation / I/O / process-control calls that cannot be rolled
@@ -217,9 +192,8 @@ bool isStdQualifier(std::string_view N) {
 }
 
 /// Scans one body as a sequence of statements: tracks handle aliases
-/// declared earlier in the body, the locations the handle has read
-/// (for R6), and applies the token-level checks for R1–R4 and R6 under
-/// the body's engine profile.
+/// declared earlier in the body and applies the token-level checks for
+/// R1–R4 under the body's engine profile.
 class RangeScanner {
 public:
   RangeScanner(const std::vector<Token> &T, size_t Begin, size_t End,
@@ -355,9 +329,7 @@ private:
       Receiver = at(I - 2).Text;
 
     if (isAtomicAccessMethod(N) && Method) {
-      if (isHandle(Receiver)) {
-        checkUpgradeHazard(I, N);
-      } else if (Profile.CheckNakedAccess) {
+      if (!isHandle(Receiver) && Profile.CheckNakedAccess) {
         std::string Recv =
             Receiver.empty() ? std::string("<expr>") : std::string(Receiver);
         report(Rule::NakedAccess, Tk.Line,
@@ -402,61 +374,6 @@ private:
     }
 
     recordCallSite(I, N, Method, Receiver);
-  }
-
-  /// First argument of the call whose '(' is at \p LParen, normalized to
-  /// the concatenation of its token texts (so `Arr [ i ]` and `Arr[i]`
-  /// compare equal regardless of spacing).
-  std::string firstArgKey(size_t LParen) const {
-    std::string Key;
-    int Depth = 0;
-    for (size_t J = LParen; J < End && J < T.size(); ++J) {
-      if (at(J).isPunct("(") || at(J).isPunct("[") || at(J).isPunct("{")) {
-        if (++Depth == 1)
-          continue;
-      } else if (at(J).isPunct(")") || at(J).isPunct("]") ||
-                 at(J).isPunct("}")) {
-        if (--Depth == 0)
-          break;
-      } else if (Depth == 1 && at(J).isPunct(",")) {
-        break;
-      }
-      if (Depth >= 1)
-        Key += at(J).Text;
-    }
-    return Key;
-  }
-
-  /// R6: on visible-reader engines, a handle write to a location the
-  /// body has already read through the handle upgrades the read lock
-  /// the read left behind — two transactions doing the same thing can
-  /// never both upgrade, so the pattern degenerates into abort storms.
-  /// Reads are tracked in statement order; a nested
-  /// `Tx.store(X, Tx.load(X) + 1)` is a single expression whose store
-  /// token precedes its load and is deliberately not flagged.
-  void checkUpgradeHazard(size_t I, std::string_view N) {
-    if (isHandleReadMethod(N)) {
-      std::string Key = firstArgKey(I + 1);
-      if (!Key.empty() &&
-          std::none_of(ReadLocs.begin(), ReadLocs.end(),
-                       [&](const auto &P) { return P.first == Key; }))
-        ReadLocs.emplace_back(std::move(Key), T[I].Line);
-      return;
-    }
-    if (!Profile.UpgradeHazard || !isHandleWriteMethod(N))
-      return;
-    std::string Key = firstArgKey(I + 1);
-    for (const auto &[Loc, Line] : ReadLocs) {
-      if (Loc != Key)
-        continue;
-      report(Rule::UpgradeHazard, T[I].Line,
-             "write to '" + Key + "' upgrades the shared read lock " +
-                 "taken by the read at line " + std::to_string(Line) +
-                 " ('" + Profile.Name +
-                 "' takes visible reader locks; concurrent upgraders "
-                 "abort-storm)");
-      return;
-    }
   }
 
   void recordCallSite(size_t I, std::string_view N, bool Method,
@@ -553,8 +470,6 @@ private:
   const SkipRanges &Skip;
   /// Reference aliases of the handle, in declaration order.
   std::vector<std::string_view> Aliases;
-  /// Locations read through the handle: (normalized first-arg, line).
-  std::vector<std::pair<std::string, uint32_t>> ReadLocs;
   ScanResult Out;
 };
 

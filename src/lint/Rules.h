@@ -21,11 +21,7 @@
 ///                              through a tracked `auto &Alias = Tx;`)
 ///   R5 unsafe callee         — calling a function that (transitively)
 ///                              trips R1–R4, without passing the handle
-///   R6 upgrade hazard        — writing a location the body already read
-///                              through the handle, on engines where the
-///                              read took a shared lock that the write
-///                              must upgrade (visible-reader TLRW)
-///   S1 bad suppression       — `// stm-lint: allow(...)` without a
+///   S1 bad suppression      — `// stm-lint: allow(...)` without a
 ///                              rationale
 ///
 /// and the memory-ordering discipline rules checked against `stm-order:`
@@ -40,12 +36,12 @@
 ///                              seq_cst fence (the 5343567 store-buffering
 ///                              fix, kept restored by construction)
 ///
-/// Which of R1/R2/R6 apply — and how strictly — depends on the engine the
-/// transaction handle belongs to; RuleProfile carries that per-engine
-/// configuration, keyed by the handle's type name (matching the policy
-/// names in src/engine/Engines.h).
+/// Whether R1 and R5 apply depends on the engine the transaction handle
+/// belongs to; RuleProfile carries that per-engine configuration, keyed
+/// by the handle's type name (matching the policy names in
+/// src/engine/Engines.h).
 ///
-/// scanRange() performs the statement-level detection of R1–R4 and R6 and
+/// scanRange() performs the statement-level detection of R1–R4 and
 /// records the call sites the analysis layer resolves for R5.
 ///
 //===----------------------------------------------------------------------===//
@@ -66,15 +62,14 @@ enum class Rule : uint8_t {
   NonDeterminism, // R3
   HandleEscape,   // R4
   UnsafeCallee,   // R5
-  UpgradeHazard,  // R6
   BadSuppression, // S1
   TornPublish,    // O1
   AcquireRelease, // O2
   FenceContract,  // O3
 };
-inline constexpr size_t NumRules = 10;
+inline constexpr size_t NumRules = 9;
 
-/// Stable diagnostic id ("R1".."R6", "S1", "O1".."O3").
+/// Stable diagnostic id ("R1".."R5", "S1", "O1".."O3").
 const char *ruleId(Rule R);
 
 /// One-line fix hint shown with every diagnostic of the rule.
@@ -86,7 +81,7 @@ bool ruleFromId(std::string_view Id, Rule &Out);
 /// Per-engine rule configuration, selected by the transaction handle's
 /// type name. The names mirror src/engine/Engines.h policy names.
 struct RuleProfile {
-  /// Profile name used in diagnostics ("tl2", "tlrw", "2pl-undo", ...).
+  /// Profile name used in diagnostics ("tl2", "orec-eager", ...).
   const char *Name = "generic";
   /// R1 applies. Off for engine-internal bodies (policy statics taking a
   /// template-parameter handle): raw atomics *are* the engine there, and
@@ -96,9 +91,6 @@ struct RuleProfile {
   /// runtime machinery (clock advance, commit-ring record, stripe words)
   /// legitimately touch raw atomics.
   bool CheckCallees = true;
-  /// R6 applies: the engine takes visible shared read locks that a
-  /// subsequent write to the same location must upgrade (TLRW).
-  bool UpgradeHazard = false;
 };
 
 /// Profile for a handle of type \p HandleType (empty/unknown → generic).

@@ -23,8 +23,8 @@
 ///    reports the object, i.e. its leading Meta word, and payload word 0
 ///    — for word-sized payloads the two encodings agree), and
 ///  * `cellLocked` — per-cell lock residue probe for post-run quiescence
-///    checks (word backends decode the shared stripe or byte lock; LibTm
-///    decodes the object's embedded metadata word).
+///    checks (word backends decode the shared stripe; LibTm decodes the
+///    object's embedded metadata word).
 ///
 /// The containers only ever use cells holding trivially copyable values
 /// of at most 8 bytes, so one TObj payload word mirrors one TVar word.
@@ -48,9 +48,7 @@ namespace gstm {
 
 /// Word-based backends over a chassis descriptor \p TxnT: cells are
 /// TVar<T> and the runtime's access observer reports &TVar::word() and
-/// the encoded word, whatever the policy or orec layout. Only the
-/// residue probe depends on the runtime's table type (stripe word vs
-/// ByteLock entry).
+/// the encoded word, whatever the policy or orec layout.
 template <typename TxnT> struct WordBackend {
   using Txn = TxnT;
   using Stm = typename TxnT::Stm;
@@ -79,18 +77,12 @@ template <typename TxnT> struct WordBackend {
     return C.word().load(std::memory_order_relaxed);
   }
 
-  /// True when the entry guarding \p C is still held (post-run residue
-  /// probe; quiescent use only). A ByteLock entry is residue-held when
-  /// its Owner word or any reader byte survives; a stripe word when its
-  /// lock bit does.
+  /// True when the stripe guarding \p C is still locked (post-run
+  /// residue probe; quiescent use only).
   template <typename T> static bool cellLocked(Stm &S, const Cell<T> &C) {
-    const void *Word = &C.word();
-    if constexpr (requires { S.lockTable().lockFor(Word); })
-      return S.lockTable().lockFor(Word).heldByAnyone();
-    else
-      return LockTable::decode(
-                 S.stripeFor(Word).load(std::memory_order_relaxed))
-          .Locked;
+    return LockTable::decode(
+               S.stripeFor(&C.word()).load(std::memory_order_relaxed))
+        .Locked;
   }
 };
 
@@ -102,8 +94,6 @@ struct EngineBackend : WordBackend<EngineTxn<Policy>> {
 };
 using Tl2Backend = EngineBackend<Tl2Policy>;
 using OrecEagerBackend = EngineBackend<OrecEagerPolicy>;
-using TlrwBackend = EngineBackend<TlrwPolicy>;
-using TwoPlBackend = EngineBackend<TwoPlPolicy>;
 struct ShardBackend : WordBackend<ShardedTxn> {
   static constexpr const char *Name = "sharded";
 };

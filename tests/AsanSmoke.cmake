@@ -44,8 +44,8 @@ if(NOT Tl2Rc EQUAL 0)
   message(FATAL_ERROR "tl2_test failed under asan (${Tl2Rc})")
 endif()
 
-# The backend matrix includes the policy-templated engines, whose
-# in-place undo writes are a prime use-after-rollback candidate.
+# The backend matrix includes orec-eager, whose in-place undo writes are
+# a prime use-after-rollback candidate.
 execute_process(
   COMMAND ${BUILD_DIR}/tools/check_fuzz --iters=64
   RESULT_VARIABLE FuzzRc)
@@ -54,8 +54,8 @@ if(NOT FuzzRc EQUAL 0)
 endif()
 
 # Engine family unit+concurrency suite over every chassis policy (TL2
-# flat and on 4 shards included): ByteLock reader-byte indexing, and the
-# per-policy undo/lock-release paths, on abort and on a foreign exception.
+# flat and on 4 shards, orec-eager): the per-policy undo/lock-release
+# paths, on abort and on a foreign exception.
 execute_process(
   COMMAND ${BUILD_DIR}/tests/engine_test
   RESULT_VARIABLE EngineRc)

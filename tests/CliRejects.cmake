@@ -1,26 +1,38 @@
-# Runs each front end with a shard, thread or ring size it cannot take and
-# requires exit status 2 (usage error with a message). Without the checks
-# these commands hang (a non-power-of-two shard count indexes past the
-# stripe table), die with SIGFPE (zero shards or threads), undercount
-# (more threads than StatsShardCount alias onto single-writer stats
-# shards), or size the commit ring out of range (2^44 slots throw
-# bad_alloc; a 64-bit shift is undefined and wrapped to one slot).
+# Runs each front end with a shard, thread, repeat, ring size or shift it
+# cannot take and requires exit status 2 (usage error with a message).
+# Without the checks these commands hang (a non-power-of-two shard count
+# indexes past the stripe table), die with SIGFPE (zero shards or
+# threads), undercount (more threads than StatsShardCount alias onto
+# single-writer stats shards), size the commit ring out of range (2^44
+# slots throw bad_alloc; a 64-bit shift is undefined and wrapped to one
+# slot), shift a yield mask by 64 or more bits (undefined), or publish a
+# snapshot of zero medians (zero repeats). A case whose bad value used to
+# exit 2 for an unrelated reason also names the message it must print.
 # Invoked by the `cli_rejects_bad_counts` ctest:
 #
-#   cmake -DCHECK_FUZZ=<check_fuzz> -DOLTP_YCSB=<oltp_ycsb> -P CliRejects.cmake
+#   cmake -DCHECK_FUZZ=<check_fuzz> -DOLTP_YCSB=<oltp_ycsb>
+#         -DBENCH_RUNNER=<bench_runner> -P CliRejects.cmake
 
-if(NOT CHECK_FUZZ OR NOT OLTP_YCSB)
+if(NOT CHECK_FUZZ OR NOT OLTP_YCSB OR NOT BENCH_RUNNER)
   message(FATAL_ERROR
-      "usage: cmake -DCHECK_FUZZ=<bin> -DOLTP_YCSB=<bin> -P CliRejects.cmake")
+      "usage: cmake -DCHECK_FUZZ=<bin> -DOLTP_YCSB=<bin> "
+      "-DBENCH_RUNNER=<bin> -P CliRejects.cmake")
 endif()
 
+# expect_usage_error(<command>... [MESSAGE <regex>])
 function(expect_usage_error)
-  execute_process(COMMAND ${ARGN}
+  cmake_parse_arguments(ARG "" "MESSAGE" "" ${ARGN})
+  execute_process(COMMAND ${ARG_UNPARSED_ARGUMENTS}
     RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_VARIABLE Err TIMEOUT 60)
   if(NOT Rc EQUAL 2)
-    message(FATAL_ERROR "expected exit 2, got '${Rc}' from: ${ARGN}")
+    message(FATAL_ERROR
+        "expected exit 2, got '${Rc}' from: ${ARG_UNPARSED_ARGUMENTS}")
   endif()
-  message(STATUS "exit 2 as expected: ${ARGN}: ${Err}")
+  if(ARG_MESSAGE AND NOT Err MATCHES "${ARG_MESSAGE}")
+    message(FATAL_ERROR "exit 2 without '${ARG_MESSAGE}' from: "
+        "${ARG_UNPARSED_ARGUMENTS}: ${Err}")
+  endif()
+  message(STATUS "exit 2 as expected: ${ARG_UNPARSED_ARGUMENTS}: ${Err}")
 endfunction()
 
 expect_usage_error(${OLTP_YCSB} --shards=3 --records=64 --ops=64)
@@ -32,3 +44,16 @@ expect_usage_error(${CHECK_FUZZ} --backend=sharded --shards=0 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --workload=skiplist --threads=0 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --threads=0 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --backend=orec-eager --threads=65 --iters=4)
+expect_usage_error(${CHECK_FUZZ} --preempt-shift=64 --iters=1)
+expect_usage_error(${CHECK_FUZZ} --preempt-shift=-1 --iters=1)
+expect_usage_error(${CHECK_FUZZ} --perturb-shift=64 --iters=1)
+
+# A bench_runner that got past its checks would write a snapshot; keep it
+# in the build tree.
+set(BenchOut --out-dir=${CMAKE_CURRENT_BINARY_DIR}/cli-rejects)
+expect_usage_error(${BENCH_RUNNER} --smoke --suite=stamp --repeats=0
+                   ${BenchOut} MESSAGE "--repeats")
+expect_usage_error(${BENCH_RUNNER} --smoke --suite=stamp --threads=0
+                   ${BenchOut} MESSAGE "--threads")
+expect_usage_error(${BENCH_RUNNER} --smoke --suite=stamp --threads=100
+                   ${BenchOut} MESSAGE "--threads")

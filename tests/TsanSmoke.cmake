@@ -80,10 +80,10 @@ if(NOT TmdsRc EQUAL 0)
 endif()
 
 # The engine family's racy-by-construction paths, through the typed
-# suite over every chassis policy (TL2 flat and on 4 shards, orec-eager,
-# tlrw, 2pl-undo): TLRW's Dekker reader/writer handshake and drain loop,
-# orec CAS acquisition against racing validators, 2PL's no-wait lock
-# word traffic, and the foreign-exception rollback.
+# suite over every chassis policy (TL2 flat and on 4 shards, orec-eager):
+# orec CAS acquisition against racing validators, orec-eager's in-place
+# writes and undo replay under held orecs, and the foreign-exception
+# rollback.
 execute_process(
   COMMAND ${BUILD_DIR}/tests/engine_test
   RESULT_VARIABLE EngineRc)

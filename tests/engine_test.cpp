@@ -7,11 +7,12 @@
 ///
 /// \file
 /// Unit and concurrency tests for the word-STM engine family
-/// (src/engine): the ByteLock table primitive, then a typed suite run
-/// identically over every policy on the chassis — TL2 on the flat table
-/// and on the sharded tier (4 shards), orec-eager, TLRW and 2PL-undo —
-/// read-own-write, rollback on abort and on a foreign exception,
-/// read-only commit flagging, exactness under contention, and the
+/// (src/engine): a typed suite run identically over every policy on the
+/// chassis — TL2 on the flat table and on the sharded tier (4 shards),
+/// and orec-eager — read-own-write, rollback on abort and on a foreign exception,
+/// read-only commit flagging, invisible readers, atomic and
+/// self-aliasing write sets, no lock residue after mixed aborts,
+/// exactness under contention, and the
 /// gate/observer/contention-manager hook surface the whole family,
 /// LibTm included, shares. The differential fuzz matrix
 /// (tools/check_fuzz.cpp) is the deep conformance check; this file pins
@@ -33,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -41,32 +43,6 @@
 
 namespace gstm {
 namespace {
-
-// ---------------------------------------------------------------------
-// ByteLock / ByteLockTable
-// ---------------------------------------------------------------------
-
-TEST(ByteLockTest, LayoutIsOneCacheLinePair) {
-  static_assert(sizeof(ByteLock) == 128);
-  ByteLock L;
-  EXPECT_FALSE(L.heldByAnyone());
-  L.Readers[7].store(1, std::memory_order_relaxed);
-  EXPECT_TRUE(L.heldByAnyone());
-  L.Readers[7].store(0, std::memory_order_relaxed);
-  L.Owner.store(LockTable::encodeLocked(packPair(1, 0)),
-                std::memory_order_relaxed);
-  EXPECT_TRUE(L.heldByAnyone());
-}
-
-TEST(ByteLockTest, TableMapsAddressesDeterministically) {
-  ByteLockTable Table(/*Bits=*/8);
-  EXPECT_EQ(Table.size(), size_t{1} << 8);
-  std::atomic<uint64_t> Word{0};
-  ByteLock &A = Table.lockFor(&Word);
-  ByteLock &B = Table.lockFor(&Word);
-  EXPECT_EQ(&A, &B);
-  EXPECT_EQ(&Table.lockAt(Table.indexFor(&Word)), &A);
-}
 
 // ---------------------------------------------------------------------
 // Typed per-engine suite
@@ -146,14 +122,8 @@ std::string residue(LockTable &Locks) {
   lockTableQuiescent(Locks, &Why);
   return Why;
 }
-std::string residue(ByteLockTable &Locks) {
-  std::string Why;
-  byteLockTableQuiescent(Locks, &Why);
-  return Why;
-}
 
-using EngineTxns = ::testing::Types<Tl2Txn, ShardedTxn, OrecEagerTxn,
-                                    TlrwTxn, TwoPlTxn>;
+using EngineTxns = ::testing::Types<Tl2Txn, ShardedTxn, OrecEagerTxn>;
 TYPED_TEST_SUITE(EngineFamilyTest, EngineTxns);
 
 TYPED_TEST(EngineFamilyTest, TableDefaultsApply) {
@@ -165,9 +135,7 @@ TYPED_TEST(EngineFamilyTest, TableDefaultsApply) {
     EXPECT_EQ(S.lockTable().size(), size_t{4} << 18);
     EXPECT_EQ(Small.lockTable().size(), size_t{4} << 8);
   } else {
-    // 2^20 stripes; 2^16 byte locks, each 16x a stripe word.
-    const unsigned Bits = std::is_same_v<Stm, TlrwStm> ? 16 : 20;
-    EXPECT_EQ(S.lockTable().size(), size_t{1} << Bits);
+    EXPECT_EQ(S.lockTable().size(), size_t{1} << 20);
     EXPECT_EQ(Small.lockTable().size(), size_t{1} << 8);
   }
 }
@@ -235,8 +203,8 @@ TYPED_TEST(EngineFamilyTest, ForeignExceptionRollsBackAndPropagates) {
   Stm S;
   TVar<uint64_t> V(5);
   Txn T(S, 0);
-  // The body stores (in place on the undo-log engines, under a held
-  // lock) and then throws something that is not the STM's own abort.
+  // The body stores (in place on orec-eager, under a held lock) and
+  // then throws something that is not the STM's own abort.
   EXPECT_THROW(T.run(1,
                      [&](Txn &Tx) {
                        Tx.store(V, Tx.load(V) + 1);
@@ -301,8 +269,8 @@ TYPED_TEST(EngineFamilyTest, HookSurfaceReportsEveryEvent) {
   EXPECT_EQ(Hooks.Stores.load(), 2u);
   EXPECT_EQ(Hooks.Loads.load(), 4u);
   EXPECT_EQ(Hooks.BufferedLoads.load(), 2u);
-  // TL2 locks only at commit: the committing attempt's lock. The in-place
-  // engines lock at encounter time, so the aborted attempt reports one too.
+  // TL2 locks only at commit: the committing attempt's lock. orec-eager
+  // locks at encounter time, so the aborted attempt reports one too.
   if constexpr (std::is_same_v<typename TestFixture::Txn::State,
                                Tl2Policy::TxnState>)
     EXPECT_EQ(Hooks.LockAcquires.load(), 1u);
@@ -399,8 +367,9 @@ TYPED_TEST(EngineFamilyTest, WriteWriteConflictsResolveByAbort) {
   constexpr unsigned Threads = 3;
   constexpr unsigned PerThread = 400;
   // All threads update the same two variables in opposite orders — the
-  // classic deadlock shape. No-wait (2pl) and bounded-drain (tlrw)
-  // acquisition must resolve it by abort, never by hanging.
+  // classic deadlock shape. Encounter-time (orec-eager) and commit-time
+  // (TL2) acquisition never wait on a held orec, so it must resolve by
+  // abort, never by hanging.
   TVar<uint64_t> X(0), Y(0);
   std::vector<std::thread> Workers;
   for (unsigned W = 0; W < Threads; ++W)
@@ -446,6 +415,249 @@ TYPED_TEST(EngineFamilyTest, CommitsPublishMonotonicVersions) {
   EXPECT_GT(Log.Versions.front(), 0u);
 }
 
+TYPED_TEST(EngineFamilyTest, ReadOnlyTxnsNeverAbortWithoutWriters) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  auto Cfg = TestFixture::smallConfig();
+  Cfg.PreemptShift = 2;
+  Stm S(Cfg);
+  constexpr unsigned Threads = 4;
+  constexpr unsigned PerThread = 200;
+  constexpr unsigned Vars = 16;
+  TVar<uint64_t> V[Vars];
+  for (unsigned I = 0; I < Vars; ++I)
+    V[I].storeDirect(I);
+  uint64_t ClockBefore = S.clock().sample();
+
+  // Every family member has invisible readers: overlapping read-only
+  // transactions leave no trace in the orecs, so none can abort another.
+  std::atomic<uint64_t> WrongSums{0};
+  std::vector<std::thread> Workers;
+  for (unsigned W = 0; W < Threads; ++W)
+    Workers.emplace_back([&, W] {
+      Txn T(S, static_cast<ThreadId>(W));
+      for (unsigned I = 0; I < PerThread; ++I) {
+        uint64_t Sum = 0;
+        T.run(1, [&](Txn &Tx) {
+          Sum = 0;
+          for (TVar<uint64_t> &X : V)
+            Sum += Tx.load(X);
+        });
+        if (Sum != Vars * (Vars - 1) / 2)
+          ++WrongSums;
+      }
+    });
+  for (auto &T : Workers)
+    T.join();
+
+  EXPECT_EQ(WrongSums.load(), 0u);
+  EXPECT_EQ(S.stats().aborts(), 0u);
+  EXPECT_EQ(S.stats().commits(), uint64_t{Threads} * PerThread);
+  EXPECT_EQ(S.clock().sample(), ClockBefore);
+}
+
+TYPED_TEST(EngineFamilyTest, LargeWriteSetCommitsAtomically) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  auto Cfg = TestFixture::smallConfig();
+  Cfg.PreemptShift = 2;
+  Stm S(Cfg);
+  constexpr unsigned Vars = 64;
+  constexpr uint64_t Rounds = 200;
+  TVar<uint64_t> V[Vars];
+
+  // One writer sets every variable to the round number in a single
+  // transaction; committed readers must see all of one round or all of
+  // another, never a mix.
+  std::atomic<bool> WriterDone{false};
+  std::atomic<uint64_t> TornReads{0}, Reads{0};
+  std::vector<std::thread> Workers;
+  Workers.emplace_back([&] {
+    Txn T(S, 0);
+    for (uint64_t R = 1; R <= Rounds; ++R)
+      T.run(1, [&](Txn &Tx) {
+        for (TVar<uint64_t> &X : V)
+          Tx.store(X, R);
+      });
+    WriterDone = true;
+  });
+  for (unsigned Reader = 1; Reader <= 2; ++Reader)
+    Workers.emplace_back([&, Reader] {
+      Txn T(S, static_cast<ThreadId>(Reader));
+      for (unsigned Done = 0; !WriterDone.load() || Done < 10; ++Done) {
+        bool Mixed = false;
+        T.run(2, [&](Txn &Tx) {
+          uint64_t First = Tx.load(V[0]);
+          Mixed = false;
+          for (TVar<uint64_t> &X : V)
+            Mixed |= Tx.load(X) != First;
+        });
+        if (Mixed)
+          ++TornReads;
+        ++Reads;
+      }
+    });
+  for (auto &T : Workers)
+    T.join();
+
+  EXPECT_EQ(TornReads.load(), 0u) << "of " << Reads.load() << " reads";
+  for (TVar<uint64_t> &X : V)
+    EXPECT_EQ(X.loadDirect(), Rounds);
+  EXPECT_EQ(residue(S.lockTable()), "");
+}
+
+TYPED_TEST(EngineFamilyTest, AliasedStripesCommitWithoutFalseAborts) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  Stm S(TestFixture::smallConfig());
+  // Four times more variables than stripes: one transaction meets its
+  // own locks again and again, and must not treat them as a conflict.
+  constexpr size_t Vars = 1024;
+  auto V = std::make_unique<TVar<uint64_t>[]>(Vars);
+  for (size_t I = 0; I < Vars; ++I)
+    V[I].storeDirect(I);
+  Txn T(S, 0);
+  T.run(1, [&](Txn &Tx) {
+    for (size_t I = 0; I < Vars; ++I)
+      Tx.store(V[I], Tx.load(V[I]) + 1);
+    for (size_t I = 0; I < Vars; ++I)
+      Tx.store(V[I], Tx.load(V[I]) * 2);
+  });
+  EXPECT_EQ(S.stats().aborts(), 0u);
+  EXPECT_EQ(S.stats().commits(), 1u);
+  for (size_t I = 0; I < Vars; ++I)
+    EXPECT_EQ(V[I].loadDirect(), (I + 1) * 2) << "variable " << I;
+  EXPECT_EQ(residue(S.lockTable()), "");
+}
+
+TYPED_TEST(EngineFamilyTest, MixedAbortsLeaveNoLockResidue) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  auto Cfg = TestFixture::smallConfig();
+  Cfg.PreemptShift = 2;
+  Stm S(Cfg);
+  constexpr unsigned Threads = 3;
+  constexpr unsigned PerThread = 300;
+  TVar<uint64_t> Shared(0);
+  TVar<uint64_t> Own[Threads];
+
+  // Conflict aborts, explicit retries and foreign exceptions interleave
+  // across threads; whichever way an attempt ends, it must release every
+  // orec it held. Every seventh transaction throws and is dropped, so the
+  // committed count is fixed in advance.
+  std::vector<std::thread> Workers;
+  for (unsigned W = 0; W < Threads; ++W)
+    Workers.emplace_back([&, W] {
+      Txn T(S, static_cast<ThreadId>(W));
+      for (unsigned I = 0; I < PerThread; ++I) {
+        int Attempt = 0;
+        try {
+          T.run(1, [&](Txn &Tx) {
+            Tx.store(Shared, Tx.load(Shared) + 1);
+            Tx.store(Own[W], Tx.load(Own[W]) + 1);
+            if (I % 5 == 0 && Attempt++ == 0)
+              Tx.retryAbort();
+            if (I % 7 == 0)
+              throw std::runtime_error("dropped");
+          });
+        } catch (const std::runtime_error &) {
+        }
+      }
+    });
+  for (auto &T : Workers)
+    T.join();
+
+  uint64_t Kept = 0;
+  for (unsigned I = 0; I < PerThread; ++I)
+    Kept += I % 7 != 0;
+  EXPECT_EQ(Shared.loadDirect(), Threads * Kept);
+  for (unsigned W = 0; W < Threads; ++W)
+    EXPECT_EQ(Own[W].loadDirect(), Kept);
+  EXPECT_EQ(S.stats().commits(), Threads * Kept);
+  // At least one explicit retry and one dropped attempt per marked index.
+  EXPECT_GE(S.stats().aborts(), uint64_t{Threads} * (60 + 43));
+  EXPECT_EQ(residue(S.lockTable()), "");
+}
+
+TYPED_TEST(EngineFamilyTest, ObserverAndStatsAgreeUnderContention) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  auto Cfg = TestFixture::smallConfig();
+  Cfg.PreemptShift = 2;
+  Stm S(Cfg);
+  CountingHooks Hooks;
+  S.setObserver(&Hooks);
+  constexpr unsigned Threads = 3;
+  constexpr unsigned PerThread = 300;
+  TVar<uint64_t> Shared(0);
+
+  // The chassis reports each attempt's outcome once, to the observer and
+  // to the stats shards alike — the telemetry the model is trained on.
+  std::vector<std::thread> Workers;
+  for (unsigned W = 0; W < Threads; ++W)
+    Workers.emplace_back([&, W] {
+      Txn T(S, static_cast<ThreadId>(W));
+      for (unsigned I = 0; I < PerThread; ++I)
+        T.run(1, [&](Txn &Tx) { Tx.store(Shared, Tx.load(Shared) + 1); });
+    });
+  for (auto &T : Workers)
+    T.join();
+
+  EXPECT_EQ(Shared.loadDirect(), uint64_t{Threads} * PerThread);
+  EXPECT_EQ(Hooks.Commits.load(), uint64_t{Threads} * PerThread);
+  EXPECT_EQ(S.stats().commits(), Hooks.Commits.load());
+  EXPECT_EQ(S.stats().aborts(), Hooks.Aborts.load());
+  EXPECT_EQ(Hooks.ReadOnlyCommits.load(), 0u);
+}
+
+TYPED_TEST(EngineFamilyTest, IntermediateWritesStayInvisible) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  auto Cfg = TestFixture::smallConfig();
+  Cfg.PreemptShift = 2;
+  Stm S(Cfg);
+  constexpr uint64_t Rounds = 300;
+  TVar<uint64_t> V(0);
+
+  // The writer passes V through an odd value inside every transaction
+  // and retries every third one after the odd store. In-place engines
+  // hold the orec across that window and undo it on abort; no committed
+  // reader may ever see an odd value.
+  std::atomic<bool> WriterDone{false};
+  std::atomic<uint64_t> OddReads{0};
+  std::vector<std::thread> Workers;
+  Workers.emplace_back([&] {
+    Txn T(S, TestFixture::residentThread(S, V));
+    for (uint64_t R = 0; R < Rounds; ++R) {
+      int Attempt = 0;
+      T.run(1, [&](Txn &Tx) {
+        uint64_t Old = Tx.load(V);
+        Tx.store(V, Old + 1);
+        if (R % 3 == 0 && Attempt++ == 0)
+          Tx.retryAbort();
+        Tx.store(V, Tx.load(V) + 1);
+      });
+    }
+    WriterDone = true;
+  });
+  for (unsigned Reader = 1; Reader <= 2; ++Reader)
+    Workers.emplace_back([&, Reader] {
+      Txn T(S, static_cast<ThreadId>(Reader));
+      for (unsigned Done = 0; !WriterDone.load() || Done < 10; ++Done) {
+        uint64_t Seen = 0;
+        T.run(2, [&](Txn &Tx) { Seen = Tx.load(V); });
+        if (Seen % 2 != 0)
+          ++OddReads;
+      }
+    });
+  for (auto &T : Workers)
+    T.join();
+
+  EXPECT_EQ(OddReads.load(), 0u);
+  EXPECT_EQ(V.loadDirect(), 2 * Rounds);
+  EXPECT_EQ(residue(S.lockTable()), "");
+}
+
 // ---------------------------------------------------------------------
 // GuideController wiring (family-wide gate/observer contract)
 // ---------------------------------------------------------------------
@@ -480,26 +692,16 @@ TEST(EngineGuideTest, GuideControllerPlugsIntoEngineStm) {
 
 TEST(EngineMutationSelfTest, CleanEnginesPassTheSameSeeds) {
   FuzzConfig Cfg;
-  for (FuzzBackend B :
-       {FuzzBackend::OrecEager, FuzzBackend::Tlrw, FuzzBackend::TwoPlUndo})
-    for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
-      FuzzRunResult R = runFuzzIteration(Seed, B, Cfg);
-      EXPECT_TRUE(R.passed()) << fuzzBackendName(B) << " seed " << Seed
-                              << ": " << R.Error;
-    }
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    FuzzRunResult R = runFuzzIteration(Seed, FuzzBackend::OrecEager, Cfg);
+    EXPECT_TRUE(R.passed()) << "orec-eager seed " << Seed << ": " << R.Error;
+  }
 }
 
 TEST(EngineMutationSelfTest, SkippedUndoReplayIsCaughtOnOrecEager) {
   FuzzConfig Cfg;
   Cfg.Fault.SkipUndoReplay = true;
   EXPECT_GE(checkerViolations(FuzzBackend::OrecEager, Cfg), 3u)
-      << "checker failed to flag the skipped-undo-replay mutant";
-}
-
-TEST(EngineMutationSelfTest, SkippedUndoReplayIsCaughtOnTwoPl) {
-  FuzzConfig Cfg;
-  Cfg.Fault.SkipUndoReplay = true;
-  EXPECT_GE(checkerViolations(FuzzBackend::TwoPlUndo, Cfg), 3u)
       << "checker failed to flag the skipped-undo-replay mutant";
 }
 
@@ -510,15 +712,8 @@ TEST(EngineMutationSelfTest, SkippedReadValidationIsCaughtOnOrecEager) {
       << "checker failed to flag the skipped-validation mutant";
 }
 
-TEST(EngineMutationSelfTest, SkippedReaderDrainIsCaughtOnTlrw) {
-  FuzzConfig Cfg;
-  Cfg.Fault.SkipReaderDrain = true;
-  EXPECT_GE(checkerViolations(FuzzBackend::Tlrw, Cfg, 120), 3u)
-      << "checker failed to flag the skipped-reader-drain mutant";
-}
-
-// The full differential harness across every backend — the four chassis
-// policies, the sharded tier, LibTm and the serial reference — must agree
+// The full differential harness across every backend — flat TL2,
+// orec-eager, the sharded tier, LibTm and the serial reference — must agree
 // on a handful of seeds (the 1024-seed sweep is check_fuzz --smoke).
 TEST(EngineMutationSelfTest, DifferentialMatrixAgreesOnSampleSeeds) {
   FuzzConfig Cfg;

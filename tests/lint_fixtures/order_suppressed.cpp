@@ -1,5 +1,5 @@
 // stm_lint fixture: suppression interplay with the ordering pass. O-rule
-// findings feed the same allow() machinery as R1-R6: a rationale-bearing
+// findings feed the same allow() machinery as R1-R5: a rationale-bearing
 // allow(O2) silences the pairing check, and an allow without a rationale
 // still trips S1.
 // Not built; linted by the lint_test ctest via `stm_lint --expect`.

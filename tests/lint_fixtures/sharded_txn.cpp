@@ -1,6 +1,6 @@
 // stm_lint fixture: ShardedTxn bodies are transactional contexts with the
 // tl2 rule profile — the sharded tier is the TL2 descriptor over a
-// partitioned orec space, so R1-R6 apply exactly as for Tl2Txn.
+// partitioned orec space, so R1-R5 apply exactly as for Tl2Txn.
 // Not built; linted by the lint_test ctest via `stm_lint --expect`.
 
 #include <atomic>

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 
 using namespace gstm::lint;
 
@@ -179,7 +178,7 @@ TEST(LintPipeline, JsonReportShape) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine rule profiles and the dataflow upgrade
+// Engine rule profiles and handle aliases
 //===----------------------------------------------------------------------===//
 
 TEST(LintProfiles, HandleTypeSelectsProfile) {
@@ -187,8 +186,6 @@ TEST(LintProfiles, HandleTypeSelectsProfile) {
   EXPECT_STREQ(profileForHandleType("ShardedTxn").Name, "tl2");
   EXPECT_STREQ(profileForHandleType("LibTxn").Name, "tl2");
   EXPECT_STREQ(profileForHandleType("OrecEagerTxn").Name, "orec-eager");
-  EXPECT_STREQ(profileForHandleType("TlrwTxn").Name, "tlrw");
-  EXPECT_STREQ(profileForHandleType("TwoPlTxn").Name, "2pl-undo");
   EXPECT_STREQ(profileForHandleType("").Name, "generic");
   // Template-parameter handle names mark engine plumbing: naked-access
   // and callee propagation off.
@@ -196,7 +193,6 @@ TEST(LintProfiles, HandleTypeSelectsProfile) {
   EXPECT_STREQ(P.Name, "engine-internal");
   EXPECT_FALSE(P.CheckNakedAccess);
   EXPECT_FALSE(P.CheckCallees);
-  EXPECT_TRUE(profileForHandleType("TlrwTxn").UpgradeHazard);
 }
 
 TEST(LintProfiles, AliasEscapeIsR4) {
@@ -210,28 +206,10 @@ TEST(LintProfiles, AliasEscapeIsR4) {
   EXPECT_EQ(R.Diags[0].Line, 4u);
 }
 
-TEST(LintProfiles, UpgradeHazardOnlyUnderTlrw) {
-  const char *Body = "void body(%s &Tx) {\n"
-                     "  auto V = Tx.load(&A);\n"
-                     "  Tx.store(&A, V + 1);\n"
-                     "}\n";
-  char Buf[256];
-  std::snprintf(Buf, sizeof(Buf), Body, "TlrwTxn");
-  LintResult Tlrw = lintOne(Buf);
-  ASSERT_EQ(Tlrw.Diags.size(), 1u) << toText(Tlrw);
-  EXPECT_EQ(Tlrw.Diags[0].R, Rule::UpgradeHazard);
-  EXPECT_EQ(Tlrw.Diags[0].Line, 3u);
-
-  std::snprintf(Buf, sizeof(Buf), Body, "Tl2Txn");
-  LintResult Tl2 = lintOne(Buf);
-  EXPECT_TRUE(Tl2.clean()) << toText(Tl2);
-}
-
 TEST(LintProfiles, ThrowIsCleanOnEveryEngine) {
   // A body's exception aborts the attempt and propagates on every engine
   // (the executor rolls back before rethrowing), in-place ones included.
-  for (const char *Handle :
-       {"Tl2Txn", "LibTxn", "OrecEagerTxn", "TlrwTxn", "TwoPlTxn"}) {
+  for (const char *Handle : {"Tl2Txn", "LibTxn", "OrecEagerTxn"}) {
     LintResult R = lintOne(std::string("struct Boom {};\nvoid body(") +
                            Handle + " &Tx) { throw Boom{}; }\n");
     EXPECT_TRUE(R.clean()) << Handle << ": " << toText(R);
@@ -381,9 +359,11 @@ TEST(LintRender, SarifShape) {
   EXPECT_NE(S.find("\"ruleId\":\"R2\""), std::string::npos);
   EXPECT_NE(S.find("\"startLine\":1"), std::string::npos);
   EXPECT_NE(S.find("\"uri\":\"t.cpp\""), std::string::npos);
-  // The driver advertises the full rule table, O-rules included.
+  // The driver advertises the full rule table, O-rules included, and
+  // nothing past R5.
   EXPECT_NE(S.find("\"id\":\"O3\""), std::string::npos);
-  EXPECT_NE(S.find("\"id\":\"R6\""), std::string::npos);
+  EXPECT_NE(S.find("\"id\":\"R5\""), std::string::npos);
+  EXPECT_EQ(S.find("\"id\":\"R6\""), std::string::npos);
 }
 
 TEST(LintRender, BaselineRoundTripAndStaleness) {
@@ -437,9 +417,9 @@ TEST(LintSelfScan, EngineHeadersYieldRegions) {
 TEST(LintSelfScan, CommitPathContractsPresent) {
   // The store-buffering fence contracts (commit 5343567) must stay
   // pinned to both single-fence commit paths, TL2's (flat, sharded and
-  // LibTm) and orec-eager's: two fence(seq_cst) contracts, the
-  // publish(stripeAt) contract and ByteLock's pair(), over the two
-  // seq_cst fences and TL2's writeback->publish release fence.
+  // LibTm) and orec-eager's: two fence(seq_cst) contracts and the
+  // publish(stripeAt) contract, over the two seq_cst fences and TL2's
+  // writeback->publish release fence.
   std::vector<SourceFile> Files;
   std::string Error;
   ASSERT_TRUE(collectSources(GSTM_LINT_SOURCE_DIR,
@@ -448,7 +428,7 @@ TEST(LintSelfScan, CommitPathContractsPresent) {
       << Error;
   LintResult R = lintSources(Files);
   EXPECT_TRUE(R.clean()) << toText(R);
-  EXPECT_EQ(R.Stats.OrderContracts, 4u);
+  EXPECT_EQ(R.Stats.OrderContracts, 3u);
   EXPECT_EQ(R.Stats.Fences, 3u);
 }
 #endif // GSTM_LINT_SOURCE_DIR

@@ -8,9 +8,10 @@
 // Covers the tmds containers (src/tmds): map semantics against a std::map
 // oracle, structural invariants via the direct validators, deterministic
 // skiplist tower heights, backend-genericity (the same template body runs
-// on TL2, LibTm, and the three policy-templated engines — orec-eager,
-// TLRW, 2PL-undo), scan semantics, and concurrent per-thread-partitioned
-// mutation with exact final contents.
+// on TL2 flat and sharded, LibTm and orec-eager), scan semantics,
+// rollback of structural changes, concurrent per-thread-partitioned
+// mutation with exact final contents, and atomic replacements seen whole
+// by concurrent full scans.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -63,21 +66,19 @@ using SkipTl2 = SkipListCase<Tl2Backend>;
 using SkipLibTm = SkipListCase<LibTmBackend>;
 using BTreeTl2 = BTreeCase<Tl2Backend>;
 using BTreeLibTm = BTreeCase<LibTmBackend>;
-// The policy-templated engines (src/engine) ride the same TmBackend
-// trait, so every structure test doubles as a backend-conformance check
-// for the whole family.
+// orec-eager (src/engine) rides the same TmBackend trait, so every
+// structure test doubles as a backend-conformance check for it.
 using SkipOrec = SkipListCase<OrecEagerBackend>;
-using SkipTlrw = SkipListCase<TlrwBackend>;
-using SkipTwoPl = SkipListCase<TwoPlBackend>;
 using BTreeOrec = BTreeCase<OrecEagerBackend>;
-using BTreeTlrw = BTreeCase<TlrwBackend>;
-using BTreeTwoPl = BTreeCase<TwoPlBackend>;
+// TL2 on the sharded tier (4 shards): node cells scatter across shard
+// partitions, so most structural transactions commit cross-shard.
+using SkipShard = SkipListCase<ShardBackend>;
+using BTreeShard = BTreeCase<ShardBackend>;
 
 template <typename CaseT> class TmdsTest : public ::testing::Test {};
 using AllCases =
-    ::testing::Types<SkipTl2, SkipLibTm, SkipOrec, SkipTlrw, SkipTwoPl,
-                     BTreeTl2, BTreeLibTm, BTreeOrec, BTreeTlrw,
-                     BTreeTwoPl>;
+    ::testing::Types<SkipTl2, SkipLibTm, SkipOrec, SkipShard, BTreeTl2,
+                     BTreeLibTm, BTreeOrec, BTreeShard>;
 TYPED_TEST_SUITE(TmdsTest, AllCases);
 
 //===----------------------------------------------------------------------===//
@@ -220,6 +221,44 @@ TYPED_TEST(TmdsTest, TransactionalSizeAgreesWithDirect) {
   EXPECT_EQ(F.Ds.sizeDirect(), 40u);
 }
 
+TYPED_TEST(TmdsTest, ForeignExceptionRollsBackStructuralChanges) {
+  Fixture<TypeParam> F;
+  typename Fixture<TypeParam>::Txn Tx(F.S, 0);
+  for (uint64_t K = 1; K <= 200; ++K)
+    Tx.run(0, [&](auto &T) { F.Ds.insert(T, K * 2, K); });
+
+  // One body grows the structure (node splits / new towers) and unlinks
+  // existing keys, then throws something that is not the STM's own
+  // abort: every structural write must be rolled back.
+  EXPECT_THROW(Tx.run(1,
+                      [&](auto &T) {
+                        for (uint64_t K = 1; K <= 300; ++K)
+                          F.Ds.insert(T, K * 2 + 1, K);
+                        for (uint64_t K = 1; K <= 50; ++K)
+                          F.Ds.remove(T, K * 4);
+                        throw std::runtime_error("body failed");
+                      }),
+               std::runtime_error);
+
+  EXPECT_TRUE(F.Ds.validateDirect());
+  EXPECT_EQ(F.Ds.sizeDirect(), 200u);
+  uint64_t Next = 1;
+  bool Unchanged = true;
+  F.Ds.forEachDirect([&](uint64_t K, uint64_t V) {
+    Unchanged &= K == Next * 2 && V == Next;
+    ++Next;
+  });
+  EXPECT_TRUE(Unchanged);
+  EXPECT_EQ(Next, 201u);
+  EXPECT_FALSE(F.Ds.anyCellLockedDirect(F.S));
+
+  // Nothing stranded: the structure keeps taking transactions.
+  bool Inserted = false;
+  Tx.run(2, [&](auto &T) { Inserted = F.Ds.insert(T, 3, 3); });
+  EXPECT_TRUE(Inserted);
+  EXPECT_EQ(F.Ds.sizeDirect(), 201u);
+}
+
 //===----------------------------------------------------------------------===//
 // Concurrency: per-thread key partitions make final contents exact
 //===----------------------------------------------------------------------===//
@@ -259,6 +298,78 @@ TYPED_TEST(TmdsTest, ConcurrentPartitionedMutationIsExact) {
   });
   EXPECT_TRUE(ValuesOk);
   EXPECT_EQ(Seen, F.Ds.sizeDirect());
+  EXPECT_FALSE(F.Ds.anyCellLockedDirect(F.S));
+}
+
+TYPED_TEST(TmdsTest, ConcurrentScansSeeReplacementsWhole) {
+  constexpr unsigned Writers = 2;
+  constexpr unsigned Readers = 2;
+  constexpr uint64_t Live = 32; // keys each writer holds at any commit
+  constexpr uint64_t Steps = 150;
+  constexpr uint64_t Total = uint64_t{Writers} * Live;
+  Fixture<TypeParam> F(1 << 16);
+
+  // Writer W owns keys 1 + W + Writers * I (interleaved with the other
+  // writer's), every value 1. Step I removes its oldest key and inserts
+  // a new one in the same transaction, so a committed full scan always
+  // sees exactly Total entries summing to Total.
+  auto KeyOf = [](unsigned W, uint64_t I) { return 1 + W + Writers * I; };
+  {
+    typename Fixture<TypeParam>::Txn Tx(F.S, 0);
+    for (unsigned W = 0; W < Writers; ++W)
+      for (uint64_t I = 0; I < Live; ++I)
+        Tx.run(0, [&](auto &T) { F.Ds.insert(T, KeyOf(W, I), 1); });
+  }
+
+  std::atomic<unsigned> WritersLeft{Writers};
+  std::atomic<uint64_t> TornScans{0}, Scans{0}, MissedRemoves{0};
+  std::vector<std::thread> Workers;
+  for (unsigned W = 0; W < Writers; ++W)
+    Workers.emplace_back([&, W] {
+      typename Fixture<TypeParam>::Txn Tx(F.S, static_cast<ThreadId>(W));
+      for (uint64_t I = 0; I < Steps; ++I) {
+        bool Removed = false;
+        Tx.run(1, [&](auto &T) {
+          Removed = F.Ds.remove(T, KeyOf(W, I)).has_value();
+          F.Ds.insert(T, KeyOf(W, I + Live), 1);
+        });
+        MissedRemoves += Removed ? 0 : 1;
+      }
+      --WritersLeft;
+    });
+  for (unsigned R = 0; R < Readers; ++R)
+    Workers.emplace_back([&, R] {
+      typename Fixture<TypeParam>::Txn Tx(
+          F.S, static_cast<ThreadId>(Writers + R));
+      for (uint64_t Done = 0; WritersLeft.load() != 0 || Done < 10; ++Done) {
+        size_t Taken = 0;
+        uint64_t Sum = 0, Size = 0;
+        Tx.run(2, [&](auto &T) {
+          Sum = 0;
+          Taken = F.Ds.scan(T, 0, size_t{1} << 20, Sum);
+          Size = F.Ds.size(T);
+        });
+        if (Taken != Total || Sum != Total || Size != Total)
+          ++TornScans;
+        ++Scans;
+      }
+    });
+  for (std::thread &T : Workers)
+    T.join();
+
+  EXPECT_EQ(TornScans.load(), 0u) << "of " << Scans.load() << " scans";
+  EXPECT_EQ(MissedRemoves.load(), 0u);
+  EXPECT_TRUE(F.Ds.validateDirect());
+  EXPECT_EQ(F.Ds.sizeDirect(), Total);
+  uint64_t Seen = 0;
+  bool KeysOk = true;
+  F.Ds.forEachDirect([&](uint64_t K, uint64_t) {
+    ++Seen;
+    // Only each writer's last Live keys survive.
+    KeysOk &= (K - 1) / Writers >= Steps;
+  });
+  EXPECT_TRUE(KeysOk);
+  EXPECT_EQ(Seen, Total);
   EXPECT_FALSE(F.Ds.anyCellLockedDirect(F.S));
 }
 

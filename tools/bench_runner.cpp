@@ -10,10 +10,9 @@
 //
 //   * micro  — spawns bench/micro_stm_ops with --json-dir and ingests its
 //              google-benchmark JSON (one row per op kind / thread count),
-//   * engines — the same micro binary filtered to the policy-templated
-//              engine family (orec-eager, TLRW, 2PL-undo): read-only,
-//              single-location RMW and disjoint contended RMW per engine;
-//              --engine=<name> restricts the axis to one engine,
+//   * engines — the same micro binary filtered to orec-eager, the
+//              chassis's in-place policy: read-only, single-location RMW
+//              and disjoint contended RMW, next to the TL2 micro rows,
 //   * stamp  — kmeans, ssca2, vacation through core/Runner at a fixed
 //              thread count (wall seconds per run; full mode runs at
 //              least the tail sample floor so the published p99 is a
@@ -43,6 +42,7 @@
 #include "core/Runner.h"
 #include "stamp/Registry.h"
 #include "stamp/SizeClass.h"
+#include "stm/StatsShard.h"
 #include "support/Json.h"
 #include "support/LatencyHistogram.h"
 #include "support/Options.h"
@@ -451,22 +451,31 @@ int main(int Argc, char **Argv) {
           {"suite", "S",
            "all, micro, engines, stamp, synquake, oltp or shard "
            "(default all)"},
-          {"engine", "E",
-           "restrict the engines suite to one policy engine: orec-eager, "
-           "tlrw or 2pl-undo (default: all three)"},
           {"threads", "T", "fixed thread count for stamp/synquake/micro "
-                           "contended ops (default 8)"},
-          {"repeats", "N", "repeats per metric (default 5; 2 with --smoke)"},
+                           "contended ops, in [1, 64] (default 8)"},
+          {"repeats", "N",
+           "repeats per metric, at least 1 (default 5; 2 with --smoke)"},
           {"seed", "S", "workload input seed (default 1)"},
       });
   Options Opts = Cli.parseOrExit(Argc, Argv);
 
   const bool Smoke = Opts.getBool("smoke", false);
   const std::string Suite = Opts.getString("suite", "all");
-  const unsigned Threads =
-      static_cast<unsigned>(Opts.getInt("threads", 8));
-  const unsigned Repeats = static_cast<unsigned>(
-      Opts.getInt("repeats", Smoke ? 2 : 5));
+  // More threads than stats shards would alias single-writer shards, and
+  // zero repeats would publish a snapshot of zero medians.
+  const int64_t ThreadsArg = Opts.getInt("threads", 8);
+  if (ThreadsArg < 1 || ThreadsArg > static_cast<int64_t>(StatsShardCount)) {
+    std::fprintf(stderr, "bench_runner: --threads must be in [1, %zu]\n",
+                 StatsShardCount);
+    return 2;
+  }
+  const int64_t RepeatsArg = Opts.getInt("repeats", Smoke ? 2 : 5);
+  if (RepeatsArg < 1) {
+    std::fprintf(stderr, "bench_runner: --repeats must be at least 1\n");
+    return 2;
+  }
+  const auto Threads = static_cast<unsigned>(ThreadsArg);
+  const auto Repeats = static_cast<unsigned>(RepeatsArg);
   const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
   const fs::path OutDir = Opts.getString("out-dir", ".");
 
@@ -493,28 +502,9 @@ int main(int Argc, char **Argv) {
     }
   }
   if (All || Suite == "engines") {
-    // One regex alternative per engine family prefix; --engine narrows
-    // the axis to a single policy so a dev loop can re-measure just the
-    // engine being touched.
-    std::string Family = "(OrecEager|Tlrw|TwoPl)";
-    const std::string Engine = Opts.getString("engine", "");
-    if (Engine == "orec-eager")
-      Family = "OrecEager";
-    else if (Engine == "tlrw")
-      Family = "Tlrw";
-    else if (Engine == "2pl-undo")
-      Family = "TwoPl";
-    else if (!Engine.empty()) {
-      std::fprintf(stderr,
-                   "bench_runner: unknown --engine=%s (expected "
-                   "orec-eager, tlrw or 2pl-undo)\n",
-                   Engine.c_str());
-      return 2;
-    }
     std::string Error;
     if (!runMicroSuite(MicroBin, OutDir / ".bench_tmp",
-                       "BM_" + Family +
-                           "(ReadOnlyTxn|WriteTxn|DisjointWriteTxn)",
+                       "BM_OrecEager(ReadOnlyTxn|WriteTxn|DisjointWriteTxn)",
                        "engines", /*Repetitions=*/Repeats,
                        /*MinTime=*/Smoke ? 0.02 : 0.1, Entries, Error)) {
       std::fprintf(stderr, "bench_runner: %s\n", Error.c_str());

@@ -32,6 +32,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 using namespace gstm;
 
@@ -59,8 +60,12 @@ int main(int Argc, char **Argv) {
            "shard contexts of the sharded backend (power of two in [1, 64]; "
            "default 4)"},
           {"ops", "N", "max operations per transaction"},
-          {"preempt-shift", "N", "preemption-point density (power of two)"},
-          {"perturb-shift", "N", "schedule-perturbation density"},
+          {"preempt-shift", "N",
+           "preemption-point density: yield with probability 2^-N per "
+           "access, N in [0, 63], 0 = off"},
+          {"perturb-shift", "N",
+           "schedule-perturbation density: yield with probability 2^-N per "
+           "event, N in [0, 63]"},
           {"smoke", "", "CI preset: 1024 seeds per backend"},
           {"verbose", "", "print every iteration, not just failures"},
           {"inject-skip-validation", "",
@@ -70,10 +75,7 @@ int main(int Argc, char **Argv) {
            "fault injection: publish torn versions, TL2 (flat, sharded or "
            "libtm) (checkers must object)"},
           {"inject-skip-undo", "",
-           "fault injection: skip undo replay on abort, orec-eager + "
-           "2pl-undo (checkers must object)"},
-          {"inject-skip-drain", "",
-           "fault injection: skip the tlrw writer's reader-byte drain "
+           "fault injection: skip undo replay on abort, orec-eager "
            "(checkers must object)"},
       });
   Options Opts = Cli.parseOrExit(Argc, Argv);
@@ -123,16 +125,21 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  Cfg.PreemptShift =
-      static_cast<unsigned>(Opts.getInt("preempt-shift", Cfg.PreemptShift));
-  Cfg.PerturbShift =
-      static_cast<unsigned>(Opts.getInt("perturb-shift", Cfg.PerturbShift));
+  // Both shifts size a `1 << N` mask; a 64-bit shift is undefined.
+  for (auto [Flag, Field] : {std::pair{"preempt-shift", &Cfg.PreemptShift},
+                             std::pair{"perturb-shift", &Cfg.PerturbShift}}) {
+    const int64_t Shift = Opts.getInt(Flag, int64_t{*Field});
+    if (Shift < 0 || Shift > 63) {
+      std::fprintf(stderr, "check_fuzz: --%s must be in [0, 63]\n", Flag);
+      return 2;
+    }
+    *Field = static_cast<unsigned>(Shift);
+  }
   // Fault injection, for watching the checkers catch a broken STM by hand
   // (the mutation self-tests in tests/ automate this).
   Cfg.Fault.SkipReadValidation = Opts.getBool("inject-skip-validation", false);
   Cfg.Fault.TornVersionPublish = Opts.getBool("inject-torn-publish", false);
   Cfg.Fault.SkipUndoReplay = Opts.getBool("inject-skip-undo", false);
-  Cfg.Fault.SkipReaderDrain = Opts.getBool("inject-skip-drain", false);
   static_cast<FuzzRunConfig &>(TCfg) = Cfg;
 
   // Plan shapes: the two workloads keep their own defaults.

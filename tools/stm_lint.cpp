@@ -53,9 +53,6 @@ static int printRules() {
        "captured beyond the body"},
       {Rule::UnsafeCallee,
        "call into a function that transitively trips R1-R4"},
-      {Rule::UpgradeHazard,
-       "write after validated read of the same location under a "
-       "read-lock engine (tlrw): upgrade deadlock/abort hazard"},
       {Rule::BadSuppression,
        "stm-lint: allow(...) suppression without a rationale"},
       {Rule::TornPublish,
