@@ -8,6 +8,7 @@
 #include "bench/Common.h"
 
 #include "core/JsonExport.h"
+#include "stm/StatsShard.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -31,23 +32,62 @@ static std::vector<std::string> splitList(const std::string &Csv) {
   return Out;
 }
 
-BenchOptions BenchOptions::parse(int Argc, char **Argv) {
-  Options Opts = Options::parse(Argc, Argv);
+BenchOptions BenchOptions::parse(int Argc, char **Argv,
+                                 std::vector<OptionSpec> Extra,
+                                 Options *Parsed) {
+  std::vector<OptionSpec> Specs = {
+      {"threads", "LIST",
+       "comma-separated thread counts, each in [1, 64] (default 8,16)"},
+      {"profile-runs", "N", "training runs, at least 1 (default 6)"},
+      {"runs", "N", "measurement runs per side, at least 1 (default 8)"},
+      {"tfactor", "F", "Ph/Tfactor threshold (default 4)"},
+      {"train-size", "CLASS", "training input: small|medium|large "
+                              "(default medium)"},
+      {"size", "CLASS", "measured input: small|medium|large (default large)"},
+      {"workloads", "LIST", "comma-separated STAMP ports (default all)"},
+      {"seed", "N", "base seed (default 1)"},
+      {"force-guided", "0|1",
+       "run the guided side even when the analyzer rejects the model "
+       "(default 1)"},
+      {"json-dir", "DIR", "also write per-experiment JSON exports here"},
+  };
+  Specs.insert(Specs.end(), Extra.begin(), Extra.end());
+  std::string Tool = Argv[0];
+  Tool = Tool.substr(Tool.find_last_of('/') + 1);
+  OptionSet Cli(Tool, "reproduces one paper figure or table",
+                std::move(Specs));
+  Options Opts = Cli.parseOrExit(Argc, Argv);
   BenchOptions B;
 
-  std::string Threads = Opts.getString("threads", "8,16");
+  // More threads than stats shards would alias single-writer shards, and
+  // zero runs would print a row of zeros as if it were a result.
   B.ThreadCounts.clear();
-  for (const std::string &T : splitList(Threads)) {
-    long V = std::strtol(T.c_str(), nullptr, 10);
-    if (V > 0 && V <= 64)
-      B.ThreadCounts.push_back(static_cast<unsigned>(V));
+  for (const std::string &T : splitList(Opts.getString("threads", "8,16"))) {
+    char *End = nullptr;
+    long V = std::strtol(T.c_str(), &End, 10);
+    if (*End != '\0' || V < 1 || V > static_cast<long>(StatsShardCount)) {
+      B.ThreadCounts.clear();
+      break;
+    }
+    B.ThreadCounts.push_back(static_cast<unsigned>(V));
   }
-  if (B.ThreadCounts.empty())
-    B.ThreadCounts = {8, 16};
+  if (B.ThreadCounts.empty()) {
+    std::fprintf(stderr, "%s: --threads needs counts in [1, %zu]\n",
+                 Tool.c_str(), StatsShardCount);
+    std::exit(2);
+  }
+  auto RunCount = [&](const char *Key, unsigned Default) {
+    int64_t V = Opts.getInt(Key, Default);
+    if (V < 1) {
+      std::fprintf(stderr, "%s: --%s must be at least 1\n", Tool.c_str(),
+                   Key);
+      std::exit(2);
+    }
+    return static_cast<unsigned>(V);
+  };
+  B.ProfileRuns = RunCount("profile-runs", B.ProfileRuns);
+  B.MeasureRuns = RunCount("runs", B.MeasureRuns);
 
-  B.ProfileRuns =
-      static_cast<unsigned>(Opts.getInt("profile-runs", B.ProfileRuns));
-  B.MeasureRuns = static_cast<unsigned>(Opts.getInt("runs", B.MeasureRuns));
   B.Tfactor = Opts.getDouble("tfactor", B.Tfactor);
   B.TrainSize = parseSizeClass(Opts.getString("train-size", "medium"));
   B.MeasureSize = parseSizeClass(Opts.getString("size", "large"));
@@ -57,6 +97,8 @@ BenchOptions BenchOptions::parse(int Argc, char **Argv) {
 
   std::string Names = Opts.getString("workloads", "");
   B.Workloads = Names.empty() ? stampWorkloadNames() : splitList(Names);
+  if (Parsed)
+    *Parsed = std::move(Opts);
   return B;
 }
 

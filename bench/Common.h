@@ -7,7 +7,8 @@
 ///
 /// \file
 /// Shared configuration and execution helpers for the per-table/figure
-/// bench binaries. Every binary accepts:
+/// bench binaries. Every binary accepts (and rejects any other key with
+/// exit 2, unless it declares it):
 ///   --threads=8,16      thread counts to evaluate (paper: 8 and 16)
 ///   --profile-runs=N    training runs (paper: 20)
 ///   --runs=N            measurement runs per side (paper: 20)
@@ -16,6 +17,7 @@
 ///                       train on medium, guide on large)
 ///   --workloads=a,b,c   subset of the STAMP ports
 ///   --seed=N            base seed
+///   --force-guided=0    skip the guided side when the analyzer rejects
 ///   --json-dir=DIR      also write per-experiment JSON exports there
 ///
 /// Defaults are scaled so each binary completes in about a minute on a
@@ -56,7 +58,14 @@ struct BenchOptions {
   /// offline analysis. The directory must exist.
   std::string JsonDir;
 
-  static BenchOptions parse(int Argc, char **Argv);
+  /// Parses the common options plus \p Extra, the binary's own keys,
+  /// whose values the binary reads from \p Parsed. `--help` prints the
+  /// usage and exits 0; an undeclared key, a thread count outside
+  /// [1, StatsShardCount] or a run count below 1 prints a message and
+  /// exits 2.
+  static BenchOptions parse(int Argc, char **Argv,
+                            std::vector<OptionSpec> Extra = {},
+                            Options *Parsed = nullptr);
 };
 
 /// Runs the full experiment pipeline for \p Workload at \p Threads.

@@ -66,8 +66,11 @@ SideStats measure(TlWorkload &Workload, unsigned Threads, unsigned Runs,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  BenchOptions Opts = BenchOptions::parse(Argc, Argv);
-  Options Raw = Options::parse(Argc, Argv);
+  Options Raw;
+  BenchOptions Opts = BenchOptions::parse(
+      Argc, Argv,
+      {{"workload", "NAME", "STAMP workload to run (default kmeans)"}},
+      &Raw);
   std::string Name = Raw.getString("workload", "kmeans");
   unsigned Threads = Opts.ThreadCounts.front();
   unsigned Runs = Opts.MeasureRuns;

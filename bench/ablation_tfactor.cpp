@@ -20,8 +20,11 @@
 using namespace gstm;
 
 int main(int Argc, char **Argv) {
-  BenchOptions Opts = BenchOptions::parse(Argc, Argv);
-  Options Raw = Options::parse(Argc, Argv);
+  Options Raw;
+  BenchOptions Opts = BenchOptions::parse(
+      Argc, Argv,
+      {{"workload", "NAME", "STAMP workload to sweep (default kmeans)"}},
+      &Raw);
   std::string Name = Raw.getString("workload", "kmeans");
   unsigned Threads = Opts.ThreadCounts.front();
   printBanner("Ablation: Tfactor sweep (paper Sec. VI: 4 balances)",

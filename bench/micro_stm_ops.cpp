@@ -16,7 +16,6 @@
 #include "core/GuidedPolicy.h"
 #include "engine/Engines.h"
 #include "libtm/LibTm.h"
-#include "model/OnlineLearner.h"
 #include "stm/TVar.h"
 
 #include <benchmark/benchmark.h>
@@ -267,30 +266,29 @@ BENCHMARK(BM_GatePolicyLookup);
 
 namespace {
 
-/// Small trained policy + controller plumbed into a TL2 instance, the
-/// guided-commit fixture shared by the sink-overhead benchmarks.
+/// Small trained policy + controller plumbed into a TL2 instance: one
+/// guided commit end to end (gate check, commit, tuple formation and
+/// resolution).
 struct GuidedCommitBench {
   Tl2Stm Stm;
   TVar<uint64_t> X{0};
-  std::shared_ptr<const GuidedPolicy> Policy;
+  GuidedPolicy Policy;
   GuideController Controller;
 
-  static std::shared_ptr<const GuidedPolicy> makePolicy() {
+  /// Trained on the commits the benchmark makes (transaction 0 on thread
+  /// 0), so every start is admitted and every tuple resolves to a known
+  /// state: the row times the admitted path, not the gate's forced-release
+  /// sleeps.
+  static Tsa makeModel() {
+    StateTuple S;
+    S.Commit = packPair(0, 0);
     Tsa Model;
-    std::vector<StateTuple> Run;
-    for (int I = 0; I < 64; ++I) {
-      StateTuple S;
-      S.Commit = packPair(static_cast<TxId>(I % 4),
-                          static_cast<ThreadId>(I % 8));
-      S.canonicalize();
-      Run.push_back(S);
-    }
-    Model.addRun(Run);
-    return std::make_shared<const GuidedPolicy>(std::move(Model), 4.0);
+    Model.addRun(std::vector<StateTuple>(64, S));
+    return Model;
   }
 
   GuidedCommitBench()
-      : Policy(makePolicy()), Controller(Policy, GuideConfig{}) {
+      : Policy(makeModel(), 4.0), Controller(Policy, GuideConfig{}) {
     Stm.setObserver(&Controller);
     Stm.setGate(&Controller);
   }
@@ -298,60 +296,14 @@ struct GuidedCommitBench {
 
 } // namespace
 
-// The pair below is the learner's hot-path budget check (same discipline
-// as the access-observer surface): attached vs detached must coincide
-// within noise, because a detached sink costs one predictable branch and
-// an attached one a bounded SPSC append.
-static void BM_GuidedCommitSinkDetached(benchmark::State &State) {
+static void BM_GuidedCommit(benchmark::State &State) {
   GuidedCommitBench G;
   Tl2Txn Txn(G.Stm, 0);
   for (auto _ : State)
     Txn.run(0, [&](Tl2Txn &Tx) { Tx.store(G.X, Tx.load(G.X) + 1); });
   State.SetItemsProcessed(State.iterations());
 }
-BENCHMARK(BM_GuidedCommitSinkDetached);
-
-static void BM_GuidedCommitSinkAttached(benchmark::State &State) {
-  GuidedCommitBench G;
-  LearnerConfig LC;
-  LC.RingCapacity = 1 << 14;
-  OnlineLearner Learner(1, LC);
-  G.Controller.setTtsSink(&Learner);
-  Tl2Txn Txn(G.Stm, 0);
-  uint64_t Since = 0;
-  for (auto _ : State) {
-    Txn.run(0, [&](Tl2Txn &Tx) { Tx.store(G.X, Tx.load(G.X) + 1); });
-    // Drain off the measured thread's critical path often enough that
-    // the ring never fills (a full ring would measure the drop path
-    // instead of the append path).
-    if (++Since == (LC.RingCapacity >> 1)) {
-      Since = 0;
-      Learner.drain();
-    }
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_GuidedCommitSinkAttached);
-
-static void BM_LearnerObserveTuple(benchmark::State &State) {
-  // Bare cost of the TtsSink append (the only work added to onCommit
-  // when a learner is attached).
-  LearnerConfig LC;
-  LC.RingCapacity = 1 << 14;
-  OnlineLearner Learner(1, LC);
-  StateTuple Tuple;
-  Tuple.Commit = packPair(2, 0);
-  Tuple.Aborts.push_back(packPair(1, 1));
-  Tuple.canonicalize();
-  uint64_t Seq = 0;
-  for (auto _ : State) {
-    Learner.observeTuple(0, Seq++, Tuple);
-    if ((Seq & ((LC.RingCapacity >> 1) - 1)) == 0)
-      Learner.drain();
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_LearnerObserveTuple);
+BENCHMARK(BM_GuidedCommit);
 
 static void BM_StateTupleIntern(benchmark::State &State) {
   // Cost of resolving an observed tuple to a model state (per commit in

@@ -25,8 +25,11 @@
 using namespace gstm;
 
 int main(int Argc, char **Argv) {
-  BenchOptions Opts = BenchOptions::parse(Argc, Argv);
-  Options Raw = Options::parse(Argc, Argv);
+  Options Raw;
+  BenchOptions Opts = BenchOptions::parse(
+      Argc, Argv,
+      {{"grouping", "MODE",
+        "tuple grouping: sequence|causal (default sequence)"}}, &Raw);
   bool Causal = Raw.getString("grouping", "sequence") == "causal";
   printBanner("Table IV: avg % improvement in abort-distribution tail",
               "paper Table IV (positive everywhere, 0 for ssca2)", Opts);

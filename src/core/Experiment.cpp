@@ -41,7 +41,6 @@ struct SideCollector {
     Agg.Guide.ForcedReleases += R.Guide.ForcedReleases;
     Agg.Guide.UnknownStates += R.Guide.UnknownStates;
     Agg.Guide.KnownStates += R.Guide.KnownStates;
-    Agg.Guide.PolicySwaps += R.Guide.PolicySwaps;
     Agg.AllVerified = Agg.AllVerified && R.Verified;
   }
 

@@ -12,41 +12,19 @@
 
 using namespace gstm;
 
-GuideController::GuideController(std::shared_ptr<const GuidedPolicy> Policy,
+GuideController::GuideController(const GuidedPolicy &Policy,
                                  const GuideConfig &Config,
                                  TxEventObserver *Downstream)
-    : Cfg(Config), Downstream(Downstream) {
-  Active.store(Policy.get(), std::memory_order_release);
-  Retained.push_back(std::move(Policy));
+    : Policy(Policy), Cfg(Config), Downstream(Downstream) {
   // Pre-size so early aborts don't grow the vector while PendingMutex
   // is held; onCommit's swap recycles buffers from then on.
   PendingAborts.reserve(64);
 }
 
-void GuideController::publishPolicy(
-    std::shared_ptr<const GuidedPolicy> NewPolicy) {
-  if (!NewPolicy)
-    return;
-  std::lock_guard<std::mutex> Lock(PublishMutex);
-  // State ids are snapshot-relative; the current state resolved against
-  // the old model must not index the new one. Reset to UnknownState —
-  // the next commit re-resolves against the fresh snapshot.
-  Current.store(UnknownState, std::memory_order_release);
-  Active.store(NewPolicy.get(), std::memory_order_release);
-  Retained.push_back(std::move(NewPolicy));
-  PolicySwaps.fetch_add(1, std::memory_order_relaxed);
-}
-
 void GuideController::onTxStart(ThreadId Thread, TxId Tx) {
   GateChecks.fetch_add(1, std::memory_order_relaxed);
-  // Drift-disarmed: degrade to plain TL2 — no holds, no retries.
-  if (!GatingEnabled.load(std::memory_order_acquire))
-    return;
   TxThreadPair Self = packPair(Tx, Thread);
-
-  const GuidedPolicy *Policy = Active.load(std::memory_order_acquire);
-  StateId State = Current.load(std::memory_order_acquire);
-  if (Policy->allows(State, Self))
+  if (Policy.allows(Current.load(std::memory_order_acquire), Self))
     return;
 
   Holds.fetch_add(1, std::memory_order_relaxed);
@@ -59,11 +37,7 @@ void GuideController::onTxStart(ThreadId Thread, TxId Tx) {
     else
       std::this_thread::sleep_for(
           std::chrono::microseconds(Cfg.GateSleepMicros));
-    if (!GatingEnabled.load(std::memory_order_acquire))
-      return; // disarmed while held: release immediately
-    Policy = Active.load(std::memory_order_acquire);
-    State = Current.load(std::memory_order_acquire);
-    if (Policy->allows(State, Self))
+    if (Policy.allows(Current.load(std::memory_order_acquire), Self))
       return;
   }
   // k retries exhausted: release to guarantee progress (paper Sec. V).
@@ -89,15 +63,14 @@ void GuideController::onCommit(const CommitEvent &E) {
   Tuple.Aborts.assign(Scratch.begin(), Scratch.end());
   Tuple.canonicalize();
 
-  const GuidedPolicy *Policy = Active.load(std::memory_order_acquire);
-  StateId Resolved = Policy->resolve(Tuple);
+  StateId Resolved = Policy.resolve(Tuple);
   if (Resolved == UnknownState)
     UnknownStates.fetch_add(1, std::memory_order_relaxed);
   else
     KnownStates.fetch_add(1, std::memory_order_relaxed);
   Current.store(Resolved, std::memory_order_release);
 
-  // Online-learning hook: null-gated so a detached learner costs one
+  // Tuple-stream hook: null-gated so a detached sink costs one
   // predictable branch, the same discipline as the access observer.
   if (TtsSink *S = Sink.load(std::memory_order_acquire))
     S->observeTuple(E.Thread, Seq, Tuple);
@@ -123,6 +96,5 @@ GuideStats GuideController::stats() const {
   S.ForcedReleases = ForcedReleases.load(std::memory_order_relaxed);
   S.UnknownStates = UnknownStates.load(std::memory_order_relaxed);
   S.KnownStates = KnownStates.load(std::memory_order_relaxed);
-  S.PolicySwaps = PolicySwaps.load(std::memory_order_relaxed);
   return S;
 }

@@ -22,21 +22,11 @@
 ///    unsuccessful re-checks the thread is released to avoid deadlock and
 ///    ensure progress (the paper's k-retry rule).
 ///
-/// Model lifecycle extensions (model/ subsystem):
-///
-///  * The policy is held as an atomically swapped immutable snapshot:
-///    publishPolicy() retires the current snapshot and installs a new one
-///    with a single pointer exchange, so the online learner can re-train
-///    the model mid-run while gate checks and commit resolution proceed
-///    lock-free (readers do one acquire load; retired snapshots stay
-///    alive until the controller is destroyed, bounding reclamation
-///    without reader coordination).
-///  * A TtsSink (the online learner's ingest surface) receives every
-///    formed tuple, null-gated the same way as the STM's access-observer
-///    hook so a detached learner costs one predictable branch per commit.
-///  * setGatingEnabled() lets the drift detector degrade guidance to
-///    plain TL2 (no holds, no gate retries) when the live model stops
-///    discriminating, and re-arm it when bias returns.
+/// The policy is the fixed model trained offline (paper Sec. III) and
+/// accepted by the analyzer (Sec. IV); it does not change during the run.
+/// An optional TtsSink receives every formed tuple, null-gated the same way
+/// as the STM's access-observer hook so a detached sink costs one
+/// predictable branch per commit.
 ///
 /// Events are forwarded to an optional downstream observer so profiling
 /// metrics can still be collected during guided runs.
@@ -52,7 +42,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -85,16 +74,13 @@ struct GuideStats {
   /// Commits whose tuple was not in the model (current state unknown).
   uint64_t UnknownStates = 0;
   uint64_t KnownStates = 0;
-  /// Number of policy snapshots installed via publishPolicy().
-  uint64_t PolicySwaps = 0;
 };
 
-/// Consumer of the commit-time TTS observation stream (implemented by
-/// model/OnlineLearner.h). \p Seq is a dense global tuple-formation
-/// sequence so a consumer draining per-thread buffers can restore the
-/// commit order the tuples were formed in. Called on the committing
-/// worker thread; implementations must be thread-safe across threads and
-/// must not block (the commit path runs through here).
+/// Consumer of the commit-time TTS observation stream. \p Seq is a dense
+/// global tuple-formation sequence so a consumer draining per-thread
+/// buffers can restore the commit order the tuples were formed in. Called
+/// on the committing worker thread; implementations must be thread-safe
+/// across threads and must not block (the commit path runs through here).
 class TtsSink {
 public:
   virtual ~TtsSink() = default;
@@ -105,47 +91,14 @@ public:
 /// Online guided-execution controller. One instance per guided run.
 class GuideController : public StartGate, public TxEventObserver {
 public:
-  /// Shares ownership of \p Policy; publishPolicy() may replace it later.
-  /// \p Downstream (optional) receives every event after state tracking.
-  GuideController(std::shared_ptr<const GuidedPolicy> Policy,
-                  const GuideConfig &Config,
+  /// \p Policy must outlive the controller. \p Downstream (optional)
+  /// receives every event after state tracking.
+  GuideController(const GuidedPolicy &Policy, const GuideConfig &Config,
                   TxEventObserver *Downstream = nullptr);
 
-  /// Non-owning convenience for the offline pipeline: \p Policy must
-  /// outlive the controller.
-  GuideController(const GuidedPolicy &Policy, const GuideConfig &Config,
-                  TxEventObserver *Downstream = nullptr)
-      : GuideController(
-            std::shared_ptr<const GuidedPolicy>(
-                std::shared_ptr<const GuidedPolicy>(), &Policy),
-            Config, Downstream) {}
-
-  /// Atomically installs \p NewPolicy as the active snapshot. Safe to
-  /// call while workers are running: readers that already loaded the old
-  /// snapshot finish their check against it; the old snapshot is retired
-  /// (kept alive) rather than freed, so no reader ever dereferences a
-  /// dead policy. Null is ignored.
-  void publishPolicy(std::shared_ptr<const GuidedPolicy> NewPolicy);
-
-  /// Policy snapshot current gate checks resolve against.
-  const GuidedPolicy *activePolicy() const {
-    return Active.load(std::memory_order_acquire);
-  }
-
-  /// Attaches the online learner's ingest hook (nullptr to detach, the
-  /// default). Null-gated on the commit path.
+  /// Attaches a tuple consumer (nullptr to detach, the default).
+  /// Null-gated on the commit path.
   void setTtsSink(TtsSink *S) { Sink.store(S, std::memory_order_release); }
-
-  /// Arms or disarms the gate. Disarmed, onTxStart returns immediately
-  /// (no holds, no retries — execution degrades to plain TL2) while
-  /// state tracking and the TTS stream continue, so the drift detector
-  /// still sees fresh observations and can re-arm. On by default.
-  void setGatingEnabled(bool Enabled) {
-    GatingEnabled.store(Enabled, std::memory_order_release);
-  }
-  bool gatingEnabled() const {
-    return GatingEnabled.load(std::memory_order_acquire);
-  }
 
   // StartGate: hold low-probability transactions back.
   void onTxStart(ThreadId Thread, TxId Tx) override;
@@ -155,8 +108,7 @@ public:
   void onAbort(const AbortEvent &E) override;
 
   /// Current state as last resolved (UnknownState before the first commit
-  /// and after any unmodeled tuple). Only meaningful relative to the
-  /// snapshot that resolved it; a policy swap resets it to UnknownState.
+  /// and after any unmodeled tuple).
   StateId currentState() const {
     return Current.load(std::memory_order_acquire);
   }
@@ -166,18 +118,11 @@ public:
   GuideStats stats() const;
 
 private:
+  const GuidedPolicy &Policy;
   GuideConfig Cfg;
   TxEventObserver *Downstream;
 
-  /// Lock-free reader side of the snapshot swap. Retained keeps every
-  /// published snapshot alive until destruction (swaps are rare — one per
-  /// learner publish — so the retired list stays small).
-  std::atomic<const GuidedPolicy *> Active{nullptr};
-  std::mutex PublishMutex;
-  std::vector<std::shared_ptr<const GuidedPolicy>> Retained;
-
   std::atomic<TtsSink *> Sink{nullptr};
-  std::atomic<bool> GatingEnabled{true};
 
   std::atomic<StateId> Current{UnknownState};
 
@@ -195,7 +140,6 @@ private:
   std::atomic<uint64_t> ForcedReleases{0};
   std::atomic<uint64_t> UnknownStates{0};
   std::atomic<uint64_t> KnownStates{0};
-  std::atomic<uint64_t> PolicySwaps{0};
 };
 
 } // namespace gstm

@@ -7,7 +7,6 @@
 
 #include "core/Replay.h"
 
-#include <chrono>
 #include <thread>
 
 using namespace gstm;
@@ -24,11 +23,7 @@ void ReplayGate::onTxStart(ThreadId Thread, TxId Tx) {
       Divergences.fetch_add(1, std::memory_order_relaxed);
       return; // progress guarantee
     }
-    if (Cfg.GateSleepMicros == 0)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(Cfg.GateSleepMicros));
+    std::this_thread::yield();
   }
 }
 

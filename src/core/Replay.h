@@ -61,11 +61,9 @@ private:
 
 /// Tunables of the replay gate.
 struct ReplayConfig {
-  /// Gate re-checks before an off-schedule transaction is released (the
-  /// progress guarantee; matches the guided gate's k).
+  /// Gate re-checks, one yield apart, before an off-schedule transaction
+  /// is released (the progress guarantee; matches the guided gate's k).
   uint32_t MaxGateRetries = 4096;
-  /// Microseconds to sleep between re-checks (0 = yield).
-  uint32_t GateSleepMicros = 0;
 };
 
 /// Enforces a recorded commit schedule: each thread may only start a

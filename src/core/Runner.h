@@ -50,9 +50,9 @@ struct RunnerConfig {
   /// When false, the event trace is not recorded (lowest overhead; used
   /// for pure timing comparisons).
   bool CollectTrace = true;
-  /// Optional online-learning ingest hook (model/OnlineLearner.h)
-  /// attached to guided runs' GuideController; must outlive the run. Not
-  /// owned. Ignored for unguided runs (no controller forms tuples).
+  /// Optional consumer of the guided run's tuple stream, attached to its
+  /// GuideController (GuideController::setTtsSink); must outlive the run.
+  /// Not owned. Ignored for unguided runs (no controller forms tuples).
   TtsSink *Learner = nullptr;
 };
 

@@ -12,10 +12,9 @@
 /// the sum of all outbound frequencies of s (Algorithm 1). The model is
 /// built from the tuple sequences of one or more profiling runs, or
 /// reconstructed state-by-state via internState/addTransition — the
-/// surface the model lifecycle subsystem (model/Serialize.h,
-/// model/OnlineLearner.h) uses to rebuild a Tsa from persisted or
-/// incrementally learned frequencies. On-disk persistence itself lives in
-/// model/Serialize.h (versioned, checksummed), not here.
+/// surface model/Serialize.h uses to rebuild a Tsa from persisted
+/// frequencies. On-disk persistence itself lives in model/Serialize.h
+/// (versioned, checksummed), not here.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -13,10 +13,13 @@
 /// ShardPlacement that re-homes each group's address range onto the shard
 /// it conflicts with least.
 ///
-/// The ingest side reuses the OnlineLearner discipline verbatim (see
-/// model/OnlineLearner.h): the committing worker appends a (group,
-/// touched-shard mask) event to a per-thread SPSC ring — wait-free, no
-/// shared producer cache line, full ring drops and counts. A control
+/// On the ingest side the committing worker appends a (group,
+/// touched-shard mask) event to its own single-producer single-consumer
+/// ring: the worker alone advances Head (relaxed read of its own Head,
+/// acquire read of Tail, release store of the new Head), the drainer alone
+/// advances Tail, each lane sits on its own cache line, and a full ring
+/// drops the event and counts it — wait-free, no shared producer cache
+/// line. A control
 /// thread drain()s the rings into per-group traffic/affinity accumulators
 /// aged by decay() (exponential forgetting, so the placement tracks a
 /// drifting workload just like the TSA edge weights), and
@@ -118,8 +121,7 @@ private:
     uint64_t ShardMask;
   };
 
-  /// One SPSC lane; same layout and ownership split as the
-  /// OnlineLearner rings (Head: owning worker, Tail: drainer).
+  /// One SPSC lane (Head: owning worker, Tail: drainer).
   struct alignas(64) Lane {
     std::vector<Event> Slots;
     std::atomic<uint64_t> Head{0};

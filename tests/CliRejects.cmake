@@ -5,18 +5,24 @@
 # threads), undercount (more threads than StatsShardCount alias onto
 # single-writer stats shards), size the commit ring out of range (2^44
 # slots throw bad_alloc; a 64-bit shift is undefined and wrapped to one
-# slot), shift a yield mask by 64 or more bits (undefined), or publish a
-# snapshot of zero medians (zero repeats). A case whose bad value used to
-# exit 2 for an unrelated reason also names the message it must print.
-# Invoked by the `cli_rejects_bad_counts` ctest:
+# slot), shift a yield mask by 64 or more bits (undefined), publish a
+# snapshot of zero medians (zero repeats), save and publish an empty model
+# (zero runs or threads), key a model for a shard count no run can use,
+# print a row of zeros as a result (zero runs), or silently fall back to
+# defaults (a thread count out of range, a misspelled key). A case whose
+# bad value used to exit 2 for an unrelated reason also names the message
+# it must print. Invoked by the `cli_rejects_bad_counts` ctest:
 #
 #   cmake -DCHECK_FUZZ=<check_fuzz> -DOLTP_YCSB=<oltp_ycsb>
-#         -DBENCH_RUNNER=<bench_runner> -P CliRejects.cmake
+#         -DBENCH_RUNNER=<bench_runner> -DMODEL_CTL=<model_ctl>
+#         -DFIG_BIN=<fig9_nondeterminism> -P CliRejects.cmake
 
-if(NOT CHECK_FUZZ OR NOT OLTP_YCSB OR NOT BENCH_RUNNER)
+if(NOT CHECK_FUZZ OR NOT OLTP_YCSB OR NOT BENCH_RUNNER OR NOT MODEL_CTL
+   OR NOT FIG_BIN)
   message(FATAL_ERROR
       "usage: cmake -DCHECK_FUZZ=<bin> -DOLTP_YCSB=<bin> "
-      "-DBENCH_RUNNER=<bin> -P CliRejects.cmake")
+      "-DBENCH_RUNNER=<bin> -DMODEL_CTL=<bin> -DFIG_BIN=<bin> "
+      "-P CliRejects.cmake")
 endif()
 
 # expect_usage_error(<command>... [MESSAGE <regex>])
@@ -57,3 +63,38 @@ expect_usage_error(${BENCH_RUNNER} --smoke --suite=stamp --threads=0
                    ${BenchOut} MESSAGE "--threads")
 expect_usage_error(${BENCH_RUNNER} --smoke --suite=stamp --threads=100
                    ${BenchOut} MESSAGE "--threads")
+
+# model_ctl needs a real model for its load cases; a save or load that got
+# past its checks writes or reads it in the build tree.
+set(ModelDir ${CMAKE_CURRENT_BINARY_DIR}/cli-rejects/model-ctl)
+file(REMOVE_RECURSE ${ModelDir})
+file(MAKE_DIRECTORY ${ModelDir})
+set(Model ${ModelDir}/kmeans.tsa)
+execute_process(
+  COMMAND ${MODEL_CTL} save --workload=kmeans --size=small --threads=2
+          --runs=1 --out=${Model}
+  RESULT_VARIABLE SaveRc OUTPUT_QUIET)
+if(NOT SaveRc EQUAL 0)
+  message(FATAL_ERROR "model_ctl save of the load fixture failed (${SaveRc})")
+endif()
+set(Save ${MODEL_CTL} save --workload=kmeans --size=small)
+set(Load ${MODEL_CTL} load ${Model} --run --workload=kmeans --size=small)
+expect_usage_error(${Save} --threads=0 --runs=1 --out=${ModelDir}/t0.tsa
+                   MESSAGE "--threads")
+expect_usage_error(${Save} --threads=65 --runs=1 --out=${ModelDir}/t65.tsa
+                   MESSAGE "--threads")
+expect_usage_error(${Save} --threads=2 --runs=0 --store=${ModelDir}/store
+                   MESSAGE "--runs")
+expect_usage_error(${Save} --threads=2 --runs=1 --shards=3
+                   --store=${ModelDir}/store MESSAGE "--shards")
+expect_usage_error(${Load} --threads=0 --runs=1 MESSAGE "--threads")
+expect_usage_error(${Load} --threads=2 --runs=0 MESSAGE "--runs")
+
+# The paper binaries share BenchOptions::parse; small inputs keep a binary
+# that got past its checks short.
+set(Fig ${FIG_BIN} --workloads=kmeans --size=small --train-size=small
+        --profile-runs=1)
+expect_usage_error(${Fig} --threads=0 --runs=1 MESSAGE "--threads")
+expect_usage_error(${Fig} --threads=2 --runs=0 MESSAGE "--runs")
+expect_usage_error(${Fig} --threads=2 --runs=1 --rusn=1
+                   MESSAGE "unknown option '--rusn'")

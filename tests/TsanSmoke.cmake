@@ -5,8 +5,8 @@
 #   cmake -DSOURCE_DIR=<repo> -DBUILD_DIR=<build>/tsan-smoke -P TsanSmoke.cmake
 #
 # The smoke focuses on the racy-by-construction paths: the sharded stats
-# subsystem (single-writer relaxed increments, concurrent aggregation) and
-# the TL2 runtime's multi-threaded tests. A data race anywhere in those
+# subsystem (single-writer relaxed increments, concurrent aggregation),
+# the TL2 runtime's multi-threaded tests and the guided controller. A data race anywhere in those
 # paths makes TSan exit non-zero and fails the test.
 
 if(NOT SOURCE_DIR OR NOT BUILD_DIR)
@@ -25,7 +25,7 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BUILD_DIR}
           --target stats_test tl2_test minivector_test latency_histogram_test
-                   tmds_test engine_test shard_test libtm_test
+                   tmds_test engine_test shard_test libtm_test controller_test
   RESULT_VARIABLE BuildRc)
 if(NOT BuildRc EQUAL 0)
   message(FATAL_ERROR "tsan sub-build compile failed (${BuildRc})")
@@ -64,6 +64,20 @@ execute_process(
   RESULT_VARIABLE LibTmRc)
 if(NOT LibTmRc EQUAL 0)
   message(FATAL_ERROR "libtm_test failed under tsan (${LibTmRc})")
+endif()
+
+# The guided controller reads the current state (an atomic) against its
+# fixed policy while committing threads resolve new tuples under the
+# pending-abort mutex and hand them to the tuple sink: one thread held at
+# the gate until another commit moves the state, four threads folding
+# their aborts into one another's tuples, and a 4-thread guided kmeans run
+# streaming every tuple into a sink.
+execute_process(
+  COMMAND ${BUILD_DIR}/tests/controller_test
+          --gtest_filter=GuideControllerTest.HeldThreadReleasedByStateChange:GuideControllerTest.ConcurrentAbortsFoldIntoExactlyOneTuple:GuideControllerTest.RunnerSinkSeesEveryGuidedCommit
+  RESULT_VARIABLE ControllerRc)
+if(NOT ControllerRc EQUAL 0)
+  message(FATAL_ERROR "controller_test failed under tsan (${ControllerRc})")
 endif()
 
 # The transactional skiplist/B-tree publish pool-allocated nodes through

@@ -1,0 +1,116 @@
+//===- tests/bench_options_test.cpp - paper-binary option parsing tests ----===//
+//
+// Part of the GSTM reproduction of "Quantifying and Reducing Execution
+// Variance in STM via Model Driven Commit Optimization" (CGO 2019).
+//
+//===----------------------------------------------------------------------===//
+
+#include "bench/Common.h"
+
+#include "stm/StatsShard.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+using namespace gstm;
+
+namespace {
+
+/// Parses \p Args as the command line of a paper binary named `fig_bin`.
+BenchOptions parseArgs(std::vector<std::string> Args,
+                       std::vector<OptionSpec> Extra = {},
+                       Options *Parsed = nullptr) {
+  Args.insert(Args.begin(), "bench/fig_bin");
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  Argv.push_back(nullptr);
+  return BenchOptions::parse(static_cast<int>(Args.size()), Argv.data(),
+                             std::move(Extra), Parsed);
+}
+
+} // namespace
+
+TEST(BenchOptionsTest, DefaultsWithNoArguments) {
+  BenchOptions B = parseArgs({});
+  EXPECT_EQ(B.ThreadCounts, (std::vector<unsigned>{8, 16}));
+  EXPECT_EQ(B.ProfileRuns, 6u);
+  EXPECT_EQ(B.MeasureRuns, 8u);
+  EXPECT_DOUBLE_EQ(B.Tfactor, 4.0);
+  EXPECT_EQ(B.TrainSize, SizeClass::Medium);
+  EXPECT_EQ(B.MeasureSize, SizeClass::Large);
+  EXPECT_EQ(B.Workloads, stampWorkloadNames());
+  EXPECT_EQ(B.Seed, 1u);
+  EXPECT_TRUE(B.ForceGuided);
+  EXPECT_TRUE(B.JsonDir.empty());
+}
+
+TEST(BenchOptionsTest, ParsesEveryCommonKey) {
+  BenchOptions B = parseArgs(
+      {"--threads=1,4,64", "--profile-runs=2", "--runs=3", "--tfactor=2.5",
+       "--train-size=small", "--size=medium", "--workloads=kmeans,genome",
+       "--seed=7", "--force-guided=0", "--json-dir=out"});
+  EXPECT_EQ(B.ThreadCounts, (std::vector<unsigned>{1, 4, 64}));
+  EXPECT_EQ(B.ProfileRuns, 2u);
+  EXPECT_EQ(B.MeasureRuns, 3u);
+  EXPECT_DOUBLE_EQ(B.Tfactor, 2.5);
+  EXPECT_EQ(B.TrainSize, SizeClass::Small);
+  EXPECT_EQ(B.MeasureSize, SizeClass::Medium);
+  EXPECT_EQ(B.Workloads, (std::vector<std::string>{"kmeans", "genome"}));
+  EXPECT_EQ(B.Seed, 7u);
+  EXPECT_FALSE(B.ForceGuided);
+  EXPECT_EQ(B.JsonDir, "out");
+}
+
+TEST(BenchOptionsTest, ExtraKeyIsAcceptedAndReadBack) {
+  Options Parsed;
+  BenchOptions B = parseArgs({"--grouping=causal", "--runs=2"},
+                             {{"grouping", "MODE", "tuple grouping"}},
+                             &Parsed);
+  EXPECT_EQ(B.MeasureRuns, 2u);
+  EXPECT_EQ(Parsed.getString("grouping", "sequence"), "causal");
+  EXPECT_EQ(Parsed.getInt("runs", 0), 2);
+}
+
+TEST(BenchOptionsDeathTest, UnknownKeyExitsTwo) {
+  EXPECT_EXIT(parseArgs({"--rusn=1"}), testing::ExitedWithCode(2),
+              "unknown option '--rusn'");
+  // A key one binary declares is still unknown to one that does not.
+  EXPECT_EXIT(parseArgs({"--grouping=causal"}), testing::ExitedWithCode(2),
+              "unknown option '--grouping'");
+}
+
+TEST(BenchOptionsDeathTest, ThreadCountOutsideShardRangeExitsTwo) {
+  std::string TooMany = "--threads=8," + std::to_string(StatsShardCount + 1);
+  for (std::string Bad : {std::string("--threads=0"), TooMany,
+                          std::string("--threads=-4"),
+                          std::string("--threads=8x")})
+    EXPECT_EXIT(parseArgs({Bad}), testing::ExitedWithCode(2), "--threads")
+        << Bad;
+}
+
+TEST(BenchOptionsDeathTest, RunCountBelowOneExitsTwo) {
+  EXPECT_EXIT(parseArgs({"--runs=0"}), testing::ExitedWithCode(2),
+              "--runs must be at least 1");
+  EXPECT_EXIT(parseArgs({"--runs=-1"}), testing::ExitedWithCode(2),
+              "--runs must be at least 1");
+  EXPECT_EXIT(parseArgs({"--profile-runs=0"}), testing::ExitedWithCode(2),
+              "--profile-runs must be at least 1");
+}
+
+TEST(BenchOptionsDeathTest, HelpListsDeclaredKeysAndExitsZero) {
+  // Usage goes to stdout; the child points stdout at stderr so the death
+  // test can match it.
+  auto Help = [] {
+    std::fflush(stdout);
+    dup2(STDERR_FILENO, STDOUT_FILENO);
+    parseArgs({"--help"}, {{"grouping", "MODE", "tuple grouping"}});
+  };
+  EXPECT_EXIT(Help(), testing::ExitedWithCode(0), "--runs=N");
+  EXPECT_EXIT(Help(), testing::ExitedWithCode(0), "--grouping=MODE");
+}

@@ -7,10 +7,14 @@
 
 #include "core/GuideController.h"
 
+#include "core/Runner.h"
+#include "stamp/Kmeans.h"
 #include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
 #include <thread>
 
 using namespace gstm;
@@ -44,6 +48,23 @@ Tsa biasedModel() {
   Run.push_back(D);
   Model.addRun(Run);
   return Model;
+}
+
+/// Policy over a two-state model where only pair <0,0> is ever allowed
+/// from state 0 — lets a test force holds deterministically.
+GuidedPolicy restrictivePolicy() {
+  Tsa Model;
+  StateTuple A = makeTuple(0, 0), B = makeTuple(0, 0, {{1, 1}});
+  // A -> A dominates; B is a rare destination pruned by Tfactor 1.
+  Model.addRun({A, A, A, A, A, A, A, A, B, A});
+  return GuidedPolicy(std::move(Model), 1.0);
+}
+
+CommitEvent commitEventFor(ThreadId Thread, TxId Tx) {
+  CommitEvent E{};
+  E.Thread = Thread;
+  E.Tx = Tx;
+  return E;
 }
 
 } // namespace
@@ -182,4 +203,198 @@ TEST(GuideControllerTest, ForwardsEventsDownstream) {
   Controller.onCommit(CommitEvent{0, 0, 1, 0});
   EXPECT_EQ(Downstream.Commits, 1);
   EXPECT_EQ(Downstream.Aborts, 1);
+}
+
+TEST(GuideControllerLifecycleTest, SinkReceivesTuplesInFormationOrder) {
+  struct RecordingSink : TtsSink {
+    std::vector<uint64_t> Seqs;
+    void observeTuple(ThreadId, uint64_t Seq, const StateTuple &) override {
+      Seqs.push_back(Seq);
+    }
+  } Sink;
+  auto Policy = restrictivePolicy();
+  GuideConfig GC;
+  GuideController Controller(Policy, GC);
+  Controller.setTtsSink(&Sink);
+  for (int I = 0; I < 5; ++I)
+    Controller.onCommit(commitEventFor(0, 0));
+  ASSERT_EQ(Sink.Seqs.size(), 5u);
+  for (uint64_t I = 0; I < 5; ++I)
+    EXPECT_EQ(Sink.Seqs[I], I) << "dense formation sequence expected";
+
+  Controller.setTtsSink(nullptr);
+  Controller.onCommit(commitEventFor(0, 0));
+  EXPECT_EQ(Sink.Seqs.size(), 5u) << "detached sink must see nothing";
+}
+
+TEST(GuideControllerTest, RunnerSinkSeesEveryGuidedCommit) {
+  // RunnerConfig::Learner wiring on a real 4-thread guided run: every
+  // commit's tuple reaches the sink once, and the formation sequence is
+  // dense even though the tuples arrive from four committing threads.
+  struct CountingSink : TtsSink {
+    std::mutex M;
+    std::vector<uint64_t> Seqs;
+    void observeTuple(ThreadId, uint64_t Seq, const StateTuple &) override {
+      std::lock_guard<std::mutex> Lock(M);
+      Seqs.push_back(Seq);
+    }
+  } Sink;
+
+  KmeansWorkload W(KmeansParams::forSize(SizeClass::Small));
+  Tsa Model;
+  RunnerConfig RC;
+  RC.Threads = 4;
+  for (unsigned Run = 0; Run < 2; ++Run)
+    Model.addRun(runWorkloadOnce(W, RC, 42 + Run, nullptr).Tuples);
+  ASSERT_GT(Model.numStates(), 0u);
+  GuidedPolicy Policy(std::move(Model), 4.0);
+
+  RC.Learner = &Sink;
+  RunResult R = runWorkloadOnce(W, RC, 99, &Policy);
+  ASSERT_TRUE(R.Verified);
+  ASSERT_GT(R.Commits, 0u);
+  ASSERT_EQ(Sink.Seqs.size(), R.Commits)
+      << "every commit's tuple must reach the sink";
+  std::sort(Sink.Seqs.begin(), Sink.Seqs.end());
+  for (uint64_t I = 0; I < Sink.Seqs.size(); ++I)
+    ASSERT_EQ(Sink.Seqs[I], I) << "formation sequence must be dense";
+}
+
+TEST(GuideControllerTest, UnknownStateAdmitsEveryPair) {
+  // The paper's rule for states the training runs never captured: while
+  // the current state is unknown (before the first commit and after an
+  // unmodeled tuple) every start proceeds unimpeded.
+  Tsa Model = biasedModel();
+  GuidedPolicy Policy(Model, 4.0);
+  GuideConfig Cfg;
+  Cfg.MaxGateRetries = 3;
+  Cfg.GateSleepMicros = 0;
+  GuideController Controller(Policy, Cfg);
+
+  ASSERT_EQ(Controller.currentState(), UnknownState);
+  Controller.onTxStart(/*Thread=*/4, /*Tx=*/3);
+  Controller.onCommit(commitEventFor(9, 9)); // unmodeled tuple
+  ASSERT_EQ(Controller.currentState(), UnknownState);
+  Controller.onTxStart(/*Thread=*/4, /*Tx=*/3);
+  Controller.onTxStart(/*Thread=*/1, /*Tx=*/1);
+  Controller.onTxStart(/*Thread=*/63, /*Tx=*/500);
+
+  GuideStats S = Controller.stats();
+  EXPECT_EQ(S.GateChecks, 4u);
+  EXPECT_EQ(S.Holds, 0u);
+  EXPECT_EQ(S.GateRetries, 0u);
+  EXPECT_EQ(S.ForcedReleases, 0u);
+}
+
+TEST(GuideControllerTest, GateHoldsEveryDisallowedStartForTheWholeRun) {
+  // The offline-trained policy is fixed for the run: however many holds
+  // end in forced releases, the gate keeps holding every start the model
+  // does not admit and keeps admitting every start it does.
+  GuidedPolicy Policy = restrictivePolicy();
+  GuideConfig Cfg;
+  Cfg.MaxGateRetries = 4;
+  Cfg.GateSleepMicros = 0;
+  GuideController Controller(Policy, Cfg);
+  Controller.onCommit(commitEventFor(0, 0)); // current = A
+  const StateId A = Controller.currentState();
+  ASSERT_NE(A, UnknownState);
+
+  constexpr uint64_t Rounds = 20;
+  for (uint64_t I = 0; I < Rounds; ++I) {
+    Controller.onTxStart(/*Thread=*/1, /*Tx=*/1); // held, then forced
+    Controller.onTxStart(/*Thread=*/0, /*Tx=*/0); // admitted at once
+    Controller.onCommit(commitEventFor(0, 0));
+    ASSERT_EQ(Controller.currentState(), A);
+  }
+
+  GuideStats S = Controller.stats();
+  EXPECT_EQ(S.GateChecks, 2 * Rounds);
+  EXPECT_EQ(S.Holds, Rounds);
+  EXPECT_EQ(S.ForcedReleases, Rounds);
+  EXPECT_EQ(S.GateRetries, Rounds * Cfg.MaxGateRetries);
+  EXPECT_EQ(S.KnownStates, Rounds + 1);
+  EXPECT_EQ(S.UnknownStates, 0u);
+}
+
+TEST(GuideControllerTest, AdmittedHoldCountsOnlyTheRetriesItWaited) {
+  // A hold that a state change ends contributes the retries it actually
+  // waited, fewer than k, and no forced release.
+  Tsa Model = biasedModel();
+  GuidedPolicy Policy(Model, 4.0);
+  GuideConfig Cfg;
+  Cfg.MaxGateRetries = 100000;
+  Cfg.GateSleepMicros = 100;
+  GuideController Controller(Policy, Cfg);
+  Controller.onCommit(commitEventFor(0, 0)); // current = A
+
+  std::thread Held([&] { Controller.onTxStart(/*Thread=*/4, /*Tx=*/3); });
+  // Wait until the thread is provably parked at the gate.
+  while (Controller.stats().GateRetries == 0)
+    std::this_thread::yield();
+  Controller.onCommit(commitEventFor(9, 9)); // unknown: admits everyone
+  Held.join();
+
+  GuideStats S = Controller.stats();
+  EXPECT_EQ(S.GateChecks, 1u);
+  EXPECT_EQ(S.Holds, 1u);
+  EXPECT_EQ(S.ForcedReleases, 0u);
+  EXPECT_GE(S.GateRetries, 1u);
+  EXPECT_LT(S.GateRetries, uint64_t{Cfg.MaxGateRetries});
+}
+
+TEST(GuideControllerTest, ConcurrentAbortsFoldIntoExactlyOneTuple) {
+  // Four threads abort and commit concurrently. Every logged abort must
+  // land in exactly one formed tuple (none lost, none counted twice) and
+  // the tuples' formation sequence must be dense.
+  constexpr unsigned Threads = 4, PerThread = 200;
+  struct CollectingSink : TtsSink {
+    std::mutex M;
+    std::vector<uint64_t> Seqs;
+    std::vector<TxThreadPair> Aborts;
+    void observeTuple(ThreadId, uint64_t Seq,
+                      const StateTuple &Tuple) override {
+      std::lock_guard<std::mutex> Lock(M);
+      Seqs.push_back(Seq);
+      Aborts.insert(Aborts.end(), Tuple.Aborts.begin(), Tuple.Aborts.end());
+    }
+  } Sink;
+
+  Tsa Model = biasedModel();
+  GuidedPolicy Policy(Model, 4.0);
+  GuideController Controller(Policy, GuideConfig{});
+  Controller.setTtsSink(&Sink);
+
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      auto Thread = static_cast<ThreadId>(T);
+      for (unsigned I = 0; I < PerThread; ++I) {
+        // Distinct (tx, thread) per abort so canonicalization's dedupe
+        // cannot hide a double count.
+        Controller.onAbort(AbortEvent{Thread, static_cast<TxId>(I + 1),
+                                      AbortCauseKind::Explicit, 0, 0});
+        Controller.onCommit(commitEventFor(Thread, 0));
+      }
+    });
+  for (auto &W : Workers)
+    W.join();
+
+  constexpr uint64_t Total = uint64_t{Threads} * PerThread;
+  ASSERT_EQ(Sink.Seqs.size(), Total);
+  std::sort(Sink.Seqs.begin(), Sink.Seqs.end());
+  for (uint64_t I = 0; I < Total; ++I)
+    ASSERT_EQ(Sink.Seqs[I], I) << "formation sequence must be dense";
+
+  std::vector<TxThreadPair> Expected;
+  for (unsigned T = 0; T < Threads; ++T)
+    for (unsigned I = 0; I < PerThread; ++I)
+      Expected.push_back(
+          packPair(static_cast<TxId>(I + 1), static_cast<ThreadId>(T)));
+  std::sort(Expected.begin(), Expected.end());
+  std::sort(Sink.Aborts.begin(), Sink.Aborts.end());
+  EXPECT_EQ(Sink.Aborts, Expected)
+      << "each abort must be folded into exactly one tuple";
+
+  GuideStats S = Controller.stats();
+  EXPECT_EQ(S.KnownStates + S.UnknownStates, Total);
 }

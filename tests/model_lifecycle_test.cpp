@@ -7,18 +7,14 @@
 //
 // The model lifecycle subsystem (src/model) end to end: versioned
 // serialization (byte-identical round trips, typed rejection of every
-// corruption mode, JSON interchange), the key-stamped on-disk store,
-// commit-stream online learning with EWMA forgetting, drift-driven gate
-// disarm/re-arm, and the warm-start experiment pipeline that proves a
-// persisted model guides with zero profiling transactions.
+// corruption mode, JSON interchange), the key-stamped on-disk store, and
+// the warm-start experiment pipeline that proves a persisted model guides
+// with zero profiling transactions.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiment.h"
-#include "core/GuideController.h"
 #include "core/ModelMath.h"
-#include "model/Drift.h"
-#include "model/OnlineLearner.h"
 #include "model/Serialize.h"
 #include "model/Store.h"
 #include "shard/ShardConfig.h"
@@ -28,22 +24,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <thread>
 
 using namespace gstm;
 
 namespace {
-
-StateTuple makeTuple(TxId CommitTx, ThreadId CommitThread,
-                     std::initializer_list<std::pair<TxId, ThreadId>>
-                         Aborts = {}) {
-  StateTuple S;
-  S.Commit = packPair(CommitTx, CommitThread);
-  for (auto [Tx, T] : Aborts)
-    S.Aborts.push_back(packPair(Tx, T));
-  S.canonicalize();
-  return S;
-}
 
 /// Random but canonical tuple stream, the raw material for randomized
 /// serialization properties.
@@ -435,338 +419,6 @@ TEST_F(StoreFixture, CorruptContainerReportsTypedError) {
 }
 
 //===----------------------------------------------------------------------===//
-// Online learner
-//===----------------------------------------------------------------------===//
-
-TEST(OnlineLearnerTest, DrainReplaysFormationOrderAcrossLanes) {
-  // Observations arrive on per-thread lanes in arbitrary interleaving;
-  // the drain must rebuild the exact global chain Seq encodes.
-  OnlineLearner Learner(3);
-  StateTuple A = makeTuple(0, 0), B = makeTuple(1, 1), C = makeTuple(2, 2);
-  // Global chain: A(0) B(1) C(2) A(3) C(4). Lane order is scrambled.
-  Learner.observeTuple(2, 4, C);
-  Learner.observeTuple(1, 1, B);
-  Learner.observeTuple(0, 0, A);
-  Learner.observeTuple(0, 3, A);
-  Learner.observeTuple(1, 2, C);
-  EXPECT_EQ(Learner.drain(), 5u);
-
-  Tsa Snapshot = Learner.snapshotModel();
-  // Expected transitions: A->B, B->C, C->A, A->C, each once.
-  Tsa Expected;
-  StateId Ia = Expected.internState(A);
-  StateId Ib = Expected.internState(B);
-  StateId Ic = Expected.internState(C);
-  LearnerConfig Cfg;
-  auto Unit = static_cast<uint64_t>(Cfg.CountScale);
-  Expected.addTransition(Ia, Ib, Unit);
-  Expected.addTransition(Ib, Ic, Unit);
-  Expected.addTransition(Ic, Ia, Unit);
-  Expected.addTransition(Ia, Ic, Unit);
-  EXPECT_EQ(serializeModel(Snapshot), serializeModel(Expected));
-}
-
-TEST(OnlineLearnerTest, ChainSpansDrainBatches) {
-  OnlineLearner Learner(1);
-  StateTuple A = makeTuple(0, 0), B = makeTuple(1, 0);
-  Learner.observeTuple(0, 0, A);
-  EXPECT_EQ(Learner.drain(), 1u);
-  Learner.observeTuple(0, 1, B);
-  EXPECT_EQ(Learner.drain(), 1u);
-  // The A->B transition crosses the two drains and must still count.
-  Tsa Snapshot = Learner.snapshotModel();
-  EXPECT_EQ(Snapshot.numStates(), 2u);
-  EXPECT_GT(Snapshot.numTransitions(), 0u);
-}
-
-TEST(OnlineLearnerTest, FullLaneDropsAndCounts) {
-  LearnerConfig Cfg;
-  Cfg.RingCapacity = 4;
-  OnlineLearner Learner(1, Cfg);
-  StateTuple A = makeTuple(0, 0);
-  for (uint64_t I = 0; I < 10; ++I)
-    Learner.observeTuple(0, I, A);
-  LearnerStats S = Learner.stats();
-  EXPECT_EQ(S.Observed, 10u);
-  EXPECT_EQ(S.Dropped, 6u);
-  EXPECT_EQ(Learner.drain(), 4u);
-}
-
-TEST(OnlineLearnerTest, DecayForgetsOldBehavior) {
-  LearnerConfig Cfg;
-  Cfg.DecayFactor = 0.5;
-  OnlineLearner Learner(1, Cfg);
-  StateTuple A = makeTuple(0, 0), B = makeTuple(1, 0), C = makeTuple(2, 0);
-
-  // Old regime: A <-> B, 8 transitions into B.
-  uint64_t Seq = 0;
-  for (int I = 0; I < 8; ++I) {
-    Learner.observeTuple(0, Seq++, A);
-    Learner.observeTuple(0, Seq++, B);
-  }
-  Learner.drain();
-  // Four half-life epochs: old edges keep 1/16 of their weight.
-  for (int I = 0; I < 4; ++I)
-    Learner.decay();
-  // New regime: A <-> C, 8 transitions into C.
-  for (int I = 0; I < 8; ++I) {
-    Learner.observeTuple(0, Seq++, A);
-    Learner.observeTuple(0, Seq++, C);
-  }
-  Learner.drain();
-
-  Tsa Snapshot = Learner.snapshotModel();
-  auto IdA = Snapshot.lookup(A);
-  ASSERT_TRUE(IdA.has_value());
-  auto Succ = Snapshot.successors(*IdA);
-  ASSERT_FALSE(Succ.empty());
-  // The fresh A->C edge must dominate the decayed A->B edge.
-  auto IdC = Snapshot.lookup(C);
-  ASSERT_TRUE(IdC.has_value());
-  EXPECT_EQ(Succ.front().Dest, *IdC)
-      << "EWMA must favor the recent regime";
-  EXPECT_GT(Succ.front().Probability, 0.8);
-  EXPECT_EQ(Learner.stats().DecayEpochs, 4u);
-}
-
-TEST(OnlineLearnerTest, ConcurrentProducersSingleConsumer) {
-  constexpr unsigned Threads = 4;
-  constexpr uint64_t PerThread = 2000;
-  LearnerConfig Cfg;
-  Cfg.RingCapacity = 1 << 14;
-  OnlineLearner Learner(Threads, Cfg);
-
-  // Distinct Seq per observation, interleaved across threads the way
-  // the controller hands them out.
-  std::vector<std::thread> Workers;
-  for (unsigned T = 0; T < Threads; ++T)
-    Workers.emplace_back([&, T] {
-      StateTuple S = makeTuple(static_cast<TxId>(T),
-                               static_cast<ThreadId>(T));
-      for (uint64_t I = 0; I < PerThread; ++I)
-        Learner.observeTuple(static_cast<ThreadId>(T),
-                             I * Threads + T, S);
-    });
-  for (auto &W : Workers)
-    W.join();
-
-  size_t Drained = Learner.drain();
-  LearnerStats S = Learner.stats();
-  EXPECT_EQ(S.Observed, uint64_t{Threads} * PerThread);
-  EXPECT_EQ(Drained + S.Dropped, uint64_t{Threads} * PerThread);
-  Tsa Snapshot = Learner.snapshotModel();
-  EXPECT_EQ(Snapshot.numStates(), Threads);
-}
-
-//===----------------------------------------------------------------------===//
-// Controller integration: policy swap, gating control
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Policy over a two-state model where only pair <0,0> is ever allowed
-/// from state 0 — lets a test force holds deterministically.
-std::shared_ptr<const GuidedPolicy> restrictivePolicy() {
-  Tsa Model;
-  StateTuple A = makeTuple(0, 0), B = makeTuple(0, 0, {{1, 1}});
-  // A -> A dominates; B is a rare destination pruned by Tfactor 1.
-  Model.addRun({A, A, A, A, A, A, A, A, B, A});
-  return std::make_shared<const GuidedPolicy>(std::move(Model), 1.0);
-}
-
-CommitEvent commitEventFor(ThreadId Thread, TxId Tx) {
-  CommitEvent E{};
-  E.Thread = Thread;
-  E.Tx = Tx;
-  return E;
-}
-
-} // namespace
-
-TEST(GuideControllerLifecycleTest, PublishPolicySwapsSnapshotAtomically) {
-  auto P1 = restrictivePolicy();
-  GuideConfig GC;
-  GuideController Controller(P1, GC);
-  EXPECT_EQ(Controller.activePolicy(), P1.get());
-
-  // Move to a known state, then swap: the stale state id must not
-  // survive into the new snapshot's id space.
-  Controller.onCommit(commitEventFor(0, 0));
-  EXPECT_NE(Controller.currentState(), UnknownState);
-
-  OnlineLearner Learner(1);
-  StateTuple A = makeTuple(0, 0), B = makeTuple(1, 0);
-  Learner.observeTuple(0, 0, A);
-  Learner.observeTuple(0, 1, B);
-  Learner.drain();
-  auto P2 = Learner.compilePolicy(4.0);
-  Controller.publishPolicy(P2);
-
-  EXPECT_EQ(Controller.activePolicy(), P2.get());
-  EXPECT_EQ(Controller.currentState(), UnknownState)
-      << "policy swap must reset the tracked state";
-  EXPECT_EQ(Controller.stats().PolicySwaps, 1u);
-
-  // Old snapshot stays alive (retained) even after the caller drops it.
-  P1.reset();
-  Controller.onCommit(commitEventFor(0, 1));
-  EXPECT_EQ(Controller.stats().KnownStates, 2u);
-}
-
-TEST(GuideControllerLifecycleTest, DisarmedGateHoldsNothing) {
-  auto Policy = restrictivePolicy();
-  GuideConfig GC;
-  GC.GateSleepMicros = 0;
-  GC.MaxGateRetries = 2;
-  GuideController Controller(Policy, GC);
-
-  // Enter state 0 (the restrictive one).
-  Controller.onCommit(commitEventFor(0, 0));
-  ASSERT_NE(Controller.currentState(), UnknownState);
-
-  // A disallowed pair holds while armed...
-  Controller.onTxStart(/*Thread=*/5, /*Tx=*/3);
-  EXPECT_EQ(Controller.stats().Holds, 1u);
-
-  // ...and sails through disarmed.
-  Controller.setGatingEnabled(false);
-  EXPECT_FALSE(Controller.gatingEnabled());
-  Controller.onTxStart(5, 3);
-  EXPECT_EQ(Controller.stats().Holds, 1u)
-      << "disarmed gate must not hold";
-
-  Controller.setGatingEnabled(true);
-  Controller.onTxStart(5, 3);
-  EXPECT_EQ(Controller.stats().Holds, 2u) << "re-armed gate holds again";
-}
-
-TEST(GuideControllerLifecycleTest, SinkReceivesTuplesInFormationOrder) {
-  struct RecordingSink : TtsSink {
-    std::vector<uint64_t> Seqs;
-    void observeTuple(ThreadId, uint64_t Seq, const StateTuple &) override {
-      Seqs.push_back(Seq);
-    }
-  } Sink;
-  auto Policy = restrictivePolicy();
-  GuideConfig GC;
-  GuideController Controller(Policy, GC);
-  Controller.setTtsSink(&Sink);
-  for (int I = 0; I < 5; ++I)
-    Controller.onCommit(commitEventFor(0, 0));
-  ASSERT_EQ(Sink.Seqs.size(), 5u);
-  for (uint64_t I = 0; I < 5; ++I)
-    EXPECT_EQ(Sink.Seqs[I], I) << "dense formation sequence expected";
-
-  Controller.setTtsSink(nullptr);
-  Controller.onCommit(commitEventFor(0, 0));
-  EXPECT_EQ(Sink.Seqs.size(), 5u) << "detached sink must see nothing";
-}
-
-//===----------------------------------------------------------------------===//
-// Drift detection
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Six fully-connected states. With \p DominantCount >> 1, each state has
-/// one high-probability successor and five rare ones the Tfactor
-/// threshold prunes — |D(s)| = 1 of 5, a low (discriminating) metric.
-/// With DominantCount == 1 every edge is equiprobable, |D(s)| =
-/// |successors(s)| and the metric is 100 (the ssca2 shape).
-Tsa denseModel(uint64_t DominantCount) {
-  Tsa Model;
-  std::vector<StateId> Ids;
-  for (int S = 0; S < 6; ++S)
-    Ids.push_back(Model.internState(makeTuple(static_cast<TxId>(S),
-                                              static_cast<ThreadId>(S))));
-  for (int S = 0; S < 6; ++S)
-    for (int O = 0; O < 6; ++O) {
-      if (O == S)
-        continue;
-      Model.addTransition(Ids[S], Ids[O],
-                          O == (S + 1) % 6 ? DominantCount : 1);
-    }
-  return Model;
-}
-
-Tsa biasedModel() { return denseModel(200); }
-Tsa uniformModel() { return denseModel(1); }
-
-} // namespace
-
-TEST(DriftTest, MetricSeparatesBiasedFromUniform) {
-  AnalyzerConfig AC;
-  double Biased = analyzeModel(biasedModel(), AC).GuidanceMetricPercent;
-  double Uniform = analyzeModel(uniformModel(), AC).GuidanceMetricPercent;
-  EXPECT_LT(Biased, 40.0);
-  EXPECT_GT(Uniform, 50.0);
-}
-
-TEST(DriftTest, ShiftDisablesRestoreReenables) {
-  DriftConfig DC;
-  DC.Window = 3;
-  DriftDetector Drift(DC);
-  EXPECT_TRUE(Drift.guidanceEnabled());
-
-  Tsa Biased = biasedModel();
-  Tsa Uniform = uniformModel();
-
-  // Healthy phase: discriminating snapshots keep guidance armed.
-  for (int I = 0; I < 3; ++I)
-    EXPECT_TRUE(Drift.observe(Biased));
-
-  // Workload shift: the model stops discriminating (the ssca2 >= ~50%
-  // shape); once the window fills with bad scores, the gate disarms.
-  bool Armed = true;
-  for (int I = 0; I < 4; ++I)
-    Armed = Drift.observe(Uniform);
-  EXPECT_FALSE(Armed);
-  EXPECT_FALSE(Drift.guidanceEnabled());
-  EXPECT_EQ(Drift.flips(), 1u);
-
-  // Shift back: bias returns, the window drains, guidance re-arms.
-  for (int I = 0; I < 4; ++I)
-    Armed = Drift.observe(Biased);
-  EXPECT_TRUE(Armed);
-  EXPECT_TRUE(Drift.guidanceEnabled());
-  EXPECT_EQ(Drift.flips(), 2u);
-}
-
-TEST(DriftTest, DegenerateSnapshotsScoreWorst) {
-  DriftConfig DC;
-  DC.Window = 2;
-  DriftDetector Drift(DC);
-  Tsa Empty;
-  EXPECT_FALSE(Drift.observe(Empty));
-  EXPECT_DOUBLE_EQ(Drift.lastMetric(), 100.0);
-  EXPECT_FALSE(Drift.guidanceEnabled())
-      << "an empty model must never keep the gate armed";
-}
-
-TEST(DriftTest, HysteresisPreventsFlapping) {
-  // A metric wandering inside the (EnableBelow, DisableAbove] band must
-  // not flip the decision in either direction.
-  DriftConfig DC;
-  DC.Window = 1; // decision tracks each observation directly
-  Tsa Biased = biasedModel();
-  Tsa Uniform = uniformModel();
-  double BandMetric =
-      analyzeModel(Uniform, AnalyzerConfig{}).GuidanceMetricPercent;
-  ASSERT_GT(BandMetric, DC.DisableAbove); // sanity: uniform disarms
-
-  // Tune thresholds so the uniform metric sits inside the band.
-  DC.DisableAbove = BandMetric + 5.0;
-  DC.EnableBelow = 10.0;
-  DriftDetector Banded(DC);
-  Banded.observe(Biased);
-  uint64_t Before = Banded.flips();
-  for (int I = 0; I < 6; ++I)
-    EXPECT_TRUE(Banded.observe(Uniform));
-  EXPECT_EQ(Banded.flips(), Before)
-      << "in-band metric must not flip the gate";
-}
-
-//===----------------------------------------------------------------------===//
 // End-to-end lifecycle: profile -> persist -> warm-start guided run
 //===----------------------------------------------------------------------===//
 
@@ -820,35 +472,4 @@ TEST(WarmStartTest, PersistedModelGuidesWithZeroProfiling) {
   EXPECT_GT(R.Guided.Guide.KnownStates, 0u);
   EXPECT_GT(R.Guided.DistinctStates, 0u);
   std::filesystem::remove_all(Dir);
-}
-
-TEST(WarmStartTest, LearnerAttachedToGuidedRunIngestsCommits) {
-  // Live loop closure: a guided run with a learner attached streams its
-  // commit tuples into the learner, whose drained snapshot then
-  // resembles the live behavior (and could be published back).
-  KmeansWorkload W(KmeansParams::forSize(SizeClass::Small));
-  Tsa Model;
-  RunnerConfig RC;
-  RC.Threads = 4;
-  for (unsigned Run = 0; Run < 2; ++Run)
-    Model.addRun(runWorkloadOnce(W, RC, 42 + Run, nullptr).Tuples);
-  ASSERT_GT(Model.numStates(), 0u);
-  GuidedPolicy Policy(Model, 4.0);
-
-  OnlineLearner Learner(4);
-  RC.Learner = &Learner;
-  RunResult R = runWorkloadOnce(W, RC, 99, &Policy);
-  ASSERT_TRUE(R.Verified);
-  EXPECT_GT(R.Commits, 0u);
-
-  size_t Drained = Learner.drain();
-  LearnerStats S = Learner.stats();
-  EXPECT_EQ(S.Observed, R.Commits)
-      << "every commit's tuple must reach the sink";
-  EXPECT_EQ(Drained + S.Dropped, S.Observed);
-  Tsa Snapshot = Learner.snapshotModel();
-  EXPECT_GT(Snapshot.numStates(), 0u);
-  auto P2 = Learner.compilePolicy(4.0);
-  ASSERT_NE(P2, nullptr);
-  EXPECT_GT(P2->model().numStates(), 0u);
 }

@@ -291,6 +291,39 @@ TEST(AnalyzerTest, TinyModelRejected) {
   EXPECT_FALSE(analyzeModel(Model, Cfg).Optimizable);
 }
 
+namespace {
+
+/// Six fully-connected states. With \p DominantCount >> 1, each state has
+/// one high-probability successor and five rare ones the Tfactor
+/// threshold prunes — |D(s)| = 1 of 5, a low (discriminating) metric.
+/// With DominantCount == 1 every edge is equiprobable, |D(s)| =
+/// |successors(s)| and the metric is 100 (the ssca2 shape).
+Tsa denseModel(uint64_t DominantCount) {
+  Tsa Model;
+  std::vector<StateId> Ids;
+  for (int S = 0; S < 6; ++S)
+    Ids.push_back(Model.internState(makeTuple(static_cast<TxId>(S),
+                                              static_cast<ThreadId>(S))));
+  for (int S = 0; S < 6; ++S)
+    for (int O = 0; O < 6; ++O) {
+      if (O == S)
+        continue;
+      Model.addTransition(Ids[S], Ids[O],
+                          O == (S + 1) % 6 ? DominantCount : 1);
+    }
+  return Model;
+}
+
+} // namespace
+
+TEST(AnalyzerTest, MetricSeparatesBiasedFromUniform) {
+  AnalyzerConfig AC;
+  double Biased = analyzeModel(denseModel(200), AC).GuidanceMetricPercent;
+  double Uniform = analyzeModel(denseModel(1), AC).GuidanceMetricPercent;
+  EXPECT_LT(Biased, 40.0);
+  EXPECT_GT(Uniform, 50.0);
+}
+
 TEST(GuidedPolicyTest, AllowsPairsOfHighProbabilityDestinations) {
   Tsa Model;
   StateTuple A = makeTuple(0, 0);

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 
@@ -301,4 +303,77 @@ TEST(ReplayTest, DivergentScheduleStillMakesProgress) {
   EXPECT_EQ(Counter.loadDirect(), 20u);
   EXPECT_EQ(Gate.divergences(), 20u);
   EXPECT_EQ(Gate.cursor(), 0u) << "bogus schedule never advances";
+}
+
+namespace {
+
+CommitEvent commitOf(TxId Tx, ThreadId Thread) {
+  CommitEvent E{};
+  E.Thread = Thread;
+  E.Tx = Tx;
+  return E;
+}
+
+} // namespace
+
+TEST(ReplayTest, GateAdmitsTurnsInOrderAndRunsFreePastTheSchedule) {
+  // Driven directly, without an STM: the pair at the cursor starts at
+  // once, only its commit advances the cursor, and once the schedule is
+  // used up every start runs free.
+  ReplayConfig Cfg;
+  Cfg.MaxGateRetries = 3;
+  ReplayGate Gate({packPair(0, 0), packPair(1, 1)}, Cfg);
+
+  Gate.onTxStart(/*Thread=*/0, /*Tx=*/0);
+  Gate.onCommit(commitOf(1, 1)); // off-schedule commit
+  EXPECT_EQ(Gate.cursor(), 0u) << "an off-schedule commit must not advance";
+  Gate.onCommit(commitOf(0, 0));
+  EXPECT_EQ(Gate.cursor(), 1u);
+  Gate.onTxStart(/*Thread=*/1, /*Tx=*/1);
+  Gate.onCommit(commitOf(1, 1));
+  EXPECT_EQ(Gate.cursor(), 2u);
+
+  Gate.onTxStart(/*Thread=*/5, /*Tx=*/5);
+  Gate.onCommit(commitOf(5, 5));
+  EXPECT_EQ(Gate.cursor(), 2u) << "the cursor stops at the schedule's end";
+  EXPECT_EQ(Gate.divergences(), 0u);
+}
+
+TEST(ReplayTest, OffScheduleStartReleasedAfterMaxGateRetries) {
+  // A start whose turn never comes is released once its re-check budget
+  // is spent, one divergence per start, without moving the cursor.
+  ReplayConfig Cfg;
+  Cfg.MaxGateRetries = 16;
+  ReplayGate Gate({packPair(0, 0)}, Cfg);
+
+  Gate.onTxStart(/*Thread=*/1, /*Tx=*/1);
+  EXPECT_EQ(Gate.divergences(), 1u);
+  Gate.onTxStart(/*Thread=*/1, /*Tx=*/1);
+  EXPECT_EQ(Gate.divergences(), 2u);
+  EXPECT_EQ(Gate.cursor(), 0u);
+}
+
+TEST(ReplayTest, HeldStartAdmittedWhenItsTurnArrives) {
+  // A thread whose pair is second in line waits at the gate until the
+  // first pair commits, and is then admitted as on schedule, not released
+  // by divergence.
+  // A budget of 2^24 yields lasts seconds, far past the 5 ms the turn
+  // takes to arrive, so only the commit can admit the waiter.
+  ReplayConfig Cfg;
+  Cfg.MaxGateRetries = 1u << 24;
+  ReplayGate Gate({packPair(0, 0), packPair(1, 1)}, Cfg);
+
+  std::atomic<bool> Admitted{false};
+  std::thread Waiter([&] {
+    Gate.onTxStart(/*Thread=*/1, /*Tx=*/1);
+    Admitted.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(Admitted.load()) << "admitted before its turn";
+  Gate.onCommit(commitOf(0, 0));
+  Waiter.join();
+
+  EXPECT_TRUE(Admitted.load());
+  EXPECT_EQ(Gate.divergences(), 0u);
+  EXPECT_EQ(Gate.cursor(), 1u);
 }

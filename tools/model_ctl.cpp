@@ -31,6 +31,7 @@
 #include "model/Store.h"
 #include "shard/ShardConfig.h"
 #include "stamp/Registry.h"
+#include "stm/StatsShard.h"
 #include "support/Options.h"
 
 #include <cstdio>
@@ -70,6 +71,33 @@ ShardConfig shardConfigFor(const Options &Opts) {
   SC.ShardCount = static_cast<unsigned>(Opts.getInt("shards", 1));
   SC.Steering = Opts.getBool("steer", false);
   return SC;
+}
+
+/// Refuses counts no run can use: zero threads or more than
+/// StatsShardCount (single-writer stats shards would alias), zero runs
+/// (an empty model saved and published, an empty guided measurement
+/// reported), and a shard count ShardedStm rejects (a store key for a
+/// layout that cannot run).
+bool countsUsable(const Options &Opts) {
+  const int64_t Threads = Opts.getInt("threads", 1);
+  if (Threads < 1 || Threads > static_cast<int64_t>(StatsShardCount)) {
+    std::fprintf(stderr, "model_ctl: --threads must be in [1, %zu]\n",
+                 StatsShardCount);
+    return false;
+  }
+  if (Opts.getInt("runs", 1) < 1) {
+    std::fputs("model_ctl: --runs must be at least 1\n", stderr);
+    return false;
+  }
+  const int64_t Shards = Opts.getInt("shards", 1);
+  if (Shards < 1 || Shards > MaxShardCount ||
+      !isValidShardCount(static_cast<unsigned>(Shards))) {
+    std::fprintf(stderr,
+                 "model_ctl: --shards=%lld is not a power of two in [1, %u]\n",
+                 static_cast<long long>(Shards), MaxShardCount);
+    return false;
+  }
+  return true;
 }
 
 int cmdSave(const Options &Opts) {
@@ -264,13 +292,14 @@ int main(int Argc, char **Argv) {
       "model_ctl", "train, persist, inspect and compare TSA models",
       {
           {"workload", "NAME", "STAMP workload to profile (save/load)"},
-          {"threads", "N", "worker threads (default 8)"},
-          {"runs", "N", "profiling or measurement runs (default 5/3)"},
+          {"threads", "N", "worker threads, in [1, 64] (default 8)"},
+          {"runs", "N", "profiling or measurement runs, at least 1 "
+                        "(default 5/3)"},
           {"size", "CLASS", "input size: small|medium|large"},
           {"out", "FILE", "write the trained model here (save)"},
           {"store", "DIR", "model store directory (save/list)"},
-          {"shards", "N", "shard contexts the model is keyed for "
-                          "(default 1 = unsharded)"},
+          {"shards", "N", "shard contexts the model is keyed for, a power "
+                          "of two in [1, 64] (default 1 = unsharded)"},
           {"steer", "", "key the model for steered placement"},
           {"tfactor", "X", "analyzer threshold factor (info)"},
           {"json", "", "info: dump the JSON interchange document"},
@@ -278,6 +307,8 @@ int main(int Argc, char **Argv) {
       },
       "<save|info|diff|load|list> [FILE...]");
   Options Opts = Cli.parseOrExit(Argc, Argv);
+  if (!countsUsable(Opts))
+    return 2;
 
   if (Opts.positionals().empty()) {
     std::fputs(Cli.usage().c_str(), stderr);
