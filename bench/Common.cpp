@@ -32,6 +32,51 @@ static std::vector<std::string> splitList(const std::string &Csv) {
   return Out;
 }
 
+std::vector<unsigned> gstm::parseThreadCounts(const Options &Opts,
+                                              const std::string &Tool) {
+  std::vector<unsigned> Counts;
+  for (const std::string &T : splitList(Opts.getString("threads", "8,16"))) {
+    char *End = nullptr;
+    long V = std::strtol(T.c_str(), &End, 10);
+    if (*End != '\0' || V < 1 || V > static_cast<long>(StatsShardCount)) {
+      Counts.clear();
+      break;
+    }
+    Counts.push_back(static_cast<unsigned>(V));
+  }
+  if (Counts.empty()) {
+    std::fprintf(stderr, "%s: --threads needs counts in [1, %zu]\n",
+                 Tool.c_str(), StatsShardCount);
+    std::exit(2);
+  }
+  return Counts;
+}
+
+unsigned gstm::parseCount(const Options &Opts, const std::string &Tool,
+                          const char *Key, unsigned Default) {
+  int64_t V = Opts.getInt(Key, Default);
+  if (V < 1) {
+    std::fprintf(stderr, "%s: --%s must be at least 1\n", Tool.c_str(), Key);
+    std::exit(2);
+  }
+  return static_cast<unsigned>(V);
+}
+
+double gstm::parseTfactor(const Options &Opts, const std::string &Tool,
+                          double Default) {
+  double V = Opts.getDouble("tfactor", Default);
+  if (!(V >= 1.0)) {
+    std::fprintf(stderr, "%s: --tfactor must be at least 1\n", Tool.c_str());
+    std::exit(2);
+  }
+  return V;
+}
+
+std::string gstm::toolName(const char *Argv0) {
+  std::string Tool = Argv0;
+  return Tool.substr(Tool.find_last_of('/') + 1);
+}
+
 BenchOptions BenchOptions::parse(int Argc, char **Argv,
                                  std::vector<OptionSpec> Extra,
                                  Options *Parsed) {
@@ -40,7 +85,7 @@ BenchOptions BenchOptions::parse(int Argc, char **Argv,
        "comma-separated thread counts, each in [1, 64] (default 8,16)"},
       {"profile-runs", "N", "training runs, at least 1 (default 6)"},
       {"runs", "N", "measurement runs per side, at least 1 (default 8)"},
-      {"tfactor", "F", "Ph/Tfactor threshold (default 4)"},
+      {"tfactor", "F", "Ph/Tfactor threshold, at least 1 (default 4)"},
       {"train-size", "CLASS", "training input: small|medium|large "
                               "(default medium)"},
       {"size", "CLASS", "measured input: small|medium|large (default large)"},
@@ -52,43 +97,15 @@ BenchOptions BenchOptions::parse(int Argc, char **Argv,
       {"json-dir", "DIR", "also write per-experiment JSON exports here"},
   };
   Specs.insert(Specs.end(), Extra.begin(), Extra.end());
-  std::string Tool = Argv[0];
-  Tool = Tool.substr(Tool.find_last_of('/') + 1);
+  const std::string Tool = toolName(Argv[0]);
   OptionSet Cli(Tool, "reproduces one paper figure or table",
                 std::move(Specs));
   Options Opts = Cli.parseOrExit(Argc, Argv);
   BenchOptions B;
-
-  // More threads than stats shards would alias single-writer shards, and
-  // zero runs would print a row of zeros as if it were a result.
-  B.ThreadCounts.clear();
-  for (const std::string &T : splitList(Opts.getString("threads", "8,16"))) {
-    char *End = nullptr;
-    long V = std::strtol(T.c_str(), &End, 10);
-    if (*End != '\0' || V < 1 || V > static_cast<long>(StatsShardCount)) {
-      B.ThreadCounts.clear();
-      break;
-    }
-    B.ThreadCounts.push_back(static_cast<unsigned>(V));
-  }
-  if (B.ThreadCounts.empty()) {
-    std::fprintf(stderr, "%s: --threads needs counts in [1, %zu]\n",
-                 Tool.c_str(), StatsShardCount);
-    std::exit(2);
-  }
-  auto RunCount = [&](const char *Key, unsigned Default) {
-    int64_t V = Opts.getInt(Key, Default);
-    if (V < 1) {
-      std::fprintf(stderr, "%s: --%s must be at least 1\n", Tool.c_str(),
-                   Key);
-      std::exit(2);
-    }
-    return static_cast<unsigned>(V);
-  };
-  B.ProfileRuns = RunCount("profile-runs", B.ProfileRuns);
-  B.MeasureRuns = RunCount("runs", B.MeasureRuns);
-
-  B.Tfactor = Opts.getDouble("tfactor", B.Tfactor);
+  B.ThreadCounts = parseThreadCounts(Opts, Tool);
+  B.ProfileRuns = parseCount(Opts, Tool, "profile-runs", B.ProfileRuns);
+  B.MeasureRuns = parseCount(Opts, Tool, "runs", B.MeasureRuns);
+  B.Tfactor = parseTfactor(Opts, Tool, B.Tfactor);
   B.TrainSize = parseSizeClass(Opts.getString("train-size", "medium"));
   B.MeasureSize = parseSizeClass(Opts.getString("size", "large"));
   B.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));

@@ -12,7 +12,7 @@
 ///   --threads=8,16      thread counts to evaluate (paper: 8 and 16)
 ///   --profile-runs=N    training runs (paper: 20)
 ///   --runs=N            measurement runs per side (paper: 20)
-///   --tfactor=F         the Ph/Tfactor threshold knob (paper: 4)
+///   --tfactor=F         the Ph/Tfactor threshold knob, >= 1 (paper: 4)
 ///   --train-size=medium --size=large   input classes (paper Fig. 1:
 ///                       train on medium, guide on large)
 ///   --workloads=a,b,c   subset of the STAMP ports
@@ -38,6 +38,26 @@
 
 namespace gstm {
 
+/// Checked option reads shared by the paper binaries' parsers
+/// (BenchOptions and SynQuakeBenchOptions). Each prints a message naming
+/// \p Tool and the key, and exits 2, on a value no run can use.
+///
+/// `--threads`: comma-separated counts, each in [1, StatsShardCount]
+/// (more threads than stats shards would alias single-writer shards);
+/// the paper's 8,16 when absent.
+std::vector<unsigned> parseThreadCounts(const Options &Opts,
+                                        const std::string &Tool);
+/// A run (or frame, player) count of at least 1: zero would print a row
+/// of zeros as if it were a result, and a negative count wraps.
+unsigned parseCount(const Options &Opts, const std::string &Tool,
+                    const char *Key, unsigned Default);
+/// The Ph/Tfactor threshold, at least 1 (highProbabilityPrefix's
+/// precondition: below it no transition is admitted). NaN is refused.
+double parseTfactor(const Options &Opts, const std::string &Tool,
+                    double Default);
+/// The binary's name for messages: \p Argv0 without its directory.
+std::string toolName(const char *Argv0);
+
 /// Parsed common bench options.
 struct BenchOptions {
   std::vector<unsigned> ThreadCounts = {8, 16};
@@ -54,15 +74,15 @@ struct BenchOptions {
   bool ForceGuided = true;
   /// When non-empty, runStampExperiment also writes the full experiment
   /// JSON (metrics + telemetry, see core/JsonExport.h) to
-  /// <dir>/<workload>_t<threads>.json for model_inspect --stats and
+  /// <dir>/<workload>_t<threads>.json for `model_ctl stats` and
   /// offline analysis. The directory must exist.
   std::string JsonDir;
 
   /// Parses the common options plus \p Extra, the binary's own keys,
   /// whose values the binary reads from \p Parsed. `--help` prints the
   /// usage and exits 0; an undeclared key, a thread count outside
-  /// [1, StatsShardCount] or a run count below 1 prints a message and
-  /// exits 2.
+  /// [1, StatsShardCount], a run count below 1 or a Tfactor below 1
+  /// prints a message and exits 2.
   static BenchOptions parse(int Argc, char **Argv,
                             std::vector<OptionSpec> Extra = {},
                             Options *Parsed = nullptr);

@@ -17,7 +17,7 @@
 #ifndef GSTM_BENCH_SYNQUAKEBENCH_H
 #define GSTM_BENCH_SYNQUAKEBENCH_H
 
-#include "support/Options.h"
+#include "bench/Common.h"
 #include "synquake/Experiment.h"
 
 #include <cstdio>
@@ -35,34 +35,36 @@ struct SynQuakeBenchOptions {
   double Tfactor = 4.0;
   uint64_t Seed = 1;
 
+  /// `--help` prints the usage and exits 0; an undeclared key, a thread
+  /// count outside [1, StatsShardCount], a count below 1 or a Tfactor
+  /// below 1 prints a message and exits 2 (the checks of BenchOptions).
   static SynQuakeBenchOptions parse(int Argc, char **Argv) {
-    Options Opts = Options::parse(Argc, Argv);
+    const std::string Tool = toolName(Argv[0]);
+    OptionSet Cli(
+        Tool, "reproduces one SynQuake paper figure or table",
+        {
+            {"threads", "LIST",
+             "comma-separated thread counts, each in [1, 64] (default 8,16)"},
+            {"players", "N", "players, at least 1 (default 1000)"},
+            {"frames", "N", "measured frames, at least 1 (default 64)"},
+            {"train-frames", "N",
+             "frames per training run, at least 1 (default 24)"},
+            {"profile-runs", "N",
+             "training runs per training quest, at least 1 (default 2)"},
+            {"runs", "N", "measurement runs per side, at least 1 (default 6)"},
+            {"tfactor", "F", "Ph/Tfactor threshold, at least 1 (default 4)"},
+            {"seed", "N", "base seed (default 1)"},
+        });
+    Options Opts = Cli.parseOrExit(Argc, Argv);
     SynQuakeBenchOptions B;
-    B.ThreadCounts.clear();
-    std::string Threads = Opts.getString("threads", "8,16");
-    size_t Start = 0;
-    while (Start < Threads.size()) {
-      size_t Comma = Threads.find(',', Start);
-      std::string Tok = Threads.substr(
-          Start, Comma == std::string::npos ? std::string::npos
-                                            : Comma - Start);
-      long V = std::strtol(Tok.c_str(), nullptr, 10);
-      if (V > 0 && V <= 64)
-        B.ThreadCounts.push_back(static_cast<unsigned>(V));
-      if (Comma == std::string::npos)
-        break;
-      Start = Comma + 1;
-    }
-    if (B.ThreadCounts.empty())
-      B.ThreadCounts = {8, 16};
-    B.Players = static_cast<uint32_t>(Opts.getInt("players", B.Players));
-    B.Frames = static_cast<uint32_t>(Opts.getInt("frames", B.Frames));
-    B.TrainFrames =
-        static_cast<uint32_t>(Opts.getInt("train-frames", B.TrainFrames));
-    B.MeasureRuns = static_cast<unsigned>(Opts.getInt("runs", B.MeasureRuns));
-    B.ProfileRunsPerQuest = static_cast<unsigned>(
-        Opts.getInt("profile-runs", B.ProfileRunsPerQuest));
-    B.Tfactor = Opts.getDouble("tfactor", B.Tfactor);
+    B.ThreadCounts = parseThreadCounts(Opts, Tool);
+    B.Players = parseCount(Opts, Tool, "players", B.Players);
+    B.Frames = parseCount(Opts, Tool, "frames", B.Frames);
+    B.TrainFrames = parseCount(Opts, Tool, "train-frames", B.TrainFrames);
+    B.ProfileRunsPerQuest =
+        parseCount(Opts, Tool, "profile-runs", B.ProfileRunsPerQuest);
+    B.MeasureRuns = parseCount(Opts, Tool, "runs", B.MeasureRuns);
+    B.Tfactor = parseTfactor(Opts, Tool, B.Tfactor);
     B.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
     return B;
   }

@@ -8,13 +8,13 @@
 // Ablation of the model lifecycle (DESIGN.md Sec. 4f): the paper's
 // deployment trains offline and reuses the model, while a naive
 // reproduction re-profiles at every invocation. This bench quantifies
-// what the persistent store buys: for each workload it runs
+// what reusing a saved model file buys: for each workload it runs
 //
 //   inline  - profile + measure in one process (runExperiment), the cost
-//             every invocation pays without a store
-//   warm    - train once, round-trip the model through a ModelStore on
-//             disk, then measure from the loaded model with *zero*
-//             profiling transactions (runExperimentWithModel)
+//             every invocation pays without a saved model
+//   warm    - train once, round-trip the model through a file on disk
+//             (saveModel/loadModel), then measure from the loaded model
+//             with *zero* profiling transactions (runExperimentWithModel)
 //
 // and reports the profiling transactions eliminated, the wall-time spent
 // per phase, and the guided-side quality (distinct-TTS reduction) of
@@ -24,7 +24,7 @@
 
 #include "bench/Common.h"
 
-#include "model/Store.h"
+#include "model/Serialize.h"
 #include "support/Timer.h"
 
 #include <cstdio>
@@ -38,11 +38,10 @@ int main(int Argc, char **Argv) {
   printBanner("Ablation: warm-started vs inline-profiled guidance",
               "DESIGN.md Sec. 4f (model lifecycle)", Opts);
 
-  std::string StoreDir =
-      (std::filesystem::temp_directory_path() / "gstm_warmstart_store")
+  std::string ModelPath =
+      (std::filesystem::temp_directory_path() / "gstm_warmstart.tsa")
           .string();
-  ModelStore Store(StoreDir);
-  std::printf("store: %s\n\n", StoreDir.c_str());
+  std::printf("model file: %s\n\n", ModelPath.c_str());
   std::printf("%-10s  %13s  %13s  %11s  %11s  %9s\n", "benchmark",
               "inline prof-tx", "warm prof-tx", "inline ndet%",
               "warm ndet%", "warm save");
@@ -64,21 +63,17 @@ int main(int Argc, char **Argv) {
     ExperimentResult Inline = runExperiment(*TrainW, *MeasureW, EC);
     double InlineSecs = InlineTimer.elapsedSeconds();
 
-    // Warm path: persist the trained model, reload it under its key and
+    // Warm path: persist the trained model, reload it from the file and
     // measure without any profiling phase.
-    ModelKey Key;
-    Key.Workload = Name;
-    Key.Threads = Threads;
-    Key.ConfigHash = hashConfigString("ablation-warmstart");
     std::string Detail;
-    if (Store.save(Key, Inline.Model, &Detail) != ModelIoStatus::Ok) {
-      std::fprintf(stderr, "store save failed for %s: %s\n", Name.c_str(),
+    if (saveModel(Inline.Model, ModelPath, &Detail) != ModelIoStatus::Ok) {
+      std::fprintf(stderr, "model save failed for %s: %s\n", Name.c_str(),
                    Detail.c_str());
       continue;
     }
-    ModelLoadResult Loaded = Store.load(Key);
+    ModelLoadResult Loaded = loadModel(ModelPath);
     if (!Loaded.ok()) {
-      std::fprintf(stderr, "store load failed for %s: %s\n", Name.c_str(),
+      std::fprintf(stderr, "model load failed for %s: %s\n", Name.c_str(),
                    Loaded.Detail.c_str());
       continue;
     }
@@ -100,6 +95,8 @@ int main(int Argc, char **Argv) {
   }
   std::printf("\nwarm prof-tx is zero by construction: the measurement "
               "process never profiles.\nndet%% columns differ only by "
-              "run noise — the stored model is byte-exact.\n");
+              "run noise — the saved model is byte-exact.\n");
+  std::error_code Ignored;
+  std::filesystem::remove(ModelPath, Ignored);
   return 0;
 }

@@ -13,7 +13,7 @@
 //   $ ./offline_training --stage=guide --model=/tmp/kmeans.tsa
 //
 // Without --stage both stages run back to back. Inspect the produced
-// file with tools/model_inspect.
+// file with `tools/model_ctl info`.
 //
 //===----------------------------------------------------------------------===//
 

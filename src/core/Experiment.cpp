@@ -35,12 +35,7 @@ struct SideCollector {
     Agg.TotalCommits += R.Commits;
     Agg.TotalAborts += R.Aborts;
     Agg.Telemetry.merge(R.Telemetry);
-    Agg.Guide.GateChecks += R.Guide.GateChecks;
-    Agg.Guide.Holds += R.Guide.Holds;
-    Agg.Guide.GateRetries += R.Guide.GateRetries;
-    Agg.Guide.ForcedReleases += R.Guide.ForcedReleases;
-    Agg.Guide.UnknownStates += R.Guide.UnknownStates;
-    Agg.Guide.KnownStates += R.Guide.KnownStates;
+    Agg.Guide.merge(R.Guide);
     Agg.AllVerified = Agg.AllVerified && R.Verified;
   }
 

@@ -123,7 +123,7 @@ ExperimentResult runExperiment(TlWorkload &Workload,
                                const ExperimentConfig &Config);
 
 /// Warm-start pipeline: analysis and measurement against a pretrained
-/// model (typically loaded from a model store — see model/Store.h). The
+/// model (typically read from a model file — see model/Serialize.h). The
 /// profiling phase is skipped entirely; Result.ProfileCommits == 0 and
 /// Result.ProfileRunsExecuted == 0 certify that no profiling
 /// transactions were executed.

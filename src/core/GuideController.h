@@ -74,6 +74,16 @@ struct GuideStats {
   /// Commits whose tuple was not in the model (current state unknown).
   uint64_t UnknownStates = 0;
   uint64_t KnownStates = 0;
+
+  /// Adds every counter of \p Other (folding runs into a side total).
+  void merge(const GuideStats &Other) {
+    GateChecks += Other.GateChecks;
+    Holds += Other.Holds;
+    GateRetries += Other.GateRetries;
+    ForcedReleases += Other.ForcedReleases;
+    UnknownStates += Other.UnknownStates;
+    KnownStates += Other.KnownStates;
+  }
 };
 
 /// Consumer of the commit-time TTS observation stream. \p Seq is a dense

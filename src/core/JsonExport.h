@@ -9,7 +9,7 @@
 /// JSON serialization of run results and experiment aggregates, including
 /// the sharded telemetry (stm/StatsShard.h): commit/abort totals, the
 /// abort breakdown by cause and by site, retries-before-commit
-/// histograms, and attempt-latency sums. `tools/model_inspect --stats`
+/// histograms, and attempt-latency sums. `tools/model_ctl stats`
 /// consumes these files and re-checks the breakdown invariants.
 ///
 /// Telemetry schema (embedded under "telemetry" in run/experiment

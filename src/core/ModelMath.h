@@ -17,9 +17,8 @@
 ///    of edges whose probability is at least `Pmax / Tfactor` (Sec. IV).
 ///
 /// Consumers: Tsa::successors (normalization), the Analyzer and
-/// GuidedPolicy via highProbabilitySuccessors (selection), the drift
-/// detector's windowed guidance metric, the online learner's snapshot
-/// compilation, and tools/model_inspect. A unit test in
+/// GuidedPolicy via highProbabilitySuccessors (selection), and
+/// `tools/model_ctl info`. A unit test in
 /// tests/model_lifecycle_test.cpp pins the old (pre-extraction) code
 /// paths and these helpers to identical results.
 ///

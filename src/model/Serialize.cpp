@@ -11,8 +11,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <unordered_set>
+
+#include <unistd.h>
 
 using namespace gstm;
 
@@ -34,8 +37,6 @@ const char *gstm::modelIoStatusName(ModelIoStatus Status) {
     return "corrupt";
   case ModelIoStatus::IoError:
     return "io-error";
-  case ModelIoStatus::KeyMismatch:
-    return "key-mismatch";
   }
   return "unknown";
 }
@@ -311,19 +312,32 @@ ModelLoadResult gstm::deserializeModel(std::string_view Bytes) {
 
 ModelIoStatus gstm::saveModel(const Tsa &Model, const std::string &Path,
                               std::string *Detail) {
+  auto Fail = [&](std::string Why) {
+    if (Detail)
+      *Detail = std::move(Why);
+    return ModelIoStatus::IoError;
+  };
   std::string Bytes = serializeModel(Model);
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out) {
-    if (Detail)
-      *Detail = "cannot open " + Path + " for writing";
-    return ModelIoStatus::IoError;
+  std::string Tmp =
+      Path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  {
+    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
+    if (!Out)
+      return Fail("cannot open " + Tmp + " for writing");
+    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+    Out.flush();
+    if (!Out) {
+      std::error_code Ignored;
+      std::filesystem::remove(Tmp, Ignored);
+      return Fail("short write to " + Tmp);
+    }
   }
-  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-  Out.flush();
-  if (!Out) {
-    if (Detail)
-      *Detail = "short write to " + Path;
-    return ModelIoStatus::IoError;
+  std::error_code Ec;
+  std::filesystem::rename(Tmp, Path, Ec);
+  if (Ec) {
+    std::error_code Ignored;
+    std::filesystem::remove(Tmp, Ignored);
+    return Fail("rename " + Tmp + " -> " + Path + ": " + Ec.message());
   }
   return ModelIoStatus::Ok;
 }

@@ -71,9 +71,6 @@ enum class ModelIoStatus : uint8_t {
   Corrupt,
   /// Filesystem-level write/read failure.
   IoError,
-  /// Store-level refusal: the container's embedded key does not match the
-  /// requested (workload, threads, config) key (model/Store.h).
-  KeyMismatch,
 };
 
 /// Stable lower-case name for messages and tool output.
@@ -98,10 +95,10 @@ std::string serializeModel(const Tsa &Model);
 /// structure exhaustively; see ModelIoStatus for the failure taxonomy.
 ModelLoadResult deserializeModel(std::string_view Bytes);
 
-/// Writes the binary container to \p Path (directly — for atomic
-/// publication into a registry use ModelStore, which stages to a
-/// temporary and renames). Returns Ok or IoError (detail in \p Detail
-/// when non-null).
+/// Writes the binary container to \p Path. The bytes go to a temporary
+/// in the same directory that is then renamed into place, so a reader
+/// sees either the old complete file or the new one, never a partial
+/// write. Returns Ok or IoError (detail in \p Detail when non-null).
 ModelIoStatus saveModel(const Tsa &Model, const std::string &Path,
                         std::string *Detail = nullptr);
 

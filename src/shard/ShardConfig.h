@@ -8,12 +8,8 @@
 /// \file
 /// Configuration of the sharded STM tier (shard/Sharded.h): the one
 /// runtime config (EngineConfig) plus how many shard contexts partition
-/// the orec/version space and whether model-steered placement is armed.
-///
-/// shardConfigCanonical() renders the knobs that change transactional
-/// behavior into the canonical `key=value;` string ModelStore hashes into
-/// ModelKey::ConfigHash — a sharded and an unsharded model of the same
-/// workload must never collide in the store (see tools/model_ctl.cpp).
+/// the orec/version space. Model-steered placement is not a config knob:
+/// ShardedStm::setPlacement arms it at run time (shard/Steering.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +17,6 @@
 #define GSTM_SHARD_SHARDCONFIG_H
 
 #include "engine/TxnExecutor.h"
-
-#include <string>
 
 namespace gstm {
 
@@ -46,18 +40,7 @@ struct ShardConfig : EngineConfig {
   /// [1, MaxShardCount]; 1 degenerates to an unsharded TL2 with the
   /// sharded tier's bookkeeping.
   unsigned ShardCount = 4;
-  /// Model-steered home-shard placement armed (shard/Steering.h). The
-  /// flag is part of the canonical config string: steered and unsteered
-  /// models of the same workload are distinct keys.
-  bool Steering = false;
 };
-
-/// Canonical `key=value;` rendering of the knobs that select distinct
-/// model keys: shard count, the address->shard hash (always `mix`; the
-/// key keeps naming it so stored models keep their keys), and steering.
-/// Appended to a workload's existing canonical config string before
-/// ModelStore::hashConfigString (see tools/model_ctl.cpp keyFor).
-std::string shardConfigCanonical(const ShardConfig &Cfg);
 
 } // namespace gstm
 

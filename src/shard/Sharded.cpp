@@ -13,14 +13,6 @@
 
 using namespace gstm;
 
-std::string gstm::shardConfigCanonical(const ShardConfig &Cfg) {
-  std::string S = "shards=" + std::to_string(Cfg.ShardCount) + ";";
-  S += "shard-hash=mix;steer=";
-  S += Cfg.Steering ? '1' : '0';
-  S += ';';
-  return S;
-}
-
 void ShardPlacement::addRange(const void *Begin, const void *End,
                               unsigned Shard) {
   assert(Begin < End && "empty placement range");

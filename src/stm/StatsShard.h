@@ -24,7 +24,7 @@
 ///  * wall-clock attempt latency totals (enabled per-runtime via
 ///    EngineConfig::TrackAttemptLatency).
 ///
-/// Invariants, relied on by the JSON export and `model_inspect --stats`:
+/// Invariants, relied on by the JSON export and `model_ctl stats`:
 ///   Aborts  == sum(AbortsByCause) == sum(AbortsBySite)
 ///   Commits == sum(RetryHistogram) >= ReadOnlyCommits
 /// The shard does not store Commits/Aborts separately — snapshots derive

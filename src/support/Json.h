@@ -8,7 +8,7 @@
 /// \file
 /// A dependency-free JSON writer plus a small recursive-descent parser,
 /// sized for the telemetry export (core/JsonExport.h) and its consumer
-/// (`model_inspect --stats`). The writer escapes strings and renders
+/// (`model_ctl stats`). The writer escapes strings and renders
 /// non-finite doubles as null (JSON has no NaN/Inf); the parser accepts
 /// strict JSON and stores numbers as double, which is exact for the
 /// counter magnitudes the telemetry emits (< 2^53).

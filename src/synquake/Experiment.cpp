@@ -72,11 +72,7 @@ void addRunToSide(SynQuakeSide &Side, const OneRun &R) {
   Side.TotalSeconds.add(R.TotalSeconds);
   Side.Commits += R.Commits;
   Side.Aborts += R.Aborts;
-  Side.Guide.GateChecks += R.Guide.GateChecks;
-  Side.Guide.Holds += R.Guide.Holds;
-  Side.Guide.ForcedReleases += R.Guide.ForcedReleases;
-  Side.Guide.UnknownStates += R.Guide.UnknownStates;
-  Side.Guide.KnownStates += R.Guide.KnownStates;
+  Side.Guide.merge(R.Guide);
   Side.AllVerified = Side.AllVerified && R.Verified;
 }
 

@@ -1,28 +1,31 @@
-# Runs each front end with a shard, thread, repeat, ring size or shift it
-# cannot take and requires exit status 2 (usage error with a message).
-# Without the checks these commands hang (a non-power-of-two shard count
-# indexes past the stripe table), die with SIGFPE (zero shards or
-# threads), undercount (more threads than StatsShardCount alias onto
-# single-writer stats shards), size the commit ring out of range (2^44
-# slots throw bad_alloc; a 64-bit shift is undefined and wrapped to one
-# slot), shift a yield mask by 64 or more bits (undefined), publish a
-# snapshot of zero medians (zero repeats), save and publish an empty model
-# (zero runs or threads), key a model for a shard count no run can use,
-# print a row of zeros as a result (zero runs), or silently fall back to
-# defaults (a thread count out of range, a misspelled key). A case whose
-# bad value used to exit 2 for an unrelated reason also names the message
-# it must print. Invoked by the `cli_rejects_bad_counts` ctest:
+# Runs each front end with a shard, thread, repeat, ring size, shift or
+# Tfactor it cannot take and requires exit status 2 (usage error with a
+# message). Without the checks these commands hang (a non-power-of-two
+# shard count indexes past the stripe table, a negative run count wraps),
+# die with SIGFPE (zero shards or threads), undercount (more threads than
+# StatsShardCount alias onto single-writer stats shards), size the commit
+# ring out of range (2^44 slots throw bad_alloc; a 64-bit shift is
+# undefined and wrapped to one slot), shift a yield mask by 64 or more
+# bits (undefined), publish a snapshot of zero medians (zero repeats),
+# save an empty model (zero runs or threads), guide with a Tfactor below
+# 1 (no transition admitted; an assert in a Debug build), print a row of
+# zeros as a result (zero runs or frames), or silently fall back to
+# defaults (a thread count out of range, a misspelled or removed key). A
+# case whose bad value used to exit 2 for an unrelated reason also names
+# the message it must print. Invoked by the `cli_rejects_bad_counts`
+# ctest:
 #
 #   cmake -DCHECK_FUZZ=<check_fuzz> -DOLTP_YCSB=<oltp_ycsb>
 #         -DBENCH_RUNNER=<bench_runner> -DMODEL_CTL=<model_ctl>
-#         -DFIG_BIN=<fig9_nondeterminism> -P CliRejects.cmake
+#         -DFIG_BIN=<fig9_nondeterminism>
+#         -DSYNQUAKE_BIN=<fig11_synquake_quadrants> -P CliRejects.cmake
 
 if(NOT CHECK_FUZZ OR NOT OLTP_YCSB OR NOT BENCH_RUNNER OR NOT MODEL_CTL
-   OR NOT FIG_BIN)
+   OR NOT FIG_BIN OR NOT SYNQUAKE_BIN)
   message(FATAL_ERROR
       "usage: cmake -DCHECK_FUZZ=<bin> -DOLTP_YCSB=<bin> "
       "-DBENCH_RUNNER=<bin> -DMODEL_CTL=<bin> -DFIG_BIN=<bin> "
-      "-P CliRejects.cmake")
+      "-DSYNQUAKE_BIN=<bin> -P CliRejects.cmake")
 endif()
 
 # expect_usage_error(<command>... [MESSAGE <regex>])
@@ -83,12 +86,18 @@ expect_usage_error(${Save} --threads=0 --runs=1 --out=${ModelDir}/t0.tsa
                    MESSAGE "--threads")
 expect_usage_error(${Save} --threads=65 --runs=1 --out=${ModelDir}/t65.tsa
                    MESSAGE "--threads")
-expect_usage_error(${Save} --threads=2 --runs=0 --store=${ModelDir}/store
+expect_usage_error(${Save} --threads=2 --runs=0 --out=${ModelDir}/r0.tsa
                    MESSAGE "--runs")
-expect_usage_error(${Save} --threads=2 --runs=1 --shards=3
-                   --store=${ModelDir}/store MESSAGE "--shards")
 expect_usage_error(${Load} --threads=0 --runs=1 MESSAGE "--threads")
 expect_usage_error(${Load} --threads=2 --runs=0 MESSAGE "--runs")
+expect_usage_error(${MODEL_CTL} info ${Model} --tfactor=0 MESSAGE "--tfactor")
+expect_usage_error(${MODEL_CTL} info ${Model} --tfactor=nan
+                   MESSAGE "--tfactor")
+# A model is a file: the keyed store and its options are gone.
+expect_usage_error(${Save} --threads=2 --runs=1 --store=${ModelDir}/store
+                   MESSAGE "unknown option '--store'")
+expect_usage_error(${MODEL_CTL} list --store=${ModelDir}/store
+                   MESSAGE "unknown option '--store'")
 
 # The paper binaries share BenchOptions::parse; small inputs keep a binary
 # that got past its checks short.
@@ -98,3 +107,19 @@ expect_usage_error(${Fig} --threads=0 --runs=1 MESSAGE "--threads")
 expect_usage_error(${Fig} --threads=2 --runs=0 MESSAGE "--runs")
 expect_usage_error(${Fig} --threads=2 --runs=1 --rusn=1
                    MESSAGE "unknown option '--rusn'")
+expect_usage_error(${Fig} --threads=2 --runs=1 --tfactor=0.5
+                   MESSAGE "--tfactor")
+
+# The SynQuake benches (Table V, Figures 11 and 12) share
+# SynQuakeBenchOptions::parse and the checks above.
+set(SynQuake ${SYNQUAKE_BIN} --players=20 --frames=2 --train-frames=2
+             --profile-runs=1)
+expect_usage_error(${SynQuake} --threads=0 --runs=1 MESSAGE "--threads")
+expect_usage_error(${SynQuake} --threads=2 --runs=0 MESSAGE "--runs")
+expect_usage_error(${SynQuake} --threads=2 --runs=-1 MESSAGE "--runs")
+expect_usage_error(${SynQuake} --threads=2 --runs=1 --frames=0
+                   MESSAGE "--frames")
+expect_usage_error(${SynQuake} --threads=2 --runs=1 --rusn=3
+                   MESSAGE "unknown option '--rusn'")
+expect_usage_error(${SynQuake} --threads=2 --runs=1 --tfactor=0
+                   MESSAGE "--tfactor")

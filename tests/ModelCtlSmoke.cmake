@@ -2,7 +2,8 @@
 # tiny kmeans model, saves it, inspects it, validates it, and diffs it
 # against itself — the diff of a model against its own file must exit 0
 # (structural identity goes through the canonical serialized form, so this
-# also smokes the byte-identical round trip on a real trained model).
+# also smokes the byte-identical round trip on a real trained model) —
+# and against a model trained at another thread count, which must exit 1.
 # Invoked by ctest via the `model_ctl_smoke` test:
 #
 #   cmake -DMODEL_CTL=<path> -DWORK_DIR=<dir> -P ModelCtlSmoke.cmake
@@ -18,7 +19,7 @@ set(MODEL ${WORK_DIR}/smoke.tsa)
 
 execute_process(
   COMMAND ${MODEL_CTL} save --workload=kmeans --size=small --threads=4
-          --runs=2 --out=${MODEL} --store=${WORK_DIR}/store
+          --runs=2 --out=${MODEL}
   RESULT_VARIABLE SaveRc)
 if(NOT SaveRc EQUAL 0)
   message(FATAL_ERROR "model_ctl save failed (${SaveRc})")
@@ -29,9 +30,30 @@ endif()
 
 execute_process(
   COMMAND ${MODEL_CTL} info ${MODEL}
+  OUTPUT_VARIABLE InfoOut
   RESULT_VARIABLE InfoRc)
 if(NOT InfoRc EQUAL 0)
   message(FATAL_ERROR "model_ctl info failed (${InfoRc})")
+endif()
+if(NOT InfoOut MATCHES "top 10 states by outbound traffic")
+  message(FATAL_ERROR "model_ctl info printed no hot-state listing:\n"
+      "${InfoOut}")
+endif()
+
+# A model is a file: save needs --out, and there is no store to list.
+execute_process(
+  COMMAND ${MODEL_CTL} save --workload=kmeans --size=small --threads=4
+          --runs=1
+  RESULT_VARIABLE NoOutRc OUTPUT_QUIET ERROR_QUIET)
+if(NOT NoOutRc EQUAL 2)
+  message(FATAL_ERROR "model_ctl save without --out must exit 2, got "
+      "${NoOutRc}")
+endif()
+execute_process(
+  COMMAND ${MODEL_CTL} list
+  RESULT_VARIABLE ListRc OUTPUT_QUIET ERROR_QUIET)
+if(NOT ListRc EQUAL 2)
+  message(FATAL_ERROR "model_ctl list must exit 2, got ${ListRc}")
 endif()
 
 execute_process(
@@ -41,46 +63,6 @@ if(NOT LoadRc EQUAL 0)
   message(FATAL_ERROR "model_ctl load (validate) failed (${LoadRc})")
 endif()
 
-execute_process(
-  COMMAND ${MODEL_CTL} list --store=${WORK_DIR}/store
-  RESULT_VARIABLE ListRc)
-if(NOT ListRc EQUAL 0)
-  message(FATAL_ERROR "model_ctl list failed (${ListRc})")
-endif()
-
-# A model trained for the sharded tier must publish under a different
-# store key than the unsharded save above: equal keys would let a
-# 4-shard model silently warm-start an unsharded run. The save output
-# names the container path, so distinct keys show as distinct paths.
-execute_process(
-  COMMAND ${MODEL_CTL} save --workload=kmeans --size=small --threads=4
-          --runs=1 --shards=4 --store=${WORK_DIR}/store
-  OUTPUT_VARIABLE ShardSaveOut
-  RESULT_VARIABLE ShardSaveRc)
-if(NOT ShardSaveRc EQUAL 0)
-  message(FATAL_ERROR "model_ctl save --shards=4 failed (${ShardSaveRc})")
-endif()
-string(REGEX MATCH "published [^ ]+ -> ([^\n]+)" _ "${ShardSaveOut}")
-set(SHARD_PATH "${CMAKE_MATCH_1}")
-execute_process(
-  COMMAND ${MODEL_CTL} save --workload=kmeans --size=small --threads=4
-          --runs=1 --store=${WORK_DIR}/store
-  OUTPUT_VARIABLE PlainSaveOut
-  RESULT_VARIABLE PlainSaveRc)
-if(NOT PlainSaveRc EQUAL 0)
-  message(FATAL_ERROR "model_ctl save (unsharded rekey) failed "
-      "(${PlainSaveRc})")
-endif()
-string(REGEX MATCH "published [^ ]+ -> ([^\n]+)" _ "${PlainSaveOut}")
-set(PLAIN_PATH "${CMAKE_MATCH_1}")
-if(NOT SHARD_PATH OR NOT PLAIN_PATH)
-  message(FATAL_ERROR "model_ctl save did not report published paths")
-endif()
-if(SHARD_PATH STREQUAL PLAIN_PATH)
-  message(FATAL_ERROR "--shards=4 and the unsharded save published under "
-      "the same store key: ${SHARD_PATH}")
-endif()
-
 # Acceptance check: a model diffed against itself reports identity.
 execute_process(
   COMMAND ${MODEL_CTL} diff ${MODEL} ${MODEL}
@@ -88,6 +70,26 @@ execute_process(
 if(NOT DiffRc EQUAL 0)
   message(FATAL_ERROR "model_ctl diff of a model against itself "
       "must exit 0, got ${DiffRc}")
+endif()
+
+# A model trained at another thread count differs (exit 1) and the diff
+# reports the state overlap.
+set(OTHER ${WORK_DIR}/other.tsa)
+execute_process(
+  COMMAND ${MODEL_CTL} save --workload=kmeans --size=small --threads=2
+          --runs=1 --out=${OTHER}
+  RESULT_VARIABLE OtherRc OUTPUT_QUIET)
+if(NOT OtherRc EQUAL 0)
+  message(FATAL_ERROR "model_ctl save of the second model failed "
+      "(${OtherRc})")
+endif()
+execute_process(
+  COMMAND ${MODEL_CTL} diff ${MODEL} ${OTHER}
+  OUTPUT_VARIABLE DiffOut
+  RESULT_VARIABLE DiffRc)
+if(NOT DiffRc EQUAL 1 OR NOT DiffOut MATCHES "shared states: [0-9]+ \\(")
+  message(FATAL_ERROR "model_ctl diff of two different models must exit 1 "
+      "and print the overlap, got ${DiffRc}:\n${DiffOut}")
 endif()
 
 # And a corrupted copy must be refused with a typed error (exit 2), never

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/Common.h"
+#include "bench/SynQuakeBench.h"
 
 #include "stm/StatsShard.h"
 
@@ -32,6 +33,17 @@ BenchOptions parseArgs(std::vector<std::string> Args,
   Argv.push_back(nullptr);
   return BenchOptions::parse(static_cast<int>(Args.size()), Argv.data(),
                              std::move(Extra), Parsed);
+}
+
+/// Parses \p Args as the command line of a SynQuake bench.
+SynQuakeBenchOptions parseSynQuake(std::vector<std::string> Args) {
+  Args.insert(Args.begin(), "bench/fig11_synquake_quadrants");
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  Argv.push_back(nullptr);
+  return SynQuakeBenchOptions::parse(static_cast<int>(Args.size()),
+                                     Argv.data());
 }
 
 } // namespace
@@ -103,6 +115,18 @@ TEST(BenchOptionsDeathTest, RunCountBelowOneExitsTwo) {
               "--profile-runs must be at least 1");
 }
 
+TEST(BenchOptionsDeathTest, TfactorBelowOneExitsTwo) {
+  // highProbabilityPrefix asserts Tfactor >= 1; below it no transition
+  // is admitted, and NaN fails every comparison.
+  for (std::string Bad : {std::string("--tfactor=0"),
+                          std::string("--tfactor=0.5"),
+                          std::string("--tfactor=-4"),
+                          std::string("--tfactor=nan")})
+    EXPECT_EXIT(parseArgs({Bad}), testing::ExitedWithCode(2),
+                "--tfactor must be at least 1")
+        << Bad;
+}
+
 TEST(BenchOptionsDeathTest, HelpListsDeclaredKeysAndExitsZero) {
   // Usage goes to stdout; the child points stdout at stderr so the death
   // test can match it.
@@ -113,4 +137,68 @@ TEST(BenchOptionsDeathTest, HelpListsDeclaredKeysAndExitsZero) {
   };
   EXPECT_EXIT(Help(), testing::ExitedWithCode(0), "--runs=N");
   EXPECT_EXIT(Help(), testing::ExitedWithCode(0), "--grouping=MODE");
+}
+
+//===----------------------------------------------------------------------===//
+// SynQuakeBenchOptions (Table V, Figures 11 and 12)
+//===----------------------------------------------------------------------===//
+
+TEST(SynQuakeBenchOptionsTest, ParsesEveryKey) {
+  SynQuakeBenchOptions B = parseSynQuake(
+      {"--threads=1,4,64", "--players=20", "--frames=3", "--train-frames=2",
+       "--profile-runs=1", "--runs=2", "--tfactor=1", "--seed=9"});
+  EXPECT_EQ(B.ThreadCounts, (std::vector<unsigned>{1, 4, 64}));
+  EXPECT_EQ(B.Players, 20u);
+  EXPECT_EQ(B.Frames, 3u);
+  EXPECT_EQ(B.TrainFrames, 2u);
+  EXPECT_EQ(B.ProfileRunsPerQuest, 1u);
+  EXPECT_EQ(B.MeasureRuns, 2u);
+  EXPECT_DOUBLE_EQ(B.Tfactor, 1.0);
+  EXPECT_EQ(B.Seed, 9u);
+}
+
+TEST(SynQuakeBenchOptionsDeathTest, UnknownKeyExitsTwo) {
+  EXPECT_EXIT(parseSynQuake({"--rusn=3"}), testing::ExitedWithCode(2),
+              "unknown option '--rusn'");
+  // A STAMP-only key is not a SynQuake key.
+  EXPECT_EXIT(parseSynQuake({"--workloads=kmeans"}),
+              testing::ExitedWithCode(2), "unknown option '--workloads'");
+}
+
+TEST(SynQuakeBenchOptionsDeathTest, ThreadCountOutsideShardRangeExitsTwo) {
+  std::string TooMany = "--threads=8," + std::to_string(StatsShardCount + 1);
+  for (std::string Bad : {std::string("--threads=0"), TooMany,
+                          std::string("--threads=-4"),
+                          std::string("--threads=8x")})
+    EXPECT_EXIT(parseSynQuake({Bad}), testing::ExitedWithCode(2),
+                "--threads")
+        << Bad;
+}
+
+TEST(SynQuakeBenchOptionsDeathTest, CountBelowOneExitsTwo) {
+  for (const char *Key :
+       {"runs", "frames", "train-frames", "profile-runs", "players"})
+    for (const char *Value : {"0", "-1"})
+      EXPECT_EXIT(parseSynQuake({std::string("--") + Key + "=" + Value}),
+                  testing::ExitedWithCode(2),
+                  std::string("--") + Key + " must be at least 1")
+          << Key << "=" << Value;
+}
+
+TEST(SynQuakeBenchOptionsDeathTest, TfactorBelowOneExitsTwo) {
+  for (std::string Bad : {std::string("--tfactor=0"),
+                          std::string("--tfactor=0.5"),
+                          std::string("--tfactor=nan")})
+    EXPECT_EXIT(parseSynQuake({Bad}), testing::ExitedWithCode(2),
+                "--tfactor must be at least 1")
+        << Bad;
+}
+
+TEST(SynQuakeBenchOptionsDeathTest, HelpListsKeysAndExitsZero) {
+  auto Help = [] {
+    std::fflush(stdout);
+    dup2(STDERR_FILENO, STDOUT_FILENO);
+    parseSynQuake({"--help"});
+  };
+  EXPECT_EXIT(Help(), testing::ExitedWithCode(0), "--train-frames=N");
 }

@@ -7,8 +7,8 @@
 //
 // The model lifecycle subsystem (src/model) end to end: versioned
 // serialization (byte-identical round trips, typed rejection of every
-// corruption mode, JSON interchange), the key-stamped on-disk store, and
-// the warm-start experiment pipeline that proves a persisted model guides
+// corruption mode, JSON interchange, publication by rename), and the
+// warm-start experiment pipeline that proves a persisted model guides
 // with zero profiling transactions.
 //
 //===----------------------------------------------------------------------===//
@@ -16,8 +16,6 @@
 #include "core/Experiment.h"
 #include "core/ModelMath.h"
 #include "model/Serialize.h"
-#include "model/Store.h"
-#include "shard/ShardConfig.h"
 #include "stamp/Kmeans.h"
 #include "support/SplitMix64.h"
 
@@ -162,6 +160,38 @@ TEST(SerializeTest, JsonRoundTripPreservesModel) {
   EXPECT_EQ(serializeModel(*Loaded.Model), serializeModel(Model));
 }
 
+TEST(SerializeTest, OverwriteReplacesFileWithoutTempDebris) {
+  std::string Dir = tempPath("gstm_save_overwrite");
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  std::string Path = Dir + "/model.tsa";
+  Tsa First = randomModel(1);
+  Tsa Second = randomModel(2);
+  ASSERT_EQ(saveModel(First, Path), ModelIoStatus::Ok);
+  ASSERT_EQ(saveModel(Second, Path), ModelIoStatus::Ok);
+
+  ModelLoadResult Loaded = loadModel(Path);
+  ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;
+  EXPECT_EQ(serializeModel(*Loaded.Model), serializeModel(Second));
+
+  // Publication by rename: only the final file is left in the directory.
+  size_t Files = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    ++Files;
+    EXPECT_EQ(Entry.path().string().find(".tmp."), std::string::npos)
+        << "stale temporary: " << Entry.path();
+  }
+  EXPECT_EQ(Files, 1u);
+
+  // A directory that does not exist is an IoError with a detail, and
+  // leaves nothing behind.
+  std::string Detail;
+  EXPECT_EQ(saveModel(First, Dir + "/missing/model.tsa", &Detail),
+            ModelIoStatus::IoError);
+  EXPECT_FALSE(Detail.empty());
+  std::filesystem::remove_all(Dir);
+}
+
 //===----------------------------------------------------------------------===//
 // Serialization: typed failure taxonomy
 //===----------------------------------------------------------------------===//
@@ -260,176 +290,12 @@ TEST(SerializeFuzzTest, RandomGarbageNeverCrashesTheLoader) {
 }
 
 //===----------------------------------------------------------------------===//
-// Store
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-ModelKey testKey(const std::string &Workload = "kmeans",
-                 unsigned Threads = 8) {
-  ModelKey K;
-  K.Workload = Workload;
-  K.Threads = Threads;
-  K.ConfigHash = hashConfigString("unit-test-config");
-  return K;
-}
-
-struct StoreFixture : ::testing::Test {
-  void SetUp() override {
-    Dir = tempPath("gstm_store_" +
-                   std::to_string(
-                       ::testing::UnitTest::GetInstance()->random_seed()) +
-                   "_" + ::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name());
-    std::filesystem::remove_all(Dir);
-  }
-  void TearDown() override { std::filesystem::remove_all(Dir); }
-  std::string Dir;
-};
-
-} // namespace
-
-TEST_F(StoreFixture, SaveLoadRoundTripUnderKey) {
-  ModelStore Store(Dir);
-  Tsa Model = randomModel(0x570e);
-  ModelKey Key = testKey();
-  std::string Detail;
-  ASSERT_EQ(Store.save(Key, Model, &Detail), ModelIoStatus::Ok) << Detail;
-
-  EXPECT_TRUE(Store.contains(Key));
-  ModelLoadResult Loaded = Store.load(Key);
-  ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;
-  EXPECT_EQ(serializeModel(*Loaded.Model), serializeModel(Model));
-
-  std::vector<StoreEntry> Entries = Store.list();
-  ASSERT_EQ(Entries.size(), 1u);
-  EXPECT_EQ(Entries[0].Key.Workload, "kmeans");
-  EXPECT_EQ(Entries[0].Key.Threads, 8u);
-  EXPECT_EQ(Entries[0].Key.ConfigHash, Key.ConfigHash);
-  EXPECT_EQ(Entries[0].NumStates, Model.numStates());
-}
-
-TEST_F(StoreFixture, MissingEntryIsFileNotFound) {
-  ModelStore Store(Dir);
-  EXPECT_EQ(Store.load(testKey()).Status, ModelIoStatus::FileNotFound);
-  EXPECT_FALSE(Store.contains(testKey()));
-  EXPECT_TRUE(Store.list().empty());
-}
-
-TEST_F(StoreFixture, RefusesKeyMismatch) {
-  ModelStore Store(Dir);
-  ModelKey Trained = testKey("kmeans", 8);
-  ASSERT_EQ(Store.save(Trained, randomModel(0x6e75), nullptr),
-            ModelIoStatus::Ok);
-
-  // Simulate the classic operator mistake: hand-copy a container onto
-  // the path of a different key. The embedded key must refuse it.
-  ModelKey Wanted = testKey("kmeans", 16);
-  std::filesystem::copy_file(Store.pathFor(Trained),
-                             Store.pathFor(Wanted));
-  ModelLoadResult R = Store.load(Wanted);
-  EXPECT_EQ(R.Status, ModelIoStatus::KeyMismatch);
-  EXPECT_FALSE(R.Model.has_value());
-  EXPECT_FALSE(Store.contains(Wanted));
-
-  // The genuine key still loads.
-  EXPECT_TRUE(Store.load(Trained).ok());
-}
-
-TEST_F(StoreFixture, ShardConfigSelectsDistinctStoreKeys) {
-  // Every knob in the canonical shard rendering must move the config
-  // hash: a model trained under 4 shards (or steering) describes a
-  // different conflict structure and must not collide with the unsharded
-  // entry. The rendering keeps naming the one address hash, so keys
-  // stored before it became fixed still match.
-  ShardConfig Base;
-  Base.ShardCount = 1;
-  ShardConfig Four = Base;
-  Four.ShardCount = 4;
-  ShardConfig Steered = Four;
-  Steered.Steering = true;
-
-  EXPECT_EQ(shardConfigCanonical(Base), "shards=1;shard-hash=mix;steer=0;");
-  EXPECT_NE(shardConfigCanonical(Base), shardConfigCanonical(Four));
-  EXPECT_NE(shardConfigCanonical(Four), shardConfigCanonical(Steered));
-
-  auto KeyWith = [](const ShardConfig &SC) {
-    ModelKey K;
-    K.Workload = "kmeans";
-    K.Threads = 8;
-    K.ConfigHash =
-        hashConfigString("grouping=sequence;" + shardConfigCanonical(SC));
-    return K;
-  };
-  ModelKey Plain = KeyWith(Base);
-  ModelKey Sharded = KeyWith(Four);
-  EXPECT_NE(Plain.ConfigHash, Sharded.ConfigHash);
-  EXPECT_NE(Plain.id(), Sharded.id());
-  EXPECT_NE(KeyWith(Steered).ConfigHash, Sharded.ConfigHash);
-
-  // Both live side by side in one store and load back independently.
-  ModelStore Store(Dir);
-  Tsa PlainModel = randomModel(0x51a4);
-  Tsa ShardModel = randomModel(0x51a5);
-  ASSERT_EQ(Store.save(Plain, PlainModel, nullptr), ModelIoStatus::Ok);
-  ASSERT_EQ(Store.save(Sharded, ShardModel, nullptr), ModelIoStatus::Ok);
-  EXPECT_EQ(Store.list().size(), 2u);
-  ModelLoadResult A = Store.load(Plain);
-  ModelLoadResult B = Store.load(Sharded);
-  ASSERT_TRUE(A.ok() && B.ok());
-  EXPECT_EQ(serializeModel(*A.Model), serializeModel(PlainModel));
-  EXPECT_EQ(serializeModel(*B.Model), serializeModel(ShardModel));
-}
-
-TEST_F(StoreFixture, OverwriteReplacesEntryWithoutTempDebris) {
-  ModelStore Store(Dir);
-  ModelKey Key = testKey();
-  Tsa First = randomModel(1);
-  Tsa Second = randomModel(2);
-  ASSERT_EQ(Store.save(Key, First, nullptr), ModelIoStatus::Ok);
-  ASSERT_EQ(Store.save(Key, Second, nullptr), ModelIoStatus::Ok);
-
-  ModelLoadResult Loaded = Store.load(Key);
-  ASSERT_TRUE(Loaded.ok());
-  EXPECT_EQ(serializeModel(*Loaded.Model), serializeModel(Second));
-  EXPECT_EQ(Store.list().size(), 1u) << "overwrite must not duplicate";
-
-  // Atomic publication: only final files in the store directory.
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
-    EXPECT_EQ(Entry.path().string().find(".tmp."), std::string::npos)
-        << "stale temporary: " << Entry.path();
-}
-
-TEST_F(StoreFixture, CorruptContainerReportsTypedError) {
-  ModelStore Store(Dir);
-  ModelKey Key = testKey();
-  ASSERT_EQ(Store.save(Key, randomModel(3), nullptr), ModelIoStatus::Ok);
-
-  // Truncate the container mid-model.
-  std::string Path = Store.pathFor(Key);
-  std::error_code Ec;
-  auto Size = std::filesystem::file_size(Path, Ec);
-  ASSERT_FALSE(Ec);
-  std::filesystem::resize_file(Path, Size / 2, Ec);
-  ASSERT_FALSE(Ec);
-  ModelLoadResult R = Store.load(Key);
-  EXPECT_NE(R.Status, ModelIoStatus::Ok);
-  EXPECT_FALSE(R.Model.has_value());
-}
-
-//===----------------------------------------------------------------------===//
 // End-to-end lifecycle: profile -> persist -> warm-start guided run
 //===----------------------------------------------------------------------===//
 
 TEST(WarmStartTest, PersistedModelGuidesWithZeroProfiling) {
-  // Stage 1: a "training process" profiles and publishes to the store.
-  std::string Dir = tempPath("gstm_warmstart_e2e");
-  std::filesystem::remove_all(Dir);
-  ModelKey Key;
-  Key.Workload = "kmeans";
-  Key.Threads = 4;
-  Key.ConfigHash = hashConfigString("e2e");
+  // Stage 1: a "training process" profiles and saves the model file.
+  std::string Path = tempPath("gstm_warmstart_e2e.tsa");
   {
     KmeansWorkload Train(KmeansParams::forSize(SizeClass::Small));
     ExperimentConfig EC;
@@ -440,15 +306,14 @@ TEST(WarmStartTest, PersistedModelGuidesWithZeroProfiling) {
     EXPECT_GT(Trained.ProfileCommits, 0u);
     EXPECT_EQ(Trained.ProfileRunsExecuted, 3u);
     ASSERT_GT(Trained.Model.numStates(), 0u);
-    ModelStore Store(Dir);
     std::string Detail;
-    ASSERT_EQ(Store.save(Key, Trained.Model, &Detail), ModelIoStatus::Ok)
+    ASSERT_EQ(saveModel(Trained.Model, Path, &Detail), ModelIoStatus::Ok)
         << Detail;
   }
 
   // Stage 2: a fresh "deployment process" loads and guides cold.
-  ModelStore Store(Dir);
-  ModelLoadResult Loaded = Store.load(Key);
+  ModelLoadResult Loaded = loadModel(Path);
+  std::filesystem::remove(Path);
   ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;
 
   KmeansWorkload Measure(KmeansParams::forSize(SizeClass::Small));
@@ -471,5 +336,4 @@ TEST(WarmStartTest, PersistedModelGuidesWithZeroProfiling) {
   // states (an alien model would resolve none).
   EXPECT_GT(R.Guided.Guide.KnownStates, 0u);
   EXPECT_GT(R.Guided.DistinctStates, 0u);
-  std::filesystem::remove_all(Dir);
 }

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "synquake/Experiment.h"
 #include "synquake/Game.h"
 
 #include <gtest/gtest.h>
@@ -102,4 +103,23 @@ TEST(SynQuakeTest, GateHooksAreExercised) {
   Game.run(Tm, 2);
   // Two transactions per player per frame, plus retries.
   EXPECT_GE(Gate.Calls.load(), uint64_t{48} * 12 * 2);
+}
+
+TEST(SynQuakeExperimentTest, GuidedSideCountsGateRetries) {
+  // Tfactor 1 admits only each state's most probable successors, so the
+  // guided side holds threads; every hold re-checks the gate at least
+  // once, and a forced release re-checks it MaxGateRetries times.
+  SynQuakeExperimentConfig Cfg;
+  Cfg.Threads = 4;
+  Cfg.Game = smallParams(QuestPattern::Quadrants4);
+  Cfg.TrainFrames = 12;
+  Cfg.ProfileRunsPerQuest = 1;
+  Cfg.MeasureRuns = 2;
+  Cfg.Tfactor = 1.0;
+  SynQuakeExperimentResult R = runSynQuakeExperiment(Cfg);
+  const GuideStats &G = R.Guided.Guide;
+  ASSERT_GT(G.Holds, 0u) << "the guided side held no thread";
+  EXPECT_GE(G.GateRetries, G.Holds);
+  EXPECT_GE(G.GateRetries, G.ForcedReleases * Cfg.Guide.MaxGateRetries);
+  EXPECT_TRUE(R.Default.AllVerified && R.Guided.AllVerified);
 }

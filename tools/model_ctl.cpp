@@ -5,37 +5,47 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Command-line front end of the model lifecycle subsystem (src/model):
+// Command-line front end of the model lifecycle (src/model), the analogue
+// of the paper artifact's `state_data` files:
 //
-//   model_ctl save --workload=NAME --out=FILE [--store=DIR]
-//       profile the workload and persist the trained TSA (binary file
-//       and/or key-stamped store entry)
-//   model_ctl info FILE [--json]
-//       census + analyzer verdict; --json dumps the interchange document
+//   model_ctl save --workload=NAME --out=FILE
+//       profile the workload and write the trained TSA to FILE
+//   model_ctl info FILE [--tfactor=X] [--json]
+//       census, analyzer verdict and the hottest states in the paper's
+//       notation with their high-probability destinations; --json dumps
+//       the interchange document instead
 //   model_ctl diff A B
-//       structural comparison; exits 0 identical / 1 different / 2 error
-//       (GNU diff convention)
+//       structural comparison and state overlap (how well training
+//       inputs cover testing behaviour); exits 0 identical / 1 different
+//       / 2 error (GNU diff convention)
 //   model_ctl load FILE [--run --workload=NAME]
 //       validate a container; with --run, warm-start guided measurement
 //       from it — zero profiling transactions in this process
-//   model_ctl list --store=DIR
-//       print the store manifest
+//   model_ctl stats FILE
+//       read a telemetry JSON export (runResultJson / experimentJson, or
+//       a bare telemetry object), print the abort breakdown by cause and
+//       site plus the retries-before-commit histogram, and re-verify that
+//       each breakdown sums *exactly* to the aggregate counters; exits 1
+//       on a mismatch, 2 when the file is unreadable or holds no
+//       telemetry
 //
-// Every failure path reports the typed ModelIoStatus, so a truncated or
-// tampered file names its defect instead of "cannot load".
+// Every model failure path reports the typed ModelIoStatus, so a
+// truncated or tampered file names its defect instead of "cannot load".
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiment.h"
+#include "core/JsonExport.h"
 #include "model/Serialize.h"
-#include "model/Store.h"
-#include "shard/ShardConfig.h"
 #include "stamp/Registry.h"
 #include "stm/StatsShard.h"
 #include "support/Options.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 using namespace gstm;
 
@@ -46,39 +56,15 @@ void reportLoadFailure(const std::string &Path, const ModelLoadResult &R) {
                modelIoStatusName(R.Status), R.Detail.c_str());
 }
 
-/// Key under which `save --store` publishes: the workload/thread
-/// coordinates plus a hash of the knobs that shape the trained state
-/// space. The shard layout is part of that space — conflict structure
-/// under 4 shards is not the structure under 1 — so the canonical shard
-/// rendering is folded in and models trained under different shard
-/// configurations land under distinct keys.
-ModelKey keyFor(const std::string &Workload, unsigned Threads,
-                SizeClass Size, const ShardConfig &Shards) {
-  ModelKey Key;
-  Key.Workload = Workload;
-  Key.Threads = Threads;
-  Key.ConfigHash = hashConfigString(std::string("grouping=sequence;") +
-                                    "size=" + sizeClassName(Size) +
-                                    ";preempt=5;" +
-                                    shardConfigCanonical(Shards));
-  return Key;
-}
+/// Hottest states `info` lists, by outbound traffic.
+constexpr unsigned TopStates = 10;
 
-/// Shard coordinates from the command line; shards=1 (the unsharded
-/// tier) is the default and keeps its own stable key.
-ShardConfig shardConfigFor(const Options &Opts) {
-  ShardConfig SC;
-  SC.ShardCount = static_cast<unsigned>(Opts.getInt("shards", 1));
-  SC.Steering = Opts.getBool("steer", false);
-  return SC;
-}
-
-/// Refuses counts no run can use: zero threads or more than
+/// Refuses values no run can use: zero threads or more than
 /// StatsShardCount (single-writer stats shards would alias), zero runs
-/// (an empty model saved and published, an empty guided measurement
-/// reported), and a shard count ShardedStm rejects (a store key for a
-/// layout that cannot run).
-bool countsUsable(const Options &Opts) {
+/// (an empty model saved, an empty guided measurement reported), and a
+/// Tfactor below 1 (highProbabilityPrefix's precondition; below it no
+/// transition is admitted, NaN included).
+bool optionsUsable(const Options &Opts) {
   const int64_t Threads = Opts.getInt("threads", 1);
   if (Threads < 1 || Threads > static_cast<int64_t>(StatsShardCount)) {
     std::fprintf(stderr, "model_ctl: --threads must be in [1, %zu]\n",
@@ -89,12 +75,8 @@ bool countsUsable(const Options &Opts) {
     std::fputs("model_ctl: --runs must be at least 1\n", stderr);
     return false;
   }
-  const int64_t Shards = Opts.getInt("shards", 1);
-  if (Shards < 1 || Shards > MaxShardCount ||
-      !isValidShardCount(static_cast<unsigned>(Shards))) {
-    std::fprintf(stderr,
-                 "model_ctl: --shards=%lld is not a power of two in [1, %u]\n",
-                 static_cast<long long>(Shards), MaxShardCount);
+  if (!(Opts.getDouble("tfactor", 4.0) >= 1.0)) {
+    std::fputs("model_ctl: --tfactor must be at least 1\n", stderr);
     return false;
   }
   return true;
@@ -103,16 +85,13 @@ bool countsUsable(const Options &Opts) {
 int cmdSave(const Options &Opts) {
   std::string Workload = Opts.getString("workload", "");
   std::string Out = Opts.getString("out", "");
-  std::string StoreDir = Opts.getString("store", "");
-  if (Workload.empty() || (Out.empty() && StoreDir.empty())) {
-    std::fputs("error: save needs --workload and --out and/or --store\n",
-               stderr);
+  if (Workload.empty() || Out.empty()) {
+    std::fputs("error: save needs --workload and --out\n", stderr);
     return 2;
   }
   unsigned Threads = static_cast<unsigned>(Opts.getInt("threads", 8));
   unsigned Runs = static_cast<unsigned>(Opts.getInt("runs", 5));
   SizeClass Size = parseSizeClass(Opts.getString("size", "medium"));
-  ShardConfig Shards = shardConfigFor(Opts);
 
   auto W = createStampWorkload(Workload, Size);
   if (!W) {
@@ -131,25 +110,12 @@ int cmdSave(const Options &Opts) {
   std::printf("trained: %zu states, %lu transitions\n", Model.numStates(),
               static_cast<unsigned long>(Model.numTransitions()));
 
-  if (!Out.empty()) {
-    std::string Detail;
-    if (saveModel(Model, Out, &Detail) != ModelIoStatus::Ok) {
-      std::fprintf(stderr, "error: %s\n", Detail.c_str());
-      return 2;
-    }
-    std::printf("wrote %s\n", Out.c_str());
+  std::string Detail;
+  if (saveModel(Model, Out, &Detail) != ModelIoStatus::Ok) {
+    std::fprintf(stderr, "error: %s\n", Detail.c_str());
+    return 2;
   }
-  if (!StoreDir.empty()) {
-    ModelStore Store(StoreDir);
-    ModelKey Key = keyFor(Workload, Threads, Size, Shards);
-    std::string Detail;
-    if (Store.save(Key, Model, &Detail) != ModelIoStatus::Ok) {
-      std::fprintf(stderr, "error: %s\n", Detail.c_str());
-      return 2;
-    }
-    std::printf("published %s -> %s\n", Key.id().c_str(),
-                Store.pathFor(Key).c_str());
-  }
+  std::printf("wrote %s\n", Out.c_str());
   return 0;
 }
 
@@ -181,6 +147,22 @@ int cmdInfo(const Options &Opts) {
   std::printf("guidance metric:  %.1f%% (Tfactor %.1f) -> %s\n",
               Report.GuidanceMetricPercent, AC.Tfactor,
               Report.Optimizable ? "guidable" : "not worth guiding");
+  std::printf("mean out-degree:  %.2f (guided: %.2f)\n\n",
+              Report.MeanOutDegree, Report.MeanGuidedOutDegree);
+
+  std::vector<std::pair<uint64_t, StateId>> ByTraffic;
+  for (StateId S = 0; S < Model.numStates(); ++S)
+    ByTraffic.push_back({Model.outFrequency(S), S});
+  std::sort(ByTraffic.rbegin(), ByTraffic.rend());
+  std::printf("top %u states by outbound traffic:\n", TopStates);
+  for (unsigned I = 0; I < TopStates && I < ByTraffic.size(); ++I) {
+    StateId S = ByTraffic[I].second;
+    std::printf("  %-28s seen %lu\n", Model.state(S).format().c_str(),
+                static_cast<unsigned long>(ByTraffic[I].first));
+    for (const TsaEdge &E : highProbabilitySuccessors(Model, S, AC.Tfactor))
+      std::printf("      -%.3f-> %s\n", E.Probability,
+                  Model.state(E.Dest).format().c_str());
+  }
   return 0;
 }
 
@@ -211,16 +193,25 @@ int cmdDiff(const Options &Opts) {
     return 0;
   }
 
+  const size_t StatesA = A.Model->numStates();
+  const size_t StatesB = B.Model->numStates();
   size_t Shared = 0;
-  for (StateId S = 0; S < A.Model->numStates(); ++S)
+  for (StateId S = 0; S < StatesA; ++S)
     if (B.Model->lookup(A.Model->state(S)))
       ++Shared;
+  auto Percent = [](size_t Part, size_t Whole) {
+    return Whole ? 100.0 * static_cast<double>(Part) / Whole : 0.0;
+  };
   std::printf("models differ\n");
-  std::printf("  A: %zu states, %lu transitions\n", A.Model->numStates(),
+  std::printf("  A: %zu states, %lu transitions\n", StatesA,
               static_cast<unsigned long>(A.Model->numTransitions()));
-  std::printf("  B: %zu states, %lu transitions\n", B.Model->numStates(),
+  std::printf("  B: %zu states, %lu transitions\n", StatesB,
               static_cast<unsigned long>(B.Model->numTransitions()));
-  std::printf("  shared states: %zu\n", Shared);
+  std::printf("  shared states: %zu (%.1f%% of A, %.1f%% of B)\n", Shared,
+              Percent(Shared, StatesA), Percent(Shared, StatesB));
+  std::printf("  guided by A, %.1f%% of B's states are unknown (unknown "
+              "states pass threads through unguided)\n",
+              Percent(StatesB - Shared, StatesB));
   return 1;
 }
 
@@ -265,24 +256,125 @@ int cmdLoad(const Options &Opts) {
   return Res.Default.AllVerified && Res.Guided.AllVerified ? 0 : 1;
 }
 
-int cmdList(const Options &Opts) {
-  std::string StoreDir = Opts.getString("store", "");
-  if (StoreDir.empty()) {
-    std::fputs("error: list needs --store=DIR\n", stderr);
+/// Prints one telemetry object's breakdowns and returns whether each
+/// breakdown sums exactly to its aggregate counter.
+bool printAndVerifySnapshot(const char *Label, const StatsSnapshot &Snap) {
+  std::printf("[%s]\n", Label);
+  std::printf("  commits:   %lu (%lu read-only)\n", Snap.Commits,
+              Snap.ReadOnlyCommits);
+  std::printf("  aborts:    %lu\n", Snap.Aborts);
+  std::printf("  by cause:\n");
+  for (size_t C = 0; C < NumAbortCauses; ++C)
+    std::printf("    %-18s %lu\n",
+                abortCauseName(static_cast<AbortCauseKind>(C)),
+                Snap.AbortsByCause[C]);
+  std::printf("  by site:\n");
+  for (size_t S = 0; S < NumAbortSites; ++S)
+    std::printf("    %-18s %lu\n", abortSiteName(static_cast<AbortSite>(S)),
+                Snap.AbortsBySite[S]);
+  std::printf("  retries-before-commit:");
+  for (size_t B = 0; B < RetryHistogramBuckets; ++B)
+    std::printf(" %lu", Snap.RetryHistogram[B]);
+  std::printf("\n");
+  if (Snap.Attempts)
+    std::printf("  attempts:  %lu (mean latency %.0f ns)\n", Snap.Attempts,
+                Snap.meanAttemptNanos());
+  if (Snap.CrossShardCommits || Snap.CrossShardAborts || Snap.PrepareRetries)
+    std::printf("  sharding:  %lu cross-shard commits, %lu cross-shard "
+                "aborts, %lu prepare retries\n",
+                Snap.CrossShardCommits, Snap.CrossShardAborts,
+                Snap.PrepareRetries);
+
+  bool Ok = true;
+  auto Check = [&](bool Holds, const char *What, uint64_t Got,
+                   uint64_t Bound) {
+    if (Holds)
+      return;
+    std::fprintf(stderr, "MISMATCH [%s]: %s: %lu vs %lu\n", Label, What,
+                 static_cast<unsigned long>(Got),
+                 static_cast<unsigned long>(Bound));
+    Ok = false;
+  };
+  Check(Snap.causeTotal() == Snap.Aborts, "abort causes sum != aborts",
+        Snap.causeTotal(), Snap.Aborts);
+  Check(Snap.siteTotal() == Snap.Aborts, "abort sites sum != aborts",
+        Snap.siteTotal(), Snap.Aborts);
+  Check(Snap.retryTotal() == Snap.Commits,
+        "retry histogram sum != commits", Snap.retryTotal(), Snap.Commits);
+  Check(Snap.ReadOnlyCommits <= Snap.Commits,
+        "read-only commits > commits", Snap.ReadOnlyCommits, Snap.Commits);
+  Check(Snap.CrossShardCommits <= Snap.Commits,
+        "cross-shard commits > commits", Snap.CrossShardCommits,
+        Snap.Commits);
+  Check(Snap.CrossShardAborts <= Snap.Aborts, "cross-shard aborts > aborts",
+        Snap.CrossShardAborts, Snap.Aborts);
+  std::printf("  invariants: %s\n\n", Ok ? "ok" : "VIOLATED");
+  return Ok;
+}
+
+int cmdStats(const Options &Opts) {
+  if (Opts.positionals().size() < 2) {
+    std::fputs("error: stats needs a telemetry JSON operand\n", stderr);
     return 2;
   }
-  ModelStore Store(StoreDir);
-  std::vector<StoreEntry> Entries = Store.list();
-  if (Entries.empty()) {
-    std::printf("store %s is empty\n", StoreDir.c_str());
-    return 0;
+  const std::string &Path = Opts.positionals()[1];
+  std::optional<std::string> Text = readTextFile(Path);
+  if (!Text) {
+    std::fprintf(stderr, "error: cannot read '%s'\n", Path.c_str());
+    return 2;
   }
-  for (const StoreEntry &E : Entries)
-    std::printf("%-40s workload=%s threads=%u states=%lu transitions=%lu\n",
-                E.File.c_str(), E.Key.Workload.c_str(), E.Key.Threads,
-                static_cast<unsigned long>(E.NumStates),
-                static_cast<unsigned long>(E.NumTransitions));
-  return 0;
+  std::optional<JsonValue> Doc = parseJson(*Text);
+  if (!Doc) {
+    std::fprintf(stderr, "error: '%s' is not valid JSON\n", Path.c_str());
+    return 2;
+  }
+
+  // The telemetry objects in the document: the document itself (bare
+  // telemetry) or its "telemetry" member (run export), plus one per side
+  // of an experiment export.
+  std::vector<std::pair<const char *, const JsonValue *>> Objects;
+  if (Doc->find("commits") && Doc->find("abort_causes"))
+    Objects.push_back({"telemetry", &*Doc});
+  else if (const JsonValue *T = Doc->find("telemetry"))
+    Objects.push_back({"telemetry", T});
+  for (const char *Side : {"default", "guided"})
+    if (const JsonValue *S = Doc->find(Side))
+      if (const JsonValue *T = S->find("telemetry"))
+        Objects.push_back({Side, T});
+  if (Objects.empty()) {
+    std::fprintf(stderr, "error: no telemetry object in '%s'\n",
+                 Path.c_str());
+    return 2;
+  }
+
+  bool Ok = true;
+  for (auto [Label, Telemetry] : Objects) {
+    std::optional<StatsSnapshot> Snap = snapshotFromJson(*Telemetry);
+    if (!Snap) {
+      std::fprintf(stderr, "error: '%s' in '%s' is not a telemetry object\n",
+                   Label, Path.c_str());
+      return 2;
+    }
+    Ok = printAndVerifySnapshot(Label, *Snap) && Ok;
+    // Per-thread shards of a run export must sum back to the aggregate.
+    if (const JsonValue *PerThread = Telemetry->find("per_thread")) {
+      StatsSnapshot Sum;
+      for (const JsonValue &Shard : PerThread->Items)
+        if (std::optional<StatsSnapshot> S = snapshotFromJson(Shard))
+          Sum.merge(*S);
+      if (Sum.Commits != Snap->Commits || Sum.Aborts != Snap->Aborts) {
+        std::fprintf(stderr,
+                     "MISMATCH [%s]: per-thread shards sum to %lu/%lu "
+                     "commits/aborts, aggregate says %lu/%lu\n",
+                     Label, static_cast<unsigned long>(Sum.Commits),
+                     static_cast<unsigned long>(Sum.Aborts),
+                     static_cast<unsigned long>(Snap->Commits),
+                     static_cast<unsigned long>(Snap->Aborts));
+        Ok = false;
+      }
+    }
+  }
+  return Ok ? 0 : 1;
 }
 
 } // namespace
@@ -297,17 +389,14 @@ int main(int Argc, char **Argv) {
                         "(default 5/3)"},
           {"size", "CLASS", "input size: small|medium|large"},
           {"out", "FILE", "write the trained model here (save)"},
-          {"store", "DIR", "model store directory (save/list)"},
-          {"shards", "N", "shard contexts the model is keyed for, a power "
-                          "of two in [1, 64] (default 1 = unsharded)"},
-          {"steer", "", "key the model for steered placement"},
-          {"tfactor", "X", "analyzer threshold factor (info)"},
+          {"tfactor", "X", "analyzer threshold factor, at least 1 "
+                           "(info, default 4)"},
           {"json", "", "info: dump the JSON interchange document"},
           {"run", "", "load: warm-start a guided measurement"},
       },
-      "<save|info|diff|load|list> [FILE...]");
+      "<save|info|diff|load|stats> [FILE...]");
   Options Opts = Cli.parseOrExit(Argc, Argv);
-  if (!countsUsable(Opts))
+  if (!optionsUsable(Opts))
     return 2;
 
   if (Opts.positionals().empty()) {
@@ -323,8 +412,8 @@ int main(int Argc, char **Argv) {
     return cmdDiff(Opts);
   if (Cmd == "load")
     return cmdLoad(Opts);
-  if (Cmd == "list")
-    return cmdList(Opts);
+  if (Cmd == "stats")
+    return cmdStats(Opts);
   std::fprintf(stderr, "error: unknown command '%s'\n%s", Cmd.c_str(),
                Cli.usage().c_str());
   return 2;
