@@ -98,7 +98,7 @@ BenchOptions BenchOptions::parse(int Argc, char **Argv,
   };
   Specs.insert(Specs.end(), Extra.begin(), Extra.end());
   const std::string Tool = toolName(Argv[0]);
-  OptionSet Cli(Tool, "reproduces one paper figure or table",
+  OptionSet Cli(Tool, "runs paper experiments on the STAMP ports",
                 std::move(Specs));
   Options Opts = Cli.parseOrExit(Argc, Argv);
   BenchOptions B;
@@ -158,4 +158,8 @@ void gstm::printBanner(const char *Title, const char *PaperRef,
               Opts.ProfileRuns, Opts.MeasureRuns, Opts.Tfactor,
               sizeClassName(Opts.TrainSize),
               sizeClassName(Opts.MeasureSize));
+}
+
+void gstm::printSection(const std::string &Title, const char *PaperRef) {
+  std::printf("\n== %s ==\n   reproduces: %s\n\n", Title.c_str(), PaperRef);
 }

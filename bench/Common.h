@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared configuration and execution helpers for the per-table/figure
-/// bench binaries. Every binary accepts (and rejects any other key with
-/// exit 2, unless it declares it):
+/// Shared configuration and execution helpers for the STAMP paper driver
+/// (paper_stamp) and the ablation benches. Every binary accepts (and
+/// rejects any other key with exit 2, unless it declares it):
 ///   --threads=8,16      thread counts to evaluate (paper: 8 and 16)
 ///   --profile-runs=N    training runs (paper: 20)
 ///   --runs=N            measurement runs per side (paper: 20)
@@ -20,9 +20,8 @@
 ///   --force-guided=0    skip the guided side when the analyzer rejects
 ///   --json-dir=DIR      also write per-experiment JSON exports there
 ///
-/// Defaults are scaled so each binary completes in about a minute on a
-/// small machine; raise --runs/--profile-runs toward the paper's 20 for
-/// tighter statistics.
+/// Defaults are scaled down for a small machine; raise
+/// --runs/--profile-runs toward the paper's 20 for tighter statistics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,6 +95,9 @@ ExperimentResult runStampExperiment(const std::string &Workload,
 /// Prints the standard bench banner (paper reference + configuration).
 void printBanner(const char *Title, const char *PaperRef,
                  const BenchOptions &Opts);
+
+/// Prints the heading of one table or figure in a paper driver's report.
+void printSection(const std::string &Title, const char *PaperRef);
 
 } // namespace gstm
 

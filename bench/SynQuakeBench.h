@@ -1,4 +1,4 @@
-//===- bench/SynQuakeBench.h - Shared SynQuake bench plumbing -------------===//
+//===- bench/SynQuakeBench.h - SynQuake paper-driver options --------------===//
 //
 // Part of the GSTM reproduction of "Quantifying and Reducing Execution
 // Variance in STM via Model Driven Commit Optimization" (CGO 2019).
@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared configuration for the SynQuake benches (Table V, Figures 11 and
-/// 12). Paper setup: 1000 players on a 1024x1024 map, trained on
-/// 4worst_case and 4moving, tested on 4quadrants and 4center_spread6.
+/// Options of the SynQuake paper driver (bench/paper_synquake: Table V,
+/// Figures 11 and 12). Paper setup: 1000 players on a 1024x1024 map,
+/// trained on 4worst_case and 4moving, tested on 4quadrants and
+/// 4center_spread6.
 /// Defaults are scaled down (players/frames) to finish quickly; raise
 /// --players / --frames toward the paper's numbers as time allows.
 ///
@@ -18,9 +19,8 @@
 #define GSTM_BENCH_SYNQUAKEBENCH_H
 
 #include "bench/Common.h"
-#include "synquake/Experiment.h"
 
-#include <cstdio>
+#include <cstdint>
 #include <vector>
 
 namespace gstm {
@@ -41,7 +41,7 @@ struct SynQuakeBenchOptions {
   static SynQuakeBenchOptions parse(int Argc, char **Argv) {
     const std::string Tool = toolName(Argv[0]);
     OptionSet Cli(
-        Tool, "reproduces one SynQuake paper figure or table",
+        Tool, "reproduces the paper's SynQuake evaluation",
         {
             {"threads", "LIST",
              "comma-separated thread counts, each in [1, 64] (default 8,16)"},
@@ -69,45 +69,6 @@ struct SynQuakeBenchOptions {
     return B;
   }
 };
-
-inline SynQuakeExperimentResult
-runSynQuakeBench(const SynQuakeBenchOptions &Opts, unsigned Threads,
-                 QuestPattern TestQuest) {
-  SynQuakeExperimentConfig Cfg;
-  Cfg.Threads = Threads;
-  Cfg.Game.NumPlayers = Opts.Players;
-  Cfg.Game.Frames = Opts.Frames;
-  Cfg.Game.Quest = TestQuest;
-  Cfg.TrainFrames = Opts.TrainFrames;
-  Cfg.ProfileRunsPerQuest = Opts.ProfileRunsPerQuest;
-  Cfg.MeasureRuns = Opts.MeasureRuns;
-  Cfg.Tfactor = Opts.Tfactor;
-  Cfg.ProfileSeedBase = Opts.Seed * 1000 + 11;
-  Cfg.MeasureSeedBase = Opts.Seed * 1000 + 611;
-  return runSynQuakeExperiment(Cfg);
-}
-
-/// Figures 11/12: one row per thread count with the three panels.
-inline void printSynQuakeFigure(const SynQuakeBenchOptions &Opts,
-                                QuestPattern Quest) {
-  std::printf("quest: %s, %u players, %u frames, trained on "
-              "4worst_case+4moving\n\n",
-              questPatternName(Quest), Opts.Players, Opts.Frames);
-  std::printf("threads  frame-var improve  abort-ratio cut  slowdown  "
-              "(frame stddev default -> guided, ms)\n");
-  for (unsigned T : Opts.ThreadCounts) {
-    SynQuakeExperimentResult R = runSynQuakeBench(Opts, T, Quest);
-    std::printf("%7u  %16.1f%%  %14.1f%%  %7.2fx  (%.3f -> %.3f)%s\n", T,
-                R.frameVarianceImprovementPercent(),
-                R.abortRatioReductionPercent(), R.slowdownFactor(),
-                R.Default.FrameStddev.mean() * 1e3,
-                R.Guided.FrameStddev.mean() * 1e3,
-                R.Default.AllVerified && R.Guided.AllVerified
-                    ? ""
-                    : "  [VERIFY FAILED]");
-    std::fflush(stdout);
-  }
-}
 
 } // namespace gstm
 

@@ -7,7 +7,8 @@
 //
 // The full pipeline on twenty lines of application code: a tiny bank of
 // transactional accounts, profiled to build a thread-state-automaton
-// model, analyzed, and re-run under guided execution.
+// model, analyzed, and re-run under guided execution. Exits 1 when the
+// default or the guided run fails to conserve the bank's money.
 //
 //   $ ./quickstart [--threads=4] [--transfers=400]
 //
@@ -72,6 +73,20 @@ std::vector<std::unique_ptr<TVar<int64_t>>> makeAccounts() {
   return Accounts;
 }
 
+/// Transfers move money between accounts, never create or destroy it.
+/// Prints the verdict for \p Run and returns whether the total held.
+bool moneyConserved(
+    const char *Run,
+    const std::vector<std::unique_ptr<TVar<int64_t>>> &Accounts) {
+  int64_t Total = 0;
+  for (auto &A : Accounts)
+    Total += A->loadDirect();
+  bool Conserved = Total == int64_t{NumAccounts} * 1000;
+  std::printf("      %s run money conserved: %s (total %ld)\n", Run,
+              Conserved ? "yes" : "NO", Total);
+  return Conserved;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -111,6 +126,7 @@ int main(int Argc, char **Argv) {
   // Phase 3: default run for comparison.
   // ------------------------------------------------------------------
   uint64_t DefaultAborts;
+  bool Conserved = false;
   {
     Tl2Stm Stm(StmCfg);
     auto Accounts = makeAccounts();
@@ -118,6 +134,7 @@ int main(int Argc, char **Argv) {
     DefaultAborts = Stm.stats().aborts();
     std::printf("[3/4] default run: %lu commits, %lu aborts\n",
                 Stm.stats().commits(), DefaultAborts);
+    Conserved = moneyConserved("default", Accounts);
   }
 
   // ------------------------------------------------------------------
@@ -132,19 +149,14 @@ int main(int Argc, char **Argv) {
     auto Accounts = makeAccounts();
     runBank(Stm, Threads, Transfers, Accounts);
 
-    int64_t Total = 0;
-    for (auto &A : Accounts)
-      Total += A->loadDirect();
     GuideStats GS = Controller.stats();
     std::printf("[4/4] guided run:  %lu commits, %lu aborts "
                 "(gate held %lu starts)\n",
                 Stm.stats().commits(), Stm.stats().aborts(),
                 GS.Holds);
-    std::printf("      money conserved: %s (total %ld)\n",
-                Total == int64_t{NumAccounts} * 1000 ? "yes" : "NO BUG",
-                Total);
+    Conserved = moneyConserved("guided", Accounts) && Conserved;
     std::printf("      abort change: %lu -> %lu\n", DefaultAborts,
                 Stm.stats().aborts());
   }
-  return 0;
+  return Conserved ? 0 : 1;
 }

@@ -62,9 +62,8 @@ struct SideCollector {
 void measureSides(TlWorkload &Workload, const ExperimentConfig &Config,
                   const GuidedPolicy *Policy, SideAggregate &DefaultOut,
                   SideAggregate &GuidedOut) {
-  RunnerConfig RC = Config.Runner;
+  RunnerConfig RC;
   RC.Threads = Config.Threads;
-  RC.GroupMode = Config.GroupMode;
 
   // Warm-up pass (cold caches / first-touch page faults would otherwise
   // land entirely in the first measured run).
@@ -89,12 +88,13 @@ void measureSides(TlWorkload &Workload, const ExperimentConfig &Config,
 void analyzeAndMeasure(TlWorkload &MeasureWorkload,
                        const ExperimentConfig &Config,
                        ExperimentResult &Result) {
-  // Phase 3: analyze.
-  AnalyzerConfig AC = Config.Analyzer;
-  AC.Tfactor = Config.Tfactor;
-  if (AC.MinStates == 0)
-    AC.MinStates = 6 * Config.Threads;
-  Result.Report = analyzeModel(Result.Model, AC);
+  // Phase 3: analyze. A model made only of singleton-commit tuples (the
+  // ssca2 shape — about one state per thread per site plus a few rare
+  // abort tuples) carries no abort structure worth guiding, hence the
+  // bound of 6 states per thread.
+  Result.Report = analyzeModel(
+      Result.Model,
+      {.Tfactor = Config.Tfactor, .MinStates = 6 * Config.Threads});
 
   // Phase 4: measurement — default always, guided unless the analyzer
   // said "non-optimizable" (ForceGuided overrides, for Figure 8).
@@ -117,10 +117,9 @@ ExperimentResult gstm::runExperiment(TlWorkload &ProfileWorkload,
   ExperimentResult Result;
 
   // Phase 1+2: profile and build the model (paper Fig. 1 left half).
+  RunnerConfig RC;
+  RC.Threads = Config.Threads;
   for (unsigned Run = 0; Run < Config.ProfileRuns; ++Run) {
-    RunnerConfig RC = Config.Runner;
-    RC.Threads = Config.Threads;
-    RC.GroupMode = Config.GroupMode;
     RunResult R = runWorkloadOnce(ProfileWorkload, RC,
                                   Config.ProfileSeedBase + Run,
                                   /*Policy=*/nullptr);
@@ -138,7 +137,7 @@ ExperimentResult gstm::runExperimentWithModel(TlWorkload &MeasureWorkload,
                                               Tsa Model) {
   ExperimentResult Result;
   // Warm start: the model arrives pretrained (typically loaded from a
-  // model store), so the profiling phase is skipped outright —
+  // model file), so the profiling phase is skipped outright —
   // ProfileCommits stays zero, which tests use to prove no profiling
   // transactions ran.
   Result.Model = std::move(Model);

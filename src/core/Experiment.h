@@ -39,15 +39,6 @@ struct ExperimentConfig {
   /// Paper: readings averaged over 20 runs.
   unsigned MeasureRuns = 7;
   double Tfactor = 4.0;
-  Grouping GroupMode = Grouping::Sequence;
-  /// MinStates = 0 selects the automatic bound 6 * Threads: a model made
-  /// only of singleton-commit tuples (the ssca2 shape — about one state
-  /// per thread per site plus a few rare abort tuples) carries no abort
-  /// structure worth guiding.
-  AnalyzerConfig Analyzer = {.Tfactor = 4.0,
-                             .MetricRejectThreshold = 50.0,
-                             .MinStates = 0};
-  RunnerConfig Runner;
   uint64_t ProfileSeedBase = 1000;
   uint64_t MeasureSeedBase = 5000;
   /// Run the guided side even when the analyzer rejects the model (used

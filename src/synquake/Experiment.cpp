@@ -96,9 +96,7 @@ gstm::runSynQuakeExperiment(const SynQuakeExperimentConfig &Config) {
       Result.Model.addRun(R.Tuples);
     }
 
-  AnalyzerConfig AC = Config.Analyzer;
-  AC.Tfactor = Config.Tfactor;
-  Result.Report = analyzeModel(Result.Model, AC);
+  Result.Report = analyzeModel(Result.Model, {.Tfactor = Config.Tfactor});
 
   // Measurement: the same input (fixed seed) replayed with interleaved
   // default/guided runs, so run-to-run spread is speculation

@@ -42,7 +42,6 @@ struct SynQuakeExperimentConfig {
   /// the whole frame: the gate yields (on our yield-saturated substrate a
   /// yield returns in microseconds) instead of sleeping.
   GuideConfig Guide = {.MaxGateRetries = 8, .GateSleepMicros = 0};
-  AnalyzerConfig Analyzer;
   uint64_t ProfileSeedBase = 100;
   uint64_t MeasureSeedBase = 500;
 };

@@ -17,15 +17,15 @@
 #
 #   cmake -DCHECK_FUZZ=<check_fuzz> -DOLTP_YCSB=<oltp_ycsb>
 #         -DBENCH_RUNNER=<bench_runner> -DMODEL_CTL=<model_ctl>
-#         -DFIG_BIN=<fig9_nondeterminism>
-#         -DSYNQUAKE_BIN=<fig11_synquake_quadrants> -P CliRejects.cmake
+#         -DPAPER_STAMP=<paper_stamp>
+#         -DPAPER_SYNQUAKE=<paper_synquake> -P CliRejects.cmake
 
 if(NOT CHECK_FUZZ OR NOT OLTP_YCSB OR NOT BENCH_RUNNER OR NOT MODEL_CTL
-   OR NOT FIG_BIN OR NOT SYNQUAKE_BIN)
+   OR NOT PAPER_STAMP OR NOT PAPER_SYNQUAKE)
   message(FATAL_ERROR
       "usage: cmake -DCHECK_FUZZ=<bin> -DOLTP_YCSB=<bin> "
-      "-DBENCH_RUNNER=<bin> -DMODEL_CTL=<bin> -DFIG_BIN=<bin> "
-      "-DSYNQUAKE_BIN=<bin> -P CliRejects.cmake")
+      "-DBENCH_RUNNER=<bin> -DMODEL_CTL=<bin> -DPAPER_STAMP=<bin> "
+      "-DPAPER_SYNQUAKE=<bin> -P CliRejects.cmake")
 endif()
 
 # expect_usage_error(<command>... [MESSAGE <regex>])
@@ -99,20 +99,24 @@ expect_usage_error(${Save} --threads=2 --runs=1 --store=${ModelDir}/store
 expect_usage_error(${MODEL_CTL} list --store=${ModelDir}/store
                    MESSAGE "unknown option '--store'")
 
-# The paper binaries share BenchOptions::parse; small inputs keep a binary
-# that got past its checks short.
-set(Fig ${FIG_BIN} --workloads=kmeans --size=small --train-size=small
-        --profile-runs=1)
-expect_usage_error(${Fig} --threads=0 --runs=1 MESSAGE "--threads")
-expect_usage_error(${Fig} --threads=2 --runs=0 MESSAGE "--runs")
-expect_usage_error(${Fig} --threads=2 --runs=1 --rusn=1
+# The STAMP paper driver parses with BenchOptions::parse; small inputs keep
+# a run that got past its checks short.
+set(Stamp ${PAPER_STAMP} --workloads=kmeans --size=small --train-size=small
+          --profile-runs=1)
+expect_usage_error(${Stamp} --threads=0 --runs=1 MESSAGE "--threads")
+expect_usage_error(${Stamp} --threads=2 --runs=0 MESSAGE "--runs")
+expect_usage_error(${Stamp} --threads=2 --runs=1 --rusn=1
                    MESSAGE "unknown option '--rusn'")
-expect_usage_error(${Fig} --threads=2 --runs=1 --tfactor=0.5
+expect_usage_error(${Stamp} --threads=2 --runs=1 --tfactor=0.5
                    MESSAGE "--tfactor")
+# No guided mode takes a causal-grouped model: guided runs form sequence
+# tuples online.
+expect_usage_error(${Stamp} --threads=2 --runs=1 --grouping=causal
+                   MESSAGE "unknown option '--grouping'")
 
-# The SynQuake benches (Table V, Figures 11 and 12) share
+# The SynQuake paper driver (Table V, Figures 11 and 12) parses with
 # SynQuakeBenchOptions::parse and the checks above.
-set(SynQuake ${SYNQUAKE_BIN} --players=20 --frames=2 --train-frames=2
+set(SynQuake ${PAPER_SYNQUAKE} --players=20 --frames=2 --train-frames=2
              --profile-runs=1)
 expect_usage_error(${SynQuake} --threads=0 --runs=1 MESSAGE "--threads")
 expect_usage_error(${SynQuake} --threads=2 --runs=0 MESSAGE "--runs")

@@ -1,15 +1,15 @@
 # The telemetry-invariant checker (`model_ctl stats`) on a real export:
-# fig9_nondeterminism writes an experiment JSON, which must pass (exit 0);
+# paper_stamp writes an experiment JSON, which must pass (exit 0);
 # a copy whose abort total was edited must fail the invariants (exit 1);
 # a file that is not JSON must be refused (exit 2). Invoked by the
 # `model_ctl_stats` ctest:
 #
-#   cmake -DMODEL_CTL=<model_ctl> -DFIG_BIN=<fig9_nondeterminism>
+#   cmake -DMODEL_CTL=<model_ctl> -DPAPER_STAMP=<paper_stamp>
 #         -DWORK_DIR=<dir> -P ModelCtlStats.cmake
 
-if(NOT MODEL_CTL OR NOT FIG_BIN OR NOT WORK_DIR)
+if(NOT MODEL_CTL OR NOT PAPER_STAMP OR NOT WORK_DIR)
   message(FATAL_ERROR
-      "usage: cmake -DMODEL_CTL=<bin> -DFIG_BIN=<bin> -DWORK_DIR=<dir> "
+      "usage: cmake -DMODEL_CTL=<bin> -DPAPER_STAMP=<bin> -DWORK_DIR=<dir> "
       "-P ModelCtlStats.cmake")
 endif()
 
@@ -17,12 +17,12 @@ file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 execute_process(
-  COMMAND ${FIG_BIN} --workloads=kmeans --size=small --train-size=small
+  COMMAND ${PAPER_STAMP} --workloads=kmeans --size=small --train-size=small
           --threads=2 --profile-runs=1 --runs=1 --json-dir=${WORK_DIR}
-  RESULT_VARIABLE FigRc OUTPUT_QUIET)
+  RESULT_VARIABLE StampRc OUTPUT_QUIET)
 set(EXPORT ${WORK_DIR}/kmeans_t2.json)
-if(NOT FigRc EQUAL 0 OR NOT EXISTS ${EXPORT})
-  message(FATAL_ERROR "fig9_nondeterminism wrote no export (${FigRc})")
+if(NOT StampRc EQUAL 0 OR NOT EXISTS ${EXPORT})
+  message(FATAL_ERROR "paper_stamp wrote no export (${StampRc})")
 endif()
 
 # expect_stats(<file> <exit code>)

@@ -1,4 +1,4 @@
-//===- tests/bench_options_test.cpp - paper-binary option parsing tests ----===//
+//===- tests/bench_options_test.cpp - paper-driver option parsing tests ----===//
 //
 // Part of the GSTM reproduction of "Quantifying and Reducing Execution
 // Variance in STM via Model Driven Commit Optimization" (CGO 2019).
@@ -22,11 +22,11 @@ using namespace gstm;
 
 namespace {
 
-/// Parses \p Args as the command line of a paper binary named `fig_bin`.
+/// Parses \p Args as the command line of the STAMP paper driver.
 BenchOptions parseArgs(std::vector<std::string> Args,
                        std::vector<OptionSpec> Extra = {},
                        Options *Parsed = nullptr) {
-  Args.insert(Args.begin(), "bench/fig_bin");
+  Args.insert(Args.begin(), "bench/paper_stamp");
   std::vector<char *> Argv;
   for (std::string &A : Args)
     Argv.push_back(A.data());
@@ -35,9 +35,9 @@ BenchOptions parseArgs(std::vector<std::string> Args,
                              std::move(Extra), Parsed);
 }
 
-/// Parses \p Args as the command line of a SynQuake bench.
+/// Parses \p Args as the command line of the SynQuake paper driver.
 SynQuakeBenchOptions parseSynQuake(std::vector<std::string> Args) {
-  Args.insert(Args.begin(), "bench/fig11_synquake_quadrants");
+  Args.insert(Args.begin(), "bench/paper_synquake");
   std::vector<char *> Argv;
   for (std::string &A : Args)
     Argv.push_back(A.data());
@@ -81,18 +81,28 @@ TEST(BenchOptionsTest, ParsesEveryCommonKey) {
 
 TEST(BenchOptionsTest, ExtraKeyIsAcceptedAndReadBack) {
   Options Parsed;
-  BenchOptions B = parseArgs({"--grouping=causal", "--runs=2"},
-                             {{"grouping", "MODE", "tuple grouping"}},
-                             &Parsed);
+  BenchOptions B = parseArgs({"--workload=genome", "--runs=2"},
+                             {{"workload", "NAME", "STAMP port"}}, &Parsed);
   EXPECT_EQ(B.MeasureRuns, 2u);
-  EXPECT_EQ(Parsed.getString("grouping", "sequence"), "causal");
+  EXPECT_EQ(Parsed.getString("workload", "kmeans"), "genome");
   EXPECT_EQ(Parsed.getInt("runs", 0), 2);
+}
+
+TEST(BenchOptionsTest, ToolNameDropsTheDirectory) {
+  // Every parse error names the binary the way a user typed it last.
+  EXPECT_EQ(toolName("build/bench/paper_stamp"), "paper_stamp");
+  EXPECT_EQ(toolName("/abs/path/paper_synquake"), "paper_synquake");
+  EXPECT_EQ(toolName("paper_stamp"), "paper_stamp");
 }
 
 TEST(BenchOptionsDeathTest, UnknownKeyExitsTwo) {
   EXPECT_EXIT(parseArgs({"--rusn=1"}), testing::ExitedWithCode(2),
               "unknown option '--rusn'");
   // A key one binary declares is still unknown to one that does not.
+  EXPECT_EXIT(parseArgs({"--workload=kmeans"}), testing::ExitedWithCode(2),
+              "unknown option '--workload'");
+  // No guided mode takes a causal-grouped model: guided runs form
+  // sequence tuples online (ablation_grouping compares the two models).
   EXPECT_EXIT(parseArgs({"--grouping=causal"}), testing::ExitedWithCode(2),
               "unknown option '--grouping'");
 }
@@ -133,10 +143,10 @@ TEST(BenchOptionsDeathTest, HelpListsDeclaredKeysAndExitsZero) {
   auto Help = [] {
     std::fflush(stdout);
     dup2(STDERR_FILENO, STDOUT_FILENO);
-    parseArgs({"--help"}, {{"grouping", "MODE", "tuple grouping"}});
+    parseArgs({"--help"}, {{"workload", "NAME", "STAMP port"}});
   };
   EXPECT_EXIT(Help(), testing::ExitedWithCode(0), "--runs=N");
-  EXPECT_EXIT(Help(), testing::ExitedWithCode(0), "--grouping=MODE");
+  EXPECT_EXIT(Help(), testing::ExitedWithCode(0), "--workload=NAME");
 }
 
 //===----------------------------------------------------------------------===//

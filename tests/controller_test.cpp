@@ -398,3 +398,45 @@ TEST(GuideControllerTest, ConcurrentAbortsFoldIntoExactlyOneTuple) {
   GuideStats S = Controller.stats();
   EXPECT_EQ(S.KnownStates + S.UnknownStates, Total);
 }
+
+TEST(GuideControllerTest, OnlineTuplesEqualOfflineSequenceGrouping) {
+  // The controller forms its tuples the way groupTuples' Sequence mode
+  // parses the trace of the same stream: each commit absorbs the aborts
+  // logged since the previous commit. Causal grouping instead attaches an
+  // abort to the commit it names as its cause, so a model trained on
+  // causal tuples holds states a guided run never forms.
+  struct RecordingSink : TtsSink {
+    std::vector<StateTuple> Tuples;
+    void observeTuple(ThreadId, uint64_t, const StateTuple &Tuple) override {
+      Tuples.push_back(Tuple);
+    }
+  } Sink;
+  Tsa Model = biasedModel();
+  GuidedPolicy Policy(Model, 4.0);
+  TraceCollector Collector(/*NumThreads=*/3);
+  GuideController Controller(Policy, GuideConfig{}, &Collector);
+  Controller.setTtsSink(&Sink);
+
+  // Round R: thread A commits version 2R+1 and thread B aborts on that
+  // commit, but thread C commits next, after an abort of its own with no
+  // recorded committer on odd rounds.
+  for (uint64_t R = 0; R < 40; ++R) {
+    auto A = static_cast<ThreadId>(R % 3);
+    auto B = static_cast<ThreadId>((R + 1) % 3);
+    auto C = static_cast<ThreadId>((R + 2) % 3);
+    auto TxA = static_cast<TxId>(R % 4);
+    Controller.onCommit(CommitEvent{A, TxA, 2 * R + 1, 0});
+    Controller.onAbort(AbortEvent{B, static_cast<TxId>((R + 1) % 4),
+                                  AbortCauseKind::KnownCommitter,
+                                  packPair(TxA, A), 2 * R + 1});
+    if (R % 2 == 1)
+      Controller.onAbort(AbortEvent{C, 0, AbortCauseKind::Explicit, 0, 0});
+    Controller.onCommit(CommitEvent{C, 0, 2 * R + 2, 0});
+  }
+
+  std::vector<TraceEvent> Trace = Collector.takeTrace();
+  ASSERT_EQ(Trace.size(), 40u * 3 + 20);
+  ASSERT_EQ(Sink.Tuples.size(), 80u);
+  EXPECT_EQ(Sink.Tuples, groupTuples(Trace, Grouping::Sequence));
+  EXPECT_NE(Sink.Tuples, groupTuples(Trace, Grouping::Causal));
+}

@@ -22,9 +22,13 @@
 #include "stamp/Registry.h"
 #include "stamp/Ssca2.h"
 #include "support/SplitMix64.h"
+#include "support/Stats.h"
 #include "synquake/Experiment.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <initializer_list>
 
 using namespace gstm;
 
@@ -147,6 +151,32 @@ TEST(ExperimentTest, KmeansModelAcceptedByAnalyzer) {
   EXPECT_LT(R.Report.GuidanceMetricPercent, 60.0);
 }
 
+TEST(ExperimentTest, AnalyzerTakesConfigTfactorAndSixStatesPerThread) {
+  // Both pipelines analyze with the experiment's Tfactor, the paper's 50%
+  // rejection threshold and at least 6 states per thread (the ssca2
+  // bound above).
+  KmeansWorkload W(KmeansParams::forSize(SizeClass::Small));
+  ExperimentConfig Cfg = quickConfig(4);
+  Cfg.ProfileRuns = 2;
+  Cfg.MeasureRuns = 0;
+  Cfg.Tfactor = 1.0;
+  ExperimentResult Cold = runExperiment(W, Cfg);
+  ExperimentResult Warm = runExperimentWithModel(W, Cfg, Cold.Model);
+
+  AnalyzerReport Want =
+      analyzeModel(Cold.Model, {.Tfactor = 1.0, .MinStates = 24});
+  ASSERT_NE(analyzeModel(Cold.Model, {.Tfactor = 4.0}).GuidanceMetricPercent,
+            Want.GuidanceMetricPercent)
+      << "the model must tell the two Tfactors apart";
+  for (const ExperimentResult *R : {&Cold, &Warm}) {
+    EXPECT_DOUBLE_EQ(R->Report.GuidanceMetricPercent,
+                     Want.GuidanceMetricPercent);
+    EXPECT_EQ(R->Report.NumStates, Want.NumStates);
+    EXPECT_EQ(R->Report.Optimizable,
+              Want.NumStates >= 24 && Want.GuidanceMetricPercent < 50.0);
+  }
+}
+
 TEST(ExperimentTest, TrainOnMediumMeasureOnSmall) {
   // The paper trains on medium inputs and evaluates on others; the
   // two-workload overload supports exactly that.
@@ -180,6 +210,82 @@ TEST(ExperimentTest, MetricsComputeSaneValues) {
   EXPECT_LE(R.defaultAbortRatio(), 1.0);
 }
 
+//===----------------------------------------------------------------------===//
+// Derived metrics on hand-built sides (every paper driver row reads these)
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// A histogram holding one commit after each of \p Counts aborts.
+AbortHistogram histOf(std::initializer_list<uint64_t> Counts) {
+  AbortHistogram H;
+  for (uint64_t C : Counts)
+    H.add(C);
+  return H;
+}
+} // namespace
+
+TEST(ExperimentResultTest, VarianceImprovementIsPerThreadStddevReduction) {
+  ExperimentResult R;
+  R.Default.ThreadTimes.resize(2);
+  R.Guided.ThreadTimes.resize(2);
+  // Thread 0: the guided spread is half the default spread.
+  for (double X : {1.0, 3.0})
+    R.Default.ThreadTimes[0].add(X);
+  for (double X : {1.0, 2.0})
+    R.Guided.ThreadTimes[0].add(X);
+  // Thread 1: the guided spread doubles (a Figure 8 style degradation).
+  for (double X : {1.0, 2.0})
+    R.Default.ThreadTimes[1].add(X);
+  for (double X : {1.0, 3.0})
+    R.Guided.ThreadTimes[1].add(X);
+  std::vector<double> V = R.varianceImprovementPercent();
+  ASSERT_EQ(V.size(), 2u);
+  EXPECT_NEAR(V[0], 50.0, 1e-9);
+  EXPECT_NEAR(V[1], -100.0, 1e-9);
+}
+
+TEST(ExperimentResultTest, MeanTailImprovementSkipsUndefinedThreads) {
+  ExperimentResult R;
+  // Tail metric = sum of j^2 over distinct abort counts j.
+  R.Default.ThreadHists = {histOf({0, 3}), histOf({0}), histOf({0})};
+  R.Guided.ThreadHists = {histOf({0, 1}), histOf({2}), histOf({0})};
+  std::vector<double> T = R.tailImprovementPercent();
+  ASSERT_EQ(T.size(), 3u);
+  EXPECT_NEAR(T[0], 100.0 * 8.0 / 9.0, 1e-9);
+  // A zero default tail against a non-zero guided one has no ratio.
+  EXPECT_TRUE(std::isnan(T[1]));
+  EXPECT_DOUBLE_EQ(T[2], 0.0);
+  EXPECT_NEAR(R.meanTailImprovementPercent(), 100.0 * 4.0 / 9.0, 1e-9);
+}
+
+TEST(ExperimentResultTest, NondeterminismReductionComparesDistinctStates) {
+  ExperimentResult R;
+  R.Default.DistinctStates = 40;
+  R.Guided.DistinctStates = 10;
+  EXPECT_DOUBLE_EQ(R.nondeterminismReductionPercent(), 75.0);
+  R.Guided.DistinctStates = 60;
+  EXPECT_DOUBLE_EQ(R.nondeterminismReductionPercent(), -50.0);
+}
+
+TEST(ExperimentResultTest, SlowdownIsGuidedOverDefaultWallTime) {
+  ExperimentResult R;
+  R.Default.MeanWallSeconds = 2.0;
+  R.Guided.MeanWallSeconds = 3.0;
+  EXPECT_DOUBLE_EQ(R.slowdownFactor(), 1.5);
+  // No default wall time to compare against reads as no slowdown.
+  R.Default.MeanWallSeconds = 0.0;
+  EXPECT_DOUBLE_EQ(R.slowdownFactor(), 1.0);
+}
+
+TEST(ExperimentResultTest, AbortRatioIsAbortsOverAllAttempts) {
+  ExperimentResult R;
+  R.Default.TotalCommits = 75;
+  R.Default.TotalAborts = 25;
+  EXPECT_DOUBLE_EQ(R.defaultAbortRatio(), 0.25);
+  // A side with no attempts (the guided side of a rejected model).
+  EXPECT_DOUBLE_EQ(R.guidedAbortRatio(), 0.0);
+}
+
 TEST(SynQuakeExperimentTest, PipelineEndToEnd) {
   SynQuakeExperimentConfig Cfg;
   Cfg.Threads = 4;
@@ -199,4 +305,29 @@ TEST(SynQuakeExperimentTest, PipelineEndToEnd) {
   double Slowdown = R.slowdownFactor();
   EXPECT_GT(Slowdown, 0.0);
   EXPECT_LT(Slowdown, 100.0);
+}
+
+TEST(SynQuakeExperimentTest, AnalyzerTakesConfigTfactor) {
+  SynQuakeExperimentConfig Cfg;
+  Cfg.Threads = 4;
+  Cfg.Game.NumPlayers = 48;
+  Cfg.Game.Frames = 4;
+  Cfg.Game.Quest = QuestPattern::Quadrants4;
+  Cfg.TrainFrames = 10;
+  Cfg.ProfileRunsPerQuest = 1;
+  Cfg.MeasureRuns = 1;
+  // A Tfactor this large counts nearly every successor as high
+  // probability, far from the default 4. Tfactor 1 is not used: on a
+  // loaded host the SynQuake model often has no successor between Pmax/4
+  // and Pmax, so 1 and 4 give the same metric.
+  Cfg.Tfactor = 1000.0;
+
+  SynQuakeExperimentResult R = runSynQuakeExperiment(Cfg);
+  AnalyzerReport Want = analyzeModel(R.Model, {.Tfactor = 1000.0});
+  ASSERT_NE(analyzeModel(R.Model, {.Tfactor = 4.0}).GuidanceMetricPercent,
+            Want.GuidanceMetricPercent)
+      << "the model must tell the two Tfactors apart";
+  EXPECT_DOUBLE_EQ(R.Report.GuidanceMetricPercent,
+                   Want.GuidanceMetricPercent);
+  EXPECT_EQ(R.Report.Optimizable, Want.Optimizable);
 }
