@@ -31,16 +31,17 @@ int main(int Argc, char **Argv) {
               "paper Sec. VI", Opts);
   std::printf("workload=%s threads=%u\n\n", Name.c_str(), Threads);
   std::printf("tfactor  ND-cut   tail-cut  slowdown  holds  forced  "
-              "allowed-out-degree\n");
+              "all-held  allowed-out-degree\n");
 
   for (double Tfactor : {1.0, 2.0, 4.0, 6.0, 10.0}) {
     BenchOptions Sweep = Opts;
     Sweep.Tfactor = Tfactor;
     ExperimentResult R = runStampExperiment(Name, Sweep, Threads);
-    std::printf("%7.1f  %5.1f%%  %7.1f%%  %7.2fx  %5lu  %6lu  %18.2f\n",
+    std::printf("%7.1f  %5.1f%%  %7.1f%%  %7.2fx  %5lu  %6lu  %8lu  %18.2f\n",
                 Tfactor, R.nondeterminismReductionPercent(),
                 R.meanTailImprovementPercent(), R.slowdownFactor(),
                 R.Guided.Guide.Holds, R.Guided.Guide.ForcedReleases,
+                R.Guided.Guide.AllHeldReleases,
                 R.Report.MeanGuidedOutDegree);
     std::fflush(stdout);
   }

@@ -7,10 +7,23 @@
 
 #include "core/GuideController.h"
 
+#include <bit>
+#include <cassert>
 #include <chrono>
 #include <thread>
 
 using namespace gstm;
+
+namespace {
+/// \p Thread's bit in the live-worker mask. Callers keep ThreadIds below
+/// 64 (runWorkloadOnce asserts Threads <= StatsShardCount); the mask makes
+/// a larger id alias, as the stats shards do, rather than shift past the
+/// word.
+uint64_t liveBit(ThreadId Thread) {
+  assert(Thread < 64 && "the live mask holds one bit per ThreadId");
+  return uint64_t{1} << (Thread & 63);
+}
+} // namespace
 
 GuideController::GuideController(const GuidedPolicy &Policy,
                                  const GuideConfig &Config,
@@ -22,6 +35,10 @@ GuideController::GuideController(const GuidedPolicy &Policy,
 }
 
 void GuideController::onTxStart(ThreadId Thread, TxId Tx) {
+  const uint64_t Bit = liveBit(Thread);
+  if (!(LiveMask.load(std::memory_order_relaxed) & Bit))
+    LiveMask.fetch_or(Bit, std::memory_order_relaxed);
+
   GateChecks.fetch_add(1, std::memory_order_relaxed);
   TxThreadPair Self = packPair(Tx, Thread);
   if (Policy.allows(Current.load(std::memory_order_acquire), Self))
@@ -29,6 +46,15 @@ void GuideController::onTxStart(ThreadId Thread, TxId Tx) {
 
   Holds.fetch_add(1, std::memory_order_relaxed);
   for (uint32_t Retry = 0; Retry < Cfg.MaxGateRetries; ++Retry) {
+    // Every live worker held (this one the latest arrival): no commit can
+    // move the current state, so waiting cannot admit us. Release now.
+    uint32_t Held = HeldNow.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (Held >= static_cast<uint32_t>(std::popcount(
+                    LiveMask.load(std::memory_order_relaxed)))) {
+      HeldNow.fetch_sub(1, std::memory_order_relaxed);
+      AllHeldReleases.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
     GateRetries.fetch_add(1, std::memory_order_relaxed);
     // Let the threads that *are* allowed make progress; one of their
     // commits may move the current state to one that admits us.
@@ -37,11 +63,16 @@ void GuideController::onTxStart(ThreadId Thread, TxId Tx) {
     else
       std::this_thread::sleep_for(
           std::chrono::microseconds(Cfg.GateSleepMicros));
+    HeldNow.fetch_sub(1, std::memory_order_relaxed);
     if (Policy.allows(Current.load(std::memory_order_acquire), Self))
       return;
   }
   // k retries exhausted: release to guarantee progress (paper Sec. V).
   ForcedReleases.fetch_add(1, std::memory_order_relaxed);
+}
+
+void GuideController::onThreadExit(ThreadId Thread) {
+  LiveMask.fetch_and(~liveBit(Thread), std::memory_order_relaxed);
 }
 
 void GuideController::onCommit(const CommitEvent &E) {
@@ -94,6 +125,7 @@ GuideStats GuideController::stats() const {
   S.Holds = Holds.load(std::memory_order_relaxed);
   S.GateRetries = GateRetries.load(std::memory_order_relaxed);
   S.ForcedReleases = ForcedReleases.load(std::memory_order_relaxed);
+  S.AllHeldReleases = AllHeldReleases.load(std::memory_order_relaxed);
   S.UnknownStates = UnknownStates.load(std::memory_order_relaxed);
   S.KnownStates = KnownStates.load(std::memory_order_relaxed);
   return S;

@@ -20,7 +20,9 @@
 ///    not part of any high-probability destination of the current state,
 ///    re-checking as concurrent commits move the current state. After k
 ///    unsuccessful re-checks the thread is released to avoid deadlock and
-///    ensure progress (the paper's k-retry rule).
+///    ensure progress (the paper's k-retry rule). A held thread is also
+///    released at once when every live worker is held: no commit can then
+///    move the state, so waiting out k retries would only waste time.
 ///
 /// The policy is the fixed model trained offline (paper Sec. III) and
 /// accepted by the analyzer (Sec. IV); it does not change during the run.
@@ -67,10 +69,14 @@ struct GuideStats {
   uint64_t Holds = 0;
   /// Total gate re-checks across all holds. A hold that is eventually
   /// admitted contributes the retries it waited; a forced release
-  /// contributes exactly MaxGateRetries.
+  /// contributes exactly MaxGateRetries; an all-held release contributes
+  /// the retries it waited before every live worker was held (possibly 0).
   uint64_t GateRetries = 0;
   /// Holds that exhausted k retries and were force-released.
   uint64_t ForcedReleases = 0;
+  /// Holds released early because every live worker was held at the gate,
+  /// so no commit could move the current state.
+  uint64_t AllHeldReleases = 0;
   /// Commits whose tuple was not in the model (current state unknown).
   uint64_t UnknownStates = 0;
   uint64_t KnownStates = 0;
@@ -81,6 +87,7 @@ struct GuideStats {
     Holds += Other.Holds;
     GateRetries += Other.GateRetries;
     ForcedReleases += Other.ForcedReleases;
+    AllHeldReleases += Other.AllHeldReleases;
     UnknownStates += Other.UnknownStates;
     KnownStates += Other.KnownStates;
   }
@@ -110,8 +117,14 @@ public:
   /// Null-gated on the commit path.
   void setTtsSink(TtsSink *S) { Sink.store(S, std::memory_order_release); }
 
-  // StartGate: hold low-probability transactions back.
+  // StartGate: hold low-probability transactions back. \p Thread must be
+  // below 64; its first call makes it a live worker.
   void onTxStart(ThreadId Thread, TxId Tx) override;
+
+  /// Removes \p Thread from the live workers once its body has returned,
+  /// so a start held later is not kept waiting for a commit it can never
+  /// make.
+  void onThreadExit(ThreadId Thread);
 
   // TxEventObserver: track the current state.
   void onCommit(const CommitEvent &E) override;
@@ -144,10 +157,16 @@ private:
   /// PendingMutex.
   uint64_t TupleSeq = 0;
 
+  /// One bit per ThreadId that has reached the gate and not exited.
+  std::atomic<uint64_t> LiveMask{0};
+  /// Live workers currently sleeping between gate re-checks.
+  std::atomic<uint32_t> HeldNow{0};
+
   std::atomic<uint64_t> GateChecks{0};
   std::atomic<uint64_t> Holds{0};
   std::atomic<uint64_t> GateRetries{0};
   std::atomic<uint64_t> ForcedReleases{0};
+  std::atomic<uint64_t> AllHeldReleases{0};
   std::atomic<uint64_t> UnknownStates{0};
   std::atomic<uint64_t> KnownStates{0};
 };

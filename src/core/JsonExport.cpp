@@ -48,7 +48,9 @@ void writeGuideStats(JsonWriter &W, const GuideStats &G) {
   W.beginObject();
   W.key("gate_checks").value(G.GateChecks);
   W.key("holds").value(G.Holds);
+  W.key("gate_retries").value(G.GateRetries);
   W.key("forced_releases").value(G.ForcedReleases);
+  W.key("all_held_releases").value(G.AllHeldReleases);
   W.key("unknown_states").value(G.UnknownStates);
   W.key("known_states").value(G.KnownStates);
   W.endObject();

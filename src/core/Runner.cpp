@@ -31,6 +31,9 @@ RunResult gstm::runWorkloadOnce(TlWorkload &Workload,
                                 const RunnerConfig &Config, uint64_t Seed,
                                 const GuidedPolicy *Policy) {
   assert(Config.Threads > 0 && "need at least one worker");
+  // Stats shards alias past StatsShardCount threads (the shard index is
+  // masked), and the controller's live-worker mask holds one bit each.
+  assert(Config.Threads <= StatsShardCount && "at most 64 workers");
 
   Tl2Stm Stm(Config.Stm);
   if (Config.Cm)
@@ -65,6 +68,10 @@ RunResult gstm::runWorkloadOnce(TlWorkload &Workload,
       double CpuStart = threadCpuSeconds();
       Workload.threadBody(Stm, static_cast<ThreadId>(T));
       Result.ThreadSeconds[T] = threadCpuSeconds() - CpuStart;
+      // A finished worker commits nothing more, so starts held after this
+      // must not wait for it.
+      if (Controller)
+        Controller->onThreadExit(static_cast<ThreadId>(T));
     });
   }
 

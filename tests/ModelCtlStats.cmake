@@ -1,6 +1,7 @@
 # The telemetry-invariant checker (`model_ctl stats`) on a real export:
 # paper_stamp writes an experiment JSON, which must pass (exit 0);
-# a copy whose abort total was edited must fail the invariants (exit 1);
+# a copy whose abort total was edited, and one whose guided holds were
+# edited below its forced releases, must fail the invariants (exit 1);
 # a file that is not JSON must be refused (exit 2). Invoked by the
 # `model_ctl_stats` ctest:
 #
@@ -46,6 +47,21 @@ math(EXPR Aborts "${Aborts} + 1")
 string(JSON Doc SET "${Doc}" guided telemetry aborts ${Aborts})
 file(WRITE ${WORK_DIR}/tampered.json "${Doc}")
 expect_stats(${WORK_DIR}/tampered.json 1)
+
+# The guided side's holds edited below its forced releases: a release
+# that ends no hold.
+file(READ ${EXPORT} Doc)
+string(JSON Forced GET "${Doc}" guided guide forced_releases)
+if(Forced EQUAL 0)
+  # Nothing to go below; one forced release with no hold is the same
+  # violation.
+  string(JSON Doc SET "${Doc}" guided guide forced_releases 1)
+  set(Forced 1)
+endif()
+math(EXPR Holds "${Forced} - 1")
+string(JSON Doc SET "${Doc}" guided guide holds ${Holds})
+file(WRITE ${WORK_DIR}/tampered-holds.json "${Doc}")
+expect_stats(${WORK_DIR}/tampered-holds.json 1)
 
 file(WRITE ${WORK_DIR}/not-json.json "commits: 3, aborts: 1\n")
 expect_stats(${WORK_DIR}/not-json.json 2)

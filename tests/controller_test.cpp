@@ -9,11 +9,13 @@
 
 #include "core/Runner.h"
 #include "stamp/Kmeans.h"
+#include "stamp/Vacation.h"
 #include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <thread>
 
@@ -127,6 +129,8 @@ TEST(GuideControllerTest, DisallowedPairHeldUntilForcedRelease) {
   Cfg.GateSleepMicros = 100;
   GuideController Controller(Policy, Cfg);
   Controller.onCommit(CommitEvent{0, 0, 1, 0}); // current = A
+  // A live partner that is not held, so a commit could still come.
+  Controller.onTxStart(/*Thread=*/1, /*Tx=*/1);
 
   // Pair (3,4) only appears in the rare destination D: must be held and
   // eventually force-released (the k-retry progress guarantee).
@@ -134,6 +138,7 @@ TEST(GuideControllerTest, DisallowedPairHeldUntilForcedRelease) {
   GuideStats S = Controller.stats();
   EXPECT_EQ(S.Holds, 1u);
   EXPECT_EQ(S.ForcedReleases, 1u);
+  EXPECT_EQ(S.AllHeldReleases, 0u);
 }
 
 TEST(GuideControllerTest, ForcedReleaseComesAfterExactlyKRetries) {
@@ -149,6 +154,8 @@ TEST(GuideControllerTest, ForcedReleaseComesAfterExactlyKRetries) {
   Cfg.GateSleepMicros = 0; // yield-only: retry count is what matters
   GuideController Controller(Policy, Cfg);
   Controller.onCommit(CommitEvent{0, 0, 1, 0}); // current = A
+  // A live partner that is not held, so the all-held release never fires.
+  Controller.onTxStart(/*Thread=*/1, /*Tx=*/1);
 
   // Pair (3,4) is only in rare destination D, which the bias threshold
   // prunes; with no concurrent commits the state never changes, so the
@@ -158,12 +165,14 @@ TEST(GuideControllerTest, ForcedReleaseComesAfterExactlyKRetries) {
   EXPECT_EQ(S.Holds, 1u);
   EXPECT_EQ(S.GateRetries, 7u) << "exactly k re-checks, then release";
   EXPECT_EQ(S.ForcedReleases, 1u);
+  EXPECT_EQ(S.AllHeldReleases, 0u);
 
   // A second gated start doubles the retry count: the counter is
   // cumulative across holds, not a per-hold high-water mark.
   Controller.onTxStart(/*Thread=*/4, /*Tx=*/3);
   EXPECT_EQ(Controller.stats().GateRetries, 14u);
   EXPECT_EQ(Controller.stats().ForcedReleases, 2u);
+  EXPECT_EQ(Controller.stats().AllHeldReleases, 0u);
 }
 
 TEST(GuideControllerTest, HeldThreadReleasedByStateChange) {
@@ -175,6 +184,8 @@ TEST(GuideControllerTest, HeldThreadReleasedByStateChange) {
   Cfg.GateSleepMicros = 100;
   GuideController Controller(Policy, Cfg);
   Controller.onCommit(CommitEvent{0, 0, 1, 0}); // current = A
+  // A live partner that is not held; the commit below plays its commit.
+  Controller.onTxStart(/*Thread=*/1, /*Tx=*/1);
 
   std::thread Held(
       [&] { Controller.onTxStart(/*Thread=*/4, /*Tx=*/3); });
@@ -186,6 +197,8 @@ TEST(GuideControllerTest, HeldThreadReleasedByStateChange) {
   GuideStats S = Controller.stats();
   EXPECT_EQ(S.Holds, 1u);
   EXPECT_EQ(S.ForcedReleases, 0u)
+      << "release must come from the state change";
+  EXPECT_EQ(S.AllHeldReleases, 0u)
       << "release must come from the state change";
 }
 
@@ -289,7 +302,9 @@ TEST(GuideControllerTest, UnknownStateAdmitsEveryPair) {
 TEST(GuideControllerTest, GateHoldsEveryDisallowedStartForTheWholeRun) {
   // The offline-trained policy is fixed for the run: however many holds
   // end in forced releases, the gate keeps holding every start the model
-  // does not admit and keeps admitting every start it does.
+  // does not admit and keeps admitting every start it does. Thread 0's
+  // admitted start comes first, so thread 1 is never the only live
+  // worker and each hold runs to the retry bound.
   GuidedPolicy Policy = restrictivePolicy();
   GuideConfig Cfg;
   Cfg.MaxGateRetries = 4;
@@ -301,8 +316,8 @@ TEST(GuideControllerTest, GateHoldsEveryDisallowedStartForTheWholeRun) {
 
   constexpr uint64_t Rounds = 20;
   for (uint64_t I = 0; I < Rounds; ++I) {
-    Controller.onTxStart(/*Thread=*/1, /*Tx=*/1); // held, then forced
     Controller.onTxStart(/*Thread=*/0, /*Tx=*/0); // admitted at once
+    Controller.onTxStart(/*Thread=*/1, /*Tx=*/1); // held, then forced
     Controller.onCommit(commitEventFor(0, 0));
     ASSERT_EQ(Controller.currentState(), A);
   }
@@ -311,6 +326,7 @@ TEST(GuideControllerTest, GateHoldsEveryDisallowedStartForTheWholeRun) {
   EXPECT_EQ(S.GateChecks, 2 * Rounds);
   EXPECT_EQ(S.Holds, Rounds);
   EXPECT_EQ(S.ForcedReleases, Rounds);
+  EXPECT_EQ(S.AllHeldReleases, 0u);
   EXPECT_EQ(S.GateRetries, Rounds * Cfg.MaxGateRetries);
   EXPECT_EQ(S.KnownStates, Rounds + 1);
   EXPECT_EQ(S.UnknownStates, 0u);
@@ -326,6 +342,8 @@ TEST(GuideControllerTest, AdmittedHoldCountsOnlyTheRetriesItWaited) {
   Cfg.GateSleepMicros = 100;
   GuideController Controller(Policy, Cfg);
   Controller.onCommit(commitEventFor(0, 0)); // current = A
+  // A live partner that is not held; the commit below plays its commit.
+  Controller.onTxStart(/*Thread=*/1, /*Tx=*/1);
 
   std::thread Held([&] { Controller.onTxStart(/*Thread=*/4, /*Tx=*/3); });
   // Wait until the thread is provably parked at the gate.
@@ -335,11 +353,115 @@ TEST(GuideControllerTest, AdmittedHoldCountsOnlyTheRetriesItWaited) {
   Held.join();
 
   GuideStats S = Controller.stats();
-  EXPECT_EQ(S.GateChecks, 1u);
+  EXPECT_EQ(S.GateChecks, 2u) << "the partner's admitted start and the hold";
   EXPECT_EQ(S.Holds, 1u);
   EXPECT_EQ(S.ForcedReleases, 0u);
+  EXPECT_EQ(S.AllHeldReleases, 0u);
   EXPECT_GE(S.GateRetries, 1u);
   EXPECT_LT(S.GateRetries, uint64_t{Cfg.MaxGateRetries});
+}
+
+TEST(GuideControllerTest, AllLiveWorkersHeldReleasesLatestArrivalAtOnce) {
+  // Both live workers held in a state that admits neither: no commit can
+  // move the state, so the later arrival is released at once. The other
+  // keeps waiting, since the released worker may now commit.
+  GuidedPolicy Policy = restrictivePolicy();
+  GuideConfig Cfg;
+  Cfg.MaxGateRetries = 100000;
+  Cfg.GateSleepMicros = 100;
+  GuideController Controller(Policy, Cfg);
+  // Both workers go live on a start the unknown state admits.
+  Controller.onTxStart(/*Thread=*/1, /*Tx=*/1);
+  Controller.onTxStart(/*Thread=*/2, /*Tx=*/1);
+  Controller.onCommit(commitEventFor(0, 0)); // current = A: admits <0,0>
+
+  std::atomic<int> Released{0};
+  auto Start = [&](ThreadId Thread) {
+    Controller.onTxStart(Thread, /*Tx=*/1);
+    Released.fetch_add(1);
+  };
+  std::thread First(Start, 1), Second(Start, 2);
+  while (Released.load() == 0)
+    std::this_thread::yield();
+  // Leave the other worker room to (wrongly) leave the gate too.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(Released.load(), 1) << "the earlier arrival must keep waiting";
+  EXPECT_EQ(Controller.stats().AllHeldReleases, 1u);
+
+  Controller.onCommit(commitEventFor(9, 9)); // unknown: admits everyone
+  First.join();
+  Second.join();
+
+  GuideStats S = Controller.stats();
+  EXPECT_EQ(S.GateChecks, 4u);
+  EXPECT_EQ(S.Holds, 2u);
+  EXPECT_EQ(S.AllHeldReleases, 1u);
+  EXPECT_EQ(S.ForcedReleases, 0u) << "the other release is the state change";
+}
+
+TEST(GuideControllerTest, ExitedWorkerNoLongerCountsAsLive) {
+  // Once the only other live worker has exited, nothing can commit: the
+  // held start is released at its next check, long before k retries.
+  Tsa Model = biasedModel();
+  GuidedPolicy Policy(Model, 4.0);
+  GuideConfig Cfg;
+  Cfg.MaxGateRetries = 100000;
+  Cfg.GateSleepMicros = 100;
+  GuideController Controller(Policy, Cfg);
+  Controller.onCommit(commitEventFor(0, 0)); // current = A
+  Controller.onTxStart(/*Thread=*/1, /*Tx=*/1); // admitted partner
+
+  std::thread Held([&] { Controller.onTxStart(/*Thread=*/4, /*Tx=*/3); });
+  // Wait until the thread is provably parked at the gate.
+  while (Controller.stats().GateRetries == 0)
+    std::this_thread::yield();
+  Controller.onThreadExit(/*Thread=*/1);
+  Held.join();
+
+  GuideStats S = Controller.stats();
+  EXPECT_EQ(S.Holds, 1u);
+  EXPECT_EQ(S.AllHeldReleases, 1u);
+  EXPECT_EQ(S.ForcedReleases, 0u);
+  EXPECT_LT(S.GateRetries, uint64_t{Cfg.MaxGateRetries});
+}
+
+TEST(GuideControllerTest, SoleLiveWorkerIsReleasedAtItsFirstCheck) {
+  // A held worker with no live peer is every live worker: it is released
+  // before it ever sleeps.
+  Tsa Model = biasedModel();
+  GuidedPolicy Policy(Model, 4.0);
+  GuideConfig Cfg;
+  Cfg.MaxGateRetries = 8;
+  Cfg.GateSleepMicros = 100;
+  GuideController Controller(Policy, Cfg);
+  Controller.onCommit(commitEventFor(0, 0)); // current = A
+
+  Controller.onTxStart(/*Thread=*/4, /*Tx=*/3);
+  GuideStats S = Controller.stats();
+  EXPECT_EQ(S.Holds, 1u);
+  EXPECT_EQ(S.AllHeldReleases, 1u);
+  EXPECT_EQ(S.GateRetries, 0u) << "released without a single sleep";
+  EXPECT_EQ(S.ForcedReleases, 0u);
+}
+
+TEST(GuideControllerTest, GuidedVacationReleasesHoldsOnceAllWorkersHeld) {
+  // The runner takes a worker out of the live set when its body returns,
+  // so a 2-thread guided vacation run releases some holds by the
+  // all-held rule (at the latest when one worker has finished) and still
+  // verifies.
+  VacationWorkload W(VacationParams::forSize(SizeClass::Small));
+  Tsa Model;
+  RunnerConfig RC;
+  RC.Threads = 2;
+  for (unsigned Run = 0; Run < 3; ++Run)
+    Model.addRun(runWorkloadOnce(W, RC, 7 + Run, nullptr).Tuples);
+  GuidedPolicy Policy(std::move(Model), 4.0);
+
+  RunResult R = runWorkloadOnce(W, RC, 42, &Policy);
+  EXPECT_TRUE(R.Verified);
+  EXPECT_GT(R.Guide.Holds, 0u);
+  EXPECT_GT(R.Guide.AllHeldReleases, 0u);
+  EXPECT_LE(R.Guide.AllHeldReleases + R.Guide.ForcedReleases, R.Guide.Holds);
 }
 
 TEST(GuideControllerTest, ConcurrentAbortsFoldIntoExactlyOneTuple) {

@@ -25,9 +25,10 @@
 //       read a telemetry JSON export (runResultJson / experimentJson, or
 //       a bare telemetry object), print the abort breakdown by cause and
 //       site plus the retries-before-commit histogram, and re-verify that
-//       each breakdown sums *exactly* to the aggregate counters; exits 1
-//       on a mismatch, 2 when the file is unreadable or holds no
-//       telemetry
+//       each breakdown sums *exactly* to the aggregate counters and that
+//       each experiment side's gate counters are consistent (forced plus
+//       all-held releases <= holds <= gate checks); exits 1 on a
+//       mismatch, 2 when the file is unreadable or holds no telemetry
 //
 // Every model failure path reports the typed ModelIoStatus, so a
 // truncated or tampered file names its defect instead of "cannot load".
@@ -312,6 +313,43 @@ bool printAndVerifySnapshot(const char *Label, const StatsSnapshot &Snap) {
   return Ok;
 }
 
+/// Prints one side's gate counters and returns whether every release
+/// ends a hold and every hold is a gate check.
+bool printAndVerifyGuide(const char *Label, const JsonValue &Guide) {
+  auto Count = [&](const char *Key) -> uint64_t {
+    const JsonValue *V = Guide.find(Key);
+    return V ? V->asU64() : 0;
+  };
+  const uint64_t Checks = Count("gate_checks"), Holds = Count("holds"),
+                 Forced = Count("forced_releases"),
+                 AllHeld = Count("all_held_releases");
+  std::printf("[%s guide]\n", Label);
+  std::printf("  gate checks: %lu, holds: %lu (%lu retries, %lu forced, "
+              "%lu all-held releases)\n",
+              static_cast<unsigned long>(Checks),
+              static_cast<unsigned long>(Holds),
+              static_cast<unsigned long>(Count("gate_retries")),
+              static_cast<unsigned long>(Forced),
+              static_cast<unsigned long>(AllHeld));
+  bool Ok = true;
+  if (Forced + AllHeld > Holds) {
+    std::fprintf(stderr,
+                 "MISMATCH [%s]: forced + all-held releases > holds: %lu "
+                 "vs %lu\n",
+                 Label, static_cast<unsigned long>(Forced + AllHeld),
+                 static_cast<unsigned long>(Holds));
+    Ok = false;
+  }
+  if (Holds > Checks) {
+    std::fprintf(stderr, "MISMATCH [%s]: holds > gate checks: %lu vs %lu\n",
+                 Label, static_cast<unsigned long>(Holds),
+                 static_cast<unsigned long>(Checks));
+    Ok = false;
+  }
+  std::printf("  invariants: %s\n\n", Ok ? "ok" : "VIOLATED");
+  return Ok;
+}
+
 int cmdStats(const Options &Opts) {
   if (Opts.positionals().size() < 2) {
     std::fputs("error: stats needs a telemetry JSON operand\n", stderr);
@@ -374,6 +412,10 @@ int cmdStats(const Options &Opts) {
       }
     }
   }
+  for (const char *Side : {"default", "guided"})
+    if (const JsonValue *S = Doc->find(Side))
+      if (const JsonValue *G = S->find("guide"))
+        Ok = printAndVerifyGuide(Side, *G) && Ok;
   return Ok ? 0 : 1;
 }
 
