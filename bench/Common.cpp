@@ -33,9 +33,10 @@ static std::vector<std::string> splitList(const std::string &Csv) {
 }
 
 std::vector<unsigned> gstm::parseThreadCounts(const Options &Opts,
-                                              const std::string &Tool) {
+                                              const std::string &Tool,
+                                              const std::string &Default) {
   std::vector<unsigned> Counts;
-  for (const std::string &T : splitList(Opts.getString("threads", "8,16"))) {
+  for (const std::string &T : splitList(Opts.getString("threads", Default))) {
     char *End = nullptr;
     long V = std::strtol(T.c_str(), &End, 10);
     if (*End != '\0' || V < 1 || V > static_cast<long>(StatsShardCount)) {

@@ -38,14 +38,16 @@
 namespace gstm {
 
 /// Checked option reads shared by the paper binaries' parsers
-/// (BenchOptions and SynQuakeBenchOptions). Each prints a message naming
-/// \p Tool and the key, and exits 2, on a value no run can use.
+/// (BenchOptions and SynQuakeBenchOptions) and the examples. Each prints a
+/// message naming \p Tool and the key, and exits 2, on a value no run can
+/// use.
 ///
 /// `--threads`: comma-separated counts, each in [1, StatsShardCount]
 /// (more threads than stats shards would alias single-writer shards);
-/// the paper's 8,16 when absent.
+/// \p Default (the paper's 8,16 unless given) when absent.
 std::vector<unsigned> parseThreadCounts(const Options &Opts,
-                                        const std::string &Tool);
+                                        const std::string &Tool,
+                                        const std::string &Default = "8,16");
 /// A run (or frame, player) count of at least 1: zero would print a row
 /// of zeros as if it were a result, and a negative count wraps.
 unsigned parseCount(const Options &Opts, const std::string &Tool,

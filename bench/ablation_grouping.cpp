@@ -9,9 +9,9 @@
 // the paper parses its transaction sequence by grouping each commit with
 // the aborts logged before it (Sequence mode); our STM also records the
 // *causal* committer of every abort (lock-owner identity / commit-ring
-// version), enabling exact attribution (Causal mode). This bench builds
-// both models from identical profiling traffic and compares state counts
-// and guidance metrics.
+// version), enabling exact attribution (Causal mode). This bench runs
+// each profiling seed twice, once per mode, builds one model from each
+// mode's runs and compares state counts and guidance metrics.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,8 +37,9 @@ int main(int Argc, char **Argv) {
     Tsa SequenceModel, CausalModel;
 
     for (unsigned Run = 0; Run < Opts.ProfileRuns; ++Run) {
-      // One trace, parsed under both grouping modes: same traffic, so
-      // the difference is purely attributional.
+      // The same seed run twice, once per grouping mode. The runs are
+      // not the same traffic (profiling is destructive), so small count
+      // differences are run noise.
       RunnerConfig RC;
       RC.Threads = Threads;
       RC.GroupMode = Grouping::Sequence;

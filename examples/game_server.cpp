@@ -16,7 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Options.h"
+#include "bench/Common.h"
 #include "synquake/Experiment.h"
 
 #include <cstdio>
@@ -24,13 +24,18 @@
 using namespace gstm;
 
 int main(int Argc, char **Argv) {
-  Options Opts = Options::parse(Argc, Argv);
+  const std::string Tool = toolName(Argv[0]);
+  OptionSet Cli(Tool, "runs the SynQuake game server default and guided",
+                {{"threads", "N", "server threads, in [1, 64] (default 4)"},
+                 {"players", "N", "players, at least 1 (default 300)"},
+                 {"frames", "N", "measured frames, at least 1 (default 48)"},
+                 {"quest", "NAME", "test quest (default 4quadrants)"}});
+  Options Opts = Cli.parseOrExit(Argc, Argv);
 
   SynQuakeExperimentConfig Cfg;
-  Cfg.Threads = static_cast<unsigned>(Opts.getInt("threads", 4));
-  Cfg.Game.NumPlayers =
-      static_cast<uint32_t>(Opts.getInt("players", 300));
-  Cfg.Game.Frames = static_cast<uint32_t>(Opts.getInt("frames", 48));
+  Cfg.Threads = parseThreadCounts(Opts, Tool, "4").front();
+  Cfg.Game.NumPlayers = parseCount(Opts, Tool, "players", 300);
+  Cfg.Game.Frames = parseCount(Opts, Tool, "frames", 48);
   Cfg.Game.Quest =
       parseQuestPattern(Opts.getString("quest", "4quadrants"));
   Cfg.TrainFrames = 24;

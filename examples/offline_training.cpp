@@ -17,12 +17,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/Common.h"
 #include "core/Analyzer.h"
 #include "core/GuidedPolicy.h"
 #include "core/Runner.h"
 #include "model/Serialize.h"
 #include "stamp/Registry.h"
-#include "support/Options.h"
 
 #include <cstdio>
 
@@ -90,12 +90,19 @@ static int guide(const std::string &Workload, const std::string &Path,
 }
 
 int main(int Argc, char **Argv) {
-  Options Opts = Options::parse(Argc, Argv);
+  const std::string Tool = toolName(Argv[0]);
+  OptionSet Cli(Tool, "trains a model file, then guides from it",
+                {{"stage", "STAGE", "train|guide|both (default both)"},
+                 {"workload", "NAME", "STAMP port (default kmeans)"},
+                 {"model", "FILE", "model file (default /tmp/gstm_model.tsa)"},
+                 {"threads", "N", "worker threads, in [1, 64] (default 8)"},
+                 {"runs", "N", "runs per stage, at least 1 (default 5)"}});
+  Options Opts = Cli.parseOrExit(Argc, Argv);
   std::string Stage = Opts.getString("stage", "both");
   std::string Workload = Opts.getString("workload", "kmeans");
   std::string Path = Opts.getString("model", "/tmp/gstm_model.tsa");
-  unsigned Threads = static_cast<unsigned>(Opts.getInt("threads", 8));
-  unsigned Runs = static_cast<unsigned>(Opts.getInt("runs", 5));
+  unsigned Threads = parseThreadCounts(Opts, Tool, "8").front();
+  unsigned Runs = parseCount(Opts, Tool, "runs", 5);
 
   if (Stage == "train")
     return train(Workload, Path, Threads, Runs);

@@ -14,13 +14,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/Common.h"
 #include "core/Analyzer.h"
 #include "core/GuideController.h"
 #include "core/GuidedPolicy.h"
 #include "core/Trace.h"
 #include "engine/Tl2.h"
 #include "stm/TVar.h"
-#include "support/Options.h"
 #include "support/SplitMix64.h"
 
 #include <cstdio>
@@ -90,10 +90,14 @@ bool moneyConserved(
 } // namespace
 
 int main(int Argc, char **Argv) {
-  Options Opts = Options::parse(Argc, Argv);
-  unsigned Threads = static_cast<unsigned>(Opts.getInt("threads", 4));
-  unsigned Transfers =
-      static_cast<unsigned>(Opts.getInt("transfers", 400));
+  const std::string Tool = toolName(Argv[0]);
+  OptionSet Cli(Tool, "profiles, analyzes and guides a transactional bank",
+                {{"threads", "N", "worker threads, in [1, 64] (default 4)"},
+                 {"transfers", "N",
+                  "transfers per thread, at least 1 (default 400)"}});
+  Options Opts = Cli.parseOrExit(Argc, Argv);
+  unsigned Threads = parseThreadCounts(Opts, Tool, "4").front();
+  unsigned Transfers = parseCount(Opts, Tool, "transfers", 400);
 
   Tl2Config StmCfg;
   StmCfg.PreemptShift = 5; // interleave transactions on few cores

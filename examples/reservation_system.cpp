@@ -16,24 +16,30 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/Common.h"
 #include "core/Experiment.h"
 #include "stamp/SizeClass.h"
 #include "stamp/Vacation.h"
-#include "support/Options.h"
 
 #include <cstdio>
 
 using namespace gstm;
 
 int main(int Argc, char **Argv) {
-  Options Opts = Options::parse(Argc, Argv);
-  unsigned Threads = static_cast<unsigned>(Opts.getInt("threads", 6));
+  const std::string Tool = toolName(Argv[0]);
+  OptionSet Cli(Tool, "runs a vacation-style booking service default and "
+                      "guided",
+                {{"threads", "N", "clients, in [1, 64] (default 6)"},
+                 {"ops", "N",
+                  "operations per client, at least 1 (default: the size's)"},
+                 {"size", "CLASS",
+                  "input: small|medium|large (default small)"}});
+  Options Opts = Cli.parseOrExit(Argc, Argv);
+  unsigned Threads = parseThreadCounts(Opts, Tool, "6").front();
   SizeClass Size = parseSizeClass(Opts.getString("size", "small"));
 
   VacationParams Params = VacationParams::forSize(Size);
-  if (Opts.has("ops"))
-    Params.OpsPerThread =
-        static_cast<uint32_t>(Opts.getInt("ops", Params.OpsPerThread));
+  Params.OpsPerThread = parseCount(Opts, Tool, "ops", Params.OpsPerThread);
 
   std::printf("reservation system: %u tables x %u assets, %u customers, "
               "%u clients x %u ops\n\n",

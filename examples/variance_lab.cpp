@@ -16,10 +16,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/Common.h"
 #include "core/Runner.h"
 #include "core/Tsa.h"
 #include "stamp/Registry.h"
-#include "support/Options.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -28,11 +28,22 @@
 using namespace gstm;
 
 int main(int Argc, char **Argv) {
-  Options Opts = Options::parse(Argc, Argv);
+  const std::string Tool = toolName(Argv[0]);
+  OptionSet Cli(Tool, "censuses the thread-transactional states of repeated "
+                      "STAMP runs",
+                {{"workload", "NAME", "STAMP port (default kmeans)"},
+                 {"threads", "N", "worker threads, in [1, 64] (default 4)"},
+                 {"runs", "N",
+                  "runs of the same input, at least 1 (default 5)"},
+                 {"size", "CLASS",
+                  "input: small|medium|large (default small)"},
+                 {"states", "N",
+                  "hottest states shown, at least 1 (default 8)"}});
+  Options Opts = Cli.parseOrExit(Argc, Argv);
   std::string Name = Opts.getString("workload", "kmeans");
-  unsigned Threads = static_cast<unsigned>(Opts.getInt("threads", 4));
-  unsigned Runs = static_cast<unsigned>(Opts.getInt("runs", 5));
-  unsigned ShowStates = static_cast<unsigned>(Opts.getInt("states", 8));
+  unsigned Threads = parseThreadCounts(Opts, Tool, "4").front();
+  unsigned Runs = parseCount(Opts, Tool, "runs", 5);
+  unsigned ShowStates = parseCount(Opts, Tool, "states", 8);
   SizeClass Size = parseSizeClass(Opts.getString("size", "small"));
 
   auto Workload = createStampWorkload(Name, Size);

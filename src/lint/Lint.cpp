@@ -10,13 +10,11 @@
 #include "lint/Lexer.h"
 #include "lint/OrderRules.h"
 #include "lint/Parser.h"
-#include "support/Json.h"
 
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <unordered_map>
 
@@ -171,8 +169,8 @@ struct ScannedBody {
   bool IsMethod = false;
   bool IsTxnContext = false; ///< reports diagnostics directly
   bool IsDriver = false;     ///< takes a handle but only calls .run() on it
-  /// Engine rule configuration for this body (from its handle type).
-  const RuleProfile *Profile = nullptr;
+  /// R1 and R5 are off (isEngineInternalHandle of the handle type).
+  bool EngineInternal = false;
   uint32_t Line = 0;
   ScanResult Scan;
   /// R5 state (plain bodies only): why this body is transaction-unsafe.
@@ -238,9 +236,9 @@ private:
         B.ClassName = classOf(FD);
         B.IsMethod = FD.IsMethod;
         B.Line = FD.Line;
-        B.Profile = &profileForHandleType(FD.HandleType);
+        B.EngineInternal = isEngineInternalHandle(FD.HandleType);
         B.Scan = scanRange(U.TS.Tokens, FD.BodyBegin, FD.BodyEnd,
-                           FD.Handle, *B.Profile, U.LambdaRanges);
+                           FD.Handle, B.EngineInternal, U.LambdaRanges);
         if (FD.HasTxnParam) {
           B.IsDriver = callsRunOnHandle(B.Scan);
           B.IsTxnContext = !B.IsDriver;
@@ -259,9 +257,9 @@ private:
           B.Name = U.PF.Functions[L.EnclosingFunction].Name;
           B.ClassName = classOf(U.PF.Functions[L.EnclosingFunction]);
         }
-        B.Profile = &profileForHandleType(L.HandleType);
+        B.EngineInternal = isEngineInternalHandle(L.HandleType);
         B.Scan = scanRange(U.TS.Tokens, L.BodyBegin, L.BodyEnd, L.Handle,
-                           *B.Profile, U.LambdaRanges);
+                           B.EngineInternal, U.LambdaRanges);
         B.IsTxnContext = !callsRunOnHandle(B.Scan);
         Bodies.push_back(std::move(B));
       }
@@ -420,7 +418,7 @@ private:
           continue;
         Result.Diags.push_back({Path, V.Line, V.R, V.Message});
       }
-      if (!B.Profile->CheckCallees)
+      if (B.EngineInternal)
         continue;
       for (const CallSite &C : B.Scan.Calls) {
         const ScannedBody *Callee = resolveUnsafe(C, B.ClassName);
@@ -585,170 +583,8 @@ std::string gstm::lint::toText(const LintResult &R) {
       << " atomic op(s), " << R.Stats.Fences << " fence(s), "
       << R.Stats.OrderContracts << " order contract(s): "
       << R.Diags.size() << " diagnostic(s), " << R.Stats.Suppressed
-      << " suppressed, " << R.Stats.BaselineWaived
-      << " baseline-waived\n";
+      << " suppressed\n";
   return Out.str();
-}
-
-std::string gstm::lint::toJson(const LintResult &R) {
-  JsonWriter W;
-  W.beginObject();
-  W.key("tool").value("stm_lint");
-  W.key("version").value(uint64_t{1});
-  W.key("files").value(static_cast<uint64_t>(R.Stats.Files));
-  W.key("functions").value(static_cast<uint64_t>(R.Stats.Functions));
-  W.key("regions").value(static_cast<uint64_t>(R.Stats.Regions));
-  W.key("suppressed").value(static_cast<uint64_t>(R.Stats.Suppressed));
-  W.key("atomic_ops").value(static_cast<uint64_t>(R.Stats.AtomicOps));
-  W.key("fences").value(static_cast<uint64_t>(R.Stats.Fences));
-  W.key("order_contracts")
-      .value(static_cast<uint64_t>(R.Stats.OrderContracts));
-  W.key("baseline_waived")
-      .value(static_cast<uint64_t>(R.Stats.BaselineWaived));
-  W.key("diagnostics").beginArray();
-  for (const Diag &D : R.Diags) {
-    W.beginObject();
-    W.key("file").value(D.File);
-    W.key("line").value(static_cast<uint64_t>(D.Line));
-    W.key("rule").value(ruleId(D.R));
-    W.key("message").value(D.Message);
-    W.key("hint").value(ruleHint(D.R));
-    W.endObject();
-  }
-  W.endArray();
-  W.endObject();
-  return W.take();
-}
-
-std::string gstm::lint::toSarif(const LintResult &R) {
-  JsonWriter W;
-  W.beginObject();
-  W.key("$schema").value(
-      "https://json.schemastore.org/sarif-2.1.0.json");
-  W.key("version").value("2.1.0");
-  W.key("runs").beginArray();
-  W.beginObject();
-  W.key("tool").beginObject();
-  W.key("driver").beginObject();
-  W.key("name").value("stm_lint");
-  W.key("informationUri")
-      .value("https://github.com/gstm/gstm/blob/main/DESIGN.md");
-  W.key("rules").beginArray();
-  for (size_t I = 0; I < NumRules; ++I) {
-    Rule Ru = static_cast<Rule>(I);
-    W.beginObject();
-    W.key("id").value(ruleId(Ru));
-    W.key("shortDescription").beginObject();
-    W.key("text").value(ruleHint(Ru));
-    W.endObject();
-    W.key("defaultConfiguration").beginObject();
-    W.key("level").value("error");
-    W.endObject();
-    W.endObject();
-  }
-  W.endArray(); // rules
-  W.endObject(); // driver
-  W.endObject(); // tool
-  W.key("results").beginArray();
-  for (const Diag &D : R.Diags) {
-    W.beginObject();
-    W.key("ruleId").value(ruleId(D.R));
-    W.key("ruleIndex").value(static_cast<uint64_t>(D.R));
-    W.key("level").value("error");
-    W.key("message").beginObject();
-    W.key("text").value(D.Message);
-    W.endObject();
-    W.key("locations").beginArray();
-    W.beginObject();
-    W.key("physicalLocation").beginObject();
-    W.key("artifactLocation").beginObject();
-    W.key("uri").value(D.File);
-    W.endObject();
-    W.key("region").beginObject();
-    W.key("startLine").value(static_cast<uint64_t>(D.Line));
-    W.endObject();
-    W.endObject(); // physicalLocation
-    W.endObject();
-    W.endArray(); // locations
-    W.endObject();
-  }
-  W.endArray(); // results
-  W.endObject(); // run
-  W.endArray(); // runs
-  W.endObject();
-  return W.take();
-}
-
-//===----------------------------------------------------------------------===//
-// Baseline
-//===----------------------------------------------------------------------===//
-
-Baseline gstm::lint::parseBaseline(std::string_view Text) {
-  Baseline B;
-  size_t Pos = 0;
-  while (Pos < Text.size()) {
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string_view::npos)
-      Eol = Text.size();
-    std::string_view Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    if (!Line.empty() && Line.back() == '\r')
-      Line.remove_suffix(1);
-    if (Line.empty() || Line.front() == '#')
-      continue;
-    size_t Tab1 = Line.find('\t');
-    if (Tab1 == std::string_view::npos)
-      continue;
-    size_t Tab2 = Line.find('\t', Tab1 + 1);
-    if (Tab2 == std::string_view::npos)
-      continue;
-    BaselineEntry E;
-    E.RuleId = std::string(Line.substr(0, Tab1));
-    E.File = std::string(Line.substr(Tab1 + 1, Tab2 - Tab1 - 1));
-    E.Message = std::string(Line.substr(Tab2 + 1));
-    B.Entries.push_back(std::move(E));
-  }
-  return B;
-}
-
-std::string gstm::lint::baselineText(const LintResult &R) {
-  std::ostringstream Out;
-  Out << "# stm_lint baseline — accepted legacy findings.\n"
-      << "# One tab-separated entry per line: ruleId\tfile\tmessage.\n"
-      << "# Line numbers are deliberately omitted so unrelated edits do\n"
-      << "# not resurrect a waived finding. Each entry waives at most one\n"
-      << "# diagnostic; remove entries as the findings are fixed.\n";
-  for (const Diag &D : R.Diags)
-    Out << ruleId(D.R) << "\t" << D.File << "\t" << D.Message << "\n";
-  return Out.str();
-}
-
-void gstm::lint::applyBaseline(LintResult &R, const Baseline &B,
-                               std::vector<BaselineEntry> &Stale) {
-  std::vector<bool> Waived(R.Diags.size(), false);
-  for (const BaselineEntry &E : B.Entries) {
-    bool Matched = false;
-    for (size_t I = 0; I < R.Diags.size(); ++I) {
-      const Diag &D = R.Diags[I];
-      if (!Waived[I] && E.RuleId == ruleId(D.R) && E.File == D.File &&
-          E.Message == D.Message) {
-        Waived[I] = true;
-        Matched = true;
-        break;
-      }
-    }
-    if (!Matched)
-      Stale.push_back(E);
-  }
-  std::vector<Diag> Kept;
-  Kept.reserve(R.Diags.size());
-  for (size_t I = 0; I < R.Diags.size(); ++I) {
-    if (Waived[I])
-      ++R.Stats.BaselineWaived;
-    else
-      Kept.push_back(std::move(R.Diags[I]));
-  }
-  R.Diags = std::move(Kept);
 }
 
 //===----------------------------------------------------------------------===//

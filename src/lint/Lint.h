@@ -23,10 +23,11 @@
 ///      line, or a comment block directly above the flagged line — the
 ///      rationale may wrap; a missing reason is itself S1).
 ///
+/// The result renders as text only (toText). A deliberate exception is
+/// an inline allow() with its rationale; there is no waiver file.
+///
 /// Also implements the fixture self-check mode: `// expect-diag(<rule>)`
-/// annotations must match produced diagnostics exactly, line by line —
-/// plus SARIF 2.1 rendering and the CI baseline (known findings are
-/// waived by (rule, file, message) so new findings still fail).
+/// annotations must match produced diagnostics exactly, line by line.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +64,6 @@ struct LintStats {
   size_t AtomicOps = 0;      ///< atomic loads/stores/RMWs inventoried
   size_t Fences = 0;         ///< atomic_thread_fence calls inventoried
   size_t OrderContracts = 0; ///< stm-order contracts parsed
-  size_t BaselineWaived = 0; ///< diagnostics matched by the baseline
 };
 
 struct LintResult {
@@ -87,40 +87,6 @@ bool collectSources(const std::string &Root,
 
 /// Renders diagnostics as "file:line: [Rx] message" lines plus a summary.
 std::string toText(const LintResult &R);
-
-/// Renders the result as a JSON document (support/Json.h writer).
-std::string toJson(const LintResult &R);
-
-/// Renders the result as a SARIF 2.1.0 log (one run, full rule table,
-/// one result per diagnostic) for CI upload.
-std::string toSarif(const LintResult &R);
-
-/// One accepted legacy finding. Baselines match by (rule, file, message)
-/// and deliberately ignore line numbers, so unrelated edits shifting a
-/// waived finding do not resurrect it.
-struct BaselineEntry {
-  std::string RuleId;
-  std::string File;
-  std::string Message;
-};
-
-struct Baseline {
-  std::vector<BaselineEntry> Entries;
-};
-
-/// Parses the tab-separated baseline format written by baselineText().
-/// Unparseable lines are ignored (comments start with '#').
-Baseline parseBaseline(std::string_view Text);
-
-/// Serializes the result's diagnostics as a baseline file.
-std::string baselineText(const LintResult &R);
-
-/// Removes from \p R every diagnostic matched by \p B (each entry waives
-/// at most one diagnostic), counting them in Stats.BaselineWaived.
-/// Entries that matched nothing — stale waivers — are appended to
-/// \p Stale.
-void applyBaseline(LintResult &R, const Baseline &B,
-                   std::vector<BaselineEntry> &Stale);
 
 /// Fixture self-check: every `// expect-diag(<rule>)` annotation in
 /// \p Files must be matched by a diagnostic on the same line, and every

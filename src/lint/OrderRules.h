@@ -52,8 +52,8 @@
 /// fence state — acceptable for this codebase, where commit-path fences
 /// and publishes never straddle a lambda boundary.
 ///
-/// Violations feed the same suppression (`// stm-lint: allow(O1) why`),
-/// baseline, and SARIF machinery as R1–R5.
+/// Violations feed the same suppression (`// stm-lint: allow(O1) why`)
+/// and text report as R1–R5.
 ///
 //===----------------------------------------------------------------------===//
 

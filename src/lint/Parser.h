@@ -46,7 +46,7 @@ struct FunctionDef {
   std::string_view Handle;  ///< the handle parameter's name, if any
   /// The handle parameter's type name ("Tl2Txn", "OrecEagerTxn", ...; a
   /// template-parameter name like "TxnT" for the policy statics).
-  /// Selects the engine rule profile (lint/Rules.h).
+  /// Decides whether the body is engine-internal (lint/Rules.h).
   std::string_view HandleType;
   uint32_t Line = 0;        ///< line of the function name
   size_t BodyBegin = 0;

@@ -81,33 +81,16 @@ bool gstm::lint::ruleFromId(std::string_view Id, Rule &Out) {
   return false;
 }
 
-const RuleProfile &
-gstm::lint::profileForHandleType(std::string_view HandleType) {
-  // A user exception leaving a body aborts the attempt on every engine
-  // (the executor rolls back, then rethrows), so no profile treats
-  // `throw` as irrevocable.
-  static const RuleProfile Generic{"generic", true, true};
-  static const RuleProfile Tl2{"tl2", true, true};
-  static const RuleProfile OrecEager{"orec-eager", true, true};
-  // Policy statics taking a template-parameter handle (`TxnT &Tx`): the
-  // body *is* the engine. Raw atomics and runtime-machinery calls are
-  // the point (the ordering pass owns their discipline), but R2/R3/R4
-  // still apply — engines must not allocate, block, or stash handles.
-  static const RuleProfile EngineInternal{"engine-internal", false, false};
-
+bool gstm::lint::isEngineInternalHandle(std::string_view HandleType) {
   // ShardedTxn and LibTxn are the same TL2 descriptor over partitioned
-  // and per-object orecs.
-  if (HandleType == "Tl2Txn" || HandleType == "ShardedTxn" ||
-      HandleType == "LibTxn")
-    return Tl2;
-  if (HandleType == "OrecEagerTxn")
-    return OrecEager;
-  if (HandleType == "Txn" || HandleType == "EngineTxn" ||
-      HandleType.empty())
-    return Generic;
-  // Any other accepted handle type came from a template parameter list
-  // (Parser.cpp collects `typename TxnT`-style names containing "Txn").
-  return EngineInternal;
+  // and per-object orecs. Any other accepted handle type came from a
+  // template parameter list (Parser.cpp collects `typename TxnT`-style
+  // names containing "Txn").
+  for (std::string_view Engine : {"Tl2Txn", "ShardedTxn", "LibTxn",
+                                  "OrecEagerTxn", "Txn", "EngineTxn", ""})
+    if (HandleType == Engine)
+      return false;
+  return true;
 }
 
 namespace {
@@ -193,14 +176,14 @@ bool isStdQualifier(std::string_view N) {
 
 /// Scans one body as a sequence of statements: tracks handle aliases
 /// declared earlier in the body and applies the token-level checks for
-/// R1–R4 under the body's engine profile.
+/// R1–R4 (R1 only outside engine-internal bodies).
 class RangeScanner {
 public:
   RangeScanner(const std::vector<Token> &T, size_t Begin, size_t End,
-               std::string_view Handle, const RuleProfile &Profile,
+               std::string_view Handle, bool EngineInternal,
                const SkipRanges &Skip)
-      : T(T), Begin(Begin), End(End), Handle(Handle), Profile(Profile),
-        Skip(Skip) {}
+      : T(T), Begin(Begin), End(End), Handle(Handle),
+        EngineInternal(EngineInternal), Skip(Skip) {}
 
   ScanResult run() {
     for (size_t I = Begin; I < End && I < T.size(); ++I) {
@@ -329,7 +312,7 @@ private:
       Receiver = at(I - 2).Text;
 
     if (isAtomicAccessMethod(N) && Method) {
-      if (!isHandle(Receiver) && Profile.CheckNakedAccess) {
+      if (!isHandle(Receiver) && !EngineInternal) {
         std::string Recv =
             Receiver.empty() ? std::string("<expr>") : std::string(Receiver);
         report(Rule::NakedAccess, Tk.Line,
@@ -466,7 +449,7 @@ private:
   const std::vector<Token> &T;
   size_t Begin, End;
   std::string_view Handle;
-  const RuleProfile &Profile;
+  bool EngineInternal;
   const SkipRanges &Skip;
   /// Reference aliases of the handle, in declaration order.
   std::vector<std::string_view> Aliases;
@@ -478,7 +461,8 @@ private:
 ScanResult gstm::lint::scanRange(const std::vector<Token> &Tokens,
                                  size_t Begin, size_t End,
                                  std::string_view Handle,
-                                 const RuleProfile &Profile,
+                                 bool EngineInternal,
                                  const SkipRanges &Skip) {
-  return RangeScanner(Tokens, Begin, End, Handle, Profile, Skip).run();
+  return RangeScanner(Tokens, Begin, End, Handle, EngineInternal, Skip)
+      .run();
 }

@@ -36,10 +36,8 @@
 ///                              seq_cst fence (the 5343567 store-buffering
 ///                              fix, kept restored by construction)
 ///
-/// Whether R1 and R5 apply depends on the engine the transaction handle
-/// belongs to; RuleProfile carries that per-engine configuration, keyed
-/// by the handle's type name (matching the policy names in
-/// src/engine/Engines.h).
+/// R1 and R5 are off in engine-internal bodies: policy statics whose
+/// handle type is a template parameter (isEngineInternalHandle).
 ///
 /// scanRange() performs the statement-level detection of R1–R4 and
 /// records the call sites the analysis layer resolves for R5.
@@ -67,7 +65,6 @@ enum class Rule : uint8_t {
   AcquireRelease, // O2
   FenceContract,  // O3
 };
-inline constexpr size_t NumRules = 9;
 
 /// Stable diagnostic id ("R1".."R5", "S1", "O1".."O3").
 const char *ruleId(Rule R);
@@ -78,25 +75,14 @@ const char *ruleHint(Rule R);
 /// Parses "R1" etc.; returns false for unknown ids.
 bool ruleFromId(std::string_view Id, Rule &Out);
 
-/// Per-engine rule configuration, selected by the transaction handle's
-/// type name. The names mirror src/engine/Engines.h policy names.
-struct RuleProfile {
-  /// Profile name used in diagnostics ("tl2", "orec-eager", ...).
-  const char *Name = "generic";
-  /// R1 applies. Off for engine-internal bodies (policy statics taking a
-  /// template-parameter handle): raw atomics *are* the engine there, and
-  /// the ordering pass owns their discipline instead.
-  bool CheckNakedAccess = true;
-  /// R5 applies. Off for engine-internal bodies, whose calls into the
-  /// runtime machinery (clock advance, commit-ring record, stripe words)
-  /// legitimately touch raw atomics.
-  bool CheckCallees = true;
-};
-
-/// Profile for a handle of type \p HandleType (empty/unknown → generic).
-/// Template-parameter handle types (e.g. `TxnT` in the policy statics)
-/// map to the engine-internal profile.
-const RuleProfile &profileForHandleType(std::string_view HandleType);
+/// True when \p HandleType names a template parameter (e.g. `TxnT` in
+/// the policy statics) rather than one of the engine handles (Tl2Txn,
+/// ShardedTxn, LibTxn, OrecEagerTxn, Txn, EngineTxn) or no handle. Such a
+/// body *is* the engine: raw atomics and calls into the runtime machinery
+/// (clock advance, commit-ring record, stripe words) are the point, and
+/// the ordering pass owns their discipline, so R1 and R5 are off there.
+/// R2–R4 still apply: engines must not allocate, block, or stash handles.
+bool isEngineInternalHandle(std::string_view HandleType);
 
 /// A rule violation found by the token scan, before suppression
 /// processing and call-graph resolution.
@@ -133,11 +119,11 @@ using SkipRanges = std::vector<std::pair<size_t, size_t>>;
 
 /// Scans tokens [Begin, End) as transactional context with handle name
 /// \p Handle (empty when scanning a plain function for its would-be
-/// violations — then every atomic access is naked by definition) under
-/// the per-engine rule configuration \p Profile.
+/// violations — then every atomic access is naked by definition). R1 is
+/// not checked when \p EngineInternal is set.
 ScanResult scanRange(const std::vector<Token> &Tokens, size_t Begin,
                      size_t End, std::string_view Handle,
-                     const RuleProfile &Profile, const SkipRanges &Skip);
+                     bool EngineInternal, const SkipRanges &Skip);
 
 } // namespace gstm::lint
 

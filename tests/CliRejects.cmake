@@ -18,14 +18,17 @@
 #   cmake -DCHECK_FUZZ=<check_fuzz> -DOLTP_YCSB=<oltp_ycsb>
 #         -DBENCH_RUNNER=<bench_runner> -DMODEL_CTL=<model_ctl>
 #         -DPAPER_STAMP=<paper_stamp>
-#         -DPAPER_SYNQUAKE=<paper_synquake> -P CliRejects.cmake
+#         -DPAPER_SYNQUAKE=<paper_synquake> -DQUICKSTART=<quickstart>
+#         -DSTM_LINT=<stm_lint> -P CliRejects.cmake
 
 if(NOT CHECK_FUZZ OR NOT OLTP_YCSB OR NOT BENCH_RUNNER OR NOT MODEL_CTL
-   OR NOT PAPER_STAMP OR NOT PAPER_SYNQUAKE)
+   OR NOT PAPER_STAMP OR NOT PAPER_SYNQUAKE OR NOT QUICKSTART
+   OR NOT STM_LINT)
   message(FATAL_ERROR
       "usage: cmake -DCHECK_FUZZ=<bin> -DOLTP_YCSB=<bin> "
       "-DBENCH_RUNNER=<bin> -DMODEL_CTL=<bin> -DPAPER_STAMP=<bin> "
-      "-DPAPER_SYNQUAKE=<bin> -P CliRejects.cmake")
+      "-DPAPER_SYNQUAKE=<bin> -DQUICKSTART=<bin> -DSTM_LINT=<bin> "
+      "-P CliRejects.cmake")
 endif()
 
 # expect_usage_error(<command>... [MESSAGE <regex>])
@@ -127,3 +130,22 @@ expect_usage_error(${SynQuake} --threads=2 --runs=1 --rusn=3
                    MESSAGE "unknown option '--rusn'")
 expect_usage_error(${SynQuake} --threads=2 --runs=1 --tfactor=0
                    MESSAGE "--tfactor")
+
+# The examples parse with OptionSet and the paper drivers' checks: zero
+# threads, more threads than stats shards, and a misspelled key.
+expect_usage_error(${QUICKSTART} --threads=0 MESSAGE "--threads")
+expect_usage_error(${QUICKSTART} --threads=65 MESSAGE "--threads")
+expect_usage_error(${QUICKSTART} --thraeds=2
+                   MESSAGE "unknown option '--thraeds'")
+
+# stm_lint reports in text only and reads no waiver file: the JSON, SARIF
+# and baseline options are refused.
+get_filename_component(SourceDir ${CMAKE_CURRENT_LIST_DIR} DIRECTORY)
+set(Lint ${STM_LINT} --root=${SourceDir} src/lint)
+expect_usage_error(${Lint} --json MESSAGE "unknown option '--json'")
+expect_usage_error(${Lint} --sarif-dir=${CMAKE_CURRENT_BINARY_DIR}
+                   MESSAGE "unknown option '--sarif-dir'")
+expect_usage_error(${Lint} --baseline=${CMAKE_CURRENT_LIST_FILE}
+                   MESSAGE "unknown option '--baseline'")
+expect_usage_error(${Lint} --write-baseline
+                   MESSAGE "unknown option '--write-baseline'")

@@ -95,6 +95,17 @@ TEST(BenchOptionsTest, ToolNameDropsTheDirectory) {
   EXPECT_EQ(toolName("paper_stamp"), "paper_stamp");
 }
 
+TEST(BenchOptionsTest, ThreadCountsDefaultAppliesOnlyWhenAbsent) {
+  // The examples pass their own default; the paper drivers keep 8,16.
+  Options None;
+  EXPECT_EQ(parseThreadCounts(None, "t"), (std::vector<unsigned>{8, 16}));
+  EXPECT_EQ(parseThreadCounts(None, "t", "4"), (std::vector<unsigned>{4}));
+  const char *Argv[] = {"t", "--threads=2,3"};
+  Options Given = Options::parse(2, Argv);
+  EXPECT_EQ(parseThreadCounts(Given, "t", "4"),
+            (std::vector<unsigned>{2, 3}));
+}
+
 TEST(BenchOptionsDeathTest, UnknownKeyExitsTwo) {
   EXPECT_EXIT(parseArgs({"--rusn=1"}), testing::ExitedWithCode(2),
               "unknown option '--rusn'");

@@ -1,4 +1,4 @@
-// stm_lint fixture: the engine-internal profile. A template-parameter
+// stm_lint fixture: engine-internal bodies. A template-parameter
 // handle type (`TxnT`) marks policy plumbing that runs below the
 // transactional API: it touches orecs and clocks directly, so R1 naked-
 // access and R5 callee propagation are off. The same body over a

@@ -1,5 +1,5 @@
 // stm_lint fixture: ShardedTxn bodies are transactional contexts with the
-// tl2 rule profile — the sharded tier is the TL2 descriptor over a
+// full rule set — the sharded tier is the TL2 descriptor over a
 // partitioned orec space, so R1-R5 apply exactly as for Tl2Txn.
 // Not built; linted by the lint_test ctest via `stm_lint --expect`.
 

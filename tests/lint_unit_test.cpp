@@ -169,30 +169,69 @@ TEST(LintPipeline, SuppressionRationaleMayWrap) {
   EXPECT_EQ(R.Stats.Suppressed, 1u);
 }
 
-TEST(LintPipeline, JsonReportShape) {
-  LintResult R = lintOne("void body(Tl2Txn &Tx) { malloc(8); }\n");
-  std::string J = toJson(R);
-  EXPECT_NE(J.find("\"tool\":\"stm_lint\""), std::string::npos);
-  EXPECT_NE(J.find("\"rule\":\"R2\""), std::string::npos);
-  EXPECT_NE(J.find("\"line\":1"), std::string::npos);
+TEST(LintRender, TextReportHasHintedDiagsAndOneSummaryLine) {
+  LintResult R = lintOne("void body(Tl2Txn &Tx) {\n"
+                         "  // stm-lint: allow(R2) deliberate, test-only\n"
+                         "  printf(\"x\\n\");\n"
+                         "  malloc(8);\n"
+                         "}\n");
+  ASSERT_EQ(R.Diags.size(), 1u);
+  std::string Text = toText(R);
+  EXPECT_EQ(Text.rfind("t.cpp:4: [R2] ", 0), 0u) << Text;
+  EXPECT_NE(Text.find("\n  hint: " + std::string(ruleHint(Rule::Irrevocable)) +
+                      "\n"),
+            std::string::npos)
+      << Text;
+  // The summary is the last line and the only one naming the tool.
+  std::string Summary = Text.substr(Text.find("stm_lint: "));
+  EXPECT_EQ(Summary,
+            "stm_lint: 1 file(s), 1 function(s), 1 transaction region(s), "
+            "0 atomic op(s), 0 fence(s), 0 order contract(s): "
+            "1 diagnostic(s), 1 suppressed\n");
 }
 
 //===----------------------------------------------------------------------===//
-// Engine rule profiles and handle aliases
+// Engine-internal bodies and handle aliases
 //===----------------------------------------------------------------------===//
 
 TEST(LintProfiles, HandleTypeSelectsProfile) {
-  EXPECT_STREQ(profileForHandleType("Tl2Txn").Name, "tl2");
-  EXPECT_STREQ(profileForHandleType("ShardedTxn").Name, "tl2");
-  EXPECT_STREQ(profileForHandleType("LibTxn").Name, "tl2");
-  EXPECT_STREQ(profileForHandleType("OrecEagerTxn").Name, "orec-eager");
-  EXPECT_STREQ(profileForHandleType("").Name, "generic");
+  // The engine handles, and a body with no handle, get the full rule set.
+  for (const char *Handle : {"Tl2Txn", "ShardedTxn", "LibTxn",
+                             "OrecEagerTxn", ""})
+    EXPECT_FALSE(isEngineInternalHandle(Handle)) << Handle;
   // Template-parameter handle names mark engine plumbing: naked-access
   // and callee propagation off.
-  const RuleProfile &P = profileForHandleType("TxnT");
-  EXPECT_STREQ(P.Name, "engine-internal");
-  EXPECT_FALSE(P.CheckNakedAccess);
-  EXPECT_FALSE(P.CheckCallees);
+  EXPECT_TRUE(isEngineInternalHandle("TxnT"));
+}
+
+TEST(LintProfiles, EngineInternalHandleDropsOnlyR1AndR5) {
+  // One body with a naked access (R1), a call to an unsafe helper (R5)
+  // and an irrevocable call (R2), under an engine handle and under a
+  // template-parameter handle.
+  auto Body = [](const std::string &Prefix, const std::string &Handle) {
+    return lintOne("int leaf() { return rand(); }\n" + Prefix +
+                   "void body(" + Handle + " &Tx) {\n"
+                   "  Orec.store(1);\n"
+                   "  leaf();\n"
+                   "  printf(\"x\\n\");\n"
+                   "}\n");
+  };
+  auto Ids = [](const LintResult &R) {
+    std::vector<Rule> Out;
+    for (const Diag &D : R.Diags)
+      Out.push_back(D.R);
+    std::sort(Out.begin(), Out.end());
+    return Out;
+  };
+  LintResult Full = Body("", "Tl2Txn");
+  EXPECT_EQ(Ids(Full), (std::vector<Rule>{Rule::NakedAccess,
+                                          Rule::Irrevocable,
+                                          Rule::UnsafeCallee}))
+      << toText(Full);
+  LintResult Internal = Body("template <typename TxnT>\n", "TxnT");
+  EXPECT_EQ(Ids(Internal), (std::vector<Rule>{Rule::Irrevocable}))
+      << toText(Internal);
+  EXPECT_EQ(Internal.Stats.Regions, Full.Stats.Regions);
 }
 
 TEST(LintProfiles, AliasEscapeIsR4) {
@@ -345,52 +384,6 @@ TEST(LintOrder, OrderFindingsFeedSuppressions) {
               "}\n");
   EXPECT_TRUE(R.clean()) << toText(R);
   EXPECT_EQ(R.Stats.Suppressed, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// SARIF and baseline rendering
-//===----------------------------------------------------------------------===//
-
-TEST(LintRender, SarifShape) {
-  LintResult R = lintOne("void body(Tl2Txn &Tx) { malloc(8); }\n");
-  std::string S = toSarif(R);
-  EXPECT_NE(S.find("\"version\":\"2.1.0\""), std::string::npos);
-  EXPECT_NE(S.find("\"name\":\"stm_lint\""), std::string::npos);
-  EXPECT_NE(S.find("\"ruleId\":\"R2\""), std::string::npos);
-  EXPECT_NE(S.find("\"startLine\":1"), std::string::npos);
-  EXPECT_NE(S.find("\"uri\":\"t.cpp\""), std::string::npos);
-  // The driver advertises the full rule table, O-rules included, and
-  // nothing past R5.
-  EXPECT_NE(S.find("\"id\":\"O3\""), std::string::npos);
-  EXPECT_NE(S.find("\"id\":\"R5\""), std::string::npos);
-  EXPECT_EQ(S.find("\"id\":\"R6\""), std::string::npos);
-}
-
-TEST(LintRender, BaselineRoundTripAndStaleness) {
-  LintResult R = lintOne("void body(Tl2Txn &Tx) { malloc(8); rand(); }\n");
-  ASSERT_EQ(R.Diags.size(), 2u) << toText(R);
-
-  Baseline B = parseBaseline(baselineText(R));
-  ASSERT_EQ(B.Entries.size(), 2u);
-  EXPECT_EQ(B.Entries[0].RuleId, "R2");
-  EXPECT_EQ(B.Entries[0].File, "t.cpp");
-
-  std::vector<BaselineEntry> Stale;
-  applyBaseline(R, B, Stale);
-  EXPECT_TRUE(R.clean());
-  EXPECT_EQ(R.Stats.BaselineWaived, 2u);
-  EXPECT_TRUE(Stale.empty());
-
-  // A baseline entry whose finding was fixed must surface as stale, and
-  // one entry may waive only one of two identical findings.
-  LintResult R2 = lintOne("void body(Tl2Txn &Tx) { malloc(8); }\n");
-  Baseline WithStale = parseBaseline(
-      "# comment\nR3\tt.cpp\tgone finding\n" + baselineText(R2));
-  std::vector<BaselineEntry> Stale2;
-  applyBaseline(R2, WithStale, Stale2);
-  EXPECT_TRUE(R2.clean());
-  ASSERT_EQ(Stale2.size(), 1u);
-  EXPECT_EQ(Stale2[0].RuleId, "R3");
 }
 
 #ifdef GSTM_LINT_SOURCE_DIR

@@ -8,18 +8,17 @@
 // Static lint of transaction bodies and memory-ordering discipline
 // (src/lint/, DESIGN.md §4e):
 //
-//   stm_lint [--root=DIR] [--json] [paths...]   # lint sources (default:
+//   stm_lint [--root=DIR] [--quiet] [paths...]  # lint sources (default:
 //                                               # src tests tools bench
 //                                               # examples under --root)
 //   stm_lint --expect [paths...]                # fixture self-check:
 //                                               # expect-diag annotations
 //                                               # must match exactly
-//   stm_lint --baseline=FILE [paths...]         # waive known findings;
-//                                               # stale entries reported
-//   stm_lint --baseline=FILE --write-baseline   # record current findings
-//   stm_lint --sarif-dir=DIR [paths...]         # also write DIR/stm_lint
-//                                               # .sarif (SARIF 2.1.0)
 //   stm_lint --rules                            # print the rule table
+//
+// The report is text: one "file:line: [Rx] message" entry per diagnostic
+// and a summary line. A deliberate exception is an inline
+// `// stm-lint: allow(<rule>) <rationale>` at the flagged line.
 //
 // Exit status: 0 clean / all expectations matched, 1 diagnostics found or
 // expectations mismatched, 2 usage error.
@@ -30,8 +29,6 @@
 #include "support/Options.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace gstm;
 using namespace gstm::lint;
@@ -71,38 +68,14 @@ static int printRules() {
   return 0;
 }
 
-static bool readFileTo(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
-}
-
-static bool writeFileFrom(const std::string &Path, const std::string &Text) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out)
-    return false;
-  Out << Text;
-  return Out.good();
-}
-
 int main(int Argc, char **Argv) {
   OptionSet Cli(
       "stm_lint",
       "transaction-safety static analyzer for STM transaction bodies",
       {
           {"root", "DIR", "resolve relative paths against DIR (default .)"},
-          {"json", "", "emit the report as JSON instead of text"},
           {"expect", "",
            "fixture mode: match expect-diag(<rule>) annotations"},
-          {"baseline", "FILE",
-           "waive findings recorded in FILE (rule/file/message match)"},
-          {"write-baseline", "",
-           "rewrite --baseline FILE from the current findings and exit 0"},
-          {"sarif-dir", "DIR", "also write DIR/stm_lint.sarif"},
           {"quiet", "", "print nothing on a clean run"},
           {"rules", "", "print the rule table and exit"},
       },
@@ -139,53 +112,7 @@ int main(int Argc, char **Argv) {
   }
 
   LintResult R = lintSources(Files);
-
-  const std::string BaselinePath = Opts.getString("baseline", "");
-  if (Opts.getBool("write-baseline", false)) {
-    if (BaselinePath.empty()) {
-      std::fprintf(stderr,
-                   "stm_lint: --write-baseline requires --baseline=FILE\n");
-      return 2;
-    }
-    if (!writeFileFrom(BaselinePath, baselineText(R))) {
-      std::fprintf(stderr, "stm_lint: cannot write baseline '%s'\n",
-                   BaselinePath.c_str());
-      return 2;
-    }
-    std::printf("stm_lint: wrote %zu baseline entr%s to %s\n",
-                R.Diags.size(), R.Diags.size() == 1 ? "y" : "ies",
-                BaselinePath.c_str());
-    return 0;
-  }
-  if (!BaselinePath.empty()) {
-    std::string Text;
-    if (!readFileTo(BaselinePath, Text)) {
-      std::fprintf(stderr, "stm_lint: cannot read baseline '%s'\n",
-                   BaselinePath.c_str());
-      return 2;
-    }
-    std::vector<BaselineEntry> Stale;
-    applyBaseline(R, parseBaseline(Text), Stale);
-    for (const BaselineEntry &E : Stale)
-      std::fprintf(stderr,
-                   "stm_lint: stale baseline entry (fixed? remove it): "
-                   "%s\t%s\t%s\n",
-                   E.RuleId.c_str(), E.File.c_str(), E.Message.c_str());
-  }
-
-  const std::string SarifDir = Opts.getString("sarif-dir", "");
-  if (!SarifDir.empty()) {
-    const std::string SarifPath = SarifDir + "/stm_lint.sarif";
-    if (!writeFileFrom(SarifPath, toSarif(R))) {
-      std::fprintf(stderr, "stm_lint: cannot write SARIF '%s'\n",
-                   SarifPath.c_str());
-      return 2;
-    }
-  }
-
-  if (Opts.getBool("json", false))
-    std::printf("%s\n", toJson(R).c_str());
-  else if (!R.clean() || !Opts.getBool("quiet", false))
+  if (!R.clean() || !Opts.getBool("quiet", false))
     std::fputs(toText(R).c_str(), stdout);
   return R.clean() ? 0 : 1;
 }
