@@ -100,10 +100,17 @@ enum class OpKind : uint8_t { Read, Update, Insert, Scan };
 
 /// Node budget: the preload plus every possible insert with headroom for
 /// nodes leaked by aborted speculative inserts and for B-tree splits.
+/// 0 when the budget does not fit the pool's 32-bit node indexes.
 uint32_t poolCapacity(const OltpConfig &Cfg) {
-  const uint64_t InsertOps =
-      Cfg.Operations * Cfg.Mix.InsertPct / 100 + Cfg.Threads;
-  return static_cast<uint32_t>(Cfg.Records + InsertOps * 8 + 4096);
+  constexpr uint64_t Limit = UINT32_MAX;
+  // Operations * InsertPct / 100, without overflowing the product.
+  const uint64_t InsertOps = Cfg.Operations / 100 * Cfg.Mix.InsertPct +
+                             Cfg.Operations % 100 * Cfg.Mix.InsertPct / 100 +
+                             Cfg.Threads;
+  if (Cfg.Records > Limit || InsertOps > Limit / 8)
+    return 0;
+  const uint64_t Nodes = Cfg.Records + InsertOps * 8 + 4096;
+  return Nodes > Limit ? 0 : static_cast<uint32_t>(Nodes);
 }
 
 template <typename B, template <typename> class DSTmpl>
@@ -273,6 +280,11 @@ OltpResult gstm::runOltp(const OltpConfig &Cfg) {
   }
   if (Cfg.Threads > StatsShardCount) {
     R.Error = "at most " + std::to_string(StatsShardCount) + " threads";
+    return R;
+  }
+  if (poolCapacity(Cfg) == 0) {
+    R.Error = "records plus inserted keys overflow the node pool's "
+              "32-bit capacity";
     return R;
   }
 

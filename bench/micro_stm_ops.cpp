@@ -17,6 +17,7 @@
 #include "engine/Engines.h"
 #include "libtm/LibTm.h"
 #include "stm/TVar.h"
+#include "support/SplitMix64.h"
 
 #include <benchmark/benchmark.h>
 
@@ -25,6 +26,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 using namespace gstm;
@@ -65,6 +67,51 @@ static void BM_Tl2TxnBySize(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * N);
 }
 BENCHMARK(BM_Tl2TxnBySize)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+
+/// A read-only transaction walking 32 linked {Key, Value, Next} nodes.
+/// The nodes follow one fixed shuffled cycle through a 2^18-node pool
+/// (~6 MB, larger than a core's L2) and each walk starts where the last
+/// one stopped, so it reads cold data and the stripes that guard it the
+/// way a list or B-tree walk over a large heap does.
+static void BM_Tl2ListWalkTxn(benchmark::State &State) {
+  struct Node {
+    TVar<uint64_t> Key, Value, Next;
+  };
+  constexpr uint64_t PoolSize = uint64_t{1} << 18;
+  constexpr unsigned WalkLength = 32;
+  std::vector<Node> Pool(PoolSize);
+  std::vector<uint64_t> Order(PoolSize);
+  for (uint64_t I = 0; I < PoolSize; ++I)
+    Order[I] = I;
+  SplitMix64 Rng(1);
+  for (uint64_t I = PoolSize - 1; I > 0; --I)
+    std::swap(Order[I], Order[Rng.nextBounded(I + 1)]);
+  for (uint64_t I = 0; I < PoolSize; ++I) {
+    Node &N = Pool[Order[I]];
+    N.Key.storeDirect(Order[I]);
+    N.Value.storeDirect(Order[I] * 3);
+    N.Next.storeDirect(Order[(I + 1) % PoolSize]);
+  }
+  Tl2Stm Stm;
+  Tl2Txn Txn(Stm, 0);
+  uint64_t Head = Order[0];
+  for (auto _ : State) {
+    uint64_t Sum = 0;
+    Txn.run(0, [&](Tl2Txn &Tx) {
+      Sum = 0;
+      uint64_t At = Head;
+      for (unsigned I = 0; I < WalkLength; ++I) {
+        const Node &N = Pool[At];
+        Sum += Tx.load(N.Key) + Tx.load(N.Value);
+        At = Tx.load(N.Next);
+      }
+      Head = At;
+    });
+    benchmark::DoNotOptimize(Sum);
+  }
+  State.SetItemsProcessed(State.iterations() * WalkLength);
+}
+BENCHMARK(BM_Tl2ListWalkTxn);
 
 static void BM_LibTmObjectTxn(benchmark::State &State) {
   LibTm Tm;

@@ -25,11 +25,59 @@
 #include "support/Json.h"
 #include "support/Options.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 using namespace gstm;
+
+namespace {
+
+/// --Key as an integer in [Min, Max], or \p Default when absent. Exits 2
+/// on anything else: Options::getInt falls back to the default on text,
+/// and a negative count would wrap to a huge unsigned one.
+uint64_t countOrExit(const Options &Opts, const char *Key, uint64_t Default,
+                     uint64_t Min, uint64_t Max) {
+  if (!Opts.has(Key))
+    return Default;
+  const std::string Raw = Opts.getString(Key, "");
+  char *End = nullptr;
+  errno = 0;
+  const long long V = std::strtoll(Raw.c_str(), &End, 10);
+  if (Raw.empty() || *End != '\0' || errno == ERANGE || V < 0 ||
+      static_cast<uint64_t>(V) < Min || static_cast<uint64_t>(V) > Max) {
+    std::fprintf(stderr,
+                 "oltp_ycsb: --%s must be an integer in [%llu, %llu]\n", Key,
+                 static_cast<unsigned long long>(Min),
+                 static_cast<unsigned long long>(Max));
+    std::exit(2);
+  }
+  return static_cast<uint64_t>(V);
+}
+
+/// --Key as a finite number in [Min, Max) (or [Min, inf) when \p Max is
+/// infinite), or \p Default when absent. Exits 2 on anything else.
+double realOrExit(const Options &Opts, const char *Key, double Default,
+                  double Min, double Max) {
+  if (!Opts.has(Key))
+    return Default;
+  const std::string Raw = Opts.getString(Key, "");
+  char *End = nullptr;
+  const double V = std::strtod(Raw.c_str(), &End);
+  if (Raw.empty() || *End != '\0' || !std::isfinite(V) || V < Min ||
+      V >= Max) {
+    std::fprintf(stderr,
+                 "oltp_ycsb: --%s must be a finite number in [%g, %g)\n", Key,
+                 Min, Max);
+    std::exit(2);
+  }
+  return V;
+}
+
+} // namespace
 
 int main(int Argc, char **Argv) {
   OptionSet Cli(
@@ -66,9 +114,10 @@ int main(int Argc, char **Argv) {
   Cfg.Structure = Opts.getString("structure", Cfg.Structure);
   Cfg.Backend = Opts.getString("backend", Cfg.Backend);
   Cfg.Threads = static_cast<unsigned>(Opts.getInt("threads", Cfg.Threads));
-  Cfg.Records =
-      static_cast<uint64_t>(Opts.getInt("records", 1 << 20));
-  Cfg.Operations = static_cast<uint64_t>(Opts.getInt("ops", 1 << 18));
+  // Node pools index with 32 bits; runOltp also refuses a preload plus
+  // inserts that outgrow them.
+  Cfg.Records = countOrExit(Opts, "records", 1 << 20, 1, UINT32_MAX);
+  Cfg.Operations = countOrExit(Opts, "ops", 1 << 18, 0, INT64_MAX);
   const std::string MixName = Opts.getString("mix", "a");
   if (!oltpMixFromName(MixName, Cfg.Mix)) {
     std::fprintf(stderr, "oltp_ycsb: unknown --mix=%s (want a, b, c or e)\n",
@@ -77,17 +126,20 @@ int main(int Argc, char **Argv) {
   }
   if (Opts.has("read") || Opts.has("update") || Opts.has("insert") ||
       Opts.has("scan")) {
-    Cfg.Mix.ReadPct = static_cast<unsigned>(Opts.getInt("read", 0));
-    Cfg.Mix.UpdatePct = static_cast<unsigned>(Opts.getInt("update", 0));
-    Cfg.Mix.InsertPct = static_cast<unsigned>(Opts.getInt("insert", 0));
-    Cfg.Mix.ScanPct = static_cast<unsigned>(Opts.getInt("scan", 0));
+    Cfg.Mix.ReadPct =
+        static_cast<unsigned>(countOrExit(Opts, "read", 0, 0, 100));
+    Cfg.Mix.UpdatePct =
+        static_cast<unsigned>(countOrExit(Opts, "update", 0, 0, 100));
+    Cfg.Mix.InsertPct =
+        static_cast<unsigned>(countOrExit(Opts, "insert", 0, 0, 100));
+    Cfg.Mix.ScanPct =
+        static_cast<unsigned>(countOrExit(Opts, "scan", 0, 0, 100));
   }
-  Cfg.ZipfTheta =
-      std::strtod(Opts.getString("theta", "0.99").c_str(), nullptr);
-  Cfg.ScanLength =
-      static_cast<unsigned>(Opts.getInt("scan-len", Cfg.ScanLength));
-  Cfg.ArrivalRate =
-      std::strtod(Opts.getString("rate", "0").c_str(), nullptr);
+  // theta = 1 makes the Zipfian exponent 1/(1 - theta) infinite.
+  Cfg.ZipfTheta = realOrExit(Opts, "theta", Cfg.ZipfTheta, 0, 1);
+  Cfg.ScanLength = static_cast<unsigned>(
+      countOrExit(Opts, "scan-len", Cfg.ScanLength, 1, UINT32_MAX));
+  Cfg.ArrivalRate = realOrExit(Opts, "rate", 0, 0, HUGE_VAL);
   if (Opts.has("ring-bits")) {
     const int64_t RingBits = Opts.getInt("ring-bits", 0);
     if (RingBits < 1 || RingBits > MaxCommitRingBits) {

@@ -271,7 +271,10 @@ template <typename Plan> size_t plannedCommits(const Plan &P) {
 
 /// Runtime configuration of backend \p B from the run knobs. Tables are
 /// small (2^10 stripes, per shard on the sharded tier): the aliasing
-/// pressure is deliberate. LibTm has no table to size.
+/// pressure is deliberate. Stripes follow data lines, so the aliasing is
+/// per line: a word shares its stripe only with the same word of a line
+/// that hashes to the same one of the table's 128 lines, and the words of
+/// one line never share a stripe. LibTm has no table to size.
 template <typename B> auto runtimeConfig(const FuzzRunConfig &Cfg) {
   EngineConfig C;
   C.PreemptShift = Cfg.PreemptShift;

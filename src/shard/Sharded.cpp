@@ -59,8 +59,8 @@ size_t ShardedStm::shardFor(const void *Addr) const {
     if (Explicit >= 0)
       return static_cast<size_t>(Explicit);
   }
-  // The stripe hash's top bits: stripe indexes take its low bits, so the
-  // two mappings stay statistically independent.
+  // The per-word hash's top bits; stripe indexes hash the line instead,
+  // so the two mappings stay statistically independent.
   return static_cast<size_t>(mixAddress(Addr) >> 58) & (Cfg.ShardCount - 1);
 }
 

@@ -233,8 +233,8 @@ private:
   /// counts into StatsShard::PrepareRetries.
   static constexpr unsigned PrepareSpinLimit = 64;
 
-  /// Lock key of \p Addr homed on \p Shard: the address's stripe hash
-  /// within the shard's slice of the table.
+  /// Lock key of \p Addr homed on \p Shard: the address's stripe index
+  /// (line hash over word offset) within the shard's slice of the table.
   uint64_t keyFor(size_t Shard, const void *Addr) const {
     return (static_cast<uint64_t>(Shard) << SliceBits) |
            (Locks.indexFor(Addr) & ((size_t{1} << SliceBits) - 1));

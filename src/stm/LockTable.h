@@ -7,12 +7,13 @@
 ///
 /// \file
 /// TL2's per-stripe versioned write-locks. Every transactional memory word
-/// hashes to a stripe; the stripe word either holds the version number of
-/// the last commit that wrote any word in the stripe (unlocked), or the
-/// identity of the transaction currently holding the commit-time lock
-/// (locked). Embedding the owner's (txid, thread) pair in the locked word
-/// lets an aborting reader attribute its abort to a concrete transaction,
-/// which is what the paper's thread-transactional-state tuples require.
+/// maps to a stripe (its line's hash above its offset in the line); the
+/// stripe word either holds the version number of the last commit that
+/// wrote any word in the stripe (unlocked), or the identity of the
+/// transaction currently holding the commit-time lock (locked). Embedding
+/// the owner's (txid, thread) pair in the locked word lets an aborting
+/// reader attribute its abort to a concrete transaction, which is what
+/// the paper's thread-transactional-state tuples require.
 ///
 /// Word layout:
 ///   bit 0      — 1 = locked, 0 = unlocked
@@ -32,20 +33,23 @@
 
 namespace gstm {
 
-/// Address hash behind every lock table and the sharded tier's home
-/// shards: a murmur3-style avalanche finalizer over the word index. Every
-/// address bit reaches every result bit, so allocation-correlated
-/// pointers do not clump into stripe runs; tables index with the low
-/// bits, the sharded tier picks the home shard from the top bits, and
-/// the two mappings stay statistically independent.
-inline uint64_t mixAddress(const void *Addr) {
-  uint64_t Key = reinterpret_cast<uintptr_t>(Addr) >> 3;
+/// Murmur3's 64-bit avalanche finalizer: every key bit reaches every
+/// result bit, so allocation-correlated keys do not clump into runs.
+inline uint64_t mix64(uint64_t Key) {
   Key ^= Key >> 33;
   Key *= 0xff51afd7ed558ccdULL;
   Key ^= Key >> 29;
   Key *= 0xc4ceb9fe1a85ec53ULL;
   Key ^= Key >> 32;
   return Key;
+}
+
+/// Per-word address hash behind the sharded tier's home shards, which
+/// take its top bits. Lock tables do not use it: they hash the 64-byte
+/// line instead (LockTable::indexFor), so the two mappings stay
+/// statistically independent.
+inline uint64_t mixAddress(const void *Addr) {
+  return mix64(reinterpret_cast<uintptr_t>(Addr) >> 3);
 }
 
 /// A stripe word snapshot, decoded.
@@ -57,13 +61,23 @@ struct StripeState {
   TxThreadPair Owner;
 };
 
-/// Fixed-size table of versioned stripe locks, indexed by address hash.
+/// Fixed-size table of versioned stripe locks, one table line per data
+/// line. indexFor hashes the address's 64-byte line with mix64 and keeps
+/// the word's offset in that line as the low 3 bits of the index; the
+/// stripe array starts on a 64-byte boundary, so the 8 words of one data
+/// line use the 8 stripes of one table line. Lines spread across the
+/// table, while a walk over data already in cache finds its stripes in
+/// cache too.
 class LockTable {
 public:
   /// Creates a table with 2^\p Bits stripes, all unlocked at version 0.
+  /// The storage is a plain new[] with 7 spare words, rounded up to the
+  /// line: an aligned operator new maps fresh pages for every table.
   explicit LockTable(unsigned Bits = 20)
       : Mask((size_t{1} << Bits) - 1),
-        Stripes(new std::atomic<uint64_t>[size_t{1} << Bits]) {
+        Storage(new std::atomic<uint64_t>[(size_t{1} << Bits) +
+                                          WordsPerLine - 1]),
+        Stripes(alignToLine(Storage.get())) {
     assert(Bits >= 4 && Bits <= 28 && "unreasonable lock table size");
     for (size_t I = 0; I <= Mask; ++I)
       Stripes[I].store(0, std::memory_order_relaxed);
@@ -78,17 +92,21 @@ public:
   }
 
   /// Returns the stripe index covering \p Addr (exposed for commit-time
-  /// lock ordering and for tests).
+  /// lock ordering and for tests): the line's hash above the word's
+  /// offset in its line.
   size_t indexFor(const void *Addr) const {
-    return static_cast<size_t>(mixAddress(Addr)) & Mask;
+    const uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
+    const uint64_t Line = mix64(A >> 6);
+    return static_cast<size_t>((Line << 3) | ((A >> 3) & (WordsPerLine - 1))) &
+           Mask;
   }
 
   /// Index of \p Stripe, one of this table's stripes (inverse of
   /// stripeAt).
   size_t indexOf(const std::atomic<uint64_t> *Stripe) const {
-    assert(Stripe >= Stripes.get() && Stripe <= &Stripes[Mask] &&
+    assert(Stripe >= Stripes && Stripe <= &Stripes[Mask] &&
            "stripe of another table");
-    return static_cast<size_t>(Stripe - Stripes.get());
+    return static_cast<size_t>(Stripe - Stripes);
   }
 
   // Stripe version publishes on the single-fence commit paths are
@@ -121,8 +139,18 @@ public:
   }
 
 private:
+  static constexpr size_t WordsPerLine = 8;
+
+  static std::atomic<uint64_t> *alignToLine(std::atomic<uint64_t> *P) {
+    const uintptr_t Line = WordsPerLine * sizeof(uint64_t);
+    const uintptr_t A = reinterpret_cast<uintptr_t>(P);
+    return P + ((Line - A % Line) % Line) / sizeof(uint64_t);
+  }
+
   size_t Mask;
-  std::unique_ptr<std::atomic<uint64_t>[]> Stripes;
+  std::unique_ptr<std::atomic<uint64_t>[]> Storage;
+  /// Storage rounded up to a 64-byte boundary.
+  std::atomic<uint64_t> *Stripes;
 };
 
 } // namespace gstm

@@ -51,6 +51,20 @@ expect_usage_error(${OLTP_YCSB} --shards=3 --records=64 --ops=64)
 expect_usage_error(${OLTP_YCSB} --threads=65 --records=64 --ops=64)
 expect_usage_error(${OLTP_YCSB} --ring-bits=44 --records=64 --ops=64)
 expect_usage_error(${OLTP_YCSB} --ring-bits=64 --records=64 --ops=64)
+# A theta that is not a finite number in [0, 1), and counts or
+# percentages that are negative, overflow the 32-bit node pool or fall
+# outside [0, 100], used to run with a wrong value or abort.
+set(OltpSmall --threads=2 --records=64 --ops=64)
+expect_usage_error(${OLTP_YCSB} --theta=abc ${OltpSmall})
+expect_usage_error(${OLTP_YCSB} --theta=nan ${OltpSmall})
+expect_usage_error(${OLTP_YCSB} --theta=1 ${OltpSmall})
+expect_usage_error(${OLTP_YCSB} --records=-1 --threads=2 --ops=64)
+expect_usage_error(${OLTP_YCSB} --records=5000000000 --threads=2 --ops=64)
+expect_usage_error(${OLTP_YCSB} --ops=-1 --threads=2 --records=64)
+expect_usage_error(${OLTP_YCSB} --scan-len=-1 --mix=e ${OltpSmall})
+expect_usage_error(${OLTP_YCSB} --read=150 --update=-50 ${OltpSmall})
+expect_usage_error(${OLTP_YCSB} --records=4294967295 --threads=2 --ops=64
+    MESSAGE "overflow the node pool")
 expect_usage_error(${CHECK_FUZZ} --backend=sharded --shards=3 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --backend=sharded --shards=0 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --workload=skiplist --threads=0 --iters=1)

@@ -45,11 +45,12 @@ endif()
 
 # The concurrent TL2 tests drive the single-fence commit publication —
 # the relaxed stripe-version stores behind one release fence — so TSan
-# checks it against real racing readers (engine_test below adds the
+# checks it against real racing readers, and against two committers
+# publishing into one lock-table line (engine_test below adds the
 # typed concurrent-increment cases on flat and sharded TL2).
 execute_process(
   COMMAND ${BUILD_DIR}/tests/tl2_test
-          --gtest_filter=Tl2Test.BankTransfer*:Tl2Test.Snapshot*:Tl2Test.AbortEvents*
+          --gtest_filter=Tl2Test.BankTransfer*:Tl2Test.Snapshot*:Tl2Test.AbortEvents*:Tl2Test.AdjacentWordsOfOneLineNeverConflict
   RESULT_VARIABLE Tl2Rc)
 if(NOT Tl2Rc EQUAL 0)
   message(FATAL_ERROR "tl2_test failed under tsan (${Tl2Rc})")

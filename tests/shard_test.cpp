@@ -65,6 +65,28 @@ TEST(ShardedStmTest, PlacementOverridesAddressHash) {
   EXPECT_LT(Stm.shardFor(&Cells[3].word()), 4u);
 }
 
+TEST(ShardedStmTest, SliceKeepsWordOffsetInLine) {
+  // Words of one data line homed on one shard keep their line locality
+  // inside that shard's slice: one 8-stripe run, one stripe per word.
+  ShardConfig SC;
+  SC.ShardCount = 4;
+  SC.TableBits = 8;
+  ShardedStm Stm(SC);
+  alignas(64) TVar<uint64_t> Line[8];
+  ShardPlacement P;
+  P.addRange(&Line[0], &Line[8], 2);
+  P.finalize();
+  Stm.setPlacement(&P);
+  LockTable &Locks = Stm.lockTable();
+  const size_t First = Locks.indexOf(&Stm.stripeFor(&Line[0].word()));
+  for (unsigned W = 0; W < 8; ++W) {
+    const size_t Key = Locks.indexOf(&Stm.stripeFor(&Line[W].word()));
+    EXPECT_EQ(Stm.groupOf(Key), 2u);
+    EXPECT_EQ(Key >> 3, First >> 3);
+    EXPECT_EQ(Key & 7, W);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Commit protocol against a live runtime
 //===----------------------------------------------------------------------===//
