@@ -161,6 +161,15 @@ void gstm::printBanner(const char *Title, const char *PaperRef,
               sizeClassName(Opts.MeasureSize));
 }
 
+void gstm::printForcedYields(const std::vector<unsigned> &ThreadCounts) {
+  unsigned Cpus = usableCpus();
+  for (unsigned T : ThreadCounts)
+    std::printf("forced yields: %s (%u workers, %u usable CPUs)\n",
+                forcedYieldShift(ExperimentPreemptShift, T, Cpus) ? "on"
+                                                                  : "off",
+                T, Cpus);
+}
+
 void gstm::printSection(const std::string &Title, const char *PaperRef) {
   std::printf("\n== %s ==\n   reproduces: %s\n\n", Title.c_str(), PaperRef);
 }

@@ -98,6 +98,11 @@ ExperimentResult runStampExperiment(const std::string &Workload,
 void printBanner(const char *Title, const char *PaperRef,
                  const BenchOptions &Opts);
 
+/// Prints, for each of \p ThreadCounts, whether its runs force scheduler
+/// yields (forcedYieldShift: only when the workers outnumber the usable
+/// CPUs), as `forced yields: on|off (T workers, C usable CPUs)`.
+void printForcedYields(const std::vector<unsigned> &ThreadCounts);
+
 /// Prints the heading of one table or figure in a paper driver's report.
 void printSection(const std::string &Title, const char *PaperRef);
 

@@ -39,7 +39,6 @@ SideStats measure(TlWorkload &Workload, unsigned Threads, unsigned Runs,
                   ContentionManager *Cm, const GuidedPolicy *Policy) {
   RunnerConfig RC;
   RC.Threads = Threads;
-  RC.Stm.PreemptShift = 5;
   RC.Cm = Cm;
 
   SideStats Out;
@@ -90,7 +89,6 @@ int main(int Argc, char **Argv) {
   // Model for the guided row.
   RunnerConfig ProfileRC;
   ProfileRC.Threads = Threads;
-  ProfileRC.Stm.PreemptShift = 5;
   Tsa Model;
   for (unsigned Run = 0; Run < Opts.ProfileRuns; ++Run)
     Model.addRun(

@@ -313,6 +313,7 @@ int main(int Argc, char **Argv) {
               "paper Sec. VII, one experiment per benchmark and thread "
               "count",
               Opts);
+  printForcedYields(Opts.ThreadCounts);
 
   ResultGrid Results(Opts.Workloads.size());
   for (size_t W = 0; W < Opts.Workloads.size(); ++W)

@@ -69,6 +69,7 @@ int main(int Argc, char **Argv) {
   std::printf("== SynQuake evaluation: Table V and Figures 11-12 ==\n");
   std::printf("   reproduces: paper Sec. VIII, one experiment per test "
               "quest and thread count\n");
+  printForcedYields(Opts.ThreadCounts);
 
   std::vector<SynQuakeExperimentResult> Quadrants, Spread;
   for (unsigned T : Opts.ThreadCounts) {

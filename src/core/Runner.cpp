@@ -13,6 +13,7 @@
 #include <cassert>
 #include <ctime>
 #include <memory>
+#include <sched.h>
 #include <thread>
 
 namespace {
@@ -27,6 +28,20 @@ double threadCpuSeconds() {
 
 using namespace gstm;
 
+unsigned gstm::usableCpus() {
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0 && CPU_COUNT(&Set) > 0)
+    return static_cast<unsigned>(CPU_COUNT(&Set));
+  unsigned Hw = std::thread::hardware_concurrency();
+  return Hw > 0 ? Hw : 1;
+}
+
+unsigned gstm::forcedYieldShift(unsigned Shift, unsigned Threads,
+                                unsigned Cpus) {
+  return Threads > Cpus ? Shift : 0;
+}
+
 RunResult gstm::runWorkloadOnce(TlWorkload &Workload,
                                 const RunnerConfig &Config, uint64_t Seed,
                                 const GuidedPolicy *Policy) {
@@ -35,7 +50,11 @@ RunResult gstm::runWorkloadOnce(TlWorkload &Workload,
   // masked), and the controller's live-worker mask holds one bit each.
   assert(Config.Threads <= StatsShardCount && "at most 64 workers");
 
-  Tl2Stm Stm(Config.Stm);
+  // A forced yield only interleaves workers that share a CPU.
+  Tl2Config StmCfg = Config.Stm;
+  StmCfg.PreemptShift =
+      forcedYieldShift(Config.Stm.PreemptShift, Config.Threads);
+  Tl2Stm Stm(StmCfg);
   if (Config.Cm)
     Stm.setContentionManager(Config.Cm);
   TraceCollector Collector(Config.Threads);

@@ -26,12 +26,30 @@
 
 namespace gstm {
 
+/// Forced-yield shift of experiment runs (EngineConfig::PreemptShift): one
+/// sched_yield per 32 transactional accesses.
+inline constexpr unsigned ExperimentPreemptShift = 5;
+
+/// CPUs this process may run on, as `nproc` reports them: the size of its
+/// sched_getaffinity mask, else std::thread::hardware_concurrency(), and
+/// never below 1.
+unsigned usableCpus();
+
+/// The PreemptShift an experiment run of \p Threads workers uses: \p Shift
+/// when the workers outnumber \p Cpus, 0 otherwise. A forced yield only
+/// makes transactions overlap when a waiting worker shares the CPU; with a
+/// CPU per worker it finds nothing else to run (DESIGN §2, substitution 1).
+unsigned forcedYieldShift(unsigned Shift, unsigned Threads,
+                          unsigned Cpus = usableCpus());
+
 /// STM configuration used by experiment runs: scheduler perturbation on
 /// (see EngineConfig::PreemptShift) so transactions overlap even when the
-/// host has fewer cores than workers.
+/// host has fewer cores than workers. runWorkloadOnce keeps the yields only
+/// while its workers outnumber the usable CPUs (forcedYieldShift); code
+/// that builds a Tl2Stm from this configuration itself always yields.
 inline Tl2Config experimentStmConfig() {
   Tl2Config Cfg;
-  Cfg.PreemptShift = 5;
+  Cfg.PreemptShift = ExperimentPreemptShift;
   // Attempt-latency sampling is cheap (two steady_clock reads per attempt
   // on a thread-private shard) and feeds the exported telemetry.
   Cfg.TrackAttemptLatency = true;
@@ -42,6 +60,8 @@ inline Tl2Config experimentStmConfig() {
 struct RunnerConfig {
   unsigned Threads = 8;
   Grouping GroupMode = Grouping::Sequence;
+  /// The run's STM configuration. runWorkloadOnce applies its PreemptShift
+  /// through forcedYieldShift: only while Threads > usableCpus().
   Tl2Config Stm = experimentStmConfig();
   GuideConfig Guide;
   /// Optional contention manager installed into the run's STM (baseline

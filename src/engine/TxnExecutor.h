@@ -60,8 +60,11 @@ struct EngineConfig {
   /// back-to-back within a scheduling quantum and almost never overlap,
   /// which would suppress the conflicts/aborts whose non-determinism the
   /// paper studies; random yield points restore multicore-like
-  /// interleaving density (see DESIGN.md, substitutions). 0 = off;
-  /// at most 63.
+  /// interleaving density (see DESIGN.md, substitutions). With a CPU per
+  /// worker a yield finds nothing else to run, so experiment runs apply
+  /// it only while their workers outnumber the usable CPUs
+  /// (forcedYieldShift, core/Runner.h); an engine built directly takes
+  /// the shift as given. 0 = off; at most 63.
   unsigned PreemptShift = 0;
   /// When true, every attempt's wall-clock latency is accumulated into
   /// the per-thread stats shard (two steady_clock reads per attempt).

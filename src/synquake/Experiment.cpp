@@ -8,6 +8,7 @@
 #include "synquake/Experiment.h"
 
 #include "core/GuidedPolicy.h"
+#include "core/Runner.h"
 #include "core/Trace.h"
 #include "support/Timer.h"
 
@@ -31,7 +32,9 @@ OneRun runGameOnce(const SynQuakeParams &Params, unsigned Threads,
                    uint64_t Seed, const GuidedPolicy *Policy,
                    const GuideConfig &GuideCfg) {
   EngineConfig TmCfg;
-  TmCfg.PreemptShift = 5; // scheduler perturbation, as in the TL2 runs
+  // Scheduler perturbation under the TL2 runs' rule: forced yields only
+  // while the workers outnumber the usable CPUs.
+  TmCfg.PreemptShift = forcedYieldShift(ExperimentPreemptShift, Threads);
   LibTm Tm(TmCfg);
   TraceCollector Collector(Threads);
   std::unique_ptr<GuideController> Controller;

@@ -3,7 +3,9 @@
 # the heading of every table and figure it reproduces, run each
 # (benchmark, threads) experiment exactly once and write exactly one
 # --json-dir export per experiment. paper_synquake on a tiny map must
-# print Table V and Figures 11 and 12. Invoked by the `paper_smoke` ctest:
+# print Table V and Figures 11 and 12. Both must print a `forced yields`
+# line per thread count, "on" exactly when the workers outnumber the
+# usable CPUs. Invoked by the `paper_smoke` ctest:
 #
 #   cmake -DPAPER_STAMP=<paper_stamp> -DPAPER_SYNQUAKE=<paper_synquake>
 #         -DWORK_DIR=<dir> -P PaperSmoke.cmake
@@ -27,6 +29,26 @@ function(expect_headings Out)
   endforeach()
 endfunction()
 
+# expect_forced_yields(<output> <threads>...): one forced-yields line per
+# thread count, "on" exactly when the workers outnumber the usable CPUs.
+function(expect_forced_yields Out)
+  foreach(Threads ${ARGN})
+    set(Line "forced yields: (on|off) \\(${Threads} workers, ([0-9]+) ")
+    if(NOT Out MATCHES "${Line}usable CPUs\\)")
+      message(FATAL_ERROR
+          "no forced-yields line for ${Threads} workers in:\n${Out}")
+    endif()
+    set(Want off)
+    if(Threads GREATER CMAKE_MATCH_2)
+      set(Want on)
+    endif()
+    if(NOT CMAKE_MATCH_1 STREQUAL Want)
+      message(FATAL_ERROR "forced yields ${CMAKE_MATCH_1} for ${Threads} "
+                          "workers on ${CMAKE_MATCH_2} CPUs, want ${Want}")
+    endif()
+  endforeach()
+endfunction()
+
 execute_process(
   COMMAND ${PAPER_STAMP} --workloads=kmeans,ssca2 --threads=2,3
           --size=small --train-size=small --profile-runs=1 --runs=1
@@ -35,6 +57,7 @@ execute_process(
 if(NOT StampRc EQUAL 0)
   message(FATAL_ERROR "paper_stamp failed (${StampRc}):\n${Out}${Err}")
 endif()
+expect_forced_yields("${Out}" 2 3)
 expect_headings("${Out}" "Table I:" "Table III:" "Table IV:" "Figure 3:"
                 "Figure 8:" "Figure 9:" "Figure 10:")
 foreach(Threads 2 3)
@@ -64,6 +87,7 @@ if(NOT SynQuakeRc EQUAL 0)
   message(FATAL_ERROR "paper_synquake failed (${SynQuakeRc}):\n${Out}${Err}")
 endif()
 expect_headings("${Out}" "Table V:" "Figure 11:" "Figure 12:")
+expect_forced_yields("${Out}" 2)
 
 file(REMOVE_RECURSE ${WORK_DIR})
 message(STATUS "paper driver checks passed")

@@ -16,6 +16,7 @@
 #include "core/Experiment.h"
 
 #include "core/Analyzer.h"
+#include "core/Runner.h"
 #include "core/Trace.h"
 #include "core/Tsa.h"
 #include "stamp/Kmeans.h"
@@ -27,8 +28,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <sched.h>
 
 using namespace gstm;
 
@@ -208,6 +211,67 @@ TEST(ExperimentTest, MetricsComputeSaneValues) {
   EXPECT_EQ(R.tailImprovementPercent().size(), 4u);
   EXPECT_GE(R.defaultAbortRatio(), 0.0);
   EXPECT_LE(R.defaultAbortRatio(), 1.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Forced scheduler yields (DESIGN §2, substitution 1)
+//===----------------------------------------------------------------------===//
+
+TEST(RunnerTest, ForcedYieldsOnlyWhenWorkersOutnumberCpus) {
+  for (unsigned Cpus : {1u, 2u, 3u, 8u, 64u}) {
+    for (unsigned Threads = 1; Threads <= Cpus; ++Threads)
+      EXPECT_EQ(forcedYieldShift(ExperimentPreemptShift, Threads, Cpus), 0u)
+          << Threads << " workers on " << Cpus << " CPUs";
+    for (unsigned Threads = Cpus + 1; Threads <= Cpus + 16; ++Threads)
+      EXPECT_EQ(forcedYieldShift(ExperimentPreemptShift, Threads, Cpus),
+                ExperimentPreemptShift)
+          << Threads << " workers on " << Cpus << " CPUs";
+  }
+  // A configuration without forced yields stays without them.
+  EXPECT_EQ(forcedYieldShift(0, 16, 2), 0u);
+  EXPECT_EQ(experimentStmConfig().PreemptShift, ExperimentPreemptShift);
+}
+
+namespace {
+/// Records the PreemptShift of the engine runWorkloadOnce built for it.
+class ShiftProbe : public TlWorkload {
+public:
+  unsigned Shift = ~0u;
+  std::string name() const override { return "shift-probe"; }
+  unsigned numTxSites() const override { return 1; }
+  void setup(Tl2Stm &Stm, unsigned, uint64_t) override {
+    Shift = Stm.config().PreemptShift;
+  }
+  void threadBody(Tl2Stm &, ThreadId) override {}
+};
+} // namespace
+
+TEST(RunnerTest, RunsYieldOnlyWhenWorkersOutnumberUsableCpus) {
+  unsigned Cpus = usableCpus();
+  ShiftProbe Probe;
+  RunnerConfig RC;
+  for (unsigned Threads : {1u, Cpus, Cpus + 1}) {
+    if (Threads > StatsShardCount)
+      continue;
+    RC.Threads = Threads;
+    runWorkloadOnce(Probe, RC, 1, nullptr);
+    EXPECT_EQ(Probe.Shift, Threads > Cpus ? ExperimentPreemptShift : 0u)
+        << Threads << " workers on " << Cpus << " CPUs";
+  }
+  // A run configured without yields never gets them.
+  RC.Stm.PreemptShift = 0;
+  RC.Threads =
+      static_cast<unsigned>(std::min<size_t>(Cpus + 1, StatsShardCount));
+  runWorkloadOnce(Probe, RC, 1, nullptr);
+  EXPECT_EQ(Probe.Shift, 0u);
+}
+
+TEST(RunnerTest, UsableCpusIsTheAffinityMaskSize) {
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Set), &Set), 0);
+  EXPECT_GE(usableCpus(), 1u);
+  EXPECT_EQ(usableCpus(), static_cast<unsigned>(CPU_COUNT(&Set)));
 }
 
 //===----------------------------------------------------------------------===//
