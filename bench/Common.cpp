@@ -10,6 +10,7 @@
 #include "core/JsonExport.h"
 #include "stm/StatsShard.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -53,31 +54,6 @@ std::vector<unsigned> gstm::parseThreadCounts(const Options &Opts,
   return Counts;
 }
 
-unsigned gstm::parseCount(const Options &Opts, const std::string &Tool,
-                          const char *Key, unsigned Default) {
-  int64_t V = Opts.getInt(Key, Default);
-  if (V < 1) {
-    std::fprintf(stderr, "%s: --%s must be at least 1\n", Tool.c_str(), Key);
-    std::exit(2);
-  }
-  return static_cast<unsigned>(V);
-}
-
-double gstm::parseTfactor(const Options &Opts, const std::string &Tool,
-                          double Default) {
-  double V = Opts.getDouble("tfactor", Default);
-  if (!(V >= 1.0)) {
-    std::fprintf(stderr, "%s: --tfactor must be at least 1\n", Tool.c_str());
-    std::exit(2);
-  }
-  return V;
-}
-
-std::string gstm::toolName(const char *Argv0) {
-  std::string Tool = Argv0;
-  return Tool.substr(Tool.find_last_of('/') + 1);
-}
-
 BenchOptions BenchOptions::parse(int Argc, char **Argv,
                                  std::vector<OptionSpec> Extra,
                                  Options *Parsed) {
@@ -104,11 +80,15 @@ BenchOptions BenchOptions::parse(int Argc, char **Argv,
   Options Opts = Cli.parseOrExit(Argc, Argv);
   BenchOptions B;
   B.ThreadCounts = parseThreadCounts(Opts, Tool);
-  B.ProfileRuns = parseCount(Opts, Tool, "profile-runs", B.ProfileRuns);
-  B.MeasureRuns = parseCount(Opts, Tool, "runs", B.MeasureRuns);
-  B.Tfactor = parseTfactor(Opts, Tool, B.Tfactor);
-  B.TrainSize = parseSizeClass(Opts.getString("train-size", "medium"));
-  B.MeasureSize = parseSizeClass(Opts.getString("size", "large"));
+  B.ProfileRuns = Opts.getInt("profile-runs", B.ProfileRuns, 1, INT64_MAX);
+  B.MeasureRuns = Opts.getInt("runs", B.MeasureRuns, 1, INT64_MAX);
+  // highProbabilityPrefix's precondition: below 1 no transition is
+  // admitted.
+  B.Tfactor = Opts.getDouble("tfactor", B.Tfactor, 1, HUGE_VAL);
+  B.TrainSize = Opts.getEnum("train-size", "medium", sizeClassFromName,
+                             SizeClassNames);
+  B.MeasureSize =
+      Opts.getEnum("size", "large", sizeClassFromName, SizeClassNames);
   B.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
   B.ForceGuided = Opts.getBool("force-guided", B.ForceGuided);
   B.JsonDir = Opts.getString("json-dir", "");
@@ -118,6 +98,19 @@ BenchOptions BenchOptions::parse(int Argc, char **Argv,
   if (Parsed)
     *Parsed = std::move(Opts);
   return B;
+}
+
+ExperimentConfig gstm::experimentConfig(const BenchOptions &Opts,
+                                        unsigned Threads) {
+  ExperimentConfig Cfg;
+  Cfg.Threads = Threads;
+  Cfg.ProfileRuns = Opts.ProfileRuns;
+  Cfg.MeasureRuns = Opts.MeasureRuns;
+  Cfg.Tfactor = Opts.Tfactor;
+  Cfg.ForceGuided = Opts.ForceGuided;
+  Cfg.ProfileSeedBase = Opts.Seed * 1000 + 1;
+  Cfg.MeasureSeedBase = Opts.Seed * 1000 + 500;
+  return Cfg;
 }
 
 ExperimentResult gstm::runStampExperiment(const std::string &Workload,
@@ -131,15 +124,8 @@ ExperimentResult gstm::runStampExperiment(const std::string &Workload,
     std::exit(1);
   }
 
-  ExperimentConfig Cfg;
-  Cfg.Threads = Threads;
-  Cfg.ProfileRuns = Opts.ProfileRuns;
-  Cfg.MeasureRuns = Opts.MeasureRuns;
-  Cfg.Tfactor = Opts.Tfactor;
-  Cfg.ForceGuided = Opts.ForceGuided;
-  Cfg.ProfileSeedBase = Opts.Seed * 1000 + 1;
-  Cfg.MeasureSeedBase = Opts.Seed * 1000 + 500;
-  ExperimentResult Result = runExperiment(*Train, *Test, Cfg);
+  ExperimentResult Result =
+      runExperiment(*Train, *Test, experimentConfig(Opts, Threads));
 
   if (!Opts.JsonDir.empty()) {
     std::string Path = Opts.JsonDir + "/" + Workload + "_t" +

@@ -20,6 +20,10 @@
 ///   --force-guided=0    skip the guided side when the analyzer rejects
 ///   --json-dir=DIR      also write per-experiment JSON exports there
 ///
+/// A value a binary cannot use (a count below 1, text where a number
+/// belongs, an unknown size class) exits 2 with a message naming its key;
+/// support/Options does the parsing and range checks.
+///
 /// Defaults are scaled down for a small machine; raise
 /// --runs/--profile-runs toward the paper's 20 for tighter statistics.
 ///
@@ -37,27 +41,14 @@
 
 namespace gstm {
 
-/// Checked option reads shared by the paper binaries' parsers
-/// (BenchOptions and SynQuakeBenchOptions) and the examples. Each prints a
-/// message naming \p Tool and the key, and exits 2, on a value no run can
-/// use.
-///
-/// `--threads`: comma-separated counts, each in [1, StatsShardCount]
-/// (more threads than stats shards would alias single-writer shards);
-/// \p Default (the paper's 8,16 unless given) when absent.
+/// `--threads` of the paper binaries and the examples: comma-separated
+/// counts, each in [1, StatsShardCount] (more threads than stats shards
+/// would alias single-writer shards); \p Default (the paper's 8,16 unless
+/// given) when absent. Prints a message naming \p Tool and exits 2 on
+/// anything else.
 std::vector<unsigned> parseThreadCounts(const Options &Opts,
                                         const std::string &Tool,
                                         const std::string &Default = "8,16");
-/// A run (or frame, player) count of at least 1: zero would print a row
-/// of zeros as if it were a result, and a negative count wraps.
-unsigned parseCount(const Options &Opts, const std::string &Tool,
-                    const char *Key, unsigned Default);
-/// The Ph/Tfactor threshold, at least 1 (highProbabilityPrefix's
-/// precondition: below it no transition is admitted). NaN is refused.
-double parseTfactor(const Options &Opts, const std::string &Tool,
-                    double Default);
-/// The binary's name for messages: \p Argv0 without its directory.
-std::string toolName(const char *Argv0);
 
 /// Parsed common bench options.
 struct BenchOptions {
@@ -82,12 +73,17 @@ struct BenchOptions {
   /// Parses the common options plus \p Extra, the binary's own keys,
   /// whose values the binary reads from \p Parsed. `--help` prints the
   /// usage and exits 0; an undeclared key, a thread count outside
-  /// [1, StatsShardCount], a run count below 1 or a Tfactor below 1
-  /// prints a message and exits 2.
+  /// [1, StatsShardCount], a run count below 1, a Tfactor below 1, an
+  /// unknown size class or a value that does not parse prints a message
+  /// and exits 2.
   static BenchOptions parse(int Argc, char **Argv,
                             std::vector<OptionSpec> Extra = {},
                             Options *Parsed = nullptr);
 };
+
+/// The experiment \p Opts describes at \p Threads: run counts, Tfactor,
+/// forcing, and profile/measure seed bases derived from `--seed`.
+ExperimentConfig experimentConfig(const BenchOptions &Opts, unsigned Threads);
 
 /// Runs the full experiment pipeline for \p Workload at \p Threads.
 ExperimentResult runStampExperiment(const std::string &Workload,

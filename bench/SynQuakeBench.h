@@ -20,6 +20,7 @@
 
 #include "bench/Common.h"
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -36,8 +37,9 @@ struct SynQuakeBenchOptions {
   uint64_t Seed = 1;
 
   /// `--help` prints the usage and exits 0; an undeclared key, a thread
-  /// count outside [1, StatsShardCount], a count below 1 or a Tfactor
-  /// below 1 prints a message and exits 2 (the checks of BenchOptions).
+  /// count outside [1, StatsShardCount], a count below 1, a Tfactor
+  /// below 1 or a value that does not parse prints a message and exits 2
+  /// (the checks of BenchOptions).
   static SynQuakeBenchOptions parse(int Argc, char **Argv) {
     const std::string Tool = toolName(Argv[0]);
     OptionSet Cli(
@@ -58,13 +60,13 @@ struct SynQuakeBenchOptions {
     Options Opts = Cli.parseOrExit(Argc, Argv);
     SynQuakeBenchOptions B;
     B.ThreadCounts = parseThreadCounts(Opts, Tool);
-    B.Players = parseCount(Opts, Tool, "players", B.Players);
-    B.Frames = parseCount(Opts, Tool, "frames", B.Frames);
-    B.TrainFrames = parseCount(Opts, Tool, "train-frames", B.TrainFrames);
+    B.Players = Opts.getInt("players", B.Players, 1, INT64_MAX);
+    B.Frames = Opts.getInt("frames", B.Frames, 1, INT64_MAX);
+    B.TrainFrames = Opts.getInt("train-frames", B.TrainFrames, 1, INT64_MAX);
     B.ProfileRunsPerQuest =
-        parseCount(Opts, Tool, "profile-runs", B.ProfileRunsPerQuest);
-    B.MeasureRuns = parseCount(Opts, Tool, "runs", B.MeasureRuns);
-    B.Tfactor = parseTfactor(Opts, Tool, B.Tfactor);
+        Opts.getInt("profile-runs", B.ProfileRunsPerQuest, 1, INT64_MAX);
+    B.MeasureRuns = Opts.getInt("runs", B.MeasureRuns, 1, INT64_MAX);
+    B.Tfactor = Opts.getDouble("tfactor", B.Tfactor, 1, HUGE_VAL);
     B.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
     return B;
   }

@@ -46,14 +46,8 @@ int main(int Argc, char **Argv) {
               "inline prof-tx", "warm prof-tx", "inline ndet%",
               "warm ndet%", "warm save");
 
+  const ExperimentConfig EC = experimentConfig(Opts, Threads);
   for (const std::string &Name : Opts.Workloads) {
-    ExperimentConfig EC;
-    EC.Threads = Threads;
-    EC.ProfileRuns = Opts.ProfileRuns;
-    EC.MeasureRuns = Opts.MeasureRuns;
-    EC.Tfactor = Opts.Tfactor;
-    EC.ForceGuided = Opts.ForceGuided;
-
     // Inline path: the whole pipeline, profiling included.
     auto TrainW = createStampWorkload(Name, Opts.TrainSize);
     auto MeasureW = createStampWorkload(Name, Opts.MeasureSize);

@@ -21,63 +21,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/OltpBench.h"
+#include "shard/ShardConfig.h"
 #include "stm/CommitRing.h"
+#include "stm/StatsShard.h"
 #include "support/Json.h"
 #include "support/Options.h"
 
-#include <cerrno>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 using namespace gstm;
-
-namespace {
-
-/// --Key as an integer in [Min, Max], or \p Default when absent. Exits 2
-/// on anything else: Options::getInt falls back to the default on text,
-/// and a negative count would wrap to a huge unsigned one.
-uint64_t countOrExit(const Options &Opts, const char *Key, uint64_t Default,
-                     uint64_t Min, uint64_t Max) {
-  if (!Opts.has(Key))
-    return Default;
-  const std::string Raw = Opts.getString(Key, "");
-  char *End = nullptr;
-  errno = 0;
-  const long long V = std::strtoll(Raw.c_str(), &End, 10);
-  if (Raw.empty() || *End != '\0' || errno == ERANGE || V < 0 ||
-      static_cast<uint64_t>(V) < Min || static_cast<uint64_t>(V) > Max) {
-    std::fprintf(stderr,
-                 "oltp_ycsb: --%s must be an integer in [%llu, %llu]\n", Key,
-                 static_cast<unsigned long long>(Min),
-                 static_cast<unsigned long long>(Max));
-    std::exit(2);
-  }
-  return static_cast<uint64_t>(V);
-}
-
-/// --Key as a finite number in [Min, Max) (or [Min, inf) when \p Max is
-/// infinite), or \p Default when absent. Exits 2 on anything else.
-double realOrExit(const Options &Opts, const char *Key, double Default,
-                  double Min, double Max) {
-  if (!Opts.has(Key))
-    return Default;
-  const std::string Raw = Opts.getString(Key, "");
-  char *End = nullptr;
-  const double V = std::strtod(Raw.c_str(), &End);
-  if (Raw.empty() || *End != '\0' || !std::isfinite(V) || V < Min ||
-      V >= Max) {
-    std::fprintf(stderr,
-                 "oltp_ycsb: --%s must be a finite number in [%g, %g)\n", Key,
-                 Min, Max);
-    std::exit(2);
-  }
-  return V;
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   OptionSet Cli(
@@ -113,46 +69,29 @@ int main(int Argc, char **Argv) {
   OltpConfig Cfg;
   Cfg.Structure = Opts.getString("structure", Cfg.Structure);
   Cfg.Backend = Opts.getString("backend", Cfg.Backend);
-  Cfg.Threads = static_cast<unsigned>(Opts.getInt("threads", Cfg.Threads));
+  Cfg.Threads = Opts.getInt("threads", Cfg.Threads, 1, StatsShardCount);
   // Node pools index with 32 bits; runOltp also refuses a preload plus
   // inserts that outgrow them.
-  Cfg.Records = countOrExit(Opts, "records", 1 << 20, 1, UINT32_MAX);
-  Cfg.Operations = countOrExit(Opts, "ops", 1 << 18, 0, INT64_MAX);
-  const std::string MixName = Opts.getString("mix", "a");
-  if (!oltpMixFromName(MixName, Cfg.Mix)) {
-    std::fprintf(stderr, "oltp_ycsb: unknown --mix=%s (want a, b, c or e)\n",
-                 MixName.c_str());
-    return 2;
-  }
+  Cfg.Records = Opts.getInt("records", 1 << 20, 1, UINT32_MAX);
+  Cfg.Operations = Opts.getInt("ops", 1 << 18, 0, INT64_MAX);
+  Cfg.Mix = Opts.getEnum("mix", "a", oltpMixFromName, "a, b, c or e");
   if (Opts.has("read") || Opts.has("update") || Opts.has("insert") ||
       Opts.has("scan")) {
-    Cfg.Mix.ReadPct =
-        static_cast<unsigned>(countOrExit(Opts, "read", 0, 0, 100));
-    Cfg.Mix.UpdatePct =
-        static_cast<unsigned>(countOrExit(Opts, "update", 0, 0, 100));
-    Cfg.Mix.InsertPct =
-        static_cast<unsigned>(countOrExit(Opts, "insert", 0, 0, 100));
-    Cfg.Mix.ScanPct =
-        static_cast<unsigned>(countOrExit(Opts, "scan", 0, 0, 100));
+    Cfg.Mix.ReadPct = Opts.getInt("read", 0, 0, 100);
+    Cfg.Mix.UpdatePct = Opts.getInt("update", 0, 0, 100);
+    Cfg.Mix.InsertPct = Opts.getInt("insert", 0, 0, 100);
+    Cfg.Mix.ScanPct = Opts.getInt("scan", 0, 0, 100);
   }
   // theta = 1 makes the Zipfian exponent 1/(1 - theta) infinite.
-  Cfg.ZipfTheta = realOrExit(Opts, "theta", Cfg.ZipfTheta, 0, 1);
-  Cfg.ScanLength = static_cast<unsigned>(
-      countOrExit(Opts, "scan-len", Cfg.ScanLength, 1, UINT32_MAX));
-  Cfg.ArrivalRate = realOrExit(Opts, "rate", 0, 0, HUGE_VAL);
-  if (Opts.has("ring-bits")) {
-    const int64_t RingBits = Opts.getInt("ring-bits", 0);
-    if (RingBits < 1 || RingBits > MaxCommitRingBits) {
-      std::fprintf(stderr, "oltp_ycsb: --ring-bits must be in [1, %u]\n",
-                   MaxCommitRingBits);
-      return 2;
-    }
-    Cfg.RingBits = static_cast<unsigned>(RingBits);
-  }
-  Cfg.Shards = static_cast<unsigned>(Opts.getInt("shards", Cfg.Shards));
+  Cfg.ZipfTheta =
+      Opts.getDouble("theta", Cfg.ZipfTheta, 0, std::nextafter(1.0, 0.0));
+  Cfg.ScanLength = Opts.getInt("scan-len", Cfg.ScanLength, 1, UINT32_MAX);
+  Cfg.ArrivalRate = Opts.getDouble("rate", 0, 0, DBL_MAX);
+  Cfg.RingBits = Opts.getInt("ring-bits", Cfg.RingBits, 1, MaxCommitRingBits);
+  Cfg.Shards = Opts.getInt("shards", Cfg.Shards, 0, MaxShardCount);
   if (Cfg.Shards && Cfg.Backend == "tl2")
     Cfg.Backend = "sharded";
-  Cfg.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
+  Cfg.Seed = Opts.getInt("seed", 1);
 
   OltpResult R = runOltp(Cfg);
   if (!R.Ok) {

@@ -34,10 +34,11 @@ int main(int Argc, char **Argv) {
 
   SynQuakeExperimentConfig Cfg;
   Cfg.Threads = parseThreadCounts(Opts, Tool, "4").front();
-  Cfg.Game.NumPlayers = parseCount(Opts, Tool, "players", 300);
-  Cfg.Game.Frames = parseCount(Opts, Tool, "frames", 48);
-  Cfg.Game.Quest =
-      parseQuestPattern(Opts.getString("quest", "4quadrants"));
+  Cfg.Game.NumPlayers = Opts.getInt("players", 300, 1, INT64_MAX);
+  Cfg.Game.Frames = Opts.getInt("frames", 48, 1, INT64_MAX);
+  Cfg.Game.Quest = Opts.getEnum("quest", "4quadrants", questPatternFromName,
+                                "4worst_case, 4moving, 4quadrants or "
+                                "4center_spread6");
   Cfg.TrainFrames = 24;
   Cfg.ProfileRunsPerQuest = 2;
   Cfg.MeasureRuns = 4;

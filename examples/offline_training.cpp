@@ -102,7 +102,7 @@ int main(int Argc, char **Argv) {
   std::string Workload = Opts.getString("workload", "kmeans");
   std::string Path = Opts.getString("model", "/tmp/gstm_model.tsa");
   unsigned Threads = parseThreadCounts(Opts, Tool, "8").front();
-  unsigned Runs = parseCount(Opts, Tool, "runs", 5);
+  unsigned Runs = Opts.getInt("runs", 5, 1, INT64_MAX);
 
   if (Stage == "train")
     return train(Workload, Path, Threads, Runs);

@@ -36,10 +36,11 @@ int main(int Argc, char **Argv) {
                   "input: small|medium|large (default small)"}});
   Options Opts = Cli.parseOrExit(Argc, Argv);
   unsigned Threads = parseThreadCounts(Opts, Tool, "6").front();
-  SizeClass Size = parseSizeClass(Opts.getString("size", "small"));
+  SizeClass Size =
+      Opts.getEnum("size", "small", sizeClassFromName, SizeClassNames);
 
   VacationParams Params = VacationParams::forSize(Size);
-  Params.OpsPerThread = parseCount(Opts, Tool, "ops", Params.OpsPerThread);
+  Params.OpsPerThread = Opts.getInt("ops", Params.OpsPerThread, 1, INT64_MAX);
 
   std::printf("reservation system: %u tables x %u assets, %u customers, "
               "%u clients x %u ops\n\n",

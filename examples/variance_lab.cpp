@@ -42,9 +42,10 @@ int main(int Argc, char **Argv) {
   Options Opts = Cli.parseOrExit(Argc, Argv);
   std::string Name = Opts.getString("workload", "kmeans");
   unsigned Threads = parseThreadCounts(Opts, Tool, "4").front();
-  unsigned Runs = parseCount(Opts, Tool, "runs", 5);
-  unsigned ShowStates = parseCount(Opts, Tool, "states", 8);
-  SizeClass Size = parseSizeClass(Opts.getString("size", "small"));
+  unsigned Runs = Opts.getInt("runs", 5, 1, INT64_MAX);
+  unsigned ShowStates = Opts.getInt("states", 8, 1, INT64_MAX);
+  SizeClass Size =
+      Opts.getEnum("size", "small", sizeClassFromName, SizeClassNames);
 
   auto Workload = createStampWorkload(Name, Size);
   if (!Workload) {

@@ -43,8 +43,7 @@ CheckResult inconclusive(std::string Reason) {
 // Invariants
 //===----------------------------------------------------------------------===//
 
-CheckResult gstm::checkInvariants(const History &H,
-                                  const CheckerConfig &Cfg) {
+CheckResult gstm::checkInvariants(const History &H, bool ValuesAreUnique) {
   // Commit-version sanity: unique, above the attempt's own rv, and
   // monotonically increasing per thread (the global clock never moves
   // backwards for any observer).
@@ -80,7 +79,7 @@ CheckResult gstm::checkInvariants(const History &H,
     }
   }
 
-  if (!Cfg.ValuesAreUnique)
+  if (!ValuesAreUnique)
     return CheckResult{};
 
   // Aborted-write visibility: every observed read value must have been
@@ -169,8 +168,7 @@ buildTimelines(const History &H) {
 
 } // namespace
 
-CheckResult gstm::checkOpacity(const History &H, const CheckerConfig &Cfg) {
-  (void)Cfg;
+CheckResult gstm::checkOpacity(const History &H) {
   auto Timelines = buildTimelines(H);
   for (const AttemptRecord &A : H.Attempts) {
     auto Reads = A.globalReads();
@@ -262,6 +260,10 @@ CheckResult gstm::checkOpacity(const History &H, const CheckerConfig &Cfg) {
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// Backtracking budget for the serialization search, in graph-node
+/// visits. Exhaustion yields Inconclusive, never a false verdict.
+constexpr uint64_t SearchBudget = 1 << 20;
 
 /// Constraint from a read: the other writer \p Other of the same location
 /// must serialize either before the read's source \p Source or after the
@@ -375,7 +377,7 @@ Sat searchPlacements(OrderGraph &G,
 } // namespace
 
 CheckResult gstm::checkCommittedSerializable(const History &H,
-                                             const CheckerConfig &Cfg) {
+                                             bool ValuesAreUnique) {
   std::vector<const AttemptRecord *> Txns;
   for (const AttemptRecord &A : H.Attempts)
     if (A.committed())
@@ -389,16 +391,15 @@ CheckResult gstm::checkCommittedSerializable(const History &H,
     for (const auto &[Addr, Value] : Txns[I]->finalWrites())
       WritersOf[Addr].emplace_back(Value, I + 1);
 
-  OrderGraph G(N, Cfg.SearchBudget);
+  OrderGraph G(N, SearchBudget);
   // Real-time order: an attempt that ended before another began must
   // serialize before it.
-  if (Cfg.RealTimeOrder)
-    for (int I = 0; I < N - 1; ++I)
-      for (int J = 0; J < N - 1; ++J)
-        if (Txns[I]->EndSeq < Txns[J]->BeginSeq)
-          if (!G.addEdge(I + 1, J + 1))
-            return violation("real-time order of commits is cyclic "
-                             "(corrupt history stamps)");
+  for (int I = 0; I < N - 1; ++I)
+    for (int J = 0; J < N - 1; ++J)
+      if (Txns[I]->EndSeq < Txns[J]->BeginSeq)
+        if (!G.addEdge(I + 1, J + 1))
+          return violation("real-time order of commits is cyclic "
+                           "(corrupt history stamps)");
 
   std::vector<PlacementChoice> Choices;
   for (int I = 0; I < N - 1; ++I) {
@@ -424,7 +425,7 @@ CheckResult gstm::checkCommittedSerializable(const History &H,
           Source = 0;
       }
       if (Ambiguous)
-        return Cfg.ValuesAreUnique
+        return ValuesAreUnique
                    ? inconclusive("read value produced by several writers; "
                                   "cannot attribute the read")
                    : inconclusive("workload values not unique; skipping "
@@ -477,14 +478,14 @@ CheckResult gstm::checkCommittedSerializable(const History &H,
   return CheckResult{};
 }
 
-CheckResult gstm::checkAll(const History &H, const CheckerConfig &Cfg) {
-  CheckResult Inv = checkInvariants(H, Cfg);
+CheckResult gstm::checkAll(const History &H, bool ValuesAreUnique) {
+  CheckResult Inv = checkInvariants(H, ValuesAreUnique);
   if (Inv.violation())
     return Inv;
-  CheckResult Op = checkOpacity(H, Cfg);
+  CheckResult Op = checkOpacity(H);
   if (Op.violation())
     return Op;
-  CheckResult Ser = checkCommittedSerializable(H, Cfg);
+  CheckResult Ser = checkCommittedSerializable(H, ValuesAreUnique);
   if (Ser.violation())
     return Ser;
   for (const CheckResult *R : {&Inv, &Op, &Ser})

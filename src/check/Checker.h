@@ -66,41 +66,29 @@ struct CheckResult {
   bool violation() const { return V == Verdict::Violation; }
 };
 
-/// Tunables of the checkers.
-struct CheckerConfig {
-  /// The workload writes values that are unique per (location, history)
-  /// — the fuzz harness's chained-sum updates make duplicate values
-  /// vanishingly unlikely. Value-based read attribution (and with it the
-  /// aborted-write-visible and serializability checks) needs this; with
-  /// ambiguous values those checks degrade to Inconclusive instead of
-  /// guessing.
-  bool ValuesAreUnique = true;
-  /// Enforce real-time order between committed transactions (an attempt
-  /// that ended before another began must serialize first). All shipped
-  /// backends promise strict serializability, so on by default.
-  bool RealTimeOrder = true;
-  /// Backtracking budget for the serialization search, in graph-node
-  /// visits. Exhaustion yields Inconclusive, never a false verdict.
-  uint64_t SearchBudget = 1 << 20;
-};
+// ValuesAreUnique, below, says the workload writes values that are
+// unique per (location, history); the fuzz harness's chained-sum updates
+// make duplicate values vanishingly unlikely. Value-based read
+// attribution (and with it the aborted-write-visible and
+// serializability checks) needs this; with ambiguous values those checks
+// degrade to Inconclusive instead of guessing.
 
 /// Cheap, search-free invariants. See file comment.
-CheckResult checkInvariants(const History &H,
-                            const CheckerConfig &Cfg = CheckerConfig());
+CheckResult checkInvariants(const History &H, bool ValuesAreUnique = true);
 
 /// Snapshot consistency of every attempt (committed and aborted).
-CheckResult checkOpacity(const History &H,
-                         const CheckerConfig &Cfg = CheckerConfig());
+CheckResult checkOpacity(const History &H);
 
-/// Final-state serializability of the committed transactions.
-CheckResult
-checkCommittedSerializable(const History &H,
-                           const CheckerConfig &Cfg = CheckerConfig());
+/// Final-state serializability of the committed transactions, in
+/// real-time order: an attempt that ended before another began must
+/// serialize first, since every shipped backend promises strict
+/// serializability.
+CheckResult checkCommittedSerializable(const History &H,
+                                       bool ValuesAreUnique = true);
 
 /// Runs all three checkers, returning the first non-Ok result (violations
 /// beat inconclusives).
-CheckResult checkAll(const History &H,
-                     const CheckerConfig &Cfg = CheckerConfig());
+CheckResult checkAll(const History &H, bool ValuesAreUnique = true);
 
 /// Quiescence invariant: no stripe of \p Locks may still be locked once
 /// all workers have joined. \p Why receives the offending stripe on

@@ -330,11 +330,11 @@ std::string describeDivergence(const Contents &Got, const Contents &Want) {
 }
 
 /// Applies every verdict in order; the first failure becomes R.Error.
-void judge(FuzzRunResult &R, const History &H, const CheckerConfig &CC,
+void judge(FuzzRunResult &R, const History &H, bool ValuesAreUnique,
            const Evidence &E, size_t ExpectedCommits) {
   R.Attempts = H.Attempts.size();
   R.Committed = H.committedCount();
-  R.Check = checkAll(H, CC);
+  R.Check = checkAll(H, ValuesAreUnique);
 
   std::ostringstream Err;
   if (R.Check.violation())
@@ -438,9 +438,7 @@ FuzzRunResult runOn(const Plan &P, uint64_t Seed, const Config &Cfg,
   E.StatsConsistent = Stats.consistent();
   R.CrossShardCommits = Stats.CrossShardCommits;
 
-  CheckerConfig CC = Cfg.Checker;
-  CC.ValuesAreUnique = CC.ValuesAreUnique && W<B>::UniqueValues;
-  judge(R, Rec.take(), CC, E, plannedCommits(P));
+  judge(R, Rec.take(), W<B>::UniqueValues, E, plannedCommits(P));
   return R;
 }
 
@@ -449,7 +447,7 @@ FuzzRunResult runOn(const Plan &P, uint64_t Seed, const Config &Cfg,
 /// history through the recorder, so the checkers see a well-formed input
 /// whose verdict must be Ok. Doubles as the known-good state for the
 /// differential comparison and as a self-test of the checker pipeline.
-FuzzRunResult interpretSerially(const FuzzPlan &Plan, const FuzzConfig &Cfg) {
+FuzzRunResult interpretSerially(const FuzzPlan &Plan) {
   FuzzRunResult R;
   R.Expected = expectedContents(Plan);
 
@@ -487,7 +485,8 @@ FuzzRunResult interpretSerially(const FuzzPlan &Plan, const FuzzConfig &Cfg) {
     }
 
   R.Final = indexed(Values);
-  judge(R, Rec.take(), Cfg.Checker, Evidence{}, plannedCommits(Plan));
+  judge(R, Rec.take(), /*ValuesAreUnique=*/true, Evidence{},
+        plannedCommits(Plan));
   return R;
 }
 
@@ -508,7 +507,7 @@ FuzzRunResult runPlan(const Plan &P, uint64_t Seed, FuzzBackend Backend,
     // structure, executed by one worker thread-major — a genuinely
     // serial interleaving whose history the checkers must accept.
     if constexpr (std::is_same_v<Plan, FuzzPlan>)
-      return interpretSerially(P, Cfg);
+      return interpretSerially(P);
     else
       return runOn<Tl2Backend, W>(P, Seed, Cfg, /*Serial=*/true);
   }

@@ -95,7 +95,6 @@ struct FuzzRunConfig {
   /// Fault injection for every backend that has the mutant (mutation
   /// self-tests only; EngineFault lists which engine each knob breaks).
   EngineFault Fault;
-  CheckerConfig Checker;
 };
 
 /// Shape of the rmw workload. The defaults are sized for a single-core

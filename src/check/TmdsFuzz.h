@@ -68,9 +68,9 @@ struct TmdsPlan {
   std::vector<std::pair<uint64_t, uint64_t>> expectedFinal() const;
 };
 
-/// Shape of the map workloads. Checker.ValuesAreUnique is forced off by
-/// the runner (distinct map entries may legitimately carry equal values
-/// and node cells are recycled across keys between runs).
+/// Shape of the map workloads. The runner checks their histories with
+/// ValuesAreUnique off (distinct map entries may legitimately carry equal
+/// values and node cells are recycled across keys between runs).
 struct TmdsFuzzConfig : FuzzRunConfig {
   TmdsStructure Structure = TmdsStructure::SkipList;
   unsigned Threads = 3;

@@ -34,13 +34,17 @@ inline const char *sizeClassName(SizeClass S) {
   return "?";
 }
 
-/// Parses "small" / "medium" / "large" (defaults to Small on junk).
-inline SizeClass parseSizeClass(const std::string &Name) {
-  if (Name == "medium")
-    return SizeClass::Medium;
-  if (Name == "large")
-    return SizeClass::Large;
-  return SizeClass::Small;
+/// The names sizeClassFromName knows, for messages.
+inline constexpr const char *SizeClassNames = "small, medium or large";
+
+/// Looks up "small", "medium" or "large"; false on any other name.
+inline bool sizeClassFromName(const std::string &Name, SizeClass &Out) {
+  for (SizeClass S : {SizeClass::Small, SizeClass::Medium, SizeClass::Large})
+    if (Name == sizeClassName(S)) {
+      Out = S;
+      return true;
+    }
+  return false;
 }
 
 } // namespace gstm

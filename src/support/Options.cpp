@@ -8,14 +8,19 @@
 #include "support/Options.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 using namespace gstm;
 
 Options Options::parse(int Argc, const char *const *Argv) {
   Options Opts;
+  if (Argc > 0)
+    Opts.Tool = toolName(Argv[0]);
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg.rfind("--", 0) != 0) {
@@ -40,22 +45,40 @@ std::vector<std::string> Options::keys() const {
   return Out;
 }
 
+std::string gstm::toolName(const char *Argv0) {
+  std::string Tool = Argv0;
+  return Tool.substr(Tool.find_last_of('/') + 1);
+}
+
+void Options::fail(const std::string &Key, const std::string &Why) const {
+  std::fprintf(stderr, "%s: --%s %s\n", Tool.c_str(), Key.c_str(),
+               Why.c_str());
+  std::exit(2);
+}
+
 int64_t Options::getInt(const std::string &Key, int64_t Default) const {
   auto It = Values.find(Key);
   if (It == Values.end())
     return Default;
+  const char *Text = It->second.c_str();
   char *End = nullptr;
-  int64_t V = std::strtoll(It->second.c_str(), &End, 10);
-  return (End && *End == '\0') ? V : Default;
+  errno = 0;
+  const long long V = std::strtoll(Text, &End, 10);
+  if (*Text == '\0' || *End != '\0' || errno == ERANGE)
+    fail(Key, "must be an integer, not '" + It->second + "'");
+  return V;
 }
 
 double Options::getDouble(const std::string &Key, double Default) const {
   auto It = Values.find(Key);
   if (It == Values.end())
     return Default;
+  const char *Text = It->second.c_str();
   char *End = nullptr;
-  double V = std::strtod(It->second.c_str(), &End);
-  return (End && *End == '\0') ? V : Default;
+  const double V = std::strtod(Text, &End);
+  if (*Text == '\0' || *End != '\0')
+    fail(Key, "must be a number, not '" + It->second + "'");
+  return V;
 }
 
 std::string Options::getString(const std::string &Key,
@@ -68,7 +91,42 @@ bool Options::getBool(const std::string &Key, bool Default) const {
   auto It = Values.find(Key);
   if (It == Values.end())
     return Default;
-  return It->second != "0" && It->second != "false";
+  const std::string &V = It->second;
+  if (V != "1" && V != "0" && V != "true" && V != "false")
+    fail(Key, "must be 1, 0, true or false, not '" + V + "'");
+  return V == "1" || V == "true";
+}
+
+/// The rule a value outside [Min, Max] broke, in the shortest text that
+/// reads back as each bound.
+template <class T> static std::string rangeRule(T Min, T Max) {
+  auto Text = [](T V) {
+    char Buf[32];
+    return std::string(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+  };
+  if (Max >= std::numeric_limits<T>::max())
+    return "must be at least " + Text(Min);
+  return "must be in [" + Text(Min) + ", " + Text(Max) + "]";
+}
+
+int64_t Options::getInt(const std::string &Key, int64_t Default, int64_t Min,
+                        int64_t Max) const {
+  if (!has(Key))
+    return Default;
+  const int64_t V = getInt(Key, Default);
+  if (V < Min || V > Max)
+    fail(Key, rangeRule(Min, Max));
+  return V;
+}
+
+double Options::getDouble(const std::string &Key, double Default, double Min,
+                          double Max) const {
+  if (!has(Key))
+    return Default;
+  const double V = getDouble(Key, Default);
+  if (!(V >= Min && V <= Max))
+    fail(Key, rangeRule(Min, Max));
+  return V;
 }
 
 OptionSet::OptionSet(std::string Tool, std::string Banner,

@@ -31,14 +31,14 @@ const char *gstm::questPatternName(QuestPattern Q) {
   return "?";
 }
 
-QuestPattern gstm::parseQuestPattern(const std::string &Name) {
-  if (Name == "4worst_case")
-    return QuestPattern::WorstCase4;
-  if (Name == "4moving")
-    return QuestPattern::Moving4;
-  if (Name == "4center_spread6")
-    return QuestPattern::CenterSpread6;
-  return QuestPattern::Quadrants4;
+bool gstm::questPatternFromName(const std::string &Name, QuestPattern &Out) {
+  for (QuestPattern Q : {QuestPattern::WorstCase4, QuestPattern::Moving4,
+                         QuestPattern::Quadrants4, QuestPattern::CenterSpread6})
+    if (Name == questPatternName(Q)) {
+      Out = Q;
+      return true;
+    }
+  return false;
 }
 
 uint32_t SynQuakeGame::cellIndexFor(double X, double Y) const {

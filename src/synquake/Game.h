@@ -49,7 +49,8 @@ enum class QuestPattern : uint8_t {
 };
 
 const char *questPatternName(QuestPattern Q);
-QuestPattern parseQuestPattern(const std::string &Name);
+/// Looks up a questPatternName; false on any other name.
+bool questPatternFromName(const std::string &Name, QuestPattern &Out);
 
 /// Parameters of one SynQuake simulation.
 struct SynQuakeParams {

@@ -10,25 +10,26 @@
 # save an empty model (zero runs or threads), guide with a Tfactor below
 # 1 (no transition admitted; an assert in a Debug build), print a row of
 # zeros as a result (zero runs or frames), or silently fall back to
-# defaults (a thread count out of range, a misspelled or removed key). A
-# case whose bad value used to exit 2 for an unrelated reason also names
-# the message it must print. Invoked by the `cli_rejects_bad_counts`
-# ctest:
+# defaults (a thread count out of range, a misspelled or removed key, a
+# value that does not parse, an unknown size class or quest). A case
+# whose bad value used to exit 2 for an unrelated reason also names the
+# message it must print. Invoked by the `cli_rejects_bad_counts` ctest:
 #
 #   cmake -DCHECK_FUZZ=<check_fuzz> -DOLTP_YCSB=<oltp_ycsb>
 #         -DBENCH_RUNNER=<bench_runner> -DMODEL_CTL=<model_ctl>
 #         -DPAPER_STAMP=<paper_stamp>
 #         -DPAPER_SYNQUAKE=<paper_synquake> -DQUICKSTART=<quickstart>
-#         -DSTM_LINT=<stm_lint> -P CliRejects.cmake
+#         -DSTM_LINT=<stm_lint> -DBENCH_REGRESS=<bench_regress>
+#         -DGAME_SERVER=<game_server> -P CliRejects.cmake
 
 if(NOT CHECK_FUZZ OR NOT OLTP_YCSB OR NOT BENCH_RUNNER OR NOT MODEL_CTL
    OR NOT PAPER_STAMP OR NOT PAPER_SYNQUAKE OR NOT QUICKSTART
-   OR NOT STM_LINT)
+   OR NOT STM_LINT OR NOT BENCH_REGRESS OR NOT GAME_SERVER)
   message(FATAL_ERROR
       "usage: cmake -DCHECK_FUZZ=<bin> -DOLTP_YCSB=<bin> "
       "-DBENCH_RUNNER=<bin> -DMODEL_CTL=<bin> -DPAPER_STAMP=<bin> "
       "-DPAPER_SYNQUAKE=<bin> -DQUICKSTART=<bin> -DSTM_LINT=<bin> "
-      "-P CliRejects.cmake")
+      "-DBENCH_REGRESS=<bin> -DGAME_SERVER=<bin> -P CliRejects.cmake")
 endif()
 
 # expect_usage_error(<command>... [MESSAGE <regex>])
@@ -73,6 +74,14 @@ expect_usage_error(${CHECK_FUZZ} --backend=orec-eager --threads=65 --iters=4)
 expect_usage_error(${CHECK_FUZZ} --preempt-shift=64 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --preempt-shift=-1 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --perturb-shift=64 --iters=1)
+# A value that does not parse used to run with the default (seed 1, 256
+# seeds), a negative count wrapped to 2^32 (bad_alloc), and zero
+# variables checked plans with nothing shared.
+expect_usage_error(${CHECK_FUZZ} --seed=12x MESSAGE "--seed")
+expect_usage_error(${CHECK_FUZZ} --iters=abc MESSAGE "--iters")
+expect_usage_error(${CHECK_FUZZ} --txns=-1 --iters=1 MESSAGE "--txns")
+expect_usage_error(${CHECK_FUZZ} --vars=0 --iters=1 MESSAGE "--vars")
+expect_usage_error(${OLTP_YCSB} --seed=1.5 ${OltpSmall} MESSAGE "--seed")
 
 # A bench_runner that got past its checks would write a snapshot; keep it
 # in the build tree.
@@ -83,6 +92,14 @@ expect_usage_error(${BENCH_RUNNER} --smoke --suite=stamp --threads=0
                    ${BenchOut} MESSAGE "--threads")
 expect_usage_error(${BENCH_RUNNER} --smoke --suite=stamp --threads=100
                    ${BenchOut} MESSAGE "--threads")
+expect_usage_error(${BENCH_RUNNER} --smoke --suite=stamp --repeats=abc
+                   ${BenchOut} MESSAGE "--repeats")
+
+# bench_regress gated every row at 0% on a tolerance that did not parse;
+# the directory holds no snapshot, so a run past the check passes.
+expect_usage_error(${BENCH_REGRESS} --tolerance=abc
+                   --dir=${CMAKE_CURRENT_BINARY_DIR}/cli-rejects
+                   MESSAGE "--tolerance")
 
 # model_ctl needs a real model for its load cases; a save or load that got
 # past its checks writes or reads it in the build tree.
@@ -107,6 +124,8 @@ expect_usage_error(${Save} --threads=2 --runs=0 --out=${ModelDir}/r0.tsa
                    MESSAGE "--runs")
 expect_usage_error(${Load} --threads=0 --runs=1 MESSAGE "--threads")
 expect_usage_error(${Load} --threads=2 --runs=0 MESSAGE "--runs")
+expect_usage_error(${Save} --threads=2 --runs=abc --out=${ModelDir}/rabc.tsa
+                   MESSAGE "--runs")
 expect_usage_error(${MODEL_CTL} info ${Model} --tfactor=0 MESSAGE "--tfactor")
 expect_usage_error(${MODEL_CTL} info ${Model} --tfactor=nan
                    MESSAGE "--tfactor")
@@ -130,6 +149,17 @@ expect_usage_error(${Stamp} --threads=2 --runs=1 --tfactor=0.5
 # tuples online.
 expect_usage_error(${Stamp} --threads=2 --runs=1 --grouping=causal
                    MESSAGE "unknown option '--grouping'")
+# A count, size class or bool that does not parse used to run with the
+# default (runs=8, small inputs, forcing on).
+set(StampNoSize ${PAPER_STAMP} --workloads=kmeans --profile-runs=1
+                --threads=2)
+expect_usage_error(${Stamp} --threads=2 --runs=abc MESSAGE "--runs")
+expect_usage_error(${StampNoSize} --runs=1 --size=lage --train-size=small
+                   MESSAGE "--size")
+expect_usage_error(${StampNoSize} --runs=1 --size=small --train-size=Medium
+                   MESSAGE "--train-size")
+expect_usage_error(${Stamp} --threads=2 --runs=1 --force-guided=no
+                   MESSAGE "--force-guided")
 
 # The SynQuake paper driver (Table V, Figures 11 and 12) parses with
 # SynQuakeBenchOptions::parse and the checks above.
@@ -151,6 +181,9 @@ expect_usage_error(${QUICKSTART} --threads=0 MESSAGE "--threads")
 expect_usage_error(${QUICKSTART} --threads=65 MESSAGE "--threads")
 expect_usage_error(${QUICKSTART} --thraeds=2
                    MESSAGE "unknown option '--thraeds'")
+# An unknown quest used to run 4quadrants.
+expect_usage_error(${GAME_SERVER} --quest=center --players=20 --frames=2
+                   MESSAGE "--quest")
 
 # stm_lint reports in text only and reads no waiver file: the JSON, SARIF
 # and baseline options are refused.

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <thread>
 
@@ -164,11 +165,84 @@ TEST(OptionsTest, ParsesKeyValueAndFlags) {
   EXPECT_EQ(Opts.getInt("missing", 42), 42);
 }
 
-TEST(OptionsTest, MalformedNumbersFallBack) {
-  const char *Argv[] = {"prog", "--runs=abc", "--t=1.5x"};
+TEST(OptionsDeathTest, MalformedNumbersExitTwo) {
+  // A value that does not parse used to fall back to the default.
+  const char *Argv[] = {"bin/prog", "--runs=abc", "--t=1.5x", "--n=",
+                        "--big=9223372036854775808", "--seed=12x"};
+  Options Opts = Options::parse(6, Argv);
+  EXPECT_EXIT(Opts.getInt("runs", 9), testing::ExitedWithCode(2),
+              "prog: --runs must be an integer, not 'abc'");
+  EXPECT_EXIT(Opts.getDouble("t", 2.5), testing::ExitedWithCode(2),
+              "prog: --t must be a number, not '1.5x'");
+  EXPECT_EXIT(Opts.getInt("n", 1), testing::ExitedWithCode(2), "--n ");
+  EXPECT_EXIT(Opts.getInt("big", 1), testing::ExitedWithCode(2), "--big ");
+  EXPECT_EXIT(Opts.getInt("seed", 1), testing::ExitedWithCode(2), "--seed ");
+}
+
+TEST(OptionsTest, RangeReadsPassInRangeValuesAndDefaults) {
+  const char *Argv[] = {"prog", "--n=4", "--f=0.5", "--lo=0"};
+  Options Opts = Options::parse(4, Argv);
+  EXPECT_EQ(Opts.getInt("n", 1, 1, 4), 4);
+  EXPECT_EQ(Opts.getInt("lo", 1, 0, 0), 0);
+  EXPECT_DOUBLE_EQ(Opts.getDouble("f", 2, 0, 0.5), 0.5);
+  // An absent key returns its default unchecked (0 can mean "unset").
+  EXPECT_EQ(Opts.getInt("missing", 0, 1, 8), 0);
+  EXPECT_DOUBLE_EQ(Opts.getDouble("missing", -1, 0, 1), -1);
+}
+
+TEST(OptionsDeathTest, RangeReadsExitTwoOutsideTheRange) {
+  const char *Argv[] = {"prog",          "--runs=0",  "--shift=64",
+                        "--theta=-0.5",  "--rate=nan", "--tfactor=nan",
+                        "--count=5000000000"};
+  Options Opts = Options::parse(7, Argv);
+  // Below Min; with no upper bound the message names only the minimum.
+  EXPECT_EXIT(Opts.getInt("runs", 1, 1, INT64_MAX), testing::ExitedWithCode(2),
+              "prog: --runs must be at least 1");
+  EXPECT_EXIT(Opts.getDouble("theta", 0, 0, 0.75), testing::ExitedWithCode(2),
+              "prog: --theta must be in \\[0, 0.75\\]");
+  // Above Max.
+  EXPECT_EXIT(Opts.getInt("shift", 0, 0, 63), testing::ExitedWithCode(2),
+              "prog: --shift must be in \\[0, 63\\]");
+  // NaN fails every comparison, so it is outside any range.
+  EXPECT_EXIT(Opts.getDouble("rate", 0, 0, 1), testing::ExitedWithCode(2),
+              "--rate must be in \\[0, 1\\]");
+  EXPECT_EXIT(Opts.getDouble("tfactor", 4, 1, HUGE_VAL),
+              testing::ExitedWithCode(2), "--tfactor must be at least 1");
+  // A value that would wrap a 32-bit count.
+  EXPECT_EXIT(Opts.getInt("count", 1, 1, UINT32_MAX),
+              testing::ExitedWithCode(2),
+              "--count must be in \\[1, 4294967295\\]");
+}
+
+TEST(OptionsDeathTest, BoolTakesOnlyOneZeroTrueFalse) {
+  const char *Argv[] = {"prog", "--force-guided=no", "--json="};
   Options Opts = Options::parse(3, Argv);
-  EXPECT_EQ(Opts.getInt("runs", 9), 9);
-  EXPECT_EQ(Opts.getDouble("t", 2.5), 2.5);
+  EXPECT_EXIT(Opts.getBool("force-guided", false), testing::ExitedWithCode(2),
+              "prog: --force-guided must be 1, 0, true or false, not 'no'");
+  EXPECT_EXIT(Opts.getBool("json", false), testing::ExitedWithCode(2),
+              "--json ");
+}
+
+namespace {
+bool colorFromName(const std::string &Name, int &Out) {
+  Out = Name == "red" ? 1 : Name == "blue" ? 2 : 0;
+  return Out != 0;
+}
+} // namespace
+
+TEST(OptionsTest, EnumReadsMapKnownNames) {
+  const char *Argv[] = {"prog", "--color=blue"};
+  Options Opts = Options::parse(2, Argv);
+  EXPECT_EQ(Opts.getEnum("color", "red", colorFromName, "red or blue"), 2);
+  EXPECT_EQ(Opts.getEnum("shade", "red", colorFromName, "red or blue"), 1);
+}
+
+TEST(OptionsDeathTest, EnumReadsExitTwoOnUnknownNames) {
+  const char *Argv[] = {"prog", "--color=green"};
+  Options Opts = Options::parse(2, Argv);
+  EXPECT_EXIT(Opts.getEnum("color", "red", colorFromName, "red or blue"),
+              testing::ExitedWithCode(2),
+              "prog: --color must be red or blue, not 'green'");
 }
 
 TEST(OptionsTest, BoolFalseSpellings) {

@@ -25,8 +25,14 @@ SynQuakeParams smallParams(QuestPattern Quest) {
 TEST(QuestPatternTest, NameRoundTrip) {
   for (QuestPattern Q :
        {QuestPattern::WorstCase4, QuestPattern::Moving4,
-        QuestPattern::Quadrants4, QuestPattern::CenterSpread6})
-    EXPECT_EQ(parseQuestPattern(questPatternName(Q)), Q);
+        QuestPattern::Quadrants4, QuestPattern::CenterSpread6}) {
+    QuestPattern Back{};
+    EXPECT_TRUE(questPatternFromName(questPatternName(Q), Back));
+    EXPECT_EQ(Back, Q);
+  }
+  // An unknown name is refused, not mapped to 4quadrants.
+  QuestPattern Unknown{};
+  EXPECT_FALSE(questPatternFromName("center", Unknown));
 }
 
 TEST(SynQuakeTest, RunsAndConservesInvariants) {

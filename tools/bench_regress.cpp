@@ -29,6 +29,7 @@
 #include "support/Options.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -119,8 +120,7 @@ int main(int Argc, char **Argv) {
                 });
   Options Opts = Cli.parseOrExit(Argc, Argv);
   const fs::path Dir = Opts.getString("dir", ".");
-  const double BaseTol =
-      std::strtod(Opts.getString("tolerance", "0.30").c_str(), nullptr);
+  const double BaseTol = Opts.getDouble("tolerance", 0.30, 0, HUGE_VAL);
 
   std::vector<Snapshot> Snaps;
   std::error_code Ec;

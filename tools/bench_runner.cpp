@@ -463,20 +463,9 @@ int main(int Argc, char **Argv) {
   const std::string Suite = Opts.getString("suite", "all");
   // More threads than stats shards would alias single-writer shards, and
   // zero repeats would publish a snapshot of zero medians.
-  const int64_t ThreadsArg = Opts.getInt("threads", 8);
-  if (ThreadsArg < 1 || ThreadsArg > static_cast<int64_t>(StatsShardCount)) {
-    std::fprintf(stderr, "bench_runner: --threads must be in [1, %zu]\n",
-                 StatsShardCount);
-    return 2;
-  }
-  const int64_t RepeatsArg = Opts.getInt("repeats", Smoke ? 2 : 5);
-  if (RepeatsArg < 1) {
-    std::fprintf(stderr, "bench_runner: --repeats must be at least 1\n");
-    return 2;
-  }
-  const auto Threads = static_cast<unsigned>(ThreadsArg);
-  const auto Repeats = static_cast<unsigned>(RepeatsArg);
-  const uint64_t Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
+  const unsigned Threads = Opts.getInt("threads", 8, 1, StatsShardCount);
+  const unsigned Repeats = Opts.getInt("repeats", Smoke ? 2 : 5, 1, INT64_MAX);
+  const uint64_t Seed = Opts.getInt("seed", 1);
   const fs::path OutDir = Opts.getString("out-dir", ".");
 
   std::string MicroBin = Opts.getString("micro-bin", "");

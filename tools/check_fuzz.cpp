@@ -32,7 +32,6 @@
 
 #include <cstdio>
 #include <string>
-#include <utility>
 
 using namespace gstm;
 
@@ -81,43 +80,27 @@ int main(int Argc, char **Argv) {
   Options Opts = Cli.parseOrExit(Argc, Argv);
 
   const bool Smoke = Opts.getBool("smoke", false);
-  const uint64_t SeedBase =
-      static_cast<uint64_t>(Opts.getInt("seed-base", 1));
-  const uint64_t Iters = static_cast<uint64_t>(
-      Opts.getInt("iters", Smoke ? 1024 : 256));
+  const uint64_t SeedBase = Opts.getInt("seed-base", 1);
+  const uint64_t Iters = Opts.getInt("iters", Smoke ? 1024 : 256, 1, INT64_MAX);
   const std::string BackendName = Opts.getString("backend", "all");
   const std::string WorkloadName = Opts.getString("workload", "rmw");
   const bool Verbose = Opts.getBool("verbose", false);
 
   FuzzConfig Cfg;
   TmdsFuzzConfig TCfg;
-  if (WorkloadName != "rmw" &&
-      !tmdsStructureFromName(WorkloadName, TCfg.Structure)) {
-    std::fprintf(stderr,
-                 "check_fuzz: unknown --workload=%s (want rmw, skiplist or "
-                 "btree)\n",
-                 WorkloadName.c_str());
-    return 2;
-  }
+  if (WorkloadName != "rmw")
+    TCfg.Structure = Opts.getEnum("workload", "", tmdsStructureFromName,
+                                  "rmw, skiplist or btree");
   FuzzBackend Only = FuzzBackend::Tl2Lazy;
   std::span<const FuzzBackend> Backends = AllFuzzBackends;
   if (BackendName != "all") {
-    if (!fuzzBackendFromName(BackendName, Only)) {
-      std::fprintf(stderr,
-                   "check_fuzz: unknown --backend=%s (want one of %s)\n",
-                   BackendName.c_str(), BackendNames.c_str());
-      return 2;
-    }
+    Only = Opts.getEnum("backend", "", fuzzBackendFromName,
+                        ("one of " + BackendNames).c_str());
     Backends = {&Only, 1};
   }
-  const int64_t Threads = Opts.getInt("threads", Cfg.Threads);
-  if (Threads < 1 || Threads > static_cast<int64_t>(StatsShardCount)) {
-    std::fprintf(stderr, "check_fuzz: --threads must be in [1, %zu]\n",
-                 StatsShardCount);
-    return 2;
-  }
-  Cfg.ShardCount =
-      static_cast<unsigned>(Opts.getInt("shards", Cfg.ShardCount));
+  const unsigned Threads =
+      Opts.getInt("threads", Cfg.Threads, 1, StatsShardCount);
+  Cfg.ShardCount = Opts.getInt("shards", Cfg.ShardCount, 1, MaxShardCount);
   if (!isValidShardCount(Cfg.ShardCount)) {
     std::fprintf(stderr,
                  "check_fuzz: --shards=%u is not a power of two in [1, %u]\n",
@@ -126,15 +109,8 @@ int main(int Argc, char **Argv) {
   }
 
   // Both shifts size a `1 << N` mask; a 64-bit shift is undefined.
-  for (auto [Flag, Field] : {std::pair{"preempt-shift", &Cfg.PreemptShift},
-                             std::pair{"perturb-shift", &Cfg.PerturbShift}}) {
-    const int64_t Shift = Opts.getInt(Flag, int64_t{*Field});
-    if (Shift < 0 || Shift > 63) {
-      std::fprintf(stderr, "check_fuzz: --%s must be in [0, 63]\n", Flag);
-      return 2;
-    }
-    *Field = static_cast<unsigned>(Shift);
-  }
+  Cfg.PreemptShift = Opts.getInt("preempt-shift", Cfg.PreemptShift, 0, 63);
+  Cfg.PerturbShift = Opts.getInt("perturb-shift", Cfg.PerturbShift, 0, 63);
   // Fault injection, for watching the checkers catch a broken STM by hand
   // (the mutation self-tests in tests/ automate this).
   Cfg.Fault.SkipReadValidation = Opts.getBool("inject-skip-validation", false);
@@ -142,21 +118,19 @@ int main(int Argc, char **Argv) {
   Cfg.Fault.SkipUndoReplay = Opts.getBool("inject-skip-undo", false);
   static_cast<FuzzRunConfig &>(TCfg) = Cfg;
 
-  // Plan shapes: the two workloads keep their own defaults.
-  Cfg.Threads = TCfg.Threads = static_cast<unsigned>(Threads);
-  Cfg.TxnsPerThread =
-      static_cast<unsigned>(Opts.getInt("txns", Cfg.TxnsPerThread));
-  Cfg.Vars = static_cast<unsigned>(Opts.getInt("vars", Cfg.Vars));
-  Cfg.MaxOpsPerTxn =
-      static_cast<unsigned>(Opts.getInt("ops", Cfg.MaxOpsPerTxn));
-  TCfg.TxnsPerThread =
-      static_cast<unsigned>(Opts.getInt("txns", TCfg.TxnsPerThread));
-  TCfg.OpsPerTxn = static_cast<unsigned>(Opts.getInt("ops", TCfg.OpsPerTxn));
-  TCfg.Keys = static_cast<unsigned>(Opts.getInt("keys", TCfg.Keys));
+  // Plan shapes: the two workloads keep their own defaults. Each is a
+  // count of at least 1 (a negative one would wrap to 2^32).
+  Cfg.Threads = TCfg.Threads = Threads;
+  Cfg.TxnsPerThread = Opts.getInt("txns", Cfg.TxnsPerThread, 1, INT64_MAX);
+  Cfg.Vars = Opts.getInt("vars", Cfg.Vars, 1, INT64_MAX);
+  Cfg.MaxOpsPerTxn = Opts.getInt("ops", Cfg.MaxOpsPerTxn, 1, INT64_MAX);
+  TCfg.TxnsPerThread = Opts.getInt("txns", TCfg.TxnsPerThread, 1, INT64_MAX);
+  TCfg.OpsPerTxn = Opts.getInt("ops", TCfg.OpsPerTxn, 1, INT64_MAX);
+  TCfg.Keys = Opts.getInt("keys", TCfg.Keys, 1, INT64_MAX);
 
   uint64_t First = SeedBase, Count = Iters;
   if (Opts.has("seed")) {
-    First = static_cast<uint64_t>(Opts.getInt("seed", 1));
+    First = Opts.getInt("seed", 1);
     Count = 1;
   }
 

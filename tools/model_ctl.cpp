@@ -43,6 +43,7 @@
 #include "support/Options.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -60,29 +61,6 @@ void reportLoadFailure(const std::string &Path, const ModelLoadResult &R) {
 /// Hottest states `info` lists, by outbound traffic.
 constexpr unsigned TopStates = 10;
 
-/// Refuses values no run can use: zero threads or more than
-/// StatsShardCount (single-writer stats shards would alias), zero runs
-/// (an empty model saved, an empty guided measurement reported), and a
-/// Tfactor below 1 (highProbabilityPrefix's precondition; below it no
-/// transition is admitted, NaN included).
-bool optionsUsable(const Options &Opts) {
-  const int64_t Threads = Opts.getInt("threads", 1);
-  if (Threads < 1 || Threads > static_cast<int64_t>(StatsShardCount)) {
-    std::fprintf(stderr, "model_ctl: --threads must be in [1, %zu]\n",
-                 StatsShardCount);
-    return false;
-  }
-  if (Opts.getInt("runs", 1) < 1) {
-    std::fputs("model_ctl: --runs must be at least 1\n", stderr);
-    return false;
-  }
-  if (!(Opts.getDouble("tfactor", 4.0) >= 1.0)) {
-    std::fputs("model_ctl: --tfactor must be at least 1\n", stderr);
-    return false;
-  }
-  return true;
-}
-
 int cmdSave(const Options &Opts) {
   std::string Workload = Opts.getString("workload", "");
   std::string Out = Opts.getString("out", "");
@@ -90,9 +68,12 @@ int cmdSave(const Options &Opts) {
     std::fputs("error: save needs --workload and --out\n", stderr);
     return 2;
   }
-  unsigned Threads = static_cast<unsigned>(Opts.getInt("threads", 8));
-  unsigned Runs = static_cast<unsigned>(Opts.getInt("runs", 5));
-  SizeClass Size = parseSizeClass(Opts.getString("size", "medium"));
+  // More threads than stats shards would alias single-writer shards, and
+  // zero runs would save an empty model.
+  unsigned Threads = Opts.getInt("threads", 8, 1, StatsShardCount);
+  unsigned Runs = Opts.getInt("runs", 5, 1, INT64_MAX);
+  SizeClass Size =
+      Opts.getEnum("size", "medium", sizeClassFromName, SizeClassNames);
 
   auto W = createStampWorkload(Workload, Size);
   if (!W) {
@@ -138,7 +119,9 @@ int cmdInfo(const Options &Opts) {
     return 0;
   }
   AnalyzerConfig AC;
-  AC.Tfactor = Opts.getDouble("tfactor", 4.0);
+  // highProbabilityPrefix's precondition: below 1 no transition is
+  // admitted.
+  AC.Tfactor = Opts.getDouble("tfactor", 4.0, 1, HUGE_VAL);
   AnalyzerReport Report = analyzeModel(Model, AC);
   std::printf("file:             %s\n", Path.c_str());
   std::printf("states:           %zu\n", Model.numStates());
@@ -234,14 +217,15 @@ int cmdLoad(const Options &Opts) {
 
   std::string Workload = Opts.getString("workload", "");
   auto W = createStampWorkload(
-      Workload, parseSizeClass(Opts.getString("size", "medium")));
+      Workload,
+      Opts.getEnum("size", "medium", sizeClassFromName, SizeClassNames));
   if (!W) {
     std::fprintf(stderr, "error: --run needs a valid --workload\n");
     return 2;
   }
   ExperimentConfig EC;
-  EC.Threads = static_cast<unsigned>(Opts.getInt("threads", 8));
-  EC.MeasureRuns = static_cast<unsigned>(Opts.getInt("runs", 3));
+  EC.Threads = Opts.getInt("threads", 8, 1, StatsShardCount);
+  EC.MeasureRuns = Opts.getInt("runs", 3, 1, INT64_MAX);
   EC.ForceGuided = true;
   ExperimentResult Res =
       runExperimentWithModel(*W, EC, std::move(*R.Model));
@@ -438,8 +422,6 @@ int main(int Argc, char **Argv) {
       },
       "<save|info|diff|load|stats> [FILE...]");
   Options Opts = Cli.parseOrExit(Argc, Argv);
-  if (!optionsUsable(Opts))
-    return 2;
 
   if (Opts.positionals().empty()) {
     std::fputs(Cli.usage().c_str(), stderr);
