@@ -80,8 +80,8 @@ BenchOptions BenchOptions::parse(int Argc, char **Argv,
   Options Opts = Cli.parseOrExit(Argc, Argv);
   BenchOptions B;
   B.ThreadCounts = parseThreadCounts(Opts, Tool);
-  B.ProfileRuns = Opts.getInt("profile-runs", B.ProfileRuns, 1, INT64_MAX);
-  B.MeasureRuns = Opts.getInt("runs", B.MeasureRuns, 1, INT64_MAX);
+  B.ProfileRuns = Opts.getInt("profile-runs", B.ProfileRuns, 1, UINT32_MAX);
+  B.MeasureRuns = Opts.getInt("runs", B.MeasureRuns, 1, UINT32_MAX);
   // highProbabilityPrefix's precondition: below 1 no transition is
   // admitted.
   B.Tfactor = Opts.getDouble("tfactor", B.Tfactor, 1, HUGE_VAL);
@@ -100,19 +100,6 @@ BenchOptions BenchOptions::parse(int Argc, char **Argv,
   return B;
 }
 
-ExperimentConfig gstm::experimentConfig(const BenchOptions &Opts,
-                                        unsigned Threads) {
-  ExperimentConfig Cfg;
-  Cfg.Threads = Threads;
-  Cfg.ProfileRuns = Opts.ProfileRuns;
-  Cfg.MeasureRuns = Opts.MeasureRuns;
-  Cfg.Tfactor = Opts.Tfactor;
-  Cfg.ForceGuided = Opts.ForceGuided;
-  Cfg.ProfileSeedBase = Opts.Seed * 1000 + 1;
-  Cfg.MeasureSeedBase = Opts.Seed * 1000 + 500;
-  return Cfg;
-}
-
 ExperimentResult gstm::runStampExperiment(const std::string &Workload,
                                           const BenchOptions &Opts,
                                           unsigned Threads) {
@@ -124,8 +111,15 @@ ExperimentResult gstm::runStampExperiment(const std::string &Workload,
     std::exit(1);
   }
 
-  ExperimentResult Result =
-      runExperiment(*Train, *Test, experimentConfig(Opts, Threads));
+  ExperimentConfig Cfg;
+  Cfg.Threads = Threads;
+  Cfg.ProfileRuns = Opts.ProfileRuns;
+  Cfg.MeasureRuns = Opts.MeasureRuns;
+  Cfg.Tfactor = Opts.Tfactor;
+  Cfg.ForceGuided = Opts.ForceGuided;
+  Cfg.ProfileSeedBase = Opts.Seed * 1000 + 1;
+  Cfg.MeasureSeedBase = Opts.Seed * 1000 + 500;
+  ExperimentResult Result = runExperiment(*Train, *Test, Cfg);
 
   if (!Opts.JsonDir.empty()) {
     std::string Path = Opts.JsonDir + "/" + Workload + "_t" +

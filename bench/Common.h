@@ -20,9 +20,9 @@
 ///   --force-guided=0    skip the guided side when the analyzer rejects
 ///   --json-dir=DIR      also write per-experiment JSON exports there
 ///
-/// A value a binary cannot use (a count below 1, text where a number
-/// belongs, an unknown size class) exits 2 with a message naming its key;
-/// support/Options does the parsing and range checks.
+/// A value a binary cannot use (a count below 1 or above 2^32 - 1, text
+/// where a number belongs, an unknown size class) exits 2 with a message
+/// naming its key; support/Options does the parsing and range checks.
 ///
 /// Defaults are scaled down for a small machine; raise
 /// --runs/--profile-runs toward the paper's 20 for tighter statistics.
@@ -73,17 +73,13 @@ struct BenchOptions {
   /// Parses the common options plus \p Extra, the binary's own keys,
   /// whose values the binary reads from \p Parsed. `--help` prints the
   /// usage and exits 0; an undeclared key, a thread count outside
-  /// [1, StatsShardCount], a run count below 1, a Tfactor below 1, an
-  /// unknown size class or a value that does not parse prints a message
-  /// and exits 2.
+  /// [1, StatsShardCount], a run count outside [1, 2^32 - 1], a Tfactor
+  /// below 1, an unknown size class or a value that does not parse prints
+  /// a message and exits 2.
   static BenchOptions parse(int Argc, char **Argv,
                             std::vector<OptionSpec> Extra = {},
                             Options *Parsed = nullptr);
 };
-
-/// The experiment \p Opts describes at \p Threads: run counts, Tfactor,
-/// forcing, and profile/measure seed bases derived from `--seed`.
-ExperimentConfig experimentConfig(const BenchOptions &Opts, unsigned Threads);
 
 /// Runs the full experiment pipeline for \p Workload at \p Threads.
 ExperimentResult runStampExperiment(const std::string &Workload,

@@ -37,9 +37,9 @@ struct SynQuakeBenchOptions {
   uint64_t Seed = 1;
 
   /// `--help` prints the usage and exits 0; an undeclared key, a thread
-  /// count outside [1, StatsShardCount], a count below 1, a Tfactor
-  /// below 1 or a value that does not parse prints a message and exits 2
-  /// (the checks of BenchOptions).
+  /// count outside [1, StatsShardCount], a count outside [1, 2^32 - 1],
+  /// a Tfactor below 1 or a value that does not parse prints a message
+  /// and exits 2 (the checks of BenchOptions).
   static SynQuakeBenchOptions parse(int Argc, char **Argv) {
     const std::string Tool = toolName(Argv[0]);
     OptionSet Cli(
@@ -60,12 +60,12 @@ struct SynQuakeBenchOptions {
     Options Opts = Cli.parseOrExit(Argc, Argv);
     SynQuakeBenchOptions B;
     B.ThreadCounts = parseThreadCounts(Opts, Tool);
-    B.Players = Opts.getInt("players", B.Players, 1, INT64_MAX);
-    B.Frames = Opts.getInt("frames", B.Frames, 1, INT64_MAX);
-    B.TrainFrames = Opts.getInt("train-frames", B.TrainFrames, 1, INT64_MAX);
+    B.Players = Opts.getInt("players", B.Players, 1, UINT32_MAX);
+    B.Frames = Opts.getInt("frames", B.Frames, 1, UINT32_MAX);
+    B.TrainFrames = Opts.getInt("train-frames", B.TrainFrames, 1, UINT32_MAX);
     B.ProfileRunsPerQuest =
-        Opts.getInt("profile-runs", B.ProfileRunsPerQuest, 1, INT64_MAX);
-    B.MeasureRuns = Opts.getInt("runs", B.MeasureRuns, 1, INT64_MAX);
+        Opts.getInt("profile-runs", B.ProfileRunsPerQuest, 1, UINT32_MAX);
+    B.MeasureRuns = Opts.getInt("runs", B.MeasureRuns, 1, UINT32_MAX);
     B.Tfactor = Opts.getDouble("tfactor", B.Tfactor, 1, HUGE_VAL);
     B.Seed = static_cast<uint64_t>(Opts.getInt("seed", 1));
     return B;

@@ -34,8 +34,8 @@ int main(int Argc, char **Argv) {
 
   SynQuakeExperimentConfig Cfg;
   Cfg.Threads = parseThreadCounts(Opts, Tool, "4").front();
-  Cfg.Game.NumPlayers = Opts.getInt("players", 300, 1, INT64_MAX);
-  Cfg.Game.Frames = Opts.getInt("frames", 48, 1, INT64_MAX);
+  Cfg.Game.NumPlayers = Opts.getInt("players", 300, 1, UINT32_MAX);
+  Cfg.Game.Frames = Opts.getInt("frames", 48, 1, UINT32_MAX);
   Cfg.Game.Quest = Opts.getEnum("quest", "4quadrants", questPatternFromName,
                                 "4worst_case, 4moving, 4quadrants or "
                                 "4center_spread6");

@@ -97,7 +97,7 @@ int main(int Argc, char **Argv) {
                   "transfers per thread, at least 1 (default 400)"}});
   Options Opts = Cli.parseOrExit(Argc, Argv);
   unsigned Threads = parseThreadCounts(Opts, Tool, "4").front();
-  unsigned Transfers = Opts.getInt("transfers", 400, 1, INT64_MAX);
+  unsigned Transfers = Opts.getInt("transfers", 400, 1, UINT32_MAX);
 
   Tl2Config StmCfg;
   StmCfg.PreemptShift = 5; // interleave transactions on few cores

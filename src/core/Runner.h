@@ -59,6 +59,7 @@ inline Tl2Config experimentStmConfig() {
 /// Per-run configuration shared by default and guided executions.
 struct RunnerConfig {
   unsigned Threads = 8;
+  /// The tuple grouping; Sequence is the only one.
   Grouping GroupMode = Grouping::Sequence;
   /// The run's STM configuration. runWorkloadOnce applies its PreemptShift
   /// through forcedYieldShift: only while Threads > usableCpus().

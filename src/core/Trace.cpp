@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace gstm;
 
@@ -17,11 +16,9 @@ void TraceCollector::onCommit(const CommitEvent &E) {
   assert(E.Thread < PerThread.size() && "thread id out of range");
   TraceEvent Ev;
   Ev.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
-  Ev.Version = E.Version;
   Ev.Thread = E.Thread;
   Ev.Tx = E.Tx;
   Ev.IsCommit = true;
-  Ev.ReadOnly = E.ReadOnly;
   Ev.PriorAborts = E.PriorAborts;
   PerThread[E.Thread].Events.push_back(Ev);
 }
@@ -30,12 +27,9 @@ void TraceCollector::onAbort(const AbortEvent &E) {
   assert(E.Thread < PerThread.size() && "thread id out of range");
   TraceEvent Ev;
   Ev.Seq = NextSeq.fetch_add(1, std::memory_order_relaxed);
-  Ev.Version = E.CauseVersion;
   Ev.Thread = E.Thread;
   Ev.Tx = E.Tx;
   Ev.IsCommit = false;
-  Ev.Kind = E.Kind;
-  Ev.Cause = E.Cause;
   PerThread[E.Thread].Events.push_back(Ev);
 }
 
@@ -71,11 +65,11 @@ void TraceCollector::reset() {
   NextSeq.store(0, std::memory_order_relaxed);
 }
 
-/// Sequence mode: every commit absorbs the aborts logged since the
-/// previous commit. Trailing aborts with no subsequent commit are dropped,
-/// as in the paper's Tseq parsing.
-static std::vector<StateTuple>
-groupSequence(const std::vector<TraceEvent> &Trace) {
+/// Every commit absorbs the aborts logged since the previous commit.
+/// Trailing aborts with no subsequent commit are dropped, as in the
+/// paper's Tseq parsing.
+std::vector<StateTuple> gstm::groupTuples(const std::vector<TraceEvent> &Trace,
+                                          Grouping) {
   std::vector<StateTuple> Tuples;
   std::vector<TxThreadPair> Pending;
   for (const TraceEvent &E : Trace) {
@@ -91,88 +85,4 @@ groupSequence(const std::vector<TraceEvent> &Trace) {
     Tuples.push_back(std::move(S));
   }
   return Tuples;
-}
-
-/// Causal mode: each abort attaches to the commit that caused it.
-static std::vector<StateTuple>
-groupCausal(const std::vector<TraceEvent> &Trace) {
-  // Index the commits.
-  std::vector<size_t> CommitIdx;                      // trace index per commit
-  std::unordered_map<uint64_t, size_t> ByVersion;     // wv -> tuple index
-  std::unordered_map<TxThreadPair, std::vector<size_t>> ByPair;
-  for (size_t I = 0; I < Trace.size(); ++I) {
-    const TraceEvent &E = Trace[I];
-    if (!E.IsCommit)
-      continue;
-    size_t Tuple = CommitIdx.size();
-    CommitIdx.push_back(I);
-    // Read-only commits install no version; indexing them would map a
-    // conflicting writer's version onto an unrelated reader commit.
-    if (!E.ReadOnly)
-      ByVersion.emplace(E.Version, Tuple);
-    ByPair[packPair(E.Tx, E.Thread)].push_back(Tuple);
-  }
-
-  // Binary search: first tuple whose commit event follows trace index I.
-  auto NextTupleAfter = [&](size_t I) -> size_t {
-    auto It = std::upper_bound(CommitIdx.begin(), CommitIdx.end(), I);
-    return static_cast<size_t>(It - CommitIdx.begin());
-  };
-
-  std::vector<std::vector<TxThreadPair>> Aborts(CommitIdx.size());
-  for (size_t I = 0; I < Trace.size(); ++I) {
-    const TraceEvent &E = Trace[I];
-    if (E.IsCommit)
-      continue;
-    TxThreadPair Victim = packPair(E.Tx, E.Thread);
-    size_t Tuple = CommitIdx.size(); // sentinel: unattributed
-
-    if (E.Kind == AbortCauseKind::KnownCommitter && E.Version != 0) {
-      // The conflicting write version maps directly to its commit.
-      auto It = ByVersion.find(E.Version);
-      if (It != ByVersion.end())
-        Tuple = It->second;
-    } else if (E.Kind == AbortCauseKind::KnownCommitter) {
-      // We collided with a lock holder that had not committed yet: charge
-      // the holder's next commit after this abort.
-      auto It = ByPair.find(E.Cause);
-      if (It != ByPair.end()) {
-        size_t Lo = NextTupleAfter(I);
-        auto TIt = std::lower_bound(It->second.begin(), It->second.end(), Lo);
-        if (TIt != It->second.end())
-          Tuple = *TIt;
-      }
-    }
-    if (Tuple == CommitIdx.size()) {
-      // Fallback (explicit retries, stale ring entries): next commit in
-      // sequence order, as in Sequence mode.
-      Tuple = NextTupleAfter(I);
-      if (Tuple == CommitIdx.size())
-        continue; // trailing abort with no later commit: drop
-    }
-    Aborts[Tuple].push_back(Victim);
-  }
-
-  std::vector<StateTuple> Tuples;
-  Tuples.reserve(CommitIdx.size());
-  for (size_t T = 0; T < CommitIdx.size(); ++T) {
-    const TraceEvent &E = Trace[CommitIdx[T]];
-    StateTuple S;
-    S.Commit = packPair(E.Tx, E.Thread);
-    S.Aborts = std::move(Aborts[T]);
-    S.canonicalize();
-    Tuples.push_back(std::move(S));
-  }
-  return Tuples;
-}
-
-std::vector<StateTuple> gstm::groupTuples(const std::vector<TraceEvent> &Trace,
-                                          Grouping Mode) {
-  switch (Mode) {
-  case Grouping::Sequence:
-    return groupSequence(Trace);
-  case Grouping::Causal:
-    return groupCausal(Trace);
-  }
-  return {};
 }

@@ -12,15 +12,10 @@
 /// stream; groupTuples() parses a Tseq into the sequence of thread
 /// transactional states from which the model is generated (Algorithm 1).
 ///
-/// Two grouping modes are provided:
-///  * Sequence — each commit absorbs the aborts logged since the previous
-///    commit. This is cheap enough to run online and is what guided
-///    execution uses to track the current state, so models intended for
-///    guidance are built in this mode (the default).
-///  * Causal — each abort attaches to the commit that caused it, using the
-///    attribution the STM provides (lock-owner identity or commit-ring
-///    version lookup). Offline-only; used to ablate how much precise
-///    attribution changes the model (DESIGN.md Sec. 5.1).
+/// Each commit absorbs the aborts logged since the previous commit (the
+/// paper's sequence grouping). This is what a guided run forms online to
+/// track the current state, so it is the one grouping a model is built
+/// with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,24 +36,16 @@ namespace gstm {
 struct TraceEvent {
   /// Global capture order (atomic counter at emission time).
   uint64_t Seq;
-  /// Commit version for commits; conflict-exposing version for aborts
-  /// when known (else 0). For commits check ReadOnly instead of testing
-  /// Version against 0.
-  uint64_t Version;
   ThreadId Thread;
   TxId Tx;
   bool IsCommit;
-  /// Commit-only: the commit installed no version (CommitEvent::ReadOnly).
-  bool ReadOnly = false;
-  /// Abort-only fields.
-  AbortCauseKind Kind = AbortCauseKind::UnknownCommitter;
-  TxThreadPair Cause = 0;
   /// Commit-only: aborted attempts this transaction suffered first.
   uint32_t PriorAborts = 0;
 };
 
-/// How aborts are grouped with commits when parsing a Tseq into states.
-enum class Grouping : uint8_t { Sequence, Causal };
+/// How aborts are grouped with commits when parsing a Tseq into states:
+/// each commit with the aborts logged since the previous one.
+enum class Grouping : uint8_t { Sequence };
 
 /// Thread-safe recorder of the transaction event stream.
 ///
@@ -94,7 +81,7 @@ private:
 };
 
 /// Parses an ordered Tseq into the sequence of thread transactional
-/// states under the given \p Mode. Tuples are canonicalized.
+/// states; \p Mode names the one grouping. Tuples are canonicalized.
 std::vector<StateTuple> groupTuples(const std::vector<TraceEvent> &Trace,
                                     Grouping Mode);
 

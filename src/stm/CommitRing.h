@@ -9,10 +9,11 @@
 /// A lock-free ring that records, for recent commit versions, which
 /// (transaction, thread) produced them. A TL2 reader that aborts because a
 /// stripe's version exceeds its read version can look the version up here
-/// and attribute the abort to the commit that caused it — the causal
-/// information the paper's TTS tuples `{<aborted...>, committed}` encode.
-/// Entries are overwritten after `size` further commits; a failed lookup
-/// degrades gracefully to an unattributed abort.
+/// and attribute the abort to the commit that caused it. The attribution
+/// feeds the known/unknown-committer split of the abort telemetry and the
+/// Karma/Greedy contention managers; model tuples are grouped by sequence
+/// and do not read it. Entries are overwritten after `size` further
+/// commits; a failed lookup degrades gracefully to an unattributed abort.
 ///
 //===----------------------------------------------------------------------===//
 

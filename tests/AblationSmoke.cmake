@@ -1,20 +1,15 @@
-# Smallest-scale smoke of the four ablation benches: each runs kmeans on
+# Smallest-scale smoke of the two ablation benches: each runs kmeans on
 # two threads with one profiling and one measured run on the small input,
 # must exit 0 and must print its table header. Invoked by the
 # `ablation_smoke` ctest:
 #
 #   cmake -DBENCH_DIR=<dir holding the ablation_* binaries>
-#         -DWORK_DIR=<dir> -P AblationSmoke.cmake
+#         -P AblationSmoke.cmake
 
-if(NOT BENCH_DIR OR NOT WORK_DIR)
+if(NOT BENCH_DIR)
   message(FATAL_ERROR
-      "usage: cmake -DBENCH_DIR=<dir> -DWORK_DIR=<dir> -P AblationSmoke.cmake")
+      "usage: cmake -DBENCH_DIR=<dir> -P AblationSmoke.cmake")
 endif()
-
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-# ablation_warmstart saves its model file under the temp directory.
-set(ENV{TMPDIR} ${WORK_DIR})
 
 set(Small --threads=2 --profile-runs=1 --runs=1 --size=small
           --train-size=small)
@@ -34,9 +29,5 @@ endfunction()
 
 run_ablation(ablation_tfactor --workload=kmeans
              "tfactor +ND-cut +tail-cut +slowdown")
-run_ablation(ablation_grouping --workloads=kmeans
-             "benchmark +sequence st/metric +causal st/metric")
 run_ablation(ablation_contention --workload=kmeans
              "policy +aborts +distinct-TTS")
-run_ablation(ablation_warmstart --workloads=kmeans
-             "benchmark +inline prof-tx +warm prof-tx")

@@ -7,9 +7,10 @@
 # ring out of range (2^44 slots throw bad_alloc; a 64-bit shift is
 # undefined and wrapped to one slot), shift a yield mask by 64 or more
 # bits (undefined), publish a snapshot of zero medians (zero repeats),
-# save an empty model (zero runs or threads), guide with a Tfactor below
-# 1 (no transition admitted; an assert in a Debug build), print a row of
-# zeros as a result (zero runs or frames), or silently fall back to
+# save an empty model (zero runs or threads, or 2^32 runs, which wrap to
+# zero in a 32-bit count), guide with a Tfactor below 1 (no transition
+# admitted; an assert in a Debug build), print a row of zeros as a result
+# (zero or 2^32 runs, zero frames), or silently fall back to
 # defaults (a thread count out of range, a misspelled or removed key, a
 # value that does not parse, an unknown size class or quest). A case
 # whose bad value used to exit 2 for an unrelated reason also names the
@@ -126,6 +127,9 @@ expect_usage_error(${Load} --threads=0 --runs=1 MESSAGE "--threads")
 expect_usage_error(${Load} --threads=2 --runs=0 MESSAGE "--runs")
 expect_usage_error(${Save} --threads=2 --runs=abc --out=${ModelDir}/rabc.tsa
                    MESSAGE "--runs")
+# 2^32 runs wrapped to 0 in the 32-bit count and saved an empty model.
+expect_usage_error(${Save} --threads=2 --runs=4294967296
+                   --out=${ModelDir}/r2p32.tsa MESSAGE "--runs.*4294967295")
 expect_usage_error(${MODEL_CTL} info ${Model} --tfactor=0 MESSAGE "--tfactor")
 expect_usage_error(${MODEL_CTL} info ${Model} --tfactor=nan
                    MESSAGE "--tfactor")
@@ -145,8 +149,8 @@ expect_usage_error(${Stamp} --threads=2 --runs=1 --rusn=1
                    MESSAGE "unknown option '--rusn'")
 expect_usage_error(${Stamp} --threads=2 --runs=1 --tfactor=0.5
                    MESSAGE "--tfactor")
-# No guided mode takes a causal-grouped model: guided runs form sequence
-# tuples online.
+# There is one tuple grouping, the sequence tuples a guided run forms
+# online, so no front end takes a grouping option.
 expect_usage_error(${Stamp} --threads=2 --runs=1 --grouping=causal
                    MESSAGE "unknown option '--grouping'")
 # A count, size class or bool that does not parse used to run with the
@@ -154,6 +158,9 @@ expect_usage_error(${Stamp} --threads=2 --runs=1 --grouping=causal
 set(StampNoSize ${PAPER_STAMP} --workloads=kmeans --profile-runs=1
                 --threads=2)
 expect_usage_error(${Stamp} --threads=2 --runs=abc MESSAGE "--runs")
+# 2^32 runs wrapped to 0 in the 32-bit count and measured nothing.
+expect_usage_error(${Stamp} --threads=2 --runs=4294967296
+                   MESSAGE "--runs.*4294967295")
 expect_usage_error(${StampNoSize} --runs=1 --size=lage --train-size=small
                    MESSAGE "--size")
 expect_usage_error(${StampNoSize} --runs=1 --size=small --train-size=Medium

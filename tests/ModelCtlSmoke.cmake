@@ -1,5 +1,6 @@
 # End-to-end smoke of the model_ctl CLI (tools/model_ctl.cpp): profiles a
-# tiny kmeans model, saves it, inspects it, validates it, and diffs it
+# tiny kmeans model, saves it, inspects it, validates it, warm-starts a
+# guided run from it with no profiling in that process, and diffs it
 # against itself — the diff of a model against its own file must exit 0
 # (structural identity goes through the canonical serialized form, so this
 # also smokes the byte-identical round trip on a real trained model) —
@@ -61,6 +62,17 @@ execute_process(
   RESULT_VARIABLE LoadRc)
 if(NOT LoadRc EQUAL 0)
   message(FATAL_ERROR "model_ctl load (validate) failed (${LoadRc})")
+endif()
+
+# Warm start: a guided measurement from the saved file profiles nothing.
+execute_process(
+  COMMAND ${MODEL_CTL} load ${MODEL} --run --workload=kmeans --size=small
+          --threads=2 --runs=1
+  OUTPUT_VARIABLE RunOut
+  RESULT_VARIABLE RunRc)
+if(NOT RunRc EQUAL 0 OR NOT RunOut MATCHES ", 0 profiling commits")
+  message(FATAL_ERROR "model_ctl load --run must exit 0 and profile "
+      "nothing, got ${RunRc}:\n${RunOut}")
 endif()
 
 # Acceptance check: a model diffed against itself reports identity.

@@ -112,8 +112,8 @@ TEST(BenchOptionsDeathTest, UnknownKeyExitsTwo) {
   // A key one binary declares is still unknown to one that does not.
   EXPECT_EXIT(parseArgs({"--workload=kmeans"}), testing::ExitedWithCode(2),
               "unknown option '--workload'");
-  // No guided mode takes a causal-grouped model: guided runs form
-  // sequence tuples online (ablation_grouping compares the two models).
+  // There is one tuple grouping, the sequence tuples a guided run forms
+  // online, so no front end takes a grouping option.
   EXPECT_EXIT(parseArgs({"--grouping=causal"}), testing::ExitedWithCode(2),
               "unknown option '--grouping'");
 }
@@ -129,11 +129,21 @@ TEST(BenchOptionsDeathTest, ThreadCountOutsideShardRangeExitsTwo) {
 
 TEST(BenchOptionsDeathTest, RunCountBelowOneExitsTwo) {
   EXPECT_EXIT(parseArgs({"--runs=0"}), testing::ExitedWithCode(2),
-              "--runs must be at least 1");
+              "--runs must be in \\[1, 4294967295\\]");
   EXPECT_EXIT(parseArgs({"--runs=-1"}), testing::ExitedWithCode(2),
-              "--runs must be at least 1");
+              "--runs must be in \\[1, 4294967295\\]");
   EXPECT_EXIT(parseArgs({"--profile-runs=0"}), testing::ExitedWithCode(2),
-              "--profile-runs must be at least 1");
+              "--profile-runs must be in \\[1, 4294967295\\]");
+}
+
+TEST(BenchOptionsDeathTest, RunCountAbove32BitsExitsTwo) {
+  // The counts are 32-bit: 2^32 used to wrap to 0 runs.
+  EXPECT_EXIT(parseArgs({"--runs=4294967296"}), testing::ExitedWithCode(2),
+              "--runs must be in \\[1, 4294967295\\]");
+  EXPECT_EXIT(parseArgs({"--profile-runs=4294967296"}),
+              testing::ExitedWithCode(2),
+              "--profile-runs must be in \\[1, 4294967295\\]");
+  EXPECT_EQ(parseArgs({"--runs=4294967295"}).MeasureRuns, 4294967295u);
 }
 
 TEST(BenchOptionsDeathTest, TfactorBelowOneExitsTwo) {
@@ -202,8 +212,19 @@ TEST(SynQuakeBenchOptionsDeathTest, CountBelowOneExitsTwo) {
     for (const char *Value : {"0", "-1"})
       EXPECT_EXIT(parseSynQuake({std::string("--") + Key + "=" + Value}),
                   testing::ExitedWithCode(2),
-                  std::string("--") + Key + " must be at least 1")
+                  std::string("--") + Key +
+                      " must be in \\[1, 4294967295\\]")
           << Key << "=" << Value;
+}
+
+TEST(SynQuakeBenchOptionsDeathTest, CountAbove32BitsExitsTwo) {
+  for (const char *Key :
+       {"runs", "frames", "train-frames", "profile-runs", "players"})
+    EXPECT_EXIT(parseSynQuake({std::string("--") + Key + "=4294967296"}),
+                testing::ExitedWithCode(2),
+                std::string("--") + Key +
+                    " must be in \\[1, 4294967295\\]")
+        << Key;
 }
 
 TEST(SynQuakeBenchOptionsDeathTest, TfactorBelowOneExitsTwo) {

@@ -524,9 +524,7 @@ TEST(GuideControllerTest, ConcurrentAbortsFoldIntoExactlyOneTuple) {
 TEST(GuideControllerTest, OnlineTuplesEqualOfflineSequenceGrouping) {
   // The controller forms its tuples the way groupTuples' Sequence mode
   // parses the trace of the same stream: each commit absorbs the aborts
-  // logged since the previous commit. Causal grouping instead attaches an
-  // abort to the commit it names as its cause, so a model trained on
-  // causal tuples holds states a guided run never forms.
+  // logged since the previous commit.
   struct RecordingSink : TtsSink {
     std::vector<StateTuple> Tuples;
     void observeTuple(ThreadId, uint64_t, const StateTuple &Tuple) override {
@@ -560,5 +558,4 @@ TEST(GuideControllerTest, OnlineTuplesEqualOfflineSequenceGrouping) {
   ASSERT_EQ(Trace.size(), 40u * 3 + 20);
   ASSERT_EQ(Sink.Tuples.size(), 80u);
   EXPECT_EQ(Sink.Tuples, groupTuples(Trace, Grouping::Sequence));
-  EXPECT_NE(Sink.Tuples, groupTuples(Trace, Grouping::Causal));
 }

@@ -111,7 +111,7 @@ TEST(ExperimentTest, Ssca2ShapedTraceStaysWithinStateBound) {
   constexpr unsigned CommitsPerThread = 500;
   SplitMix64 Rng(0x55ca2);
   std::vector<TraceEvent> Trace;
-  uint64_t Seq = 0, Version = 0;
+  uint64_t Seq = 0;
   for (unsigned Round = 0; Round < CommitsPerThread; ++Round)
     for (unsigned T = 0; T < Threads; ++T) {
       // ~0.3% of commits are preceded by a conflict abort on a
@@ -126,7 +126,6 @@ TEST(ExperimentTest, Ssca2ShapedTraceStaysWithinStateBound) {
       }
       TraceEvent C{};
       C.Seq = Seq++;
-      C.Version = ++Version;
       C.Thread = static_cast<ThreadId>(T);
       C.Tx = 0;
       C.IsCommit = true;

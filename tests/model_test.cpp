@@ -32,30 +32,21 @@ StateTuple makeTuple(TxId CommitTx, ThreadId CommitThread,
   return S;
 }
 
-TraceEvent commitEvent(uint64_t Seq, ThreadId Thread, TxId Tx,
-                       uint64_t Version = 0, uint32_t PriorAborts = 0) {
+TraceEvent commitEvent(uint64_t Seq, ThreadId Thread, TxId Tx) {
   TraceEvent E;
   E.Seq = Seq;
-  E.Version = Version;
   E.Thread = Thread;
   E.Tx = Tx;
   E.IsCommit = true;
-  E.PriorAborts = PriorAborts;
   return E;
 }
 
-TraceEvent abortEvent(uint64_t Seq, ThreadId Thread, TxId Tx,
-                      AbortCauseKind Kind =
-                          AbortCauseKind::UnknownCommitter,
-                      TxThreadPair Cause = 0, uint64_t Version = 0) {
+TraceEvent abortEvent(uint64_t Seq, ThreadId Thread, TxId Tx) {
   TraceEvent E;
   E.Seq = Seq;
-  E.Version = Version;
   E.Thread = Thread;
   E.Tx = Tx;
   E.IsCommit = false;
-  E.Kind = Kind;
-  E.Cause = Cause;
   return E;
 }
 
@@ -120,42 +111,19 @@ TEST(GroupingTest, SequenceModeAttachesPrecedingAborts) {
   ASSERT_EQ(Tuples.size(), 2u);
   EXPECT_EQ(Tuples[0], makeTuple(0, 0, {{0, 1}, {1, 2}}));
   EXPECT_EQ(Tuples[1], makeTuple(1, 3));
-}
 
-TEST(GroupingTest, CausalModeFollowsVersionAttribution) {
-  // Commit v10 by thread 0; abort caused by v10 arrives *after* the next
-  // commit. Sequence mode would charge thread 3's commit; causal mode
-  // charges thread 0's.
-  std::vector<TraceEvent> Trace = {
-      commitEvent(0, 0, 0, /*Version=*/10),
-      commitEvent(1, 3, 1, /*Version=*/11),
-      abortEvent(2, 1, 2, AbortCauseKind::KnownCommitter, packPair(0, 0),
-                 /*Version=*/10),
-      commitEvent(3, 1, 2, /*Version=*/12),
+  // An abort logged after a commit goes to the next commit, even when an
+  // earlier commit caused it.
+  Trace = {
+      commitEvent(0, 0, 0),
+      commitEvent(1, 3, 1),
+      abortEvent(2, 1, 2),
+      commitEvent(3, 1, 2),
   };
-  auto Causal = groupTuples(Trace, Grouping::Causal);
-  ASSERT_EQ(Causal.size(), 3u);
-  EXPECT_EQ(Causal[0], makeTuple(0, 0, {{2, 1}}));
-  EXPECT_EQ(Causal[1], makeTuple(1, 3));
-
-  auto Sequence = groupTuples(Trace, Grouping::Sequence);
-  EXPECT_EQ(Sequence[0], makeTuple(0, 0));
-  EXPECT_EQ(Sequence[2], makeTuple(2, 1, {{2, 1}}));
-}
-
-TEST(GroupingTest, CausalLockOwnerChargesNextCommitOfOwner) {
-  // Abort against a lock holder (no version): the holder commits later;
-  // the abort must attach to that commit.
-  std::vector<TraceEvent> Trace = {
-      abortEvent(0, 1, 0, AbortCauseKind::KnownCommitter, packPair(5, 2),
-                 /*Version=*/0),
-      commitEvent(1, 3, 1, 20),
-      commitEvent(2, 2, 5, 21), // the lock holder's commit
-  };
-  auto Causal = groupTuples(Trace, Grouping::Causal);
-  ASSERT_EQ(Causal.size(), 2u);
-  EXPECT_EQ(Causal[0], makeTuple(1, 3));
-  EXPECT_EQ(Causal[1], makeTuple(5, 2, {{0, 1}}));
+  Tuples = groupTuples(Trace, Grouping::Sequence);
+  ASSERT_EQ(Tuples.size(), 3u);
+  EXPECT_EQ(Tuples[0], makeTuple(0, 0));
+  EXPECT_EQ(Tuples[2], makeTuple(2, 1, {{2, 1}}));
 }
 
 TEST(TsaTest, CountsStatesAndTransitions) {

@@ -29,50 +29,20 @@ using namespace gstm;
 
 namespace {
 
-/// Generates a random but well-formed trace: commits carry fresh
-/// versions; aborts reference either a known past commit version, a
-/// plausible future committer pair, or nothing.
+/// Generates a random but well-formed trace: about two thirds commits,
+/// each with a random count of prior aborts, the rest aborts.
 std::vector<TraceEvent> randomTrace(SplitMix64 &Rng, size_t Events,
                                     unsigned Threads, unsigned Sites) {
   std::vector<TraceEvent> Trace;
   uint64_t Seq = 0;
-  uint64_t Version = 10;
-  std::vector<uint64_t> PastVersions;
   for (size_t I = 0; I < Events; ++I) {
     TraceEvent E;
     E.Seq = Seq++;
     E.Thread = static_cast<ThreadId>(Rng.nextBounded(Threads));
     E.Tx = static_cast<TxId>(Rng.nextBounded(Sites));
     E.IsCommit = Rng.nextBounded(3) != 0; // ~2/3 commits
-    if (E.IsCommit) {
-      E.Version = ++Version;
-      PastVersions.push_back(E.Version);
+    if (E.IsCommit)
       E.PriorAborts = static_cast<uint32_t>(Rng.nextBounded(4));
-    } else {
-      switch (Rng.nextBounded(3)) {
-      case 0: // version-attributed abort
-        if (!PastVersions.empty()) {
-          E.Kind = AbortCauseKind::KnownCommitter;
-          E.Version =
-              PastVersions[Rng.nextBounded(PastVersions.size())];
-          E.Cause = packPair(static_cast<TxId>(Rng.nextBounded(Sites)),
-                             static_cast<ThreadId>(
-                                 Rng.nextBounded(Threads)));
-          break;
-        }
-        [[fallthrough]];
-      case 1: // lock-owner-attributed abort
-        E.Kind = AbortCauseKind::KnownCommitter;
-        E.Version = 0;
-        E.Cause = packPair(static_cast<TxId>(Rng.nextBounded(Sites)),
-                           static_cast<ThreadId>(Rng.nextBounded(Threads)));
-        break;
-      default:
-        E.Kind = AbortCauseKind::UnknownCommitter;
-        E.Version = 0;
-        E.Cause = 0;
-      }
-    }
     Trace.push_back(E);
   }
   return Trace;
@@ -95,18 +65,20 @@ TEST_P(GroupingProperty, TupleCountEqualsCommitCount) {
   auto Trace = randomTrace(Rng, 400, 8, 4);
   size_t Commits = countCommits(Trace);
   EXPECT_EQ(groupTuples(Trace, Grouping::Sequence).size(), Commits);
-  EXPECT_EQ(groupTuples(Trace, Grouping::Causal).size(), Commits);
 }
 
 TEST_P(GroupingProperty, CommitOrderPreservedInBothModes) {
   SplitMix64 Rng(GetParam() ^ 0xbeef);
   auto Trace = randomTrace(Rng, 300, 6, 3);
+  std::vector<TxThreadPair> Commits;
+  for (const TraceEvent &E : Trace)
+    if (E.IsCommit)
+      Commits.push_back(packPair(E.Tx, E.Thread));
   auto Seq = groupTuples(Trace, Grouping::Sequence);
-  auto Cau = groupTuples(Trace, Grouping::Causal);
-  ASSERT_EQ(Seq.size(), Cau.size());
+  ASSERT_EQ(Seq.size(), Commits.size());
   for (size_t I = 0; I < Seq.size(); ++I)
-    EXPECT_EQ(Seq[I].Commit, Cau[I].Commit)
-        << "grouping modes may redistribute aborts, never commits";
+    EXPECT_EQ(Seq[I].Commit, Commits[I])
+        << "grouping may move aborts, never reorder commits";
 }
 
 TEST_P(GroupingProperty, NoAbortLostBeforeFinalCommit) {
@@ -168,7 +140,7 @@ TEST_P(GroupingProperty, SaveLoadPreservesRandomModels) {
   Tsa Model;
   for (int Run = 0; Run < 3; ++Run)
     Model.addRun(
-        groupTuples(randomTrace(Rng, 150, 6, 4), Grouping::Causal));
+        groupTuples(randomTrace(Rng, 150, 6, 4), Grouping::Sequence));
 
   std::string Path = ::testing::TempDir() + "/gstm_prop_" +
                      std::to_string(GetParam()) + ".tsa";

@@ -228,7 +228,7 @@ TEST(Tl2Test, SnapshotIsolationNeverSeesTornPairs) {
   EXPECT_EQ(X.loadDirect(), 400u);
 }
 
-TEST(Tl2Test, AbortEventsCarryCausalAttribution) {
+TEST(Tl2Test, AbortEventsNameTheirCommitter) {
   // Force a conflict and check that the victim's abort names the
   // committer.
   Tl2Stm Stm;

@@ -464,7 +464,7 @@ int main(int Argc, char **Argv) {
   // More threads than stats shards would alias single-writer shards, and
   // zero repeats would publish a snapshot of zero medians.
   const unsigned Threads = Opts.getInt("threads", 8, 1, StatsShardCount);
-  const unsigned Repeats = Opts.getInt("repeats", Smoke ? 2 : 5, 1, INT64_MAX);
+  const unsigned Repeats = Opts.getInt("repeats", Smoke ? 2 : 5, 1, UINT32_MAX);
   const uint64_t Seed = Opts.getInt("seed", 1);
   const fs::path OutDir = Opts.getString("out-dir", ".");
 

@@ -119,14 +119,14 @@ int main(int Argc, char **Argv) {
   static_cast<FuzzRunConfig &>(TCfg) = Cfg;
 
   // Plan shapes: the two workloads keep their own defaults. Each is a
-  // count of at least 1 (a negative one would wrap to 2^32).
+  // count in [1, 2^32 - 1], the range of its 32-bit field.
   Cfg.Threads = TCfg.Threads = Threads;
-  Cfg.TxnsPerThread = Opts.getInt("txns", Cfg.TxnsPerThread, 1, INT64_MAX);
-  Cfg.Vars = Opts.getInt("vars", Cfg.Vars, 1, INT64_MAX);
-  Cfg.MaxOpsPerTxn = Opts.getInt("ops", Cfg.MaxOpsPerTxn, 1, INT64_MAX);
-  TCfg.TxnsPerThread = Opts.getInt("txns", TCfg.TxnsPerThread, 1, INT64_MAX);
-  TCfg.OpsPerTxn = Opts.getInt("ops", TCfg.OpsPerTxn, 1, INT64_MAX);
-  TCfg.Keys = Opts.getInt("keys", TCfg.Keys, 1, INT64_MAX);
+  Cfg.TxnsPerThread = Opts.getInt("txns", Cfg.TxnsPerThread, 1, UINT32_MAX);
+  Cfg.Vars = Opts.getInt("vars", Cfg.Vars, 1, UINT32_MAX);
+  Cfg.MaxOpsPerTxn = Opts.getInt("ops", Cfg.MaxOpsPerTxn, 1, UINT32_MAX);
+  TCfg.TxnsPerThread = Opts.getInt("txns", TCfg.TxnsPerThread, 1, UINT32_MAX);
+  TCfg.OpsPerTxn = Opts.getInt("ops", TCfg.OpsPerTxn, 1, UINT32_MAX);
+  TCfg.Keys = Opts.getInt("keys", TCfg.Keys, 1, UINT32_MAX);
 
   uint64_t First = SeedBase, Count = Iters;
   if (Opts.has("seed")) {

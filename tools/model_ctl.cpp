@@ -69,9 +69,9 @@ int cmdSave(const Options &Opts) {
     return 2;
   }
   // More threads than stats shards would alias single-writer shards, and
-  // zero runs would save an empty model.
+  // zero runs (or 2^32, which wraps to zero) would save an empty model.
   unsigned Threads = Opts.getInt("threads", 8, 1, StatsShardCount);
-  unsigned Runs = Opts.getInt("runs", 5, 1, INT64_MAX);
+  unsigned Runs = Opts.getInt("runs", 5, 1, UINT32_MAX);
   SizeClass Size =
       Opts.getEnum("size", "medium", sizeClassFromName, SizeClassNames);
 
@@ -225,7 +225,7 @@ int cmdLoad(const Options &Opts) {
   }
   ExperimentConfig EC;
   EC.Threads = Opts.getInt("threads", 8, 1, StatsShardCount);
-  EC.MeasureRuns = Opts.getInt("runs", 3, 1, INT64_MAX);
+  EC.MeasureRuns = Opts.getInt("runs", 3, 1, UINT32_MAX);
   EC.ForceGuided = true;
   ExperimentResult Res =
       runExperimentWithModel(*W, EC, std::move(*R.Model));
