@@ -10,6 +10,8 @@
 #include "core/JsonExport.h"
 #include "stm/StatsShard.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -54,6 +56,17 @@ std::vector<unsigned> gstm::parseThreadCounts(const Options &Opts,
   return Counts;
 }
 
+void gstm::checkStampWorkload(const Options &Opts, const std::string &Key,
+                              const std::string &Name) {
+  const std::vector<std::string> &Known = stampWorkloadNames();
+  if (std::find(Known.begin(), Known.end(), Name) != Known.end())
+    return;
+  std::string Want;
+  for (size_t I = 0; I < Known.size(); ++I)
+    Want += (I == 0 ? "" : I + 1 == Known.size() ? " or " : ", ") + Known[I];
+  Opts.fail(Key, "must be " + Want + ", not '" + Name + "'");
+}
+
 BenchOptions BenchOptions::parse(int Argc, char **Argv,
                                  std::vector<OptionSpec> Extra,
                                  Options *Parsed) {
@@ -95,6 +108,8 @@ BenchOptions BenchOptions::parse(int Argc, char **Argv,
 
   std::string Names = Opts.getString("workloads", "");
   B.Workloads = Names.empty() ? stampWorkloadNames() : splitList(Names);
+  for (const std::string &Name : B.Workloads)
+    checkStampWorkload(Opts, "workloads", Name);
   if (Parsed)
     *Parsed = std::move(Opts);
   return B;
@@ -105,11 +120,7 @@ ExperimentResult gstm::runStampExperiment(const std::string &Workload,
                                           unsigned Threads) {
   auto Train = createStampWorkload(Workload, Opts.TrainSize);
   auto Test = createStampWorkload(Workload, Opts.MeasureSize);
-  if (!Train || !Test) {
-    std::fprintf(stderr, "error: unknown workload '%s'\n",
-                 Workload.c_str());
-    std::exit(1);
-  }
+  assert(Train && Test && "workload names are checked by the parse");
 
   ExperimentConfig Cfg;
   Cfg.Threads = Threads;

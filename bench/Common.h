@@ -21,8 +21,9 @@
 ///   --json-dir=DIR      also write per-experiment JSON exports there
 ///
 /// A value a binary cannot use (a count below 1 or above 2^32 - 1, text
-/// where a number belongs, an unknown size class) exits 2 with a message
-/// naming its key; support/Options does the parsing and range checks.
+/// where a number belongs, an unknown size class or workload) exits 2
+/// with a message naming its key; support/Options does the parsing and
+/// range checks.
 ///
 /// Defaults are scaled down for a small machine; raise
 /// --runs/--profile-runs toward the paper's 20 for tighter statistics.
@@ -50,6 +51,11 @@ std::vector<unsigned> parseThreadCounts(const Options &Opts,
                                         const std::string &Tool,
                                         const std::string &Default = "8,16");
 
+/// Exits 2 through \p Opts, naming \p Key, unless \p Name is one of
+/// stampWorkloadNames().
+void checkStampWorkload(const Options &Opts, const std::string &Key,
+                        const std::string &Name);
+
 /// Parsed common bench options.
 struct BenchOptions {
   std::vector<unsigned> ThreadCounts = {8, 16};
@@ -74,14 +80,15 @@ struct BenchOptions {
   /// whose values the binary reads from \p Parsed. `--help` prints the
   /// usage and exits 0; an undeclared key, a thread count outside
   /// [1, StatsShardCount], a run count outside [1, 2^32 - 1], a Tfactor
-  /// below 1, an unknown size class or a value that does not parse prints
-  /// a message and exits 2.
+  /// below 1, an unknown size class or workload or a value that does not
+  /// parse prints a message and exits 2.
   static BenchOptions parse(int Argc, char **Argv,
                             std::vector<OptionSpec> Extra = {},
                             Options *Parsed = nullptr);
 };
 
-/// Runs the full experiment pipeline for \p Workload at \p Threads.
+/// Runs the full experiment pipeline for \p Workload, a checked STAMP
+/// name, at \p Threads.
 ExperimentResult runStampExperiment(const std::string &Workload,
                                     const BenchOptions &Opts,
                                     unsigned Threads);

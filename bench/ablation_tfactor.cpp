@@ -26,6 +26,7 @@ int main(int Argc, char **Argv) {
       {{"workload", "NAME", "STAMP workload to sweep (default kmeans)"}},
       &Raw);
   std::string Name = Raw.getString("workload", "kmeans");
+  checkStampWorkload(Raw, "workload", Name);
   unsigned Threads = Opts.ThreadCounts.front();
   printBanner("Ablation: Tfactor sweep (paper Sec. VI: 4 balances)",
               "paper Sec. VI", Opts);

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Safety checkers over recorded transactional histories (check/History.h).
-/// Guided commit optimization, replay gating and contention management all
-/// reorder and throttle commits; these checkers are the harness that
-/// proves such reordering never bought performance with correctness.
+/// Guided commit optimization and replay gating reorder and throttle
+/// commits; these checkers are the harness that proves such reordering
+/// never bought performance with correctness.
 ///
 /// Three layers, cheapest first:
 ///

@@ -7,6 +7,7 @@
 
 #include "core/Experiment.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -148,6 +149,13 @@ ExperimentResult gstm::runExperimentWithModel(TlWorkload &MeasureWorkload,
 ExperimentResult gstm::runExperiment(TlWorkload &Workload,
                                      const ExperimentConfig &Config) {
   return runExperiment(Workload, Workload, Config);
+}
+
+uint64_t SideAggregate::maxAborts() const {
+  uint64_t Max = 0;
+  for (const AbortHistogram &H : ThreadHists)
+    Max = std::max(Max, H.maxAborts());
+  return Max;
 }
 
 std::vector<double> ExperimentResult::varianceImprovementPercent() const {

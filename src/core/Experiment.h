@@ -63,6 +63,11 @@ struct SideAggregate {
   StatsSnapshot Telemetry;
   GuideStats Guide;
   bool AllVerified = true;
+
+  /// The largest number of aborts one transaction took before it
+  /// committed, over all threads (0 with no histograms): a starved
+  /// transaction shows here even when the mean tail cut looks good.
+  uint64_t maxAborts() const;
 };
 
 /// Outcome of a full experiment.

@@ -55,8 +55,6 @@ RunResult gstm::runWorkloadOnce(TlWorkload &Workload,
   StmCfg.PreemptShift =
       forcedYieldShift(Config.Stm.PreemptShift, Config.Threads);
   Tl2Stm Stm(StmCfg);
-  if (Config.Cm)
-    Stm.setContentionManager(Config.Cm);
   TraceCollector Collector(Config.Threads);
   std::unique_ptr<GuideController> Controller;
 

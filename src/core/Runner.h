@@ -65,8 +65,8 @@ struct RunnerConfig {
   /// through forcedYieldShift: only while Threads > usableCpus().
   Tl2Config Stm = experimentStmConfig();
   GuideConfig Guide;
-  /// Optional contention manager installed into the run's STM (baseline
-  /// comparisons); must outlive the run. Not owned.
+  /// Always null and read by nothing here; kept because bench/e2e
+  /// compiles against it.
   ContentionManager *Cm = nullptr;
   /// When false, the event trace is not recorded (lowest overhead; used
   /// for pure timing comparisons).

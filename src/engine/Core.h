@@ -12,14 +12,14 @@
 /// access, abort attribution and outcome reporting to the policy's
 /// algorithm. `Runtime` owns the shared state and the orec layout; it
 /// defaults to `EngineStm<Policy>` — version clock, one LockTable of
-/// 2^DefaultStripeBits stripes, commit ring, observer/gate/contention-
-/// manager hooks, sharded stats. TL2 has two more layouts: the sharded
+/// 2^DefaultStripeBits stripes, commit ring, observer/gate/access-
+/// observer hooks, sharded stats. TL2 has two more layouts: the sharded
 /// tier's ShardedStm (shard/Sharded.h) partitions the table, and LibTm
 /// (libtm/LibTm.h) is EngineStm over the orecs inside each object. A
 /// policy contributes exactly the algorithm:
 ///
 ///   static constexpr const char *Name;
-///   struct TxnState { void clear(); size_t opens() const; ... };
+///   struct TxnState { void clear(); ... };
 ///   static load(TxnT&, Word) -> u64;  // transactional read
 ///   static store(TxnT&, Word, u64);   // transactional write
 ///   static commit(TxnT&) -> u64;      // wv, or 0 for read-only
@@ -27,12 +27,11 @@
 ///
 /// Two policies exist: TL2 (engine/Tl2.h, buffered writes) and
 /// orec-eager (engine/OrecEager.h, in place, with the undo log), the
-/// paper's lazy-vs-eager pair. Policies never talk
-/// to StatsShard, TxEventObserver or the contention manager directly —
-/// the chassis owns event reporting, so telemetry, GuideController
-/// gating, fault attribution through the CommitRing, and the
-/// checker-facing TxAccessObserver hooks behave identically across the
-/// whole family.
+/// paper's lazy-vs-eager pair. Policies never talk to StatsShard or
+/// TxEventObserver directly — the chassis owns event reporting, so
+/// telemetry, GuideController gating, fault attribution through the
+/// CommitRing, and the checker-facing TxAccessObserver hooks behave
+/// identically across the whole family.
 ///
 /// The runtime answers the chassis's layout questions through inline
 /// hooks taking the descriptor's `Runtime::TxnState` base L, where a
@@ -57,7 +56,6 @@
 
 #include "engine/TxnExecutor.h"
 #include "stm/CommitRing.h"
-#include "stm/Contention.h"
 #include "stm/LockTable.h"
 #include "stm/Observer.h"
 #include "stm/StatsShard.h"
@@ -184,9 +182,6 @@ public:
   /// is published, so an exception a commit hook throws propagates with
   /// the commit counted and no abort.
   template <typename BodyFn> void run(TxId Tx, BodyFn &&Body) {
-    ContentionManager *Cm = S.contentionManager();
-    if (Cm)
-      Cm->onTxBegin(Thread);
     const bool TrackLatency = S.config().TrackAttemptLatency;
     uint32_t Attempts = 0;
     for (;;) {
@@ -197,12 +192,9 @@ public:
         AttemptStart = std::chrono::steady_clock::now();
       begin(Tx);
       bool Committed = false;
-      uint64_t Opens = 0, Wv = 0;
+      uint64_t Wv = 0;
       try {
         Body(*this);
-        // Sampled before commit, which may release the logs that count
-        // the opens (the policies clear theirs).
-        Opens = Cm ? opensCount() : 0;
         Wv = commitOrThrow();
         Committed = true;
       } catch (const TxAbortException &) {
@@ -224,22 +216,13 @@ public:
         reportCommit(Wv, Attempts);
         if (TrackLatency)
           recordAttemptLatency(AttemptStart);
-        if (Cm)
-          Cm->onCommit(Thread, Opens);
         return;
       }
       ++Attempts;
-      if (Cm) {
-        uint64_t Ns = Cm->onAbort(Thread, LastEnemy, LastEnemyKnown,
-                                  Attempts, LastOpens);
-        if (Ns > 0)
-          std::this_thread::sleep_for(std::chrono::nanoseconds(Ns));
-      } else {
-        // Yield once: avoids burning a scheduling quantum re-aborting
-        // against a descheduled lock holder (we run more threads than
-        // cores).
-        std::this_thread::yield();
-      }
+      // Yield once: avoids burning a scheduling quantum re-aborting
+      // against a descheduled lock holder (we run more threads than
+      // cores).
+      std::this_thread::yield();
     }
   }
 
@@ -340,8 +323,6 @@ public:
   void notePrepareRetry() { Shard->recordPrepareRetry(); }
 
 private:
-  /// Locations the attempt opened (contention-manager currency).
-  uint64_t opensCount() const { return PS.opens() + Undo.size(); }
   void begin(TxId Tx);
   /// Commits the attempt (returns wv, 0 if read-only) or reports the
   /// abort cause and throws.
@@ -350,7 +331,7 @@ private:
   /// observer.
   void reportCommit(uint64_t Wv, uint32_t PriorAborts);
   /// Rolls the attempt back (the policy's onAbortCleanup) and reports
-  /// \p E to the contention manager's fields, the stats and the observer.
+  /// \p E to the stats and the observer.
   void reportAbort(const AbortEvent &E);
   [[noreturn]] void reportAbortAndThrow(const AbortEvent &E);
 
@@ -375,12 +356,6 @@ private:
             .count()));
   }
 
-  /// Conflicting transaction of the most recent abort and the aborted
-  /// attempt's read+write set size, recorded by the abort path for the
-  /// contention manager.
-  TxThreadPair LastEnemy = 0;
-  bool LastEnemyKnown = false;
-  uint64_t LastOpens = 0;
   uint64_t PreemptLcg;
 
   Runtime &S;
@@ -471,11 +446,7 @@ void EngineTxn<Policy, Runtime>::abortOnVersion(
 
 template <typename Policy, typename Runtime>
 void EngineTxn<Policy, Runtime>::reportAbort(const AbortEvent &E) {
-  // Opens must be counted before the rollback clears the logs.
-  LastOpens = opensCount();
   Policy::onAbortCleanup(*this);
-  LastEnemyKnown = E.Kind == AbortCauseKind::KnownCommitter;
-  LastEnemy = LastEnemyKnown ? E.Cause : 0;
   Shard->recordAbort(E.Kind, E.Site);
   S.aborted(*this, *Shard);
   if (TxEventObserver *Obs = S.observer())

@@ -59,7 +59,6 @@ struct OrecEagerPolicy {
       ReadSet.clear();
       Acquired.clear();
     }
-    size_t opens() const { return ReadSet.size(); }
   };
 
   template <typename TxnT>

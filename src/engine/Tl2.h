@@ -104,8 +104,6 @@ struct Tl2Policy {
       WriteFilter = 0;
       Acquired.clear();
     }
-    /// Logged reads plus buffered writes.
-    size_t opens() const { return ReadSet.size() + WriteLog.size(); }
   };
 
   template <typename TxnT>

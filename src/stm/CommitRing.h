@@ -10,9 +10,8 @@
 /// (transaction, thread) produced them. A TL2 reader that aborts because a
 /// stripe's version exceeds its read version can look the version up here
 /// and attribute the abort to the commit that caused it. The attribution
-/// feeds the known/unknown-committer split of the abort telemetry and the
-/// Karma/Greedy contention managers; model tuples are grouped by sequence
-/// and do not read it. Entries are overwritten after `size` further
+/// feeds the known/unknown-committer split of the abort telemetry, its
+/// one reader; model tuples are grouped by sequence and do not read it. Entries are overwritten after `size` further
 /// commits; a failed lookup degrades gracefully to an unattributed abort.
 ///
 //===----------------------------------------------------------------------===//

@@ -26,6 +26,7 @@
 
 #include "support/Ids.h"
 
+#include <cassert>
 #include <cstdint>
 
 namespace gstm {
@@ -146,32 +147,36 @@ public:
   virtual void onLockAcquire(ThreadId Thread, uint64_t LockId) = 0;
 };
 
+/// Declared only so setContentionManager keeps its signature; it has no
+/// definition, so no object of it can exist.
 class ContentionManager;
 
 /// The hook surface shared by every runtime (EngineStm, ShardedStm,
-/// LibTm): the event observer, the start gate, a contention manager that
-/// overrides the configured backoff, and the per-access observer. Every
-/// hook is off (nullptr) by default; a setter takes nullptr to turn its
-/// hook off again. None of the setters may be called while transactions
-/// are running.
+/// LibTm): the event observer, the start gate and the per-access
+/// observer. Every hook is off (nullptr) by default; a setter takes
+/// nullptr to turn its hook off again. None of the setters may be called
+/// while transactions are running.
 class TxHooks {
 public:
   void setObserver(TxEventObserver *Obs) { Observer = Obs; }
   void setGate(StartGate *G) { Gate = G; }
-  void setContentionManager(ContentionManager *M) { Cm = M; }
+  /// Stores nothing: an abort always backs off with one yield. Kept
+  /// because bench/e2e compiles against it.
+  void setContentionManager(ContentionManager *M) {
+    assert(!M && "there is no contention manager to install");
+    (void)M;
+  }
   /// With no access observer the hot path pays one null test per access;
   /// see TxAccessObserver.
   void setAccessObserver(TxAccessObserver *Obs) { AccessObs = Obs; }
 
   TxEventObserver *observer() const { return Observer; }
   StartGate *gate() const { return Gate; }
-  ContentionManager *contentionManager() const { return Cm; }
   TxAccessObserver *accessObserver() const { return AccessObs; }
 
 private:
   TxEventObserver *Observer = nullptr;
   StartGate *Gate = nullptr;
-  ContentionManager *Cm = nullptr;
   TxAccessObserver *AccessObs = nullptr;
 };
 

@@ -50,8 +50,7 @@ namespace gstm {
 /// ThreadIds map onto shards modulo this (power of two), and an aliased
 /// shard would have two writers, whose single-writer increments lose
 /// counts. Front ends that take a thread count (check_fuzz, runOltp)
-/// refuse more than this; the contention managers size their per-thread
-/// state by it.
+/// refuse more than this.
 inline constexpr size_t StatsShardCount = 64;
 
 /// Cardinality of AbortCauseKind (Observer.h).

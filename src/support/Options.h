@@ -75,10 +75,12 @@ public:
   /// Every `--key` that was passed (for spec validation).
   std::vector<std::string> keys() const;
 
-private:
-  /// Prints `<tool>: --<Key> <Why>` and exits 2.
+  /// Prints `<tool>: --<Key> <Why>` and exits 2; for checks the getters
+  /// above cannot make.
   [[noreturn]] void fail(const std::string &Key,
                          const std::string &Why) const;
+
+private:
 
   std::map<std::string, std::string> Values;
   std::vector<std::string> Positional;

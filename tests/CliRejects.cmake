@@ -12,7 +12,8 @@
 # admitted; an assert in a Debug build), print a row of zeros as a result
 # (zero or 2^32 runs, zero frames), or silently fall back to
 # defaults (a thread count out of range, a misspelled or removed key, a
-# value that does not parse, an unknown size class or quest). A case
+# value that does not parse, an unknown size class or quest), or run
+# every experiment before an unknown workload name and then exit 1. A case
 # whose bad value used to exit 2 for an unrelated reason also names the
 # message it must print. Invoked by the `cli_rejects_bad_counts` ctest:
 #
@@ -21,16 +22,19 @@
 #         -DPAPER_STAMP=<paper_stamp>
 #         -DPAPER_SYNQUAKE=<paper_synquake> -DQUICKSTART=<quickstart>
 #         -DSTM_LINT=<stm_lint> -DBENCH_REGRESS=<bench_regress>
-#         -DGAME_SERVER=<game_server> -P CliRejects.cmake
+#         -DGAME_SERVER=<game_server>
+#         -DABLATION_TFACTOR=<ablation_tfactor> -P CliRejects.cmake
 
 if(NOT CHECK_FUZZ OR NOT OLTP_YCSB OR NOT BENCH_RUNNER OR NOT MODEL_CTL
    OR NOT PAPER_STAMP OR NOT PAPER_SYNQUAKE OR NOT QUICKSTART
-   OR NOT STM_LINT OR NOT BENCH_REGRESS OR NOT GAME_SERVER)
+   OR NOT STM_LINT OR NOT BENCH_REGRESS OR NOT GAME_SERVER
+   OR NOT ABLATION_TFACTOR)
   message(FATAL_ERROR
       "usage: cmake -DCHECK_FUZZ=<bin> -DOLTP_YCSB=<bin> "
       "-DBENCH_RUNNER=<bin> -DMODEL_CTL=<bin> -DPAPER_STAMP=<bin> "
       "-DPAPER_SYNQUAKE=<bin> -DQUICKSTART=<bin> -DSTM_LINT=<bin> "
-      "-DBENCH_REGRESS=<bin> -DGAME_SERVER=<bin> -P CliRejects.cmake")
+      "-DBENCH_REGRESS=<bin> -DGAME_SERVER=<bin> "
+      "-DABLATION_TFACTOR=<bin> -P CliRejects.cmake")
 endif()
 
 # expect_usage_error(<command>... [MESSAGE <regex>])
@@ -167,6 +171,15 @@ expect_usage_error(${StampNoSize} --runs=1 --size=small --train-size=Medium
                    MESSAGE "--train-size")
 expect_usage_error(${Stamp} --threads=2 --runs=1 --force-guided=no
                    MESSAGE "--force-guided")
+# An unknown STAMP name used to be found only when its turn came: after
+# the kmeans experiment here, or after ablation_tfactor's banner, with
+# exit 1.
+expect_usage_error(${PAPER_STAMP} --workloads=kmeans,nosuch --threads=2
+                   --size=small --train-size=small --profile-runs=1 --runs=1
+                   MESSAGE "--workloads must be .*not 'nosuch'")
+expect_usage_error(${ABLATION_TFACTOR} --workload=nosuch --threads=2
+                   --size=small --train-size=small --profile-runs=1 --runs=1
+                   MESSAGE "--workload must be .*not 'nosuch'")
 
 # The SynQuake paper driver (Table V, Figures 11 and 12) parses with
 # SynQuakeBenchOptions::parse and the checks above.

@@ -1,6 +1,7 @@
 # Small-scale smoke of the paper drivers. paper_stamp, on two benchmarks
 # (kmeans and ssca2, the Figure 8 row) at two thread counts, must print
-# the heading of every table and figure it reproduces, run each
+# the heading of every table and figure it reproduces, a Table IV cell
+# with its default and guided abort maxima per thread count, run each
 # (benchmark, threads) experiment exactly once and write exactly one
 # --json-dir export per experiment. paper_synquake on a tiny map must
 # print Table V and Figures 11 and 12. Both must print a `forced yields`
@@ -63,6 +64,16 @@ expect_headings("${Out}" "Table I:" "Table III:" "Table IV:" "Figure 3:"
 foreach(Threads 2 3)
   expect_headings("${Out}" "Figures 4/6:[^\n]*, ${Threads} threads =="
                   "Figures 5/7:[^\n]*, ${Threads} threads ==")
+endforeach()
+# Each Table IV row holds one "<cut>% (max <default>→<guided>)" cell per
+# thread count.
+string(REGEX MATCH "== Table IV:.*== Figure 3:" Table4 "${Out}")
+set(Cell " +-?[0-9]+% \\(max [0-9]+→[0-9]+\\)")
+foreach(Workload kmeans ssca2)
+  if(NOT Table4 MATCHES "\n${Workload}${Cell}${Cell}\n")
+    message(FATAL_ERROR "no Table IV row '${Workload}' with two "
+                        "'<cut>% (max D→G)' cells in:\n${Table4}")
+  endif()
 endforeach()
 
 set(Want kmeans_t2.json kmeans_t3.json ssca2_t2.json ssca2_t3.json)

@@ -88,6 +88,13 @@ TEST(BenchOptionsTest, ExtraKeyIsAcceptedAndReadBack) {
   EXPECT_EQ(Parsed.getInt("runs", 0), 2);
 }
 
+TEST(BenchOptionsTest, EveryStampWorkloadPassesTheNameCheck) {
+  std::string All;
+  for (const std::string &Name : stampWorkloadNames())
+    All += (All.empty() ? "" : ",") + Name;
+  EXPECT_EQ(parseArgs({"--workloads=" + All}).Workloads, stampWorkloadNames());
+}
+
 TEST(BenchOptionsTest, ToolNameDropsTheDirectory) {
   // Every parse error names the binary the way a user typed it last.
   EXPECT_EQ(toolName("build/bench/paper_stamp"), "paper_stamp");
@@ -116,6 +123,15 @@ TEST(BenchOptionsDeathTest, UnknownKeyExitsTwo) {
   // online, so no front end takes a grouping option.
   EXPECT_EXIT(parseArgs({"--grouping=causal"}), testing::ExitedWithCode(2),
               "unknown option '--grouping'");
+}
+
+TEST(BenchOptionsDeathTest, UnknownWorkloadExitsTwo) {
+  // Every entry is checked before any experiment runs, not only the first.
+  EXPECT_EXIT(parseArgs({"--workloads=kmeans,nosuch"}),
+              testing::ExitedWithCode(2),
+              "--workloads must be genome, .* or yada, not 'nosuch'");
+  EXPECT_EXIT(parseArgs({"--workloads=Kmeans"}), testing::ExitedWithCode(2),
+              "--workloads must be .*, not 'Kmeans'");
 }
 
 TEST(BenchOptionsDeathTest, ThreadCountOutsideShardRangeExitsTwo) {

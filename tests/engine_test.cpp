@@ -13,7 +13,7 @@
 /// read-only commit flagging, invisible readers, atomic and
 /// self-aliasing write sets, no lock residue after mixed aborts,
 /// exactness under contention, and the
-/// gate/observer/contention-manager hook surface the whole family,
+/// gate/observer/access-observer hook surface the whole family,
 /// LibTm included, shares. The differential fuzz matrix
 /// (tools/check_fuzz.cpp) is the deep conformance check; this file pins
 /// the per-engine semantics a fuzz failure would be hard to localize
@@ -27,7 +27,6 @@
 #include "check/Fuzz.h"
 #include "core/GuideController.h"
 #include "shard/Sharded.h"
-#include "stm/Contention.h"
 #include "stm/TVar.h"
 
 #include <gtest/gtest.h>
@@ -76,16 +75,12 @@ struct CountingHooks : StartGate, TxEventObserver, TxAccessObserver {
   void onLockAcquire(ThreadId, uint64_t) override { ++LockAcquires; }
 };
 
-struct CountingCm : ContentionManager {
-  std::atomic<uint64_t> Begins{0}, Commits{0}, Aborts{0};
-  std::string name() const override { return "counting"; }
-  void onTxBegin(ThreadId) override { ++Begins; }
-  uint64_t onAbort(ThreadId, TxThreadPair, bool, uint32_t,
-                   uint64_t) override {
-    ++Aborts;
-    return 0;
-  }
-  void onCommit(ThreadId, uint64_t) override { ++Commits; }
+/// Records the event stream of a single-threaded test, in order.
+struct RecordingObserver : TxEventObserver {
+  std::vector<CommitEvent> Commits;
+  std::vector<AbortEvent> Aborts;
+  void onCommit(const CommitEvent &E) override { Commits.push_back(E); }
+  void onAbort(const AbortEvent &E) override { Aborts.push_back(E); }
 };
 
 /// Parameterized by the descriptor type; the runtime is its Stm (a flat
@@ -303,25 +298,131 @@ TYPED_TEST(EngineFamilyTest, ThrowingCommitHookKeepsTheCommit) {
   EXPECT_EQ(S.stats().aborts(), 0u);
 }
 
-TYPED_TEST(EngineFamilyTest, ContentionManagerHooksFire) {
+// TxHooks: a setter given nullptr turns its hook off. A detached hook
+// must see nothing of later transactions, while the stats still count.
+TYPED_TEST(EngineFamilyTest, DetachedHooksSeeNothing) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
   Stm S;
-  CountingCm Cm;
-  S.setContentionManager(&Cm);
+  CountingHooks Hooks;
+  S.setGate(&Hooks);
+  S.setObserver(&Hooks);
+  S.setAccessObserver(&Hooks);
   TVar<uint64_t> V(0);
   Txn T(S, TestFixture::residentThread(S, V));
-  int Attempt = 0;
-  for (int I = 0; I < 4; ++I)
+  auto Increment = [&] {
+    int Attempt = 0;
     T.run(1, [&](Txn &Tx) {
       Tx.store(V, Tx.load(V) + 1);
       if (Attempt++ == 0)
         Tx.retryAbort();
     });
-  EXPECT_EQ(Cm.Begins.load(), 4u);
-  EXPECT_EQ(Cm.Commits.load(), 4u);
-  EXPECT_EQ(Cm.Aborts.load(), 1u);
-  EXPECT_EQ(V.loadDirect(), 4u);
+  };
+  Increment();
+  const uint64_t Starts = Hooks.Starts.load(), Commits = Hooks.Commits.load(),
+                 Aborts = Hooks.Aborts.load(), Begins = Hooks.Begins.load(),
+                 Loads = Hooks.Loads.load(), Stores = Hooks.Stores.load(),
+                 Locks = Hooks.LockAcquires.load();
+  EXPECT_EQ(Starts, 2u);
+  EXPECT_EQ(Commits, 1u);
+  EXPECT_EQ(Aborts, 1u);
+  EXPECT_EQ(Begins, 2u);
+
+  S.setGate(nullptr);
+  S.setObserver(nullptr);
+  S.setAccessObserver(nullptr);
+  Increment();
+  EXPECT_EQ(Hooks.Starts.load(), Starts);
+  EXPECT_EQ(Hooks.Commits.load(), Commits);
+  EXPECT_EQ(Hooks.Aborts.load(), Aborts);
+  EXPECT_EQ(Hooks.Begins.load(), Begins);
+  EXPECT_EQ(Hooks.Loads.load(), Loads);
+  EXPECT_EQ(Hooks.Stores.load(), Stores);
+  EXPECT_EQ(Hooks.LockAcquires.load(), Locks);
+  EXPECT_EQ(S.stats().commits(), 2u);
+  EXPECT_EQ(S.stats().aborts(), 2u);
+  EXPECT_EQ(V.loadDirect(), 2u);
+}
+
+TYPED_TEST(EngineFamilyTest, CommitCarriesItsPriorAborts) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  Stm S;
+  RecordingObserver Obs;
+  S.setObserver(&Obs);
+  TVar<uint64_t> V(0);
+  const ThreadId Thread = TestFixture::residentThread(S, V);
+  Txn T(S, Thread);
+  int Attempt = 0;
+  T.run(1, [&](Txn &Tx) {
+    Tx.store(V, Tx.load(V) + 1);
+    if (Attempt++ < 3)
+      Tx.retryAbort();
+  });
+  // The count restarts with each transaction.
+  T.run(2, [&](Txn &Tx) { Tx.store(V, Tx.load(V) + 1); });
+
+  ASSERT_EQ(Obs.Aborts.size(), 3u);
+  for (const AbortEvent &E : Obs.Aborts) {
+    EXPECT_EQ(E.Thread, Thread);
+    EXPECT_EQ(E.Tx, 1u);
+    EXPECT_EQ(E.Kind, AbortCauseKind::Explicit);
+    EXPECT_EQ(E.Site, AbortSite::Explicit);
+  }
+  ASSERT_EQ(Obs.Commits.size(), 2u);
+  EXPECT_EQ(Obs.Commits[0].Tx, 1u);
+  EXPECT_EQ(Obs.Commits[0].PriorAborts, 3u);
+  EXPECT_EQ(Obs.Commits[1].Tx, 2u);
+  EXPECT_EQ(Obs.Commits[1].PriorAborts, 0u);
+  StatsSnapshot Snap = S.stats().aggregate();
+  EXPECT_EQ(Snap.RetryHistogram[0], 1u);
+  EXPECT_EQ(Snap.RetryHistogram[3], 1u);
+  EXPECT_EQ(Snap.AbortsByCause[size_t(AbortCauseKind::Explicit)], 3u);
+  EXPECT_EQ(V.loadDirect(), 2u);
+}
+
+// A commit that lands between a victim's begin and its read of the same
+// variable aborts the victim at the read, and the commit ring names the
+// committer and its version: the attribution the known/unknown-committer
+// telemetry split counts.
+TYPED_TEST(EngineFamilyTest, ReadTimeAbortNamesItsCommitter) {
+  using Stm = typename TestFixture::Stm;
+  using Txn = typename TestFixture::Txn;
+  Stm S;
+  RecordingObserver Obs;
+  S.setObserver(&Obs);
+  TVar<uint64_t> X(0);
+  const ThreadId Victim = TestFixture::residentThread(S, X);
+  const ThreadId Enemy = Victim + 1;
+  Txn V(S, Victim);
+  Txn E(S, Enemy);
+  bool Injected = false;
+  V.run(7, [&](Txn &Tx) {
+    if (!Injected) {
+      Injected = true;
+      // stm-lint: allow(R5) deliberate commit injection from a second
+      // descriptor; single-threaded, so the nesting cannot deadlock.
+      E.run(9, [&](Txn &En) { En.store(X, 1); });
+    }
+    (void)Tx.load(X);
+  });
+
+  ASSERT_EQ(Obs.Commits.size(), 2u);
+  const CommitEvent &EnemyCommit = Obs.Commits[0];
+  EXPECT_EQ(EnemyCommit.Thread, Enemy);
+  ASSERT_EQ(Obs.Aborts.size(), 1u);
+  const AbortEvent &A = Obs.Aborts[0];
+  EXPECT_EQ(A.Thread, Victim);
+  EXPECT_EQ(A.Tx, 7u);
+  EXPECT_EQ(A.Kind, AbortCauseKind::KnownCommitter);
+  EXPECT_EQ(A.Cause, packPair(9, Enemy));
+  EXPECT_EQ(A.CauseVersion, EnemyCommit.Version);
+  EXPECT_EQ(A.Site, AbortSite::Read);
+  EXPECT_EQ(Obs.Commits[1].PriorAborts, 1u);
+  StatsSnapshot Snap = S.stats().snapshotShard(Victim);
+  EXPECT_EQ(Snap.AbortsByCause[size_t(AbortCauseKind::KnownCommitter)], 1u);
+  EXPECT_EQ(Snap.CommitRingLookups, 1u);
+  EXPECT_EQ(Snap.CommitRingMisses, 0u);
 }
 
 TYPED_TEST(EngineFamilyTest, ConcurrentIncrementsAreExact) {

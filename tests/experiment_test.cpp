@@ -321,6 +321,16 @@ TEST(ExperimentResultTest, MeanTailImprovementSkipsUndefinedThreads) {
   EXPECT_NEAR(R.meanTailImprovementPercent(), 100.0 * 4.0 / 9.0, 1e-9);
 }
 
+TEST(ExperimentResultTest, SideMaxAbortsIsTheLargestThreadMax) {
+  SideAggregate Side;
+  EXPECT_EQ(Side.maxAborts(), 0u);
+  // The largest count sits on the middle thread, in a histogram whose
+  // other entries are smaller, and an empty histogram counts as 0.
+  Side.ThreadHists = {histOf({0, 4}), histOf({1, 68, 2}), AbortHistogram(),
+                      histOf({7})};
+  EXPECT_EQ(Side.maxAborts(), 68u);
+}
+
 TEST(ExperimentResultTest, NondeterminismReductionComparesDistinctStates) {
   ExperimentResult R;
   R.Default.DistinctStates = 40;

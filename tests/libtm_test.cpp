@@ -175,6 +175,99 @@ TEST(LibTmTest, ObserverSeesCommitsAndAborts) {
   EXPECT_EQ(Obs.Aborts.load(), Tm.stats().aborts());
 }
 
+// The LibTm case of EngineFamilyTest.DetachedHooksSeeNothing: once the
+// gate, observer and access observer are set to nullptr, they see nothing
+// of later transactions, while the stats still count.
+TEST(LibTmTest, DetachedHooksSeeNothing) {
+  LibTm Tm;
+  TObj<uint64_t> X{0};
+  struct Hooks : StartGate, TxEventObserver, TxAccessObserver {
+    uint64_t Starts = 0, Commits = 0, Aborts = 0, Begins = 0, Loads = 0,
+             Stores = 0, Locks = 0;
+    void onTxStart(ThreadId, TxId) override { ++Starts; }
+    void onCommit(const CommitEvent &) override { ++Commits; }
+    void onAbort(const AbortEvent &) override { ++Aborts; }
+    void onTxBegin(ThreadId, TxId, uint64_t) override { ++Begins; }
+    void onTxLoad(ThreadId, const void *, uint64_t, uint64_t,
+                  bool) override {
+      ++Loads;
+    }
+    void onTxStore(ThreadId, const void *, uint64_t) override { ++Stores; }
+    void onLockAcquire(ThreadId, uint64_t) override { ++Locks; }
+    uint64_t total() const {
+      return Starts + Commits + Aborts + Begins + Loads + Stores + Locks;
+    }
+  } H;
+  Tm.setGate(&H);
+  Tm.setObserver(&H);
+  Tm.setAccessObserver(&H);
+  LibTxn Txn(Tm, 0);
+  auto Increment = [&] {
+    int Attempt = 0;
+    Txn.run(0, [&](LibTxn &Tx) {
+      Tx.write(X, Tx.read(X) + 1);
+      if (Attempt++ == 0)
+        Tx.retryAbort();
+    });
+  };
+  Increment();
+  EXPECT_EQ(H.Starts, 2u);
+  EXPECT_EQ(H.Begins, 2u);
+  EXPECT_EQ(H.Commits, 1u);
+  EXPECT_EQ(H.Aborts, 1u);
+  EXPECT_EQ(H.Loads, 2u);
+  EXPECT_EQ(H.Stores, 2u);
+  EXPECT_EQ(H.Locks, 1u);
+  const uint64_t Seen = H.total();
+
+  Tm.setGate(nullptr);
+  Tm.setObserver(nullptr);
+  Tm.setAccessObserver(nullptr);
+  Increment();
+  EXPECT_EQ(H.total(), Seen);
+  EXPECT_EQ(Tm.stats().commits(), 2u);
+  EXPECT_EQ(Tm.stats().aborts(), 2u);
+  EXPECT_EQ(X.loadDirect(), 2u);
+}
+
+// The LibTm case of EngineFamilyTest.ReadTimeAbortNamesItsCommitter: a
+// commit between the victim's begin and its read of the object aborts
+// the victim at the read, and the commit ring names the committer.
+TEST(LibTmTest, ReadTimeAbortNamesItsCommitter) {
+  LibTm Tm;
+  TObj<uint64_t> X{0};
+  struct Recorder : TxEventObserver {
+    std::vector<CommitEvent> Commits;
+    std::vector<AbortEvent> Aborts;
+    void onCommit(const CommitEvent &E) override { Commits.push_back(E); }
+    void onAbort(const AbortEvent &E) override { Aborts.push_back(E); }
+  } Obs;
+  Tm.setObserver(&Obs);
+  LibTxn Victim(Tm, 0);
+  LibTxn Enemy(Tm, 1);
+  bool Injected = false;
+  Victim.run(7, [&](LibTxn &Tx) {
+    if (!Injected) {
+      Injected = true;
+      // stm-lint: allow(R5) deliberate commit injection from a second
+      // descriptor; single-threaded, so the nesting cannot deadlock.
+      Enemy.run(9, [&](LibTxn &E) { E.write(X, 1); });
+    }
+    (void)Tx.read(X);
+  });
+
+  ASSERT_EQ(Obs.Commits.size(), 2u);
+  ASSERT_EQ(Obs.Aborts.size(), 1u);
+  const AbortEvent &A = Obs.Aborts[0];
+  EXPECT_EQ(A.Kind, AbortCauseKind::KnownCommitter);
+  EXPECT_EQ(A.Cause, packPair(9, 1));
+  EXPECT_EQ(A.CauseVersion, Obs.Commits[0].Version);
+  EXPECT_EQ(A.Site, AbortSite::Read);
+  StatsSnapshot Snap = Tm.stats().snapshotShard(0);
+  EXPECT_EQ(Snap.CommitRingLookups, 1u);
+  EXPECT_EQ(Snap.CommitRingMisses, 0u);
+}
+
 // LibTm runs the TL2 commit, so the TL2 mutants apply to it: the
 // checkers must flag each within 60 seeds (engine_fuzz_libtm proves the
 // same seeds pass without the fault).

@@ -16,9 +16,7 @@
 #include "stm/StatsShard.h"
 
 #include "core/JsonExport.h"
-#include "engine/OrecEager.h"
 #include "engine/Tl2.h"
-#include "stm/Contention.h"
 #include "stm/TVar.h"
 #include "support/Json.h"
 
@@ -381,87 +379,6 @@ TEST(StatsShardTest, ReadOnlyCommitsCountedSeparately) {
   StatsSnapshot Snap = Stm.stats().aggregate();
   EXPECT_EQ(Snap.Commits, 2u);
   EXPECT_EQ(Snap.ReadOnlyCommits, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Regression: eager-engine opens undercount (contention-manager input)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Records the Opens values the STM reports, to pin down what contention
-/// managers actually see.
-struct RecordingCm : ContentionManager {
-  std::string name() const override { return "recording"; }
-  uint64_t onAbort(ThreadId, TxThreadPair, bool, uint32_t,
-                   uint64_t Opens) override {
-    AbortOpens.push_back(Opens);
-    return 0;
-  }
-  void onCommit(ThreadId, uint64_t Opens) override {
-    CommitOpens.push_back(Opens);
-  }
-  std::vector<uint64_t> AbortOpens;
-  std::vector<uint64_t> CommitOpens;
-};
-
-} // namespace
-
-TEST(EagerOpensRegressionTest, AbortAndCommitCountEagerWrites) {
-  OrecEagerStm Stm;
-  RecordingCm Cm;
-  Stm.setContentionManager(&Cm);
-
-  TVar<uint64_t> R{1};
-  TVar<uint64_t> W1{0};
-  TVar<uint64_t> W2{0};
-
-  OrecEagerTxn Txn(Stm, 0);
-  int Attempt = 0;
-  Txn.run(0, [&](OrecEagerTxn &Tx) {
-    (void)Tx.load(R);   // 1 logged read
-    Tx.store(W1, 10);   // eager writes land in the undo log,
-    Tx.store(W2, 20);   // not the policy's read set
-    if (Attempt++ == 0)
-      Tx.retryAbort();
-  });
-
-  // 1 read + 2 eager writes. Counting the read set alone would report 1
-  // and make Karma-style managers see eager writers as having invested
-  // no write work.
-  ASSERT_EQ(Cm.AbortOpens.size(), 1u);
-  EXPECT_EQ(Cm.AbortOpens[0], 3u);
-  ASSERT_EQ(Cm.CommitOpens.size(), 1u);
-  EXPECT_EQ(Cm.CommitOpens[0], 3u);
-  EXPECT_EQ(W1.loadDirect(), 10u);
-  EXPECT_EQ(W2.loadDirect(), 20u);
-}
-
-TEST(EagerOpensRegressionTest, KarmaAccruesEagerWriteWork) {
-  OrecEagerStm Stm;
-  KarmaManager Karma;
-  Stm.setContentionManager(&Karma);
-
-  TVar<uint64_t> W1{0};
-  TVar<uint64_t> W2{0};
-  OrecEagerTxn Txn(Stm, 0);
-  int Attempt = 0;
-  uint64_t KarmaAfterAbort = 0;
-  Txn.run(0, [&](OrecEagerTxn &Tx) {
-    if (Attempt > 0)
-      // Karma resets on commit, so sample it on the retry, while the
-      // aborted attempt's investment is still banked.
-      // stm-lint: allow(R5) read-only observation of the contention
-      // manager's karma counter; the test asserts on it, nothing more.
-      KarmaAfterAbort = Karma.karmaOf(0);
-    Tx.store(W1, 1);
-    Tx.store(W2, 2);
-    if (Attempt++ == 0)
-      Tx.retryAbort();
-  });
-  // Karma accumulates the aborted attempt's opens; with the undo log
-  // ignored it would stay 0 for a pure eager writer.
-  EXPECT_GE(KarmaAfterAbort, 2u);
 }
 
 //===----------------------------------------------------------------------===//
