@@ -94,8 +94,10 @@ template <typename Policy, typename TableT>
 class EngineStm : public TxHooks {
 public:
   using Table = TableT;
-  /// log2 of the stripe count when EngineConfig::TableBits is 0.
-  static constexpr unsigned DefaultStripeBits = 20;
+  /// log2 of the stripe count when EngineConfig::TableBits is 0: 2^16
+  /// stripes are 512 KB, small enough to stay in a core's L2 beside the
+  /// data and cheap to map and zero for every fresh runtime.
+  static constexpr unsigned DefaultStripeBits = 16;
 
   explicit EngineStm(const EngineConfig &Config = EngineConfig())
       : Cfg(Config),

@@ -49,7 +49,7 @@ struct EngineFault {
 /// family (TL2 included), LibTm, and — through ShardConfig — the sharded
 /// tier. LibTm keeps its locks in its objects, so it has no table to size.
 struct EngineConfig {
-  /// log2 of the lock-table size; 0 = the runtime's default (2^20
+  /// log2 of the lock-table size; 0 = the runtime's default (2^16
   /// stripes on the flat table, 2^18 per shard on the sharded tier).
   unsigned TableBits = 0;
   /// log2 of the commit-ring slots (one ring per shard when sharded).

@@ -22,13 +22,14 @@ void TmList::locate(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint32_t &Prev,
   }
 }
 
-bool TmList::insert(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint64_t Value) {
+bool TmList::insert(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint64_t Value,
+                    uint32_t *Spare) {
   uint32_t Prev, Cur;
   locate(Tx, Nodes, Key, Prev, Cur);
   if (Cur != Pool::Null && Tx.load(Nodes[Cur].Key) == Key)
     return false;
 
-  uint32_t Fresh = Nodes.allocate();
+  uint32_t Fresh = Nodes.allocateOrReuse(Spare);
   TmListNode &N = Nodes[Fresh];
   Tx.store(N.Key, Key);
   Tx.store(N.Value, Value);

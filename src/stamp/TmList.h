@@ -43,8 +43,10 @@ public:
   using Pool = TmPool<TmListNode>;
 
   /// Inserts (\p Key, \p Value); returns false when the key was already
-  /// present (no update).
-  bool insert(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint64_t Value);
+  /// present (no update). \p Spare reuses one node across the attempts
+  /// of a transaction, as in TmRbTree::insert.
+  bool insert(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint64_t Value,
+              uint32_t *Spare = nullptr);
 
   /// Inserts or overwrites; returns true when a new node was created.
   bool insertOrAssign(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint64_t Value);

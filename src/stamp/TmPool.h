@@ -65,6 +65,22 @@ public:
     return Index;
   }
 
+  /// allocate(), through an optional spare slot: returns *\p Spare when
+  /// it holds a node, and otherwise allocates one and records it there.
+  /// The caller keeps the slot across the attempts of one transaction and
+  /// drops it once that commits, so a transaction that aborts N times
+  /// leaks one node per slot instead of N.
+  uint32_t allocateOrReuse(uint32_t *Spare) {
+    if (!Spare)
+      return allocate();
+    // stm-lint: allow(R1) the slot is the caller's, outside the
+    // transaction. Reuse is safe under TL2: writes are buffered, so an
+    // aborted attempt never published the node and no reader can reach it.
+    if (*Spare == Null)
+      *Spare = allocate();
+    return *Spare;
+  }
+
   NodeT &operator[](uint32_t Index) {
     assert(Index != Null && Index < CapacityPlusNull && "bad pool index");
     return Nodes[Index];

@@ -87,7 +87,8 @@ void TmRbTree::rotateRight(Tl2Txn &Tx, uint32_t X) {
   Tx.store(P[X].Parent, Y);
 }
 
-bool TmRbTree::insert(Tl2Txn &Tx, uint64_t Key, uint64_t Value) {
+bool TmRbTree::insert(Tl2Txn &Tx, uint64_t Key, uint64_t Value,
+                      uint32_t *Spare) {
   uint32_t Y = Nil;
   uint32_t X = Tx.load(Root);
   while (X != Nil) {
@@ -98,7 +99,7 @@ bool TmRbTree::insert(Tl2Txn &Tx, uint64_t Key, uint64_t Value) {
     X = Key < K ? left(Tx, X) : right(Tx, X);
   }
 
-  uint32_t Z = P.allocate();
+  uint32_t Z = P.allocateOrReuse(Spare);
   TmRbNode &N = P[Z];
   Tx.store(N.Key, Key);
   Tx.store(N.Value, Value);

@@ -49,7 +49,12 @@ public:
   explicit TmRbTree(Pool &Nodes);
 
   /// Inserts (\p Key, \p Value); returns false when the key exists.
-  bool insert(Tl2Txn &Tx, uint64_t Key, uint64_t Value);
+  /// With \p Spare, the new node is *Spare when that holds one, and a
+  /// freshly allocated node is stored there otherwise: a caller that keeps
+  /// the slot across the attempts of one transaction allocates at most
+  /// one node however often the transaction aborts.
+  bool insert(Tl2Txn &Tx, uint64_t Key, uint64_t Value,
+              uint32_t *Spare = nullptr);
 
   /// Returns the value mapped to \p Key, if any.
   std::optional<uint64_t> find(Tl2Txn &Tx, uint64_t Key);

@@ -40,16 +40,16 @@ void VacationWorkload::setup(Tl2Stm &Stm, unsigned NumThreads,
   RunSeed = Seed;
   SplitMix64 Rng(Seed ^ 0xabcdef1234567890ULL);
 
-  // Tree nodes: assets + customer (re-)inserts + NIL sentinels. Aborted
-  // attempts leak their nodes (TmPool discipline), so budget one node per
-  // operation *attempt*: with the observed abort ratios, 2x the operation
-  // count is ample headroom.
+  // Tree nodes: assets + customer (re-)inserts + NIL sentinels. A
+  // reservation's retries reuse one spare node (doReserve), so however
+  // often it aborts, one operation takes at most one tree node and one
+  // list node; 2x the operation count is ample headroom.
   uint32_t TotalOps = Params.OpsPerThread * NumThreads;
   uint32_t TreeCapacity = NumTables * Params.NumRelations +
                           Params.NumCustomers + 2 * TotalOps +
                           NumTables + 2;
   TreePool = std::make_unique<TmRbTree::Pool>(TreeCapacity);
-  // Reservation nodes: one per reserve attempt (never recycled).
+  // Reservation nodes: at most one per reserve (never recycled).
   ListPool = std::make_unique<TmList::Pool>(4 * TotalOps + 64);
 
   Tables.clear();
@@ -82,6 +82,10 @@ void VacationWorkload::doReserve(Tl2Txn &Txn, SplitMix64 &Rng) {
   for (uint32_t &A : Probes)
     A = static_cast<uint32_t>(Rng.nextBounded(Params.NumRelations));
 
+  // One spare node per insert site, kept across retries: a starving
+  // reservation leaks at most these two nodes, which the pools budget for.
+  uint32_t CustomerSpare = TmRbTree::Pool::Null;
+  uint32_t ReservationSpare = TmList::Pool::Null;
   Txn.run(/*Tx=*/0, [&](Tl2Txn &Tx) {
     // Find the highest-priced probed asset with a free seat (STAMP's
     // "best reservation" rule).
@@ -109,8 +113,10 @@ void VacationWorkload::doReserve(Tl2Txn &Txn, SplitMix64 &Rng) {
       return;
     Tables[Table]->update(
         Tx, BestAsset, packAsset(BestPrice, assetFree(BestPacked) - 1));
-    Customers->insert(Tx, Customer, 1); // no-op when already present
-    Reservations[Customer].insert(Tx, *ListPool, Key, BestPrice);
+    // No-op when already present.
+    Customers->insert(Tx, Customer, 1, &CustomerSpare);
+    Reservations[Customer].insert(Tx, *ListPool, Key, BestPrice,
+                                  &ReservationSpare);
   });
 }
 

@@ -73,7 +73,7 @@ public:
   /// Creates a table with 2^\p Bits stripes, all unlocked at version 0.
   /// The storage is a plain new[] with 7 spare words, rounded up to the
   /// line: an aligned operator new maps fresh pages for every table.
-  explicit LockTable(unsigned Bits = 20)
+  explicit LockTable(unsigned Bits)
       : Mask((size_t{1} << Bits) - 1),
         Storage(new std::atomic<uint64_t>[(size_t{1} << Bits) +
                                           WordsPerLine - 1]),

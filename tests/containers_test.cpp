@@ -86,6 +86,33 @@ TEST_F(ListFixture, RemoveHeadMiddleTail) {
   });
 }
 
+TEST(TmListTest, RetriedInsertReusesItsSpareNode) {
+  // An insert whose transaction aborts 100 times before it commits takes
+  // one node from the pool, not 101: every retry reuses the spare.
+  Tl2Stm Stm;
+  TmList::Pool Pool(256);
+  TmList List;
+  Tl2Txn Txn(Stm, 0);
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    for (uint64_t K : {2, 4, 6})
+      List.insert(Tx, Pool, K, K);
+  });
+  const uint32_t Before = Pool.used();
+  uint32_t Spare = TmList::Pool::Null;
+  int Attempts = 0;
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    EXPECT_TRUE(List.insert(Tx, Pool, 5, 50, &Spare));
+    if (++Attempts <= 100)
+      Tx.retryAbort();
+  });
+  EXPECT_EQ(Attempts, 101);
+  EXPECT_EQ(Pool.used(), Before + 1);
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    EXPECT_EQ(List.find(Tx, Pool, 5), 50u);
+    EXPECT_EQ(List.size(Tx, Pool), 4u);
+  });
+}
+
 TEST(TmListConcurrency, DisjointInsertsAllLand) {
   Tl2Stm Stm;
   TmList::Pool Pool(8192);

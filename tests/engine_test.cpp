@@ -130,7 +130,7 @@ TYPED_TEST(EngineFamilyTest, TableDefaultsApply) {
     EXPECT_EQ(S.lockTable().size(), size_t{4} << 18);
     EXPECT_EQ(Small.lockTable().size(), size_t{4} << 8);
   } else {
-    EXPECT_EQ(S.lockTable().size(), size_t{1} << 20);
+    EXPECT_EQ(S.lockTable().size(), size_t{1} << 16);
     EXPECT_EQ(Small.lockTable().size(), size_t{1} << 8);
   }
 }

@@ -173,6 +173,32 @@ TEST_F(RbFixture, AbortedOperationLeavesTreeUntouched) {
   });
 }
 
+TEST(TmRbTreeTest, RetriedInsertReusesItsSpareNode) {
+  // An insert whose transaction aborts 100 times before it commits takes
+  // one node from the pool, not 101: every retry reuses the spare.
+  Tl2Stm Stm;
+  TmRbTree::Pool Pool(256);
+  TmRbTree Tree(Pool);
+  Tl2Txn Txn(Stm, 0);
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    for (uint64_t K = 0; K < 16; ++K)
+      Tree.insert(Tx, K * 2, K);
+  });
+  const uint32_t Before = Pool.used();
+  uint32_t Spare = TmRbTree::Pool::Null;
+  int Attempts = 0;
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    EXPECT_TRUE(Tree.insert(Tx, 7, 70, &Spare));
+    if (++Attempts <= 100)
+      Tx.retryAbort();
+  });
+  EXPECT_EQ(Attempts, 101);
+  EXPECT_EQ(Pool.used(), Before + 1);
+  EXPECT_TRUE(Tree.validateDirect());
+  EXPECT_EQ(Tree.sizeDirect(), 17u);
+  Txn.run(0, [&](Tl2Txn &Tx) { EXPECT_EQ(Tree.find(Tx, 7), 70u); });
+}
+
 TEST(RbTreeConcurrency, ParallelDisjointInsertsValidate) {
   Tl2Stm Stm;
   TmRbTree::Pool Pool(1 << 15);
