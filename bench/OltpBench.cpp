@@ -98,10 +98,14 @@ uint64_t valueFor(uint64_t Key, uint64_t Salt) {
 
 enum class OpKind : uint8_t { Read, Update, Insert, Scan };
 
-/// Node budget: the preload plus every possible insert with headroom for
-/// nodes leaked by aborted speculative inserts and for B-tree splits.
-/// 0 when the budget does not fit the pool's 32-bit node indexes.
+/// Node budget: the structure's own bound for the preload plus every
+/// possible insert with headroom for nodes leaked by aborted speculative
+/// inserts and for B-tree splits. 0 when the budget does not fit the
+/// pool's 32-bit node indexes (TmPool keeps index 0 as its null node).
+template <template <typename> class DSTmpl>
 uint32_t poolCapacity(const OltpConfig &Cfg) {
+  // The bound does not depend on the backend.
+  using DS = DSTmpl<Tl2Backend>;
   constexpr uint64_t Limit = UINT32_MAX;
   // Operations * InsertPct / 100, without overflowing the product.
   const uint64_t InsertOps = Cfg.Operations / 100 * Cfg.Mix.InsertPct +
@@ -109,8 +113,8 @@ uint32_t poolCapacity(const OltpConfig &Cfg) {
                              Cfg.Threads;
   if (Cfg.Records > Limit || InsertOps > Limit / 8)
     return 0;
-  const uint64_t Nodes = Cfg.Records + InsertOps * 8 + 4096;
-  return Nodes > Limit ? 0 : static_cast<uint32_t>(Nodes);
+  const uint64_t Nodes = DS::nodesFor(Cfg.Records) + InsertOps * 8 + 4096;
+  return Nodes >= Limit ? 0 : static_cast<uint32_t>(Nodes);
 }
 
 template <typename B, template <typename> class DSTmpl>
@@ -118,25 +122,14 @@ OltpResult runWith(const OltpConfig &Cfg, typename B::Stm &Stm) {
   using DS = DSTmpl<B>;
   OltpResult R;
 
-  typename DS::Pool Nodes(poolCapacity(Cfg));
+  typename DS::Pool Nodes(poolCapacity<DSTmpl>(Cfg));
   DS Ds(Nodes);
 
-  // Preload [1, Records] in batches (one huge transaction would work but
-  // commits O(batch) stripes at once; batches keep it boring).
-  {
-    typename B::Txn Tx0(Stm, 0);
-    uint64_t Next = 1;
-    uint16_t Id = 0;
-    while (Next <= Cfg.Records) {
-      const uint64_t Lo = Next;
-      const uint64_t Hi = std::min(Cfg.Records, Lo + 511);
-      Tx0.run(static_cast<TxId>(Id++), [&](typename B::Txn &Tx) {
-        for (uint64_t K = Lo; K <= Hi; ++K)
-          Ds.insert(Tx, K, valueFor(K, 0));
-      });
-      Next = Hi + 1;
-    }
-  }
+  // Preload [1, Records] before any worker starts: nothing can conflict,
+  // so the structure's own insert code runs on direct stores and builds
+  // the structure a transactional thread-0 load would.
+  for (uint64_t K = 1; K <= Cfg.Records; ++K)
+    Ds.insertDirect(K, valueFor(K, 0));
 
   const StatsSnapshot Before = Stm.stats().aggregate();
   ZipfianGen Zipf(Cfg.Records, Cfg.ZipfTheta);
@@ -282,7 +275,8 @@ OltpResult gstm::runOltp(const OltpConfig &Cfg) {
     R.Error = "at most " + std::to_string(StatsShardCount) + " threads";
     return R;
   }
-  if (poolCapacity(Cfg) == 0) {
+  if ((Cfg.Structure == "skiplist" ? poolCapacity<TmSkipList>(Cfg)
+                                    : poolCapacity<TmBTree>(Cfg)) == 0) {
     R.Error = "records plus inserted keys overflow the node pool's "
               "32-bit capacity";
     return R;

@@ -83,11 +83,14 @@ bool gstm::lint::ruleFromId(std::string_view Id, Rule &Out) {
 
 bool gstm::lint::isEngineInternalHandle(std::string_view HandleType) {
   // ShardedTxn and LibTxn are the same TL2 descriptor over partitioned
-  // and per-object orecs. Any other accepted handle type came from a
-  // template parameter list (Parser.cpp collects `typename TxnT`-style
-  // names containing "Txn").
+  // and per-object orecs. TxnOrDirect is the tmds insert path's accessor
+  // parameter (src/tmds): a `B::Txn &`, or a tag whose accesses are
+  // direct, so its bodies are checked as transaction bodies. Any other
+  // accepted handle type came from a template parameter list (Parser.cpp
+  // collects `typename TxnT`-style names containing "Txn").
   for (std::string_view Engine : {"Tl2Txn", "ShardedTxn", "LibTxn",
-                                  "OrecEagerTxn", "Txn", "EngineTxn", ""})
+                                  "OrecEagerTxn", "Txn", "EngineTxn",
+                                  "TxnOrDirect", ""})
     if (HandleType == Engine)
       return false;
   return true;

@@ -77,8 +77,9 @@ bool ruleFromId(std::string_view Id, Rule &Out);
 
 /// True when \p HandleType names a template parameter (e.g. `TxnT` in
 /// the policy statics) rather than one of the engine handles (Tl2Txn,
-/// ShardedTxn, LibTxn, OrecEagerTxn, Txn, EngineTxn) or no handle. Such a
-/// body *is* the engine: raw atomics and calls into the runtime machinery
+/// ShardedTxn, LibTxn, OrecEagerTxn, Txn, EngineTxn), the tmds insert
+/// path's TxnOrDirect, or no handle. Such a body *is* the engine: raw
+/// atomics and calls into the runtime machinery
 /// (clock advance, commit-ring record, stripe words) are the point, and
 /// the ordering pass owns their discipline, so R1 and R5 are off there.
 /// R2–R4 still apply: engines must not allocate, block, or stash handles.

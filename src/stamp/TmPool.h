@@ -38,10 +38,12 @@ public:
   static constexpr uint32_t Null = 0;
 
   /// Creates a pool able to hand out \p Capacity nodes (excluding the
-  /// null sentinel at index 0).
+  /// null sentinel at index 0), so \p Capacity must be below UINT32_MAX.
   explicit TmPool(uint32_t Capacity)
       : CapacityPlusNull(Capacity + 1),
-        Nodes(std::make_unique<NodeT[]>(Capacity + 1)), Next(1) {}
+        Nodes(std::make_unique<NodeT[]>(Capacity + 1)), Next(1) {
+    assert(Capacity < UINT32_MAX && "capacity + 1 must fit 32 bits");
+  }
 
   /// Allocates one node; returns its index. Exhaustion is a workload
   /// sizing bug (pools must budget for nodes wasted by aborted

@@ -19,6 +19,8 @@
 /// policy (tmds/TmBackend.h); the same source instantiates over TL2 and
 /// LibTm. Merged-away nodes are unlinked but never recycled (TmPool
 /// discipline: a speculative reader may still hold their indices).
+/// insertDirect() runs the same insert code on direct accesses, for a
+/// preload before any transaction starts.
 ///
 /// The element count lives in per-thread stripes, as in TmSkipList and
 /// for the same reason: one global counter cell would serialize every
@@ -93,20 +95,23 @@ public:
   /// A duplicate probe may still split full nodes on the way down
   /// (preemptive-split discipline) — contents are unchanged either way.
   bool insert(Txn &Tx, uint64_t Key, uint64_t Value) {
-    uint32_t R = B::load(Tx, Root);
-    if (B::load(Tx, P[R].NumKeys) == MaxKeys) {
-      uint32_t NewRoot = P.allocate();
-      B::store(Tx, P[NewRoot].NumKeys, uint32_t{0});
-      B::store(Tx, P[NewRoot].Leaf, uint32_t{0});
-      B::store(Tx, P[NewRoot].Children[0], R);
-      splitChild(Tx, NewRoot, 0, R);
-      B::store(Tx, Root, NewRoot);
-      R = NewRoot;
-    }
-    if (!insertNonFull(Tx, R, Key, Value))
-      return false;
-    bumpSize(Tx, uint64_t{1});
-    return true;
+    return insertAt(Tx, Key, Value);
+  }
+
+  /// insert() with direct loads and stores, for quiescent use only (a
+  /// preload before any transaction runs). The same code makes the same
+  /// splits in the same allocation order and bumps size stripe 0, so it
+  /// builds the tree a thread-0 transaction would, cell for cell.
+  bool insertDirect(uint64_t Key, uint64_t Value) {
+    DirectAccess Direct;
+    return insertAt(Direct, Key, Value);
+  }
+
+  /// Most pool nodes an insert-only load of \p Keys keys takes: every
+  /// node it allocates stays in the tree, and every node but the root
+  /// holds at least MinDegree-1 keys.
+  static constexpr uint64_t nodesFor(uint64_t Keys) {
+    return Keys / (MinDegree - 1) + 1;
   }
 
   /// Overwrites the value of an existing key; false when absent.
@@ -224,24 +229,50 @@ public:
   }
 
 private:
-  // Transactional field helpers (declared for readability at call sites).
-  uint32_t nk(Txn &Tx, uint32_t N) { return B::load(Tx, P[N].NumKeys); }
-  bool leaf(Txn &Tx, uint32_t N) {
+  // Field helpers (declared for readability at call sites). Like the
+  // insert path, they take a `Txn &` or a DirectAccess tag.
+  template <typename TxnOrDirect> uint32_t nk(TxnOrDirect &Tx, uint32_t N) {
+    return B::load(Tx, P[N].NumKeys);
+  }
+  template <typename TxnOrDirect> bool leaf(TxnOrDirect &Tx, uint32_t N) {
     return B::load(Tx, P[N].Leaf) != 0;
   }
-  uint64_t key(Txn &Tx, uint32_t N, uint32_t I) {
+  template <typename TxnOrDirect>
+  uint64_t key(TxnOrDirect &Tx, uint32_t N, uint32_t I) {
     return B::load(Tx, P[N].Keys[I]);
   }
-  uint64_t val(Txn &Tx, uint32_t N, uint32_t I) {
+  template <typename TxnOrDirect>
+  uint64_t val(TxnOrDirect &Tx, uint32_t N, uint32_t I) {
     return B::load(Tx, P[N].Vals[I]);
   }
-  uint32_t child(Txn &Tx, uint32_t N, uint32_t I) {
+  template <typename TxnOrDirect>
+  uint32_t child(TxnOrDirect &Tx, uint32_t N, uint32_t I) {
     return B::load(Tx, P[N].Children[I]);
+  }
+
+  /// The insert path; \p Tx is a `Txn &` or a DirectAccess tag.
+  template <typename TxnOrDirect>
+  bool insertAt(TxnOrDirect &Tx, uint64_t Key, uint64_t Value) {
+    uint32_t R = B::load(Tx, Root);
+    if (nk(Tx, R) == MaxKeys) {
+      uint32_t NewRoot = P.allocate();
+      B::store(Tx, P[NewRoot].NumKeys, uint32_t{0});
+      B::store(Tx, P[NewRoot].Leaf, uint32_t{0});
+      B::store(Tx, P[NewRoot].Children[0], R);
+      splitChild(Tx, NewRoot, 0, R);
+      B::store(Tx, Root, NewRoot);
+      R = NewRoot;
+    }
+    if (!insertNonFull(Tx, R, Key, Value))
+      return false;
+    bumpSize(Tx, uint64_t{1});
+    return true;
   }
 
   /// Splits the full child \p Y (= child \p I of \p X, MaxKeys keys)
   /// around its median, which moves up into \p X.
-  void splitChild(Txn &Tx, uint32_t X, uint32_t I, uint32_t Y) {
+  template <typename TxnOrDirect>
+  void splitChild(TxnOrDirect &Tx, uint32_t X, uint32_t I, uint32_t Y) {
     uint32_t Z = P.allocate();
     bool YLeaf = leaf(Tx, Y);
     B::store(Tx, P[Z].Leaf, uint32_t{YLeaf ? 1u : 0u});
@@ -269,7 +300,9 @@ private:
   }
 
   /// Top-down insert into a node guaranteed non-full; false on duplicate.
-  bool insertNonFull(Txn &Tx, uint32_t N, uint64_t Key, uint64_t Value) {
+  template <typename TxnOrDirect>
+  bool insertNonFull(TxnOrDirect &Tx, uint32_t N, uint64_t Key,
+                     uint64_t Value) {
     for (;;) {
       uint32_t K = nk(Tx, N);
       uint32_t I = K;
@@ -490,7 +523,8 @@ private:
       scanRec(Tx, child(Tx, N, K), Start, MaxCount, Taken, ValueSum);
   }
 
-  void bumpSize(Txn &Tx, uint64_t Delta) {
+  template <typename TxnOrDirect>
+  void bumpSize(TxnOrDirect &Tx, uint64_t Delta) {
     auto &Stripe =
         Stripes[static_cast<size_t>(Tx.threadId()) & (SizeStripes - 1)];
     B::store(Tx, Stripe, B::load(Tx, Stripe) + Delta);

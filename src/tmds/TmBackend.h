@@ -26,6 +26,10 @@
 ///    checks (word backends decode the shared stripe; LibTm decodes the
 ///    object's embedded metadata word).
 ///
+/// `load`/`store` also take a `DirectAccess` tag in place of the
+/// descriptor and then access the cell directly, so one algorithm
+/// template serves a transaction and a quiescent, single-threaded load.
+///
 /// The containers only ever use cells holding trivially copyable values
 /// of at most 8 bytes, so one TObj payload word mirrors one TVar word.
 ///
@@ -39,12 +43,21 @@
 #include "shard/Sharded.h"
 #include "stm/LockTable.h"
 #include "stm/TVar.h"
+#include "support/Ids.h"
 
 #include <atomic>
 #include <cstdint>
 #include <type_traits>
 
 namespace gstm {
+
+/// Accessor tag for quiescent, single-threaded use: a tmds algorithm
+/// templated on its accessor runs on `B::loadDirect`/`B::storeDirect`
+/// when handed this instead of a `B::Txn &`. It reports thread 0, so a
+/// per-thread stripe it bumps is the one a thread-0 transaction bumps.
+struct DirectAccess {
+  static constexpr ThreadId threadId() { return 0; }
+};
 
 /// Word-based backends over a chassis descriptor \p TxnT: cells are
 /// TVar<T> and the runtime's access observer reports &TVar::word() and
@@ -67,6 +80,13 @@ template <typename TxnT> struct WordBackend {
   template <typename T>
   static void storeDirect(Cell<T> &C, std::type_identity_t<T> Value) {
     C.storeDirect(Value);
+  }
+  template <typename T> static T load(DirectAccess, const Cell<T> &C) {
+    return loadDirect(C);
+  }
+  template <typename T>
+  static void store(DirectAccess, Cell<T> &C, std::type_identity_t<T> Value) {
+    storeDirect(C, Value);
   }
 
   /// Address / raw value as seen by TxAccessObserver callbacks.
@@ -120,6 +140,13 @@ struct LibTmBackend {
   template <typename T>
   static void storeDirect(Cell<T> &C, std::type_identity_t<T> Value) {
     C.storeDirect(Value);
+  }
+  template <typename T> static T load(DirectAccess, const Cell<T> &C) {
+    return loadDirect(C);
+  }
+  template <typename T>
+  static void store(DirectAccess, Cell<T> &C, std::type_identity_t<T> Value) {
+    storeDirect(C, Value);
   }
 
   template <typename T> static const void *cellAddr(const Cell<T> &C) {

@@ -15,6 +15,8 @@
 /// Transactions provide atomicity, so the code is the sequential algorithm
 /// with every field access routed through the backend policy
 /// (tmds/TmBackend.h); the same source instantiates over TL2 and LibTm.
+/// insertDirect() runs the same insert code on direct accesses, for a
+/// preload before any transaction starts.
 ///
 /// Two deliberate departures from a textbook skiplist:
 ///  * Tower heights are a deterministic hash of the key (geometric via
@@ -110,24 +112,20 @@ public:
 
   /// Inserts (\p Key, \p Value); returns false when the key exists.
   bool insert(Txn &Tx, uint64_t Key, uint64_t Value) {
-    uint32_t Preds[MaxLevel];
-    uint32_t N = descend(Tx, Key, Preds);
-    if (N != Pool::Null && B::load(Tx, P[N].Key) == Key)
-      return false;
-    uint32_t H = towerHeight(Key);
-    // Allocation inside the body: an aborted attempt leaks its node
-    // (TmPool discipline — pools budget headroom for that).
-    uint32_t Fresh = P.allocate();
-    B::store(Tx, P[Fresh].Key, Key);
-    B::store(Tx, P[Fresh].Value, Value);
-    B::store(Tx, P[Fresh].Height, H);
-    for (uint32_t L = 0; L < H; ++L) {
-      B::store(Tx, P[Fresh].Next[L], B::load(Tx, P[Preds[L]].Next[L]));
-      B::store(Tx, P[Preds[L]].Next[L], Fresh);
-    }
-    bumpSize(Tx, uint64_t{1});
-    return true;
+    return insertAt(Tx, Key, Value);
   }
+
+  /// insert() with direct loads and stores, for quiescent use only (a
+  /// preload before any transaction runs). It links the same tower and
+  /// bumps size stripe 0, as a thread-0 transaction would.
+  bool insertDirect(uint64_t Key, uint64_t Value) {
+    DirectAccess Direct;
+    return insertAt(Direct, Key, Value);
+  }
+
+  /// Pool nodes an insert-only load of \p Keys keys takes: one per key
+  /// plus the head.
+  static constexpr uint64_t nodesFor(uint64_t Keys) { return Keys + 1; }
 
   /// Overwrites the value of an existing key; false when absent.
   bool update(Txn &Tx, uint64_t Key, uint64_t Value) {
@@ -260,10 +258,34 @@ public:
   }
 
 private:
+  /// The insert path; \p Tx is a `Txn &` or a DirectAccess tag (see
+  /// insertDirect()).
+  template <typename TxnOrDirect>
+  bool insertAt(TxnOrDirect &Tx, uint64_t Key, uint64_t Value) {
+    uint32_t Preds[MaxLevel];
+    uint32_t N = descend(Tx, Key, Preds);
+    if (N != Pool::Null && B::load(Tx, P[N].Key) == Key)
+      return false;
+    uint32_t H = towerHeight(Key);
+    // Allocation inside the body: an aborted attempt leaks its node
+    // (TmPool discipline — pools budget headroom for that).
+    uint32_t Fresh = P.allocate();
+    B::store(Tx, P[Fresh].Key, Key);
+    B::store(Tx, P[Fresh].Value, Value);
+    B::store(Tx, P[Fresh].Height, H);
+    for (uint32_t L = 0; L < H; ++L) {
+      B::store(Tx, P[Fresh].Next[L], B::load(Tx, P[Preds[L]].Next[L]));
+      B::store(Tx, P[Preds[L]].Next[L], Fresh);
+    }
+    bumpSize(Tx, uint64_t{1});
+    return true;
+  }
+
   /// Descends towards \p Key, returning the first level-0 node with
   /// key >= \p Key (or Null); when \p Preds is non-null, fills it with
   /// the strict predecessor at every level.
-  uint32_t descend(Txn &Tx, uint64_t Key, uint32_t *Preds) {
+  template <typename TxnOrDirect>
+  uint32_t descend(TxnOrDirect &Tx, uint64_t Key, uint32_t *Preds) {
     uint32_t Cur = Head;
     for (int L = MaxLevel - 1; L >= 0; --L) {
       uint32_t Next = B::load(Tx, P[Cur].Next[L]);
@@ -277,7 +299,8 @@ private:
     return B::load(Tx, P[Cur].Next[0]);
   }
 
-  void bumpSize(Txn &Tx, uint64_t Delta) {
+  template <typename TxnOrDirect>
+  void bumpSize(TxnOrDirect &Tx, uint64_t Delta) {
     auto &Stripe =
         Stripes[static_cast<size_t>(Tx.threadId()) & (SizeStripes - 1)];
     B::store(Tx, Stripe, B::load(Tx, Stripe) + Delta);

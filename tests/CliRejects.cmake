@@ -71,6 +71,10 @@ expect_usage_error(${OLTP_YCSB} --scan-len=-1 --mix=e ${OltpSmall})
 expect_usage_error(${OLTP_YCSB} --read=150 --update=-50 ${OltpSmall})
 expect_usage_error(${OLTP_YCSB} --records=4294967295 --threads=2 --ops=64
     MESSAGE "overflow the node pool")
+# A budget of exactly UINT32_MAX nodes: the pool's index 0 is its null
+# node, so capacity + 1 wrapped to 0 and the first allocation aborted.
+expect_usage_error(${OLTP_YCSB} --structure=skiplist --records=4294963183
+    --ops=0 --threads=2 --mix=c MESSAGE "overflow the node pool")
 expect_usage_error(${CHECK_FUZZ} --backend=sharded --shards=3 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --backend=sharded --shards=0 --iters=1)
 expect_usage_error(${CHECK_FUZZ} --workload=skiplist --threads=0 --iters=1)

@@ -199,6 +199,8 @@ TEST(LintProfiles, HandleTypeSelectsProfile) {
   for (const char *Handle : {"Tl2Txn", "ShardedTxn", "LibTxn",
                              "OrecEagerTxn", ""})
     EXPECT_FALSE(isEngineInternalHandle(Handle)) << Handle;
+  // So does the tmds insert path, templated on a Txn or a direct tag.
+  EXPECT_FALSE(isEngineInternalHandle("TxnOrDirect"));
   // Template-parameter handle names mark engine plumbing: naked-access
   // and callee propagation off.
   EXPECT_TRUE(isEngineInternalHandle("TxnT"));

@@ -6,9 +6,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Covers the tmds containers (src/tmds): map semantics against a std::map
-// oracle, structural invariants via the direct validators, deterministic
-// skiplist tower heights, backend-genericity (the same template body runs
-// on TL2 flat and sharded, LibTm and orec-eager), scan semantics,
+// oracle, structural invariants via the direct validators, quiescent
+// direct inserts that build the transactional structure cell for cell
+// within each structure's pool bound, deterministic skiplist tower
+// heights, backend-genericity (the same template body runs on TL2 flat
+// and sharded, LibTm and orec-eager), scan semantics,
 // rollback of structural changes, concurrent per-thread-partitioned
 // mutation with exact final contents, and atomic replacements seen whole
 // by concurrent full scans.
@@ -20,11 +22,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <random>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -219,6 +223,83 @@ TYPED_TEST(TmdsTest, TransactionalSizeAgreesWithDirect) {
   Tx.run(1, [&](auto &T) { TxnSize = F.Ds.size(T); });
   EXPECT_EQ(TxnSize, 40u);
   EXPECT_EQ(F.Ds.sizeDirect(), 40u);
+}
+
+//===----------------------------------------------------------------------===//
+// Quiescent direct inserts (the OLTP preload)
+//===----------------------------------------------------------------------===//
+
+/// Keys 1..N, ascending or in a fixed shuffled order.
+std::vector<uint64_t> loadOrder(uint64_t N, bool Shuffled) {
+  std::vector<uint64_t> Keys(N);
+  for (uint64_t I = 0; I < N; ++I)
+    Keys[I] = I + 1;
+  if (Shuffled)
+    std::shuffle(Keys.begin(), Keys.end(), std::mt19937_64(N));
+  return Keys;
+}
+
+/// Raw words of every cell \p Ds owns, in its visiting order.
+template <typename Structure>
+std::vector<uint64_t> cellWords(const Structure &Ds) {
+  std::vector<uint64_t> Words;
+  Ds.forEachCellDirect(
+      [&](const void *, uint64_t Raw) { Words.push_back(Raw); });
+  return Words;
+}
+
+TYPED_TEST(TmdsTest, DirectInsertBuildsTheTransactionalStructure) {
+  // insertDirect runs insert's own code on direct accesses, so loading
+  // the same keys either way must give the same pool and the same cells,
+  // size stripes included. Re-inserting loaded keys probes the duplicate
+  // path, which can still split full B-tree nodes.
+  for (bool Shuffled : {false, true}) {
+    SCOPED_TRACE(Shuffled ? "shuffled" : "ascending");
+    const std::vector<uint64_t> Keys = loadOrder(3000, Shuffled);
+    Fixture<TypeParam> ViaTxn, Direct;
+    typename Fixture<TypeParam>::Txn Tx(ViaTxn.S, 0);
+    for (size_t Lo = 0; Lo < Keys.size(); Lo += 64)
+      Tx.run(static_cast<TxId>(Lo), [&](auto &T) {
+        for (size_t I = Lo; I < std::min(Keys.size(), Lo + 64); ++I)
+          EXPECT_TRUE(ViaTxn.Ds.insert(T, Keys[I], Keys[I] * 3));
+      });
+    for (uint64_t K : Keys)
+      ASSERT_TRUE(Direct.Ds.insertDirect(K, K * 3));
+    for (size_t I = 0; I < 100; ++I) {
+      bool Inserted = true;
+      Tx.run(1, [&](auto &T) {
+        Inserted = ViaTxn.Ds.insert(T, Keys[I], 0);
+      });
+      EXPECT_FALSE(Inserted);
+      EXPECT_FALSE(Direct.Ds.insertDirect(Keys[I], 0));
+    }
+
+    EXPECT_TRUE(ViaTxn.Ds.validateDirect());
+    EXPECT_TRUE(Direct.Ds.validateDirect());
+    EXPECT_EQ(Direct.Ds.sizeDirect(), Keys.size());
+    EXPECT_EQ(Direct.Pool.used(), ViaTxn.Pool.used());
+    EXPECT_EQ(cellWords(Direct.Ds), cellWords(ViaTxn.Ds));
+  }
+}
+
+TYPED_TEST(TmdsTest, NodesForBoundsEveryLoad) {
+  using Structure = typename Fixture<TypeParam>::Structure;
+  for (uint64_t N : {0, 1, 7, 8, 15, 16, 4096, 1 << 16})
+    for (bool Shuffled : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << N << (Shuffled ? " shuffled" : " ascending"));
+      // Room beyond the bound, so a load that outgrows it fails here
+      // instead of exhausting the pool.
+      Fixture<TypeParam> F(
+          static_cast<uint32_t>(2 * Structure::nodesFor(N) + 16));
+      for (uint64_t K : loadOrder(N, Shuffled))
+        F.Ds.insertDirect(K, K);
+      ASSERT_TRUE(F.Ds.validateDirect());
+      EXPECT_LE(F.Pool.used(), Structure::nodesFor(N));
+      if (std::string_view(TypeParam::Kind) == "skiplist") {
+        EXPECT_EQ(F.Pool.used(), Structure::nodesFor(N));
+      }
+    }
 }
 
 TYPED_TEST(TmdsTest, ForeignExceptionRollsBackStructuralChanges) {
