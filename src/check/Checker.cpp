@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -30,11 +31,7 @@ std::string describeAttempt(const AttemptRecord &A) {
 }
 
 CheckResult violation(std::string Reason) {
-  return CheckResult{Verdict::Violation, std::move(Reason)};
-}
-
-CheckResult inconclusive(std::string Reason) {
-  return CheckResult{Verdict::Inconclusive, std::move(Reason)};
+  return CheckResult{std::move(Reason)};
 }
 
 } // namespace
@@ -99,7 +96,9 @@ CheckResult gstm::checkInvariants(const History &H, bool ValuesAreUnique) {
     }
   }
   for (const AttemptRecord &A : H.Attempts) {
-    for (const auto &[Addr, Value] : A.globalReads()) {
+    for (const AccessRecord *R : A.globalReads()) {
+      const void *Addr = R->Addr;
+      const uint64_t Value = R->Value;
       auto InitIt = H.Initial.find(Addr);
       if (InitIt != H.Initial.end() && InitIt->second == Value)
         continue;
@@ -184,17 +183,12 @@ CheckResult gstm::checkOpacity(const History &H) {
     // can only push the validated version later *within* the interval,
     // never outside it.
     std::vector<std::vector<const Segment *>> Candidates;
-    for (const auto &[Addr, Value] : Reads) {
+    for (const AccessRecord *R : Reads) {
+      const void *Addr = R->Addr;
+      const uint64_t Value = R->Value, Validated = R->Version;
       auto TlIt = Timelines.find(Addr);
       if (TlIt == Timelines.end())
         continue; // never initialized nor committed to: no basis to judge
-      uint64_t Validated = 0;
-      for (const AccessRecord &Acc : A.Accesses)
-        if (Acc.K == AccessRecord::Kind::Load && !Acc.Buffered &&
-            Acc.Addr == Addr) {
-          Validated = Acc.Version;
-          break;
-        }
       std::vector<const Segment *> Segs;
       bool ValueKnown = false;
       for (const Segment &S : TlIt->second)
@@ -259,239 +253,123 @@ CheckResult gstm::checkOpacity(const History &H) {
 // Final-state serializability of the committed transactions
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Backtracking budget for the serialization search, in graph-node
-/// visits. Exhaustion yields Inconclusive, never a false verdict.
-constexpr uint64_t SearchBudget = 1 << 20;
-
-/// Constraint from a read: the other writer \p Other of the same location
-/// must serialize either before the read's source \p Source or after the
-/// reader \p Reader (never in between).
-struct PlacementChoice {
-  int Other;
-  int Source;
-  int Reader;
-};
-
-/// Acyclic digraph under construction; node 0 is the virtual initial
-/// transaction. Edges are only added when they provably do not close a
-/// cycle, so acyclicity is an invariant.
-class OrderGraph {
-public:
-  explicit OrderGraph(int N, uint64_t Budget)
-      : Adj(N), Mark(N, 0), Budget(Budget) {}
-
-  bool budgetExhausted() const { return Exhausted; }
-
-  /// True when a path From ->* To exists under the current edges.
-  bool reaches(int From, int To) {
-    if (From == To)
-      return true;
-    ++Epoch;
-    return dfs(From, To);
-  }
-
-  /// Adds From -> To unless it would close a cycle; returns false then.
-  bool addEdge(int From, int To) {
-    if (reaches(To, From))
-      return false;
-    Adj[From].push_back(To);
-    Trail.push_back(From);
-    return true;
-  }
-
-  size_t mark() const { return Trail.size(); }
-  void rewindTo(size_t M) {
-    while (Trail.size() > M) {
-      Adj[Trail.back()].pop_back();
-      Trail.pop_back();
-    }
-  }
-
-private:
-  bool dfs(int At, int To) {
-    if (Budget == 0) {
-      Exhausted = true;
-      return true; // claim reachability: callers then refuse the edge,
-                   // which can only lead to Inconclusive, never Ok
-    }
-    --Budget;
-    Mark[At] = Epoch;
-    for (int Next : Adj[At]) {
-      if (Next == To)
-        return true;
-      if (Mark[Next] != Epoch && dfs(Next, To))
-        return true;
-    }
-    return false;
-  }
-
-  std::vector<std::vector<int>> Adj;
-  std::vector<uint64_t> Mark;
-  std::vector<int> Trail;
-  uint64_t Epoch = 0;
-  uint64_t Budget;
-  bool Exhausted = false;
-};
-
-enum class Sat : uint8_t { Yes, No, Unknown };
-
-Sat searchPlacements(OrderGraph &G,
-                     const std::vector<PlacementChoice> &Choices,
-                     size_t Idx) {
-  if (G.budgetExhausted())
-    return Sat::Unknown;
-  if (Idx == Choices.size())
-    return Sat::Yes;
-  const PlacementChoice &C = Choices[Idx];
-  // Already satisfied? Paths only grow, so once a disjunct holds it holds
-  // in every extension.
-  if (G.reaches(C.Other, C.Source) || G.reaches(C.Reader, C.Other))
-    return searchPlacements(G, Choices, Idx + 1);
-  bool SawUnknown = false;
-  // Option A: Other before Source.
-  size_t M = G.mark();
-  if (G.addEdge(C.Other, C.Source)) {
-    Sat R = searchPlacements(G, Choices, Idx + 1);
-    if (R == Sat::Yes)
-      return R;
-    if (R == Sat::Unknown)
-      SawUnknown = true;
-    G.rewindTo(M);
-  }
-  // Option B: Reader before Other.
-  if (G.addEdge(C.Reader, C.Other)) {
-    Sat R = searchPlacements(G, Choices, Idx + 1);
-    if (R == Sat::Yes)
-      return R;
-    if (R == Sat::Unknown)
-      SawUnknown = true;
-    G.rewindTo(M);
-  }
-  if (G.budgetExhausted() || SawUnknown)
-    return Sat::Unknown;
-  return Sat::No;
-}
-
-} // namespace
-
 CheckResult gstm::checkCommittedSerializable(const History &H,
                                              bool ValuesAreUnique) {
   std::vector<const AttemptRecord *> Txns;
   for (const AttemptRecord &A : H.Attempts)
     if (A.committed())
       Txns.push_back(&A);
-  const int N = static_cast<int>(Txns.size()) + 1; // node 0 = Init
+  const int N = static_cast<int>(Txns.size());
 
-  // Index the committed writers per location by written value.
-  std::unordered_map<const void *, std::vector<std::pair<uint64_t, int>>>
-      WritersOf; // addr -> (value, node)
-  for (int I = 0; I < N - 1; ++I)
+  // The committed writers of each location, in commit-version order.
+  struct Write {
+    uint64_t Version;
+    int Node;
+    uint64_t Value;
+  };
+  std::unordered_map<const void *, std::vector<Write>> WritersOf;
+  for (int I = 0; I < N; ++I)
     for (const auto &[Addr, Value] : Txns[I]->finalWrites())
-      WritersOf[Addr].emplace_back(Value, I + 1);
+      WritersOf[Addr].push_back(Write{Txns[I]->CommitVersion, I, Value});
 
-  OrderGraph G(N, SearchBudget);
-  // Real-time order: an attempt that ended before another began must
-  // serialize before it.
-  for (int I = 0; I < N - 1; ++I)
-    for (int J = 0; J < N - 1; ++J)
-      if (Txns[I]->EndSeq < Txns[J]->BeginSeq)
-        if (!G.addEdge(I + 1, J + 1))
-          return violation("real-time order of commits is cyclic "
-                           "(corrupt history stamps)");
+  // Nodes [0, N) are the transactions, [N, 2N) the real-time end points.
+  std::vector<std::vector<int>> Succ(2 * N);
+  for (auto &[Addr, Ws] : WritersOf) {
+    std::sort(Ws.begin(), Ws.end(), [](const Write &A, const Write &B) {
+      return A.Version < B.Version;
+    });
+    for (size_t K = 1; K < Ws.size(); ++K)
+      Succ[Ws[K - 1].Node].push_back(Ws[K].Node);
+  }
 
-  std::vector<PlacementChoice> Choices;
-  for (int I = 0; I < N - 1; ++I) {
-    const int Reader = I + 1;
-    for (const auto &[Addr, Value] : Txns[I]->globalReads()) {
-      // Resolve the read to the transaction that produced the value.
-      int Source = -1;
-      bool Ambiguous = false;
-      auto WIt = WritersOf.find(Addr);
-      if (WIt != WritersOf.end())
-        for (const auto &[WValue, WNode] : WIt->second) {
-          if (WValue != Value || WNode == Reader)
-            continue;
-          if (Source >= 0)
-            Ambiguous = true;
-          Source = WNode;
-        }
-      auto InitIt = H.Initial.find(Addr);
-      if (InitIt != H.Initial.end() && InitIt->second == Value) {
-        if (Source >= 0)
-          Ambiguous = true;
-        else
-          Source = 0;
-      }
-      if (Ambiguous)
-        return ValuesAreUnique
-                   ? inconclusive("read value produced by several writers; "
-                                  "cannot attribute the read")
-                   : inconclusive("workload values not unique; skipping "
-                                  "serializability");
-      if (Source < 0) {
-        if (InitIt == H.Initial.end())
-          continue; // unknown initial value: read carries no constraint
+  // A read that validated against version V reads from the last writer
+  // at or before V (none: the initial value) and precedes the writer
+  // after that one.
+  const std::vector<Write> NoWriters;
+  for (int I = 0; I < N; ++I)
+    for (const AccessRecord *R : Txns[I]->globalReads()) {
+      auto WIt = WritersOf.find(R->Addr);
+      const std::vector<Write> &Ws =
+          WIt == WritersOf.end() ? NoWriters : WIt->second;
+      const size_t Next =
+          std::upper_bound(Ws.begin(), Ws.end(), R->Version,
+                           [](uint64_t V, const Write &W) {
+                             return V < W.Version;
+                           }) -
+          Ws.begin();
+      if (Next > 0)
+        Succ[Ws[Next - 1].Node].push_back(I);
+      if (Next < Ws.size() && Ws[Next].Node != I)
+        Succ[I].push_back(Ws[Next].Node);
+      if (!ValuesAreUnique)
+        continue;
+      auto InitIt = H.Initial.find(R->Addr);
+      if (Next == 0 && InitIt == H.Initial.end())
+        continue; // unknown initial value: nothing to compare against
+      const uint64_t Want = Next > 0 ? Ws[Next - 1].Value : InitIt->second;
+      if (R->Value != Want)
         return violation("committed " + describeAttempt(*Txns[I]) +
-                         " read value " + std::to_string(Value) +
-                         " that no committed transaction wrote");
-      }
-      // Source must precede Reader...
-      if (Source != 0 && !G.reaches(Source, Reader))
-        if (!G.addEdge(Source, Reader))
-          return violation("read-from order contradicts the established "
-                           "commit order: " +
-                           describeAttempt(*Txns[I]) + " read from " +
-                           describeAttempt(*Txns[Source - 1]));
-      // ...and no other writer of the location may fall in between.
-      if (WIt != WritersOf.end())
-        for (const auto &[WValue, WNode] : WIt->second) {
-          if (WNode == Source || WNode == Reader)
-            continue;
-          if (Source == 0) {
-            // Nothing precedes Init: the other writer must follow Reader.
-            if (!G.addEdge(Reader, WNode))
-              return violation(
-                  "writer must follow a reader of the initial value but "
-                  "is already ordered before it: " +
-                  describeAttempt(*Txns[WNode - 1]) + " vs " +
-                  describeAttempt(*Txns[I]));
-          } else {
-            Choices.push_back(PlacementChoice{WNode, Source, Reader});
-          }
-        }
+                         " read value " + std::to_string(R->Value) +
+                         " under version " + std::to_string(R->Version) +
+                         ", whose writer installed " + std::to_string(Want));
     }
-  }
-  if (G.budgetExhausted())
-    return inconclusive("serialization search budget exhausted");
 
-  switch (searchPlacements(G, Choices, 0)) {
-  case Sat::Yes:
-    return CheckResult{};
-  case Sat::Unknown:
-    return inconclusive("serialization search budget exhausted");
-  case Sat::No:
-    return violation("no serialization of the committed transactions is "
-                     "consistent with the observed read values");
+  // Real-time order as a chain of end points sorted by EndSeq: each
+  // transaction feeds its own end point, each end point the next, and the
+  // last end before a transaction began feeds that transaction. So T
+  // reaches U through the chain exactly when T ended before U began.
+  std::vector<int> ByEnd(N);
+  std::iota(ByEnd.begin(), ByEnd.end(), 0);
+  std::sort(ByEnd.begin(), ByEnd.end(), [&](int A, int B) {
+    return Txns[A]->EndSeq < Txns[B]->EndSeq;
+  });
+  std::vector<uint64_t> Ends(N);
+  for (int K = 0; K < N; ++K) {
+    Ends[K] = Txns[ByEnd[K]]->EndSeq;
+    Succ[ByEnd[K]].push_back(N + K);
+    if (K + 1 < N)
+      Succ[N + K].push_back(N + K + 1);
   }
+  for (int J = 0; J < N; ++J) {
+    auto K = std::lower_bound(Ends.begin(), Ends.end(), Txns[J]->BeginSeq) -
+             Ends.begin();
+    if (K > 0)
+      Succ[N + K - 1].push_back(J);
+  }
+
+  // Kahn's topological sort: a node left with predecessors lies on or
+  // behind a cycle.
+  std::vector<int> InDegree(2 * N, 0);
+  for (const std::vector<int> &Out : Succ)
+    for (int To : Out)
+      ++InDegree[To];
+  std::vector<int> Ready;
+  for (int V = 0; V < 2 * N; ++V)
+    if (InDegree[V] == 0)
+      Ready.push_back(V);
+  while (!Ready.empty()) {
+    int V = Ready.back();
+    Ready.pop_back();
+    for (int To : Succ[V])
+      if (--InDegree[To] == 0)
+        Ready.push_back(To);
+  }
+  for (int I = 0; I < N; ++I)
+    if (InDegree[I] > 0)
+      return violation("no serialization of the committed transactions "
+                       "respects their reads, writes and real-time order: " +
+                       describeAttempt(*Txns[I]) +
+                       " lies on or after a cycle");
   return CheckResult{};
 }
 
 CheckResult gstm::checkAll(const History &H, bool ValuesAreUnique) {
-  CheckResult Inv = checkInvariants(H, ValuesAreUnique);
-  if (Inv.violation())
-    return Inv;
-  CheckResult Op = checkOpacity(H);
-  if (Op.violation())
-    return Op;
-  CheckResult Ser = checkCommittedSerializable(H, ValuesAreUnique);
-  if (Ser.violation())
-    return Ser;
-  for (const CheckResult *R : {&Inv, &Op, &Ser})
-    if (!R->ok())
-      return *R;
-  return CheckResult{};
+  CheckResult R = checkInvariants(H, ValuesAreUnique);
+  if (R.ok())
+    R = checkOpacity(H);
+  if (R.ok())
+    R = checkCommittedSerializable(H, ValuesAreUnique);
+  return R;
 }
 
 bool gstm::lockTableQuiescent(LockTable &Locks, std::string *Why) {

@@ -23,15 +23,20 @@
 ///    (derived from the committed-writer timeline per location) must
 ///    share a common point. This is the operative part of opacity that
 ///    TL2-style rv validation exists to guarantee.
-///  * checkCommittedSerializable — searches for a total order of the
-///    committed transactions consistent with every observed read value
-///    (read-from + no intervening writer), the recorded real-time order,
-///    and acyclicity: graph reachability for propagation plus bounded
-///    backtracking over the residual writer-placement choices. Sound and
-///    complete for histories whose read-from mapping is unambiguous
-///    (which the fuzz workloads guarantee by writing unique values);
-///    returns Inconclusive rather than guessing when the search budget
-///    is exhausted.
+///  * checkCommittedSerializable — one graph over the committed
+///    transactions, sorted once. A read that validated against version V
+///    reads from the committed writer of its location with the largest
+///    commit version <= V, or the initial value when there is none. That
+///    is the interval checkOpacity already requires of every read, and
+///    stripe aliasing cannot leave it: TL2 takes its write version while
+///    it holds the stripe lock, so an alias can only push V later inside
+///    the interval, never past the next writer. Edges run
+///    writer -> reader, reader -> the next writer, writer -> next writer,
+///    and along a chain of end points sorted by EndSeq that makes T reach
+///    U exactly when T ended before U began. The history is serializable
+///    in real-time order iff a topological sort places every node. With
+///    unique values each read's value must also be its writer's, so an
+///    engine that lies about versions is caught as well.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,32 +51,21 @@
 
 namespace gstm {
 
-/// Outcome of one checker pass.
-enum class Verdict : uint8_t {
-  /// No violation found.
-  Ok,
-  /// The history provably violates the property.
-  Violation,
-  /// The checker could not decide (search budget exhausted or the
-  /// history's values were too ambiguous to attribute reads).
-  Inconclusive,
-};
-
-/// Verdict plus a human-readable description of the first problem found.
+/// Outcome of one checker pass: Ok, or a violation and a human-readable
+/// description of the first problem found.
 struct CheckResult {
-  Verdict V = Verdict::Ok;
   std::string Reason;
 
-  bool ok() const { return V == Verdict::Ok; }
-  bool violation() const { return V == Verdict::Violation; }
+  bool ok() const { return Reason.empty(); }
+  bool violation() const { return !ok(); }
 };
 
 // ValuesAreUnique, below, says the workload writes values that are
 // unique per (location, history); the fuzz harness's chained-sum updates
-// make duplicate values vanishingly unlikely. Value-based read
-// attribution (and with it the aborted-write-visible and
-// serializability checks) needs this; with ambiguous values those checks
-// degrade to Inconclusive instead of guessing.
+// make duplicate values vanishingly unlikely. It switches on the checks
+// that judge a read by its value: the aborted-write check and the
+// serializability checker's value cross-check. Reads are attributed by
+// version either way.
 
 /// Cheap, search-free invariants. See file comment.
 CheckResult checkInvariants(const History &H, bool ValuesAreUnique = true);
@@ -86,8 +80,7 @@ CheckResult checkOpacity(const History &H);
 CheckResult checkCommittedSerializable(const History &H,
                                        bool ValuesAreUnique = true);
 
-/// Runs all three checkers, returning the first non-Ok result (violations
-/// beat inconclusives).
+/// Runs all three checkers, returning the first violation.
 CheckResult checkAll(const History &H, bool ValuesAreUnique = true);
 
 /// Quiescence invariant: no stripe of \p Locks may still be locked once

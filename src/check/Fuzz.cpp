@@ -90,8 +90,8 @@ FuzzPlan gstm::makeFuzzPlan(uint64_t Seed, const FuzzConfig &Cfg) {
         Op.Var = VarOrder[I];
         Op.IsWrite = (Rng.next() & 1) != 0;
         // Unique full-width deltas make every intermediate value of a
-        // variable distinct (whp), which the checkers' value-based read
-        // attribution needs. Zero would alias consecutive values.
+        // variable distinct (whp), which the checkers' value checks need.
+        // Zero would alias consecutive values.
         if (Op.IsWrite)
           do {
             Op.Delta = Rng.next();
@@ -210,8 +210,8 @@ void applyOp(DS &Ds, typename DS::Txn &Tx, const TmdsOp &Op) {
 template <typename B, template <typename> class DSTmpl> class MapWorkload {
 public:
   /// Map values are payload data, not the unique tokens the rmw plans
-  /// plant; with duplicates possible the checkers degrade ambiguous read
-  /// attribution to Inconclusive instead of a false Violation.
+  /// plant, so the value checks are off; the checkers attribute reads by
+  /// version and still judge serializability.
   static constexpr bool UniqueValues = false;
 
   MapWorkload(const TmdsPlan &Plan, const TmdsFuzzConfig &Cfg,
@@ -529,8 +529,10 @@ FuzzRunResult gstm::runFuzzIteration(uint64_t Seed, FuzzBackend Backend,
                                   Cfg);
 }
 
-unsigned gstm::checkerViolations(FuzzBackend Backend, const FuzzConfig &Cfg,
-                                uint64_t MaxSeed, unsigned Enough) {
+template <typename WorkloadConfig>
+unsigned gstm::checkerViolations(FuzzBackend Backend,
+                                 const WorkloadConfig &Cfg, uint64_t MaxSeed,
+                                 unsigned Enough) {
   unsigned Violations = 0;
   for (uint64_t Seed = 1; Seed <= MaxSeed && Violations < Enough; ++Seed)
     Violations += runFuzzIteration(Seed, Backend, Cfg).Check.violation();
@@ -569,6 +571,11 @@ template FuzzRunResult gstm::runFuzzIteration(uint64_t, FuzzBackend,
                                               const FuzzConfig &);
 template FuzzRunResult gstm::runFuzzIteration(uint64_t, FuzzBackend,
                                               const TmdsFuzzConfig &);
+template unsigned gstm::checkerViolations(FuzzBackend, const FuzzConfig &,
+                                          uint64_t, unsigned);
+template unsigned gstm::checkerViolations(FuzzBackend,
+                                          const TmdsFuzzConfig &, uint64_t,
+                                          unsigned);
 template DifferentialResult
 gstm::runDifferential(uint64_t, const FuzzConfig &,
                       std::span<const FuzzBackend>);

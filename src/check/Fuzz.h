@@ -136,8 +136,8 @@ struct FuzzPlan {
 
 /// Expands \p Seed into a plan. Write deltas are drawn from the full
 /// 64-bit space, making every intermediate value of a variable unique with
-/// overwhelming probability — the property the checkers' value-based read
-/// attribution rests on.
+/// overwhelming probability — the property the checkers' value checks
+/// rest on.
 FuzzPlan makeFuzzPlan(uint64_t Seed, const FuzzConfig &Cfg);
 
 /// Outcome of one (seed, backend) execution, whatever the workload.
@@ -174,10 +174,12 @@ template <typename WorkloadConfig = FuzzConfig>
 FuzzRunResult runFuzzIteration(uint64_t Seed, FuzzBackend Backend,
                                const WorkloadConfig &Cfg = WorkloadConfig());
 
-/// Checker violations among the rmw seeds 1..\p MaxSeed of \p Backend
-/// under \p Cfg, counting stops at \p Enough: the mutation self-tests'
-/// measure of whether the checkers catch a fault knob.
-unsigned checkerViolations(FuzzBackend Backend, const FuzzConfig &Cfg,
+/// Checker violations among the seeds 1..\p MaxSeed of \p Backend under
+/// \p Cfg (rmw or a map workload, as for runFuzzIteration), counting
+/// stops at \p Enough: the mutation self-tests' measure of whether the
+/// checkers catch a fault knob.
+template <typename WorkloadConfig>
+unsigned checkerViolations(FuzzBackend Backend, const WorkloadConfig &Cfg,
                            uint64_t MaxSeed = 60, unsigned Enough = 3);
 
 /// Outcome of one seed across several backends.

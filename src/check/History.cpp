@@ -12,20 +12,14 @@
 
 using namespace gstm;
 
-std::vector<std::pair<const void *, uint64_t>>
-AttemptRecord::globalReads() const {
-  std::vector<std::pair<const void *, uint64_t>> Reads;
+std::vector<const AccessRecord *> AttemptRecord::globalReads() const {
+  std::vector<const AccessRecord *> Reads;
   for (const AccessRecord &A : Accesses) {
     if (A.K != AccessRecord::Kind::Load || A.Buffered)
       continue;
-    bool Seen = false;
-    for (const auto &[Addr, Value] : Reads)
-      if (Addr == A.Addr) {
-        Seen = true;
-        break;
-      }
-    if (!Seen)
-      Reads.emplace_back(A.Addr, A.Value);
+    if (std::none_of(Reads.begin(), Reads.end(),
+                     [&](const AccessRecord *R) { return R->Addr == A.Addr; }))
+      Reads.push_back(&A);
   }
   return Reads;
 }

@@ -76,9 +76,10 @@ struct AttemptRecord {
 
   bool committed() const { return Outcome == AttemptOutcome::Committed; }
 
-  /// First non-buffered read value per address (buffered reads observed no
-  /// global state). Insertion order = program order of first reads.
-  std::vector<std::pair<const void *, uint64_t>> globalReads() const;
+  /// First non-buffered load per address (buffered reads observed no
+  /// global state), with its value and validated version. Insertion
+  /// order = program order of first reads.
+  std::vector<const AccessRecord *> globalReads() const;
   /// Last value written per address — what a commit installs.
   std::vector<std::pair<const void *, uint64_t>> finalWrites() const;
 };

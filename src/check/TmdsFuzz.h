@@ -17,10 +17,11 @@
 /// roam the whole keyspace. Under any serializable execution each key's
 /// final value is then determined by its owner thread's program order
 /// alone, so a plain std::map oracle yields the schedule-independent
-/// expected final contents every backend must agree on. Checker
-/// Inconclusive is acceptable here — node addresses churn, so the
-/// checkers run with ValuesAreUnique=false — and the structure's own
-/// validateDirect() joins the verdicts.
+/// expected final contents every backend must agree on. The checkers
+/// run with ValuesAreUnique=false — map values repeat and node cells are
+/// recycled — but attribute reads by version, so every run still gets a
+/// serializability verdict; the structure's own validateDirect() joins
+/// the verdicts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +71,8 @@ struct TmdsPlan {
 
 /// Shape of the map workloads. The runner checks their histories with
 /// ValuesAreUnique off (distinct map entries may legitimately carry equal
-/// values and node cells are recycled across keys between runs).
+/// values and node cells are recycled across keys between runs), which
+/// turns off only the value checks.
 struct TmdsFuzzConfig : FuzzRunConfig {
   TmdsStructure Structure = TmdsStructure::SkipList;
   unsigned Threads = 3;

@@ -17,6 +17,7 @@
 #include "check/Fuzz.h"
 #include "check/History.h"
 #include "check/Perturb.h"
+#include "check/TmdsFuzz.h"
 #include "engine/Tl2.h"
 #include "stm/TVar.h"
 
@@ -62,8 +63,8 @@ TEST(HistoryRecorderTest, CapturesCommitsAbortsAndAccesses) {
   EXPECT_GE(Update.CommitVersion, 1u);
   auto Reads = Update.globalReads();
   ASSERT_EQ(Reads.size(), 1u);
-  EXPECT_EQ(Reads[0].first, &A.word());
-  EXPECT_EQ(Reads[0].second, 1u);
+  EXPECT_EQ(Reads[0]->Addr, &A.word());
+  EXPECT_EQ(Reads[0]->Value, 1u);
   auto Writes = Update.finalWrites();
   ASSERT_EQ(Writes.size(), 1u);
   EXPECT_EQ(Writes[0].second, 11u);
@@ -282,6 +283,113 @@ TEST(CheckerTest, AcceptsConcurrentDisjointWriters) {
   EXPECT_TRUE(R.ok()) << R.Reason;
 }
 
+TEST(CheckerTest, LargeSerialHistoryIsSerializable) {
+  // 5,000 back-to-back read-modify-writes over four locations: far past
+  // any search budget, and every pair of transactions is in real-time
+  // order.
+  uint64_t Slots[4] = {};
+  History H;
+  uint64_t Value[4], Version[4] = {};
+  for (unsigned L = 0; L < 4; ++L)
+    H.Initial[&Slots[L]] = Value[L] = 1000 * L;
+  for (uint64_t K = 0; K < 5000; ++K) {
+    const unsigned L = K % 4;
+    AttemptRecord T = mkAttempt(static_cast<ThreadId>(K % 3), 2 * K,
+                                2 * K + 1, /*Rv=*/K,
+                                AttemptOutcome::Committed, /*Cv=*/K + 1);
+    addRead(T, &Slots[L], Value[L], Version[L]);
+    addWrite(T, &Slots[L], ++Value[L]);
+    Version[L] = K + 1;
+    H.Attempts.push_back(std::move(T));
+  }
+  CheckResult R = checkAll(H);
+  EXPECT_TRUE(R.ok()) << R.Reason;
+}
+
+TEST(CheckerTest, DuplicateValuesAreStillJudged) {
+  History H;
+  H.Initial[&SlotX] = 100;
+  // A lost update whose two writes store the value both read: no value
+  // tells the writers apart from each other or from the initial value,
+  // the commit versions do.
+  AttemptRecord T1 =
+      mkAttempt(0, 0, 4, 0, AttemptOutcome::Committed, /*Cv=*/1);
+  addRead(T1, &SlotX, 100, 0);
+  addWrite(T1, &SlotX, 100);
+  AttemptRecord T2 =
+      mkAttempt(1, 1, 5, 0, AttemptOutcome::Committed, /*Cv=*/2);
+  addRead(T2, &SlotX, 100, 0);
+  addWrite(T2, &SlotX, 100);
+  H.Attempts = {T1, T2};
+
+  EXPECT_TRUE(
+      checkCommittedSerializable(H, /*ValuesAreUnique=*/false).violation());
+}
+
+// T1 commits X at version 1; T2 reads X's initial value at version 0.
+// Only the real-time order can decide between the two.
+History realTimeHistory(bool T1EndsFirst) {
+  History H;
+  H.Initial[&SlotX] = 100;
+  AttemptRecord T1 =
+      mkAttempt(0, 0, T1EndsFirst ? 1 : 3, 0, AttemptOutcome::Committed,
+                /*Cv=*/1);
+  addWrite(T1, &SlotX, 101);
+  AttemptRecord T2 = mkAttempt(1, 2, 4, 0, AttemptOutcome::Committed, 0,
+                               /*ReadOnly=*/true);
+  addRead(T2, &SlotX, 100, 0);
+  H.Attempts = {T1, T2};
+  return H;
+}
+
+TEST(CheckerTest, FlagsRealTimeInversion) {
+  EXPECT_TRUE(checkCommittedSerializable(realTimeHistory(true)).violation());
+}
+
+// The same reads with T1 and T2 overlapping: the chain adds no edge.
+TEST(CheckerTest, AcceptsOverlappingIntervals) {
+  CheckResult R = checkAll(realTimeHistory(false));
+  EXPECT_TRUE(R.ok()) << R.Reason;
+}
+
+TEST(CheckerTest, FlagsVersionThatDisagreesWithValue) {
+  History H;
+  H.Initial[&SlotX] = 100;
+  AttemptRecord W1 =
+      mkAttempt(0, 0, 1, 0, AttemptOutcome::Committed, /*Cv=*/1);
+  addWrite(W1, &SlotX, 101);
+  AttemptRecord W2 =
+      mkAttempt(0, 2, 3, 1, AttemptOutcome::Committed, /*Cv=*/2);
+  addWrite(W2, &SlotX, 102);
+  // The version names W2, the value is W1's.
+  AttemptRecord R = mkAttempt(1, 4, 5, 2, AttemptOutcome::Committed, 0,
+                              /*ReadOnly=*/true);
+  addRead(R, &SlotX, 101, 2);
+  H.Attempts = {W1, W2, R};
+
+  CheckResult Res = checkCommittedSerializable(H);
+  EXPECT_TRUE(Res.violation());
+  EXPECT_NE(Res.Reason.find("installed"), std::string::npos) << Res.Reason;
+}
+
+TEST(CheckerTest, FlagsWriteSkew) {
+  History H;
+  H.Initial[&SlotX] = 100;
+  H.Initial[&SlotY] = 200;
+  // Concurrent: each reads the location the other writes.
+  AttemptRecord T1 =
+      mkAttempt(0, 0, 4, 0, AttemptOutcome::Committed, /*Cv=*/1);
+  addRead(T1, &SlotY, 200, 0);
+  addWrite(T1, &SlotX, 101);
+  AttemptRecord T2 =
+      mkAttempt(1, 1, 5, 0, AttemptOutcome::Committed, /*Cv=*/2);
+  addRead(T2, &SlotX, 100, 0);
+  addWrite(T2, &SlotY, 201);
+  H.Attempts = {T1, T2};
+
+  EXPECT_TRUE(checkCommittedSerializable(H).violation());
+}
+
 TEST(CheckerTest, LockTableResidueIsDetected) {
   LockTable Locks(4);
   EXPECT_TRUE(lockTableQuiescent(Locks));
@@ -388,6 +496,17 @@ TEST(MutationSelfTest, TornVersionPublishIsCaught) {
   Cfg.Fault.TornVersionPublish = true;
   EXPECT_GE(checkerViolations(FuzzBackend::Tl2Lazy, Cfg), 3u)
       << "checker failed to flag the torn-publish mutant";
+}
+
+// The map workloads run without unique values, so this one leans on
+// version attribution alone.
+TEST(MutationSelfTest, SkippedReadValidationIsCaughtOnBTree) {
+  TmdsFuzzConfig Cfg;
+  Cfg.Structure = TmdsStructure::BTree;
+  Cfg.Fault.SkipReadValidation = true;
+  EXPECT_GE(checkerViolations(FuzzBackend::Tl2Lazy, Cfg), 3u)
+      << "checker failed to flag the skipped-validation mutant on the "
+         "B-tree";
 }
 
 } // namespace
