@@ -14,7 +14,7 @@
 /// reconstructed state-by-state via internState/addTransition — the
 /// surface model/Serialize.h uses to rebuild a Tsa from persisted
 /// frequencies. On-disk persistence itself lives in model/Serialize.h
-/// (versioned, checksummed), not here.
+/// (one JSON document per model), not here.
 ///
 //===----------------------------------------------------------------------===//
 

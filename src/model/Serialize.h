@@ -1,4 +1,4 @@
-//===- model/Serialize.h - Versioned, checksummed TSA persistence --------===//
+//===- model/Serialize.h - TSA persistence as one JSON document ----------===//
 //
 // Part of the GSTM reproduction of "Quantifying and Reducing Execution
 // Variance in STM via Model Driven Commit Optimization" (CGO 2019).
@@ -7,28 +7,24 @@
 ///
 /// \file
 /// On-disk persistence for the thread state automaton, the first stage of
-/// the model lifecycle (profile once, reuse forever). Two interchange
-/// formats share one in-memory decoder surface:
+/// the model lifecycle (profile once, reuse forever). A model file is one
+/// JSON document: a "format":"gstm-tsa" tag, "version":1, the declared
+/// total_transitions, every state tuple (commit pair, abort set), then
+/// every state's outbound edges with raw counts in the canonical
+/// successor order of core/ModelMath.h. Only raw *frequencies* are
+/// stored; probabilities are derived on load (they are a pure function of
+/// the frequencies, so persisting them could only introduce skew).
+/// Because edge order is deterministic, text -> load -> text is
+/// identical, which tests pin and `model_ctl diff` relies on.
+/// TxThreadPair is 32-bit and counts are bounded by 2^53, so JSON's
+/// double-backed numbers are exact.
 ///
-///  * A little-endian binary container: magic + format version, a header
-///    with the state/edge counts and an FNV-1a 64 checksum of the
-///    payload, then the payload itself — every state tuple followed by
-///    every state's outbound edge list in the canonical successor order
-///    of core/ModelMath.h. Only raw *frequencies* are stored;
-///    probabilities are derived on load (they are a pure function of the
-///    frequencies, so persisting them could only introduce skew).
-///    Because edge order is deterministic, serialize -> load ->
-///    serialize is byte-identical, which tests pin.
-///
-///  * A JSON document (same content, self-describing field names) for
-///    interchange with external tooling. TxThreadPair is 32-bit, so JSON
-///    double-backed numbers are exact.
-///
-/// Loading is defensive: every read is bounds-checked, counts are
-/// validated against the header, state tuples must be canonical and
-/// unique, edge destinations must be in range, and the checksum must
-/// match. A corrupt, truncated or version-skewed file yields a typed
-/// ModelIoStatus — never UB, never a partially populated model.
+/// Loading is defensive: state tuples must be canonical and unique, edge
+/// destinations in range and unique per state, counts non-zero, and
+/// their sum must match the declared total. A corrupt, truncated or
+/// foreign file yields a typed ModelIoStatus — never UB, never a
+/// partially populated model. There is no checksum: a changed digit in
+/// a count is caught only when it breaks the declared total.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,33 +39,17 @@
 
 namespace gstm {
 
-/// Binary container magic: "GSTMTSA\0" read as a little-endian u64.
-inline constexpr uint64_t ModelFileMagic = 0x0041535454534D47ULL;
-
-/// Current binary format version. Bumped on any layout change; readers
-/// reject other versions with BadVersion (no silent reinterpretation).
-inline constexpr uint32_t ModelFormatVersion = 1;
-
-/// Typed outcome of a model load/save. Every failure mode a hostile or
-/// damaged file can exhibit maps to exactly one of these.
+/// Typed outcome of a model load/save.
 enum class ModelIoStatus : uint8_t {
   Ok = 0,
-  /// The path does not exist or could not be opened for reading.
+  /// The path does not exist or could not be read.
   FileNotFound,
-  /// The file ends before the structure it promised (header or payload).
-  Truncated,
-  /// The leading magic is not a GSTM model container.
-  BadMagic,
-  /// The container is from a different format version.
-  BadVersion,
-  /// Payload bytes do not hash to the header checksum (bit rot, partial
-  /// overwrite, deliberate tamper).
-  ChecksumMismatch,
-  /// Structurally invalid content behind a valid checksum: counts that
-  /// disagree with the header, out-of-range edge destinations,
-  /// non-canonical or duplicate state tuples, malformed JSON fields.
+  /// Not a valid model document: malformed or cut-off JSON, a wrong
+  /// format or version field, counts that disagree with the declared
+  /// total, out-of-range edge destinations, non-canonical or duplicate
+  /// state tuples.
   Corrupt,
-  /// Filesystem-level write/read failure.
+  /// Filesystem-level write failure.
   IoError,
 };
 
@@ -88,30 +68,23 @@ struct ModelLoadResult {
   bool ok() const { return Status == ModelIoStatus::Ok; }
 };
 
-/// Encodes \p Model into the binary container format (in memory).
-std::string serializeModel(const Tsa &Model);
-
-/// Decodes a binary container produced by serializeModel. Validates
-/// structure exhaustively; see ModelIoStatus for the failure taxonomy.
-ModelLoadResult deserializeModel(std::string_view Bytes);
-
-/// Writes the binary container to \p Path. The bytes go to a temporary
-/// in the same directory that is then renamed into place, so a reader
-/// sees either the old complete file or the new one, never a partial
-/// write. Returns Ok or IoError (detail in \p Detail when non-null).
+/// Writes modelToJson(\p Model) and a newline to \p Path. The text goes
+/// to a temporary in the same directory that is then renamed into place,
+/// so a reader sees either the old complete file or the new one, never a
+/// partial write. Returns Ok or IoError (detail in \p Detail when
+/// non-null).
 ModelIoStatus saveModel(const Tsa &Model, const std::string &Path,
                         std::string *Detail = nullptr);
 
-/// Reads and decodes the binary container at \p Path.
+/// Reads the document at \p Path and decodes it with modelFromJson.
 ModelLoadResult loadModel(const std::string &Path);
 
-/// Renders \p Model as a self-describing JSON document (states with
-/// commit/abort pairs, edges with raw counts). Probabilities are not
-/// emitted — consumers derive them exactly as successors() does.
+/// Renders \p Model as the model document (states with commit/abort
+/// pairs, edges with raw counts). Equal models render to equal text.
 std::string modelToJson(const Tsa &Model);
 
-/// Parses a document produced by modelToJson. Same validation rigor as
-/// the binary path; malformed JSON or out-of-range fields yield Corrupt.
+/// Parses a document produced by modelToJson. Anything that is not a
+/// valid model document is Corrupt, with the offending field in Detail.
 ModelLoadResult modelFromJson(std::string_view Text);
 
 } // namespace gstm

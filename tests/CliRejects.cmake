@@ -115,7 +115,7 @@ expect_usage_error(${BENCH_REGRESS} --tolerance=abc
 set(ModelDir ${CMAKE_CURRENT_BINARY_DIR}/cli-rejects/model-ctl)
 file(REMOVE_RECURSE ${ModelDir})
 file(MAKE_DIRECTORY ${ModelDir})
-set(Model ${ModelDir}/kmeans.tsa)
+set(Model ${ModelDir}/kmeans.json)
 execute_process(
   COMMAND ${MODEL_CTL} save --workload=kmeans --size=small --threads=2
           --runs=1 --out=${Model}
@@ -125,19 +125,19 @@ if(NOT SaveRc EQUAL 0)
 endif()
 set(Save ${MODEL_CTL} save --workload=kmeans --size=small)
 set(Load ${MODEL_CTL} load ${Model} --run --workload=kmeans --size=small)
-expect_usage_error(${Save} --threads=0 --runs=1 --out=${ModelDir}/t0.tsa
+expect_usage_error(${Save} --threads=0 --runs=1 --out=${ModelDir}/t0.json
                    MESSAGE "--threads")
-expect_usage_error(${Save} --threads=65 --runs=1 --out=${ModelDir}/t65.tsa
+expect_usage_error(${Save} --threads=65 --runs=1 --out=${ModelDir}/t65.json
                    MESSAGE "--threads")
-expect_usage_error(${Save} --threads=2 --runs=0 --out=${ModelDir}/r0.tsa
+expect_usage_error(${Save} --threads=2 --runs=0 --out=${ModelDir}/r0.json
                    MESSAGE "--runs")
 expect_usage_error(${Load} --threads=0 --runs=1 MESSAGE "--threads")
 expect_usage_error(${Load} --threads=2 --runs=0 MESSAGE "--runs")
-expect_usage_error(${Save} --threads=2 --runs=abc --out=${ModelDir}/rabc.tsa
+expect_usage_error(${Save} --threads=2 --runs=abc --out=${ModelDir}/rabc.json
                    MESSAGE "--runs")
 # 2^32 runs wrapped to 0 in the 32-bit count and saved an empty model.
 expect_usage_error(${Save} --threads=2 --runs=4294967296
-                   --out=${ModelDir}/r2p32.tsa MESSAGE "--runs.*4294967295")
+                   --out=${ModelDir}/r2p32.json MESSAGE "--runs.*4294967295")
 expect_usage_error(${MODEL_CTL} info ${Model} --tfactor=0 MESSAGE "--tfactor")
 expect_usage_error(${MODEL_CTL} info ${Model} --tfactor=nan
                    MESSAGE "--tfactor")

@@ -2,21 +2,25 @@
 # tiny kmeans model, saves it, inspects it, validates it, warm-starts a
 # guided run from it with no profiling in that process, and diffs it
 # against itself — the diff of a model against its own file must exit 0
-# (structural identity goes through the canonical serialized form, so this
-# also smokes the byte-identical round trip on a real trained model) —
+# (structural identity goes through the canonical model document, so this
+# also smokes the text-identical round trip on a real trained model) —
 # and against a model trained at another thread count, which must exit 1.
-# Invoked by ctest via the `model_ctl_smoke` test:
+# It then reads the benchmark's pinned models (read only) and refuses a
+# truncated file and a directory. Invoked by ctest via the
+# `model_ctl_smoke` test:
 #
-#   cmake -DMODEL_CTL=<path> -DWORK_DIR=<dir> -P ModelCtlSmoke.cmake
+#   cmake -DMODEL_CTL=<path> -DWORK_DIR=<dir> -DE2E_MODELS=<dir>
+#         -P ModelCtlSmoke.cmake
 
-if(NOT MODEL_CTL OR NOT WORK_DIR)
+if(NOT MODEL_CTL OR NOT WORK_DIR OR NOT E2E_MODELS)
   message(FATAL_ERROR
-      "usage: cmake -DMODEL_CTL=<bin> -DWORK_DIR=<dir> -P ModelCtlSmoke.cmake")
+      "usage: cmake -DMODEL_CTL=<bin> -DWORK_DIR=<dir> -DE2E_MODELS=<dir> "
+      "-P ModelCtlSmoke.cmake")
 endif()
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
-set(MODEL ${WORK_DIR}/smoke.tsa)
+set(MODEL ${WORK_DIR}/smoke.json)
 
 execute_process(
   COMMAND ${MODEL_CTL} save --workload=kmeans --size=small --threads=4
@@ -86,7 +90,7 @@ endif()
 
 # A model trained at another thread count differs (exit 1) and the diff
 # reports the state overlap.
-set(OTHER ${WORK_DIR}/other.tsa)
+set(OTHER ${WORK_DIR}/other.json)
 execute_process(
   COMMAND ${MODEL_CTL} save --workload=kmeans --size=small --threads=2
           --runs=1 --out=${OTHER}
@@ -104,35 +108,61 @@ if(NOT DiffRc EQUAL 1 OR NOT DiffOut MATCHES "shared states: [0-9]+ \\(")
       "and print the overlap, got ${DiffRc}:\n${DiffOut}")
 endif()
 
-# And a corrupted copy must be refused with a typed error (exit 2), never
-# accepted and never a crash.
-file(READ ${MODEL} ModelHex HEX)
-string(LENGTH "${ModelHex}" HexLen)
-math(EXPR TruncLen "${HexLen} / 2")
-# Keep an even number of hex digits (whole bytes).
-math(EXPR TruncLen "${TruncLen} - (${TruncLen} % 2)")
-string(SUBSTRING "${ModelHex}" 0 ${TruncLen} TruncHex)
-set(BROKEN ${WORK_DIR}/broken.tsa)
-file(WRITE ${BROKEN} "")
-string(REGEX MATCHALL ".." Bytes "${TruncHex}")
-foreach(Byte ${Bytes})
-  string(APPEND BrokenAscii "\\x${Byte}")
-endforeach()
-# CMake cannot write raw bytes portably from hex; round-trip through
-# configure-time printf instead.
-execute_process(
-  COMMAND printf "%b" "${BrokenAscii}"
-  OUTPUT_FILE ${BROKEN}
-  RESULT_VARIABLE PrintfRc)
-if(PrintfRc EQUAL 0)
+# The benchmark's pinned models are model files like any other: both
+# load, each is identical to itself, and the two differ.
+set(GENOME ${E2E_MODELS}/genome_t2.json)
+set(VACATION ${E2E_MODELS}/vacation_t2.json)
+foreach(Pinned ${GENOME} ${VACATION})
   execute_process(
-    COMMAND ${MODEL_CTL} info ${BROKEN}
-    RESULT_VARIABLE BrokenRc)
-  if(BrokenRc EQUAL 0)
-    message(FATAL_ERROR "model_ctl accepted a truncated model file")
+    COMMAND ${MODEL_CTL} load ${Pinned}
+    OUTPUT_VARIABLE PinnedOut
+    ERROR_VARIABLE PinnedErr
+    RESULT_VARIABLE PinnedRc)
+  if(NOT PinnedRc EQUAL 0)
+    message(FATAL_ERROR "model_ctl load ${Pinned} must exit 0, got "
+        "${PinnedRc}:\n${PinnedOut}${PinnedErr}")
   endif()
-else()
-  message(STATUS "printf unavailable; skipping truncated-file check")
+endforeach()
+execute_process(
+  COMMAND ${MODEL_CTL} diff ${GENOME} ${GENOME}
+  RESULT_VARIABLE DiffRc OUTPUT_QUIET)
+if(NOT DiffRc EQUAL 0)
+  message(FATAL_ERROR "model_ctl diff of a pinned model against itself "
+      "must exit 0, got ${DiffRc}")
+endif()
+execute_process(
+  COMMAND ${MODEL_CTL} diff ${GENOME} ${VACATION}
+  RESULT_VARIABLE DiffRc OUTPUT_QUIET)
+if(NOT DiffRc EQUAL 1)
+  message(FATAL_ERROR "model_ctl diff of the genome and vacation pinned "
+      "models must exit 1, got ${DiffRc}")
+endif()
+
+# A truncated copy must be refused as corrupt (exit 2), never accepted and
+# never a crash.
+file(READ ${MODEL} ModelText)
+string(LENGTH "${ModelText}" ModelLen)
+math(EXPR HalfLen "${ModelLen} / 2")
+string(SUBSTRING "${ModelText}" 0 ${HalfLen} BrokenText)
+set(BROKEN ${WORK_DIR}/broken.json)
+file(WRITE ${BROKEN} "${BrokenText}")
+execute_process(
+  COMMAND ${MODEL_CTL} info ${BROKEN}
+  ERROR_VARIABLE BrokenErr
+  RESULT_VARIABLE BrokenRc
+  OUTPUT_QUIET)
+if(NOT BrokenRc EQUAL 2 OR NOT BrokenErr MATCHES "corrupt")
+  message(FATAL_ERROR "model_ctl info of a truncated model must exit 2 "
+      "and report it corrupt, got ${BrokenRc}:\n${BrokenErr}")
+endif()
+
+# A directory is not a model: refused with an exit code, not an abort.
+execute_process(
+  COMMAND ${MODEL_CTL} load ${WORK_DIR}
+  RESULT_VARIABLE DirRc OUTPUT_QUIET ERROR_QUIET)
+if(DirRc EQUAL 0 OR DirRc EQUAL 134 OR NOT DirRc MATCHES "^[0-9]+$")
+  message(FATAL_ERROR "model_ctl load of a directory must exit non-zero "
+      "without aborting, got ${DirRc}")
 endif()
 
 file(REMOVE_RECURSE ${WORK_DIR})

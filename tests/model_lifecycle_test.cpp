@@ -5,11 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The model lifecycle subsystem (src/model) end to end: versioned
-// serialization (byte-identical round trips, typed rejection of every
-// corruption mode, JSON interchange, publication by rename), and the
-// warm-start experiment pipeline that proves a persisted model guides
-// with zero profiling transactions.
+// The model lifecycle subsystem (src/model) end to end: the JSON model
+// document (text-identical round trips, typed rejection of malformed
+// documents, publication by rename), and the warm-start experiment
+// pipeline that proves a persisted model guides with zero profiling
+// transactions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 using namespace gstm;
 
@@ -114,17 +115,17 @@ TEST(ModelMathTest, PrefixRespectsThreshold) {
 TEST(SerializeTest, RoundTripIsByteIdentical) {
   for (uint64_t Seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     Tsa Model = randomModel(Seed * 0x9e3779b97f4a7c15ULL);
-    std::string Bytes = serializeModel(Model);
-    ModelLoadResult Loaded = deserializeModel(Bytes);
+    std::string Text = modelToJson(Model);
+    ModelLoadResult Loaded = modelFromJson(Text);
     ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;
-    EXPECT_EQ(serializeModel(*Loaded.Model), Bytes)
-        << "serialize -> load -> serialize must be byte-identical";
+    EXPECT_EQ(modelToJson(*Loaded.Model), Text)
+        << "text -> load -> text must be identical";
   }
 }
 
 TEST(SerializeTest, RoundTripPreservesProbabilitiesExactly) {
   Tsa Model = randomModel(0x5eed);
-  ModelLoadResult Loaded = deserializeModel(serializeModel(Model));
+  ModelLoadResult Loaded = modelFromJson(modelToJson(Model));
   ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;
   ASSERT_EQ(Loaded.Model->numStates(), Model.numStates());
   EXPECT_EQ(Loaded.Model->numTransitions(), Model.numTransitions());
@@ -145,7 +146,7 @@ TEST(SerializeTest, RoundTripPreservesProbabilitiesExactly) {
 
 TEST(SerializeTest, EmptyModelRoundTrips) {
   Tsa Empty;
-  ModelLoadResult Loaded = deserializeModel(serializeModel(Empty));
+  ModelLoadResult Loaded = modelFromJson(modelToJson(Empty));
   ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;
   EXPECT_EQ(Loaded.Model->numStates(), 0u);
   EXPECT_EQ(Loaded.Model->numTransitions(), 0u);
@@ -156,15 +157,15 @@ TEST(SerializeTest, JsonRoundTripPreservesModel) {
   std::string Doc = modelToJson(Model);
   ModelLoadResult Loaded = modelFromJson(Doc);
   ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;
-  // Canonical binary form is the equality oracle.
-  EXPECT_EQ(serializeModel(*Loaded.Model), serializeModel(Model));
+  // The canonical document text is the equality oracle.
+  EXPECT_EQ(modelToJson(*Loaded.Model), Doc);
 }
 
 TEST(SerializeTest, OverwriteReplacesFileWithoutTempDebris) {
   std::string Dir = tempPath("gstm_save_overwrite");
   std::filesystem::remove_all(Dir);
   std::filesystem::create_directories(Dir);
-  std::string Path = Dir + "/model.tsa";
+  std::string Path = Dir + "/model.json";
   Tsa First = randomModel(1);
   Tsa Second = randomModel(2);
   ASSERT_EQ(saveModel(First, Path), ModelIoStatus::Ok);
@@ -172,7 +173,7 @@ TEST(SerializeTest, OverwriteReplacesFileWithoutTempDebris) {
 
   ModelLoadResult Loaded = loadModel(Path);
   ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;
-  EXPECT_EQ(serializeModel(*Loaded.Model), serializeModel(Second));
+  EXPECT_EQ(modelToJson(*Loaded.Model), modelToJson(Second));
 
   // Publication by rename: only the final file is left in the directory.
   size_t Files = 0;
@@ -186,7 +187,7 @@ TEST(SerializeTest, OverwriteReplacesFileWithoutTempDebris) {
   // A directory that does not exist is an IoError with a detail, and
   // leaves nothing behind.
   std::string Detail;
-  EXPECT_EQ(saveModel(First, Dir + "/missing/model.tsa", &Detail),
+  EXPECT_EQ(saveModel(First, Dir + "/missing/model.json", &Detail),
             ModelIoStatus::IoError);
   EXPECT_FALSE(Detail.empty());
   std::filesystem::remove_all(Dir);
@@ -197,84 +198,122 @@ TEST(SerializeTest, OverwriteReplacesFileWithoutTempDebris) {
 //===----------------------------------------------------------------------===//
 
 TEST(SerializeTest, TypedErrorsPerFailureMode) {
+  // Each way a model file can fail to load maps to one status with a
+  // detail and no model; a good file loads with neither.
+  std::string Dir = tempPath("gstm_load_failures");
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  auto Write = [&](const std::string &Name, const std::string &Bytes) {
+    std::string Path = Dir + "/" + Name;
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out << Bytes;
+    return Path;
+  };
+  auto ExpectFailure = [](const std::string &Path, ModelIoStatus Want) {
+    ModelLoadResult R = loadModel(Path);
+    EXPECT_EQ(R.Status, Want) << Path;
+    EXPECT_FALSE(R.Detail.empty()) << Path;
+    EXPECT_FALSE(R.Model.has_value()) << Path;
+  };
+
+  std::string Good = Dir + "/good.json";
   Tsa Model = randomModel(0xdead);
-  std::string Bytes = serializeModel(Model);
+  ASSERT_EQ(saveModel(Model, Good), ModelIoStatus::Ok);
+  ModelLoadResult Loaded = loadModel(Good);
+  EXPECT_EQ(Loaded.Status, ModelIoStatus::Ok);
+  EXPECT_TRUE(Loaded.Detail.empty());
+  ASSERT_TRUE(Loaded.Model.has_value());
+  EXPECT_EQ(modelToJson(*Loaded.Model), modelToJson(Model));
 
-  EXPECT_EQ(deserializeModel("").Status, ModelIoStatus::Truncated);
-  EXPECT_EQ(deserializeModel("junk").Status, ModelIoStatus::Truncated);
-  EXPECT_EQ(deserializeModel("twelve bytes!").Status,
-            ModelIoStatus::BadMagic);
+  ExpectFailure(Dir + "/missing.json", ModelIoStatus::FileNotFound);
+  ExpectFailure(Dir, ModelIoStatus::FileNotFound);
 
-  std::string Wrong = Bytes;
-  Wrong[0] ^= 0x01; // magic
-  EXPECT_EQ(deserializeModel(Wrong).Status, ModelIoStatus::BadMagic);
-
-  std::string Versioned = Bytes;
-  Versioned[8] ^= 0x40; // version field
-  EXPECT_EQ(deserializeModel(Versioned).Status, ModelIoStatus::BadVersion);
-
-  std::string Flipped = Bytes;
-  Flipped.back() ^= 0x10; // payload byte
-  EXPECT_EQ(deserializeModel(Flipped).Status,
-            ModelIoStatus::ChecksumMismatch);
-
-  EXPECT_EQ(deserializeModel(Bytes.substr(0, Bytes.size() / 2)).Status,
-            ModelIoStatus::Truncated);
-
-  std::string Trailing = Bytes + "x";
-  EXPECT_EQ(deserializeModel(Trailing).Status, ModelIoStatus::Corrupt);
-
-  EXPECT_EQ(loadModel("/nonexistent/dir/model.bin").Status,
-            ModelIoStatus::FileNotFound);
+  std::string Text = modelToJson(Model);
+  ExpectFailure(Write("empty.json", ""), ModelIoStatus::Corrupt);
+  ExpectFailure(Write("cut.json", Text.substr(0, Text.size() / 2)),
+                ModelIoStatus::Corrupt);
+  // A container in the retired binary format ("GSTMTSA\0", version 1)
+  // is refused as corrupt rather than misread.
+  ExpectFailure(Write("old.tsa", std::string("GSTMTSA\0\1\0\0\0", 12)),
+                ModelIoStatus::Corrupt);
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(SerializeTest, JsonRejectsMalformedDocuments) {
-  EXPECT_EQ(modelFromJson("not json").Status, ModelIoStatus::Corrupt);
-  EXPECT_EQ(modelFromJson("{}").Status, ModelIoStatus::BadMagic);
-  EXPECT_EQ(modelFromJson("{\"format\":\"gstm-tsa\",\"version\":99,"
-                          "\"total_transitions\":0,\"states\":[],"
-                          "\"edges\":[]}")
-                .Status,
-            ModelIoStatus::BadVersion);
+  std::string Doc = modelToJson(randomModel(0xdead));
+  auto Status = [](std::string_view Text) {
+    return modelFromJson(Text).Status;
+  };
+
+  EXPECT_EQ(Status(""), ModelIoStatus::Corrupt);
+  EXPECT_EQ(Status("not json"), ModelIoStatus::Corrupt);
+  EXPECT_EQ(Status(Doc.substr(0, Doc.size() / 2)), ModelIoStatus::Corrupt);
+  EXPECT_EQ(Status(Doc + "x"), ModelIoStatus::Corrupt);
+  EXPECT_EQ(Status("{}"), ModelIoStatus::Corrupt);
+
+  // A wrong format or version is refused, and the detail names the field.
+  ModelLoadResult Foreign = modelFromJson(
+      "{\"format\":\"other\",\"version\":1,\"total_transitions\":0,"
+      "\"states\":[],\"edges\":[]}");
+  EXPECT_EQ(Foreign.Status, ModelIoStatus::Corrupt);
+  EXPECT_NE(Foreign.Detail.find("format"), std::string::npos);
+  ModelLoadResult Versioned = modelFromJson(
+      "{\"format\":\"gstm-tsa\",\"version\":99,\"total_transitions\":0,"
+      "\"states\":[],\"edges\":[]}");
+  EXPECT_EQ(Versioned.Status, ModelIoStatus::Corrupt);
+  EXPECT_NE(Versioned.Detail.find("version"), std::string::npos);
+
   // Edge pointing outside the state set.
-  EXPECT_EQ(modelFromJson("{\"format\":\"gstm-tsa\",\"version\":1,"
-                          "\"total_transitions\":1,\"states\":"
-                          "[{\"commit\":1,\"aborts\":[]}],\"edges\":"
-                          "[[{\"dest\":7,\"count\":1}]]}")
-                .Status,
+  EXPECT_EQ(Status("{\"format\":\"gstm-tsa\",\"version\":1,"
+                   "\"total_transitions\":1,\"states\":"
+                   "[{\"commit\":1,\"aborts\":[]}],\"edges\":"
+                   "[[{\"dest\":7,\"count\":1}]]}"),
             ModelIoStatus::Corrupt);
   // Declared transition total disagreeing with the edges.
-  EXPECT_EQ(modelFromJson("{\"format\":\"gstm-tsa\",\"version\":1,"
-                          "\"total_transitions\":5,\"states\":"
-                          "[{\"commit\":1,\"aborts\":[]}],\"edges\":"
-                          "[[{\"dest\":0,\"count\":1}]]}")
-                .Status,
+  EXPECT_EQ(Status("{\"format\":\"gstm-tsa\",\"version\":1,"
+                   "\"total_transitions\":5,\"states\":"
+                   "[{\"commit\":1,\"aborts\":[]}],\"edges\":"
+                   "[[{\"dest\":0,\"count\":1}]]}"),
             ModelIoStatus::Corrupt);
 }
 
 TEST(SerializeFuzzTest, EveryMutationYieldsTypedErrorNeverUB) {
   // Seeded corruption fuzz (the ASan/UBSan smoke builds re-run this
-  // suite): any single bit flip or truncation of a valid container must
-  // come back as a clean typed error. The reference bytes cover states,
-  // abort sets and edges, so every structural field gets mutated.
+  // suite): any single bit flip or truncation of a valid document must
+  // come back as a clean typed error or as a valid model. With no
+  // checksum, a flipped digit in a state tuple or an edge destination
+  // can still name a valid model; that model must then round-trip like
+  // any other. The reference text covers states, abort sets and edges,
+  // so every structural field gets mutated.
   Tsa Model = randomModel(0xf022);
-  std::string Bytes = serializeModel(Model);
+  std::string Doc = modelToJson(Model);
   SplitMix64 Rng(0xb17f11b5);
 
+  unsigned Accepted = 0;
   for (int Trial = 0; Trial < 600; ++Trial) {
-    std::string Mutated = Bytes;
+    std::string Mutated = Doc;
     if (Rng.nextBounded(2) == 0) {
       size_t Byte = Rng.nextBounded(Mutated.size());
       Mutated[Byte] ^= static_cast<char>(1u << Rng.nextBounded(8));
     } else {
       Mutated.resize(Rng.nextBounded(Mutated.size()));
     }
-    ModelLoadResult R = deserializeModel(Mutated);
-    EXPECT_NE(R.Status, ModelIoStatus::Ok)
-        << "mutation #" << Trial << " was accepted";
-    EXPECT_FALSE(R.Model.has_value());
-    EXPECT_FALSE(R.Detail.empty());
+    ModelLoadResult R = modelFromJson(Mutated);
+    if (!R.ok()) {
+      EXPECT_FALSE(R.Model.has_value()) << "mutation #" << Trial;
+      EXPECT_FALSE(R.Detail.empty()) << "mutation #" << Trial;
+      continue;
+    }
+    ++Accepted;
+    ASSERT_TRUE(R.Model.has_value()) << "mutation #" << Trial;
+    std::string Text = modelToJson(*R.Model);
+    ModelLoadResult Again = modelFromJson(Text);
+    ASSERT_TRUE(Again.ok()) << "mutation #" << Trial << ": " << Again.Detail;
+    EXPECT_EQ(modelToJson(*Again.Model), Text) << "mutation #" << Trial;
   }
+  // Counts are bound by the declared total and truncations never parse,
+  // so only a small minority of mutations can name a valid model.
+  EXPECT_LT(Accepted, 60u);
 }
 
 TEST(SerializeFuzzTest, RandomGarbageNeverCrashesTheLoader) {
@@ -283,9 +322,8 @@ TEST(SerializeFuzzTest, RandomGarbageNeverCrashesTheLoader) {
     std::string Garbage(Rng.nextBounded(512), '\0');
     for (char &C : Garbage)
       C = static_cast<char>(Rng.next());
-    ModelLoadResult R = deserializeModel(Garbage);
+    ModelLoadResult R = modelFromJson(Garbage);
     EXPECT_NE(R.Status, ModelIoStatus::Ok);
-    (void)modelFromJson(Garbage); // must not crash either
   }
 }
 
@@ -295,7 +333,7 @@ TEST(SerializeFuzzTest, RandomGarbageNeverCrashesTheLoader) {
 
 TEST(WarmStartTest, PersistedModelGuidesWithZeroProfiling) {
   // Stage 1: a "training process" profiles and saves the model file.
-  std::string Path = tempPath("gstm_warmstart_e2e.tsa");
+  std::string Path = tempPath("gstm_warmstart_e2e.json");
   {
     KmeansWorkload Train(KmeansParams::forSize(SizeClass::Small));
     ExperimentConfig EC;

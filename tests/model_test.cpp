@@ -172,7 +172,7 @@ TEST(TsaTest, SaveLoadRoundTrip) {
   StateTuple C = makeTuple(2, 5, {{0, 3}, {1, 4}});
   Model.addRun({A, B, C, A, B, A});
 
-  std::string Path = ::testing::TempDir() + "/gstm_tsa_roundtrip.bin";
+  std::string Path = ::testing::TempDir() + "/gstm_tsa_roundtrip.json";
   ASSERT_EQ(saveModel(Model, Path), ModelIoStatus::Ok);
   ModelLoadResult Loaded = loadModel(Path);
   ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;
@@ -191,14 +191,16 @@ TEST(TsaTest, SaveLoadRoundTrip) {
 }
 
 TEST(TsaTest, LoadRejectsGarbage) {
-  std::string Path = ::testing::TempDir() + "/gstm_tsa_garbage.bin";
+  std::string Path = ::testing::TempDir() + "/gstm_tsa_garbage.json";
   {
     std::ofstream Out(Path, std::ios::binary);
     Out << "not a model";
   }
-  EXPECT_EQ(loadModel(Path).Status, ModelIoStatus::BadMagic);
-  EXPECT_EQ(loadModel("/nonexistent/path/x.bin").Status,
+  EXPECT_EQ(loadModel(Path).Status, ModelIoStatus::Corrupt);
+  EXPECT_EQ(loadModel("/nonexistent/path/x.json").Status,
             ModelIoStatus::FileNotFound);
+  // A directory is refused with a status, not an exception.
+  EXPECT_NE(loadModel(::testing::TempDir()).Status, ModelIoStatus::Ok);
   std::remove(Path.c_str());
 }
 

@@ -143,7 +143,7 @@ TEST_P(GroupingProperty, SaveLoadPreservesRandomModels) {
         groupTuples(randomTrace(Rng, 150, 6, 4), Grouping::Sequence));
 
   std::string Path = ::testing::TempDir() + "/gstm_prop_" +
-                     std::to_string(GetParam()) + ".tsa";
+                     std::to_string(GetParam()) + ".json";
   ASSERT_EQ(saveModel(Model, Path), ModelIoStatus::Ok);
   ModelLoadResult Loaded = loadModel(Path);
   ASSERT_TRUE(Loaded.ok()) << Loaded.Detail;

@@ -10,16 +10,15 @@
 //
 //   model_ctl save --workload=NAME --out=FILE
 //       profile the workload and write the trained TSA to FILE
-//   model_ctl info FILE [--tfactor=X] [--json]
+//   model_ctl info FILE [--tfactor=X]
 //       census, analyzer verdict and the hottest states in the paper's
-//       notation with their high-probability destinations; --json dumps
-//       the interchange document instead
+//       notation with their high-probability destinations
 //   model_ctl diff A B
 //       structural comparison and state overlap (how well training
 //       inputs cover testing behaviour); exits 0 identical / 1 different
 //       / 2 error (GNU diff convention)
 //   model_ctl load FILE [--run --workload=NAME]
-//       validate a container; with --run, warm-start guided measurement
+//       validate a model file; with --run, warm-start guided measurement
 //       from it — zero profiling transactions in this process
 //   model_ctl stats FILE
 //       read a telemetry JSON export (runResultJson / experimentJson, or
@@ -30,8 +29,10 @@
 //       all-held releases <= holds <= gate checks); exits 1 on a
 //       mismatch, 2 when the file is unreadable or holds no telemetry
 //
-// Every model failure path reports the typed ModelIoStatus, so a
-// truncated or tampered file names its defect instead of "cannot load".
+// A model file is the JSON document of model/Serialize.h, the format the
+// bench/e2e pinned models use. Every model failure path reports the typed
+// ModelIoStatus, so a truncated or malformed file names its defect
+// instead of "cannot load".
 //
 //===----------------------------------------------------------------------===//
 
@@ -113,11 +114,6 @@ int cmdInfo(const Options &Opts) {
     return 2;
   }
   const Tsa &Model = *R.Model;
-  if (Opts.getBool("json", false)) {
-    std::fputs(modelToJson(Model).c_str(), stdout);
-    std::fputc('\n', stdout);
-    return 0;
-  }
   AnalyzerConfig AC;
   // highProbabilityPrefix's precondition: below 1 no transition is
   // admitted.
@@ -168,9 +164,9 @@ int cmdDiff(const Options &Opts) {
     return 2;
   }
 
-  // The serialized form is canonical (deterministic state and edge
-  // order), so byte equality of the re-encodings is model equality.
-  if (serializeModel(*A.Model) == serializeModel(*B.Model)) {
+  // The document is canonical (deterministic state and edge order), so
+  // equal re-rendered text is model equality.
+  if (modelToJson(*A.Model) == modelToJson(*B.Model)) {
     std::printf("models identical: %zu states, %lu transitions\n",
                 A.Model->numStates(),
                 static_cast<unsigned long>(A.Model->numTransitions()));
@@ -414,10 +410,9 @@ int main(int Argc, char **Argv) {
           {"runs", "N", "profiling or measurement runs, at least 1 "
                         "(default 5/3)"},
           {"size", "CLASS", "input size: small|medium|large"},
-          {"out", "FILE", "write the trained model here (save)"},
+          {"out", "FILE", "write the trained model (JSON) here (save)"},
           {"tfactor", "X", "analyzer threshold factor, at least 1 "
                            "(info, default 4)"},
-          {"json", "", "info: dump the JSON interchange document"},
           {"run", "", "load: warm-start a guided measurement"},
       },
       "<save|info|diff|load|stats> [FILE...]");
