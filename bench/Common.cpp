@@ -156,8 +156,7 @@ void gstm::printForcedYields(const std::vector<unsigned> &ThreadCounts) {
   unsigned Cpus = usableCpus();
   for (unsigned T : ThreadCounts)
     std::printf("forced yields: %s (%u workers, %u usable CPUs)\n",
-                forcedYieldShift(ExperimentPreemptShift, T, Cpus) ? "on"
-                                                                  : "off",
+                forcedYieldShift(ExperimentYieldShift, T, Cpus) ? "on" : "off",
                 T, Cpus);
 }
 

@@ -20,6 +20,7 @@
 #include "core/GuidedPolicy.h"
 #include "core/Trace.h"
 #include "engine/Tl2.h"
+#include "stm/Perturb.h"
 #include "stm/TVar.h"
 #include "support/SplitMix64.h"
 
@@ -38,6 +39,10 @@ constexpr unsigned NumAccounts = 24;
 /// one transaction at site 0; an audit summing all balances is site 1.
 void runBank(Tl2Stm &Stm, unsigned Threads, unsigned TransfersPerThread,
              std::vector<std::unique_ptr<TVar<int64_t>>> &Accounts) {
+  // Seeded yields at one load or store in 32 interleave the transactions
+  // on few cores.
+  SchedulePerturber Yields(Threads, /*Seed=*/1, nullptr, /*YieldShift=*/5);
+  Stm.setAccessObserver(&Yields);
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
@@ -64,6 +69,7 @@ void runBank(Tl2Stm &Stm, unsigned Threads, unsigned TransfersPerThread,
     });
   for (auto &W : Workers)
     W.join();
+  Stm.setAccessObserver(nullptr);
 }
 
 std::vector<std::unique_ptr<TVar<int64_t>>> makeAccounts() {
@@ -99,16 +105,13 @@ int main(int Argc, char **Argv) {
   unsigned Threads = parseThreadCounts(Opts, Tool, "4").front();
   unsigned Transfers = Opts.getInt("transfers", 400, 1, UINT32_MAX);
 
-  Tl2Config StmCfg;
-  StmCfg.PreemptShift = 5; // interleave transactions on few cores
-
   // ------------------------------------------------------------------
   // Phase 1: profile. The TraceCollector observes every commit/abort.
   // ------------------------------------------------------------------
   std::printf("[1/4] profiling %u runs...\n", 4u);
   Tsa Model;
   for (unsigned Run = 0; Run < 4; ++Run) {
-    Tl2Stm Stm(StmCfg);
+    Tl2Stm Stm;
     TraceCollector Collector(Threads);
     Stm.setObserver(&Collector);
     auto Accounts = makeAccounts();
@@ -132,7 +135,7 @@ int main(int Argc, char **Argv) {
   uint64_t DefaultAborts;
   bool Conserved = false;
   {
-    Tl2Stm Stm(StmCfg);
+    Tl2Stm Stm;
     auto Accounts = makeAccounts();
     runBank(Stm, Threads, Transfers, Accounts);
     DefaultAborts = Stm.stats().aborts();
@@ -147,7 +150,7 @@ int main(int Argc, char **Argv) {
   {
     GuidedPolicy Policy(std::move(Model), /*Tfactor=*/4.0);
     GuideController Controller(Policy, GuideConfig{});
-    Tl2Stm Stm(StmCfg);
+    Tl2Stm Stm;
     Stm.setObserver(&Controller);
     Stm.setGate(&Controller);
     auto Accounts = makeAccounts();

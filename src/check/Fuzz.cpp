@@ -7,8 +7,8 @@
 
 #include "check/Fuzz.h"
 
-#include "check/Perturb.h"
 #include "check/TmdsFuzz.h"
+#include "stm/Perturb.h"
 #include "support/Barrier.h"
 #include "support/SplitMix64.h"
 #include "tmds/TmBTree.h"
@@ -277,7 +277,6 @@ template <typename Plan> size_t plannedCommits(const Plan &P) {
 /// one line never share a stripe. LibTm has no table to size.
 template <typename B> auto runtimeConfig(const FuzzRunConfig &Cfg) {
   EngineConfig C;
-  C.PreemptShift = Cfg.PreemptShift;
   C.Fault = Cfg.Fault;
   if constexpr (!std::is_same_v<B, LibTmBackend>)
     C.TableBits = 10;

@@ -85,10 +85,9 @@ inline constexpr FuzzBackend AllFuzzBackends[] = {
 /// perturbation, fault injection and the checkers. Both workload configs
 /// derive from it.
 struct FuzzRunConfig {
-  /// STM-internal random preemption (EngineConfig::PreemptShift).
-  unsigned PreemptShift = 2;
-  /// Observer-level perturbation (SchedulePerturber yield shift).
-  unsigned PerturbShift = 2;
+  /// Seeded yields at transactional loads and stores, with probability
+  /// 2^-PerturbShift each (SchedulePerturber, stm/Perturb.h).
+  unsigned PerturbShift = 1;
   /// Shard contexts of the Sharded backend (see isValidShardCount); 1
   /// degenerates to unsharded TL2 semantics over the sharded chassis.
   unsigned ShardCount = 4;

@@ -41,7 +41,7 @@ void GuideController::onTxStart(ThreadId Thread, TxId Tx) {
 
   GateChecks.fetch_add(1, std::memory_order_relaxed);
   TxThreadPair Self = packPair(Tx, Thread);
-  if (Policy.allows(Current.load(std::memory_order_acquire), Self))
+  if (Policy.allows(currentState(), Self))
     return;
 
   Holds.fetch_add(1, std::memory_order_relaxed);
@@ -64,7 +64,7 @@ void GuideController::onTxStart(ThreadId Thread, TxId Tx) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(Cfg.GateSleepMicros));
     HeldNow.fetch_sub(1, std::memory_order_relaxed);
-    if (Policy.allows(Current.load(std::memory_order_acquire), Self))
+    if (Policy.allows(currentState(), Self))
       return;
   }
   // k retries exhausted: release to guarantee progress (paper Sec. V).
@@ -99,7 +99,15 @@ void GuideController::onCommit(const CommitEvent &E) {
     UnknownStates.fetch_add(1, std::memory_order_relaxed);
   else
     KnownStates.fetch_add(1, std::memory_order_relaxed);
-  Current.store(Resolved, std::memory_order_release);
+  // Publish forward only: the CAS gives up once the word holds a newer
+  // tuple. Sequence numbers compare wrap-safely, by the sign of their
+  // 32-bit difference.
+  const uint64_t Mine = Seq << 32 | Resolved;
+  uint64_t Seen = Current.load(std::memory_order_relaxed);
+  while (static_cast<int32_t>(static_cast<uint32_t>(Seq - (Seen >> 32))) > 0 &&
+         !Current.compare_exchange_weak(Seen, Mine, std::memory_order_release,
+                                        std::memory_order_relaxed)) {
+  }
 
   // Tuple-stream hook: null-gated so a detached sink costs one
   // predictable branch, the same discipline as the access observer.

@@ -130,10 +130,10 @@ public:
   void onCommit(const CommitEvent &E) override;
   void onAbort(const AbortEvent &E) override;
 
-  /// Current state as last resolved (UnknownState before the first commit
-  /// and after any unmodeled tuple).
+  /// State of the newest tuple resolved so far (UnknownState before the
+  /// first commit and after any unmodeled tuple).
   StateId currentState() const {
-    return Current.load(std::memory_order_acquire);
+    return static_cast<StateId>(Current.load(std::memory_order_acquire));
   }
 
   /// Snapshot of the gate counters. Not synchronized with running
@@ -147,7 +147,11 @@ private:
 
   std::atomic<TtsSink *> Sink{nullptr};
 
-  std::atomic<StateId> Current{UnknownState};
+  /// The newest published tuple as (Seq << 32) | State, Seq its TupleSeq
+  /// modulo 2^32. onCommit only moves it forward, so a committer that
+  /// resolves after a newer tuple's committer cannot overwrite the newer
+  /// state. The initial word holds Seq 2^32 - 1, which tuple 0 beats.
+  std::atomic<uint64_t> Current{~uint64_t{0} << 32 | UnknownState};
 
   /// Serializes tuple formation. Aborts/commits are frequent but short;
   /// the workloads' transaction bodies dominate.

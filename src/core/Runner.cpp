@@ -7,12 +7,14 @@
 
 #include "core/Runner.h"
 
+#include "stm/Perturb.h"
 #include "support/Barrier.h"
 #include "support/Timer.h"
 
 #include <cassert>
 #include <ctime>
 #include <memory>
+#include <optional>
 #include <sched.h>
 #include <thread>
 
@@ -50,11 +52,13 @@ RunResult gstm::runWorkloadOnce(TlWorkload &Workload,
   // masked), and the controller's live-worker mask holds one bit each.
   assert(Config.Threads <= StatsShardCount && "at most 64 workers");
 
+  Tl2Stm Stm(Config.Stm);
   // A forced yield only interleaves workers that share a CPU.
-  Tl2Config StmCfg = Config.Stm;
-  StmCfg.PreemptShift =
-      forcedYieldShift(Config.Stm.PreemptShift, Config.Threads);
-  Tl2Stm Stm(StmCfg);
+  std::optional<SchedulePerturber> Yields;
+  if (unsigned Shift = forcedYieldShift(Config.YieldShift, Config.Threads)) {
+    Yields.emplace(Config.Threads, Seed, nullptr, Shift);
+    Stm.setAccessObserver(&*Yields);
+  }
   TraceCollector Collector(Config.Threads);
   std::unique_ptr<GuideController> Controller;
 

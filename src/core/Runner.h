@@ -26,44 +26,36 @@
 
 namespace gstm {
 
-/// Forced-yield shift of experiment runs (EngineConfig::PreemptShift): one
-/// sched_yield per 32 transactional accesses.
-inline constexpr unsigned ExperimentPreemptShift = 5;
+/// Yield shift of experiment runs (SchedulePerturber, stm/Perturb.h): one
+/// sched_yield per 32 transactional loads and stores.
+inline constexpr unsigned ExperimentYieldShift = 5;
 
 /// CPUs this process may run on, as `nproc` reports them: the size of its
 /// sched_getaffinity mask, else std::thread::hardware_concurrency(), and
 /// never below 1.
 unsigned usableCpus();
 
-/// The PreemptShift an experiment run of \p Threads workers uses: \p Shift
+/// The yield shift an experiment run of \p Threads workers uses: \p Shift
 /// when the workers outnumber \p Cpus, 0 otherwise. A forced yield only
 /// makes transactions overlap when a waiting worker shares the CPU; with a
 /// CPU per worker it finds nothing else to run (DESIGN §2, substitution 1).
 unsigned forcedYieldShift(unsigned Shift, unsigned Threads,
                           unsigned Cpus = usableCpus());
 
-/// STM configuration used by experiment runs: scheduler perturbation on
-/// (see EngineConfig::PreemptShift) so transactions overlap even when the
-/// host has fewer cores than workers. runWorkloadOnce keeps the yields only
-/// while its workers outnumber the usable CPUs (forcedYieldShift); code
-/// that builds a Tl2Stm from this configuration itself always yields.
-inline Tl2Config experimentStmConfig() {
-  Tl2Config Cfg;
-  Cfg.PreemptShift = ExperimentPreemptShift;
-  // Attempt-latency sampling is cheap (two steady_clock reads per attempt
-  // on a thread-private shard) and feeds the exported telemetry.
-  Cfg.TrackAttemptLatency = true;
-  return Cfg;
-}
-
 /// Per-run configuration shared by default and guided executions.
 struct RunnerConfig {
   unsigned Threads = 8;
   /// The tuple grouping; Sequence is the only one.
   Grouping GroupMode = Grouping::Sequence;
-  /// The run's STM configuration. runWorkloadOnce applies its PreemptShift
-  /// through forcedYieldShift: only while Threads > usableCpus().
-  Tl2Config Stm = experimentStmConfig();
+  /// The run's STM configuration. Attempt-latency sampling is cheap (two
+  /// steady_clock reads per attempt on a thread-private shard) and feeds
+  /// the exported telemetry.
+  Tl2Config Stm = {.TrackAttemptLatency = true, .Fault = {}};
+  /// Seeded yields at transactional loads and stores, with probability
+  /// 2^-YieldShift each (SchedulePerturber); 0 = none. runWorkloadOnce
+  /// applies it through forcedYieldShift: only while Threads >
+  /// usableCpus(), seeded by the run's input seed.
+  unsigned YieldShift = ExperimentYieldShift;
   GuideConfig Guide;
   /// Always null and read by nothing here; kept because bench/e2e
   /// compiles against it.

@@ -66,7 +66,6 @@
 #include "support/PtrIndexMap.h"
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -167,10 +166,8 @@ public:
   using State = typename Policy::TxnState;
 
   EngineTxn(Runtime &Stm_, ThreadId Thread)
-      : Runtime::TxnState(Stm_, Thread),
-        PreemptLcg(0x2545f4914f6cdd1dULL ^
-                   (uint64_t{Thread} * 0x9e3779b97f4a7c15ULL)),
-        S(Stm_), Thread(Thread), Shard(&Stm_.stats().shard(Thread)) {}
+      : Runtime::TxnState(Stm_, Thread), S(Stm_), Thread(Thread),
+        Shard(&Stm_.stats().shard(Thread)) {}
 
   EngineTxn(const EngineTxn &) = delete;
   EngineTxn &operator=(const EngineTxn &) = delete;
@@ -250,7 +247,6 @@ public:
   /// object's one orec (TL2 only).
   template <typename T> T read(const TObj<T> &Obj) {
     uint64_t Raw[TObj<T>::WordCount];
-    maybePreempt();
     Policy::template loadWords<TObj<T>::WordCount>(*this, Obj.meta(),
                                                    Obj.words(), Raw);
     return TObj<T>::decode(Raw);
@@ -261,7 +257,6 @@ public:
   void write(TObj<T> &Obj, const std::type_identity_t<T> &Value) {
     uint64_t Raw[TObj<T>::WordCount];
     TObj<T>::encode(Value, Raw);
-    maybePreempt();
     Policy::template storeWords<TObj<T>::WordCount>(*this, Obj.meta(),
                                                     Obj.words(), Raw);
   }
@@ -337,28 +332,12 @@ private:
   void reportAbort(const AbortEvent &E);
   [[noreturn]] void reportAbortAndThrow(const AbortEvent &E);
 
-  /// Scheduler perturbation: yields the CPU with probability
-  /// 2^-PreemptShift per call when the config's PreemptShift is non-zero
-  /// (see EngineConfig::PreemptShift).
-  void maybePreempt() {
-    unsigned Shift = S.config().PreemptShift;
-    if (Shift == 0)
-      return;
-    assert(Shift < 64 && "PreemptShift must be in [0, 63]");
-    PreemptLcg = PreemptLcg * 6364136223846793005ULL +
-                 1442695040888963407ULL;
-    if (((PreemptLcg >> 33) & ((uint64_t{1} << Shift) - 1)) == 0)
-      std::this_thread::yield();
-  }
-
   void recordAttemptLatency(std::chrono::steady_clock::time_point Start) {
     Shard->recordAttempt(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - Start)
             .count()));
   }
-
-  uint64_t PreemptLcg;
 
   Runtime &S;
   ThreadId Thread;
@@ -380,14 +359,12 @@ private:
 template <typename Policy, typename Runtime>
 uint64_t
 EngineTxn<Policy, Runtime>::loadWord(const std::atomic<uint64_t> &Word) {
-  maybePreempt();
   return Policy::load(*this, Word);
 }
 
 template <typename Policy, typename Runtime>
 void EngineTxn<Policy, Runtime>::storeWord(std::atomic<uint64_t> &Word,
                                            uint64_t Value) {
-  maybePreempt();
   Policy::store(*this, Word, Value);
 }
 

@@ -54,22 +54,10 @@ struct EngineConfig {
   unsigned TableBits = 0;
   /// log2 of the commit-ring slots (one ring per shard when sharded).
   unsigned CommitRingBits = 13;
-  /// Scheduler perturbation: when non-zero, each transactional access
-  /// yields the CPU with probability 2^-PreemptShift. On a machine with
-  /// fewer cores than worker threads, transactions otherwise execute
-  /// back-to-back within a scheduling quantum and almost never overlap,
-  /// which would suppress the conflicts/aborts whose non-determinism the
-  /// paper studies; random yield points restore multicore-like
-  /// interleaving density (see DESIGN.md, substitutions). With a CPU per
-  /// worker a yield finds nothing else to run, so experiment runs apply
-  /// it only while their workers outnumber the usable CPUs
-  /// (forcedYieldShift, core/Runner.h); an engine built directly takes
-  /// the shift as given. 0 = off; at most 63.
-  unsigned PreemptShift = 0;
   /// When true, every attempt's wall-clock latency is accumulated into
   /// the per-thread stats shard (two steady_clock reads per attempt).
   /// Off by default so microbenchmarks measure bare STM cost; the
-  /// experiment harness turns it on (see core/Runner.h).
+  /// experiment harness turns it on (RunnerConfig::Stm, core/Runner.h).
   bool TrackAttemptLatency = false;
   /// Fault injection for the checker self-tests; all off by default.
   EngineFault Fault;

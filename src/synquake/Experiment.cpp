@@ -10,9 +10,11 @@
 #include "core/GuidedPolicy.h"
 #include "core/Runner.h"
 #include "core/Trace.h"
+#include "stm/Perturb.h"
 #include "support/Timer.h"
 
 #include <memory>
+#include <optional>
 
 using namespace gstm;
 
@@ -31,11 +33,14 @@ struct OneRun {
 OneRun runGameOnce(const SynQuakeParams &Params, unsigned Threads,
                    uint64_t Seed, const GuidedPolicy *Policy,
                    const GuideConfig &GuideCfg) {
-  EngineConfig TmCfg;
-  // Scheduler perturbation under the TL2 runs' rule: forced yields only
-  // while the workers outnumber the usable CPUs.
-  TmCfg.PreemptShift = forcedYieldShift(ExperimentPreemptShift, Threads);
-  LibTm Tm(TmCfg);
+  LibTm Tm;
+  // Forced yields under the TL2 runs' rule: only while the workers
+  // outnumber the usable CPUs.
+  std::optional<SchedulePerturber> Yields;
+  if (unsigned Shift = forcedYieldShift(ExperimentYieldShift, Threads)) {
+    Yields.emplace(Threads, Seed, nullptr, Shift);
+    Tm.setAccessObserver(&*Yields);
+  }
   TraceCollector Collector(Threads);
   std::unique_ptr<GuideController> Controller;
   if (Policy) {

@@ -1,6 +1,7 @@
 # A failing check_fuzz seed must print a repro line that re-runs it: the
 # torn-publish mutant on flat TL2 fails within 32 seeds, and its repro
-# line must carry the plan shape and the fault flag, not only the seed.
+# line must carry the plan shape, the yield density and the fault flag,
+# not only the seed.
 # Invoked by the `check_fuzz_repro_line` ctest:
 #
 #   cmake -DCHECK_FUZZ=<check_fuzz> -P CheckFuzzRepro.cmake
@@ -20,7 +21,7 @@ string(REGEX MATCH "repro: [^\n]*" Repro "${Out}")
 if(NOT Repro)
   message(FATAL_ERROR "no repro line in the output\n${Out}${Err}")
 endif()
-foreach(Flag --threads=3 --txns=16 --inject-torn-publish)
+foreach(Flag --threads=3 --txns=16 --perturb-shift=1 --inject-torn-publish)
   string(FIND "${Repro}" " ${Flag}" At)
   if(At EQUAL -1)
     message(FATAL_ERROR "repro line lacks ${Flag}: ${Repro}")

@@ -72,11 +72,12 @@ endif()
 # pending-abort mutex and hand them to the tuple sink: one thread held at
 # the gate until another commit moves the state, two held threads racing
 # on the held count and live mask until the later one is released, four
-# threads folding their aborts into one another's tuples, and a 4-thread
-# guided kmeans run streaming every tuple into a sink.
+# threads folding their aborts into one another's tuples, four committers
+# racing to publish their tuples' states, and a 4-thread guided kmeans
+# run streaming every tuple into a sink.
 execute_process(
   COMMAND ${BUILD_DIR}/tests/controller_test
-          --gtest_filter=GuideControllerTest.HeldThreadReleasedByStateChange:GuideControllerTest.AllLiveWorkersHeldReleasesLatestArrivalAtOnce:GuideControllerTest.ConcurrentAbortsFoldIntoExactlyOneTuple:GuideControllerTest.RunnerSinkSeesEveryGuidedCommit
+          --gtest_filter=GuideControllerTest.HeldThreadReleasedByStateChange:GuideControllerTest.AllLiveWorkersHeldReleasesLatestArrivalAtOnce:GuideControllerTest.ConcurrentAbortsFoldIntoExactlyOneTuple:GuideControllerTest.CurrentStateIsTheNewestTuplesState:GuideControllerTest.RunnerSinkSeesEveryGuidedCommit
   RESULT_VARIABLE ControllerRc)
 if(NOT ControllerRc EQUAL 0)
   message(FATAL_ERROR "controller_test failed under tsan (${ControllerRc})")

@@ -16,9 +16,9 @@
 #include "check/Checker.h"
 #include "check/Fuzz.h"
 #include "check/History.h"
-#include "check/Perturb.h"
 #include "check/TmdsFuzz.h"
 #include "engine/Tl2.h"
+#include "stm/Perturb.h"
 #include "stm/TVar.h"
 
 #include "gtest/gtest.h"
@@ -426,6 +426,37 @@ TEST(SchedulePerturberTest, ForwardsEventsAndIsSeedDeterministic) {
   History H = Rec.take();
   ASSERT_EQ(H.Attempts.size(), 1u);
   EXPECT_EQ(H.Attempts[0].Accesses.size(), 65u);
+}
+
+TEST(SchedulePerturberTest, YieldsOnlyAtLoadsAndStores) {
+  // At shift 0 every yield point fires, so the count is the number of
+  // loads and stores: attempt begins never yield, and neither do lock
+  // acquires, which would hold commit locks across the yield.
+  struct CountingNext : TxAccessObserver {
+    unsigned Begins = 0, Loads = 0, Stores = 0, Locks = 0;
+    void onTxBegin(ThreadId, TxId, uint64_t) override { ++Begins; }
+    void onTxLoad(ThreadId, const void *, uint64_t, uint64_t,
+                  bool) override {
+      ++Loads;
+    }
+    void onTxStore(ThreadId, const void *, uint64_t) override { ++Stores; }
+    void onLockAcquire(ThreadId, uint64_t) override { ++Locks; }
+  } Next;
+  SchedulePerturber P(1, /*Seed=*/7, &Next, /*YieldShift=*/0);
+
+  P.onTxBegin(0, 0, 0);
+  for (uint64_t I = 0; I < 3; ++I)
+    P.onTxLoad(0, &SlotX, I, 0, false);
+  P.onTxStore(0, &SlotX, 1);
+  P.onTxStore(0, &SlotY, 2);
+  P.onLockAcquire(0, 1);
+  P.onLockAcquire(0, 2);
+
+  EXPECT_EQ(P.yieldCount(), 5u);
+  EXPECT_EQ(Next.Begins, 1u);
+  EXPECT_EQ(Next.Loads, 3u);
+  EXPECT_EQ(Next.Stores, 2u);
+  EXPECT_EQ(Next.Locks, 2u);
 }
 
 //===----------------------------------------------------------------------===//

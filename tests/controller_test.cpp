@@ -521,6 +521,49 @@ TEST(GuideControllerTest, ConcurrentAbortsFoldIntoExactlyOneTuple) {
   EXPECT_EQ(S.KnownStates + S.UnknownStates, Total);
 }
 
+TEST(GuideControllerTest, CurrentStateIsTheNewestTuplesState) {
+  // Committers race to publish their tuples' states. Once they have
+  // joined, the current state must be the newest tuple's, never that of
+  // an older tuple whose committer published late. Many short rounds:
+  // only the last publishes of a round can show the race.
+  constexpr unsigned Rounds = 2000, Threads = 4, PerThread = 16;
+  struct NewestSink : TtsSink {
+    std::mutex M;
+    uint64_t Seq = 0;
+    StateTuple Tuple;
+    void observeTuple(ThreadId, uint64_t S, const StateTuple &T) override {
+      std::lock_guard<std::mutex> Lock(M);
+      if (S >= Seq) {
+        Seq = S;
+        Tuple = T;
+      }
+    }
+  };
+  Tsa Model = biasedModel();
+  GuidedPolicy Policy(Model, 4.0);
+  for (unsigned Round = 0; Round < Rounds; ++Round) {
+    NewestSink Sink;
+    GuideController Controller(Policy, GuideConfig{});
+    Controller.setTtsSink(&Sink);
+    std::vector<std::thread> Workers;
+    for (unsigned T = 0; T < Threads; ++T)
+      Workers.emplace_back([&, T] {
+        // Tuples <0,0> and <3,4> resolve to distinct modeled states, the
+        // rest to UnknownState, so which tuple is newest shows in the
+        // state.
+        for (unsigned I = 0; I < PerThread; ++I)
+          Controller.onCommit((I + T) % 3 == 0 ? commitEventFor(0, 0)
+                              : (I + T) % 3 == 1 ? commitEventFor(4, 3)
+                                                 : commitEventFor(T, 1));
+      });
+    for (auto &W : Workers)
+      W.join();
+    ASSERT_EQ(Sink.Seq, uint64_t{Threads} * PerThread - 1);
+    ASSERT_EQ(Controller.currentState(), Policy.resolve(Sink.Tuple))
+        << "round " << Round;
+  }
+}
+
 TEST(GuideControllerTest, OnlineTuplesEqualOfflineSequenceGrouping) {
   // The controller forms its tuples the way groupTuples' Sequence mode
   // parses the trace of the same stream: each commit absorbs the aborts

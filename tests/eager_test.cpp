@@ -17,6 +17,7 @@
 
 #include "check/Fuzz.h"
 #include "check/TmdsFuzz.h"
+#include "stm/Perturb.h"
 #include "stm/TVar.h"
 #include "support/SplitMix64.h"
 
@@ -29,16 +30,8 @@
 
 using namespace gstm;
 
-namespace {
-EngineConfig eagerConfig(unsigned PreemptShift = 0) {
-  EngineConfig Cfg;
-  Cfg.PreemptShift = PreemptShift;
-  return Cfg;
-}
-} // namespace
-
 TEST(EagerTest, SingleThreadReadWrite) {
-  OrecEagerStm Stm(eagerConfig());
+  OrecEagerStm Stm;
   TVar<uint64_t> X{5};
   OrecEagerTxn Txn(Stm, 0);
   Txn.run(0, [&](OrecEagerTxn &Tx) {
@@ -50,7 +43,7 @@ TEST(EagerTest, SingleThreadReadWrite) {
 }
 
 TEST(EagerTest, AbortUndoesInPlaceWrites) {
-  OrecEagerStm Stm(eagerConfig());
+  OrecEagerStm Stm;
   TVar<uint64_t> X{1}, Y{2};
   OrecEagerTxn Txn(Stm, 0);
   int Attempts = 0;
@@ -73,7 +66,7 @@ TEST(EagerTest, UndoRestoresOriginalOnPermanentFields) {
   // Force exactly one abort: the rollback must restore the stale value
   // before the retry reads it, so the final committed state reflects
   // exactly one increment.
-  OrecEagerStm Stm(eagerConfig());
+  OrecEagerStm Stm;
   TVar<uint64_t> X{7};
   OrecEagerTxn Txn(Stm, 0);
   int Attempts = 0;
@@ -88,7 +81,7 @@ TEST(EagerTest, UndoRestoresOriginalOnPermanentFields) {
 TEST(EagerTest, WriterBlocksConflictingWriterImmediately) {
   // Eager writers to the same location: a loser aborts at encounter time
   // with a cause naming the owner; no increment may be lost.
-  OrecEagerStm Stm(eagerConfig());
+  OrecEagerStm Stm;
   TVar<uint64_t> X{0};
 
   struct Probe : TxEventObserver {
@@ -115,9 +108,11 @@ TEST(EagerTest, WriterBlocksConflictingWriterImmediately) {
 }
 
 TEST(EagerTest, CounterUnderPreemptionLosesNothing) {
-  OrecEagerStm Stm(eagerConfig(/*PreemptShift=*/5));
+  OrecEagerStm Stm;
   TVar<uint64_t> X{0};
   constexpr unsigned Threads = 8, PerThread = 300;
+  SchedulePerturber Yields(Threads, /*Seed=*/1, nullptr, /*YieldShift=*/5);
+  Stm.setAccessObserver(&Yields);
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
@@ -129,17 +124,19 @@ TEST(EagerTest, CounterUnderPreemptionLosesNothing) {
     W.join();
   EXPECT_EQ(X.loadDirect(), uint64_t{Threads} * PerThread);
   EXPECT_GT(Stm.stats().aborts(), 0u)
-      << "preemption should force real conflicts";
+      << "forced yields should force real conflicts";
 }
 
 TEST(EagerTest, BankConservationUnderContention) {
-  OrecEagerStm Stm(eagerConfig(/*PreemptShift=*/5));
+  OrecEagerStm Stm;
   constexpr unsigned N = 16;
   std::vector<std::unique_ptr<TVar<int64_t>>> Accounts;
   for (unsigned I = 0; I < N; ++I)
     Accounts.push_back(std::make_unique<TVar<int64_t>>(500));
 
   constexpr unsigned Threads = 6;
+  SchedulePerturber Yields(Threads, /*Seed=*/1, nullptr, /*YieldShift=*/5);
+  Stm.setAccessObserver(&Yields);
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
@@ -164,7 +161,7 @@ TEST(EagerTest, BankConservationUnderContention) {
 }
 
 TEST(EagerTest, SnapshotIsolationHolds) {
-  OrecEagerStm Stm(eagerConfig());
+  OrecEagerStm Stm;
   TVar<uint64_t> X{0}, Y{0};
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Violations{0};

@@ -27,6 +27,7 @@
 #include "check/Fuzz.h"
 #include "core/GuideController.h"
 #include "shard/Sharded.h"
+#include "stm/Perturb.h"
 #include "stm/TVar.h"
 
 #include <gtest/gtest.h>
@@ -428,11 +429,11 @@ TYPED_TEST(EngineFamilyTest, ReadTimeAbortNamesItsCommitter) {
 TYPED_TEST(EngineFamilyTest, ConcurrentIncrementsAreExact) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
-  auto Cfg = TestFixture::smallConfig();
-  Cfg.PreemptShift = 2; // densify interleavings
-  Stm S(Cfg);
+  Stm S(TestFixture::smallConfig());
   constexpr unsigned Threads = 4;
   constexpr unsigned PerThread = 500;
+  SchedulePerturber Yields(Threads, /*Seed=*/1); // densify interleavings
+  S.setAccessObserver(&Yields);
   TVar<uint64_t> Shared(0);
   TVar<uint64_t> Cross[Threads];
 
@@ -462,11 +463,11 @@ TYPED_TEST(EngineFamilyTest, ConcurrentIncrementsAreExact) {
 TYPED_TEST(EngineFamilyTest, WriteWriteConflictsResolveByAbort) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
-  auto Cfg = TestFixture::smallConfig();
-  Cfg.PreemptShift = 2;
-  Stm S(Cfg);
+  Stm S(TestFixture::smallConfig());
   constexpr unsigned Threads = 3;
   constexpr unsigned PerThread = 400;
+  SchedulePerturber Yields(Threads, /*Seed=*/1);
+  S.setAccessObserver(&Yields);
   // All threads update the same two variables in opposite orders — the
   // classic deadlock shape. Encounter-time (orec-eager) and commit-time
   // (TL2) acquisition never wait on a held orec, so it must resolve by
@@ -519,11 +520,11 @@ TYPED_TEST(EngineFamilyTest, CommitsPublishMonotonicVersions) {
 TYPED_TEST(EngineFamilyTest, ReadOnlyTxnsNeverAbortWithoutWriters) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
-  auto Cfg = TestFixture::smallConfig();
-  Cfg.PreemptShift = 2;
-  Stm S(Cfg);
+  Stm S(TestFixture::smallConfig());
   constexpr unsigned Threads = 4;
   constexpr unsigned PerThread = 200;
+  SchedulePerturber Yields(Threads, /*Seed=*/1);
+  S.setAccessObserver(&Yields);
   constexpr unsigned Vars = 16;
   TVar<uint64_t> V[Vars];
   for (unsigned I = 0; I < Vars; ++I)
@@ -560,9 +561,9 @@ TYPED_TEST(EngineFamilyTest, ReadOnlyTxnsNeverAbortWithoutWriters) {
 TYPED_TEST(EngineFamilyTest, LargeWriteSetCommitsAtomically) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
-  auto Cfg = TestFixture::smallConfig();
-  Cfg.PreemptShift = 2;
-  Stm S(Cfg);
+  Stm S(TestFixture::smallConfig());
+  SchedulePerturber Yields(/*NumThreads=*/3, /*Seed=*/1);
+  S.setAccessObserver(&Yields);
   constexpr unsigned Vars = 64;
   constexpr uint64_t Rounds = 200;
   TVar<uint64_t> V[Vars];
@@ -634,11 +635,11 @@ TYPED_TEST(EngineFamilyTest, AliasedStripesCommitWithoutFalseAborts) {
 TYPED_TEST(EngineFamilyTest, MixedAbortsLeaveNoLockResidue) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
-  auto Cfg = TestFixture::smallConfig();
-  Cfg.PreemptShift = 2;
-  Stm S(Cfg);
+  Stm S(TestFixture::smallConfig());
   constexpr unsigned Threads = 3;
   constexpr unsigned PerThread = 300;
+  SchedulePerturber Yields(Threads, /*Seed=*/1);
+  S.setAccessObserver(&Yields);
   TVar<uint64_t> Shared(0);
   TVar<uint64_t> Own[Threads];
 
@@ -683,13 +684,13 @@ TYPED_TEST(EngineFamilyTest, MixedAbortsLeaveNoLockResidue) {
 TYPED_TEST(EngineFamilyTest, ObserverAndStatsAgreeUnderContention) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
-  auto Cfg = TestFixture::smallConfig();
-  Cfg.PreemptShift = 2;
-  Stm S(Cfg);
+  Stm S(TestFixture::smallConfig());
   CountingHooks Hooks;
   S.setObserver(&Hooks);
   constexpr unsigned Threads = 3;
   constexpr unsigned PerThread = 300;
+  SchedulePerturber Yields(Threads, /*Seed=*/1);
+  S.setAccessObserver(&Yields);
   TVar<uint64_t> Shared(0);
 
   // The chassis reports each attempt's outcome once, to the observer and
@@ -714,9 +715,12 @@ TYPED_TEST(EngineFamilyTest, ObserverAndStatsAgreeUnderContention) {
 TYPED_TEST(EngineFamilyTest, IntermediateWritesStayInvisible) {
   using Stm = typename TestFixture::Stm;
   using Txn = typename TestFixture::Txn;
-  auto Cfg = TestFixture::smallConfig();
-  Cfg.PreemptShift = 2;
-  Stm S(Cfg);
+  Stm S(TestFixture::smallConfig());
+  // The writer runs as a thread below the sharded tier's 4 shards and
+  // the readers as threads 4 and 5, so no two workers share a ThreadId
+  // (and with it a perturber stream).
+  SchedulePerturber Yields(/*NumThreads=*/6, /*Seed=*/1);
+  S.setAccessObserver(&Yields);
   constexpr uint64_t Rounds = 300;
   TVar<uint64_t> V(0);
 
@@ -743,7 +747,7 @@ TYPED_TEST(EngineFamilyTest, IntermediateWritesStayInvisible) {
   });
   for (unsigned Reader = 1; Reader <= 2; ++Reader)
     Workers.emplace_back([&, Reader] {
-      Txn T(S, static_cast<ThreadId>(Reader));
+      Txn T(S, static_cast<ThreadId>(3 + Reader));
       for (unsigned Done = 0; !WriterDone.load() || Done < 10; ++Done) {
         uint64_t Seen = 0;
         T.run(2, [&](Txn &Tx) { Seen = Tx.load(V); });

@@ -219,27 +219,27 @@ TEST(ExperimentTest, MetricsComputeSaneValues) {
 TEST(RunnerTest, ForcedYieldsOnlyWhenWorkersOutnumberCpus) {
   for (unsigned Cpus : {1u, 2u, 3u, 8u, 64u}) {
     for (unsigned Threads = 1; Threads <= Cpus; ++Threads)
-      EXPECT_EQ(forcedYieldShift(ExperimentPreemptShift, Threads, Cpus), 0u)
+      EXPECT_EQ(forcedYieldShift(ExperimentYieldShift, Threads, Cpus), 0u)
           << Threads << " workers on " << Cpus << " CPUs";
     for (unsigned Threads = Cpus + 1; Threads <= Cpus + 16; ++Threads)
-      EXPECT_EQ(forcedYieldShift(ExperimentPreemptShift, Threads, Cpus),
-                ExperimentPreemptShift)
+      EXPECT_EQ(forcedYieldShift(ExperimentYieldShift, Threads, Cpus),
+                ExperimentYieldShift)
           << Threads << " workers on " << Cpus << " CPUs";
   }
   // A configuration without forced yields stays without them.
   EXPECT_EQ(forcedYieldShift(0, 16, 2), 0u);
-  EXPECT_EQ(experimentStmConfig().PreemptShift, ExperimentPreemptShift);
 }
 
 namespace {
-/// Records the PreemptShift of the engine runWorkloadOnce built for it.
-class ShiftProbe : public TlWorkload {
+/// Records whether the engine runWorkloadOnce built for it had an access
+/// observer (the forced-yield perturber) attached when setup ran.
+class YieldProbe : public TlWorkload {
 public:
-  unsigned Shift = ~0u;
-  std::string name() const override { return "shift-probe"; }
+  bool Attached = false;
+  std::string name() const override { return "yield-probe"; }
   unsigned numTxSites() const override { return 1; }
   void setup(Tl2Stm &Stm, unsigned, uint64_t) override {
-    Shift = Stm.config().PreemptShift;
+    Attached = Stm.accessObserver() != nullptr;
   }
   void threadBody(Tl2Stm &, ThreadId) override {}
 };
@@ -247,22 +247,22 @@ public:
 
 TEST(RunnerTest, RunsYieldOnlyWhenWorkersOutnumberUsableCpus) {
   unsigned Cpus = usableCpus();
-  ShiftProbe Probe;
+  YieldProbe Probe;
   RunnerConfig RC;
   for (unsigned Threads : {1u, Cpus, Cpus + 1}) {
     if (Threads > StatsShardCount)
       continue;
     RC.Threads = Threads;
     runWorkloadOnce(Probe, RC, 1, nullptr);
-    EXPECT_EQ(Probe.Shift, Threads > Cpus ? ExperimentPreemptShift : 0u)
+    EXPECT_EQ(Probe.Attached, Threads > Cpus)
         << Threads << " workers on " << Cpus << " CPUs";
   }
   // A run configured without yields never gets them.
-  RC.Stm.PreemptShift = 0;
+  RC.YieldShift = 0;
   RC.Threads =
       static_cast<unsigned>(std::min<size_t>(Cpus + 1, StatsShardCount));
   runWorkloadOnce(Probe, RC, 1, nullptr);
-  EXPECT_EQ(Probe.Shift, 0u);
+  EXPECT_FALSE(Probe.Attached);
 }
 
 TEST(RunnerTest, UsableCpusIsTheAffinityMaskSize) {

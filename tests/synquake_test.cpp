@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "stm/Perturb.h"
 #include "synquake/Experiment.h"
 #include "synquake/Game.h"
 
@@ -77,9 +78,11 @@ TEST(SynQuakeTest, WorstCaseQuestContendsMoreThanQuadrants) {
   // players on one point must conflict more than players split across
   // four quadrants.
   auto AbortsFor = [](QuestPattern Q) {
-    EngineConfig TmCfg;
-    TmCfg.PreemptShift = 5; // force transaction overlap on few cores
-    LibTm Tm(TmCfg);
+    LibTm Tm;
+    // Force transaction overlap on few cores.
+    SchedulePerturber Yields(/*NumThreads=*/4, /*Seed=*/5, nullptr,
+                             /*YieldShift=*/5);
+    Tm.setAccessObserver(&Yields);
     SynQuakeParams P;
     P.NumPlayers = 64;
     P.Frames = 30;

@@ -281,7 +281,9 @@ void runStampSuite(unsigned Threads, unsigned Repeats, uint64_t Seed,
       RunnerConfig RC;
       RC.Threads = Threads;
       RC.CollectTrace = false;
-      RC.Stm = Tl2Config(); // bare STM timing: no perturbation/latency
+      // Bare STM timing: no forced yields, no latency sampling.
+      RC.Stm = Tl2Config();
+      RC.YieldShift = 0;
       RunResult Res = runWorkloadOnce(*W, RC, Seed, nullptr);
       if (!Res.Verified) {
         std::fprintf(stderr,

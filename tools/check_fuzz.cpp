@@ -59,12 +59,9 @@ int main(int Argc, char **Argv) {
            "shard contexts of the sharded backend (power of two in [1, 64]; "
            "default 4)"},
           {"ops", "N", "max operations per transaction"},
-          {"preempt-shift", "N",
-           "preemption-point density: yield with probability 2^-N per "
-           "access, N in [0, 63], 0 = off"},
           {"perturb-shift", "N",
-           "schedule-perturbation density: yield with probability 2^-N per "
-           "event, N in [0, 63]"},
+           "schedule-perturbation density: yield with probability 2^-N at "
+           "each transactional load and store, N in [0, 63] (default 1)"},
           {"smoke", "", "CI preset: 1024 seeds per backend"},
           {"verbose", "", "print every iteration, not just failures"},
           {"inject-skip-validation", "",
@@ -108,8 +105,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  // Both shifts size a `1 << N` mask; a 64-bit shift is undefined.
-  Cfg.PreemptShift = Opts.getInt("preempt-shift", Cfg.PreemptShift, 0, 63);
+  // The shift sizes a `1 << N` mask; a 64-bit shift is undefined.
   Cfg.PerturbShift = Opts.getInt("perturb-shift", Cfg.PerturbShift, 0, 63);
   // Fault injection, for watching the checkers catch a broken STM by hand
   // (the mutation self-tests in tests/ automate this).
@@ -139,7 +135,6 @@ int main(int Argc, char **Argv) {
       " --ops=" + std::to_string(Rmw ? Cfg.MaxOpsPerTxn : TCfg.OpsPerTxn) +
       (Rmw ? " --vars=" + std::to_string(Cfg.Vars)
            : " --keys=" + std::to_string(TCfg.Keys)) +
-      " --preempt-shift=" + std::to_string(Cfg.PreemptShift) +
       " --perturb-shift=" + std::to_string(Cfg.PerturbShift);
   if (Cfg.Fault.SkipReadValidation)
     Repro += " --inject-skip-validation";
