@@ -8,11 +8,9 @@
 #include "check/Checker.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 using namespace gstm;
@@ -23,7 +21,9 @@ std::string describeAttempt(const AttemptRecord &A) {
   std::ostringstream Os;
   Os << "tx " << A.Tx << " on thread " << A.Thread << " (begin seq "
      << A.BeginSeq << ", "
-     << (A.committed() ? "committed" : "not committed");
+     << (A.committed()                          ? "committed"
+         : A.Outcome == AttemptOutcome::Aborted ? "aborted"
+                                                : "in flight");
   if (A.committed() && !A.ReadOnly)
     Os << " at version " << A.CommitVersion;
   Os << ")";
@@ -40,7 +40,7 @@ CheckResult violation(std::string Reason) {
 // Invariants
 //===----------------------------------------------------------------------===//
 
-CheckResult gstm::checkInvariants(const History &H, bool ValuesAreUnique) {
+CheckResult gstm::checkInvariants(const History &H) {
   // Commit-version sanity: unique, above the attempt's own rv, and
   // monotonically increasing per thread (the global clock never moves
   // backwards for any observer).
@@ -75,190 +75,25 @@ CheckResult gstm::checkInvariants(const History &H, bool ValuesAreUnique) {
       LastIt->second = A.CommitVersion;
     }
   }
-
-  if (!ValuesAreUnique)
-    return CheckResult{};
-
-  // Aborted-write visibility: every observed read value must have been
-  // installed by a committed transaction or be the location's initial
-  // value. A value only an aborted attempt ever wrote leaking into any
-  // read is the classic isolation bug.
-  std::unordered_map<const void *, std::unordered_set<uint64_t>> Committed;
-  std::unordered_map<const void *, std::unordered_set<uint64_t>> Aborted;
-  for (const AttemptRecord &A : H.Attempts) {
-    if (A.committed()) {
-      for (const auto &[Addr, Value] : A.finalWrites())
-        Committed[Addr].insert(Value);
-    } else {
-      for (const AccessRecord &Acc : A.Accesses)
-        if (Acc.K == AccessRecord::Kind::Store)
-          Aborted[Acc.Addr].insert(Acc.Value);
-    }
-  }
-  for (const AttemptRecord &A : H.Attempts) {
-    for (const AccessRecord *R : A.globalReads()) {
-      const void *Addr = R->Addr;
-      const uint64_t Value = R->Value;
-      auto InitIt = H.Initial.find(Addr);
-      if (InitIt != H.Initial.end() && InitIt->second == Value)
-        continue;
-      auto CIt = Committed.find(Addr);
-      if (CIt != Committed.end() && CIt->second.count(Value))
-        continue;
-      if (InitIt == H.Initial.end())
-        continue; // unknown base value: cannot judge this location
-      auto AIt = Aborted.find(Addr);
-      if (AIt != Aborted.end() && AIt->second.count(Value))
-        return violation("aborted transaction's write (value " +
-                         std::to_string(Value) + ") observed by " +
-                         describeAttempt(A));
-      return violation("read of value " + std::to_string(Value) +
-                       " that no transaction ever committed, in " +
-                       describeAttempt(A));
-    }
-  }
   return CheckResult{};
 }
 
 //===----------------------------------------------------------------------===//
-// Opacity: snapshot consistency of every attempt
+// Opacity: one serialization of every attempt
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Value \p Value was current on its location over [From, To).
-struct Segment {
-  uint64_t Value;
-  uint64_t From;
-  uint64_t To;
-};
-
-/// Per-location value timelines derived from the committed writers,
-/// ordered by commit version (whose integrity checkInvariants vouches
-/// for).
-std::unordered_map<const void *, std::vector<Segment>>
-buildTimelines(const History &H) {
-  std::unordered_map<const void *, std::vector<std::pair<uint64_t, uint64_t>>>
-      Writers; // addr -> (version, value)
-  for (const AttemptRecord &A : H.Attempts) {
-    if (!A.committed() || A.ReadOnly)
-      continue;
-    for (const auto &[Addr, Value] : A.finalWrites())
-      Writers[Addr].emplace_back(A.CommitVersion, Value);
-  }
-  std::unordered_map<const void *, std::vector<Segment>> Timelines;
-  constexpr uint64_t Inf = std::numeric_limits<uint64_t>::max();
-  for (auto &[Addr, List] : Writers) {
-    std::sort(List.begin(), List.end());
-    std::vector<Segment> &Segs = Timelines[Addr];
-    auto InitIt = H.Initial.find(Addr);
-    if (InitIt != H.Initial.end())
-      Segs.push_back(Segment{InitIt->second, 0, List.front().first});
-    for (size_t I = 0; I < List.size(); ++I)
-      Segs.push_back(Segment{List[I].second, List[I].first,
-                             I + 1 < List.size() ? List[I + 1].first : Inf});
-  }
-  // Locations nobody committed to still have their initial segment.
-  for (const auto &[Addr, Value] : H.Initial)
-    if (!Timelines.count(Addr))
-      Timelines[Addr].push_back(Segment{Value, 0, Inf});
-  return Timelines;
-}
-
-} // namespace
 
 CheckResult gstm::checkOpacity(const History &H) {
-  auto Timelines = buildTimelines(H);
+  // Nodes: the committed attempts, and every other attempt that read
+  // global state, as a read-only transaction.
+  std::vector<const AttemptRecord *> Txns;
+  std::vector<std::vector<const AccessRecord *>> ReadsOf;
   for (const AttemptRecord &A : H.Attempts) {
     auto Reads = A.globalReads();
-    if (Reads.empty())
+    if (!A.committed() && Reads.empty())
       continue;
-    // Candidate segments per read: the intervals over which the observed
-    // value was current. Each read also carries the stripe/object version
-    // it validated against; that version must fall inside the value's
-    // interval (stripe versions only grow and data is written back before
-    // the version is published, so a validated version at or past the
-    // interval's end means the reader saw stale data under a fresher
-    // version — exactly what a torn publish produces). Stripe aliasing
-    // can only push the validated version later *within* the interval,
-    // never outside it.
-    std::vector<std::vector<const Segment *>> Candidates;
-    for (const AccessRecord *R : Reads) {
-      const void *Addr = R->Addr;
-      const uint64_t Value = R->Value, Validated = R->Version;
-      auto TlIt = Timelines.find(Addr);
-      if (TlIt == Timelines.end())
-        continue; // never initialized nor committed to: no basis to judge
-      std::vector<const Segment *> Segs;
-      bool ValueKnown = false;
-      for (const Segment &S : TlIt->second)
-        if (S.Value == Value) {
-          ValueKnown = true;
-          if (S.From <= Validated && Validated < S.To)
-            Segs.push_back(&S);
-        }
-      if (!ValueKnown) {
-        if (!H.Initial.count(Addr))
-          continue; // could be the unknown initial value
-        return violation("read of " + std::to_string(Value) +
-                         " which was never current on its location, in " +
-                         describeAttempt(A));
-      }
-      if (Segs.empty())
-        return violation(
-            "stale read: value " + std::to_string(Value) +
-            " was already overwritten at the version the read "
-            "validated against (" +
-            std::to_string(Validated) + "), in " + describeAttempt(A));
-      Candidates.push_back(std::move(Segs));
-    }
-    if (Candidates.empty())
-      continue;
-    // A consistent snapshot exists iff some point lies in one candidate
-    // segment of every read. Only segment start points need testing.
-    bool Consistent = false;
-    for (const auto &PointSegs : Candidates) {
-      for (const Segment *P : PointSegs) {
-        uint64_t T = P->From;
-        bool All = true;
-        for (const auto &Segs : Candidates) {
-          bool Hit = false;
-          for (const Segment *S : Segs)
-            if (S->From <= T && T < S->To) {
-              Hit = true;
-              break;
-            }
-          if (!Hit) {
-            All = false;
-            break;
-          }
-        }
-        if (All) {
-          Consistent = true;
-          break;
-        }
-      }
-      if (Consistent)
-        break;
-    }
-    if (!Consistent)
-      return violation("inconsistent snapshot: no point in time explains "
-                       "all reads of " +
-                       describeAttempt(A));
+    Txns.push_back(&A);
+    ReadsOf.push_back(std::move(Reads));
   }
-  return CheckResult{};
-}
-
-//===----------------------------------------------------------------------===//
-// Final-state serializability of the committed transactions
-//===----------------------------------------------------------------------===//
-
-CheckResult gstm::checkCommittedSerializable(const History &H,
-                                             bool ValuesAreUnique) {
-  std::vector<const AttemptRecord *> Txns;
-  for (const AttemptRecord &A : H.Attempts)
-    if (A.committed())
-      Txns.push_back(&A);
   const int N = static_cast<int>(Txns.size());
 
   // The committed writers of each location, in commit-version order.
@@ -269,10 +104,11 @@ CheckResult gstm::checkCommittedSerializable(const History &H,
   };
   std::unordered_map<const void *, std::vector<Write>> WritersOf;
   for (int I = 0; I < N; ++I)
-    for (const auto &[Addr, Value] : Txns[I]->finalWrites())
-      WritersOf[Addr].push_back(Write{Txns[I]->CommitVersion, I, Value});
+    if (Txns[I]->committed())
+      for (const auto &[Addr, Value] : Txns[I]->finalWrites())
+        WritersOf[Addr].push_back(Write{Txns[I]->CommitVersion, I, Value});
 
-  // Nodes [0, N) are the transactions, [N, 2N) the real-time end points.
+  // Nodes [0, N) are the attempts, [N, 2N) the real-time end points.
   std::vector<std::vector<int>> Succ(2 * N);
   for (auto &[Addr, Ws] : WritersOf) {
     std::sort(Ws.begin(), Ws.end(), [](const Write &A, const Write &B) {
@@ -284,10 +120,12 @@ CheckResult gstm::checkCommittedSerializable(const History &H,
 
   // A read that validated against version V reads from the last writer
   // at or before V (none: the initial value) and precedes the writer
-  // after that one.
+  // after that one. Stripe aliasing cannot move V past that next writer:
+  // TL2 takes its write version while it holds the stripe lock, so an
+  // alias can only push V later between the two.
   const std::vector<Write> NoWriters;
   for (int I = 0; I < N; ++I)
-    for (const AccessRecord *R : Txns[I]->globalReads()) {
+    for (const AccessRecord *R : ReadsOf[I]) {
       auto WIt = WritersOf.find(R->Addr);
       const std::vector<Write> &Ws =
           WIt == WritersOf.end() ? NoWriters : WIt->second;
@@ -301,23 +139,37 @@ CheckResult gstm::checkCommittedSerializable(const History &H,
         Succ[Ws[Next - 1].Node].push_back(I);
       if (Next < Ws.size() && Ws[Next].Node != I)
         Succ[I].push_back(Ws[Next].Node);
-      if (!ValuesAreUnique)
-        continue;
+
+      // The value must be the one its writer installed. Data is written
+      // back before the version is published, so old data under a newer
+      // version is what a torn publish produces, and a value only an
+      // aborted attempt wrote never matches a committed writer.
       auto InitIt = H.Initial.find(R->Addr);
-      if (Next == 0 && InitIt == H.Initial.end())
+      const bool HasInitial = InitIt != H.Initial.end();
+      if (Next == 0 && !HasInitial)
         continue; // unknown initial value: nothing to compare against
       const uint64_t Want = Next > 0 ? Ws[Next - 1].Value : InitIt->second;
-      if (R->Value != Want)
-        return violation("committed " + describeAttempt(*Txns[I]) +
-                         " read value " + std::to_string(R->Value) +
-                         " under version " + std::to_string(R->Version) +
-                         ", whose writer installed " + std::to_string(Want));
+      if (R->Value == Want)
+        continue;
+      // Without an initial value, a value no committed writer installed
+      // may be the location's unknown base (recycled tmds node cells).
+      if (!HasInitial &&
+          std::none_of(Ws.begin(), Ws.end(),
+                       [&](const Write &W) { return W.Value == R->Value; }))
+        continue;
+      return violation("stale read: value " + std::to_string(R->Value) +
+                       " under version " + std::to_string(R->Version) +
+                       ", where the installed value is " +
+                       std::to_string(Want) + ", in " +
+                       describeAttempt(*Txns[I]));
     }
 
   // Real-time order as a chain of end points sorted by EndSeq: each
-  // transaction feeds its own end point, each end point the next, and the
-  // last end before a transaction began feeds that transaction. So T
-  // reaches U through the chain exactly when T ended before U began.
+  // attempt feeds its own end point, each end point the next, and the
+  // last end before an attempt began feeds that attempt. So T reaches U
+  // through the chain exactly when T ended before U began. This holds
+  // for aborted attempts too: their reads follow their BeginSeq stamp,
+  // and a writer's writeback precedes its EndSeq stamp.
   std::vector<int> ByEnd(N);
   std::iota(ByEnd.begin(), ByEnd.end(), 0);
   std::sort(ByEnd.begin(), ByEnd.end(), [&](int A, int B) {
@@ -354,21 +206,41 @@ CheckResult gstm::checkCommittedSerializable(const History &H,
       if (--InDegree[To] == 0)
         Ready.push_back(To);
   }
-  for (int I = 0; I < N; ++I)
-    if (InDegree[I] > 0)
-      return violation("no serialization of the committed transactions "
-                       "respects their reads, writes and real-time order: " +
-                       describeAttempt(*Txns[I]) +
-                       " lies on or after a cycle");
-  return CheckResult{};
+  auto Stuck = std::find_if(InDegree.begin(), InDegree.begin() + N,
+                            [](int D) { return D > 0; });
+  if (Stuck == InDegree.begin() + N)
+    return CheckResult{};
+
+  // Every stuck node has a stuck predecessor, so walking back through
+  // them must revisit a node; the walk from there on is a cycle, listed
+  // in serialization order.
+  std::vector<int> PredOf(2 * N, -1);
+  for (int U = 0; U < 2 * N; ++U)
+    if (InDegree[U] > 0)
+      for (int To : Succ[U])
+        if (InDegree[To] > 0)
+          PredOf[To] = U;
+  std::vector<int> Path, PosOf(2 * N, -1);
+  int V = static_cast<int>(Stuck - InDegree.begin());
+  while (PosOf[V] < 0) {
+    PosOf[V] = static_cast<int>(Path.size());
+    Path.push_back(V);
+    V = PredOf[V];
+  }
+  std::string Cycle;
+  for (int K = static_cast<int>(Path.size()) - 1; K >= PosOf[V]; --K)
+    if (Path[K] < N)
+      Cycle += describeAttempt(*Txns[Path[K]]) + " -> ";
+  return violation("no serialization gives every attempt a consistent "
+                   "snapshot under their reads, writes and real-time "
+                   "order; cycle: " +
+                   Cycle + "back to the first");
 }
 
-CheckResult gstm::checkAll(const History &H, bool ValuesAreUnique) {
-  CheckResult R = checkInvariants(H, ValuesAreUnique);
+CheckResult gstm::checkAll(const History &H) {
+  CheckResult R = checkInvariants(H);
   if (R.ok())
     R = checkOpacity(H);
-  if (R.ok())
-    R = checkCommittedSerializable(H, ValuesAreUnique);
   return R;
 }
 

@@ -11,32 +11,27 @@
 /// commits; these checkers are the harness that proves such reordering
 /// never bought performance with correctness.
 ///
-/// Three layers, cheapest first:
+/// Two checkers, cheapest first:
 ///
 ///  * checkInvariants — always-on assertions that need no search: commit
 ///    versions unique, above the committing attempt's rv and per-thread
 ///    monotonic; every validated read version within the attempt's
-///    snapshot; no value observed that only an aborted attempt ever
-///    wrote.
-///  * checkOpacity — every attempt, *including aborted ones*, must have
-///    observed a consistent snapshot: the value-intervals of its reads
-///    (derived from the committed-writer timeline per location) must
-///    share a common point. This is the operative part of opacity that
-///    TL2-style rv validation exists to guarantee.
-///  * checkCommittedSerializable — one graph over the committed
-///    transactions, sorted once. A read that validated against version V
-///    reads from the committed writer of its location with the largest
-///    commit version <= V, or the initial value when there is none. That
-///    is the interval checkOpacity already requires of every read, and
-///    stripe aliasing cannot leave it: TL2 takes its write version while
-///    it holds the stripe lock, so an alias can only push V later inside
-///    the interval, never past the next writer. Edges run
-///    writer -> reader, reader -> the next writer, writer -> next writer,
-///    and along a chain of end points sorted by EndSeq that makes T reach
-///    U exactly when T ended before U began. The history is serializable
-///    in real-time order iff a topological sort places every node. With
-///    unique values each read's value must also be its writer's, so an
-///    engine that lies about versions is caught as well.
+///    snapshot.
+///  * checkOpacity — one graph over every attempt, sorted once. Its nodes
+///    are the committed transactions and every other attempt that read
+///    global state, as a read-only transaction; only committed writes
+///    count. A read that validated against version V reads from the
+///    committed writer of its location with the largest commit version
+///    <= V, or the initial value when there is none, and its value must
+///    be the one that writer installed (so a value only an aborted attempt
+///    wrote is flagged too). Stripe aliasing cannot leave that interval:
+///    TL2 takes its write version while it holds the stripe lock, so an
+///    alias can only push V later inside it, never past the next writer. Edges run writer -> reader, reader -> the next writer,
+///    writer -> next writer, and along a chain of end points sorted by
+///    EndSeq that makes T reach U exactly when T ended before U began.
+///    Every attempt saw a consistent snapshot of one serialization in
+///    real-time order (opacity, and so strict serializability of the
+///    committed transactions) iff a topological sort places every node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,28 +55,16 @@ struct CheckResult {
   bool violation() const { return !ok(); }
 };
 
-// ValuesAreUnique, below, says the workload writes values that are
-// unique per (location, history); the fuzz harness's chained-sum updates
-// make duplicate values vanishingly unlikely. It switches on the checks
-// that judge a read by its value: the aborted-write check and the
-// serializability checker's value cross-check. Reads are attributed by
-// version either way.
-
 /// Cheap, search-free invariants. See file comment.
-CheckResult checkInvariants(const History &H, bool ValuesAreUnique = true);
+CheckResult checkInvariants(const History &H);
 
-/// Snapshot consistency of every attempt (committed and aborted).
+/// Opacity: one serialization of every attempt, committed or not, in
+/// real-time order (an attempt that ended before another began serializes
+/// first), under which each attempt read the values it did.
 CheckResult checkOpacity(const History &H);
 
-/// Final-state serializability of the committed transactions, in
-/// real-time order: an attempt that ended before another began must
-/// serialize first, since every shipped backend promises strict
-/// serializability.
-CheckResult checkCommittedSerializable(const History &H,
-                                       bool ValuesAreUnique = true);
-
-/// Runs all three checkers, returning the first violation.
-CheckResult checkAll(const History &H, bool ValuesAreUnique = true);
+/// Runs both checkers, returning the first violation.
+CheckResult checkAll(const History &H);
 
 /// Quiescence invariant: no stripe of \p Locks may still be locked once
 /// all workers have joined. \p Why receives the offending stripe on

@@ -90,7 +90,8 @@ FuzzPlan gstm::makeFuzzPlan(uint64_t Seed, const FuzzConfig &Cfg) {
         Op.Var = VarOrder[I];
         Op.IsWrite = (Rng.next() & 1) != 0;
         // Unique full-width deltas make every intermediate value of a
-        // variable distinct (whp), which the checkers' value checks need.
+        // variable distinct (whp), so a stale read cannot pass the
+        // checker's per-read value check by coincidence.
         // Zero would alias consecutive values.
         if (Op.IsWrite)
           do {
@@ -109,8 +110,6 @@ using Contents = std::vector<std::pair<uint64_t, uint64_t>>;
 /// The rmw workload on backend \p B: one cell per plan variable.
 template <typename B> class RmwWorkload {
 public:
-  static constexpr bool UniqueValues = true;
-
   RmwWorkload(const FuzzPlan &Plan, const FuzzConfig &, typename B::Stm &)
       : Plan(Plan) {
     for (uint64_t V : Plan.Initial)
@@ -209,11 +208,6 @@ void applyOp(DS &Ds, typename DS::Txn &Tx, const TmdsOp &Op) {
 /// history (its effect lands in the registered initial values).
 template <typename B, template <typename> class DSTmpl> class MapWorkload {
 public:
-  /// Map values are payload data, not the unique tokens the rmw plans
-  /// plant, so the value checks are off; the checkers attribute reads by
-  /// version and still judge serializability.
-  static constexpr bool UniqueValues = false;
-
   MapWorkload(const TmdsPlan &Plan, const TmdsFuzzConfig &Cfg,
               typename B::Stm &Stm)
       : Nodes(poolCapacity(Cfg, Plan.Prepopulate.size())), Ds(Nodes) {
@@ -329,11 +323,11 @@ std::string describeDivergence(const Contents &Got, const Contents &Want) {
 }
 
 /// Applies every verdict in order; the first failure becomes R.Error.
-void judge(FuzzRunResult &R, const History &H, bool ValuesAreUnique,
-           const Evidence &E, size_t ExpectedCommits) {
+void judge(FuzzRunResult &R, const History &H, const Evidence &E,
+           size_t ExpectedCommits) {
   R.Attempts = H.Attempts.size();
   R.Committed = H.committedCount();
-  R.Check = checkAll(H, ValuesAreUnique);
+  R.Check = checkAll(H);
 
   std::ostringstream Err;
   if (R.Check.violation())
@@ -365,9 +359,9 @@ void judge(FuzzRunResult &R, const History &H, bool ValuesAreUnique,
 ///
 /// A workload W<B> is built from (plan, config, runtime) and provides
 /// forEachCell (observer address and raw word of every cell),
-/// apply(Txn, planned transaction), contents(), structureOk(),
-/// anyCellLocked(runtime) and UniqueValues; placeRoundRobin is optional
-/// and only the rmw cells have it.
+/// apply(Txn, planned transaction), contents(), structureOk() and
+/// anyCellLocked(runtime); placeRoundRobin is optional and only the rmw
+/// cells have it.
 template <typename B, template <typename> class W, typename Plan,
           typename Config>
 FuzzRunResult runOn(const Plan &P, uint64_t Seed, const Config &Cfg,
@@ -437,7 +431,7 @@ FuzzRunResult runOn(const Plan &P, uint64_t Seed, const Config &Cfg,
   E.StatsConsistent = Stats.consistent();
   R.CrossShardCommits = Stats.CrossShardCommits;
 
-  judge(R, Rec.take(), W<B>::UniqueValues, E, plannedCommits(P));
+  judge(R, Rec.take(), E, plannedCommits(P));
   return R;
 }
 
@@ -484,8 +478,7 @@ FuzzRunResult interpretSerially(const FuzzPlan &Plan) {
     }
 
   R.Final = indexed(Values);
-  judge(R, Rec.take(), /*ValuesAreUnique=*/true, Evidence{},
-        plannedCommits(Plan));
+  judge(R, Rec.take(), Evidence{}, plannedCommits(Plan));
   return R;
 }
 

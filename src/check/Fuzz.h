@@ -135,8 +135,8 @@ struct FuzzPlan {
 
 /// Expands \p Seed into a plan. Write deltas are drawn from the full
 /// 64-bit space, making every intermediate value of a variable unique with
-/// overwhelming probability — the property the checkers' value checks
-/// rest on.
+/// overwhelming probability, so the checker's per-read value check can
+/// tell a stale read from a fresh one.
 FuzzPlan makeFuzzPlan(uint64_t Seed, const FuzzConfig &Cfg);
 
 /// Outcome of one (seed, backend) execution, whatever the workload.

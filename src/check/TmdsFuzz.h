@@ -17,11 +17,10 @@
 /// roam the whole keyspace. Under any serializable execution each key's
 /// final value is then determined by its owner thread's program order
 /// alone, so a plain std::map oracle yields the schedule-independent
-/// expected final contents every backend must agree on. The checkers
-/// run with ValuesAreUnique=false — map values repeat and node cells are
-/// recycled — but attribute reads by version, so every run still gets a
-/// serializability verdict; the structure's own validateDirect() joins
-/// the verdicts.
+/// expected final contents every backend must agree on. Map values
+/// repeat and node cells are recycled, but the checkers attribute reads
+/// by version, so every run still gets a full opacity verdict. The
+/// structure's own validateDirect() joins the verdicts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,10 +68,7 @@ struct TmdsPlan {
   std::vector<std::pair<uint64_t, uint64_t>> expectedFinal() const;
 };
 
-/// Shape of the map workloads. The runner checks their histories with
-/// ValuesAreUnique off (distinct map entries may legitimately carry equal
-/// values and node cells are recycled across keys between runs), which
-/// turns off only the value checks.
+/// Shape of the map workloads.
 struct TmdsFuzzConfig : FuzzRunConfig {
   TmdsStructure Structure = TmdsStructure::SkipList;
   unsigned Threads = 3;

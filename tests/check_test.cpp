@@ -8,8 +8,8 @@
 // Tests of the src/check/ correctness harness itself, in three tiers:
 // the HistoryRecorder against a live TL2 runtime, the checkers against
 // hand-built histories with known verdicts, and the mutation self-test —
-// the fuzzer must flag the two deliberately broken TL2 variants
-// (EngineFault) while passing all real backends.
+// the fuzzer must flag deliberately broken TL2 variants (EngineFault) on
+// the rmw and B-tree workloads while passing all real backends.
 //
 //===----------------------------------------------------------------------===//
 
@@ -205,9 +205,9 @@ TEST(CheckerTest, FlagsAbortedWriteVisible) {
       mkAttempt(1, 1, 4, 0, AttemptOutcome::Committed, 0, /*ReadOnly=*/true);
   addRead(Reader, &SlotX, 777, 0);
   H.Attempts = {Doomed, Reader};
-  CheckResult R = checkInvariants(H);
+  CheckResult R = checkAll(H);
   EXPECT_TRUE(R.violation());
-  EXPECT_NE(R.Reason.find("aborted"), std::string::npos) << R.Reason;
+  EXPECT_NE(R.Reason.find("stale"), std::string::npos) << R.Reason;
 }
 
 TEST(CheckerTest, FlagsInconsistentSnapshot) {
@@ -262,7 +262,7 @@ TEST(CheckerTest, FlagsLostUpdateCycle) {
   addWrite(T2, &SlotX, 130);
   H.Attempts = {T1, T2};
 
-  EXPECT_TRUE(checkCommittedSerializable(H).violation());
+  EXPECT_TRUE(checkOpacity(H).violation());
 }
 
 TEST(CheckerTest, AcceptsConcurrentDisjointWriters) {
@@ -322,34 +322,43 @@ TEST(CheckerTest, DuplicateValuesAreStillJudged) {
   addWrite(T2, &SlotX, 100);
   H.Attempts = {T1, T2};
 
-  EXPECT_TRUE(
-      checkCommittedSerializable(H, /*ValuesAreUnique=*/false).violation());
+  EXPECT_TRUE(checkOpacity(H).violation());
 }
 
-// T1 commits X at version 1; T2 reads X's initial value at version 0.
-// Only the real-time order can decide between the two.
-History realTimeHistory(bool T1EndsFirst) {
+// T1 commits X at version 1; T2 reads X's initial value at version 0 and
+// then commits read-only or aborts. Only the real-time order can decide
+// between the two.
+History realTimeHistory(bool T1EndsFirst, AttemptOutcome ReaderOutcome) {
   History H;
   H.Initial[&SlotX] = 100;
   AttemptRecord T1 =
       mkAttempt(0, 0, T1EndsFirst ? 1 : 3, 0, AttemptOutcome::Committed,
                 /*Cv=*/1);
   addWrite(T1, &SlotX, 101);
-  AttemptRecord T2 = mkAttempt(1, 2, 4, 0, AttemptOutcome::Committed, 0,
-                               /*ReadOnly=*/true);
+  AttemptRecord T2 =
+      mkAttempt(1, 2, 4, 0, ReaderOutcome, 0,
+                /*ReadOnly=*/ReaderOutcome == AttemptOutcome::Committed);
   addRead(T2, &SlotX, 100, 0);
   H.Attempts = {T1, T2};
   return H;
 }
 
 TEST(CheckerTest, FlagsRealTimeInversion) {
-  EXPECT_TRUE(checkCommittedSerializable(realTimeHistory(true)).violation());
+  EXPECT_TRUE(
+      checkAll(realTimeHistory(true, AttemptOutcome::Committed)).violation());
+  // Opacity holds aborted attempts to the same real-time order.
+  CheckResult R = checkAll(realTimeHistory(true, AttemptOutcome::Aborted));
+  EXPECT_TRUE(R.violation());
+  EXPECT_NE(R.Reason.find("aborted"), std::string::npos) << R.Reason;
 }
 
 // The same reads with T1 and T2 overlapping: the chain adds no edge.
 TEST(CheckerTest, AcceptsOverlappingIntervals) {
-  CheckResult R = checkAll(realTimeHistory(false));
-  EXPECT_TRUE(R.ok()) << R.Reason;
+  for (AttemptOutcome Outcome :
+       {AttemptOutcome::Committed, AttemptOutcome::Aborted}) {
+    CheckResult R = checkAll(realTimeHistory(false, Outcome));
+    EXPECT_TRUE(R.ok()) << R.Reason;
+  }
 }
 
 TEST(CheckerTest, FlagsVersionThatDisagreesWithValue) {
@@ -367,7 +376,7 @@ TEST(CheckerTest, FlagsVersionThatDisagreesWithValue) {
   addRead(R, &SlotX, 101, 2);
   H.Attempts = {W1, W2, R};
 
-  CheckResult Res = checkCommittedSerializable(H);
+  CheckResult Res = checkOpacity(H);
   EXPECT_TRUE(Res.violation());
   EXPECT_NE(Res.Reason.find("installed"), std::string::npos) << Res.Reason;
 }
@@ -387,7 +396,7 @@ TEST(CheckerTest, FlagsWriteSkew) {
   addWrite(T2, &SlotY, 201);
   H.Attempts = {T1, T2};
 
-  EXPECT_TRUE(checkCommittedSerializable(H).violation());
+  EXPECT_TRUE(checkOpacity(H).violation());
 }
 
 TEST(CheckerTest, LockTableResidueIsDetected) {
