@@ -254,9 +254,10 @@ OltpResult gstm::runOltp(const OltpConfig &Cfg) {
     return R;
   }
   const bool Sharded = Cfg.Backend == "sharded" || Cfg.Shards > 0;
-  if (!Sharded && Cfg.Backend != "tl2" && Cfg.Backend != "libtm") {
-    R.Error =
-        "unknown backend '" + Cfg.Backend + "' (want tl2, libtm or sharded)";
+  if (!Sharded && Cfg.Backend != "tl2" && Cfg.Backend != "orec-eager" &&
+      Cfg.Backend != "libtm") {
+    R.Error = "unknown backend '" + Cfg.Backend +
+              "' (want tl2, orec-eager, libtm or sharded)";
     return R;
   }
   if (Sharded && Cfg.Backend != "sharded" && Cfg.Backend != "tl2") {
@@ -302,6 +303,10 @@ OltpResult gstm::runOltp(const OltpConfig &Cfg) {
   if (Cfg.Backend == "tl2") {
     Tl2Stm Stm(C);
     return runOnBackend<Tl2Backend>(Cfg, Stm);
+  }
+  if (Cfg.Backend == "orec-eager") {
+    OrecEagerStm Stm(C);
+    return runOnBackend<OrecEagerBackend>(Cfg, Stm);
   }
   LibTm Tm(C);
   return runOnBackend<LibTmBackend>(Cfg, Tm);

@@ -52,7 +52,7 @@ bool oltpMixFromName(const std::string &Name, OltpMix &Out);
 
 struct OltpConfig {
   std::string Structure = "skiplist"; ///< skiplist | btree
-  std::string Backend = "tl2";        ///< tl2 | libtm | sharded
+  std::string Backend = "tl2"; ///< tl2 | orec-eager | libtm | sharded
   unsigned Threads = 4;
   /// Keys preloaded before the timed run (keyspace is [1, Records];
   /// inserts append fresh keys above it).

@@ -18,12 +18,14 @@
 #include "libtm/LibTm.h"
 #include "stm/TVar.h"
 #include "support/SplitMix64.h"
+#include "tmds/TmBTree.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -124,6 +126,35 @@ static void BM_Tl2ListWalkTxn(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * WalkLength);
 }
 BENCHMARK(BM_Tl2ListWalkTxn);
+
+/// A TL2 find over a 2^20-key TmBTree, the tree ycsb-a-btree preloads:
+/// keys 1..2^20 inserted in order with insertDirect, one 384-byte node
+/// per up to 15 keys, ~57 MB of pool. Each find descends the tree's
+/// levels to a key drawn uniformly from a fixed-seed sequence outside
+/// the transaction. The tree is built once per process.
+static void BM_TmBTreeFindTxn(benchmark::State &State) {
+  using Tree = TmBTree<Tl2Backend>;
+  constexpr uint64_t Keys = uint64_t{1} << 20;
+  struct Built {
+    Tree::Pool Pool{static_cast<uint32_t>(Tree::nodesFor(Keys))};
+    Tree T{Pool};
+    Built() {
+      for (uint64_t K = 1; K <= Keys; ++K)
+        T.insertDirect(K, K * 3);
+    }
+  };
+  static Built B;
+  Tl2Stm Stm;
+  Tl2Txn Txn(Stm, 0);
+  SplitMix64 Rng(7);
+  for (auto _ : State) {
+    const uint64_t Key = Rng.nextBounded(Keys) + 1;
+    std::optional<uint64_t> Found;
+    Txn.run(0, [&](Tl2Txn &Tx) { Found = B.T.find(Tx, Key); });
+    benchmark::DoNotOptimize(Found);
+  }
+}
+BENCHMARK(BM_TmBTreeFindTxn);
 
 static void BM_LibTmObjectTxn(benchmark::State &State) {
   LibTm Tm;

@@ -43,7 +43,8 @@ int main(int Argc, char **Argv) {
       "YCSB-style OLTP benchmark over the transactional skiplist/B-tree",
       {
           {"structure", "S", "skiplist or btree (default skiplist)"},
-          {"backend", "B", "tl2, libtm or sharded (default tl2)"},
+          {"backend", "B",
+           "tl2, orec-eager, libtm or sharded (default tl2)"},
           {"shards", "N", "shard count; implies --backend=sharded "
                           "(default 0 = flat backend)"},
           {"threads", "T", "worker threads (default 4)"},

@@ -7,20 +7,10 @@
 
 #include "stamp/TmHashMap.h"
 
-#include <cassert>
-
 using namespace gstm;
 
-static uint32_t roundUpPow2(uint32_t V) {
-  uint32_t P = 1;
-  while (P < V)
-    P <<= 1;
-  return P;
-}
-
 TmHashMap::TmHashMap(uint32_t NumBuckets) {
-  assert(NumBuckets > 0 && "hash map needs at least one bucket");
-  uint32_t N = roundUpPow2(NumBuckets);
+  uint32_t N = bucketCountFor(NumBuckets);
   Mask = N - 1;
   Buckets = std::make_unique<TmList[]>(N);
 }

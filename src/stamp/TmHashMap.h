@@ -19,6 +19,8 @@
 
 #include "stamp/TmList.h"
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -28,8 +30,18 @@ namespace gstm {
 /// Chained transactional hash map with a fixed number of buckets.
 class TmHashMap {
 public:
-  /// \p NumBuckets is rounded up to a power of two.
+  /// The largest bucket count: the largest power of two in 32 bits.
+  static constexpr uint32_t MaxBuckets = uint32_t{1} << 31;
+
+  /// \p NumBuckets, in [1, MaxBuckets], is rounded up to a power of two.
   explicit TmHashMap(uint32_t NumBuckets);
+
+  /// The bucket count a map asked for \p NumBuckets gets.
+  static constexpr uint32_t bucketCountFor(uint32_t NumBuckets) {
+    assert(NumBuckets > 0 && "hash map needs at least one bucket");
+    assert(NumBuckets <= MaxBuckets && "bucket count must fit 32 bits");
+    return std::bit_ceil(NumBuckets);
+  }
 
   /// Inserts; returns false when the key already exists.
   bool insert(Tl2Txn &Tx, TmList::Pool &Nodes, uint64_t Key, uint64_t Value) {

@@ -15,6 +15,18 @@
 /// still dereference would be a use-after-free, so unlinked nodes stay
 /// allocated until teardown. Index 0 is reserved as the null sentinel.
 ///
+/// An arena of at least one huge page (2 MiB) is allocated 2 MiB-aligned,
+/// rounded up to a multiple of 2 MiB and advised MADV_HUGEPAGE before its
+/// nodes are constructed, so that transparent huge pages can back it. A
+/// descent over a large arena (the OLTP B-tree's 56 MiB, genome's 18 MiB)
+/// otherwise visits a different 4 KiB page per node and pays a page walk
+/// for most of them, as the TLB covers a few MiB at 4 KiB pages. Where
+/// THP is off (`never`), the advice fails or is ignored and the arena
+/// gets 4 KiB pages, as before. Smaller arenas are a plain allocation at
+/// the node type's alignment. The lock tables stay out of scope: the flat
+/// table is 512 KiB, under one huge page, and each shard's table is
+/// smaller still.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GSTM_STAMP_TMPOOL_H
@@ -22,10 +34,14 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <new>
+
+#include <sys/mman.h>
 
 namespace gstm {
 
@@ -40,8 +56,8 @@ public:
   /// Creates a pool able to hand out \p Capacity nodes (excluding the
   /// null sentinel at index 0), so \p Capacity must be below UINT32_MAX.
   explicit TmPool(uint32_t Capacity)
-      : CapacityPlusNull(Capacity + 1),
-        Nodes(std::make_unique<NodeT[]>(Capacity + 1)), Next(1) {
+      : CapacityPlusNull(Capacity + 1), Nodes(makeArena(Capacity + 1)),
+        Next(1) {
     assert(Capacity < UINT32_MAX && "capacity + 1 must fit 32 bits");
   }
 
@@ -101,8 +117,46 @@ public:
   uint32_t capacity() const { return CapacityPlusNull - 1; }
 
 private:
+  /// Arenas of this many bytes or more take the huge-page path.
+  static constexpr size_t HugePageBytes = size_t{2} << 20;
+
+  /// Destroys every node, then frees the arena with the alignment it was
+  /// allocated with.
+  struct ArenaDeleter {
+    uint32_t Count;
+    std::align_val_t Align;
+    void operator()(NodeT *First) const {
+      std::destroy_n(First, Count);
+      ::operator delete(First, Align);
+    }
+  };
+  using Arena = std::unique_ptr<NodeT[], ArenaDeleter>;
+
+  /// Allocates \p Count value-initialised nodes, on the huge-page path
+  /// when they fill at least one huge page.
+  static Arena makeArena(uint32_t Count) {
+    size_t Bytes = size_t{Count} * sizeof(NodeT);
+    const bool Huge = Bytes >= HugePageBytes;
+    const std::align_val_t Align{Huge ? HugePageBytes : alignof(NodeT)};
+    if (Huge)
+      Bytes = (Bytes + HugePageBytes - 1) & ~(HugePageBytes - 1);
+    void *Raw = ::operator new(Bytes, Align);
+    // Advice only: without THP it fails or is ignored, and the arena is
+    // backed by 4 KiB pages.
+    if (Huge)
+      (void)::madvise(Raw, Bytes, MADV_HUGEPAGE);
+    NodeT *First = static_cast<NodeT *>(Raw);
+    try {
+      std::uninitialized_value_construct_n(First, Count);
+    } catch (...) {
+      ::operator delete(Raw, Align);
+      throw;
+    }
+    return Arena(First, ArenaDeleter{Count, Align});
+  }
+
   uint32_t CapacityPlusNull;
-  std::unique_ptr<NodeT[]> Nodes;
+  Arena Nodes;
   std::atomic<uint32_t> Next;
 };
 

@@ -26,7 +26,7 @@ endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BUILD_DIR}
           --target tl2_test check_fuzz model_lifecycle_test minivector_test
-                   latency_histogram_test tmds_test engine_test
+                   latency_histogram_test tmds_test engine_test pool_test
   RESULT_VARIABLE BuildRc)
 if(NOT BuildRc EQUAL 0)
   message(FATAL_ERROR "asan sub-build compile failed (${BuildRc})")
@@ -88,6 +88,15 @@ execute_process(
   RESULT_VARIABLE TmdsRc)
 if(NOT TmdsRc EQUAL 0)
   message(FATAL_ERROR "tmds_test failed under asan (${TmdsRc})")
+endif()
+# TmPool's arenas: a huge-page-aligned allocation and its custom deleter
+# (destroy every node, then free at the alignment it was allocated with)
+# on the large path, and the plain allocation on the small one.
+execute_process(
+  COMMAND ${BUILD_DIR}/tests/pool_test
+  RESULT_VARIABLE PoolRc)
+if(NOT PoolRc EQUAL 0)
+  message(FATAL_ERROR "pool_test failed under asan (${PoolRc})")
 endif()
 execute_process(
   COMMAND ${BUILD_DIR}/tools/check_fuzz --workload=skiplist --iters=32

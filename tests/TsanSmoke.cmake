@@ -26,6 +26,7 @@ execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BUILD_DIR}
           --target stats_test tl2_test minivector_test latency_histogram_test
                    tmds_test engine_test shard_test libtm_test controller_test
+                   pool_test
   RESULT_VARIABLE BuildRc)
 if(NOT BuildRc EQUAL 0)
   message(FATAL_ERROR "tsan sub-build compile failed (${BuildRc})")
@@ -94,6 +95,16 @@ execute_process(
   RESULT_VARIABLE TmdsRc)
 if(NOT TmdsRc EQUAL 0)
   message(FATAL_ERROR "tmds_test failed under tsan (${TmdsRc})")
+endif()
+
+# TmPool's bump pointer hands out unique indexes to racing allocators on
+# a small arena and on a huge-page-aligned large one, and each node is
+# constructed before the workers start and destroyed after they join.
+execute_process(
+  COMMAND ${BUILD_DIR}/tests/pool_test
+  RESULT_VARIABLE PoolRc)
+if(NOT PoolRc EQUAL 0)
+  message(FATAL_ERROR "pool_test failed under tsan (${PoolRc})")
 endif()
 
 # The engine family's racy-by-construction paths, through the typed

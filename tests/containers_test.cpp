@@ -202,6 +202,15 @@ TEST(TmHashMapTest, PowerOfTwoBucketRounding) {
   EXPECT_EQ(M64.numBuckets(), 64u);
 }
 
+TEST(TmHashMapTest, LargestBucketCountRoundsWithoutWrapping) {
+  // A map of 2^31 buckets is 16 GiB, so the rounding is checked alone.
+  constexpr uint32_t Max = TmHashMap::MaxBuckets;
+  EXPECT_EQ(TmHashMap::bucketCountFor(Max), Max);
+  EXPECT_EQ(TmHashMap::bucketCountFor(Max / 2 + 1), Max);
+  EXPECT_EQ(TmHashMap::bucketCountFor(Max / 2), Max / 2);
+  EXPECT_EQ(TmHashMap::bucketCountFor(1), 1u);
+}
+
 TEST(TmHashMapTest, MatchesReferenceUnderRandomOps) {
   Tl2Stm Stm;
   TmList::Pool Pool(16384);

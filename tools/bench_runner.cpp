@@ -20,8 +20,8 @@
 //   * synquake — the LibTm game bench (seconds per frame, percentiles
 //              from the pooled per-frame histogram),
 //   * oltp   — YCSB-style mixes over the transactional skiplist/B-tree
-//              (bench/OltpBench.h), percentiles from per-operation
-//              commit-latency histograms.
+//              (bench/OltpBench.h) on TL2 and on orec-eager, percentiles
+//              from per-operation commit-latency histograms.
 //
 // Every metric is aggregated as median / min / max, and written to
 // BENCH_<n>.json in --out-dir, where <n> continues the highest snapshot
@@ -337,20 +337,28 @@ void runSynQuakeSuite(unsigned Threads, unsigned Repeats, uint64_t Seed,
 }
 
 /// YCSB-style OLTP tier: skiplist and B-tree, one update-heavy and one
-/// scan/insert mix each; the published metric is per-operation commit
-/// latency in ns with histogram-backed percentiles.
+/// scan/insert mix each, on TL2 and on orec-eager; the published metric
+/// is per-operation commit latency in ns with histogram-backed
+/// percentiles. TL2 rows keep their names; orec-eager rows end in
+/// `_orec_eager`.
 void runOltpSuite(unsigned Threads, uint64_t Seed, bool Smoke,
                   std::vector<Entry> &Entries) {
   struct OltpCase {
     const char *Structure;
     const char *MixName;
+    const char *Backend;
   };
-  for (const OltpCase &C : {OltpCase{"skiplist", "a"},
-                            OltpCase{"skiplist", "e"},
-                            OltpCase{"btree", "a"},
-                            OltpCase{"btree", "e"}}) {
+  for (const OltpCase &C : {OltpCase{"skiplist", "a", "tl2"},
+                            OltpCase{"skiplist", "e", "tl2"},
+                            OltpCase{"btree", "a", "tl2"},
+                            OltpCase{"btree", "e", "tl2"},
+                            OltpCase{"skiplist", "a", "orec-eager"},
+                            OltpCase{"skiplist", "e", "orec-eager"},
+                            OltpCase{"btree", "a", "orec-eager"},
+                            OltpCase{"btree", "e", "orec-eager"}}) {
     OltpConfig Cfg;
     Cfg.Structure = C.Structure;
+    Cfg.Backend = C.Backend;
     Cfg.Threads = Threads;
     Cfg.Records = Smoke ? (uint64_t{1} << 12) : (uint64_t{1} << 20);
     Cfg.Operations = Smoke ? (uint64_t{1} << 14) : (uint64_t{1} << 17);
@@ -362,14 +370,15 @@ void runOltpSuite(unsigned Threads, uint64_t Seed, bool Smoke,
     OltpResult R = runOltp(Cfg);
     if (!R.Ok) {
       std::fprintf(stderr,
-                   "bench_runner: oltp %s/%s failed verification (%s) — "
-                   "refusing to record a perf number\n",
-                   C.Structure, C.MixName, R.Error.c_str());
+                   "bench_runner: oltp %s/%s on %s failed verification (%s) "
+                   "— refusing to record a perf number\n",
+                   C.Structure, C.MixName, C.Backend, R.Error.c_str());
       std::exit(2);
     }
     Entry E;
     E.Suite = "oltp";
-    E.Name = std::string(C.Structure) + "_ycsb_" + C.MixName;
+    E.Name = std::string(C.Structure) + "_ycsb_" + C.MixName +
+             (Cfg.Backend == "tl2" ? "" : "_orec_eager");
     E.Threads = Threads;
     E.Unit = "ns/op";
     E.Agg = aggregateHistogram(R.Latency, 1.0, /*Repeats=*/1);
@@ -484,7 +493,7 @@ int main(int Argc, char **Argv) {
     std::string Error;
     if (!runMicroSuite(MicroBin, OutDir / ".bench_tmp",
                        "(Tl2ReadOnlyTxn|Tl2WriteTxn|Tl2TxnBySize/64|"
-                       "Tl2ListWalkTxn|Tl2StmConstruct|"
+                       "Tl2ListWalkTxn|TmBTreeFindTxn|Tl2StmConstruct|"
                        "LibTmObjectTxn|Tl2Disjoint.*/threads:(1|8)$|"
                        "Tl2RwAccessObserver)",
                        "micro", /*Repetitions=*/Repeats,
