@@ -127,34 +127,57 @@ static void BM_Tl2ListWalkTxn(benchmark::State &State) {
 }
 BENCHMARK(BM_Tl2ListWalkTxn);
 
-/// A TL2 find over a 2^20-key TmBTree, the tree ycsb-a-btree preloads:
-/// keys 1..2^20 inserted in order with insertDirect, one 384-byte node
-/// per up to 15 keys, ~57 MB of pool. Each find descends the tree's
-/// levels to a key drawn uniformly from a fixed-seed sequence outside
-/// the transaction. The tree is built once per process.
-static void BM_TmBTreeFindTxn(benchmark::State &State) {
-  using Tree = TmBTree<Tl2Backend>;
-  constexpr uint64_t Keys = uint64_t{1} << 20;
+/// The tree ycsb-a-btree preloads: keys 1..2^20 inserted in order with
+/// insertDirect, one 384-byte node per up to 15 keys, ~57 MB of pool.
+/// Built once per process, on first use.
+using BenchTree = TmBTree<Tl2Backend>;
+constexpr uint64_t BenchTreeKeys = uint64_t{1} << 20;
+static BenchTree &benchTree() {
   struct Built {
-    Tree::Pool Pool{static_cast<uint32_t>(Tree::nodesFor(Keys))};
-    Tree T{Pool};
+    BenchTree::Pool Pool{
+        static_cast<uint32_t>(BenchTree::nodesFor(BenchTreeKeys))};
+    BenchTree T{Pool};
     Built() {
-      for (uint64_t K = 1; K <= Keys; ++K)
+      for (uint64_t K = 1; K <= BenchTreeKeys; ++K)
         T.insertDirect(K, K * 3);
     }
   };
   static Built B;
+  return B.T;
+}
+
+/// A TL2 find over the 2^20-key tree: each find descends the tree's
+/// levels to a key drawn uniformly from a fixed-seed sequence outside
+/// the transaction.
+static void BM_TmBTreeFindTxn(benchmark::State &State) {
+  BenchTree &Tree = benchTree();
   Tl2Stm Stm;
   Tl2Txn Txn(Stm, 0);
   SplitMix64 Rng(7);
   for (auto _ : State) {
-    const uint64_t Key = Rng.nextBounded(Keys) + 1;
+    const uint64_t Key = Rng.nextBounded(BenchTreeKeys) + 1;
     std::optional<uint64_t> Found;
-    Txn.run(0, [&](Tl2Txn &Tx) { Found = B.T.find(Tx, Key); });
+    Txn.run(0, [&](Tl2Txn &Tx) { Found = Tree.find(Tx, Key); });
     benchmark::DoNotOptimize(Found);
   }
 }
 BENCHMARK(BM_TmBTreeFindTxn);
+
+/// One TL2 update per transaction over the same tree and key sequence:
+/// the descent of a find, then one buffered value write and a commit.
+static void BM_TmBTreeUpdateTxn(benchmark::State &State) {
+  BenchTree &Tree = benchTree();
+  Tl2Stm Stm;
+  Tl2Txn Txn(Stm, 0);
+  SplitMix64 Rng(7);
+  for (auto _ : State) {
+    const uint64_t Key = Rng.nextBounded(BenchTreeKeys) + 1;
+    bool Updated = false;
+    Txn.run(0, [&](Tl2Txn &Tx) { Updated = Tree.update(Tx, Key, Key); });
+    benchmark::DoNotOptimize(Updated);
+  }
+}
+BENCHMARK(BM_TmBTreeUpdateTxn);
 
 static void BM_LibTmObjectTxn(benchmark::State &State) {
   LibTm Tm;

@@ -218,6 +218,8 @@ public:
     });
   }
 
+  /// Every cell the structure owns; a multi-word object cell (a B-tree
+  /// node's key block) is one location, its Meta with payload word 0.
   template <typename Fn> void forEachCell(Fn &&Callback) const {
     Ds.forEachCellDirect(Callback);
   }

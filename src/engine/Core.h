@@ -22,6 +22,9 @@
 ///   struct TxnState { void clear(); ... };
 ///   static load(TxnT&, Word) -> u64;  // transactional read
 ///   static store(TxnT&, Word, u64);   // transactional write
+///   static loadWords<N>(TxnT&, Guard, Words, Out); // N-word snapshot
+///   static storeWords<N>(TxnT&, Guard, Words, In);  // and write, both
+///                                     // under Guard's orec (TObj)
 ///   static commit(TxnT&) -> u64;      // wv, or 0 for read-only
 ///   static onAbortCleanup(TxnT&);     // undo replay + lock release
 ///
@@ -244,7 +247,7 @@ public:
   }
 
   /// Typed transactional snapshot of a TObj, all its words under the
-  /// object's one orec (TL2 only).
+  /// object's one orec.
   template <typename T> T read(const TObj<T> &Obj) {
     uint64_t Raw[TObj<T>::WordCount];
     Policy::template loadWords<TObj<T>::WordCount>(*this, Obj.meta(),
@@ -252,7 +255,7 @@ public:
     return TObj<T>::decode(Raw);
   }
 
-  /// Typed whole-object write of a TObj (TL2 only).
+  /// Typed whole-object write of a TObj.
   template <typename T>
   void write(TObj<T> &Obj, const std::type_identity_t<T> &Value) {
     uint64_t Raw[TObj<T>::WordCount];

@@ -17,7 +17,9 @@
 ///
 /// Safety argument (the undo-on-abort visibility story, DESIGN.md §4i):
 /// an in-place write is only visible through a word whose orec we hold
-/// exclusively. Readers who hit the orec abort (or, pre-lock, validated
+/// exclusively (a word's guard is the word itself, or its TObj's Meta,
+/// whose one orec covers all the object's words, as in Tl2Policy).
+/// Readers who hit the orec abort (or, pre-lock, validated
 /// a version <= their rv taken *before* our acquisition); so uncommitted
 /// values can only be observed by their own transaction. On abort the
 /// chassis replays the undo log *before* the orecs are released
@@ -63,8 +65,19 @@ struct OrecEagerPolicy {
 
   template <typename TxnT>
   static uint64_t load(TxnT &Tx, const std::atomic<uint64_t> &Word) {
+    uint64_t Value;
+    loadWords<1>(Tx, Word, &Word, &Value);
+    return Value;
+  }
+
+  /// Snapshot of the \p N words at \p Words under the orec of \p Guard,
+  /// loaded before and after the copy as in Tl2Policy::loadWords. The
+  /// observer sees the guard and word 0.
+  template <size_t N, typename TxnT>
+  static void loadWords(TxnT &Tx, const std::atomic<uint64_t> &Guard,
+                        const std::atomic<uint64_t> *Words, uint64_t *Out) {
     auto &S = Tx.rt();
-    std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Word);
+    std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Guard);
     uint64_t Pre = Stripe.load(std::memory_order_acquire);
     StripeState PreState = LockTable::decode(Pre);
     if (PreState.Locked) {
@@ -73,14 +86,16 @@ struct OrecEagerPolicy {
       // touch it. Reported as buffered — the value may be our own
       // uncommitted in-place write.
       if (PreState.Owner == Tx.self()) {
-        uint64_t Own = Word.load(std::memory_order_relaxed);
-        Tx.noteLoad(&Word, Own, /*Version=*/0, /*Buffered=*/true);
-        return Own;
+        for (size_t I = 0; I < N; ++I)
+          Out[I] = Words[I].load(std::memory_order_relaxed);
+        Tx.noteLoad(&Guard, Out[0], /*Version=*/0, /*Buffered=*/true);
+        return;
       }
       Tx.abortOnOwner(PreState.Owner, AbortSite::Read);
     }
 
-    uint64_t Value = Word.load(std::memory_order_acquire);
+    for (size_t I = 0; I < N; ++I)
+      Out[I] = Words[I].load(std::memory_order_acquire);
 
     uint64_t Post = Stripe.load(std::memory_order_acquire);
     if (Post != Pre) {
@@ -93,16 +108,24 @@ struct OrecEagerPolicy {
       Tx.abortOnVersion(PreState.Version, &Stripe, AbortSite::Read);
 
     Tx.state().ReadSet.push_back(&Stripe);
-    Tx.noteLoad(&Word, Value, PreState.Version, /*Buffered=*/false);
-    return Value;
+    Tx.noteLoad(&Guard, Out[0], PreState.Version, /*Buffered=*/false);
   }
 
   template <typename TxnT>
   static void store(TxnT &Tx, std::atomic<uint64_t> &Word,
                     uint64_t Value) {
+    storeWords<1>(Tx, Word, &Word, &Value);
+  }
+
+  /// Writes the \p N words at \p Words in place under \p Guard's orec,
+  /// acquired at encounter time; each displaced word goes to the undo
+  /// log.
+  template <size_t N, typename TxnT>
+  static void storeWords(TxnT &Tx, const std::atomic<uint64_t> &Guard,
+                         std::atomic<uint64_t> *Words, const uint64_t *In) {
     auto &S = Tx.rt();
     TxThreadPair Self = Tx.self();
-    std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Word);
+    std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Guard);
     uint64_t Old = Stripe.load(std::memory_order_relaxed);
     for (;;) {
       StripeState OldState = LockTable::decode(Old);
@@ -119,16 +142,18 @@ struct OrecEagerPolicy {
       if (Stripe.compare_exchange_weak(Old, LockTable::encodeLocked(Self),
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
-        size_t Index = S.lockTable().indexFor(&Word);
+        size_t Index = S.lockTable().indexFor(&Guard);
         Tx.state().Acquired.push_back(Held{Index, Old});
         Tx.noteLockAcquire(Index);
         break;
       }
     }
-    Tx.noteStore(&Word, Value);
-    Tx.undoLog().emplace_back(&Word,
-                              Word.load(std::memory_order_relaxed));
-    Word.store(Value, std::memory_order_release);
+    Tx.noteStore(&Guard, In[0]);
+    for (size_t I = 0; I < N; ++I) {
+      Tx.undoLog().emplace_back(&Words[I],
+                                Words[I].load(std::memory_order_relaxed));
+      Words[I].store(In[I], std::memory_order_release);
+    }
   }
 
   template <typename TxnT> static uint64_t commit(TxnT &Tx) {

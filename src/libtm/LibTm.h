@@ -58,7 +58,12 @@ template <typename T> class TObj {
 public:
   static constexpr size_t WordCount = (sizeof(T) + 7) / 8;
 
-  TObj() { storeDirect(T{}); }
+  TObj() {
+    // The payload atomics start at zero (C++20 value-initialises them),
+    // which is T{} already when T has no default member initialisers.
+    if constexpr (!std::is_trivially_default_constructible_v<T>)
+      storeDirect(T{});
+  }
   explicit TObj(const T &Value) { storeDirect(Value); }
   TObj(const TObj &) = delete;
   TObj &operator=(const TObj &) = delete;

@@ -16,11 +16,29 @@
 /// Transactions provide atomicity, so the code is the sequential
 /// algorithm — preemptive-split top-down insert, full CLRS delete with
 /// borrow/merge — with every field access routed through the backend
-/// policy (tmds/TmBackend.h); the same source instantiates over TL2 and
-/// LibTm. Merged-away nodes are unlinked but never recycled (TmPool
-/// discipline: a speculative reader may still hold their indices).
-/// insertDirect() runs the same insert code on direct accesses, for a
-/// preload before any transaction starts.
+/// policy (tmds/TmBackend.h); the same source instantiates over TL2 flat
+/// and sharded, orec-eager and LibTm. Merged-away nodes are unlinked but
+/// never recycled (TmPool discipline: a speculative reader may still
+/// hold their indices). insertDirect() runs the same insert code on
+/// direct accesses, for a preload before any transaction starts.
+///
+/// A node's key count, leaf flag and keys are one object cell, its key
+/// block (TmBTreeKeys): a descent reads it with one snapshot — one orec
+/// check and one read-set entry — and searches the keys locally, so a
+/// find or update checks about two orecs per level (the block, then a
+/// child link or the value) instead of one per key. Every structural
+/// change edits local copies of the blocks it touches and writes each
+/// back whole; under direct access the insert path edits the node's own
+/// words instead (DirectKeys), since a preload has no snapshot to take.
+/// Values and child links stay one cell per slot. So:
+///
+///  * a value update conflicts only with readers of that value slot, not
+///    with descents through its node;
+///  * an insert, remove, split, borrow or merge writes the key block of
+///    every node it changes, so it conflicts with every descent through
+///    those nodes;
+///  * stripes shared by unrelated cells (aliasing in the orec table) add
+///    false conflicts, as for any cell.
 ///
 /// The element count lives in per-thread stripes, as in TmSkipList and
 /// for the same reason: one global counter cell would serialize every
@@ -34,23 +52,41 @@
 #include "stamp/TmPool.h"
 #include "tmds/TmBackend.h"
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
+#include <utility>
 
 namespace gstm {
 
+/// The part of a TmBTree node every descent reads, kept as one
+/// transactional object: word 0 packs the key count (low half) and the
+/// leaf flag (high half), the keys fill words 1..MaxKeysN.
+template <unsigned MaxKeysN> struct TmBTreeKeys {
+  uint64_t Head;
+  uint64_t Keys[MaxKeysN];
+
+  static constexpr uint64_t head(uint32_t Count, bool Leaf) {
+    return uint64_t{Leaf} << 32 | Count;
+  }
+  uint32_t count() const { return static_cast<uint32_t>(Head); }
+  bool leaf() const { return (Head >> 32) != 0; }
+  uint64_t key(uint32_t I) const { return Keys[I]; }
+  void setCount(uint32_t Count) { Head = head(Count, leaf()); }
+  void setKey(uint32_t I, uint64_t Key) { Keys[I] = Key; }
+};
+
 /// Node of a TmBTree. Children are pool indices; leaves keep them Null.
 template <typename B, unsigned MaxKeysN> struct TmBTreeNode {
-  typename B::template Cell<uint32_t> NumKeys;
-  typename B::template Cell<uint32_t> Leaf; // 0 / 1
-  typename B::template Cell<uint64_t> Keys[MaxKeysN];
+  typename B::template Obj<TmBTreeKeys<MaxKeysN>> Block;
   typename B::template Cell<uint64_t> Vals[MaxKeysN];
   typename B::template Cell<uint32_t> Children[MaxKeysN + 1];
 };
 
 /// Transactional ordered map with unique 64-bit keys, templated over an
-/// STM backend policy (Tl2Backend / LibTmBackend).
+/// STM backend policy (tmds/TmBackend.h).
 template <typename B> class TmBTree {
 public:
   /// CLRS minimum degree: nodes hold MinDegree-1 .. 2*MinDegree-1 keys
@@ -61,6 +97,7 @@ public:
   static constexpr unsigned SizeStripes = 64;
 
   using Txn = typename B::Txn;
+  using KeyBlock = TmBTreeKeys<MaxKeys>;
   using Node = TmBTreeNode<B, MaxKeys>;
   using Pool = TmPool<Node>;
 
@@ -68,8 +105,7 @@ public:
   /// Single-threaded (uses direct stores).
   explicit TmBTree(Pool &Nodes) : P(Nodes) {
     uint32_t R = P.allocate();
-    B::storeDirect(P[R].NumKeys, uint32_t{0});
-    B::storeDirect(P[R].Leaf, uint32_t{1});
+    B::storeDirect(P[R].Block, KeyBlock{KeyBlock::head(0, true), {}});
     B::storeDirect(Root, R);
   }
 
@@ -77,15 +113,13 @@ public:
   std::optional<uint64_t> find(Txn &Tx, uint64_t Key) {
     uint32_t N = B::load(Tx, Root);
     for (;;) {
-      uint32_t K = B::load(Tx, P[N].NumKeys);
-      uint32_t I = 0;
-      while (I < K && B::load(Tx, P[N].Keys[I]) < Key)
-        ++I;
-      if (I < K && B::load(Tx, P[N].Keys[I]) == Key)
+      const KeyBlock Blk = keys(Tx, N);
+      uint32_t I = lowerBound(Blk, Key);
+      if (I < Blk.count() && Blk.key(I) == Key)
         return B::load(Tx, P[N].Vals[I]);
-      if (B::load(Tx, P[N].Leaf))
+      if (Blk.leaf())
         return std::nullopt;
-      N = B::load(Tx, P[N].Children[I]);
+      N = child(Tx, N, I);
     }
   }
 
@@ -118,17 +152,15 @@ public:
   bool update(Txn &Tx, uint64_t Key, uint64_t Value) {
     uint32_t N = B::load(Tx, Root);
     for (;;) {
-      uint32_t K = B::load(Tx, P[N].NumKeys);
-      uint32_t I = 0;
-      while (I < K && B::load(Tx, P[N].Keys[I]) < Key)
-        ++I;
-      if (I < K && B::load(Tx, P[N].Keys[I]) == Key) {
+      const KeyBlock Blk = keys(Tx, N);
+      uint32_t I = lowerBound(Blk, Key);
+      if (I < Blk.count() && Blk.key(I) == Key) {
         B::store(Tx, P[N].Vals[I], Value);
         return true;
       }
-      if (B::load(Tx, P[N].Leaf))
+      if (Blk.leaf())
         return false;
-      N = B::load(Tx, P[N].Children[I]);
+      N = child(Tx, N, I);
     }
   }
 
@@ -139,8 +171,9 @@ public:
     // Shrink an emptied non-leaf root (its single child absorbed a
     // root-level merge).
     R = B::load(Tx, Root);
-    if (B::load(Tx, P[R].NumKeys) == 0 && !B::load(Tx, P[R].Leaf))
-      B::store(Tx, Root, B::load(Tx, P[R].Children[0]));
+    const KeyBlock RBlk = keys(Tx, R);
+    if (RBlk.count() == 0 && !RBlk.leaf())
+      B::store(Tx, Root, child(Tx, R, 0));
     if (Removed)
       bumpSize(Tx, ~uint64_t{0}); // -1 in wrap-around arithmetic
     return Removed;
@@ -191,18 +224,16 @@ public:
 
   /// Visits (observer address, raw word) of every cell the structure
   /// owns — root link, size stripes, and every pool node handed out so
-  /// far. Quiescent use only; lets the check harness register initials.
+  /// far, whose key block is one location. Quiescent use only; lets the
+  /// check harness register initials.
   template <typename Fn> void forEachCellDirect(Fn &&Callback) const {
     Callback(B::cellAddr(Root), B::cellRaw(Root));
     for (unsigned I = 0; I < SizeStripes; ++I)
       Callback(B::cellAddr(Stripes[I]), B::cellRaw(Stripes[I]));
     for (uint32_t N = 1; N <= P.used(); ++N) {
-      Callback(B::cellAddr(P[N].NumKeys), B::cellRaw(P[N].NumKeys));
-      Callback(B::cellAddr(P[N].Leaf), B::cellRaw(P[N].Leaf));
-      for (unsigned I = 0; I < MaxKeys; ++I) {
-        Callback(B::cellAddr(P[N].Keys[I]), B::cellRaw(P[N].Keys[I]));
+      Callback(B::cellAddr(P[N].Block), B::cellRaw(P[N].Block));
+      for (unsigned I = 0; I < MaxKeys; ++I)
         Callback(B::cellAddr(P[N].Vals[I]), B::cellRaw(P[N].Vals[I]));
-      }
       for (unsigned I = 0; I <= MaxKeys; ++I)
         Callback(B::cellAddr(P[N].Children[I]),
                  B::cellRaw(P[N].Children[I]));
@@ -216,12 +247,9 @@ public:
     for (unsigned I = 0; I < SizeStripes; ++I)
       Residue |= B::cellLocked(S, Stripes[I]);
     for (uint32_t N = 1; N <= P.used(); ++N) {
-      Residue |= B::cellLocked(S, P[N].NumKeys);
-      Residue |= B::cellLocked(S, P[N].Leaf);
-      for (unsigned I = 0; I < MaxKeys; ++I) {
-        Residue |= B::cellLocked(S, P[N].Keys[I]);
+      Residue |= B::cellLocked(S, P[N].Block);
+      for (unsigned I = 0; I < MaxKeys; ++I)
         Residue |= B::cellLocked(S, P[N].Vals[I]);
-      }
       for (unsigned I = 0; I <= MaxKeys; ++I)
         Residue |= B::cellLocked(S, P[N].Children[I]);
     }
@@ -229,17 +257,55 @@ public:
   }
 
 private:
+  /// A node's key block under direct access: KeyBlock's interface over
+  /// the object's own words, so a quiescent insert or traversal reads
+  /// the few words it needs instead of copying whole blocks, and an
+  /// insert's edits land in place.
+  class DirectKeys {
+  public:
+    explicit DirectKeys(Node &Owner) : Words(Owner.Block.words()) {}
+    uint32_t count() const { return static_cast<uint32_t>(word(0)); }
+    bool leaf() const { return (word(0) >> 32) != 0; }
+    uint64_t key(uint32_t I) const { return word(I + 1); }
+    void setCount(uint32_t Count) { set(0, KeyBlock::head(Count, leaf())); }
+    void setKey(uint32_t I, uint64_t Key) { set(I + 1, Key); }
+
+  private:
+    uint64_t word(uint32_t I) const {
+      // stm-lint: allow(R1) DirectKeys only exists for DirectAccess, the
+      // quiescent single-threaded accessor; transactions use KeyBlock.
+      return Words[I].load(std::memory_order_relaxed);
+    }
+    void set(uint32_t I, uint64_t Word) {
+      // stm-lint: allow(R1) as word(): quiescent direct access only.
+      Words[I].store(Word, std::memory_order_relaxed);
+    }
+    std::atomic<uint64_t> *Words;
+  };
+
+  /// The insert path's working key block for accessor \p TxnOrDirect: a
+  /// local copy in a transaction, written back whole by setKeys; the
+  /// node itself under direct access.
+  template <typename TxnOrDirect>
+  using BlockFor =
+      std::conditional_t<std::is_same_v<TxnOrDirect, DirectAccess>,
+                         DirectKeys, KeyBlock>;
+
   // Field helpers (declared for readability at call sites). Like the
   // insert path, they take a `Txn &` or a DirectAccess tag.
-  template <typename TxnOrDirect> uint32_t nk(TxnOrDirect &Tx, uint32_t N) {
-    return B::load(Tx, P[N].NumKeys);
+  KeyBlock keys(Txn &Tx, uint32_t N) { return B::load(Tx, P[N].Block); }
+  DirectKeys keys(DirectAccess, uint32_t N) { return DirectKeys(P[N]); }
+  void setKeys(Txn &Tx, uint32_t N, const KeyBlock &Blk) {
+    B::store(Tx, P[N].Block, Blk);
   }
-  template <typename TxnOrDirect> bool leaf(TxnOrDirect &Tx, uint32_t N) {
-    return B::load(Tx, P[N].Leaf) != 0;
+  void setKeys(DirectAccess, uint32_t, const DirectKeys &) {}
+  /// An empty key block for the fresh node \p N.
+  KeyBlock newKeys(Txn &, uint32_t, bool Leaf) {
+    return KeyBlock{KeyBlock::head(0, Leaf), {}};
   }
-  template <typename TxnOrDirect>
-  uint64_t key(TxnOrDirect &Tx, uint32_t N, uint32_t I) {
-    return B::load(Tx, P[N].Keys[I]);
+  DirectKeys newKeys(DirectAccess, uint32_t N, bool Leaf) {
+    B::storeDirect(P[N].Block, KeyBlock{KeyBlock::head(0, Leaf), {}});
+    return DirectKeys(P[N]);
   }
   template <typename TxnOrDirect>
   uint64_t val(TxnOrDirect &Tx, uint32_t N, uint32_t I) {
@@ -250,267 +316,324 @@ private:
     return B::load(Tx, P[N].Children[I]);
   }
 
+  /// Index of the first key of \p Blk not below \p Key (its count if
+  /// none). Scanning from the back places an ascending preload's key
+  /// after one compare, where a binary search probes four times; on a
+  /// random descent it was no slower.
+  template <typename Keys>
+  static uint32_t lowerBound(const Keys &Blk, uint64_t Key) {
+    uint32_t I = Blk.count();
+    while (I > 0 && Blk.key(I - 1) >= Key)
+      --I;
+    return I;
+  }
+
   /// The insert path; \p Tx is a `Txn &` or a DirectAccess tag.
   template <typename TxnOrDirect>
   bool insertAt(TxnOrDirect &Tx, uint64_t Key, uint64_t Value) {
     uint32_t R = B::load(Tx, Root);
-    if (nk(Tx, R) == MaxKeys) {
+    BlockFor<TxnOrDirect> RBlk = keys(Tx, R);
+    if (RBlk.count() == MaxKeys) {
       uint32_t NewRoot = P.allocate();
-      B::store(Tx, P[NewRoot].NumKeys, uint32_t{0});
-      B::store(Tx, P[NewRoot].Leaf, uint32_t{0});
+      BlockFor<TxnOrDirect> Top = newKeys(Tx, NewRoot, /*Leaf=*/false);
       B::store(Tx, P[NewRoot].Children[0], R);
-      splitChild(Tx, NewRoot, 0, R);
+      splitChild(Tx, NewRoot, Top, 0, R, RBlk);
       B::store(Tx, Root, NewRoot);
       R = NewRoot;
+      RBlk = Top;
     }
-    if (!insertNonFull(Tx, R, Key, Value))
+    if (!insertNonFull(Tx, R, RBlk, Key, Value))
       return false;
     bumpSize(Tx, uint64_t{1});
     return true;
   }
 
   /// Splits the full child \p Y (= child \p I of \p X, MaxKeys keys)
-  /// around its median, which moves up into \p X.
+  /// around its median, which moves up into \p X. \p XBlk and \p YBlk are
+  /// the two working key blocks; both are updated and written back here,
+  /// as is the new right sibling's. X's and Y's blocks are written before
+  /// the sibling is allocated: under encounter-time locking (orec-eager)
+  /// a conflicting writer then aborts the attempt before it takes a pool
+  /// node, which an aborted attempt would leak.
   template <typename TxnOrDirect>
-  void splitChild(TxnOrDirect &Tx, uint32_t X, uint32_t I, uint32_t Y) {
+  void splitChild(TxnOrDirect &Tx, uint32_t X, BlockFor<TxnOrDirect> &XBlk,
+                  uint32_t I, uint32_t Y, BlockFor<TxnOrDirect> &YBlk) {
+    // Y keeps its lower half; its upper keys stay readable past the new
+    // count until they move to the sibling below.
+    YBlk.setCount(MinDegree - 1);
+    uint32_t XK = XBlk.count();
+    for (uint32_t J = XK; J > I; --J)
+      XBlk.setKey(J, XBlk.key(J - 1));
+    XBlk.setKey(I, YBlk.key(MinDegree - 1));
+    XBlk.setCount(XK + 1);
+    setKeys(Tx, Y, YBlk);
+    setKeys(Tx, X, XBlk);
+
     uint32_t Z = P.allocate();
-    bool YLeaf = leaf(Tx, Y);
-    B::store(Tx, P[Z].Leaf, uint32_t{YLeaf ? 1u : 0u});
-    B::store(Tx, P[Z].NumKeys, uint32_t{MinDegree - 1});
+    BlockFor<TxnOrDirect> ZBlk = newKeys(Tx, Z, YBlk.leaf());
     for (uint32_t J = 0; J < MinDegree - 1; ++J) {
-      B::store(Tx, P[Z].Keys[J], key(Tx, Y, J + MinDegree));
+      ZBlk.setKey(J, YBlk.key(J + MinDegree));
       B::store(Tx, P[Z].Vals[J], val(Tx, Y, J + MinDegree));
     }
-    if (!YLeaf)
+    ZBlk.setCount(MinDegree - 1);
+    setKeys(Tx, Z, ZBlk);
+    if (!YBlk.leaf())
       for (uint32_t J = 0; J < MinDegree; ++J)
         B::store(Tx, P[Z].Children[J], child(Tx, Y, J + MinDegree));
-    B::store(Tx, P[Y].NumKeys, uint32_t{MinDegree - 1});
 
-    uint32_t XK = nk(Tx, X);
-    for (uint32_t J = XK; J > I; --J)
-      B::store(Tx, P[X].Children[J + 1], child(Tx, X, J));
-    B::store(Tx, P[X].Children[I + 1], Z);
     for (uint32_t J = XK; J > I; --J) {
-      B::store(Tx, P[X].Keys[J], key(Tx, X, J - 1));
+      B::store(Tx, P[X].Children[J + 1], child(Tx, X, J));
       B::store(Tx, P[X].Vals[J], val(Tx, X, J - 1));
     }
-    B::store(Tx, P[X].Keys[I], key(Tx, Y, MinDegree - 1));
+    B::store(Tx, P[X].Children[I + 1], Z);
     B::store(Tx, P[X].Vals[I], val(Tx, Y, MinDegree - 1));
-    B::store(Tx, P[X].NumKeys, XK + 1);
   }
 
-  /// Top-down insert into a node guaranteed non-full; false on duplicate.
+  /// Top-down insert into node \p N, guaranteed non-full, whose working
+  /// key block is \p Blk; false on duplicate.
   template <typename TxnOrDirect>
-  bool insertNonFull(TxnOrDirect &Tx, uint32_t N, uint64_t Key,
-                     uint64_t Value) {
+  bool insertNonFull(TxnOrDirect &Tx, uint32_t N, BlockFor<TxnOrDirect> Blk,
+                     uint64_t Key, uint64_t Value) {
     for (;;) {
-      uint32_t K = nk(Tx, N);
-      uint32_t I = K;
-      while (I > 0 && key(Tx, N, I - 1) > Key)
-        --I;
-      if (I > 0 && key(Tx, N, I - 1) == Key)
+      uint32_t K = Blk.count();
+      uint32_t I = lowerBound(Blk, Key);
+      if (I < K && Blk.key(I) == Key)
         return false;
-      if (leaf(Tx, N)) {
+      if (Blk.leaf()) {
         for (uint32_t J = K; J > I; --J) {
-          B::store(Tx, P[N].Keys[J], key(Tx, N, J - 1));
+          Blk.setKey(J, Blk.key(J - 1));
           B::store(Tx, P[N].Vals[J], val(Tx, N, J - 1));
         }
-        B::store(Tx, P[N].Keys[I], Key);
+        Blk.setKey(I, Key);
         B::store(Tx, P[N].Vals[I], Value);
-        B::store(Tx, P[N].NumKeys, K + 1);
+        Blk.setCount(K + 1);
+        setKeys(Tx, N, Blk);
         return true;
       }
       uint32_t C = child(Tx, N, I);
-      if (nk(Tx, C) == MaxKeys) {
-        splitChild(Tx, N, I, C);
-        uint64_t Mid = key(Tx, N, I);
+      BlockFor<TxnOrDirect> CBlk = keys(Tx, C);
+      if (CBlk.count() == MaxKeys) {
+        splitChild(Tx, N, Blk, I, C, CBlk);
+        uint64_t Mid = Blk.key(I);
         if (Mid == Key)
           return false;
-        if (Key > Mid)
-          ++I;
-        C = child(Tx, N, I);
+        if (Key > Mid) {
+          C = child(Tx, N, I + 1);
+          CBlk = keys(Tx, C);
+        }
       }
       N = C;
+      Blk = CBlk;
     }
   }
 
   /// CLRS delete from the subtree rooted at \p N, which is guaranteed to
   /// hold at least MinDegree keys unless it is the root.
   std::optional<uint64_t> removeRec(Txn &Tx, uint32_t N, uint64_t Key) {
+    KeyBlock Blk = keys(Tx, N);
     for (;;) {
-      uint32_t K = nk(Tx, N);
-      uint32_t I = 0;
-      while (I < K && key(Tx, N, I) < Key)
-        ++I;
-      bool Hit = I < K && key(Tx, N, I) == Key;
-      bool IsLeaf = leaf(Tx, N);
-      if (Hit && IsLeaf) {
+      uint32_t K = Blk.count();
+      uint32_t I = lowerBound(Blk, Key);
+      bool Hit = I < K && Blk.key(I) == Key;
+      if (Hit && Blk.leaf()) {
         uint64_t Old = val(Tx, N, I);
         for (uint32_t J = I; J + 1 < K; ++J) {
-          B::store(Tx, P[N].Keys[J], key(Tx, N, J + 1));
+          Blk.setKey(J, Blk.key(J + 1));
           B::store(Tx, P[N].Vals[J], val(Tx, N, J + 1));
         }
-        B::store(Tx, P[N].NumKeys, K - 1);
+        Blk.setCount(K - 1);
+        setKeys(Tx, N, Blk);
         return Old;
       }
       if (Hit) {
         uint32_t C = child(Tx, N, I);     // predecessor subtree
         uint32_t D = child(Tx, N, I + 1); // successor subtree
-        if (nk(Tx, C) >= MinDegree) {
+        KeyBlock CBlk = keys(Tx, C);
+        if (CBlk.count() >= MinDegree) {
           // Replace with the in-order predecessor and delete it below.
-          auto [Pk, Pv] = maxOf(Tx, C);
-          uint64_t Old = val(Tx, N, I);
-          B::store(Tx, P[N].Keys[I], Pk);
-          B::store(Tx, P[N].Vals[I], Pv);
-          removeRec(Tx, C, Pk);
-          return Old;
+          auto [Pk, Pv] = maxOf(Tx, C, CBlk);
+          return replaceAndRemove(Tx, N, Blk, I, Pk, Pv, C);
         }
-        if (nk(Tx, D) >= MinDegree) {
-          auto [Sk, Sv] = minOf(Tx, D);
-          uint64_t Old = val(Tx, N, I);
-          B::store(Tx, P[N].Keys[I], Sk);
-          B::store(Tx, P[N].Vals[I], Sv);
-          removeRec(Tx, D, Sk);
-          return Old;
+        KeyBlock DBlk = keys(Tx, D);
+        if (DBlk.count() >= MinDegree) {
+          auto [Sk, Sv] = minOf(Tx, D, DBlk);
+          return replaceAndRemove(Tx, N, Blk, I, Sk, Sv, D);
         }
         // Both minimal: merge around key I, then delete from the merged
         // child (root shrink, if this emptied the root, happens in
         // remove()).
-        mergeChildren(Tx, N, I);
+        mergeChildren(Tx, N, Blk, I, C, CBlk, D, DBlk);
         N = C;
+        Blk = CBlk;
         continue;
       }
-      if (IsLeaf)
+      if (Blk.leaf())
         return std::nullopt; // absent
       uint32_t C = child(Tx, N, I);
-      if (nk(Tx, C) == MinDegree - 1)
-        C = fillChild(Tx, N, I);
+      KeyBlock CBlk = keys(Tx, C);
+      if (CBlk.count() == MinDegree - 1)
+        C = fillChild(Tx, N, Blk, I, C, CBlk);
       N = C;
+      Blk = CBlk;
     }
   }
 
-  /// (key, value) of the largest entry in the subtree at \p N.
-  std::pair<uint64_t, uint64_t> maxOf(Txn &Tx, uint32_t N) {
-    while (!leaf(Tx, N))
-      N = child(Tx, N, nk(Tx, N));
-    uint32_t K = nk(Tx, N);
-    return {key(Tx, N, K - 1), val(Tx, N, K - 1)};
+  /// Replaces entry \p I of \p N (key block \p Blk) by (\p Key, \p Val),
+  /// taken from the subtree at \p From, deletes \p Key from that subtree
+  /// and returns the replaced value.
+  uint64_t replaceAndRemove(Txn &Tx, uint32_t N, KeyBlock &Blk, uint32_t I,
+                            uint64_t Key, uint64_t Val, uint32_t From) {
+    uint64_t Old = val(Tx, N, I);
+    Blk.setKey(I, Key);
+    setKeys(Tx, N, Blk);
+    B::store(Tx, P[N].Vals[I], Val);
+    removeRec(Tx, From, Key);
+    return Old;
   }
 
-  /// (key, value) of the smallest entry in the subtree at \p N.
-  std::pair<uint64_t, uint64_t> minOf(Txn &Tx, uint32_t N) {
-    while (!leaf(Tx, N))
+  /// (key, value) of the largest entry in the subtree at \p N, whose key
+  /// block is \p Blk.
+  std::pair<uint64_t, uint64_t> maxOf(Txn &Tx, uint32_t N, KeyBlock Blk) {
+    while (!Blk.leaf()) {
+      N = child(Tx, N, Blk.count());
+      Blk = keys(Tx, N);
+    }
+    return {Blk.key(Blk.count() - 1), val(Tx, N, Blk.count() - 1)};
+  }
+
+  /// (key, value) of the smallest entry in the subtree at \p N, whose key
+  /// block is \p Blk.
+  std::pair<uint64_t, uint64_t> minOf(Txn &Tx, uint32_t N, KeyBlock Blk) {
+    while (!Blk.leaf()) {
       N = child(Tx, N, 0);
-    return {key(Tx, N, 0), val(Tx, N, 0)};
+      Blk = keys(Tx, N);
+    }
+    return {Blk.key(0), val(Tx, N, 0)};
   }
 
-  /// Grows child \p I of \p N (at MinDegree-1 keys) to at least
-  /// MinDegree keys by borrowing from a sibling or merging; returns the
-  /// node to descend into.
-  uint32_t fillChild(Txn &Tx, uint32_t N, uint32_t I) {
-    uint32_t K = nk(Tx, N);
-    if (I > 0 && nk(Tx, child(Tx, N, I - 1)) >= MinDegree) {
-      borrowFromLeft(Tx, N, I);
-      return child(Tx, N, I);
+  /// Grows child \p I of \p N (node \p C, whose key block \p CBlk holds
+  /// MinDegree-1 keys) to at least MinDegree keys by borrowing from a
+  /// sibling or merging; returns the node to descend into and leaves its
+  /// key block in \p CBlk. \p NBlk is \p N's key block.
+  uint32_t fillChild(Txn &Tx, uint32_t N, KeyBlock &NBlk, uint32_t I,
+                     uint32_t C, KeyBlock &CBlk) {
+    uint32_t L = Pool::Null;
+    KeyBlock LBlk{};
+    if (I > 0) {
+      L = child(Tx, N, I - 1);
+      LBlk = keys(Tx, L);
+      if (LBlk.count() >= MinDegree) {
+        borrowFromLeft(Tx, N, NBlk, I, C, CBlk, L, LBlk);
+        return C;
+      }
     }
-    if (I < K && nk(Tx, child(Tx, N, I + 1)) >= MinDegree) {
-      borrowFromRight(Tx, N, I);
-      return child(Tx, N, I);
-    }
-    if (I < K) {
-      uint32_t C = child(Tx, N, I);
-      mergeChildren(Tx, N, I);
+    if (I < NBlk.count()) {
+      uint32_t R = child(Tx, N, I + 1);
+      KeyBlock RBlk = keys(Tx, R);
+      if (RBlk.count() >= MinDegree)
+        borrowFromRight(Tx, N, NBlk, I, C, CBlk, R, RBlk);
+      else
+        mergeChildren(Tx, N, NBlk, I, C, CBlk, R, RBlk);
       return C;
     }
-    uint32_t C = child(Tx, N, I - 1);
-    mergeChildren(Tx, N, I - 1);
-    return C;
+    mergeChildren(Tx, N, NBlk, I - 1, L, LBlk, C, CBlk);
+    CBlk = LBlk;
+    return L;
   }
 
-  /// Rotates one entry through the separator: left sibling's last entry
-  /// moves up into \p N, the separator moves down into child \p I.
-  void borrowFromLeft(Txn &Tx, uint32_t N, uint32_t I) {
-    uint32_t C = child(Tx, N, I);
-    uint32_t L = child(Tx, N, I - 1);
-    uint32_t CK = nk(Tx, C);
-    uint32_t LK = nk(Tx, L);
+  /// Rotates one entry through the separator: left sibling \p L's last
+  /// entry moves up into \p N, the separator moves down into child \p I
+  /// (node \p C). Every block argument is its node's key block.
+  void borrowFromLeft(Txn &Tx, uint32_t N, KeyBlock &NBlk, uint32_t I,
+                      uint32_t C, KeyBlock &CBlk, uint32_t L,
+                      KeyBlock &LBlk) {
+    uint32_t CK = CBlk.count();
+    uint32_t LK = LBlk.count();
     for (uint32_t J = CK; J > 0; --J) {
-      B::store(Tx, P[C].Keys[J], key(Tx, C, J - 1));
+      CBlk.setKey(J, CBlk.key(J - 1));
       B::store(Tx, P[C].Vals[J], val(Tx, C, J - 1));
     }
-    B::store(Tx, P[C].Keys[0], key(Tx, N, I - 1));
+    CBlk.setKey(0, NBlk.key(I - 1));
     B::store(Tx, P[C].Vals[0], val(Tx, N, I - 1));
-    if (!leaf(Tx, C)) {
+    if (!CBlk.leaf()) {
       for (uint32_t J = CK + 1; J > 0; --J)
         B::store(Tx, P[C].Children[J], child(Tx, C, J - 1));
       B::store(Tx, P[C].Children[0], child(Tx, L, LK));
     }
-    B::store(Tx, P[N].Keys[I - 1], key(Tx, L, LK - 1));
+    NBlk.setKey(I - 1, LBlk.key(LK - 1));
     B::store(Tx, P[N].Vals[I - 1], val(Tx, L, LK - 1));
-    B::store(Tx, P[L].NumKeys, LK - 1);
-    B::store(Tx, P[C].NumKeys, CK + 1);
+    LBlk.setCount(LK - 1);
+    CBlk.setCount(CK + 1);
+    setKeys(Tx, N, NBlk);
+    setKeys(Tx, L, LBlk);
+    setKeys(Tx, C, CBlk);
   }
 
-  /// Mirror of borrowFromLeft for the right sibling.
-  void borrowFromRight(Txn &Tx, uint32_t N, uint32_t I) {
-    uint32_t C = child(Tx, N, I);
-    uint32_t R = child(Tx, N, I + 1);
-    uint32_t CK = nk(Tx, C);
-    uint32_t RK = nk(Tx, R);
-    B::store(Tx, P[C].Keys[CK], key(Tx, N, I));
+  /// Mirror of borrowFromLeft for the right sibling \p R.
+  void borrowFromRight(Txn &Tx, uint32_t N, KeyBlock &NBlk, uint32_t I,
+                       uint32_t C, KeyBlock &CBlk, uint32_t R,
+                       KeyBlock &RBlk) {
+    uint32_t CK = CBlk.count();
+    uint32_t RK = RBlk.count();
+    CBlk.setKey(CK, NBlk.key(I));
     B::store(Tx, P[C].Vals[CK], val(Tx, N, I));
-    B::store(Tx, P[N].Keys[I], key(Tx, R, 0));
+    NBlk.setKey(I, RBlk.key(0));
     B::store(Tx, P[N].Vals[I], val(Tx, R, 0));
     for (uint32_t J = 0; J + 1 < RK; ++J) {
-      B::store(Tx, P[R].Keys[J], key(Tx, R, J + 1));
+      RBlk.setKey(J, RBlk.key(J + 1));
       B::store(Tx, P[R].Vals[J], val(Tx, R, J + 1));
     }
-    if (!leaf(Tx, C)) {
+    if (!CBlk.leaf()) {
       B::store(Tx, P[C].Children[CK + 1], child(Tx, R, 0));
       for (uint32_t J = 0; J < RK; ++J)
         B::store(Tx, P[R].Children[J], child(Tx, R, J + 1));
     }
-    B::store(Tx, P[R].NumKeys, RK - 1);
-    B::store(Tx, P[C].NumKeys, CK + 1);
+    RBlk.setCount(RK - 1);
+    CBlk.setCount(CK + 1);
+    setKeys(Tx, N, NBlk);
+    setKeys(Tx, R, RBlk);
+    setKeys(Tx, C, CBlk);
   }
 
-  /// Merges child \p I, separator key \p I, and child \p I+1 into child
-  /// \p I (both children hold MinDegree-1 keys). The right child is
-  /// unlinked but not recycled.
-  void mergeChildren(Txn &Tx, uint32_t N, uint32_t I) {
-    uint32_t C = child(Tx, N, I);
-    uint32_t D = child(Tx, N, I + 1);
-    uint32_t K = nk(Tx, N);
-    B::store(Tx, P[C].Keys[MinDegree - 1], key(Tx, N, I));
+  /// Merges child \p I (node \p C), separator key \p I, and child \p I+1
+  /// (node \p D) into \p C (both children hold MinDegree-1 keys). The
+  /// right child is unlinked but not recycled.
+  void mergeChildren(Txn &Tx, uint32_t N, KeyBlock &NBlk, uint32_t I,
+                     uint32_t C, KeyBlock &CBlk, uint32_t D,
+                     const KeyBlock &DBlk) {
+    uint32_t K = NBlk.count();
+    CBlk.setKey(MinDegree - 1, NBlk.key(I));
     B::store(Tx, P[C].Vals[MinDegree - 1], val(Tx, N, I));
     for (uint32_t J = 0; J < MinDegree - 1; ++J) {
-      B::store(Tx, P[C].Keys[J + MinDegree], key(Tx, D, J));
+      CBlk.setKey(J + MinDegree, DBlk.key(J));
       B::store(Tx, P[C].Vals[J + MinDegree], val(Tx, D, J));
     }
-    if (!leaf(Tx, C))
+    if (!CBlk.leaf())
       for (uint32_t J = 0; J < MinDegree; ++J)
         B::store(Tx, P[C].Children[J + MinDegree], child(Tx, D, J));
-    B::store(Tx, P[C].NumKeys, uint32_t{MaxKeys});
+    CBlk.setCount(MaxKeys);
     for (uint32_t J = I; J + 1 < K; ++J) {
-      B::store(Tx, P[N].Keys[J], key(Tx, N, J + 1));
+      NBlk.setKey(J, NBlk.key(J + 1));
       B::store(Tx, P[N].Vals[J], val(Tx, N, J + 1));
     }
     for (uint32_t J = I + 1; J < K; ++J)
       B::store(Tx, P[N].Children[J], child(Tx, N, J + 1));
-    B::store(Tx, P[N].NumKeys, K - 1);
+    NBlk.setCount(K - 1);
+    setKeys(Tx, C, CBlk);
+    setKeys(Tx, N, NBlk);
   }
 
   void scanRec(Txn &Tx, uint32_t N, uint64_t Start, size_t MaxCount,
                size_t &Taken, uint64_t &ValueSum) {
     if (N == Pool::Null || Taken >= MaxCount)
       return;
-    uint32_t K = nk(Tx, N);
-    bool IsLeaf = leaf(Tx, N);
+    const KeyBlock Blk = keys(Tx, N);
+    const uint32_t K = Blk.count();
     for (uint32_t I = 0; I < K && Taken < MaxCount; ++I) {
-      uint64_t Ki = key(Tx, N, I);
+      uint64_t Ki = Blk.key(I);
       // Child I holds keys below Ki; skip it when the whole subtree is
       // below the scan start.
-      if (!IsLeaf && Ki >= Start)
+      if (!Blk.leaf() && Ki >= Start)
         scanRec(Tx, child(Tx, N, I), Start, MaxCount, Taken, ValueSum);
       if (Taken >= MaxCount)
         return;
@@ -519,7 +642,7 @@ private:
         ++Taken;
       }
     }
-    if (!IsLeaf && Taken < MaxCount)
+    if (!Blk.leaf() && Taken < MaxCount)
       scanRec(Tx, child(Tx, N, K), Start, MaxCount, Taken, ValueSum);
   }
 
@@ -537,35 +660,31 @@ private:
                     int Depth, int &LeafDepth, uint64_t &Count) const {
     if (N == Pool::Null)
       return false;
-    uint32_t K = B::loadDirect(P[N].NumKeys);
-    bool IsLeaf = B::loadDirect(P[N].Leaf) != 0;
+    const DirectKeys Blk(P[N]);
+    const uint32_t K = Blk.count();
     if (K > MaxKeys)
       return false;
     if (!IsRoot && K < MinDegree - 1)
       return false;
-    if (IsRoot && !IsLeaf && K == 0)
+    if (IsRoot && !Blk.leaf() && K == 0)
       return false; // non-leaf root must separate something
-    uint64_t Prev = Lo;
-    bool HavePrev = false;
     for (uint32_t I = 0; I < K; ++I) {
-      uint64_t Ki = B::loadDirect(P[N].Keys[I]);
+      uint64_t Ki = Blk.key(I);
       if (Ki < Lo || Ki > Hi)
         return false;
-      if ((HavePrev || I > 0) && Ki <= Prev)
+      if (I > 0 && Ki <= Blk.key(I - 1))
         return false;
-      Prev = Ki;
-      HavePrev = true;
     }
     Count += K;
-    if (IsLeaf) {
+    if (Blk.leaf()) {
       if (LeafDepth < 0)
         LeafDepth = Depth;
       return LeafDepth == Depth;
     }
     for (uint32_t I = 0; I <= K; ++I) {
       // Child I's keys sit strictly between the neighbouring separators.
-      uint64_t CLo = I == 0 ? Lo : B::loadDirect(P[N].Keys[I - 1]) + 1;
-      uint64_t CHi = I == K ? Hi : B::loadDirect(P[N].Keys[I]) - 1;
+      uint64_t CLo = I == 0 ? Lo : Blk.key(I - 1) + 1;
+      uint64_t CHi = I == K ? Hi : Blk.key(I) - 1;
       if (!validateFrom(B::loadDirect(P[N].Children[I]), CLo, CHi,
                         /*IsRoot=*/false, Depth + 1, LeafDepth, Count))
         return false;
@@ -577,15 +696,15 @@ private:
   void forEachDirectFrom(uint32_t N, Fn &Callback) const {
     if (N == Pool::Null)
       return;
-    uint32_t K = B::loadDirect(P[N].NumKeys);
-    bool IsLeaf = B::loadDirect(P[N].Leaf) != 0;
-    for (uint32_t I = 0; I < K; ++I) {
-      if (!IsLeaf)
+    const DirectKeys Blk(P[N]);
+    for (uint32_t I = 0; I < Blk.count(); ++I) {
+      if (!Blk.leaf())
         forEachDirectFrom(B::loadDirect(P[N].Children[I]), Callback);
-      Callback(B::loadDirect(P[N].Keys[I]), B::loadDirect(P[N].Vals[I]));
+      Callback(Blk.key(I), B::loadDirect(P[N].Vals[I]));
     }
-    if (!IsLeaf)
-      forEachDirectFrom(B::loadDirect(P[N].Children[K]), Callback);
+    if (!Blk.leaf())
+      forEachDirectFrom(B::loadDirect(P[N].Children[Blk.count()]),
+                        Callback);
   }
 
   Pool &P;

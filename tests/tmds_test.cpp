@@ -12,8 +12,10 @@
 // heights, backend-genericity (the same template body runs on TL2 flat
 // and sharded, LibTm and orec-eager), scan semantics,
 // rollback of structural changes, concurrent per-thread-partitioned
-// mutation with exact final contents, and atomic replacements seen whole
-// by concurrent full scans.
+// mutation with exact final contents, atomic replacements seen whole
+// by concurrent full scans, and the B-tree's key blocks: read-after-write
+// through a transaction's own block writes, and which concurrent commits
+// a descent conflicts with.
 //
 //===----------------------------------------------------------------------===//
 
@@ -279,6 +281,14 @@ TYPED_TEST(TmdsTest, DirectInsertBuildsTheTransactionalStructure) {
     EXPECT_EQ(Direct.Ds.sizeDirect(), Keys.size());
     EXPECT_EQ(Direct.Pool.used(), ViaTxn.Pool.used());
     EXPECT_EQ(cellWords(Direct.Ds), cellWords(ViaTxn.Ds));
+    // A multi-word cell registers only its first word; the traversals
+    // compare every key.
+    std::vector<std::pair<uint64_t, uint64_t>> DirectPairs, TxnPairs;
+    Direct.Ds.forEachDirect(
+        [&](uint64_t K, uint64_t V) { DirectPairs.emplace_back(K, V); });
+    ViaTxn.Ds.forEachDirect(
+        [&](uint64_t K, uint64_t V) { TxnPairs.emplace_back(K, V); });
+    EXPECT_EQ(DirectPairs, TxnPairs);
   }
 }
 
@@ -455,6 +465,93 @@ TYPED_TEST(TmdsTest, ConcurrentScansSeeReplacementsWhole) {
 }
 
 //===----------------------------------------------------------------------===//
+// B-tree key blocks, on every backend
+//===----------------------------------------------------------------------===//
+
+template <typename CaseT> class TmBTreeKeyBlockTest : public ::testing::Test {};
+using BTreeCases = ::testing::Types<BTreeTl2, BTreeLibTm, BTreeOrec, BTreeShard>;
+TYPED_TEST_SUITE(TmBTreeKeyBlockTest, BTreeCases);
+
+TYPED_TEST(TmBTreeKeyBlockTest, TransactionReadsItsOwnKeyBlockWrites) {
+  using Tree = typename Fixture<TypeParam>::Structure;
+  Fixture<TypeParam> F;
+  typename Fixture<TypeParam>::Txn Tx(F.S, 0);
+  // A full root leaf, so the transaction's first insert splits it.
+  for (uint64_t K = 1; K <= Tree::MaxKeys; ++K)
+    Tx.run(0, [&](auto &T) { F.Ds.insert(T, K * 10, K); });
+
+  // Every find after the first insert descends through key blocks this
+  // transaction wrote: buffered on TL2, held in place on orec-eager.
+  constexpr uint64_t Added = 40;
+  unsigned Attempts = 0;
+  bool Ok = false;
+  Tx.run(1, [&](auto &T) {
+    ++Attempts;
+    Ok = true;
+    for (uint64_t K = 1; K <= Added; ++K)
+      Ok &= F.Ds.insert(T, K * 10 + 5, K);
+    for (uint64_t K = 1; K <= Added; ++K) {
+      Ok &= F.Ds.find(T, K * 10 + 5) == std::optional<uint64_t>(K);
+      Ok &= F.Ds.update(T, K * 10 + 5, K + 100);
+      Ok &= F.Ds.find(T, K * 10 + 5) == std::optional<uint64_t>(K + 100);
+    }
+    for (uint64_t K = 1; K <= Added; ++K) {
+      Ok &= F.Ds.remove(T, K * 10 + 5) == std::optional<uint64_t>(K + 100);
+      Ok &= !F.Ds.find(T, K * 10 + 5).has_value();
+    }
+    for (uint64_t K = 1; K <= Tree::MaxKeys; ++K)
+      Ok &= F.Ds.find(T, K * 10) == std::optional<uint64_t>(K);
+  });
+  EXPECT_EQ(Attempts, 1u);
+  EXPECT_TRUE(Ok);
+
+  EXPECT_TRUE(F.Ds.validateDirect());
+  EXPECT_EQ(F.Ds.sizeDirect(), uint64_t{Tree::MaxKeys});
+  uint64_t Next = 1;
+  F.Ds.forEachDirect([&](uint64_t K, uint64_t V) {
+    EXPECT_EQ(K, Next * 10);
+    EXPECT_EQ(V, Next);
+    ++Next;
+  });
+  EXPECT_EQ(Next, uint64_t{Tree::MaxKeys} + 1);
+  EXPECT_FALSE(F.Ds.anyCellLockedDirect(F.S));
+}
+
+TYPED_TEST(TmBTreeKeyBlockTest, DescentConflictsWithKeyChangesNotValueUpdates) {
+  using Tree = typename Fixture<TypeParam>::Structure;
+  using Txn = typename Fixture<TypeParam>::Txn;
+  // A writer descends to the leaf holding key 30 and, in its first
+  // attempt only, lets a second descriptor commit \p Other before it
+  // writes; returns the writer's attempts.
+  auto WriterAttempts = [](auto &&Other) {
+    Fixture<TypeParam> F;
+    Txn Writer(F.S, 0), Intruder(F.S, 1);
+    // Keys 10..10*(MaxKeys+1) ascending: the last insert splits the full
+    // root leaf, so 10..10*(MinDegree-1) share the left leaf, with room.
+    for (uint64_t K = 1; K <= Tree::MaxKeys + 1; ++K)
+      Writer.run(0, [&](auto &T) { F.Ds.insert(T, K * 10, K); });
+    unsigned Attempts = 0;
+    Writer.run(1, [&](auto &T) {
+      ++Attempts;
+      F.Ds.find(T, 30);
+      if (Attempts == 1)
+        Intruder.run(2, [&](auto &U) { Other(F.Ds, U); });
+      F.Ds.update(T, 30, 99);
+    });
+    EXPECT_TRUE(F.Ds.validateDirect());
+    EXPECT_FALSE(F.Ds.anyCellLockedDirect(F.S));
+    return Attempts;
+  };
+  static_assert(Tree::MinDegree - 1 >= 4, "keys 20..40 share a leaf");
+  // Another value slot of the same leaf: the key block is untouched.
+  EXPECT_EQ(WriterAttempts([](Tree &Ds, Txn &U) { Ds.update(U, 20, 7); }),
+            1u);
+  // A key inserted into that leaf rewrites its key block.
+  EXPECT_EQ(WriterAttempts([](Tree &Ds, Txn &U) { Ds.insert(U, 35, 7); }),
+            2u);
+}
+
+//===----------------------------------------------------------------------===//
 // Structure-specific invariants
 //===----------------------------------------------------------------------===//
 
@@ -508,6 +605,33 @@ TEST(TmdsBackendTest, CellEncodingsAgreeAcrossBackends) {
   TVar<uint32_t> V32{0xdeadbeefu};
   TObj<uint32_t> O32{0xdeadbeefu};
   EXPECT_EQ(Tl2Backend::cellRaw(V32), LibTmBackend::cellRaw(O32));
+
+  // A B-tree key block registers as one location whose raw word is word
+  // 0: the key count in the low half, the leaf flag in the high half.
+  TmBTree<Tl2Backend>::KeyBlock Blk{};
+  Blk.Head = TmBTree<Tl2Backend>::KeyBlock::head(5, /*Leaf=*/true);
+  Blk.Keys[0] = 42;
+  TObj<TmBTree<Tl2Backend>::KeyBlock> Block{Blk};
+  const uint64_t Word0 = uint64_t{1} << 32 | 5;
+  EXPECT_EQ(Tl2Backend::cellRaw(Block), Word0);
+  EXPECT_EQ(OrecEagerBackend::cellRaw(Block), Word0);
+  EXPECT_EQ(ShardBackend::cellRaw(Block), Word0);
+  EXPECT_EQ(LibTmBackend::cellRaw(Block), Word0);
+
+  // Whole trees: one direct load registers the same words on every
+  // backend, key blocks included.
+  auto TreeWords = [](auto Backend) {
+    using B = decltype(Backend);
+    typename TmBTree<B>::Pool Pool(64);
+    TmBTree<B> Tree(Pool);
+    for (uint64_t K = 1; K <= 200; ++K)
+      Tree.insertDirect(K * 7, K);
+    return cellWords(Tree);
+  };
+  const std::vector<uint64_t> Tl2Words = TreeWords(Tl2Backend{});
+  EXPECT_EQ(TreeWords(OrecEagerBackend{}), Tl2Words);
+  EXPECT_EQ(TreeWords(ShardBackend{}), Tl2Words);
+  EXPECT_EQ(TreeWords(LibTmBackend{}), Tl2Words);
 }
 
 } // namespace

@@ -493,7 +493,7 @@ int main(int Argc, char **Argv) {
     std::string Error;
     if (!runMicroSuite(MicroBin, OutDir / ".bench_tmp",
                        "(Tl2ReadOnlyTxn|Tl2WriteTxn|Tl2TxnBySize/64|"
-                       "Tl2ListWalkTxn|TmBTreeFindTxn|Tl2StmConstruct|"
+                       "Tl2ListWalkTxn|TmBTree(Find|Update)Txn|Tl2StmConstruct|"
                        "LibTmObjectTxn|Tl2Disjoint.*/threads:(1|8)$|"
                        "Tl2RwAccessObserver)",
                        "micro", /*Repetitions=*/Repeats,
