@@ -16,6 +16,7 @@
 #include "core/GuidedPolicy.h"
 #include "engine/Engines.h"
 #include "libtm/LibTm.h"
+#include "stamp/TmHashMap.h"
 #include "stm/TVar.h"
 #include "support/SplitMix64.h"
 #include "tmds/TmBTree.h"
@@ -126,6 +127,53 @@ static void BM_Tl2ListWalkTxn(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * WalkLength);
 }
 BENCHMARK(BM_Tl2ListWalkTxn);
+
+/// A genome-shaped hash map: 4096 buckets holding 48 keys each, inserted
+/// in a fixed-seed random order, so a chain's nodes lie far apart in a
+/// 196,608-node pool (6 MB, larger than a core's L2), as the dedup
+/// table's chains do in genome. Built once per process, on first use,
+/// under the runtime the benchmark then uses: a node's orec is its own
+/// Meta word, so its version outlives a runtime.
+struct BenchMap {
+  static constexpr uint32_t Buckets = 4096;
+  static constexpr uint32_t ChainLength = 48;
+  static constexpr uint32_t Keys = Buckets * ChainLength;
+  Tl2Stm Stm;
+  TmList::Pool Pool{Keys};
+  TmHashMap Map{Buckets};
+  std::vector<uint64_t> Inserted;
+  BenchMap() {
+    Tl2Txn Txn(Stm, 0);
+    SplitMix64 Rng(11);
+    while (Inserted.size() < Keys) {
+      const uint64_t Key = Rng.next();
+      bool Fresh = false;
+      Txn.run(0, [&](Tl2Txn &Tx) { Fresh = Map.insert(Tx, Pool, Key, Key); });
+      if (Fresh)
+        Inserted.push_back(Key);
+    }
+  }
+};
+static BenchMap &benchMap() {
+  static BenchMap M;
+  return M;
+}
+
+/// A TL2 find per transaction over the genome-shaped map, of a present
+/// key drawn from a fixed-seed sequence outside the transaction: a walk
+/// of about half a 48-node chain of cold nodes.
+static void BM_TmListFindTxn(benchmark::State &State) {
+  BenchMap &M = benchMap();
+  Tl2Txn Txn(M.Stm, 0);
+  SplitMix64 Rng(7);
+  for (auto _ : State) {
+    const uint64_t Key = M.Inserted[Rng.nextBounded(BenchMap::Keys)];
+    std::optional<uint64_t> Found;
+    Txn.run(0, [&](Tl2Txn &Tx) { Found = M.Map.find(Tx, M.Pool, Key); });
+    benchmark::DoNotOptimize(Found);
+  }
+}
+BENCHMARK(BM_TmListFindTxn);
 
 /// The tree ycsb-a-btree preloads: keys 1..2^20 inserted in order with
 /// insertDirect, one 384-byte node per up to 15 keys, ~57 MB of pool.

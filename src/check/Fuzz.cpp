@@ -270,12 +270,12 @@ template <typename Plan> size_t plannedCommits(const Plan &P) {
 /// pressure is deliberate. Stripes follow data lines, so the aliasing is
 /// per line: a word shares its stripe only with the same word of a line
 /// that hashes to the same one of the table's 128 lines, and the words of
-/// one line never share a stripe. LibTm has no table to size.
+/// one line never share a stripe. Objects (all of LibTm's cells) keep
+/// their own orecs on every runtime but the sharded one.
 template <typename B> auto runtimeConfig(const FuzzRunConfig &Cfg) {
   EngineConfig C;
   C.Fault = Cfg.Fault;
-  if constexpr (!std::is_same_v<B, LibTmBackend>)
-    C.TableBits = 10;
+  C.TableBits = 10;
   if constexpr (std::is_same_v<B, ShardBackend>) {
     ShardConfig SC;
     static_cast<EngineConfig &>(SC) = C;
@@ -287,17 +287,13 @@ template <typename B> auto runtimeConfig(const FuzzRunConfig &Cfg) {
 }
 
 /// Lock residue after the workers joined, probed over the whole stripe
-/// table the runtime keeps or — LibTm keeps its locks inside the
-/// objects — every object the workload owns.
+/// table the runtime keeps and — an object on the flat runtime keeps its
+/// lock inside itself — the orec of every cell the workload owns.
 template <typename B, typename W>
 std::string residueOf(typename B::Stm &Stm, const W &Work) {
   std::string Why;
-  if constexpr (std::is_same_v<B, LibTmBackend>) {
-    if (Work.anyCellLocked(Stm))
-      Why = "an object is still locked at quiescence";
-  } else {
-    lockTableQuiescent(Stm.lockTable(), &Why);
-  }
+  if (lockTableQuiescent(Stm.lockTable(), &Why) && Work.anyCellLocked(Stm))
+    Why = "a cell's orec is still locked at quiescence";
   return Why;
 }
 

@@ -8,8 +8,9 @@
 /// \file
 /// Seeded, reproducible STM fuzzing over one matrix: every workload runs
 /// under every backend through one run skeleton. A seed expands into a
-/// plan, which runs under any backend (TL2 on its flat, object (LibTm)
-/// and sharded runtimes, orec-eager from src/engine, and a serial
+/// plan, which runs under any backend (TL2 on its flat runtime over word
+/// cells and over object cells (LibTm), TL2 on the sharded runtime,
+/// orec-eager from src/engine, and a serial
 /// reference) with schedule perturbation
 /// and full history recording. Two workloads exist:
 ///

@@ -50,7 +50,8 @@ struct AccessRecord {
   uint64_t Version = 0;
   /// Loads only: served from the attempt's own write set / owned stripe.
   bool Buffered = false;
-  /// LockAcquire only: stripe index (TL2) or object address (LibTm).
+  /// LockAcquire only: the lock key, a stripe index or, for an object on
+  /// the flat runtime, its tagged Meta address (LockTable::objectKey).
   uint64_t LockId = 0;
 };
 

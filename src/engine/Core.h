@@ -12,11 +12,12 @@
 /// access, abort attribution and outcome reporting to the policy's
 /// algorithm. `Runtime` owns the shared state and the orec layout; it
 /// defaults to `EngineStm<Policy>` — version clock, one LockTable of
-/// 2^DefaultStripeBits stripes, commit ring, observer/gate/access-
-/// observer hooks, sharded stats. TL2 has two more layouts: the sharded
-/// tier's ShardedStm (shard/Sharded.h) partitions the table, and LibTm
-/// (libtm/LibTm.h) is EngineStm over the orecs inside each object. A
-/// policy contributes exactly the algorithm:
+/// 2^DefaultStripeBits stripes for plain words, every object (TObj) its
+/// own orec in its Meta word, commit ring, observer/gate/access-observer
+/// hooks, sharded stats. LibTm (libtm/LibTm.h) is this runtime under
+/// TL2. TL2 has one more layout: the sharded tier's ShardedStm
+/// (shard/Sharded.h) partitions the table and hashes objects into it
+/// too. A policy contributes exactly the algorithm:
 ///
 ///   static constexpr const char *Name;
 ///   struct TxnState { void clear(); ... };
@@ -41,10 +42,15 @@
 /// layout keeps per-descriptor state (empty on EngineStm):
 ///
 ///   beginRv(L)                        read version of a new attempt
+///   readStripe(L, Guard, Object)      orec guarding a transactional read
+///   writeKey(L, Guard, Object)        lock key of a written guard, mapped
+///                                     to its orec by lockTable().stripeAt
 ///   versionAbortRing(L, Stripe)       ring attributing a too-new version
 ///   committed(L, Thread, Stats) / aborted(L, Stats)  outcome bookkeeping
 ///
-/// plus those only the TL2 policy asks (engine/Tl2.h lists them).
+/// plus those only the TL2 policy asks (engine/Tl2.h lists them). A
+/// guard is a word guarding itself, or an object's Meta word guarding
+/// its payload (Object true: the access's words are not the guard).
 ///
 /// All engines keep TL2-compatible version discipline — rv sampled at
 /// begin, reads rejected past rv, commits stamped by clock.advance() and
@@ -83,19 +89,19 @@ inline uint64_t filterSignature(const void *Addr) {
   return uint64_t{1} << ((Key * 0x9e3779b97f4a7c15ULL) >> 58);
 }
 
-template <typename Policy, typename TableT = LockTable> class EngineStm;
+template <typename Policy> class EngineStm;
 template <typename Policy, typename Runtime = EngineStm<Policy>>
 class EngineTxn;
 template <typename T> class TObj; // libtm/LibTm.h
 
 /// One engine-family runtime instance over a flat table: shared state
 /// plus the instrumentation hooks (TxHooks), so GuideController,
-/// StatsShard export, and the check harness plug in unchanged. The table
-/// is a LockTable, or for LibTm the objects' own orecs.
-template <typename Policy, typename TableT>
-class EngineStm : public TxHooks {
+/// StatsShard export, and the check harness plug in unchanged. A plain
+/// word's orec is its stripe of the table; an object's is its own Meta
+/// word, so reading an object touches the object's line and no table
+/// line.
+template <typename Policy> class EngineStm : public TxHooks {
 public:
-  using Table = TableT;
   /// log2 of the stripe count when EngineConfig::TableBits is 0: 2^16
   /// stripes are 512 KB, small enough to stay in a core's L2 beside the
   /// data and cheap to map and zero for every fresh runtime.
@@ -110,12 +116,16 @@ public:
   EngineStm &operator=(const EngineStm &) = delete;
 
   const EngineConfig &config() const { return Cfg; }
-  Table &lockTable() { return Locks; }
+  LockTable &lockTable() { return Locks; }
   VersionClock &clock() { return Clock; }
   CommitRing &commitRing() { return Ring; }
-  /// Stripe guarding \p Addr (post-run residue probes; stripe tables).
+  /// Stripe guarding the word at \p Addr (post-run residue probes).
   std::atomic<uint64_t> &stripeFor(const void *Addr) {
     return Locks.stripeFor(Addr);
+  }
+  /// Orec of the object whose Meta word is \p Meta: the word itself.
+  static std::atomic<uint64_t> &objectOrec(const std::atomic<uint64_t> &Meta) {
+    return const_cast<std::atomic<uint64_t> &>(Meta);
   }
   /// Sharded per-thread telemetry (see stm/StatsShard.h).
   Tl2Stats &stats() { return Counters; }
@@ -129,11 +139,14 @@ public:
     TxnState(EngineStm &, ThreadId) {}
   };
   uint64_t beginRv(TxnState &) { return Clock.sample(); }
-  std::atomic<uint64_t> &readStripe(TxnState &, const void *Addr) {
-    return Locks.stripeFor(Addr);
+  std::atomic<uint64_t> &readStripe(TxnState &,
+                                    const std::atomic<uint64_t> &Guard,
+                                    bool Object) {
+    return Object ? objectOrec(Guard) : Locks.stripeFor(&Guard);
   }
-  uint64_t writeKey(TxnState &, const void *Addr) {
-    return Locks.indexFor(Addr);
+  uint64_t writeKey(TxnState &, const std::atomic<uint64_t> &Guard,
+                    bool Object) {
+    return Object ? LockTable::objectKey(&Guard) : Locks.indexFor(&Guard);
   }
   unsigned prepareSpinLimit(const TxnState &) const { return 0; }
   static size_t groupOf(uint64_t) { return 0; }
@@ -148,7 +161,7 @@ public:
 private:
   EngineConfig Cfg;
   VersionClock Clock;
-  Table Locks;
+  LockTable Locks;
   CommitRing Ring;
   Tl2Stats Counters;
 };
@@ -160,8 +173,8 @@ private:
 /// thread-safe: one descriptor per worker thread.
 ///
 /// The entry points are defined out of class below, so a runtime's .cpp
-/// can instantiate them explicitly (engine/Tl2.cpp, shard/Sharded.cpp,
-/// libtm/LibTm.cpp) and call sites keep calling them out of line.
+/// can instantiate them explicitly (engine/Tl2.cpp, shard/Sharded.cpp)
+/// and call sites keep calling them out of line.
 template <typename Policy, typename Runtime>
 class EngineTxn : public Runtime::TxnState {
 public:

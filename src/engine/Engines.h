@@ -8,10 +8,11 @@
 /// \file
 /// Umbrella header for the word-STM engine family: include this to get
 /// both policies on the chassis — TL2 (lazy, commit-time locking) and
-/// orec-eager (encounter-time locking, in place). The sharded tier
-/// (src/shard) and LibTm (src/libtm) run the TL2 policy on their own
-/// runtimes, over partitioned stripes and per-object orecs; see
-/// DESIGN.md §4i for the full matrix.
+/// orec-eager (encounter-time locking, in place), both over the flat
+/// runtime, where a word's orec is a table stripe and an object's its
+/// own Meta word (LibTm, src/libtm, names that runtime under TL2). The
+/// sharded tier (src/shard) runs the TL2 policy over partitioned
+/// stripes; see DESIGN.md §4i for the full matrix.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -18,7 +18,10 @@
 /// Safety argument (the undo-on-abort visibility story, DESIGN.md §4i):
 /// an in-place write is only visible through a word whose orec we hold
 /// exclusively (a word's guard is the word itself, or its TObj's Meta,
-/// whose one orec covers all the object's words, as in Tl2Policy).
+/// whose one orec covers all the object's words, as in Tl2Policy). The
+/// runtime's readStripe/writeKey hooks pick the orec, so the policy sees
+/// the same layout as TL2 on the same runtime: a table stripe for a
+/// word, the Meta word itself for an object on EngineStm.
 /// Readers who hit the orec abort (or, pre-lock, validated
 /// a version <= their rv taken *before* our acquisition); so uncommitted
 /// values can only be observed by their own transaction. On abort the
@@ -46,14 +49,14 @@ struct OrecEagerPolicy {
   /// An orec this attempt locked at encounter time, with its pre-lock
   /// word for release-on-abort and self-read validation.
   struct Held {
-    size_t StripeIndex;
+    uint64_t Key;
     uint64_t PreviousWord;
   };
 
   struct TxnState {
     /// Orecs of invisible reads, revalidated at commit.
     MiniVector<const std::atomic<uint64_t> *, 64> ReadSet;
-    /// Encounter-time write locks; sorted by index at commit so the
+    /// Encounter-time write locks; sorted by lock key at commit so the
     /// validation slow pass can binary-search self-held orecs.
     MiniVector<Held, 32> Acquired;
 
@@ -76,8 +79,8 @@ struct OrecEagerPolicy {
   template <size_t N, typename TxnT>
   static void loadWords(TxnT &Tx, const std::atomic<uint64_t> &Guard,
                         const std::atomic<uint64_t> *Words, uint64_t *Out) {
-    auto &S = Tx.rt();
-    std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Guard);
+    std::atomic<uint64_t> &Stripe =
+        Tx.rt().readStripe(Tx, Guard, /*Object=*/&Guard != Words);
     uint64_t Pre = Stripe.load(std::memory_order_acquire);
     StripeState PreState = LockTable::decode(Pre);
     if (PreState.Locked) {
@@ -125,7 +128,8 @@ struct OrecEagerPolicy {
                          std::atomic<uint64_t> *Words, const uint64_t *In) {
     auto &S = Tx.rt();
     TxThreadPair Self = Tx.self();
-    std::atomic<uint64_t> &Stripe = S.lockTable().stripeFor(&Guard);
+    const uint64_t Key = S.writeKey(Tx, Guard, /*Object=*/&Guard != Words);
+    std::atomic<uint64_t> &Stripe = S.lockTable().stripeAt(Key);
     uint64_t Old = Stripe.load(std::memory_order_relaxed);
     for (;;) {
       StripeState OldState = LockTable::decode(Old);
@@ -142,9 +146,8 @@ struct OrecEagerPolicy {
       if (Stripe.compare_exchange_weak(Old, LockTable::encodeLocked(Self),
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
-        size_t Index = S.lockTable().indexFor(&Guard);
-        Tx.state().Acquired.push_back(Held{Index, Old});
-        Tx.noteLockAcquire(Index);
+        Tx.state().Acquired.push_back(Held{Key, Old});
+        Tx.noteLockAcquire(Key);
         break;
       }
     }
@@ -165,12 +168,10 @@ struct OrecEagerPolicy {
     if (St.Acquired.empty())
       return 0;
 
-    // validate's slow pass binary-searches Acquired by orec address;
+    // validate's slow pass binary-searches Acquired by lock key;
     // encounter-time acquisition happens in program order, so normalize.
     std::sort(St.Acquired.begin(), St.Acquired.end(),
-              [](const Held &A, const Held &B) {
-                return A.StripeIndex < B.StripeIndex;
-              });
+              [](const Held &A, const Held &B) { return A.Key < B.Key; });
 
     // Single-fence ordering (the TL2 lineage's SINGLEFENCEOPT): the
     // seq_cst fence globally orders our encounter-time orec CASes before
@@ -191,8 +192,8 @@ struct OrecEagerPolicy {
     // victim observing Wv can already resolve the committer.
     S.commitRing().record(Wv, Tx.self());
     for (const Held &L : St.Acquired)
-      S.lockTable().stripeAt(L.StripeIndex).store(
-          LockTable::encodeVersion(Wv), std::memory_order_relaxed);
+      S.lockTable().stripeAt(L.Key).store(LockTable::encodeVersion(Wv),
+                                          std::memory_order_relaxed);
     St.Acquired.clear();
     Tx.undoLog().clear();
     return Wv;
@@ -206,7 +207,7 @@ struct OrecEagerPolicy {
     auto &S = Tx.rt();
     TxnState &St = Tx.state();
     for (auto It = St.Acquired.rbegin(); It != St.Acquired.rend(); ++It)
-      S.lockTable().stripeAt(It->StripeIndex)
+      S.lockTable().stripeAt(It->Key)
           .store(It->PreviousWord, std::memory_order_release);
     St.Acquired.clear();
   }
@@ -238,13 +239,11 @@ private:
       if (State.Locked) {
         if (State.Owner != Self)
           Tx.abortOnOwner(State.Owner, AbortSite::CommitValidate);
+        const uint64_t Key = S.lockTable().indexOf(Stripe);
         auto It = std::lower_bound(
-            St.Acquired.begin(), St.Acquired.end(), Stripe,
-            [&S](const Held &L, const std::atomic<uint64_t> *Ptr) {
-              return &S.lockTable().stripeAt(L.StripeIndex) < Ptr;
-            });
-        assert(It != St.Acquired.end() &&
-               &S.lockTable().stripeAt(It->StripeIndex) == Stripe &&
+            St.Acquired.begin(), St.Acquired.end(), Key,
+            [](const Held &L, uint64_t K) { return L.Key < K; });
+        assert(It != St.Acquired.end() && It->Key == Key &&
                "self-locked orec missing from the acquired list");
         StripeState PreLock = LockTable::decode(It->PreviousWord);
         if (PreLock.Version > Tx.rv())

@@ -16,20 +16,19 @@
 /// orec-eager policy (engine/OrecEager.h).
 ///
 /// The policy is written once over its runtime, which owns the orec
-/// layout (the 2PLSF TL2's ORECTABLE parameter): Tl2Txn runs it on
-/// EngineStm's flat stripe table, ShardedTxn (shard/Sharded.h) on a
-/// table partitioned into N shard slices with per-shard commit rings,
-/// applied clocks and cross-shard 2PC, and LibTxn (libtm/LibTm.h) on the
-/// orec embedded in each object. Every runtime reaches its orecs through
-/// one table (`lockTable()`, whose stripeAt/indexOf map a lock key to an
-/// orec and back). An access names its guard: a word guards itself, and
-/// an object's words are guarded by its Meta word, so one orec covers a
-/// multi-word snapshot. Besides the chassis hooks (engine/Core.h), the
+/// layout (the 2PLSF TL2's ORECTABLE parameter): Tl2Txn (alias LibTxn,
+/// libtm/LibTm.h) runs it on EngineStm, where a word's orec is a stripe
+/// of the flat table and an object's is its own Meta word, and
+/// ShardedTxn (shard/Sharded.h) on a table partitioned into N shard
+/// slices with per-shard commit rings, applied clocks and cross-shard
+/// 2PC. Every runtime reaches its orecs through `lockTable()`, whose
+/// stripeAt/indexOf map a lock key to an orec and back. An access names
+/// its guard: a word guards itself, and an object's words are guarded by
+/// its Meta word, so one orec covers a multi-word snapshot. Besides the
+/// chassis hooks (engine/Core.h, where readStripe and writeKey are; a
+/// written guard's ascending keys are the global acquisition order), the
 /// runtime answers:
 ///
-///   readStripe(L, Guard)  orec guarding a transactional read
-///   writeKey(L, Guard)    lock key of a written guard; ascending keys
-///                         are the global acquisition order
 ///   prepareSpinLimit(L)   waits on a held orec before aborting
 ///   groupOf(Key)          publish group: each group records in
 ///                         commitRingOf(Group), publishes its orecs,
@@ -130,7 +129,8 @@ struct Tl2Policy {
       return;
     }
 
-    std::atomic<uint64_t> &Stripe = Tx.rt().readStripe(Tx, &Guard);
+    std::atomic<uint64_t> &Stripe =
+        Tx.rt().readStripe(Tx, Guard, /*Object=*/&Guard != Words);
     uint64_t Pre = Stripe.load(std::memory_order_acquire);
     StripeState PreState = LockTable::decode(Pre);
     // A locked stripe is always someone else's in-flight commit: this
@@ -196,14 +196,15 @@ struct Tl2Policy {
     // Every committer acquires along that one total order, so a wait-for
     // cycle would need some attempt to wait on a key below one it holds,
     // which never happens. Where the runtime allows no waiting (the flat
-    // table, LibTm, single-shard commits) a held stripe aborts at once and
+    // runtime, single-shard commits) a held orec aborts at once and
     // contention surfaces as read-time / validation aborts; a cross-shard
     // prepare spins a bounded wait first, because aborting it forfeits
     // more invested work, and the bound keeps a descheduled holder from
     // stalling it. Each spin counts as a PrepareRetry.
     St.StripeScratch.clear();
     for (const WriteEntry &E : St.WriteLog)
-      St.StripeScratch.push_back(S.writeKey(Tx, E.Guard));
+      St.StripeScratch.push_back(
+          S.writeKey(Tx, *E.Guard, /*Object=*/E.Guard != E.Addr));
     std::sort(St.StripeScratch.begin(), St.StripeScratch.end());
     St.StripeScratch.truncate(static_cast<size_t>(
         std::unique(St.StripeScratch.begin(), St.StripeScratch.end()) -
@@ -370,9 +371,8 @@ private:
     }
   }
 
-  /// Pre-lock word of a stripe this commit already locked (the stripe
-  /// must be in Acquired, which is sorted by lock key, i.e. by stripe
-  /// index).
+  /// Pre-lock word of an orec this commit already locked (the orec must
+  /// be in Acquired, which is sorted by lock key).
   template <typename TxnT>
   static uint64_t preLockWordFor(TxnT &Tx,
                                  const std::atomic<uint64_t> *Stripe) {

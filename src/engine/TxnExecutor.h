@@ -46,8 +46,9 @@ struct EngineFault {
 };
 
 /// Construction-time configuration of every runtime: the flat engine
-/// family (TL2 included), LibTm, and — through ShardConfig — the sharded
-/// tier. LibTm keeps its locks in its objects, so it has no table to size.
+/// family (TL2 included, and so LibTm), and — through ShardConfig — the
+/// sharded tier. The table holds the orecs of plain words; an object on
+/// the flat runtime keeps its orec in its Meta word.
 struct EngineConfig {
   /// log2 of the lock-table size; 0 = the runtime's default (2^16
   /// stripes on the flat table, 2^18 per shard on the sharded tier).

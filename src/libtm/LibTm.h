@@ -11,12 +11,15 @@
 /// fully-optimistic reads (no read locks) and write locks acquired only at
 /// commit, with conflicts resolved against readers (an optimistic reader
 /// whose object was overwritten aborts — the "abort-readers" policy).
-/// LibTM itself is closed source. Its algorithm is TL2's, so LibTm is a
-/// runtime of the TL2 policy (engine/Tl2.h) with a different orec layout:
-/// the versioned-lock word lives *inside each object* (no address hashing,
-/// no false sharing between distinct objects, the property SynQuake
-/// relies on), and an object spans several words, snapshotted and
-/// written back whole under that one word.
+/// LibTM itself is closed source. Its algorithm is TL2's, and its orec
+/// layout is the flat TL2 runtime's for objects: the versioned-lock word
+/// lives *inside each object* (no address hashing, no false sharing
+/// between distinct objects, the property SynQuake relies on), and an
+/// object spans several words, snapshotted and written back whole under
+/// that one word. So LibTm is EngineStm under the TL2 policy
+/// (engine/Tl2.h) — the very runtime Tl2Stm names — and LibTxn its
+/// descriptor; a transaction that touches TObjs only never reads the
+/// runtime's word table.
 ///
 /// Usage:
 /// \code
@@ -50,7 +53,10 @@ namespace gstm {
 /// stored as relaxed atomic words so speculative snapshot copies are
 /// well-defined; torn snapshots are rejected by the lock word's re-check.
 /// The lock word comes first, so an object's address is its identity —
-/// the address the access observer and the history report.
+/// the address the access observer and the history report. On the flat
+/// runtime the lock word is the object's orec, so the version it carries
+/// outlives a runtime: use an object under the runtime that wrote it
+/// (direct stores leave it at version 0).
 template <typename T> class TObj {
   static_assert(std::is_trivially_copyable_v<T>,
                 "TObj requires a trivially copyable payload");
@@ -102,45 +108,15 @@ private:
   std::atomic<uint64_t> Payload[WordCount];
 };
 
-/// LibTm's orec layout in the shape of a lock table: an object's guard
-/// word is its Meta, which is its own orec, and the lock key is that
-/// word's address, so the sorted prepare locks objects in address order.
-/// Nothing is stored; EngineStm's flat hooks run over it unchanged.
-struct ObjectOrecs {
-  explicit ObjectOrecs(unsigned) {}
-  std::atomic<uint64_t> &stripeFor(const void *Meta) {
-    return *static_cast<std::atomic<uint64_t> *>(const_cast<void *>(Meta));
-  }
-  uint64_t indexFor(const void *Meta) const {
-    return reinterpret_cast<uintptr_t>(Meta);
-  }
-  std::atomic<uint64_t> &stripeAt(uint64_t Key) {
-    return stripeFor(reinterpret_cast<const void *>(Key));
-  }
-  uint64_t indexOf(const std::atomic<uint64_t> *Meta) const {
-    return indexFor(Meta);
-  }
-};
+/// One object-based STM runtime instance: the flat TL2 runtime, whose
+/// orec for a TObj is the object's own Meta word. A held object lock
+/// aborts the commit at once, as on the flat table. The access observer
+/// sees accesses object-granular: Addr = the object, Value = payload
+/// word 0.
+using LibTm = Tl2Stm;
 
-/// One object-based STM runtime instance: the flat TL2 runtime — global
-/// clock, commit ring, stats and hooks (TxHooks) — over the objects' own
-/// orecs. A held object lock aborts the commit at once, as on the flat
-/// table. The access observer sees accesses object-granular: Addr = the
-/// object, Value = payload word 0. It has no table to size, so
-/// EngineConfig::TableBits must stay 0.
-class LibTm : public EngineStm<Tl2Policy, ObjectOrecs> {
-public:
-  explicit LibTm(const EngineConfig &Config = EngineConfig())
-      : EngineStm(Config) {
-    assert(Config.TableBits == 0 && "LibTm has no lock table");
-  }
-};
-
-/// TL2 over the objects' orecs. Transactions touch TObjs only, through
-/// read and write: a raw word has no orec here. Instantiated once, in
-/// LibTm.cpp.
-using LibTxn = EngineTxn<Tl2Policy, LibTm>;
-extern template class EngineTxn<Tl2Policy, LibTm>;
+/// TL2 over the objects' orecs (Tl2Txn, instantiated in engine/Tl2.cpp).
+using LibTxn = Tl2Txn;
 
 } // namespace gstm
 

@@ -115,6 +115,11 @@ public:
   std::atomic<uint64_t> &stripeFor(const void *Addr) {
     return Locks.stripeAt(keyFor(shardFor(Addr), Addr));
   }
+  /// Orec of the object whose Meta word is \p Meta: a stripe, as for a
+  /// word, since a shard group's 2PC takes its orecs from its slices.
+  std::atomic<uint64_t> &objectOrec(const std::atomic<uint64_t> &Meta) {
+    return stripeFor(&Meta);
+  }
 
   /// The partitioned orec table: shard s owns the contiguous slice of
   /// 2^SliceBits stripes starting at index s << SliceBits, so a stripe
@@ -183,15 +188,19 @@ public:
     return L.UseGlobalRv ? Clock.sample()
                          : Shards[L.ResidentShard]->Applied.sample();
   }
-  std::atomic<uint64_t> &readStripe(TxnState &L, const void *Addr) {
-    size_t Shard = shardFor(Addr);
+  /// An object guard hashes into the table like a word (objectOrec).
+  std::atomic<uint64_t> &readStripe(TxnState &L,
+                                    const std::atomic<uint64_t> &Guard,
+                                    bool /*Object*/) {
+    size_t Shard = shardFor(&Guard);
     L.ReadShardMask |= uint64_t{1} << Shard;
-    return Locks.stripeAt(keyFor(Shard, Addr));
+    return Locks.stripeAt(keyFor(Shard, &Guard));
   }
-  uint64_t writeKey(TxnState &L, const void *Addr) {
-    size_t Shard = shardFor(Addr);
+  uint64_t writeKey(TxnState &L, const std::atomic<uint64_t> &Guard,
+                    bool /*Object*/) {
+    size_t Shard = shardFor(&Guard);
     L.WriteShardMask |= uint64_t{1} << Shard;
-    return keyFor(Shard, Addr);
+    return keyFor(Shard, &Guard);
   }
   /// Single-shard commits abort on a held stripe; cross-shard prepare
   /// waits up to PrepareSpinLimit.

@@ -70,10 +70,10 @@ void GenomeWorkload::setup(Tl2Stm &Stm, unsigned NumThreads, uint64_t Seed) {
   ReferenceUnique = Reference.size();
 
   // Pool: dedup nodes + prefix nodes + 2 link nodes per unique segment,
-  // plus generous headroom for nodes leaked by aborted insert attempts —
-  // the counter-contended insert transactions retry several times at
-  // high thread counts and each validation-failed attempt strands one
-  // node (TmPool discipline).
+  // plus headroom for nodes leaked by insert transactions: each insert
+  // site keeps one spare node across its transaction's attempts, so a
+  // transaction strands at most one node per site, when a retry finds
+  // its key already present (TmPool discipline).
   NodePool = std::make_unique<TmList::Pool>(
       static_cast<uint32_t>(16 * Params.NumSegments + 4096));
   // Bucket count tuned well below the segment count so dedup inserts
@@ -102,8 +102,9 @@ void GenomeWorkload::threadBody(Tl2Stm &Stm, ThreadId Thread) {
   for (uint32_t I = Begin; I < End; ++I) {
     uint64_t Seg = Segments[I];
     bool Inserted = false;
+    uint32_t Spare = TmList::Pool::Null;
     Txn.run(/*Tx=*/0, [&](Tl2Txn &Tx) {
-      Inserted = SegTable->insert(Tx, *NodePool, Seg, 1);
+      Inserted = SegTable->insert(Tx, *NodePool, Seg, 1, &Spare);
       if (Inserted)
         Tx.store(UniqueCount, Tx.load(UniqueCount) + 1);
     });
@@ -122,16 +123,20 @@ void GenomeWorkload::threadBody(Tl2Stm &Stm, ThreadId Thread) {
   };
   auto BackHalf = [&](uint64_t Seg) { return (Seg & HalfMask) | Guard; };
 
-  for (uint64_t Seg : Owned)
+  for (uint64_t Seg : Owned) {
+    uint32_t Spare = TmList::Pool::Null;
     Txn.run(/*Tx=*/1, [&](Tl2Txn &Tx) {
       // First publisher of a shared front half wins, as in STAMP's
       // unique-prefix matching.
-      PrefixTable->insert(Tx, *NodePool, FrontHalf(Seg), Seg);
+      PrefixTable->insert(Tx, *NodePool, FrontHalf(Seg), Seg, &Spare);
     });
+  }
   PhaseBarrier->arriveAndWait();
 
   // Phase 2b: claim predecessor/successor links atomically.
-  for (uint64_t Seg : Owned)
+  for (uint64_t Seg : Owned) {
+    uint32_t SuccSpare = TmList::Pool::Null;
+    uint32_t PredSpare = TmList::Pool::Null;
     Txn.run(/*Tx=*/2, [&](Tl2Txn &Tx) {
       auto Succ = PrefixTable->find(Tx, *NodePool, BackHalf(Seg));
       if (!Succ || *Succ == Seg)
@@ -142,10 +147,11 @@ void GenomeWorkload::threadBody(Tl2Stm &Stm, ThreadId Thread) {
         return;
       if (PredTable->find(Tx, *NodePool, *Succ))
         return;
-      SuccTable->insert(Tx, *NodePool, Seg, *Succ);
-      PredTable->insert(Tx, *NodePool, *Succ, Seg);
+      SuccTable->insert(Tx, *NodePool, Seg, *Succ, &SuccSpare);
+      PredTable->insert(Tx, *NodePool, *Succ, Seg, &PredSpare);
       Tx.store(LinkCount, Tx.load(LinkCount) + 1);
     });
+  }
 }
 
 bool GenomeWorkload::verify(Tl2Stm &Stm) {

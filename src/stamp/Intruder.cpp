@@ -76,7 +76,8 @@ void IntruderWorkload::setup(Tl2Stm &Stm, unsigned NumThreads,
     PacketQueue->pushDirect(P);
   CompletedQueue = std::make_unique<TmQueue>(Params.NumFlows + 1);
   // One reassembly node per flow plus headroom for nodes leaked by
-  // aborted decoder attempts (the decoder is the hot conflict site).
+  // decoder transactions (the hot conflict site): each keeps one spare
+  // node across its attempts, so it strands at most that one.
   NodePool = std::make_unique<TmList::Pool>(Params.NumFlows * 6 + 64);
   Reassembly = std::make_unique<TmHashMap>(
       std::max<uint32_t>(32, Params.NumFlows / 4));
@@ -101,6 +102,7 @@ void IntruderWorkload::threadBody(Tl2Stm &Stm, ThreadId Thread) {
     // Decoder phase: account the fragment; completing the flow removes
     // its reassembly entry and publishes it for detection.
     bool Completed = false;
+    uint32_t Spare = TmList::Pool::Null;
     Txn.run(/*Tx=*/1, [&](Tl2Txn &Tx) {
       Completed = false;
       auto Received = Reassembly->find(Tx, *NodePool, Flow);
@@ -112,7 +114,7 @@ void IntruderWorkload::threadBody(Tl2Stm &Stm, ThreadId Thread) {
         Completed = true;
         return;
       }
-      Reassembly->insertOrAssign(Tx, *NodePool, Flow, Count);
+      Reassembly->insertOrAssign(Tx, *NodePool, Flow, Count, &Spare);
     });
 
     // Detection phase: pure computation on the immutable payload.

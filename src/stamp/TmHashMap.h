@@ -43,15 +43,18 @@ public:
     return std::bit_ceil(NumBuckets);
   }
 
-  /// Inserts; returns false when the key already exists.
-  bool insert(Tl2Txn &Tx, TmList::Pool &Nodes, uint64_t Key, uint64_t Value) {
-    return bucketFor(Key).insert(Tx, Nodes, Key, Value);
+  /// Inserts; returns false when the key already exists. \p Spare reuses
+  /// one node across the attempts of a transaction (TmList::insert).
+  bool insert(Tl2Txn &Tx, TmList::Pool &Nodes, uint64_t Key, uint64_t Value,
+              uint32_t *Spare = nullptr) {
+    return bucketFor(Key).insert(Tx, Nodes, Key, Value, Spare);
   }
 
   /// Inserts or overwrites; returns true when a new node was created.
+  /// \p Spare as in insert.
   bool insertOrAssign(Tl2Txn &Tx, TmList::Pool &Nodes, uint64_t Key,
-                      uint64_t Value) {
-    return bucketFor(Key).insertOrAssign(Tx, Nodes, Key, Value);
+                      uint64_t Value, uint32_t *Spare = nullptr) {
+    return bucketFor(Key).insertOrAssign(Tx, Nodes, Key, Value, Spare);
   }
 
   std::optional<uint64_t> find(Tl2Txn &Tx, TmList::Pool &Nodes,

@@ -9,88 +9,80 @@
 
 using namespace gstm;
 
-void TmList::locate(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint32_t &Prev,
-                    uint32_t &Cur) {
-  Prev = Pool::Null;
-  Cur = Tx.load(Head);
-  while (Cur != Pool::Null) {
-    TmListNode &N = Nodes[Cur];
-    if (Tx.load(N.Key) >= Key)
-      return;
-    Prev = Cur;
-    Cur = Tx.load(N.Next);
+TmList::Position TmList::locate(Tl2Txn &Tx, Pool &Nodes, uint64_t Key) {
+  Position P;
+  P.Cur = Tx.read(Head);
+  while (P.Cur != Pool::Null) {
+    P.CurLink = Tx.read(Nodes[P.Cur].Link);
+    if (P.CurLink.Key >= Key)
+      break;
+    P.Prev = P.Cur;
+    P.PrevLink = P.CurLink;
+    P.Cur = P.CurLink.Next;
   }
+  return P;
+}
+
+void TmList::relink(Tl2Txn &Tx, Pool &Nodes, const Position &At,
+                    uint32_t Next) {
+  if (At.Prev == Pool::Null)
+    Tx.write(Head, Next);
+  else
+    Tx.write(Nodes[At.Prev].Link, TmListLink{At.PrevLink.Key, Next});
+}
+
+void TmList::link(Tl2Txn &Tx, Pool &Nodes, const Position &At, uint64_t Key,
+                  uint64_t Value, uint32_t *Spare) {
+  uint32_t Fresh = Nodes.allocateOrReuse(Spare);
+  TmListNode &N = Nodes[Fresh];
+  Tx.write(N.Link, TmListLink{Key, At.Cur});
+  Tx.store(N.Value, Value);
+  relink(Tx, Nodes, At, Fresh);
 }
 
 bool TmList::insert(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint64_t Value,
                     uint32_t *Spare) {
-  uint32_t Prev, Cur;
-  locate(Tx, Nodes, Key, Prev, Cur);
-  if (Cur != Pool::Null && Tx.load(Nodes[Cur].Key) == Key)
+  const Position At = locate(Tx, Nodes, Key);
+  if (At.found(Key))
     return false;
-
-  uint32_t Fresh = Nodes.allocateOrReuse(Spare);
-  TmListNode &N = Nodes[Fresh];
-  Tx.store(N.Key, Key);
-  Tx.store(N.Value, Value);
-  Tx.store(N.Next, Cur);
-  if (Prev == Pool::Null)
-    Tx.store(Head, Fresh);
-  else
-    Tx.store(Nodes[Prev].Next, Fresh);
+  link(Tx, Nodes, At, Key, Value, Spare);
   return true;
 }
 
 bool TmList::insertOrAssign(Tl2Txn &Tx, Pool &Nodes, uint64_t Key,
-                            uint64_t Value) {
-  uint32_t Prev, Cur;
-  locate(Tx, Nodes, Key, Prev, Cur);
-  if (Cur != Pool::Null && Tx.load(Nodes[Cur].Key) == Key) {
-    Tx.store(Nodes[Cur].Value, Value);
+                            uint64_t Value, uint32_t *Spare) {
+  const Position At = locate(Tx, Nodes, Key);
+  if (At.found(Key)) {
+    Tx.store(Nodes[At.Cur].Value, Value);
     return false;
   }
-
-  uint32_t Fresh = Nodes.allocate();
-  TmListNode &N = Nodes[Fresh];
-  Tx.store(N.Key, Key);
-  Tx.store(N.Value, Value);
-  Tx.store(N.Next, Cur);
-  if (Prev == Pool::Null)
-    Tx.store(Head, Fresh);
-  else
-    Tx.store(Nodes[Prev].Next, Fresh);
+  link(Tx, Nodes, At, Key, Value, Spare);
   return true;
 }
 
 std::optional<uint64_t> TmList::find(Tl2Txn &Tx, Pool &Nodes, uint64_t Key) {
-  uint32_t Prev, Cur;
-  locate(Tx, Nodes, Key, Prev, Cur);
-  if (Cur == Pool::Null || Tx.load(Nodes[Cur].Key) != Key)
+  const Position At = locate(Tx, Nodes, Key);
+  if (!At.found(Key))
     return std::nullopt;
-  return Tx.load(Nodes[Cur].Value);
+  return Tx.load(Nodes[At.Cur].Value);
 }
 
 std::optional<uint64_t> TmList::remove(Tl2Txn &Tx, Pool &Nodes,
                                        uint64_t Key) {
-  uint32_t Prev, Cur;
-  locate(Tx, Nodes, Key, Prev, Cur);
-  if (Cur == Pool::Null || Tx.load(Nodes[Cur].Key) != Key)
+  const Position At = locate(Tx, Nodes, Key);
+  if (!At.found(Key))
     return std::nullopt;
-  uint64_t Value = Tx.load(Nodes[Cur].Value);
-  uint32_t After = Tx.load(Nodes[Cur].Next);
-  if (Prev == Pool::Null)
-    Tx.store(Head, After);
-  else
-    Tx.store(Nodes[Prev].Next, After);
+  uint64_t Value = Tx.load(Nodes[At.Cur].Value);
+  relink(Tx, Nodes, At, At.CurLink.Next);
   return Value;
 }
 
 uint64_t TmList::size(Tl2Txn &Tx, Pool &Nodes) {
   uint64_t Count = 0;
-  uint32_t Cur = Tx.load(Head);
+  uint32_t Cur = Tx.read(Head);
   while (Cur != Pool::Null) {
     ++Count;
-    Cur = Tx.load(Nodes[Cur].Next);
+    Cur = Tx.read(Nodes[Cur].Link).Next;
   }
   return Count;
 }

@@ -13,12 +13,24 @@
 /// transactional read, so a commit anywhere on the traversed prefix
 /// conflicts — the same contention structure as STAMP's list.c.
 ///
+/// A node is an object: its key and next link are one TObj link block,
+/// whose Meta word is its own orec on the flat TL2 runtime, and its
+/// value a TVar beside it. The head is an object too. A walk reads one
+/// snapshot per node and touches the head's and the nodes' lines only,
+/// no lock-table line. Nodes are 32 bytes
+/// and 32-byte aligned, two to a line, none straddling one. An insert
+/// or remove rewrites its predecessor's link block whole, so it
+/// conflicts with every walk that passed or stopped at the predecessor;
+/// an update of a node's value conflicts only with readers of that
+/// value, not with walks passing the node.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GSTM_STAMP_TMLIST_H
 #define GSTM_STAMP_TMLIST_H
 
 #include "engine/Tl2.h"
+#include "libtm/LibTm.h"
 #include "stamp/TmPool.h"
 #include "stm/TVar.h"
 
@@ -27,12 +39,19 @@
 
 namespace gstm {
 
-/// Node of a TmList; lives in a TmPool shared by many lists.
-struct TmListNode {
-  TVar<uint64_t> Key;
-  TVar<uint64_t> Value;
-  TVar<uint32_t> Next;
+/// A node's key and the index of its successor, read and written as one
+/// object.
+struct TmListLink {
+  uint64_t Key;
+  uint32_t Next;
 };
+
+/// Node of a TmList; lives in a TmPool shared by many lists.
+struct alignas(32) TmListNode {
+  TObj<TmListLink> Link;
+  TVar<uint64_t> Value;
+};
+static_assert(sizeof(TmListNode) == 32, "two list nodes per cache line");
 
 /// Sorted singly linked list with unique keys.
 ///
@@ -49,7 +68,9 @@ public:
               uint32_t *Spare = nullptr);
 
   /// Inserts or overwrites; returns true when a new node was created.
-  bool insertOrAssign(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint64_t Value);
+  /// \p Spare as in insert.
+  bool insertOrAssign(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint64_t Value,
+                      uint32_t *Spare = nullptr);
 
   /// Looks \p Key up.
   std::optional<uint64_t> find(Tl2Txn &Tx, Pool &Nodes, uint64_t Key);
@@ -65,11 +86,12 @@ public:
   /// not modify the list.
   template <typename Fn>
   void forEach(Tl2Txn &Tx, Pool &Nodes, Fn &&Callback) {
-    uint32_t Cur = Tx.load(Head);
+    uint32_t Cur = Tx.read(Head);
     while (Cur != Pool::Null) {
       TmListNode &N = Nodes[Cur];
-      Callback(Tx.load(N.Key), Tx.load(N.Value));
-      Cur = Tx.load(N.Next);
+      const TmListLink L = Tx.read(N.Link);
+      Callback(L.Key, Tx.load(N.Value));
+      Cur = L.Next;
     }
   }
 
@@ -78,19 +100,37 @@ public:
     uint32_t Cur = Head.loadDirect();
     while (Cur != Pool::Null) {
       TmListNode &N = Nodes[Cur];
-      Callback(N.Key.loadDirect(), N.Value.loadDirect());
-      Cur = N.Next.loadDirect();
+      const TmListLink L = N.Link.loadDirect();
+      Callback(L.Key, N.Value.loadDirect());
+      Cur = L.Next;
     }
   }
 
 private:
-  /// Finds the insertion point: on return Prev is the node before the
-  /// first node with key >= \p Key (Null when that is the head) and Cur
-  /// that node (Null at end).
-  void locate(Tl2Txn &Tx, Pool &Nodes, uint64_t Key, uint32_t &Prev,
-              uint32_t &Cur);
+  /// The insertion point of a key: Prev is the node before the first
+  /// node with key >= the key (Null when that is the head), Cur that node
+  /// (Null at end), and PrevLink / CurLink their link blocks as read.
+  struct Position {
+    uint32_t Prev = Pool::Null;
+    uint32_t Cur = Pool::Null;
+    TmListLink PrevLink{};
+    TmListLink CurLink{};
 
-  TVar<uint32_t> Head{Pool::Null};
+    bool found(uint64_t Key) const {
+      return Cur != Pool::Null && CurLink.Key == Key;
+    }
+  };
+
+  Position locate(Tl2Txn &Tx, Pool &Nodes, uint64_t Key);
+  /// Makes \p Next the successor of \p At's predecessor (the head when
+  /// it has none), rewriting that link block whole.
+  void relink(Tl2Txn &Tx, Pool &Nodes, const Position &At, uint32_t Next);
+  /// Links a fresh node (\p Key, \p Value) in at \p At.
+  void link(Tl2Txn &Tx, Pool &Nodes, const Position &At, uint64_t Key,
+            uint64_t Value, uint32_t *Spare);
+
+  /// First node; an object, so a walk's first read has its own orec.
+  TObj<uint32_t> Head{Pool::Null};
 };
 
 } // namespace gstm

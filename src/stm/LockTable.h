@@ -15,6 +15,13 @@
 /// reader attribute its abort to a concrete transaction, which is what
 /// the paper's thread-transactional-state tuples require.
 ///
+/// An object (TObj, libtm/LibTm.h) on the flat runtime is its own orec:
+/// its Meta word carries the same encoding and no stripe is hashed for
+/// it. Its lock key is the Meta address with bit 63 set (objectKey), so
+/// one key space names both kinds of orec: stripeAt/indexOf map a stripe
+/// index or a tagged key to its word and back, and ascending keys order
+/// the table's stripes before the objects, the objects by address.
+///
 /// Word layout:
 ///   bit 0      — 1 = locked, 0 = unlocked
 ///   bits 1..63 — unlocked: version; locked: packed TxThreadPair of owner
@@ -101,21 +108,32 @@ public:
            Mask;
   }
 
-  /// Index of \p Stripe, one of this table's stripes (inverse of
-  /// stripeAt).
-  size_t indexOf(const std::atomic<uint64_t> *Stripe) const {
-    assert(Stripe >= Stripes && Stripe <= &Stripes[Mask] &&
-           "stripe of another table");
-    return static_cast<size_t>(Stripe - Stripes);
+  /// Tag of an object's lock key: above every stripe index and every
+  /// user-space address.
+  static constexpr uint64_t ObjectKeyBit = uint64_t{1} << 63;
+
+  /// Lock key of the object whose orec is \p Meta.
+  static uint64_t objectKey(const std::atomic<uint64_t> *Meta) {
+    return reinterpret_cast<uintptr_t>(Meta) | ObjectKeyBit;
+  }
+
+  /// Lock key of \p Orec (inverse of stripeAt): its index when it is one
+  /// of this table's stripes, else its objectKey.
+  uint64_t indexOf(const std::atomic<uint64_t> *Orec) const {
+    if (Orec >= Stripes && Orec <= &Stripes[Mask])
+      return static_cast<uint64_t>(Orec - Stripes);
+    return objectKey(Orec);
   }
 
   // Stripe version publishes on the single-fence commit paths are
   // relaxed stores; the one release fence after writeback is what makes
   // a reader's acquire load of the stripe observe the new data.
   // stm-order: publish(stripeAt) requires release-fence-before
-  std::atomic<uint64_t> &stripeAt(size_t Index) {
-    assert(Index <= Mask && "stripe index out of range");
-    return Stripes[Index];
+  std::atomic<uint64_t> &stripeAt(uint64_t Key) {
+    if (Key & ObjectKeyBit)
+      return *reinterpret_cast<std::atomic<uint64_t> *>(Key & ~ObjectKeyBit);
+    assert(Key <= Mask && "stripe index out of range");
+    return Stripes[Key];
   }
 
   /// Decodes a raw stripe word.

@@ -142,7 +142,8 @@ public:
                          uint64_t Value) = 0;
 
   /// The attempt acquired the versioned lock identified by \p LockId
-  /// (stripe index for TL2, object address for LibTm) — encounter-time in
+  /// (its lock key: a stripe index, or an object's tagged Meta address
+  /// on the flat runtime, LockTable::objectKey) — encounter-time in
   /// the eager engines, commit-time otherwise.
   virtual void onLockAcquire(ThreadId Thread, uint64_t LockId) = 0;
 };

@@ -26,8 +26,10 @@
 ///    reports the object, i.e. its leading Meta word, and payload word 0
 ///    — for word-sized payloads the two encodings agree), and
 ///  * `cellLocked` — per-cell lock residue probe for post-run quiescence
-///    checks (the orec guarding the cell: a TVar's stripe, a TObj's
-///    Meta's stripe on a word backend and the Meta itself on LibTm).
+///    checks (the orec guarding the cell, as the runtime picks it: a
+///    TVar's stripe; a TObj's Meta word itself on the flat runtime, which
+///    every backend but the sharded one runs on, and the Meta's stripe
+///    there).
 ///
 /// `load`/`store` also take a `DirectAccess` tag in place of the
 /// descriptor and then access the cell directly, so one algorithm
@@ -101,12 +103,12 @@ template <typename TxnT> struct ObjectCells {
   }
 
   /// True when the orec guarding \p C is still locked (post-run residue
-  /// probe; quiescent use only). The runtime maps the Meta word to its
-  /// orec: a stripe of the table, or on LibTm the Meta itself.
+  /// probe; quiescent use only). The runtime's objectOrec maps the Meta
+  /// word to the orec its commits lock.
   template <typename StmT, typename T>
   static bool cellLocked(StmT &S, const TObj<T> &C) {
     return LockTable::decode(
-               S.stripeFor(&C.meta()).load(std::memory_order_relaxed))
+               S.objectOrec(C.meta()).load(std::memory_order_relaxed))
         .Locked;
   }
 };
@@ -180,7 +182,8 @@ struct ShardBackend : WordBackend<ShardedTxn> {
 
 /// Object-based LibTm backend: every cell is a TObj<T> with its orec
 /// embedded as the object's Meta word, so a word cell is an object cell
-/// of one payload word.
+/// of one payload word. The runtime is flat TL2's; only the cells differ
+/// from Tl2Backend.
 struct LibTmBackend : ObjectCells<LibTxn> {
   using Stm = LibTm;
   using Txn = LibTxn;

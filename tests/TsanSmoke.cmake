@@ -26,7 +26,7 @@ execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BUILD_DIR}
           --target stats_test tl2_test minivector_test latency_histogram_test
                    tmds_test engine_test shard_test libtm_test controller_test
-                   pool_test
+                   pool_test containers_test
   RESULT_VARIABLE BuildRc)
 if(NOT BuildRc EQUAL 0)
   message(FATAL_ERROR "tsan sub-build compile failed (${BuildRc})")
@@ -66,6 +66,25 @@ execute_process(
   RESULT_VARIABLE LibTmRc)
 if(NOT LibTmRc EQUAL 0)
   message(FATAL_ERROR "libtm_test failed under tsan (${LibTmRc})")
+endif()
+
+# The flat runtime keeps an object's orec in its Meta word, and TmList
+# nodes are objects: one commit locking a word stripe and an object's
+# Meta together, a walk across a peer's insert and value update, a
+# transaction walking its own buffered link blocks, and threads racing
+# inserts through shared list nodes.
+execute_process(
+  COMMAND ${BUILD_DIR}/tests/tl2_test --gtest_filter=Tl2ObjectOrecTest.*
+  RESULT_VARIABLE Tl2ObjectRc)
+if(NOT Tl2ObjectRc EQUAL 0)
+  message(FATAL_ERROR "tl2_test object orecs failed under tsan (${Tl2ObjectRc})")
+endif()
+execute_process(
+  COMMAND ${BUILD_DIR}/tests/containers_test
+          --gtest_filter=ListFixture.WalkAbortsOnPrefixInsertNotOnPassedValueUpdate:ListFixture.OneTransactionReadsThroughItsBufferedLinkBlocks:TmListConcurrency.*
+  RESULT_VARIABLE ListRc)
+if(NOT ListRc EQUAL 0)
+  message(FATAL_ERROR "containers_test failed under tsan (${ListRc})")
 endif()
 
 # The guided controller reads the current state (an atomic) against its

@@ -16,6 +16,8 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 using namespace gstm;
 
@@ -113,6 +115,89 @@ TEST(TmListTest, RetriedInsertReusesItsSpareNode) {
   });
 }
 
+TEST_F(ListFixture, WalkAbortsOnPrefixInsertNotOnPassedValueUpdate) {
+  // A node's key and link are one object, its value a cell beside it: a
+  // walk to 30 reads the link blocks of 10, 20 and 30. A peer's insert
+  // of 15 rewrites 10's link block, so the walk's commit fails
+  // validation and retries once; a peer's update of 20's value touches
+  // no block the walk read, so the walk commits at once.
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    for (uint64_t K : {10, 20, 30, 40})
+      List.insert(Tx, Pool, K, K * 10);
+  });
+  Tl2Txn Peer(Stm, 1);
+  TVar<uint64_t> Walks{0}; // makes the walk a writer, so it validates
+
+  auto WalkAcross = [&](auto &&PeerBody) {
+    int Attempts = 0;
+    Txn.run(0, [&](Tl2Txn &Tx) {
+      EXPECT_EQ(List.find(Tx, Pool, 30), 300u);
+      if (++Attempts == 1)
+        // stm-lint: allow(R5) deliberate commit injection from a second
+        // descriptor; single-threaded, so the nesting cannot deadlock.
+        Peer.run(1, PeerBody);
+      Tx.store(Walks, Tx.load(Walks) + 1);
+    });
+    return Attempts;
+  };
+
+  EXPECT_EQ(WalkAcross([&](Tl2Txn &P) {
+              EXPECT_TRUE(List.insert(P, Pool, 15, 150));
+            }),
+            2)
+      << "an insert into the walked prefix must abort the walk";
+  EXPECT_EQ(WalkAcross([&](Tl2Txn &P) {
+              EXPECT_FALSE(List.insertOrAssign(P, Pool, 20, 999));
+            }),
+            1)
+      << "a value update of a passed node must not abort the walk";
+
+  std::vector<std::pair<uint64_t, uint64_t>> Got;
+  List.forEachDirect(Pool,
+                     [&](uint64_t K, uint64_t V) { Got.emplace_back(K, V); });
+  const std::vector<std::pair<uint64_t, uint64_t>> Want = {
+      {10, 100}, {15, 150}, {20, 999}, {30, 300}, {40, 400}};
+  EXPECT_EQ(Got, Want);
+  EXPECT_EQ(Walks.loadDirect(), 2u);
+}
+
+TEST_F(ListFixture, OneTransactionReadsThroughItsBufferedLinkBlocks) {
+  // Inserting at the head and in the middle, then finding, removing and
+  // finding again, all walk link blocks this transaction has buffered
+  // and not yet published.
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    for (uint64_t K : {20, 40})
+      List.insert(Tx, Pool, K, K);
+  });
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    EXPECT_TRUE(List.insert(Tx, Pool, 10, 1));  // head: new Head
+    EXPECT_TRUE(List.insert(Tx, Pool, 30, 3));  // middle: 20's block
+    EXPECT_EQ(List.find(Tx, Pool, 10), 1u);
+    EXPECT_EQ(List.find(Tx, Pool, 30), 3u);
+    EXPECT_EQ(List.find(Tx, Pool, 40), 40u);
+    EXPECT_EQ(List.remove(Tx, Pool, 30), 3u);   // 20's block again
+    EXPECT_FALSE(List.find(Tx, Pool, 30).has_value());
+    EXPECT_EQ(List.find(Tx, Pool, 40), 40u);
+    EXPECT_EQ(List.remove(Tx, Pool, 10), 1u);   // the buffered head
+    EXPECT_FALSE(List.find(Tx, Pool, 10).has_value());
+    EXPECT_TRUE(List.insert(Tx, Pool, 30, 33));
+    EXPECT_EQ(List.size(Tx, Pool), 3u);
+  });
+  std::vector<uint64_t> Keys;
+  List.forEachDirect(Pool, [&](uint64_t K, uint64_t) { Keys.push_back(K); });
+  EXPECT_EQ(Keys, (std::vector<uint64_t>{20, 30, 40}));
+  Txn.run(0, [&](Tl2Txn &Tx) { EXPECT_EQ(List.find(Tx, Pool, 30), 33u); });
+}
+
+TEST(TmListTest, NodesAreHalfALineAndNeverStraddleOne) {
+  TmList::Pool Pool(64);
+  for (uint32_t I = 0; I < 16; ++I) {
+    const auto A = reinterpret_cast<uintptr_t>(&Pool[Pool.allocate()]);
+    EXPECT_EQ(A % 32, 0u);
+    EXPECT_EQ(A / 64, (A + sizeof(TmListNode) - 1) / 64);
+  }
+}
+
 TEST(TmListConcurrency, DisjointInsertsAllLand) {
   Tl2Stm Stm;
   TmList::Pool Pool(8192);
@@ -192,6 +277,37 @@ TEST(TmHashMapTest, BasicOperations) {
   Txn.run(0, [&](Tl2Txn &Tx) {
     EXPECT_EQ(Map.remove(Tx, Pool, 1).value(), 0u);
     EXPECT_FALSE(Map.find(Tx, Pool, 1).has_value());
+  });
+}
+
+TEST(TmHashMapTest, RetriedInsertOrAssignReusesItsSpareNode) {
+  // The spare slot reaches the bucket's list: 50 aborted attempts of a
+  // creating insertOrAssign take one node from the pool, as does an
+  // insert with its own spare.
+  Tl2Stm Stm;
+  TmList::Pool Pool(256);
+  TmHashMap Map(4);
+  Tl2Txn Txn(Stm, 0);
+  const uint32_t Before = Pool.used();
+  uint32_t Spare = TmList::Pool::Null;
+  int Attempts = 0;
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    EXPECT_TRUE(Map.insertOrAssign(Tx, Pool, 7, 70, &Spare));
+    if (++Attempts <= 50)
+      Tx.retryAbort();
+  });
+  EXPECT_EQ(Pool.used(), Before + 1);
+  uint32_t InsertSpare = TmList::Pool::Null;
+  Attempts = 0;
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    EXPECT_TRUE(Map.insert(Tx, Pool, 8, 80, &InsertSpare));
+    if (++Attempts <= 50)
+      Tx.retryAbort();
+  });
+  EXPECT_EQ(Pool.used(), Before + 2);
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    EXPECT_EQ(Map.find(Tx, Pool, 7), 70u);
+    EXPECT_EQ(Map.find(Tx, Pool, 8), 80u);
   });
 }
 

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/Tl2.h"
+#include "libtm/LibTm.h"
 
 #include "stm/TVar.h"
 #include "support/SplitMix64.h"
@@ -335,4 +336,90 @@ TEST(Tl2Test, LargeReadAndWriteSets) {
   });
   for (auto &V : Vars)
     EXPECT_EQ(V->loadDirect(), uint64_t{N} * (N - 1) / 2);
+}
+
+namespace {
+/// Records the lock keys a commit acquires, in acquisition order.
+struct LockKeyRecorder : TxAccessObserver {
+  std::vector<uint64_t> Keys;
+  void onTxBegin(ThreadId, TxId, uint64_t) override {}
+  void onTxLoad(ThreadId, const void *, uint64_t, uint64_t, bool) override {}
+  void onTxStore(ThreadId, const void *, uint64_t) override {}
+  void onLockAcquire(ThreadId, uint64_t LockId) override {
+    Keys.push_back(LockId);
+  }
+};
+
+struct Pair {
+  uint64_t A;
+  uint64_t B;
+};
+} // namespace
+
+TEST(Tl2ObjectOrecTest, OneCommitLocksAWordStripeAndAnObjectMeta) {
+  // An object on the flat runtime is its own orec: a commit that writes a
+  // word and an object it read takes the word's stripe, then the
+  // object's tagged key, in one sorted acquisition; its validation finds
+  // the object's pre-lock word by that key; and the release stamps the
+  // Meta word at wv while no table stripe but the word's moves.
+  Tl2Stm Stm;
+  TVar<uint64_t> Word{1};
+  TObj<Pair> Obj{Pair{2, 3}};
+  LockTable &Table = Stm.lockTable();
+  const uint64_t WordKey = Table.indexFor(&Word.word());
+  LockKeyRecorder Rec;
+  Stm.setAccessObserver(&Rec);
+  Tl2Txn Txn(Stm, 0);
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    Pair P = Tx.read(Obj);
+    Tx.store(Word, Tx.load(Word) + P.A);
+    Tx.write(Obj, Pair{P.A + 1, P.B});
+  });
+  Stm.setAccessObserver(nullptr);
+
+  const uint64_t ObjKey = LockTable::objectKey(&Obj.meta());
+  EXPECT_EQ(Rec.Keys, (std::vector<uint64_t>{WordKey, ObjKey}));
+  EXPECT_EQ(Table.indexOf(&Obj.meta()), ObjKey);
+  EXPECT_EQ(&Table.stripeAt(ObjKey), &Obj.meta());
+  EXPECT_EQ(Table.indexOf(&Table.stripeAt(WordKey)), WordKey);
+
+  const uint64_t Wv = Stm.clock().sample();
+  EXPECT_EQ(Wv, 1u);
+  EXPECT_EQ(Obj.meta().load(), LockTable::encodeVersion(Wv));
+  for (uint64_t I = 0; I < Table.size(); ++I)
+    ASSERT_EQ(Table.stripeAt(I).load(),
+              I == WordKey ? LockTable::encodeVersion(Wv) : 0u)
+        << "stripe " << I;
+  EXPECT_EQ(Word.loadDirect(), 3u);
+  EXPECT_EQ(Obj.loadDirect().A, 3u);
+}
+
+TEST(Tl2ObjectOrecTest, SelfLockedObjectValidatesAgainstItsPreLockWord) {
+  // A peer commits the object between this attempt's read of it and its
+  // commit. The commit still locks the object (the Meta is free again),
+  // so validation must judge the read by the pre-lock word it finds
+  // under the object's tagged key: that word is newer than rv, the
+  // attempt retries, and neither increment is lost.
+  Tl2Stm Stm;
+  TVar<uint64_t> Word{0};
+  TObj<Pair> Obj{Pair{0, 0}};
+  Tl2Txn Txn(Stm, 0);
+  Tl2Txn Peer(Stm, 1);
+  int Attempts = 0;
+  Txn.run(0, [&](Tl2Txn &Tx) {
+    Pair P = Tx.read(Obj);
+    if (++Attempts == 1)
+      // stm-lint: allow(R5) deliberate commit injection from a second
+      // descriptor; single-threaded, so the nesting cannot deadlock.
+      Peer.run(1, [&](Tl2Txn &E) {
+        Pair Q = E.read(Obj);
+        E.write(Obj, Pair{Q.A + 1, Q.B});
+      });
+    Tx.store(Word, Tx.load(Word) + 1);
+    Tx.write(Obj, Pair{P.A + 1, P.B});
+  });
+  EXPECT_EQ(Attempts, 2);
+  EXPECT_EQ(Obj.loadDirect().A, 2u);
+  EXPECT_EQ(Word.loadDirect(), 1u);
+  EXPECT_FALSE(LockTable::decode(Obj.meta().load()).Locked);
 }

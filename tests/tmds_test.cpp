@@ -595,6 +595,56 @@ TEST(TmBTreeTest, NodesStayWithinOccupancyBounds) {
   EXPECT_TRUE(Tree.validateDirect());
 }
 
+/// Records the lock keys commits acquire.
+struct LockKeyRecorder : TxAccessObserver {
+  std::vector<uint64_t> Keys;
+  void onTxBegin(ThreadId, TxId, uint64_t) override {}
+  void onTxLoad(ThreadId, const void *, uint64_t, uint64_t, bool) override {}
+  void onTxStore(ThreadId, const void *, uint64_t) override {}
+  void onLockAcquire(ThreadId, uint64_t LockId) override {
+    Keys.push_back(LockId);
+  }
+};
+
+template <typename B> class CellLockedTest : public ::testing::Test {};
+using AllBackends = ::testing::Types<Tl2Backend, LibTmBackend,
+                                     OrecEagerBackend, ShardBackend>;
+TYPED_TEST_SUITE(CellLockedTest, AllBackends);
+
+/// Commits a write of \p C, takes the orec that commit locked (the only
+/// key it acquired), and locks it by hand: B::cellLocked must see it.
+template <typename B, typename CellT, typename T>
+void expectHandLockReported(typename B::Stm &S, CellT &C, const T &Value) {
+  LockKeyRecorder Rec;
+  S.setAccessObserver(&Rec);
+  typename B::Txn Txn(S, 0);
+  Txn.run(0, [&](typename B::Txn &Tx) { B::store(Tx, C, Value); });
+  S.setAccessObserver(nullptr);
+  ASSERT_EQ(Rec.Keys.size(), 1u);
+  std::atomic<uint64_t> &Orec = S.lockTable().stripeAt(Rec.Keys[0]);
+  const uint64_t Word = Orec.load();
+  EXPECT_FALSE(B::cellLocked(S, C));
+  Orec.store(LockTable::encodeLocked(packPair(3, 1)));
+  EXPECT_TRUE(B::cellLocked(S, C)) << "a leaked lock went unreported";
+  Orec.store(Word);
+  EXPECT_FALSE(B::cellLocked(S, C));
+}
+
+TYPED_TEST(CellLockedTest, ReportsTheOrecItsCommitsLock) {
+  // The post-run residue probe must read the orec a commit locks: a
+  // table stripe for a word cell, and for an object the Meta word itself
+  // on the flat runtime or the Meta's stripe on the sharded one.
+  using B = TypeParam;
+  typename B::Stm S;
+  typename B::template Cell<uint64_t> Cell{1};
+  expectHandLockReported<B>(S, Cell, uint64_t{2});
+  using KeyBlock = typename TmBTree<B>::KeyBlock;
+  typename B::template Obj<KeyBlock> Block{};
+  KeyBlock Blk{};
+  Blk.Keys[0] = 5;
+  expectHandLockReported<B>(S, Block, Blk);
+}
+
 TEST(TmdsBackendTest, CellEncodingsAgreeAcrossBackends) {
   // The fuzz differential relies on TVar's encoded word and TObj's
   // payload word 0 agreeing for word-sized values — pin that here.
